@@ -1,0 +1,489 @@
+"""Command-line front end.
+
+Models live in JSON files (schema 1): rates and probabilities are strings
+like "3/5" (exact) or numbers; words are integer arrays.  Unknown keys are
+rejected so that typos cannot silently drop data.  Reports are printed as
+text or JSON; exit codes: 0 verdict computed (invariant where applicable),
+1 not-invariant, 2 input error, 3 resource cap exceeded.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from dataclasses import dataclass
+from typing import Optional
+
+from . import criteria, models, oracle, search, segment
+from .core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
+from .criteria import CriterionReport, markov_context, product_context
+from .lattice2d import SquareJRM, check_product_2d
+from .oracle import (CycleSpace, StateCapExceeded, TorusSpace, build_generator,
+                     gibbs_measure, product_measure, stationarity_residual)
+from .scalars import DEFAULT_TOL, as_scalar, scalar_repr
+
+EXIT_OK = 0
+EXIT_NOT_INVARIANT = 1
+EXIT_INPUT = 2
+EXIT_CAP = 3
+
+_MODEL_KEYS = {"schema", "kappa", "range", "memory", "rates", "kernel", "rho",
+               "beta_left", "beta_right", "two_dimensional", "square_rates"}
+
+
+class ModelFileError(ValueError):
+    pass
+
+
+@dataclass
+class ModelFile:
+    kappa: int
+    range_: Optional[int]
+    jrm: Optional[JumpRateMatrix]
+    square: Optional[SquareJRM]
+    kernel: Optional[MarkovKernel]
+    rho: Optional[list]
+    beta: Optional[BoundaryRates]
+    two_dimensional: bool
+
+
+def _parse_scalar(value, as_float: bool):
+    scalar = as_scalar(value)
+    return float(scalar) if as_float else scalar
+
+
+def _parse_rate_list(items, alphabet, length, as_float, what):
+    rates = {}
+    for k, item in enumerate(items):
+        extra = set(item) - {"from", "to", "rate"}
+        if extra:
+            raise ModelFileError(f"{what}[{k}] has unknown keys {sorted(extra)}")
+        try:
+            src = tuple(int(a) for a in item["from"])
+            dst = tuple(int(a) for a in item["to"])
+            rate = _parse_scalar(item["rate"], as_float)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ModelFileError(f"{what}[{k}] is malformed: {exc}") from exc
+        if len(src) != length or len(dst) != length:
+            raise ModelFileError(f"{what}[{k}] words must have length {length}")
+        rates[(src, dst)] = rates.get((src, dst), 0) + rate
+    return rates
+
+
+def load_model_file(path: str, as_float: bool = False) -> ModelFile:
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFileError("model file must hold a JSON object")
+    unknown = set(doc) - _MODEL_KEYS
+    if unknown:
+        raise ModelFileError(f"unknown keys {sorted(unknown)} in model file")
+    if doc.get("schema") != 1:
+        raise ModelFileError("model file must declare \"schema\": 1")
+    try:
+        kappa = int(doc["kappa"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ModelFileError("model file needs an integer \"kappa\"") from exc
+    alphabet = Alphabet(kappa)
+
+    two_dimensional = bool(doc.get("two_dimensional", False)) or "square_rates" in doc
+    jrm = None
+    square = None
+    range_ = None
+    if two_dimensional:
+        if "rates" in doc or "range" in doc:
+            raise ModelFileError("two-dimensional models use square_rates, not rates/range")
+        try:
+            square = SquareJRM(alphabet, _parse_rate_list(doc.get("square_rates", []),
+                                                          alphabet, 4, as_float,
+                                                          "square_rates"))
+        except ValueError as exc:
+            raise ModelFileError(str(exc)) from exc
+    else:
+        try:
+            range_ = int(doc["range"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ModelFileError("model file needs an integer \"range\"") from exc
+        try:
+            jrm = JumpRateMatrix(alphabet, range_,
+                                 _parse_rate_list(doc.get("rates", []), alphabet,
+                                                  range_, as_float, "rates"))
+        except ValueError as exc:
+            raise ModelFileError(str(exc)) from exc
+
+    kernel = None
+    if "kernel" in doc:
+        memory = int(doc.get("memory", 1))
+        rows = doc["kernel"]
+        contexts = list(alphabet.words(memory))
+        if len(rows) != len(contexts):
+            raise ModelFileError(f"kernel must have {len(contexts)} rows "
+                                 "(contexts in lexicographic order)")
+        entries = {}
+        for ctx_word, row in zip(contexts, rows):
+            if len(row) != kappa:
+                raise ModelFileError("kernel rows must have kappa entries")
+            for y, value in enumerate(row):
+                entries[(ctx_word, y)] = _parse_scalar(value, as_float)
+        try:
+            kernel = MarkovKernel(alphabet, memory, entries)
+        except ValueError as exc:
+            raise ModelFileError(str(exc)) from exc
+    elif "memory" in doc:
+        raise ModelFileError("\"memory\" is only meaningful next to \"kernel\"")
+
+    rho = None
+    if "rho" in doc:
+        rho = [_parse_scalar(v, as_float) for v in doc["rho"]]
+        if len(rho) != kappa:
+            raise ModelFileError("rho must have kappa entries")
+
+    beta = None
+    if "beta_left" in doc or "beta_right" in doc:
+        if range_ is None:
+            raise ModelFileError("boundary rates require a one-dimensional model")
+        try:
+            beta = BoundaryRates(
+                JumpRateMatrix(alphabet, range_ - 1,
+                               _parse_rate_list(doc.get("beta_left", []), alphabet,
+                                                range_ - 1, as_float, "beta_left")),
+                JumpRateMatrix(alphabet, range_ - 1,
+                               _parse_rate_list(doc.get("beta_right", []), alphabet,
+                                                range_ - 1, as_float, "beta_right")))
+        except ValueError as exc:
+            raise ModelFileError(str(exc)) from exc
+    return ModelFile(kappa, range_, jrm, square, kernel, rho, beta, two_dimensional)
+
+
+def model_to_json(spec: models.ModelSpec) -> dict:
+    doc = {"schema": 1}
+    if spec.square is not None:
+        doc["kappa"] = spec.square.alphabet.kappa
+        doc["two_dimensional"] = True
+        doc["square_rates"] = [{"from": list(src), "to": list(dst),
+                                "rate": scalar_repr(rate)}
+                               for src, dst, rate in spec.square.entries()]
+        return doc
+    doc["kappa"] = spec.jrm.alphabet.kappa
+    doc["range"] = spec.jrm.range_
+    doc["rates"] = [{"from": list(src), "to": list(dst), "rate": scalar_repr(rate)}
+                    for src, dst, rate in spec.jrm.entries()]
+    if spec.kernel is not None:
+        doc["memory"] = spec.kernel.memory
+        doc["kernel"] = [[scalar_repr(v) for v in row] for row in spec.kernel.matrix()]
+    if spec.rho is not None:
+        doc["rho"] = [scalar_repr(v) for v in spec.rho]
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# report rendering
+# ---------------------------------------------------------------------------
+
+def _witness_json(witness):
+    if witness is None:
+        return None
+    word, residual = witness
+    return {"word": list(word) if word is not None else None,
+            "residual": scalar_repr(residual) if not isinstance(residual, str) else residual}
+
+
+def report_json(report: CriterionReport, timings=None, residuals=None) -> dict:
+    doc = {"verdict": report.verdict, "criterion": report.criterion,
+           "words_checked": report.words_checked}
+    if report.witness is not None:
+        doc["witness"] = _witness_json(report.witness)
+    if report.certificate is not None:
+        doc["certificate"] = {"".join(map(str, word)): scalar_repr(value)
+                              for word, value in sorted(report.certificate.values.items())}
+    if report.details:
+        doc["details"] = {k: str(v) for k, v in report.details.items()}
+    if residuals is not None:
+        doc["residuals"] = residuals
+    doc["timings"] = timings or {}
+    return doc
+
+
+def _emit(doc: dict, args) -> None:
+    if args.report == "json":
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    for key, value in doc.items():
+        if key == "timings":
+            continue
+        print(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
+
+
+def _law_from_file(model: ModelFile, tol):
+    """The candidate law a 1D model file describes: kernel or product marginal."""
+    if model.kernel is not None:
+        return markov_context(model.jrm, model.kernel, tol)
+    if model.rho is not None:
+        return product_context(model.jrm, model.rho, tol)
+    raise ModelFileError("model file carries neither a kernel nor a marginal rho")
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def _cmd_check_markov(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    if model.kernel is None:
+        raise ModelFileError("check-markov needs a \"kernel\" entry")
+    start = time.perf_counter()
+    ctx = markov_context(model.jrm, model.kernel, args.tol)
+    report = criteria.check_markov_line(ctx)
+    _emit(report_json(report, {"total_s": time.perf_counter() - start}), args)
+    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+
+
+def _cmd_check_product(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    if model.rho is None:
+        raise ModelFileError("check-product needs a \"rho\" entry")
+    start = time.perf_counter()
+    report = criteria.check_product_line(model.jrm, model.rho, args.tol)
+    _emit(report_json(report, {"total_s": time.perf_counter() - start}), args)
+    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+
+
+def _cmd_find_markov(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    result = search.find_markov(model.jrm, args.tol)
+    def describe(c):
+        return {
+            "kernel": [[scalar_repr(v) for v in row] for row in c.kernel.matrix()],
+            "stationary": [scalar_repr(c.law.rho[(a,)])
+                           for a in c.kernel.alphabet.letters],
+            "exact": c.exact,
+            "provenance": c.provenance,
+            "line_invariant": bool(c.line_report and c.line_report.invariant),
+        }
+
+    doc = {
+        "verdict": "all-kernels" if result.all_kernels else
+                   f"{len(result.candidates)} candidate kernel(s)",
+        "criterion": "triple-measure search",
+        "family_dimension": result.family.solution.dimension,
+        "samples": len(result.family.samples),
+        "candidates": [describe(c) for c in result.candidates],
+        "numeric_candidates": [describe(c) for c in result.numeric_candidates],
+        "notes": list(result.notes),
+        "timings": {},
+    }
+    _emit(doc, args)
+    return EXIT_OK
+
+
+def _cmd_find_product(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    result = search.find_product(model.jrm, args.tol)
+    doc = {
+        "verdict": "all-bernoulli" if result.bernoulli_all else
+                   f"{len(result.candidates)} invariant product(s) found",
+        "criterion": "symmetrized pair system",
+        "family_dimension": result.family.solution.dimension,
+        "candidates": [[scalar_repr(p) for p in rho] for rho, _ in result.candidates],
+        "bernoulli_roots": [scalar_repr(p) for p in result.bernoulli_roots],
+        "notes": list(result.notes),
+        "timings": {},
+    }
+    _emit(doc, args)
+    return EXIT_OK
+
+
+def _cmd_verify_cycle(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    n = args.n
+    start = time.perf_counter()
+    ctx = _law_from_file(model, args.tol)
+    report = criteria.check_markov_cycle(ctx, n)
+    gen = build_generator(model.jrm, CycleSpace(n), max_states=args.max_states)
+    if model.kernel is not None:
+        mu = gibbs_measure(model.kernel, n)
+    else:
+        mu = product_measure(model.rho, n)
+    residual = stationarity_residual(gen, mu)
+    doc = report_json(report, {"total_s": time.perf_counter() - start},
+                      residuals={"oracle_max_residual": scalar_repr(residual)})
+    agreement = report.invariant == ctx.is_zero(residual)
+    doc["oracle_agrees"] = agreement
+    _emit(doc, args)
+    if not agreement:
+        return EXIT_INPUT
+    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+
+
+def _cmd_absorbing(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    sizes = list(range(args.n_min, args.n_max + 1))
+    verdict = oracle.absorbing_exclusion(model.jrm, sizes, max_states=args.max_states)
+    doc = {
+        "verdict": "no-full-support-markov-law" if verdict.excluded else "inconclusive",
+        "criterion": "absorbing-sets",
+        "memory_bound": verdict.memory_bound,
+        "tested_sizes": list(verdict.tested_sizes),
+        "proper_sizes": list(verdict.proper_sizes),
+        "pattern_persists": verdict.pattern_persists,
+        "note": verdict.note,
+        "timings": {},
+    }
+    _emit(doc, args)
+    return EXIT_OK
+
+
+def _cmd_check_2d(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    if model.square is None or model.rho is None:
+        raise ModelFileError("check-2d needs \"square_rates\" and \"rho\"")
+    start = time.perf_counter()
+    report = check_product_2d(model.square, model.rho, args.tol)
+    doc = {"verdict": report.verdict, "criterion": report.criterion,
+           "words_checked": report.words_checked}
+    if report.witness is not None:
+        pattern, residual = report.witness
+        doc["witness"] = {"pattern": list(pattern), "residual": scalar_repr(residual)}
+    try:
+        gen = build_generator(model.square, TorusSpace(3), max_states=args.max_states)
+        mu = product_measure(model.rho, 9)
+        residual = stationarity_residual(gen, mu)
+        doc["residuals"] = {"torus3_max_residual": scalar_repr(residual)}
+    except StateCapExceeded as exc:
+        doc["residuals"] = {"torus3_max_residual": f"skipped: {exc}"}
+    doc["timings"] = {"total_s": time.perf_counter() - start}
+    _emit(doc, args)
+    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+
+
+def _cmd_segment(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    if model.kernel is None:
+        raise ModelFileError("segment checks need a \"kernel\" entry")
+    ctx = markov_context(model.jrm, model.kernel, args.tol)
+    start = time.perf_counter()
+    if args.construct_boundaries:
+        built = segment.construct_boundaries(ctx)
+        doc = {
+            "verdict": "validated" if built.validated else "discrepancy",
+            "criterion": f"boundary-construction-{built.variant}",
+            "beta_left": [{"from": list(s), "to": list(d), "rate": scalar_repr(r)}
+                          for s, d, r in built.boundary.left.entries()],
+            "beta_right": [{"from": list(s), "to": list(d), "rate": scalar_repr(r)}
+                           for s, d, r in built.boundary.right.entries()],
+            "timings": {"total_s": time.perf_counter() - start},
+        }
+        if built.discrepancy is not None:
+            doc["witness"] = _witness_json(built.discrepancy)
+        _emit(doc, args)
+        return EXIT_OK if built.validated else EXIT_NOT_INVARIANT
+    if model.beta is None:
+        raise ModelFileError("segment check needs beta_left/beta_right "
+                             "(or --construct-boundaries)")
+    report = segment.check_segment(ctx, model.beta, args.n)
+    _emit(report_json(report, {"total_s": time.perf_counter() - start}), args)
+    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+
+
+def _cmd_equivalences(args) -> int:
+    model = load_model_file(args.file, args.float_mode)
+    ctx = _law_from_file(model, args.tol)
+    start = time.perf_counter()
+    panel = criteria.equivalence_panel(ctx)
+    doc = {"verdict": "agree" if len(set(panel.values())) == 1 else "disagree",
+           "criterion": "equivalence-panel",
+           "panel": {k: bool(v) for k, v in panel.items()},
+           "timings": {"total_s": time.perf_counter() - start}}
+    _emit(doc, args)
+    return EXIT_OK
+
+
+def _cmd_model(args) -> int:
+    params = json.loads(args.params) if args.params else {}
+    try:
+        spec = models.build(args.name, **params)
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(str(exc)) from exc
+    doc = model_to_json(spec)
+    if args.emit:
+        with open(args.emit, "w") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+        print(f"wrote {args.emit}")
+    else:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    if spec.notes:
+        for note in spec.notes:
+            print(f"note: {note}", file=sys.stderr)
+    return EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="psinv",
+        description="Invariance criteria, searches and brute-force oracles "
+                    "for translation-invariant particle systems.")
+    parser.add_argument("--report", choices=("text", "json"), default="text")
+    parser.add_argument("--exact", dest="float_mode", action="store_false",
+                        default=False, help="exact rational arithmetic (default)")
+    parser.add_argument("--float", dest="float_mode", action="store_true",
+                        help="coerce all inputs to floats")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="zero tolerance in float mode")
+    parser.add_argument("--max-states", type=int, default=oracle.DEFAULT_STATE_CAP,
+                        help="cap on brute-force configuration spaces")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, handler in (("check-markov", _cmd_check_markov),
+                          ("check-product", _cmd_check_product),
+                          ("find-markov", _cmd_find_markov),
+                          ("find-product", _cmd_find_product),
+                          ("check-2d", _cmd_check_2d),
+                          ("equivalences", _cmd_equivalences)):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        p.add_argument("file")
+
+    p = sub.add_parser("verify-cycle")
+    p.set_defaults(handler=_cmd_verify_cycle)
+    p.add_argument("file")
+    p.add_argument("--n", type=int, required=True)
+
+    p = sub.add_parser("absorbing")
+    p.set_defaults(handler=_cmd_absorbing)
+    p.add_argument("file")
+    p.add_argument("--n-min", type=int, default=3)
+    p.add_argument("--n-max", type=int, default=8)
+
+    p = sub.add_parser("segment")
+    p.set_defaults(handler=_cmd_segment)
+    p.add_argument("file")
+    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--construct-boundaries", action="store_true")
+
+    p = sub.add_parser("model")
+    p.set_defaults(handler=_cmd_model)
+    p.add_argument("name")
+    p.add_argument("--params", help="JSON object of builder parameters")
+    p.add_argument("--emit", help="write the model file here")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.handler(args)
+    except (ModelFileError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except StateCapExceeded as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_CAP
+
+
+if __name__ == "__main__":
+    sys.exit(main())

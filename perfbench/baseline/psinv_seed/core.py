@@ -1,0 +1,378 @@
+"""Domain types for particle systems on one-dimensional lattices.
+
+A particle system colours the sites of a lattice with letters from a finite
+alphabet E = {0, .., kappa-1} and evolves by local jumps: a length-L window
+equal to a word w is rewritten into w' at rate T[w -> w'].  The matrix T of
+these rates (zero diagonal, nonnegative entries, stored sparsely) is the
+whole dynamic.  Candidate invariant measures are Markov laws given by a
+kernel with memory m (m = 0 encodes a product measure) together with the
+stationary law of the kernel.
+
+Words are tuples of ints, ordered lexicographically; encoded as base-kappa
+integers with site 1 most significant, so lexicographic and numeric order
+agree.  All types are immutable after construction and all operations pure.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Dict, Iterator, Mapping, Tuple
+
+from .scalars import as_scalar, is_exact
+
+Word = Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """The colour set {0, .., kappa-1}, kappa >= 2 finite."""
+
+    kappa: int
+
+    def __post_init__(self):
+        if self.kappa < 2:
+            raise ValueError("alphabet needs at least two letters")
+
+    @property
+    def letters(self) -> range:
+        return range(self.kappa)
+
+    def words(self, length: int) -> Iterator[Word]:
+        """All words of the given length in lexicographic order."""
+        return itertools.product(self.letters, repeat=length)
+
+    def check_word(self, word: Word) -> Word:
+        word = tuple(word)
+        if not all(0 <= a < self.kappa for a in word):
+            raise ValueError(f"word {word} leaves the alphabet of size {self.kappa}")
+        return word
+
+    def encode(self, word: Word) -> int:
+        """Base-kappa integer of a word, first letter most significant."""
+        index = 0
+        for a in word:
+            index = index * self.kappa + a
+        return index
+
+    def decode(self, index: int, length: int) -> Word:
+        letters = []
+        for _ in range(length):
+            index, a = divmod(index, self.kappa)
+            letters.append(a)
+        return tuple(reversed(letters))
+
+
+def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple[Word, Word], object]:
+    table: Dict[Tuple[Word, Word], object] = {}
+    for (src, dst), value in rates.items():
+        src = alphabet.check_word(src)
+        dst = alphabet.check_word(dst)
+        if len(src) != length or len(dst) != length:
+            raise ValueError(f"rate entry {src}->{dst} does not have length {length}")
+        rate = as_scalar(value)
+        if rate < 0:
+            raise ValueError(f"negative rate for {src}->{dst}")
+        if src == dst and rate != 0:
+            raise ValueError(f"diagonal rate {src}->{src} must be zero")
+        if rate != 0:
+            table[(src, dst)] = table.get((src, dst), 0) + rate
+    return table
+
+
+@dataclass(frozen=True)
+class JumpRateMatrix:
+    """Sparse jump rates T[w -> w'] over length-L words; absent entry = 0."""
+
+    alphabet: Alphabet
+    range_: int
+    _rates: Dict[Tuple[Word, Word], object] = field(repr=False)
+
+    def __init__(self, alphabet: Alphabet, range_: int, rates: Mapping):
+        if range_ < 1:
+            raise ValueError("range must be >= 1")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "range_", range_)
+        object.__setattr__(self, "_rates", _freeze_rates(alphabet, range_, rates))
+
+    def rate(self, src: Word, dst: Word):
+        return self._rates.get((tuple(src), tuple(dst)), Fraction(0))
+
+    def out_rate(self, src: Word):
+        """Total rate at which the window leaves the word src."""
+        src = tuple(src)
+        return sum((r for (w, _), r in self._rates.items() if w == src), Fraction(0))
+
+    def entries(self) -> Iterator[Tuple[Word, Word, object]]:
+        for (src, dst), rate in sorted(self._rates.items()):
+            yield src, dst, rate
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._rates
+
+    @property
+    def is_exact(self) -> bool:
+        return all(is_exact(r) for r in self._rates.values())
+
+    def max_rate(self):
+        return max(self._rates.values(), default=Fraction(0))
+
+    def scaled(self, factor) -> "JumpRateMatrix":
+        factor = as_scalar(factor)
+        if factor < 0:
+            raise ValueError("scale factor must be nonnegative")
+        return JumpRateMatrix(self.alphabet, self.range_,
+                              {key: factor * r for key, r in self._rates.items()})
+
+    def plus(self, other: "JumpRateMatrix") -> "JumpRateMatrix":
+        if other.alphabet.kappa != self.alphabet.kappa or other.range_ != self.range_:
+            raise ValueError("can only add rate matrices of the same shape")
+        total = dict(self._rates)
+        for key, r in other._rates.items():
+            total[key] = total.get(key, 0) + r
+        return JumpRateMatrix(self.alphabet, self.range_, total)
+
+    def is_mass_preserving(self) -> bool:
+        """True when every positive rate conserves the letter sum."""
+        return all(sum(src) == sum(dst) for src, dst, _ in self.entries())
+
+
+@dataclass(frozen=True)
+class MarkovKernel:
+    """Transition kernel with memory m: context word of length m -> next letter.
+
+    Rows must be complete and sum to one.  m = 0 has a single empty context,
+    which makes the kernel a plain marginal distribution: the associated
+    stationary chain is an i.i.d. sequence, i.e. a product measure.
+    """
+
+    alphabet: Alphabet
+    memory: int
+    _entries: Dict[Tuple[Word, int], object] = field(repr=False)
+
+    def __init__(self, alphabet: Alphabet, memory: int, entries: Mapping):
+        if memory < 0:
+            raise ValueError("memory must be >= 0")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "memory", memory)
+        table: Dict[Tuple[Word, int], object] = {}
+        for (ctx, letter), value in entries.items():
+            ctx = alphabet.check_word(ctx)
+            if len(ctx) != memory:
+                raise ValueError(f"context {ctx} does not have length {memory}")
+            if not 0 <= letter < alphabet.kappa:
+                raise ValueError(f"letter {letter} outside alphabet")
+            p = as_scalar(value)
+            if p < 0 or p > 1:
+                raise ValueError(f"kernel entry for {ctx}->{letter} outside [0,1]")
+            table[(ctx, letter)] = p
+        for ctx in alphabet.words(memory):
+            row = [table.get((ctx, y), Fraction(0)) for y in alphabet.letters]
+            total = sum(row)
+            exact = all(is_exact(p) for p in row)
+            if (exact and total != 1) or (not exact and abs(total - 1) > 1e-9):
+                raise ValueError(f"row for context {ctx} sums to {total}, not 1")
+        object.__setattr__(self, "_entries", table)
+
+    @classmethod
+    def from_matrix(cls, rows) -> "MarkovKernel":
+        """Memory-1 kernel from a square row-stochastic matrix."""
+        kappa = len(rows)
+        entries = {((i,), j): rows[i][j] for i in range(kappa) for j in range(len(rows[i]))}
+        return cls(Alphabet(kappa), 1, entries)
+
+    @classmethod
+    def from_marginal(cls, rho) -> "MarkovKernel":
+        """Memory-0 kernel encoding the product measure with marginal rho."""
+        return cls(Alphabet(len(rho)), 0, {((), a): p for a, p in enumerate(rho)})
+
+    def prob(self, ctx: Word, letter: int):
+        return self._entries.get((tuple(ctx), letter), Fraction(0))
+
+    def step_weight(self, window: Word):
+        """Kernel weight of a length-(m+1) window: P(last letter | first m)."""
+        window = tuple(window)
+        if len(window) != self.memory + 1:
+            raise ValueError("window must have length memory + 1")
+        return self.prob(window[:-1], window[-1])
+
+    @property
+    def is_positive(self) -> bool:
+        return all(self.prob(ctx, y) > 0
+                   for ctx in self.alphabet.words(self.memory)
+                   for y in self.alphabet.letters)
+
+    @property
+    def is_exact(self) -> bool:
+        return all(is_exact(p) for p in self._entries.values())
+
+    def matrix(self):
+        """Row-stochastic matrix on contexts ordered lexicographically (m = 1
+        gives back the usual kappa x kappa kernel)."""
+        return [[self.prob(ctx, y) for y in self.alphabet.letters]
+                for ctx in self.alphabet.words(self.memory)]
+
+    def block_states(self):
+        return list(self.alphabet.words(max(self.memory, 1)))
+
+    def block_transition(self):
+        """Transition matrix of the chain of length-max(m,1) sliding blocks."""
+        states = self.block_states()
+        pos = {w: i for i, w in enumerate(states)}
+        size = len(states)
+        mat = [[Fraction(0)] * size for _ in range(size)]
+        for w in states:
+            for y in self.alphabet.letters:
+                ctx = w[len(w) - self.memory:] if self.memory else ()
+                nxt = (w + (y,))[1:]
+                mat[pos[w]][pos[nxt]] += self.prob(ctx, y)
+        return states, mat
+
+    def word_weight(self, word: Word, initial=None):
+        """Chain weight prod M(window) of a word, optionally times an initial
+        law on its first max(m,1) letters."""
+        word = tuple(word)
+        m = self.memory
+        weight = Fraction(1)
+        if initial is not None:
+            weight = initial[word[:max(m, 1)]]
+        for j in range(len(word) - m if m else len(word)):
+            if initial is not None and m == 0 and j == 0:
+                continue  # first letter already accounted by the initial law
+            weight *= self.step_weight(word[j:j + m + 1])
+        return weight
+
+
+@dataclass(frozen=True)
+class StationaryLaw:
+    """A kernel together with its stationary block law.
+
+    rho is indexed by words of length max(m, 1); it is a probability vector
+    and invariant for the sliding-block chain of the kernel.
+    """
+
+    kernel: MarkovKernel
+    rho: Mapping[Word, object]
+
+    def __post_init__(self):
+        states = self.kernel.block_states()
+        missing = [w for w in states if w not in self.rho]
+        if missing:
+            raise ValueError(f"stationary law misses blocks {missing[:3]}")
+        values = [self.rho[w] for w in states]
+        total = sum(values)
+        exact = all(is_exact(v) for v in values)
+        if any(v < 0 for v in values):
+            raise ValueError("stationary law has negative entries")
+        if (exact and total != 1) or (not exact and abs(total - 1) > 1e-9):
+            raise ValueError(f"stationary law sums to {total}, not 1")
+        states2, mat = self.kernel.block_transition()
+        for j, w in enumerate(states2):
+            flow = sum(self.rho[v] * mat[i][j] for i, v in enumerate(states2))
+            if (exact and self.kernel.is_exact and flow != self.rho[w]) or \
+               (not (exact and self.kernel.is_exact) and abs(flow - self.rho[w]) > 1e-9):
+                raise ValueError("rho is not invariant for the kernel")
+
+    @property
+    def memory(self) -> int:
+        return self.kernel.memory
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.kernel.alphabet
+
+    @property
+    def is_exact(self) -> bool:
+        return self.kernel.is_exact and all(is_exact(v) for v in self.rho.values())
+
+    def marginal(self, word: Word):
+        """Stationary probability of seeing `word` in consecutive positions."""
+        word = tuple(word)
+        m = max(self.memory, 1)
+        if len(word) >= m:
+            weight = self.rho[word[:m]]
+            for j in range(len(word) - self.memory if self.memory else len(word)):
+                if self.memory == 0 and j == 0:
+                    continue
+                weight = weight * self.kernel.step_weight(word[j:j + self.memory + 1])
+            return weight
+        total = Fraction(0)
+        for suffix in self.alphabet.words(m - len(word)):
+            total += self.rho[word + suffix]
+        return total
+
+    def single_marginal(self):
+        """Letter marginal as a list indexed by the alphabet."""
+        return [self.marginal((a,)) for a in self.alphabet.letters]
+
+
+def product_law(rho) -> StationaryLaw:
+    """Stationary law of the i.i.d. sequence with marginal rho."""
+    kernel = MarkovKernel.from_marginal(rho)
+    return StationaryLaw(kernel, {(a,): kernel.prob((), a) for a in kernel.alphabet.letters})
+
+
+def markov_law(rows) -> StationaryLaw:
+    """Stationary law of a positive memory-1 kernel given as a matrix."""
+    from .linalg import stationary_distribution
+
+    return stationary_distribution(MarkovKernel.from_matrix(rows))
+
+
+@dataclass(frozen=True)
+class BoundaryRates:
+    """Boundary jump rates for segments: two rate matrices with range L-1."""
+
+    left: JumpRateMatrix
+    right: JumpRateMatrix
+
+    def __post_init__(self):
+        if self.left.range_ != self.right.range_:
+            raise ValueError("left and right boundary ranges differ")
+        if self.left.alphabet.kappa != self.right.alphabet.kappa:
+            raise ValueError("left and right boundary alphabets differ")
+
+    @classmethod
+    def zero(cls, alphabet: Alphabet, range_: int) -> "BoundaryRates":
+        empty = JumpRateMatrix(alphabet, range_, {})
+        return cls(empty, empty)
+
+
+def induced_rate(T: JumpRateMatrix, w: Word, z: Word):
+    """Total rate of the transition w -> z by a single jump inside the word.
+
+    Sums T over every length-L window fully contained in the word, restricted
+    to windows outside of which w and z agree.  Zero when the words are equal
+    (zero diagonal) or shorter than L.
+    """
+    w, z = tuple(w), tuple(z)
+    if len(w) != len(z):
+        raise ValueError("induced rate needs words of equal length")
+    L = T.range_
+    total = Fraction(0)
+    for start in range(len(w) - L + 1):
+        if all(w[j] == z[j] for j in range(len(w)) if not start <= j < start + L):
+            total += T.rate(w[start:start + L], z[start:start + L])
+    return total
+
+
+def induced_rate_cyclic(T: JumpRateMatrix, w: Word, z: Word, n: int | None = None):
+    """Induced rate on Z/nZ: windows wrap modulo n (all n of them, even n < L)."""
+    w, z = tuple(w), tuple(z)
+    if len(w) != len(z):
+        raise ValueError("induced rate needs words of equal length")
+    if n is None:
+        n = len(w)
+    if n != len(w) or n < 1:
+        raise ValueError("cyclic words must have length n >= 1")
+    L = T.range_
+    total = Fraction(0)
+    for start in range(n):
+        window = [(start + j) % n for j in range(L)]
+        inside = set(window)
+        if all(w[j] == z[j] for j in range(n) if j not in inside):
+            src = tuple(w[j] for j in window)
+            dst = tuple(z[j] for j in window)
+            total += T.rate(src, dst)
+    return total

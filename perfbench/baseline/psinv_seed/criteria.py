@@ -1,0 +1,691 @@
+"""Finite algebraic criteria deciding invariance of Markov and product laws.
+
+The pivot of everything is the local balance table Z.  For a candidate law
+with kernel memory m and a jump rate matrix of range L, Z is indexed by words
+of length s = 2m + L (an m-letter context on each side of an L-letter
+window) and measures the normalized inflow-minus-outflow rate of the window
+given its context:
+
+    Z(a, b, c) = sum_u T[u -> b] * prod_j M(w'_j..) / M(w_j..)  -  T_out(b)
+
+with w = a b c and w' = a u c, the products running over all (m+1)-windows.
+For m = 0 the context disappears and the weights are plain marginal ratios.
+
+Sums of Z over sliding windows reproduce the stationarity balance of cylinder
+words (line) and of cyclic words (cycles), once normalized by the chain
+weight.  Invariance of the law on the line is equivalent to a finite family
+of vanishing statements about such sums; the decision procedure used here
+checks the cyclic window sums of length h = 4m + 2L - 1 on the words
+a[1..s] 0^(s-1) and, on success, produces a potential function W with
+Z(w) = W(suffix) - W(prefix), which certifies invariance by telescoping.
+
+All evaluations are exact over rationals; verdicts report the first
+violating word in lexicographic order.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Dict, Mapping, Optional, Tuple
+
+from .core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw,
+                   Word, induced_rate_cyclic, product_law)
+from .linalg import stationary_distribution
+from .scalars import DEFAULT_TOL, ScalarContext
+
+ZERO_DENOMINATOR_HINT = ("kernel has zero entries; invariance with partial support "
+                         "must go through restrict_support on a closed sub-alphabet")
+
+
+@dataclass(frozen=True)
+class CriterionContext:
+    """Binds a jump rate matrix to a candidate stationary law.
+
+    Derived sizes: window_length s = 2m + L (index length of Z) and
+    critical_length h = 4m + 2L - 1 (word length of the decisive cyclic
+    checks, h = 2s - 1).
+    """
+
+    T: JumpRateMatrix
+    law: StationaryLaw
+    tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        if self.T.alphabet.kappa != self.law.alphabet.kappa:
+            raise ValueError("rate matrix and law use different alphabets")
+        if not self.law.kernel.is_positive:
+            raise ValueError(ZERO_DENOMINATOR_HINT)
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.T.alphabet
+
+    @property
+    def memory(self) -> int:
+        return self.law.memory
+
+    @property
+    def range_(self) -> int:
+        return self.T.range_
+
+    @property
+    def window_length(self) -> int:
+        return 2 * self.memory + self.range_
+
+    @property
+    def critical_length(self) -> int:
+        return 4 * self.memory + 2 * self.range_ - 1
+
+    @property
+    def scalar_context(self) -> ScalarContext:
+        return ScalarContext(exact=self.T.is_exact and self.law.is_exact, tol=self.tol)
+
+    def is_zero(self, value) -> bool:
+        # residuals scale with T, so the float tolerance does too
+        if self.scalar_context.exact:
+            return value == 0
+        return abs(value) <= self.tol * (1 + float(self.T.max_rate()))
+
+
+def markov_context(T: JumpRateMatrix, kernel_or_law, tol: float = DEFAULT_TOL) -> CriterionContext:
+    law = kernel_or_law
+    if isinstance(kernel_or_law, MarkovKernel):
+        law = stationary_distribution(kernel_or_law)
+    return CriterionContext(T, law, tol)
+
+
+def product_context(T: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> CriterionContext:
+    """Context for a product measure (memory-0 kernel with marginal rho)."""
+    return CriterionContext(T, product_law(rho), tol)
+
+
+@dataclass(frozen=True)
+class LocalBalanceTable:
+    """The table Z over all words of length s = 2m + L."""
+
+    context: CriterionContext
+    values: Mapping[Word, object]
+
+    def __getitem__(self, word: Word):
+        return self.values[tuple(word)]
+
+    def window_sum(self, word: Word):
+        """Sum of Z over the sliding length-s windows of a linear word."""
+        s = self.context.window_length
+        return sum(self.values[tuple(word[i:i + s])] for i in range(len(word) - s + 1))
+
+    def cyclic_window_sum(self, word: Word):
+        """Sum of Z over the n wrapped length-s windows of a cyclic word."""
+        n = len(word)
+        s = self.context.window_length
+        return sum(self.values[tuple(word[(i + j) % n] for j in range(s))] for i in range(n))
+
+
+def z_table(ctx: CriterionContext) -> LocalBalanceTable:
+    """Fill the local balance table Z for all kappa^(2m+L) index words."""
+    m, L = ctx.memory, ctx.range_
+    kernel = ctx.law.kernel
+    values: Dict[Word, object] = {}
+    out_rates = {b: ctx.T.out_rate(b) for b in ctx.alphabet.words(L)}
+    moves = list(ctx.T.entries())
+    for a in ctx.alphabet.words(m):
+        for c in ctx.alphabet.words(m):
+            denom_cache: Dict[Word, object] = {}
+            for b in ctx.alphabet.words(L):
+                w = a + b + c
+                denom = Fraction(1)
+                for j in range(m + L):
+                    step = kernel.step_weight(w[j:j + m + 1])
+                    if step == 0:
+                        raise ZeroDivisionError(ZERO_DENOMINATOR_HINT)
+                    denom *= step
+                denom_cache[b] = denom
+            for b in ctx.alphabet.words(L):
+                total = -out_rates[b]
+                for u, v, rate in moves:
+                    if v != b:
+                        continue
+                    wp = a + u + c
+                    num = Fraction(1)
+                    for j in range(m + L):
+                        num *= kernel.step_weight(wp[j:j + m + 1])
+                    total += rate * num / denom_cache[b]
+                values[a + b + c] = total
+    return LocalBalanceTable(ctx, values)
+
+
+# ---------------------------------------------------------------------------
+# window-sum functionals of Z
+# ---------------------------------------------------------------------------
+
+def cycle_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
+    """Normalized stationarity balance of the cyclic word x.
+
+    For n >= m + L this equals the wrapped window sum of Z; shorter cycles
+    force letter repetitions in the chain weight, so they are evaluated
+    directly from the finite cyclic balance (exact in rational mode).
+    """
+    x = tuple(x)
+    if len(x) >= ctx.memory + ctx.range_:
+        table = table or z_table(ctx)
+        return table.cyclic_window_sum(x)
+    return _cycle_balance_direct(ctx, x)
+
+
+def cycle_window_sum(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
+    """The formal wrapped window sum of Z, defined for any n >= 1.
+
+    Coincides with cycle_balance for n >= m + L; for shorter words it is the
+    object entering the small-cycles criterion, not a cycle balance.
+    """
+    table = table or z_table(ctx)
+    return table.cyclic_window_sum(tuple(x))
+
+
+def _cyclic_weight(ctx: CriterionContext, x: Word):
+    n = len(x)
+    kernel = ctx.law.kernel
+    weight = Fraction(1)
+    for j in range(n):
+        window = tuple(x[(j + i) % n] for i in range(ctx.memory + 1))
+        weight *= kernel.step_weight(window)
+    return weight
+
+
+def _cycle_balance_direct(ctx: CriterionContext, x: Word):
+    n = len(x)
+    inflow = Fraction(0)
+    for w in ctx.alphabet.words(n):
+        if w == x:
+            continue
+        rate_in = induced_rate_cyclic(ctx.T, w, x)
+        if rate_in != 0:
+            inflow += _cyclic_weight(ctx, w) * rate_in
+    outflow = sum(induced_rate_cyclic(ctx.T, x, w)
+                  for w in ctx.alphabet.words(n) if w != x)
+    return (inflow - _cyclic_weight(ctx, x) * outflow) / _cyclic_weight(ctx, x)
+
+
+def deletion_defect(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
+    """Window sums of Z of x minus those of x with its middle letter deleted.
+
+    x has the critical length h = 2s - 1; the deleted position is s.
+    """
+    x = tuple(x)
+    if len(x) != ctx.critical_length:
+        raise ValueError(f"word must have length {ctx.critical_length}")
+    table = table or z_table(ctx)
+    s = ctx.window_length
+    shorter = x[:s - 1] + x[s:]
+    return table.window_sum(x) - table.window_sum(shorter)
+
+
+def replacement_defect(ctx: CriterionContext, x: Word, y: int,
+                       table: Optional[LocalBalanceTable] = None):
+    """Window sums of Z of x minus those of x with its middle letter set to y."""
+    x = tuple(x)
+    if len(x) != ctx.critical_length:
+        raise ValueError(f"word must have length {ctx.critical_length}")
+    table = table or z_table(ctx)
+    s = ctx.window_length
+    replaced = x[:s - 1] + (y,) + x[s:]
+    return table.window_sum(x) - table.window_sum(replaced)
+
+
+def line_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
+    """Normalized stationarity balance of the cylinder word x on the line.
+
+    Extends x by q = m + L - 1 letters on both sides (so every jump window
+    touching x has a complete context), sums Z over all length-s windows of
+    the extension and integrates the boundary letters against the law.
+    Equals the raw cylinder balance divided by the chain weight of x.
+    """
+    x = tuple(x)
+    n = len(x)
+    if n < 1:
+        raise ValueError("word must be nonempty")
+    table = table or z_table(ctx)
+    m, L = ctx.memory, ctx.range_
+    s = ctx.window_length
+    q = m + L - 1
+    kernel = ctx.law.kernel
+    law = ctx.law
+    # chain-weight windows of x divided out by the normalization
+    # (empty when n <= m: the balance is then not normalized)
+    normalized = set(range(q, q + n - m)) if m else set(range(q, q + n))
+    total = Fraction(0)
+    for left in ctx.alphabet.words(q):
+        for right in ctx.alphabet.words(q):
+            full = left + x + right
+            if m:
+                weight = law.rho[full[:m]]
+                for j in range(len(full) - m):
+                    if j not in normalized:
+                        weight *= kernel.step_weight(full[j:j + m + 1])
+            else:
+                weight = Fraction(1)
+                for j in range(len(full)):
+                    if j not in normalized:
+                        weight *= kernel.step_weight(full[j:j + 1])
+            windows = sum(table.values[full[j:j + s]] for j in range(n + L - 1))
+            total += weight * windows
+    return total
+
+
+# ---------------------------------------------------------------------------
+# certificates and reports
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PotentialCertificate:
+    """Function W on words of length s-1 with Z(w) = W(suffix) - W(prefix).
+
+    Existence of such a potential makes every window sum of Z telescope,
+    which certifies invariance on the line.
+    """
+
+    values: Mapping[Word, object]
+
+    def check(self, table: LocalBalanceTable) -> bool:
+        ctx = table.context
+        s = ctx.window_length
+        for w, z in table.values.items():
+            if not ctx.is_zero(z - (self.values[w[1:]] - self.values[w[:s - 1]])):
+                return False
+        return True
+
+
+def potential_from_table(table: LocalBalanceTable) -> PotentialCertificate:
+    """Candidate potential W(x) = sum_i Z(0^(s-i) x[1..i]).
+
+    When the decisive cyclic checks pass this W satisfies the certificate
+    identity for every index word; the identity must still be verified.
+    """
+    ctx = table.context
+    s = ctx.window_length
+    values = {}
+    for x in ctx.alphabet.words(s - 1):
+        acc = Fraction(0)
+        for i in range(1, s):
+            acc += table.values[(0,) * (s - i) + x[:i]]
+        values[x] = acc
+    return PotentialCertificate(values)
+
+
+@dataclass(frozen=True)
+class CriterionReport:
+    """Outcome of an invariance check.
+
+    invariant verdicts carry a reconstructible certificate where one exists;
+    not-invariant verdicts carry the lexicographically first violating word
+    and its residual.
+    """
+
+    invariant: bool
+    criterion: str
+    witness: Optional[Tuple[Word, object]] = None
+    certificate: Optional[PotentialCertificate] = None
+    criteria_evaluated: Tuple[str, ...] = ()
+    words_checked: int = 0
+    details: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        return "invariant" if self.invariant else "not-invariant"
+
+
+def _anchor_words(ctx: CriterionContext):
+    """The decisive cyclic words a[1..s] 0^(s-1), in lexicographic order of a."""
+    s = ctx.window_length
+    pad = (0,) * (s - 1)
+    for a in ctx.alphabet.words(s):
+        yield a + pad
+
+
+def check_markov_line(ctx: CriterionContext) -> CriterionReport:
+    """Decide invariance of the law on the line.
+
+    Tests the cyclic window sums of length h on the words a[1..s] 0^(s-1);
+    on success builds and verifies a potential certificate, on failure
+    reports the first violating word.
+    """
+    table = z_table(ctx)
+    count = 0
+    for word in _anchor_words(ctx):
+        count += 1
+        value = table.cyclic_window_sum(word)
+        if not ctx.is_zero(value):
+            return CriterionReport(False, "cycle-anchor", witness=(word, value),
+                                   words_checked=count)
+    certificate = potential_from_table(table)
+    if not certificate.check(table):
+        # cannot happen for exact data; guards the float path
+        return CriterionReport(False, "cycle-anchor",
+                               witness=(None, "certificate verification failed"),
+                               words_checked=count)
+    return CriterionReport(True, "cycle-anchor", certificate=certificate,
+                           words_checked=count)
+
+
+def check_product_line(T: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> CriterionReport:
+    """Decide invariance of the product measure with marginal rho on the line.
+
+    rho must have full support; partial supports go through restrict_support.
+    """
+    rho = [Fraction(p) if not isinstance(p, float) else p for p in rho]
+    if any(p <= 0 for p in rho):
+        raise ValueError("marginal must have full support; " + ZERO_DENOMINATOR_HINT)
+    ctx = product_context(T, rho, tol)
+    return check_markov_line(ctx)
+
+
+def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
+    """Decide line invariance through window sums on all cycle lengths up to
+    kappa^m (equivalent to check_markov_line for kernels with memory m >= 1).
+
+    The cyclic window sum of Z is used for every length n in
+    [m+1, kappa^m]; below m + L it is a formal criterion object rather than
+    a cycle balance.
+    """
+    if ctx.memory < 1:
+        raise ValueError("small-cycles decision needs kernel memory >= 1")
+    table = z_table(ctx)
+    count = 0
+    evaluated = []
+    top = ctx.alphabet.kappa ** ctx.memory
+    for n in range(ctx.memory + 1, top + 1):
+        evaluated.append(f"cycle-window-sum-{n}")
+        for x in ctx.alphabet.words(n):
+            count += 1
+            value = table.cyclic_window_sum(x)
+            if not ctx.is_zero(value):
+                return CriterionReport(False, "small-cycles", witness=(x, value),
+                                       criteria_evaluated=tuple(evaluated),
+                                       words_checked=count)
+    certificate = potential_from_table(table)
+    cert = certificate if certificate.check(table) else None
+    return CriterionReport(True, "small-cycles", certificate=cert,
+                           criteria_evaluated=tuple(evaluated), words_checked=count)
+
+
+def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
+    """Decide invariance of the cyclic chain law on Z/nZ (all kappa^n words)."""
+    if n < 1:
+        raise ValueError("cycle length must be >= 1")
+    table = z_table(ctx) if n >= ctx.memory + ctx.range_ else None
+    count = 0
+    for x in ctx.alphabet.words(n):
+        count += 1
+        value = cycle_balance(ctx, x, table) if table is not None \
+            else _cycle_balance_direct(ctx, x)
+        if not ctx.is_zero(value):
+            return CriterionReport(False, f"cycle-{n}", witness=(x, value),
+                                   words_checked=count)
+    return CriterionReport(True, f"cycle-{n}", words_checked=count)
+
+
+def check_product_cycle(T: JumpRateMatrix, rho, n: int, tol: float = DEFAULT_TOL) -> CriterionReport:
+    return check_markov_cycle(product_context(T, rho, tol), n)
+
+
+def equivalence_panel(ctx: CriterionContext) -> dict:
+    """Evaluate the nine equivalent invariance predicates plus the two
+    paired cycle-length reductions (the latter only for range 2, memory 1).
+
+    All nine predicates agree on every positive-kernel instance; the panel
+    recomputes each one independently so that agreement can be tested.
+    """
+    table = z_table(ctx)
+    s, h = ctx.window_length, ctx.critical_length
+    zero = ctx.is_zero
+
+    def window_sums(length):
+        return {x: table.window_sum(x) for x in ctx.alphabet.words(length)}
+
+    sums_h = window_sums(h)
+    sums_h1 = window_sums(h - 1)
+
+    replace_anchor = all(zero(sums_h[w] - sums_h[w[:s - 1] + (0,) + w[s:]])
+                         for w in _anchor_words(ctx))
+    replace_all = all(zero(sums_h[x] - sums_h[x[:s - 1] + (y,) + x[s:]])
+                      for x in ctx.alphabet.words(h) for y in ctx.alphabet.letters)
+    delete_anchor = all(zero(sums_h[w] - sums_h1[w[:s - 1] + w[s:]])
+                        for w in _anchor_words(ctx))
+    delete_all = all(zero(sums_h[x] - sums_h1[x[:s - 1] + x[s:]])
+                     for x in ctx.alphabet.words(h))
+
+    def cycles_zero(n):
+        return all(zero(table.cyclic_window_sum(x)) for x in ctx.alphabet.words(n))
+
+    cycle_results = {n: cycles_zero(n) for n in range(ctx.memory + ctx.range_, h + 1)}
+    cycle_all = all(cycle_results.values())
+    cycle_critical = cycle_results[h]
+    cycle_anchor = all(zero(table.cyclic_window_sum(w)) for w in _anchor_words(ctx))
+
+    certificate = potential_from_table(table)
+    potential_exists = certificate.check(table)
+
+    # the line-invariance predicate is decided by the anchor criterion,
+    # which the other eight are provably equivalent to
+    line_invariant = cycle_anchor
+
+    panel = {
+        "line_invariant": line_invariant,
+        "replacement_anchor_zero": replace_anchor,
+        "replacement_all_zero": replace_all,
+        "deletion_anchor_zero": delete_anchor,
+        "deletion_all_zero": delete_all,
+        "cycles_zero_all_lengths": cycle_all,
+        "cycle_zero_critical_length": cycle_critical,
+        "cycle_zero_anchor_words": cycle_anchor,
+        "potential_certificate_exists": potential_exists,
+    }
+    if (ctx.memory, ctx.range_) == (1, 2):
+        panel["paired_lengths_6_5"] = cycle_results[6] and cycle_results[5]
+        panel["paired_lengths_6_4"] = cycle_results[6] and cycle_results[4]
+    return panel
+
+
+# ---------------------------------------------------------------------------
+# product measures on general graphs with pair rates
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PairRateField:
+    """Translation-invariant pair selection rates p(offset) with finite range."""
+
+    radius: int
+    rates: Mapping[Tuple[int, ...], object]
+
+    def __post_init__(self):
+        for offset, value in self.rates.items():
+            if sum(abs(c) for c in offset) >= self.radius and value != 0:
+                raise ValueError(f"offset {offset} reaches beyond the radius")
+            if value < 0:
+                raise ValueError("pair rates must be nonnegative")
+
+    @property
+    def is_symmetric(self) -> bool:
+        get = self.rates.get
+        return all(value == get(tuple(-c for c in offset), 0)
+                   for offset, value in self.rates.items())
+
+    @property
+    def is_zero(self) -> bool:
+        return all(value == 0 for value in self.rates.values())
+
+
+def check_product_general_graph(T: JumpRateMatrix, rho, p: PairRateField,
+                                tol: float = DEFAULT_TOL) -> CriterionReport:
+    """Invariance of the product measure when pairs of sites interact with
+    position-dependent rates p: symmetric p reduces to the length-2 cyclic
+    window sums, asymmetric p to plain line invariance.
+    """
+    if T.range_ != 2:
+        raise ValueError("pair-rate dynamics needs range 2")
+    if p.is_zero:
+        return CriterionReport(True, "pair-rates-zero")
+    if p.is_symmetric:
+        ctx = product_context(T, rho, tol)
+        table = z_table(ctx)
+        count = 0
+        for x in ctx.alphabet.words(2):
+            count += 1
+            value = table.cyclic_window_sum(x)
+            if not ctx.is_zero(value):
+                return CriterionReport(False, "symmetric-pair-cycle2",
+                                       witness=(x, value), words_checked=count)
+        return CriterionReport(True, "symmetric-pair-cycle2", words_checked=count)
+    report = check_product_line(T, rho, tol)
+    return CriterionReport(report.invariant, "asymmetric-pair-line",
+                           witness=report.witness, certificate=report.certificate,
+                           words_checked=report.words_checked)
+
+
+# ---------------------------------------------------------------------------
+# support restriction and symmetrization
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RestrictedInstance:
+    """A rate matrix (and optionally a law) re-indexed over a closed support."""
+
+    support: Tuple[int, ...]
+    T: JumpRateMatrix
+    law: Optional[StationaryLaw]
+    letter_map: Mapping[int, int]
+
+
+def restrict_support(T: JumpRateMatrix, law_or_rho, support) -> RestrictedInstance:
+    """Restrict an instance to a strict sub-alphabet S.
+
+    Verifies closure: no positive rate may lead from words over S to words
+    leaving S.  Returns the re-indexed instance, or raises with the escaping
+    transition as witness.
+    """
+    support = tuple(sorted(set(support)))
+    kappa = T.alphabet.kappa
+    if not support or len(support) >= kappa:
+        raise ValueError("support must be a nonempty strict subset of the alphabet")
+    inside = set(support)
+    for src, dst, rate in T.entries():
+        if set(src) <= inside and not set(dst) <= inside:
+            raise ValueError(f"support not closed: rate {rate} leads {src} -> {dst}")
+    new_letter = {a: i for i, a in enumerate(support)}
+    sub = Alphabet(len(support)) if len(support) >= 2 else None
+    rates = {}
+    for src, dst, rate in T.entries():
+        if set(src) <= inside and set(dst) <= inside:
+            rates[(tuple(new_letter[a] for a in src), tuple(new_letter[a] for a in dst))] = rate
+    if sub is None:
+        # one-letter support: the only word is constant, all rates vanish
+        restricted_T = None
+    else:
+        restricted_T = JumpRateMatrix(sub, T.range_, rates)
+
+    law = None
+    if law_or_rho is not None and sub is not None:
+        kernel = law_or_rho.kernel if isinstance(law_or_rho, StationaryLaw) else law_or_rho
+        if isinstance(kernel, MarkovKernel):
+            m = kernel.memory
+            entries = {}
+            for ctx_word in itertools.product(support, repeat=m):
+                total = sum(kernel.prob(ctx_word, y) for y in support)
+                if total != 1:
+                    raise ValueError(f"kernel row {ctx_word} leaks mass outside the support")
+                for y in support:
+                    entries[(tuple(new_letter[a] for a in ctx_word), new_letter[y])] = \
+                        kernel.prob(ctx_word, y)
+            law = stationary_distribution(MarkovKernel(sub, m, entries))
+        else:
+            rho = list(law_or_rho)
+            mass = sum(rho[a] for a in support)
+            if mass != 1 and any(rho[a] != 0 for a in range(kappa) if a not in inside):
+                raise ValueError("marginal has mass outside the support")
+            law = product_law([rho[a] / mass for a in support])
+    return RestrictedInstance(support, restricted_T, law, new_letter)
+
+
+def symmetrize(T: JumpRateMatrix) -> JumpRateMatrix:
+    """S[(a,b)->(c,d)] = T[(a,b)->(c,d)] + T[(b,a)->(d,c)] (range 2 only)."""
+    if T.range_ != 2:
+        raise ValueError("symmetrization is defined for range 2")
+    rates: Dict[Tuple[Word, Word], object] = {}
+    for (a, b), (c, d), rate in T.entries():
+        for key in (((a, b), (c, d)), ((b, a), (d, c))):
+            rates[key] = rates.get(key, 0) + rate
+    return JumpRateMatrix(T.alphabet, 2, rates)
+
+
+# ---------------------------------------------------------------------------
+# reversibility-style sufficient checks (helpers, not deciders)
+# ---------------------------------------------------------------------------
+
+def is_reversible_for_chain(ctx: CriterionContext) -> bool:
+    """Sufficient condition: the dynamics is reversible for the chain law
+    (memory 1, range 2), which forces Z = 0 identically."""
+    if (ctx.memory, ctx.range_) != (1, 2):
+        raise ValueError("reversibility helper covers memory 1, range 2")
+    M = ctx.law.kernel
+    E = ctx.alphabet.letters
+    for a in E:
+        for d in E:
+            for b, c in itertools.product(E, repeat=2):
+                for u, v in itertools.product(E, repeat=2):
+                    lhs = ctx.T.rate((u, v), (b, c)) * M.prob((a,), u) * \
+                        M.prob((u,), v) * M.prob((v,), d)
+                    rhs = M.prob((a,), b) * M.prob((b,), c) * M.prob((c,), d) * \
+                        ctx.T.rate((b, c), (u, v))
+                    if not ctx.is_zero(lhs - rhs):
+                        return False
+    return True
+
+
+def has_detailed_balance_product(T: JumpRateMatrix, rho) -> bool:
+    """Sufficient condition for product invariance: pairwise detailed balance
+    rho_b rho_c T[(b,c)->(u,v)] = rho_u rho_v T[(u,v)->(b,c)]."""
+    if T.range_ != 2:
+        raise ValueError("detailed balance helper covers range 2")
+    E = range(len(rho))
+    for b, c in itertools.product(E, repeat=2):
+        for u, v in itertools.product(E, repeat=2):
+            if rho[b] * rho[c] * T.rate((b, c), (u, v)) != \
+               rho[u] * rho[v] * T.rate((u, v), (b, c)):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# advisory bounds for truncations of infinite alphabets
+# ---------------------------------------------------------------------------
+
+def tail_bounds_advisory(ctx: CriterionContext) -> dict:
+    """Suprema over the truncated alphabet of the two series bounds that
+    control well-posedness of the balance sums when the alphabet is infinite.
+    Advisory only: a finite value over a truncation proves nothing about the
+    full model and is reported as such.
+    """
+    m, L = ctx.memory, ctx.range_
+    kernel = ctx.law.kernel
+    sup_inflow = Fraction(0)
+    for a in ctx.alphabet.words(m):
+        for c in ctx.alphabet.words(m):
+            for b in ctx.alphabet.words(L):
+                w = a + b + c
+                denom = Fraction(1)
+                for j in range(m + L):
+                    denom *= kernel.step_weight(w[j:j + m + 1])
+                acc = Fraction(0)
+                for u, v, rate in ctx.T.entries():
+                    if v != b:
+                        continue
+                    wp = a + u + c
+                    num = Fraction(1)
+                    for j in range(m + L):
+                        num *= kernel.step_weight(wp[j:j + m + 1])
+                    acc += rate * num / denom
+                sup_inflow = max(sup_inflow, acc)
+    sup_exit = max((ctx.T.out_rate(b) for b in ctx.alphabet.words(L)), default=Fraction(0))
+    return {"sup_weighted_inflow": sup_inflow, "sup_exit_rate": sup_exit,
+            "advisory": "computed over the finite truncation only"}

@@ -1,0 +1,378 @@
+"""Product-measure invariance on the plane for 2x2-square jump dynamics.
+
+Configurations colour Z^2; the dynamics rewrites the pattern on a 2x2 square
+(cells in lexicographic order (0,0),(0,1),(1,0),(1,1)) at given rates.  For a
+product measure with full-support marginal rho, the local balance of one
+square is
+
+    boldZ(x) = sum_y (prod rho(y) / prod rho(x)) * T[y -> x] - T_out(x),
+
+and the balance of a finite window C decomposes over the squares meeting C,
+with squares sticking out of C contributing partial sums of boldZ weighted by
+rho on the free cells.  Invariance of the product measure is equivalent to
+two finite families of vanishing statements: the window balances of the
+corner shape {(0,0),(0,1),(1,0)} and the invariance of window balances under
+adding the cell (1,1) to {(0,0),(0,1),(1,0),(2,0)}.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+
+from .core import Alphabet, Word
+from .scalars import DEFAULT_TOL, as_scalar, is_exact
+
+Cell = Tuple[int, int]
+
+SQUARE_CELLS: Tuple[Cell, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@dataclass(frozen=True)
+class Shape:
+    """A finite set of cells of Z^2, stored in lexicographic order."""
+
+    cells: Tuple[Cell, ...]
+
+    def __init__(self, cells: Iterable[Cell]):
+        cells = tuple(sorted(set((int(i), int(j)) for i, j in cells)))
+        if not cells:
+            raise ValueError("shape must be nonempty")
+        object.__setattr__(self, "cells", cells)
+
+    def __contains__(self, cell: Cell) -> bool:
+        return cell in set(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def translate(self, di: int, dj: int) -> "Shape":
+        return Shape((i + di, j + dj) for i, j in self.cells)
+
+
+GAMMA0 = Shape([(0, 0), (0, 1), (1, 0)])
+GAMMA1 = Shape([(0, 0), (0, 1), (1, 0), (2, 0)])
+GAMMA2 = Shape([(0, 0), (0, 1), (1, 0), (2, 0), (1, 1)])
+SQUARE = Shape(SQUARE_CELLS)
+
+
+def hypercube(side: int, dim: int = 2) -> Shape:
+    return Shape(itertools.product(range(side), repeat=dim))
+
+
+@dataclass(frozen=True)
+class SquareJRM:
+    """Sparse jump rates between 2x2-square patterns (zero diagonal)."""
+
+    alphabet: Alphabet
+    _rates: Dict[Tuple[Word, Word], object] = field(repr=False)
+
+    def __init__(self, alphabet: Alphabet, rates: Mapping):
+        table: Dict[Tuple[Word, Word], object] = {}
+        for (src, dst), value in rates.items():
+            src = alphabet.check_word(src)
+            dst = alphabet.check_word(dst)
+            if len(src) != 4 or len(dst) != 4:
+                raise ValueError("square patterns have four cells")
+            rate = as_scalar(value)
+            if rate < 0:
+                raise ValueError(f"negative rate for {src}->{dst}")
+            if src == dst and rate != 0:
+                raise ValueError("diagonal rates must be zero")
+            if rate != 0:
+                table[(src, dst)] = table.get((src, dst), 0) + rate
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_rates", table)
+
+    def rate(self, src: Word, dst: Word):
+        return self._rates.get((tuple(src), tuple(dst)), Fraction(0))
+
+    def out_rate(self, src: Word):
+        src = tuple(src)
+        return sum((r for (w, _), r in self._rates.items() if w == src), Fraction(0))
+
+    def entries(self):
+        for (src, dst), rate in sorted(self._rates.items()):
+            yield src, dst, rate
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._rates
+
+    @property
+    def is_exact(self) -> bool:
+        return all(is_exact(r) for r in self._rates.values())
+
+    def max_rate(self):
+        return max(self._rates.values(), default=Fraction(0))
+
+    def is_mass_preserving(self) -> bool:
+        return all(sum(src) == sum(dst) for src, dst, _ in self.entries())
+
+
+def _check_marginal(T2: SquareJRM, rho) -> List:
+    rho = list(rho)
+    if len(rho) != T2.alphabet.kappa:
+        raise ValueError("marginal length does not match the alphabet")
+    if any(p <= 0 for p in rho):
+        raise ValueError("marginal must have full support")
+    return rho
+
+
+def bold_z_table(T2: SquareJRM, rho) -> Dict[Word, object]:
+    """boldZ over all kappa^4 square patterns."""
+    rho = _check_marginal(T2, rho)
+    table: Dict[Word, object] = {}
+    for x in T2.alphabet.words(4):
+        table[x] = -T2.out_rate(x)
+    for y, x, rate in T2.entries():
+        num = Fraction(1)
+        for a in y:
+            num *= rho[a]
+        den = Fraction(1)
+        for a in x:
+            den *= rho[a]
+        table[x] += rate * num / den
+    return table
+
+
+def bold_z(T2: SquareJRM, rho, pattern: Word):
+    return bold_z_table(T2, rho)[tuple(pattern)]
+
+
+def bold_z_partial(T2: SquareJRM, rho, overlap: Mapping[Cell, int],
+                   table: Optional[Dict[Word, object]] = None,
+                   cache: Optional[dict] = None):
+    """Partial boldZ of a square: cells in `overlap` (positions within the
+    2x2 square) are pinned to letters, the free cells are integrated against
+    rho.  With all four cells pinned this is boldZ itself."""
+    key = tuple(sorted(overlap.items()))
+    if cache is not None and key in cache:
+        return cache[key]
+    rho = _check_marginal(T2, rho)
+    if table is None:
+        table = bold_z_table(T2, rho)
+    overlap = dict(overlap)
+    unknown = [c for c in overlap if c not in SQUARE_CELLS]
+    if unknown:
+        raise ValueError(f"cells {unknown} are not inside the 2x2 square")
+    if not overlap:
+        raise ValueError("overlap must pin at least one cell")
+    free = [k for k, c in enumerate(SQUARE_CELLS) if c not in overlap]
+    base = [overlap.get(c, 0) for c in SQUARE_CELLS]
+    total = Fraction(0)
+    for letters in itertools.product(T2.alphabet.letters, repeat=len(free)):
+        w = list(base)
+        weight = Fraction(1)
+        for k, a in zip(free, letters):
+            w[k] = a
+            weight *= rho[a]
+        total += table[tuple(w)] * weight
+    if cache is not None:
+        cache[key] = total
+    return total
+
+
+def _anchors_meeting(shape: Shape) -> List[Cell]:
+    anchors = set()
+    for (i, j) in shape.cells:
+        for (di, dj) in SQUARE_CELLS:
+            anchors.add((i - di, j - dj))
+    return sorted(anchors)
+
+
+def line_balance_2d(T2: SquareJRM, rho, shape: Shape, pattern: Word,
+                    table: Optional[Dict[Word, object]] = None):
+    """Normalized balance of the window `pattern` on `shape`: the sum over
+    all squares meeting the shape of their (partial) boldZ."""
+    rho = _check_marginal(T2, rho)
+    if len(pattern) != len(shape):
+        raise ValueError("pattern length does not match the shape")
+    if table is None:
+        table = bold_z_table(T2, rho)
+    letters = dict(zip(shape.cells, pattern))
+    total = Fraction(0)
+    for (ai, aj) in _anchors_meeting(shape):
+        overlap = {}
+        for (di, dj) in SQUARE_CELLS:
+            cell = (ai + di, aj + dj)
+            if cell in letters:
+                overlap[(di, dj)] = letters[cell]
+        total += bold_z_partial(T2, rho, overlap, table)
+    return total
+
+
+def _restrict(shape: Shape, pattern: Word, sub: Shape) -> Word:
+    letters = dict(zip(shape.cells, pattern))
+    return tuple(letters[c] for c in sub.cells)
+
+
+@dataclass(frozen=True)
+class Report2D:
+    invariant: bool
+    criterion: str
+    witness: Optional[Tuple] = None
+    words_checked: int = 0
+    details: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        return "invariant" if self.invariant else "not-invariant"
+
+
+def _zero_test(T2: SquareJRM, rho, tol: float):
+    exact = T2.is_exact and all(is_exact(p) for p in rho)
+    cap = 1 + float(T2.max_rate())
+
+    def is_zero(v):
+        return v == 0 if exact else abs(v) <= tol * cap
+    return is_zero
+
+
+def check_product_2d(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> Report2D:
+    """Decide invariance of the product measure rho on Z^2 under T2.
+
+    Condition (a): the corner-shape balances vanish; condition (b): adding
+    the cell (1,1) to the four-cell hook never changes the balance.  Both
+    families together are equivalent to invariance.
+    """
+    rho = _check_marginal(T2, rho)
+    is_zero = _zero_test(T2, rho, tol)
+    table = bold_z_table(T2, rho)
+    count = 0
+    for x in T2.alphabet.words(len(GAMMA0)):
+        count += 1
+        value = line_balance_2d(T2, rho, GAMMA0, x, table)
+        if not is_zero(value):
+            return Report2D(False, "corner-balance", witness=(x, value), words_checked=count)
+    for x in T2.alphabet.words(len(GAMMA2)):
+        count += 1
+        value = line_balance_2d(T2, rho, GAMMA2, x, table) - \
+            line_balance_2d(T2, rho, GAMMA1, _restrict(GAMMA2, x, GAMMA1), table)
+        if not is_zero(value):
+            return Report2D(False, "cell-addition-balance", witness=(x, value),
+                            words_checked=count)
+    return Report2D(True, "corner-and-addition", words_checked=count)
+
+
+def check_bold_z_sufficient(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> bool:
+    """True iff boldZ vanishes identically (sufficient for invariance,
+    weaker than reversibility, not necessary)."""
+    is_zero = _zero_test(T2, rho, tol)
+    return all(is_zero(v) for v in bold_z_table(T2, rho).values())
+
+
+def growth_difference(T2: SquareJRM, rho, shape: Shape, cell: Cell, pattern: Word,
+                      table: Optional[Dict[Word, object]] = None,
+                      cache: Optional[dict] = None):
+    """Balance change when `cell` is added to `shape`: only the squares
+    containing the new cell contribute, each by a difference of partials
+    (a square that missed the old shape entirely has no old term)."""
+    rho = _check_marginal(T2, rho)
+    if table is None:
+        table = bold_z_table(T2, rho)
+    if cell in shape:
+        raise ValueError("cell already belongs to the shape")
+    grown = Shape(shape.cells + (cell,))
+    letters = dict(zip(grown.cells, pattern))
+    total = Fraction(0)
+    for (di, dj) in SQUARE_CELLS:
+        ai, aj = cell[0] - di, cell[1] - dj
+        new_overlap = {}
+        old_overlap = {}
+        for (ei, ej) in SQUARE_CELLS:
+            spot = (ai + ei, aj + ej)
+            if spot in letters:
+                new_overlap[(ei, ej)] = letters[spot]
+                if spot != cell:
+                    old_overlap[(ei, ej)] = letters[spot]
+        total += bold_z_partial(T2, rho, new_overlap, table, cache)
+        if old_overlap:
+            total -= bold_z_partial(T2, rho, old_overlap, table, cache)
+    return total
+
+
+def check_product_2d_incremental(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> Report2D:
+    """Slower equivalent decision through the growth conditions: the
+    single-cell balance vanishes and growing any subset of the 3x3 block by
+    one cell never changes the balance.  Exposed for cross-validation; the
+    single-cell normalization follows the partial-sum convention and is
+    checked against the torus oracle in the test suite."""
+    rho = _check_marginal(T2, rho)
+    is_zero = _zero_test(T2, rho, tol)
+    table = bold_z_table(T2, rho)
+    cache: dict = {}
+    count = 0
+    for a in T2.alphabet.letters:
+        count += 1
+        value = line_balance_2d(T2, rho, Shape([(0, 0)]), (a,), table)
+        if not is_zero(value):
+            return Report2D(False, "single-cell-balance", witness=(((a,),), value),
+                            words_checked=count)
+    block = hypercube(3)
+    for size in range(1, len(block)):
+        for subset in itertools.combinations(block.cells, size):
+            shape = Shape(subset)
+            for cell in block.cells:
+                if cell in shape:
+                    continue
+                grown = Shape(subset + (cell,))
+                for pattern in T2.alphabet.words(len(grown)):
+                    count += 1
+                    value = growth_difference(T2, rho, shape, cell, pattern, table, cache)
+                    if not is_zero(value):
+                        return Report2D(False, "growth-balance",
+                                        witness=((subset, cell, pattern), value),
+                                        words_checked=count)
+    return Report2D(True, "single-cell-and-growth", words_checked=count)
+
+
+def truncated_poisson(lam, kappa: int) -> List:
+    """Poisson(lam) conditioned to {0..kappa-1} (exact for rational lam)."""
+    lam = as_scalar(lam)
+    weights = []
+    power = Fraction(1) if is_exact(lam) else 1.0
+    factorial = 1
+    for k in range(kappa):
+        if k:
+            power = power * lam
+            factorial *= k
+        weights.append(power / factorial)
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+@dataclass(frozen=True)
+class TruncationReport:
+    """Invariance of a mass-preserving square dynamics for a truncated
+    product marginal: exact on the interior (patterns whose mass keeps every
+    same-mass pattern inside the truncated alphabet), with the truncation
+    residuals on the remaining patterns reported, never hidden."""
+
+    interior_invariant: bool
+    interior_patterns: int
+    boundary_residuals: Tuple[Tuple[Word, object], ...]
+    marginal: Tuple
+
+
+def check_multinomial_preservation(T2: SquareJRM, lam=1, tol: float = DEFAULT_TOL) -> TruncationReport:
+    """Check that a mass-preserving square dynamics preserves the truncated
+    Poisson product measure, splitting exact interior from truncation edge."""
+    if not T2.is_mass_preserving():
+        raise ValueError("multinomial preservation needs a mass-preserving dynamics")
+    kappa = T2.alphabet.kappa
+    rho = truncated_poisson(lam, kappa)
+    is_zero = _zero_test(T2, rho, tol)
+    table = bold_z_table(T2, rho)
+    interior_ok = True
+    interior_count = 0
+    boundary = []
+    for x, value in sorted(table.items()):
+        if sum(x) <= kappa - 1:
+            interior_count += 1
+            if not is_zero(value):
+                interior_ok = False
+        elif not is_zero(value):
+            boundary.append((x, value))
+    return TruncationReport(interior_ok, interior_count, tuple(boundary), tuple(rho))

@@ -1,0 +1,277 @@
+"""Small dense linear algebra: exact solves, nullspaces, stationary laws,
+dominant eigenpairs.
+
+Everything in scope has dimension at most kappa^m (a few dozen), so matrices
+are plain lists of lists.  With Fraction entries the elimination is exact;
+with floats a pivot tolerance applies.  Dominant eigenpairs follow the usual
+nonnegative-matrix theory: for an irreducible nonnegative matrix the largest
+eigenvalue is simple with positive left/right eigenvectors, normalized here
+so that l . 1 = 1 and l . r = 1.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+from .core import MarkovKernel, StationaryLaw
+from .scalars import all_exact
+
+
+def _clone(matrix):
+    return [list(row) for row in matrix]
+
+
+def rref(matrix, tol: float = 0.0):
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Exact when entries are rational.  For float input pass a positive tol and
+    partial pivoting kicks in.
+    """
+    m = _clone(matrix)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = max(range(r, rows), key=lambda i: abs(m[i][c]))
+        if abs(m[pivot][c]) <= tol or m[pivot][c] == 0:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        head = m[r][c]
+        m[r] = [v / head for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@dataclass(frozen=True)
+class LinearSolution:
+    """Affine description of {x : A x = b}.
+
+    status is "unique", "family" or "empty"; particular is one solution (None
+    when empty); basis spans the homogeneous solutions.
+    """
+
+    status: str
+    particular: Optional[List]
+    basis: List[List]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+    def sample(self, coefficients: Sequence):
+        x = list(self.particular)
+        for t, vec in zip(coefficients, self.basis):
+            x = [a + t * v for a, v in zip(x, vec)]
+        return x
+
+
+def solve_linear(A, b, tol: float = 0.0) -> LinearSolution:
+    """Solve A x = b, returning the full affine solution set."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if len(b) != rows:
+        raise ValueError("right-hand side length does not match the matrix")
+    aug = [list(A[i]) + [b[i]] for i in range(rows)]
+    red, pivots = rref(aug, tol=tol)
+    if cols in pivots:
+        return LinearSolution("empty", None, [])
+    pivot_rows = {c: r for r, c in enumerate(pivots)}
+    zero = Fraction(0) if all_exact(v for row in aug for v in row) else 0.0
+    particular = [zero] * cols
+    for c, r in pivot_rows.items():
+        particular[c] = red[r][cols]
+    free = [c for c in range(cols) if c not in pivot_rows]
+    basis = []
+    for f in free:
+        vec = [zero] * cols
+        vec[f] = zero + 1
+        for c, r in pivot_rows.items():
+            vec[c] = -red[r][f]
+        basis.append(vec)
+    status = "unique" if not basis else "family"
+    return LinearSolution(status, particular, basis)
+
+
+def nullspace(A, tol: float = 0.0) -> List[List]:
+    rows = len(A)
+    zero_rhs = [Fraction(0)] * rows
+    return solve_linear(A, zero_rhs, tol=tol).basis
+
+
+def mat_vec(A, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in A]
+
+
+def vec_mat(x, A):
+    cols = len(A[0]) if A else 0
+    return [sum(x[i] * A[i][c] for i in range(len(A))) for c in range(cols)]
+
+
+def is_irreducible(A) -> bool:
+    """Strong connectivity of the positive-entry digraph of a square matrix."""
+    size = len(A)
+    adj = [[j for j in range(size) if A[i][j] != 0 and A[i][j] > 0] for i in range(size)]
+    radj = [[] for _ in range(size)]
+    for i in range(size):
+        for j in adj[i]:
+            radj[j].append(i)
+
+    def reach(start, graph):
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in graph[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+    return len(reach(0, adj)) == size and len(reach(0, radj)) == size
+
+
+def stationary_distribution(kernel: MarkovKernel) -> StationaryLaw:
+    """Unique stationary law of the sliding-block chain of a kernel.
+
+    Exact for rational kernels.  Raises when the chain does not determine a
+    unique stationary vector (reducible or otherwise degenerate kernel).
+    """
+    states, P = kernel.block_transition()
+    size = len(states)
+    # rows: (P^t - I) x = 0 plus normalization sum x = 1
+    A = [[P[j][i] - (1 if i == j else 0) for j in range(size)] for i in range(size)]
+    A.append([Fraction(1)] * size)
+    b = [Fraction(0)] * size + [Fraction(1)]
+    tol = 0.0 if kernel.is_exact else 1e-12
+    sol = solve_linear(A, b, tol=tol)
+    if sol.status != "unique":
+        raise ValueError("kernel has no unique stationary law (reducible or periodic chain)")
+    if any(v < 0 for v in sol.particular):
+        raise ValueError("stationary vector has negative entries")
+    rho = {w: sol.particular[i] for i, w in enumerate(states)}
+    return StationaryLaw(kernel, rho)
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    """Dominant eigenvalue with positive left/right eigenvectors.
+
+    Normalization: sum(left) = 1 and left . right = 1.  `exact` records
+    whether the data was certified in rational arithmetic.
+    """
+
+    value: object
+    left: List
+    right: List
+    exact: bool
+
+
+def _char_poly_eval(A, x):
+    """det(A - x I) by exact elimination at a rational point."""
+    size = len(A)
+    m = [[A[i][j] - (x if i == j else 0) for j in range(size)] for i in range(size)]
+    det = Fraction(1)
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, size):
+            if m[r][c] != 0:
+                f = m[r][c] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _positive_vector(vec):
+    """Scale a nullspace vector to be strictly positive, or return None."""
+    if all(v > 0 for v in vec):
+        return list(vec)
+    if all(v < 0 for v in vec):
+        return [-v for v in vec]
+    return None
+
+
+def perron_pair(A, tol: float = 1e-13) -> EigenPair:
+    """Dominant eigenpair of a nonnegative irreducible matrix.
+
+    Rational input: the float eigenvalue is rounded to a nearby rational and
+    certified exactly (char poly root + strictly positive eigenvectors, which
+    pins the dominant eigenvalue of an irreducible nonnegative matrix); on
+    success everything is exact.  Otherwise: power iteration on A + I (the
+    shift removes periodicity) from the all-ones vector to relative tolerance
+    `tol`, then one Rayleigh refinement.
+    """
+    size = len(A)
+    if any(len(row) != size for row in A):
+        raise ValueError("matrix must be square")
+    if any(v < 0 for row in A for v in row):
+        raise ValueError("matrix must be nonnegative")
+    if not is_irreducible(A):
+        raise ValueError("matrix is reducible; dominant eigenpair not unique up to scale")
+
+    exact_input = all_exact(v for row in A for v in row)
+    F = np.array([[float(v) for v in row] for row in A])
+    eigvals = np.linalg.eigvals(F)
+    lam_float = float(max(eigvals.real))
+
+    if exact_input:
+        tried = set()
+        for denom_cap in (10 ** 6, 10 ** 12):
+            guess = Fraction(lam_float).limit_denominator(denom_cap)
+            if guess in tried or _char_poly_eval(A, guess) != 0:
+                tried.add(guess)
+                continue
+            shifted = [[A[i][j] - (guess if i == j else 0) for j in range(size)]
+                       for i in range(size)]
+            right_basis = nullspace(shifted)
+            left_basis = nullspace([list(col) for col in zip(*shifted)])
+            if len(right_basis) == 1 and len(left_basis) == 1:
+                right = _positive_vector(right_basis[0])
+                left = _positive_vector(left_basis[0])
+                if right is not None and left is not None:
+                    left_sum = sum(left)
+                    left = [v / left_sum for v in left]
+                    scale = sum(l * r for l, r in zip(left, right))
+                    right = [r / scale for r in right]
+                    return EigenPair(guess, left, right, True)
+            break
+
+    # float path: power iteration with all-ones start on the shifted matrix
+    shifted = F + np.eye(size)
+    x = np.ones(size)
+    y = np.ones(size)
+    lam = 0.0
+    for _ in range(100000):
+        x_new = shifted @ x
+        x_new /= np.linalg.norm(x_new)
+        y_new = shifted.T @ y
+        y_new /= np.linalg.norm(y_new)
+        lam_new = float(x_new @ (shifted @ x_new))
+        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and \
+           np.linalg.norm(x_new - x) <= tol * 10 and np.linalg.norm(y_new - y) <= tol * 10:
+            x, y, lam = x_new, y_new, lam_new
+            break
+        x, y, lam = x_new, y_new, lam_new
+    # one refinement: Rayleigh quotient on the unshifted matrix
+    lam_val = float(y @ (F @ x) / (y @ x))
+    right = np.abs(x)
+    left = np.abs(y)
+    left = left / left.sum()
+    right = right / float(left @ right)
+    return EigenPair(lam_val, [float(v) for v in left], [float(v) for v in right], False)

@@ -1,0 +1,661 @@
+"""Search for candidate invariant laws of a given range-2 dynamics.
+
+Markov kernels: every positive kernel M whose chain law kills the length-3
+cyclic balances gives a rotation-invariant triple measure
+nu(a,b,c) = M_ab M_bc M_ca / Tr(M^3), and nu solves an explicit linear
+system.  Conversely a positive solution nu determines at most one positive
+recurrent kernel: the matrices N_a built from nu must share their dominant
+eigenvalue, and the kernel is recovered from the dominant eigenvectors.
+Recovered kernels are always verified against nu and then filtered by the
+full line-invariance criterion; candidates that fail verification are
+dropped, never patched.
+
+Product measures: a product invariant for T is invariant for its
+symmetrization S, and for symmetric dynamics invariance is exactly the
+vanishing of the pair balance table.  Replacing each product rho_u rho_v by
+a pair unknown makes that linear; solutions must then factor as a rank-one
+nonnegative symmetric matrix, and surviving marginals are verified against
+the original T.
+
+Affine solution families are sampled deterministically: polytope vertices
+(dimension <= 3) plus their centroid, falling back to the particular
+solution in higher dimension; two-colour instances additionally solve the
+rank-one slice exactly in the Bernoulli parameter.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+from typing import Dict, List, Mapping, Optional, Tuple
+
+from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
+from .criteria import (CriterionReport, check_markov_line, check_product_line,
+                       markov_context, symmetrize)
+from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
+from .scalars import DEFAULT_TOL, is_exact
+
+
+@dataclass(frozen=True)
+class TripleMeasure:
+    """Rotation-invariant probability measure on three-letter words."""
+
+    kappa: int
+    nu: Mapping[Word, object]
+
+    def __post_init__(self):
+        alphabet = Alphabet(self.kappa)
+        values = [self.nu[w] for w in alphabet.words(3)]
+        total = sum(values)
+        exact = all(is_exact(v) for v in values)
+        if any(v < 0 for v in values):
+            raise ValueError("triple measure has negative entries")
+        if (exact and total != 1) or (not exact and abs(total - 1) > 1e-9):
+            raise ValueError(f"triple measure sums to {total}, not 1")
+        for a, b, c in alphabet.words(3):
+            gap = self.nu[(a, b, c)] - self.nu[(b, c, a)]
+            if (exact and gap != 0) or (not exact and abs(gap) > 1e-9):
+                raise ValueError("triple measure is not rotation invariant")
+
+    @property
+    def is_positive(self) -> bool:
+        return all(v > 0 for v in self.nu.values())
+
+
+def triple_from_kernel(kernel: MarkovKernel) -> TripleMeasure:
+    """The cyclic length-3 weights of a kernel, trace-normalized."""
+    if kernel.memory != 1:
+        raise ValueError("triple measures are built from memory-1 kernels")
+    E = kernel.alphabet.letters
+    raw = {}
+    for a, b, c in itertools.product(E, repeat=3):
+        rep = min((a, b, c), (b, c, a), (c, a, b))
+        if rep not in raw:
+            raw[rep] = kernel.prob(rep[:1], rep[1]) * kernel.prob(rep[1:2], rep[2]) * \
+                kernel.prob(rep[2:], rep[0])
+    trace = sum(raw[min((a, b, c), (b, c, a), (c, a, b))]
+                for a, b, c in itertools.product(E, repeat=3))
+    return TripleMeasure(kernel.alphabet.kappa,
+                         {(a, b, c): raw[min((a, b, c), (b, c, a), (c, a, b))] / trace
+                          for a, b, c in itertools.product(E, repeat=3)})
+
+
+# ---------------------------------------------------------------------------
+# the linear system on triple measures
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AffineFamily:
+    """Solutions of a linear system restricted to the probability simplex."""
+
+    variables: Tuple[Word, ...]
+    solution: LinearSolution
+    vertices: Tuple[Tuple, ...]
+    samples: Tuple[Tuple, ...]
+    fully_sampled: bool
+
+    @property
+    def is_empty(self) -> bool:
+        return self.solution.status == "empty" and not self.samples
+
+
+def _polytope_vertices(solution: LinearSolution, max_dim: int = 3):
+    """Vertices of {particular + B t >= 0} by exact active-set enumeration."""
+    dim = solution.dimension
+    n = len(solution.particular)
+    if dim == 0:
+        point = tuple(solution.particular)
+        return [point] if all(v >= 0 for v in point) else []
+    if dim > max_dim:
+        return []
+    vertices = set()
+    rows = [[solution.basis[k][i] for k in range(dim)] for i in range(n)]
+    for active in itertools.combinations(range(n), dim):
+        A = [rows[i] for i in active]
+        b = [-solution.particular[i] for i in active]
+        sol = solve_linear(A, b)
+        if sol.status != "unique":
+            continue
+        point = tuple(solution.sample(sol.particular))
+        if all(v >= 0 for v in point):
+            vertices.add(point)
+    return sorted(vertices)
+
+
+def _affine_contains(solution: LinearSolution, point) -> bool:
+    """Exact membership of a point in the affine solution set."""
+    if solution.status == "empty":
+        return False
+    diff = [p - q for p, q in zip(point, solution.particular)]
+    if solution.dimension == 0:
+        return all(d == 0 for d in diff)
+    A = [[solution.basis[k][i] for k in range(solution.dimension)]
+         for i in range(len(diff))]
+    return solve_linear(A, diff).status != "empty"
+
+
+def _trial_marginals(kappa: int):
+    """Small deterministic battery of full-support marginals."""
+    batches = [[1] * kappa,
+               list(range(1, kappa + 1)),
+               list(range(kappa, 0, -1)),
+               [1] * (kappa - 1) + [kappa + 1]]
+    for raw in batches:
+        total = sum(raw)
+        yield tuple(Fraction(v, total) for v in raw)
+
+
+def _family(variables, solution: LinearSolution) -> AffineFamily:
+    if solution.status == "empty":
+        return AffineFamily(tuple(variables), solution, (), (), True)
+    vertices = _polytope_vertices(solution)
+    samples = list(vertices)
+    fully = solution.dimension <= 3
+    if len(vertices) > 1:
+        k = len(vertices)
+        centroid = tuple(sum(v[i] for v in vertices) / k for i in range(len(vertices[0])))
+        samples.append(centroid)
+    if not samples and all(v >= 0 for v in solution.particular):
+        samples.append(tuple(solution.particular))
+    return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples), fully)
+
+
+def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
+    """All rotation-invariant probability triple measures killing the
+    length-3 cyclic balances of T (a linear system; possibly empty)."""
+    if T.range_ != 2:
+        raise ValueError("the triple-measure system needs range 2")
+    alphabet = T.alphabet
+    variables = list(alphabet.words(3))
+    pos = {w: i for i, w in enumerate(variables)}
+    n = len(variables)
+    rows: List[List] = []
+    rhs: List = []
+
+    def blank():
+        return [Fraction(0)] * n
+
+    entries = list(T.entries())
+    out = {w: T.out_rate(w) for w in alphabet.words(2)}
+    for a, b, c in variables:
+        row = blank()
+        for (src, dst, rate) in entries:
+            u, v = src
+            if dst == (a, b):
+                row[pos[(c, u, v)]] += rate
+            if dst == (b, c):
+                row[pos[(a, u, v)]] += rate
+            if dst == (c, a):
+                row[pos[(b, u, v)]] += rate
+        row[pos[(a, b, c)]] -= out[(a, b)] + out[(b, c)] + out[(c, a)]
+        rows.append(row)
+        rhs.append(Fraction(0))
+    for a, b, c in variables:
+        if (a, b, c) < (b, c, a):
+            row = blank()
+            row[pos[(a, b, c)]] += 1
+            row[pos[(b, c, a)]] -= 1
+            rows.append(row)
+            rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * n)
+    rhs.append(Fraction(1))
+    return _family(variables, solve_linear(rows, rhs))
+
+
+# ---------------------------------------------------------------------------
+# kernel reconstruction from a triple measure
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Candidate:
+    kernel: MarkovKernel
+    law: StationaryLaw
+    exact: bool
+    line_report: Optional[CriterionReport] = None
+    provenance: str = ""
+
+
+@dataclass(frozen=True)
+class CandidateSet:
+    candidates: Tuple[Candidate, ...]
+    exhausted: bool
+    notes: Tuple[str, ...] = ()
+
+
+def _try_rationalize(kernel_rows, nu: TripleMeasure) -> Optional[MarkovKernel]:
+    """Round a float kernel to small rationals and re-verify exactly."""
+    kappa = len(kernel_rows)
+    rows = [[Fraction(v).limit_denominator(10 ** 6) for v in row] for row in kernel_rows]
+    if any(sum(row) != 1 or any(p <= 0 for p in row) for row in rows):
+        return None
+    kernel = MarkovKernel.from_matrix(rows)
+    if not all(is_exact(v) for v in nu.nu.values()):
+        return None
+    rebuilt = triple_from_kernel(kernel)
+    if all(rebuilt.nu[w] == nu.nu[w] for w in rebuilt.nu):
+        return kernel
+    return None
+
+
+def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
+                      tol: float = DEFAULT_TOL) -> CandidateSet:
+    """Reconstruct the unique kernel compatible with a positive triple
+    measure, when it exists.
+
+    Builds the ratio matrices N_a = [nu(a,x,y) / nu(a,x,a)], whose dominant
+    eigenvalues must satisfy nu(a,a,a) * lambda_a^3 all equal (this sidesteps
+    cube roots: the common value is the needed lambda^3).  The kernel then
+    comes from rho_a M_ab = sum_x nu(a,b,x) r_a(x) / lambda^3 and is kept
+    only if it reproduces nu exactly (or within tolerance on the float
+    path, with a rational re-check of the rounded kernel attempted first).
+    """
+    if T.range_ != 2:
+        raise ValueError("kernel search needs range 2")
+    if not nu.is_positive:
+        return CandidateSet((), True, ("triple measure not strictly positive; skipped",))
+    kappa = nu.kappa
+    E = range(kappa)
+    pairs = []
+    for a in E:
+        N = [[nu.nu[(a, x, y)] / nu.nu[(a, x, a)] for y in E] for x in E]
+        pairs.append(perron_pair(N))
+    exact = all(p.exact for p in pairs)
+    lam3 = [nu.nu[(a, a, a)] * pairs[a].value ** 3 for a in E]
+    if exact:
+        equal = all(v == lam3[0] for v in lam3)
+    else:
+        scale = abs(float(lam3[0])) or 1.0
+        equal = all(abs(float(v) - float(lam3[0])) <= 1e-9 * scale for v in lam3)
+    if not equal:
+        return CandidateSet((), True, ("ratio matrices have distinct dominant eigenvalues",))
+    lam_cubed = lam3[0]
+    joint = [[sum(nu.nu[(a, b, x)] * pairs[a].right[x] for x in E) / lam_cubed
+              for b in E] for a in E]
+    rho = [sum(row) for row in joint]
+    if any(r <= 0 for r in rho):
+        return CandidateSet((), True, ("reconstructed joint law not positive",))
+    rows = [[joint[a][b] / rho[a] for b in E] for a in E]
+    notes = []
+    if exact:
+        kernel = MarkovKernel.from_matrix(rows)
+        rebuilt = triple_from_kernel(kernel)
+        if any(rebuilt.nu[w] != nu.nu[w] for w in rebuilt.nu):
+            return CandidateSet((), True, ("candidate failed exact verification",))
+    else:
+        kernel = _try_rationalize(rows, nu)
+        if kernel is None:
+            float_rows = [[float(v) for v in row] for row in rows]
+            total = [sum(row) for row in float_rows]
+            float_rows = [[v / t for v in row] for row, t in zip(float_rows, total)]
+            kernel = MarkovKernel.from_matrix(float_rows)
+            rebuilt = triple_from_kernel(kernel)
+            scale = max(abs(float(v)) for v in nu.nu.values())
+            if any(abs(float(rebuilt.nu[w]) - float(nu.nu[w])) > 1e-9 * max(1.0, scale)
+                   for w in rebuilt.nu):
+                return CandidateSet((), True, ("candidate failed float verification",))
+            notes.append("numeric candidate (no exact certificate)")
+        else:
+            exact = True
+    law = stationary_distribution(kernel)
+    return CandidateSet((Candidate(kernel, law, exact),), True, tuple(notes))
+
+
+@dataclass(frozen=True)
+class MarkovSearchReport:
+    """Certified candidates reproduce their triple measure exactly and are
+    exact members of the length-3 solution set; numeric candidates only
+    passed float verification and are kept apart, flagged, never merged."""
+
+    family: AffineFamily
+    candidates: Tuple[Candidate, ...]
+    numeric_candidates: Tuple[Candidate, ...]
+    all_kernels: bool
+    notes: Tuple[str, ...] = ()
+
+
+def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchReport:
+    """Candidate invariant Markov kernels for T.
+
+    Solves the triple-measure system and reconstructs kernels from the
+    sampled positive solutions; invariant product measures found by the
+    product search are included as constant-row kernels (products are the
+    memory-0 laws).  Every candidate is filtered through the full line
+    criterion; the per-candidate report distinguishes membership in the
+    length-3 solution set from full invariance.
+    """
+    if T.is_zero:
+        return MarkovSearchReport(solve_cycle3_system(T), (), (), True,
+                                  ("zero dynamics: every positive kernel is invariant",))
+    family = solve_cycle3_system(T)
+    seen = []
+    exact_found: List[Candidate] = []
+    numeric_found: List[Candidate] = []
+    notes: List[str] = []
+    if not family.fully_sampled:
+        notes.append("solution family has dimension > 3; only sampled points explored")
+
+    def admit(kernel: MarkovKernel, exact: bool, provenance: str):
+        matrix = kernel.matrix()
+        if matrix in seen:
+            return
+        seen.append(matrix)
+        law = stationary_distribution(kernel)
+        report = check_markov_line(markov_context(T, law, tol))
+        cand = Candidate(kernel, law, exact, report, provenance)
+        (exact_found if exact else numeric_found).append(cand)
+
+    for point in family.samples:
+        nu_map = dict(zip(family.variables, point))
+        try:
+            nu = TripleMeasure(T.alphabet.kappa, nu_map)
+        except ValueError:
+            continue
+        if not nu.is_positive:
+            continue
+        result = candidate_kernels(T, nu, tol)
+        notes.extend(result.notes)
+        for cand in result.candidates:
+            admit(cand.kernel, cand.exact, "triple-measure sample")
+
+    products = find_product(T, tol)
+    for rho, _ in products.candidates:
+        rows = [list(rho) for _ in rho]
+        admit(MarkovKernel.from_matrix(rows), all(is_exact(p) for p in rho),
+              "invariant product")
+    if products.bernoulli_all:
+        notes.append("every Bernoulli product is invariant; the constant-row "
+                     "kernels form a one-parameter family (samples listed)")
+    return MarkovSearchReport(family, tuple(exact_found), tuple(numeric_found),
+                              False, tuple(notes))
+
+
+# ---------------------------------------------------------------------------
+# product-measure search
+# ---------------------------------------------------------------------------
+
+def _sqrt_exact(value):
+    """Exact square root of a nonnegative rational, or float fallback."""
+    if is_exact(value):
+        f = Fraction(value)
+        rn, rd = isqrt(f.numerator), isqrt(f.denominator)
+        if rn * rn == f.numerator and rd * rd == f.denominator:
+            return Fraction(rn, rd)
+        return float(value) ** 0.5
+    return float(value) ** 0.5
+
+
+def _factor_rank_one(kappa: int, pair_values, tol: float):
+    """Try to factor a symmetric pair table as rho x rho; None if impossible."""
+    exact = all(is_exact(v) for v in pair_values.values())
+    rho = [_sqrt_exact(pair_values[(u, u)]) for u in range(kappa)]
+    for u in range(kappa):
+        for v in range(kappa):
+            lhs = rho[u] * rho[v]
+            rhs = pair_values[(u, v)]
+            if exact and is_exact(lhs):
+                if lhs != rhs:
+                    return None
+            elif abs(float(lhs) - float(rhs)) > tol:
+                return None
+    total = sum(rho)
+    if total == 0:
+        return None
+    return [r / total for r in rho]
+
+
+@dataclass(frozen=True)
+class ProductSearchReport:
+    symmetrized: JumpRateMatrix
+    family: AffineFamily
+    candidates: Tuple[Tuple[Tuple, CriterionReport], ...]
+    bernoulli_all: bool
+    bernoulli_roots: Tuple = ()
+    notes: Tuple[str, ...] = ()
+
+
+def _bernoulli_polynomials(S: JumpRateMatrix):
+    """For kappa = 2: each pair-balance equation as a polynomial in p where
+    rho = (1-p, p); coefficient lists in increasing degree."""
+    out = {w: S.out_rate(w) for w in S.alphabet.words(2)}
+
+    def pair_poly(u, v):
+        # rho_u rho_v as a polynomial in p
+        poly = [Fraction(1)]
+        for letter in (u, v):
+            poly = _poly_mul(poly, [Fraction(1), Fraction(-1)] if letter == 0
+                             else [Fraction(0), Fraction(1)])
+        return poly
+
+    polys = []
+    for b, c in S.alphabet.words(2):
+        acc = _poly_scale(pair_poly(b, c), -out[(b, c)])
+        for src, dst, rate in S.entries():
+            if dst == (b, c):
+                acc = _poly_add(acc, _poly_scale(pair_poly(*src), rate))
+        polys.append(acc)
+    return polys
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_scale(p, c):
+    return [c * a for a in p]
+
+
+def _poly_is_zero(p):
+    return all(c == 0 for c in p)
+
+
+def _rational_roots(poly):
+    """Rational roots in (0, 1) of a polynomial with rational coefficients."""
+    while poly and poly[-1] == 0:
+        poly = poly[:-1]
+    if not poly or len(poly) == 1:
+        return []
+    denom = 1
+    for c in poly:
+        denom = denom * Fraction(c).denominator // _gcd(denom, Fraction(c).denominator)
+    ints = [int(c * denom) for c in poly]
+    while ints and ints[0] == 0:
+        ints = ints[1:]  # factor out p = 0 roots; outside (0,1) anyway
+    if not ints or len(ints) == 1:
+        return []
+    lead, const = ints[-1], ints[0]
+    roots = set()
+    for q in _divisors(abs(lead)):
+        for r in _divisors(abs(const)):
+            for sign in (1, -1):
+                cand = Fraction(sign * r, q)
+                if 0 < cand < 1 and sum(c * cand ** k for k, c in enumerate(ints)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def _divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.extend((d, n // d))
+        d += 1
+    return sorted(set(out))
+
+
+def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchReport:
+    """Product measures invariant for T.
+
+    Symmetrize, solve the linearized pair system, factor samples as rank-one
+    tables, and verify every emitted marginal against T itself.  For two
+    colours the rank-one slice is resolved exactly in the Bernoulli
+    parameter: either every parameter works, or the finitely many rational
+    roots are extracted and verified.
+    """
+    if T.range_ != 2:
+        raise ValueError("product search needs range 2")
+    S = symmetrize(T)
+    alphabet = T.alphabet
+    kappa = alphabet.kappa
+    variables = list(alphabet.words(2))
+    pos = {w: i for i, w in enumerate(variables)}
+    n = len(variables)
+    rows: List[List] = []
+    rhs: List = []
+    out = {w: S.out_rate(w) for w in variables}
+    for b, c in variables:
+        row = [Fraction(0)] * n
+        for src, dst, rate in S.entries():
+            if dst == (b, c):
+                row[pos[src]] += rate
+        row[pos[(b, c)]] -= out[(b, c)]
+        rows.append(row)
+        rhs.append(Fraction(0))
+    for u, v in variables:
+        if u < v:
+            row = [Fraction(0)] * n
+            row[pos[(u, v)]] += 1
+            row[pos[(v, u)]] -= 1
+            rows.append(row)
+            rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * n)
+    rhs.append(Fraction(1))
+    family = _family(variables, solve_linear(rows, rhs))
+
+    candidates: List[Tuple[Tuple, CriterionReport]] = []
+    notes: List[str] = []
+    seen = set()
+
+    def consider(rho):
+        rho = tuple(rho)
+        if rho in seen:
+            return
+        seen.add(rho)
+        if all(p > 0 for p in rho):
+            report = check_product_line(T, list(rho), tol)
+            if report.invariant:
+                candidates.append((rho, report))
+        else:
+            notes.append(f"sample {rho} lacks full support; "
+                         "verify through restrict_support on its support")
+
+    for point in family.samples:
+        pair_values = dict(zip(variables, point))
+        rho = _factor_rank_one(kappa, pair_values, tol)
+        if rho is not None:
+            consider(rho)
+
+    # rank-one trial points: product tables that happen to lie in the family
+    for rho in _trial_marginals(kappa):
+        point = [rho[u] * rho[v] for u, v in variables]
+        if _affine_contains(family.solution, point):
+            consider(rho)
+
+    bernoulli_all = False
+    roots: Tuple = ()
+    if kappa == 2 and not T.is_zero:
+        polys = _bernoulli_polynomials(S)
+        if all(_poly_is_zero(p) for p in polys):
+            bernoulli_all = True
+            for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                consider((1 - p, p))
+        else:
+            live = [p for p in polys if not _poly_is_zero(p)]
+            common = set(_rational_roots(live[0]))
+            for p in live[1:]:
+                common &= set(_rational_roots(p))
+            roots = tuple(sorted(common))
+            for p in roots:
+                consider((1 - p, p))
+    if T.is_zero:
+        bernoulli_all = kappa == 2
+        notes.append("zero dynamics: every product measure is invariant")
+        if kappa == 2:
+            for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                consider((1 - p, p))
+    return ProductSearchReport(S, family, tuple(candidates), bernoulli_all, roots,
+                               tuple(notes))
+
+
+# ---------------------------------------------------------------------------
+# kernels from ratio tables
+# ---------------------------------------------------------------------------
+
+def ratio_table(kernel: MarkovKernel) -> Dict[Tuple[Word, Word], object]:
+    """The full table F[(a,u,v,d),(b,c)] = weight(a u v d) / weight(a b c d)
+    of three-step weight ratios of a positive memory-1 kernel."""
+    if kernel.memory != 1 or not kernel.is_positive:
+        raise ValueError("ratio tables need a positive memory-1 kernel")
+    E = kernel.alphabet.letters
+
+    def weight(a, x, y, d):
+        return kernel.prob((a,), x) * kernel.prob((x,), y) * kernel.prob((y,), d)
+
+    table = {}
+    for a, u, v, d in itertools.product(E, repeat=4):
+        for b, c in itertools.product(E, repeat=2):
+            table[((a, u, v, d), (b, c))] = weight(a, u, v, d) / weight(a, b, c, d)
+    return table
+
+
+def kernel_from_ratios(F: Mapping[Tuple[Word, Word], object], kappa: int,
+                       tol: float = DEFAULT_TOL) -> MarkovKernel:
+    """Reconstruct the unique positive recurrent kernel with ratio table F.
+
+    The reduced ratios C[b][c] = F[(0,b,c,0),(0,0)] / F[(0,b,0,0),(0,0)]
+    equal M_bc M_c0 / (M_b0 M_00), so M is the stochastic rescaling of C by
+    its dominant eigenpair; positivity of the eigenvector makes it unique.
+    The full table is then re-verified entry by entry; any mismatch raises
+    with the offending index (inconsistent tables name no kernel at all).
+    """
+    E = range(kappa)
+    exact_table = all(is_exact(x) for x in F.values())
+    for key, value in F.items():
+        if value <= 0:
+            raise ValueError(f"ratio table must be positive; offending entry {key}")
+    for w in itertools.product(E, repeat=4):
+        a, b, c, d = w
+        unit = F[((a, b, c, d), (b, c))]
+        if (exact_table and unit != 1) or (not exact_table and abs(float(unit) - 1) > tol):
+            raise ValueError(f"ratio of a word with itself must be 1 at {w}")
+    C = [[F[((0, b, c, 0), (0, 0))] / F[((0, b, 0, 0), (0, 0))] for c in E] for b in E]
+    pair = perron_pair(C)
+    v = pair.right
+    M = [[C[b][c] * v[c] / (pair.value * v[b]) for c in E] for b in E]
+    if pair.exact:
+        kernel = MarkovKernel.from_matrix(M)
+    else:
+        rounded = [[Fraction(x).limit_denominator(10 ** 6) for x in row] for row in M]
+        if all(sum(row) == 1 for row in rounded):
+            kernel = MarkovKernel.from_matrix(rounded)
+        else:
+            total = [sum(row) for row in M]
+            kernel = MarkovKernel.from_matrix([[x / t for x in row]
+                                               for row, t in zip(M, total)])
+    rebuilt = ratio_table(kernel)
+    exact = kernel.is_exact and all(is_exact(x) for x in F.values())
+    for key, value in F.items():
+        if exact:
+            ok = rebuilt[key] == value
+        else:
+            ok = abs(float(rebuilt[key]) - float(value)) <= tol * max(1.0, abs(float(value)))
+        if not ok:
+            raise ValueError(f"ratio table is inconsistent at {key}: "
+                             f"{value} vs {rebuilt[key]} from the reconstruction")
+    return kernel
