@@ -4,7 +4,8 @@ Models live in JSON files (schema 1): rates and probabilities are strings
 like "3/5" (exact) or numbers; words are integer arrays.  Unknown keys are
 rejected so that typos cannot silently drop data.  Reports are printed as
 text or JSON; exit codes: 0 verdict computed (invariant where applicable),
-1 not-invariant, 2 input error, 3 resource cap exceeded.
+1 not-invariant, 2 input error, 3 resource cap exceeded, 4 the criterion and
+the brute-force oracle disagree (verify-cycle).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Optional
 from . import criteria, models, oracle, search, segment
 from .core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
 from .criteria import CriterionReport, markov_context, product_context
-from .lattice2d import SquareJRM, check_product_2d
+from .lattice2d import check_product_2d
 from .oracle import (CycleSpace, StateCapExceeded, TorusSpace, build_generator,
                      gibbs_measure, product_measure, stationarity_residual)
 from .scalars import DEFAULT_TOL, as_scalar, scalar_repr
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_NOT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_ORACLE = 4
 
 _MODEL_KEYS = {"schema", "kappa", "range", "memory", "rates", "kernel", "rho",
                "beta_left", "beta_right", "two_dimensional", "square_rates"}
@@ -41,7 +43,7 @@ class ModelFile:
     kappa: int
     range_: Optional[int]
     jrm: Optional[JumpRateMatrix]
-    square: Optional[SquareJRM]
+    square: Optional[JumpRateMatrix]  # 2x2-square patterns
     kernel: Optional[MarkovKernel]
     rho: Optional[list]
     beta: Optional[BoundaryRates]
@@ -63,7 +65,7 @@ def _parse_rate_list(items, alphabet, length, as_float, what):
             src = tuple(int(a) for a in item["from"])
             dst = tuple(int(a) for a in item["to"])
             rate = _parse_scalar(item["rate"], as_float)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ModelFileError(f"{what}[{k}] is malformed: {exc}") from exc
         if len(src) != length or len(dst) != length:
             raise ModelFileError(f"{what}[{k}] words must have length {length}")
@@ -77,6 +79,15 @@ def load_model_file(path: str, as_float: bool = False) -> ModelFile:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+    try:
+        return _model_from_doc(doc, as_float)
+    except ModelFileError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ModelFileError(f"malformed model file {path}: {exc}") from exc
+
+
+def _model_from_doc(doc, as_float: bool) -> ModelFile:
     if not isinstance(doc, dict):
         raise ModelFileError("model file must hold a JSON object")
     unknown = set(doc) - _MODEL_KEYS
@@ -97,23 +108,17 @@ def load_model_file(path: str, as_float: bool = False) -> ModelFile:
     if two_dimensional:
         if "rates" in doc or "range" in doc:
             raise ModelFileError("two-dimensional models use square_rates, not rates/range")
-        try:
-            square = SquareJRM(alphabet, _parse_rate_list(doc.get("square_rates", []),
-                                                          alphabet, 4, as_float,
-                                                          "square_rates"))
-        except ValueError as exc:
-            raise ModelFileError(str(exc)) from exc
+        square = JumpRateMatrix(alphabet, 4, _parse_rate_list(doc.get("square_rates", []),
+                                                              alphabet, 4, as_float,
+                                                              "square_rates"))
     else:
         try:
             range_ = int(doc["range"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFileError("model file needs an integer \"range\"") from exc
-        try:
-            jrm = JumpRateMatrix(alphabet, range_,
-                                 _parse_rate_list(doc.get("rates", []), alphabet,
-                                                  range_, as_float, "rates"))
-        except ValueError as exc:
-            raise ModelFileError(str(exc)) from exc
+        jrm = JumpRateMatrix(alphabet, range_,
+                             _parse_rate_list(doc.get("rates", []), alphabet,
+                                              range_, as_float, "rates"))
 
     kernel = None
     if "kernel" in doc:
@@ -129,10 +134,7 @@ def load_model_file(path: str, as_float: bool = False) -> ModelFile:
                 raise ModelFileError("kernel rows must have kappa entries")
             for y, value in enumerate(row):
                 entries[(ctx_word, y)] = _parse_scalar(value, as_float)
-        try:
-            kernel = MarkovKernel(alphabet, memory, entries)
-        except ValueError as exc:
-            raise ModelFileError(str(exc)) from exc
+        kernel = MarkovKernel(alphabet, memory, entries)
     elif "memory" in doc:
         raise ModelFileError("\"memory\" is only meaningful next to \"kernel\"")
 
@@ -146,16 +148,13 @@ def load_model_file(path: str, as_float: bool = False) -> ModelFile:
     if "beta_left" in doc or "beta_right" in doc:
         if range_ is None:
             raise ModelFileError("boundary rates require a one-dimensional model")
-        try:
-            beta = BoundaryRates(
-                JumpRateMatrix(alphabet, range_ - 1,
-                               _parse_rate_list(doc.get("beta_left", []), alphabet,
-                                                range_ - 1, as_float, "beta_left")),
-                JumpRateMatrix(alphabet, range_ - 1,
-                               _parse_rate_list(doc.get("beta_right", []), alphabet,
-                                                range_ - 1, as_float, "beta_right")))
-        except ValueError as exc:
-            raise ModelFileError(str(exc)) from exc
+        beta = BoundaryRates(
+            JumpRateMatrix(alphabet, range_ - 1,
+                           _parse_rate_list(doc.get("beta_left", []), alphabet,
+                                            range_ - 1, as_float, "beta_left")),
+            JumpRateMatrix(alphabet, range_ - 1,
+                           _parse_rate_list(doc.get("beta_right", []), alphabet,
+                                            range_ - 1, as_float, "beta_right")))
     return ModelFile(kappa, range_, jrm, square, kernel, rho, beta, two_dimensional)
 
 
@@ -218,6 +217,17 @@ def _emit(doc: dict, args) -> None:
         print(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
 
 
+def _load(args) -> ModelFile:
+    """The subcommand's model file: square models only reach check-2d, and
+    one-dimensional models every other subcommand."""
+    model = load_model_file(args.file, args.float_mode)
+    wants_2d = args.command == "check-2d"
+    if model.two_dimensional != wants_2d:
+        raise ModelFileError(f"{args.command} needs a "
+                             f"{'two' if wants_2d else 'one'}-dimensional model file")
+    return model
+
+
 def _law_from_file(model: ModelFile, tol):
     """The candidate law a 1D model file describes: kernel or product marginal."""
     if model.kernel is not None:
@@ -232,7 +242,7 @@ def _law_from_file(model: ModelFile, tol):
 # ---------------------------------------------------------------------------
 
 def _cmd_check_markov(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     if model.kernel is None:
         raise ModelFileError("check-markov needs a \"kernel\" entry")
     start = time.perf_counter()
@@ -243,7 +253,7 @@ def _cmd_check_markov(args) -> int:
 
 
 def _cmd_check_product(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     if model.rho is None:
         raise ModelFileError("check-product needs a \"rho\" entry")
     start = time.perf_counter()
@@ -253,7 +263,7 @@ def _cmd_check_product(args) -> int:
 
 
 def _cmd_find_markov(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     result = search.find_markov(model.jrm, args.tol)
     def describe(c):
         return {
@@ -281,7 +291,7 @@ def _cmd_find_markov(args) -> int:
 
 
 def _cmd_find_product(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     result = search.find_product(model.jrm, args.tol)
     doc = {
         "verdict": "all-bernoulli" if result.bernoulli_all else
@@ -298,7 +308,7 @@ def _cmd_find_product(args) -> int:
 
 
 def _cmd_verify_cycle(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     n = args.n
     start = time.perf_counter()
     ctx = _law_from_file(model, args.tol)
@@ -315,12 +325,12 @@ def _cmd_verify_cycle(args) -> int:
     doc["oracle_agrees"] = agreement
     _emit(doc, args)
     if not agreement:
-        return EXIT_INPUT
+        return EXIT_ORACLE
     return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
 
 
 def _cmd_absorbing(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     sizes = list(range(args.n_min, args.n_max + 1))
     verdict = oracle.absorbing_exclusion(model.jrm, sizes, max_states=args.max_states)
     doc = {
@@ -338,9 +348,9 @@ def _cmd_absorbing(args) -> int:
 
 
 def _cmd_check_2d(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
-    if model.square is None or model.rho is None:
-        raise ModelFileError("check-2d needs \"square_rates\" and \"rho\"")
+    model = _load(args)
+    if model.rho is None:
+        raise ModelFileError("check-2d needs a \"rho\" entry")
     start = time.perf_counter()
     report = check_product_2d(model.square, model.rho, args.tol)
     doc = {"verdict": report.verdict, "criterion": report.criterion,
@@ -361,7 +371,7 @@ def _cmd_check_2d(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     if model.kernel is None:
         raise ModelFileError("segment checks need a \"kernel\" entry")
     ctx = markov_context(model.jrm, model.kernel, args.tol)
@@ -390,7 +400,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_equivalences(args) -> int:
-    model = load_model_file(args.file, args.float_mode)
+    model = _load(args)
     ctx = _law_from_file(model, args.tol)
     start = time.perf_counter()
     panel = criteria.equivalence_panel(ctx)

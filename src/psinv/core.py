@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Tuple
 
-from .scalars import as_scalar, is_exact
+from .scalars import ScalarContext, all_exact, as_scalar, is_exact
 
 Word = Tuple[int, ...]
 
@@ -170,8 +170,7 @@ class MarkovKernel:
         for ctx in alphabet.words(memory):
             row = [table.get((ctx, y), Fraction(0)) for y in alphabet.letters]
             total = sum(row)
-            exact = all(is_exact(p) for p in row)
-            if (exact and total != 1) or (not exact and abs(total - 1) > 1e-9):
+            if not ScalarContext(all_exact(row)).is_zero(total - 1):
                 raise ValueError(f"row for context {ctx} sums to {total}, not 1")
         object.__setattr__(self, "_entries", table)
 
@@ -262,16 +261,16 @@ class StationaryLaw:
             raise ValueError(f"stationary law misses blocks {missing[:3]}")
         values = [self.rho[w] for w in states]
         total = sum(values)
-        exact = all(is_exact(v) for v in values)
+        exact = all_exact(values)
         if any(v < 0 for v in values):
             raise ValueError("stationary law has negative entries")
-        if (exact and total != 1) or (not exact and abs(total - 1) > 1e-9):
+        if not ScalarContext(exact).is_zero(total - 1):
             raise ValueError(f"stationary law sums to {total}, not 1")
+        flow_test = ScalarContext(exact and self.kernel.is_exact)
         states2, mat = self.kernel.block_transition()
         for j, w in enumerate(states2):
             flow = sum(self.rho[v] * mat[i][j] for i, v in enumerate(states2))
-            if (exact and self.kernel.is_exact and flow != self.rho[w]) or \
-               (not (exact and self.kernel.is_exact) and abs(flow - self.rho[w]) > 1e-9):
+            if not flow_test.is_zero(flow - self.rho[w]):
                 raise ValueError("rho is not invariant for the kernel")
 
     @property
@@ -291,12 +290,7 @@ class StationaryLaw:
         word = tuple(word)
         m = max(self.memory, 1)
         if len(word) >= m:
-            weight = self.rho[word[:m]]
-            for j in range(len(word) - self.memory if self.memory else len(word)):
-                if self.memory == 0 and j == 0:
-                    continue
-                weight = weight * self.kernel.step_weight(word[j:j + self.memory + 1])
-            return weight
+            return self.kernel.word_weight(word, self.rho)
         total = Fraction(0)
         for suffix in self.alphabet.words(m - len(word)):
             total += self.rho[word + suffix]

@@ -50,12 +50,15 @@ class CriterionContext:
     T: JumpRateMatrix
     law: StationaryLaw
     tol: float = DEFAULT_TOL
+    scalar_context: ScalarContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T.alphabet.kappa != self.law.alphabet.kappa:
             raise ValueError("rate matrix and law use different alphabets")
         if not self.law.kernel.is_positive:
             raise ValueError(ZERO_DENOMINATOR_HINT)
+        object.__setattr__(self, "scalar_context",
+                           ScalarContext.for_balances(self.T, self.law.is_exact, self.tol))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -77,15 +80,8 @@ class CriterionContext:
     def critical_length(self) -> int:
         return 4 * self.memory + 2 * self.range_ - 1
 
-    @property
-    def scalar_context(self) -> ScalarContext:
-        return ScalarContext(exact=self.T.is_exact and self.law.is_exact, tol=self.tol)
-
     def is_zero(self, value) -> bool:
-        # residuals scale with T, so the float tolerance does too
-        if self.scalar_context.exact:
-            return value == 0
-        return abs(value) <= self.tol * (1 + float(self.T.max_rate()))
+        return self.scalar_context.is_zero(value)
 
 
 def markov_context(T: JumpRateMatrix, kernel_or_law, tol: float = DEFAULT_TOL) -> CriterionContext:
@@ -131,28 +127,33 @@ def z_table(ctx: CriterionContext) -> LocalBalanceTable:
     moves = list(ctx.T.entries())
     for a in ctx.alphabet.words(m):
         for c in ctx.alphabet.words(m):
-            denom_cache: Dict[Word, object] = {}
             for b in ctx.alphabet.words(L):
-                w = a + b + c
-                denom = Fraction(1)
-                for j in range(m + L):
-                    step = kernel.step_weight(w[j:j + m + 1])
-                    if step == 0:
-                        raise ZeroDivisionError(ZERO_DENOMINATOR_HINT)
-                    denom *= step
-                denom_cache[b] = denom
-            for b in ctx.alphabet.words(L):
-                total = -out_rates[b]
-                for u, v, rate in moves:
-                    if v != b:
-                        continue
-                    wp = a + u + c
-                    num = Fraction(1)
-                    for j in range(m + L):
-                        num *= kernel.step_weight(wp[j:j + m + 1])
-                    total += rate * num / denom_cache[b]
-                values[a + b + c] = total
+                values[a + b + c] = _inflow(kernel, moves, a, b, c, -out_rates[b])
     return LocalBalanceTable(ctx, values)
+
+
+def _inflow(kernel: MarkovKernel, moves, a: Word, b: Word, c: Word, start):
+    """start + sum_u T[u -> b] * M(a u c) / M(a b c), the chain weights M
+    running over the (m+1)-windows; terms are added in the order of moves."""
+    m = kernel.memory
+    steps = range(m + len(b))
+    w = a + b + c
+    denom = Fraction(1)
+    for j in steps:
+        step = kernel.step_weight(w[j:j + m + 1])
+        if step == 0:
+            raise ZeroDivisionError(ZERO_DENOMINATOR_HINT)
+        denom *= step
+    total = start
+    for u, v, rate in moves:
+        if v != b:
+            continue
+        wp = a + u + c
+        num = Fraction(1)
+        for j in steps:
+            num *= kernel.step_weight(wp[j:j + m + 1])
+        total += rate * num / denom
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -667,25 +668,13 @@ def tail_bounds_advisory(ctx: CriterionContext) -> dict:
     full model and is reported as such.
     """
     m, L = ctx.memory, ctx.range_
-    kernel = ctx.law.kernel
+    moves = list(ctx.T.entries())
     sup_inflow = Fraction(0)
     for a in ctx.alphabet.words(m):
         for c in ctx.alphabet.words(m):
             for b in ctx.alphabet.words(L):
-                w = a + b + c
-                denom = Fraction(1)
-                for j in range(m + L):
-                    denom *= kernel.step_weight(w[j:j + m + 1])
-                acc = Fraction(0)
-                for u, v, rate in ctx.T.entries():
-                    if v != b:
-                        continue
-                    wp = a + u + c
-                    num = Fraction(1)
-                    for j in range(m + L):
-                        num *= kernel.step_weight(wp[j:j + m + 1])
-                    acc += rate * num / denom
-                sup_inflow = max(sup_inflow, acc)
+                sup_inflow = max(sup_inflow,
+                                 _inflow(ctx.law.kernel, moves, a, b, c, Fraction(0)))
     sup_exit = max((ctx.T.out_rate(b) for b in ctx.alphabet.words(L)), default=Fraction(0))
     return {"sup_weighted_inflow": sup_inflow, "sup_exit_rate": sup_exit,
             "advisory": "computed over the finite truncation only"}

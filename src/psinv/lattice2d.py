@@ -1,7 +1,8 @@
 """Product-measure invariance on the plane for 2x2-square jump dynamics.
 
 Configurations colour Z^2; the dynamics rewrites the pattern on a 2x2 square
-(cells in lexicographic order (0,0),(0,1),(1,0),(1,1)) at given rates.  For a
+(cells in lexicographic order (0,0),(0,1),(1,0),(1,1)) at given rates, held
+in a JumpRateMatrix over patterns of length 4 (SQUARE_CELLS order).  For a
 product measure with full-support marginal rho, the local balance of one
 square is
 
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .core import Alphabet, Word
-from .scalars import DEFAULT_TOL, as_scalar, is_exact
+from .core import JumpRateMatrix, Word
+from .scalars import DEFAULT_TOL, ScalarContext, all_exact, as_scalar, is_exact
 
 Cell = Tuple[int, int]
 
@@ -61,57 +62,9 @@ def hypercube(side: int, dim: int = 2) -> Shape:
     return Shape(itertools.product(range(side), repeat=dim))
 
 
-@dataclass(frozen=True)
-class SquareJRM:
-    """Sparse jump rates between 2x2-square patterns (zero diagonal)."""
-
-    alphabet: Alphabet
-    _rates: Dict[Tuple[Word, Word], object] = field(repr=False)
-
-    def __init__(self, alphabet: Alphabet, rates: Mapping):
-        table: Dict[Tuple[Word, Word], object] = {}
-        for (src, dst), value in rates.items():
-            src = alphabet.check_word(src)
-            dst = alphabet.check_word(dst)
-            if len(src) != 4 or len(dst) != 4:
-                raise ValueError("square patterns have four cells")
-            rate = as_scalar(value)
-            if rate < 0:
-                raise ValueError(f"negative rate for {src}->{dst}")
-            if src == dst and rate != 0:
-                raise ValueError("diagonal rates must be zero")
-            if rate != 0:
-                table[(src, dst)] = table.get((src, dst), 0) + rate
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_rates", table)
-
-    def rate(self, src: Word, dst: Word):
-        return self._rates.get((tuple(src), tuple(dst)), Fraction(0))
-
-    def out_rate(self, src: Word):
-        src = tuple(src)
-        return sum((r for (w, _), r in self._rates.items() if w == src), Fraction(0))
-
-    def entries(self):
-        for (src, dst), rate in sorted(self._rates.items()):
-            yield src, dst, rate
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._rates
-
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(r) for r in self._rates.values())
-
-    def max_rate(self):
-        return max(self._rates.values(), default=Fraction(0))
-
-    def is_mass_preserving(self) -> bool:
-        return all(sum(src) == sum(dst) for src, dst, _ in self.entries())
-
-
-def _check_marginal(T2: SquareJRM, rho) -> List:
+def _check_marginal(T2: JumpRateMatrix, rho) -> List:
+    if T2.range_ != len(SQUARE_CELLS):
+        raise ValueError("square dynamics need rates over patterns of length 4")
     rho = list(rho)
     if len(rho) != T2.alphabet.kappa:
         raise ValueError("marginal length does not match the alphabet")
@@ -120,7 +73,7 @@ def _check_marginal(T2: SquareJRM, rho) -> List:
     return rho
 
 
-def bold_z_table(T2: SquareJRM, rho) -> Dict[Word, object]:
+def bold_z_table(T2: JumpRateMatrix, rho) -> Dict[Word, object]:
     """boldZ over all kappa^4 square patterns."""
     rho = _check_marginal(T2, rho)
     table: Dict[Word, object] = {}
@@ -137,11 +90,11 @@ def bold_z_table(T2: SquareJRM, rho) -> Dict[Word, object]:
     return table
 
 
-def bold_z(T2: SquareJRM, rho, pattern: Word):
+def bold_z(T2: JumpRateMatrix, rho, pattern: Word):
     return bold_z_table(T2, rho)[tuple(pattern)]
 
 
-def bold_z_partial(T2: SquareJRM, rho, overlap: Mapping[Cell, int],
+def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int],
                    table: Optional[Dict[Word, object]] = None,
                    cache: Optional[dict] = None):
     """Partial boldZ of a square: cells in `overlap` (positions within the
@@ -182,7 +135,7 @@ def _anchors_meeting(shape: Shape) -> List[Cell]:
     return sorted(anchors)
 
 
-def line_balance_2d(T2: SquareJRM, rho, shape: Shape, pattern: Word,
+def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word,
                     table: Optional[Dict[Word, object]] = None):
     """Normalized balance of the window `pattern` on `shape`: the sum over
     all squares meeting the shape of their (partial) boldZ."""
@@ -221,16 +174,7 @@ class Report2D:
         return "invariant" if self.invariant else "not-invariant"
 
 
-def _zero_test(T2: SquareJRM, rho, tol: float):
-    exact = T2.is_exact and all(is_exact(p) for p in rho)
-    cap = 1 + float(T2.max_rate())
-
-    def is_zero(v):
-        return v == 0 if exact else abs(v) <= tol * cap
-    return is_zero
-
-
-def check_product_2d(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> Report2D:
+def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Report2D:
     """Decide invariance of the product measure rho on Z^2 under T2.
 
     Condition (a): the corner-shape balances vanish; condition (b): adding
@@ -238,7 +182,7 @@ def check_product_2d(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> Report2D:
     families together are equivalent to invariance.
     """
     rho = _check_marginal(T2, rho)
-    is_zero = _zero_test(T2, rho, tol)
+    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
     table = bold_z_table(T2, rho)
     count = 0
     for x in T2.alphabet.words(len(GAMMA0)):
@@ -256,14 +200,14 @@ def check_product_2d(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> Report2D:
     return Report2D(True, "corner-and-addition", words_checked=count)
 
 
-def check_bold_z_sufficient(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> bool:
+def check_bold_z_sufficient(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> bool:
     """True iff boldZ vanishes identically (sufficient for invariance,
     weaker than reversibility, not necessary)."""
-    is_zero = _zero_test(T2, rho, tol)
+    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
     return all(is_zero(v) for v in bold_z_table(T2, rho).values())
 
 
-def growth_difference(T2: SquareJRM, rho, shape: Shape, cell: Cell, pattern: Word,
+def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern: Word,
                       table: Optional[Dict[Word, object]] = None,
                       cache: Optional[dict] = None):
     """Balance change when `cell` is added to `shape`: only the squares
@@ -293,14 +237,14 @@ def growth_difference(T2: SquareJRM, rho, shape: Shape, cell: Cell, pattern: Wor
     return total
 
 
-def check_product_2d_incremental(T2: SquareJRM, rho, tol: float = DEFAULT_TOL) -> Report2D:
+def check_product_2d_incremental(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Report2D:
     """Slower equivalent decision through the growth conditions: the
     single-cell balance vanishes and growing any subset of the 3x3 block by
     one cell never changes the balance.  Exposed for cross-validation; the
     single-cell normalization follows the partial-sum convention and is
     checked against the torus oracle in the test suite."""
     rho = _check_marginal(T2, rho)
-    is_zero = _zero_test(T2, rho, tol)
+    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
     table = bold_z_table(T2, rho)
     cache: dict = {}
     count = 0
@@ -356,14 +300,14 @@ class TruncationReport:
     marginal: Tuple
 
 
-def check_multinomial_preservation(T2: SquareJRM, lam=1, tol: float = DEFAULT_TOL) -> TruncationReport:
+def check_multinomial_preservation(T2: JumpRateMatrix, lam=1, tol: float = DEFAULT_TOL) -> TruncationReport:
     """Check that a mass-preserving square dynamics preserves the truncated
     Poisson product measure, splitting exact interior from truncation edge."""
     if not T2.is_mass_preserving():
         raise ValueError("multinomial preservation needs a mass-preserving dynamics")
     kappa = T2.alphabet.kappa
     rho = truncated_poisson(lam, kappa)
-    is_zero = _zero_test(T2, rho, tol)
+    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
     table = bold_z_table(T2, rho)
     interior_ok = True
     interior_count = 0

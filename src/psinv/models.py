@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
-from .lattice2d import SQUARE_CELLS, SquareJRM
+from .lattice2d import SQUARE_CELLS
 from .scalars import as_scalar
 
 
@@ -24,7 +24,7 @@ class ModelSpec:
     name: str
     params: dict
     jrm: Optional[JumpRateMatrix] = None
-    square: Optional[SquareJRM] = None
+    square: Optional[JumpRateMatrix] = None
     kernel: Optional[MarkovKernel] = None
     rho: Optional[Tuple] = None
     expected: dict = field(default_factory=dict)
@@ -254,7 +254,7 @@ def flip_2d(a, b=1) -> ModelSpec:
     (density 1/(sqrt(a)+1) when b = 1)."""
     up = (1, 1, 1, 0)
     down = (0, 0, 0, 1)
-    square = SquareJRM(Alphabet(2), {(up, down): a, (down, up): b})
+    square = JumpRateMatrix(Alphabet(2), 4, {(up, down): a, (down, up): b})
     return ModelSpec("flip_2d", {"a": a, "b": b}, square=square,
                      expected={"product_invariant": "Bernoulli with a p^2 - p^2 + 2p - 1 = 0"})
 
@@ -264,7 +264,7 @@ def pair_flip_2d(a, b) -> ModelSpec:
     invariant when a = b, none otherwise."""
     up = (1, 0, 1, 0)
     down = (0, 1, 0, 1)
-    square = SquareJRM(Alphabet(2), {(up, down): a, (down, up): b})
+    square = JumpRateMatrix(Alphabet(2), 4, {(up, down): a, (down, up): b})
     return ModelSpec("pair_flip_2d", {"a": a, "b": b}, square=square,
                      expected={"product_invariant": "all iff a == b"})
 
@@ -274,7 +274,7 @@ def rotation_2d(a, b, c, d) -> ModelSpec:
     all Bernoulli products are invariant iff a = b = c = d."""
     cyc = (1, 1, 0, 0)
     words = [_from_cyclic(cyc[-k:] + cyc[:-k]) for k in range(4)]
-    square = SquareJRM(Alphabet(2), {
+    square = JumpRateMatrix(Alphabet(2), 4, {
         (words[0], words[1]): a,
         (words[1], words[2]): b,
         (words[2], words[3]): c,
@@ -287,7 +287,7 @@ def rotation_2d(a, b, c, d) -> ModelSpec:
 def three_colour_flip_2d(a0, a1, a2) -> ModelSpec:
     """Constant squares iiii jump to (i+1 mod 3) everywhere at rate a_i;
     invariant products satisfy a_i rho_i^4 all equal."""
-    square = SquareJRM(Alphabet(3), {
+    square = JumpRateMatrix(Alphabet(3), 4, {
         ((i, i, i, i), ((i + 1) % 3,) * 4): rate
         for i, rate in enumerate((a0, a1, a2)) if as_scalar(rate) != 0
     })
@@ -326,7 +326,8 @@ def ball_move_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None
                 else:
                     dropped += 1
     notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
-    return ModelSpec("ball_move_2d", {"kappa_trunc": kappa_trunc}, square=SquareJRM(alphabet, rates),
+    return ModelSpec("ball_move_2d", {"kappa_trunc": kappa_trunc},
+                     square=JumpRateMatrix(alphabet, 4, rates),
                      expected={"product_invariant": "truncated Poisson, interior-exact"},
                      notes=notes)
 
@@ -361,7 +362,7 @@ def ball_cycle_2d(kappa_trunc: int, weight: Callable[[int], object] | None = Non
                 dropped += 1
     notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
     return ModelSpec("ball_cycle_2d", {"kappa_trunc": kappa_trunc},
-                     square=SquareJRM(alphabet, rates),
+                     square=JumpRateMatrix(alphabet, 4, rates),
                      expected={"product_invariant": "truncated Poisson, interior-exact"},
                      notes=notes)
 
@@ -388,7 +389,7 @@ def urn_shift_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None
         if tuple(shifted) != x:
             rates[(tuple(x), tuple(shifted))] = w
     return ModelSpec("urn_shift_2d", {"kappa_trunc": kappa_trunc},
-                     square=SquareJRM(alphabet, rates),
+                     square=JumpRateMatrix(alphabet, 4, rates),
                      expected={"product_invariant": "any exchangeable product"})
 
 

@@ -77,107 +77,69 @@ def _add_rate(rows, exits, src: int, dst: int, rate):
     exits[src] += rate
 
 
-def _build_cycle(T: JumpRateMatrix, n: int, rows, exits, alphabet: Alphabet):
-    L = T.range_
-    if n >= L:
-        entries = list(T.entries())
-        for index in range(alphabet.kappa ** n):
-            w = alphabet.decode(index, n)
-            for offset in range(n):
-                window = [(offset + i) % n for i in range(L)]
-                src = tuple(w[j] for j in window)
-                for u, v, rate in entries:
-                    if u != src:
-                        continue
-                    z = list(w)
-                    for site, letter in zip(window, v):
-                        z[site] = letter
-                    _add_rate(rows, exits, index, alphabet.encode(z), rate)
-    else:
-        # wrapped windows overlap themselves; fall back to the pairwise rate
-        words = list(alphabet.words(n))
-        for w in words:
-            for z in words:
-                if w != z:
-                    _add_rate(rows, exits, alphabet.encode(w), alphabet.encode(z),
-                              induced_rate_cyclic(T, w, z))
+def _moves_by_source(T: JumpRateMatrix) -> Dict[Word, List[Tuple[Word, object]]]:
+    moves: Dict[Word, List[Tuple[Word, object]]] = {}
+    for u, v, rate in T.entries():
+        moves.setdefault(u, []).append((v, rate))
+    return moves
 
 
-def _build_segment(T: JumpRateMatrix, n: int, boundary: Optional[BoundaryRates],
-                   rows, exits, alphabet: Alphabet):
-    L = T.range_
-    if boundary is not None and boundary.left.range_ != L - 1:
-        raise ValueError(f"boundary rates must have range {L - 1}")
-    entries = list(T.entries())
-    bl = list(boundary.left.entries()) if boundary else []
-    br = list(boundary.right.entries()) if boundary else []
-    for index in range(alphabet.kappa ** n):
-        w = alphabet.decode(index, n)
-        for offset in range(n - L + 1):
-            src = w[offset:offset + L]
-            for u, v, rate in entries:
-                if u != src:
-                    continue
-                z = w[:offset] + v + w[offset + L:]
-                _add_rate(rows, exits, index, alphabet.encode(z), rate)
-        if boundary is not None and L >= 2:
-            left_src = w[:L - 1]
-            for u, v, rate in bl:
-                if u == left_src:
-                    z = v + w[L - 1:]
-                    _add_rate(rows, exits, index, alphabet.encode(z), rate)
-            right_src = w[n - L + 1:]
-            for u, v, rate in br:
-                if u == right_src:
-                    z = w[:n - L + 1] + v
-                    _add_rate(rows, exits, index, alphabet.encode(z), rate)
-
-
-def _square_cells(i: int, j: int, n: int) -> List[Tuple[int, int]]:
-    # cells of the 2x2 square anchored at (i, j), in lexicographic cell order
-    return [((i + di) % n, (j + dj) % n) for di in (0, 1) for dj in (0, 1)]
-
-
-def _build_torus(T2, n: int, rows, exits, alphabet: Alphabet):
+def _site_windows(T: JumpRateMatrix, space: Space):
+    """The jump windows of a space: (sites in pattern order, moves by source
+    pattern).  Cycles wrap; segments add their two boundary windows; the
+    torus has one 2x2 square per site, cells in SQUARE_CELLS order."""
+    moves = _moves_by_source(T)
+    L, n = T.range_, space.n
+    if isinstance(space, CycleSpace):
+        return [([(start + i) % n for i in range(L)], moves) for start in range(n)]
+    if isinstance(space, SegmentSpace):
+        boundary = space.boundary
+        windows = [(list(range(start, start + L)), moves) for start in range(n - L + 1)]
+        if boundary is not None:
+            if boundary.left.range_ != L - 1:
+                raise ValueError(f"boundary rates must have range {L - 1}")
+            if n >= L - 1:
+                windows.append((list(range(L - 1)), _moves_by_source(boundary.left)))
+                windows.append((list(range(n - L + 1, n)), _moves_by_source(boundary.right)))
+        return windows
     if n < 2:
         raise ValueError("torus oracle needs n >= 2")
-    entries = list(T2.entries())
-    sites = [(i, j) for i in range(n) for j in range(n)]
-    pos = {cell: k for k, cell in enumerate(sites)}
-    windows = [[pos[c] for c in _square_cells(i, j, n)] for i in range(n) for j in range(n)]
-    for index in range(alphabet.kappa ** (n * n)):
-        w = alphabet.decode(index, n * n)
-        for window in windows:
-            src = tuple(w[k] for k in window)
-            for u, v, rate in entries:
-                if u != src:
-                    continue
-                z = list(w)
-                for site, letter in zip(window, v):
-                    z[site] = letter
-                _add_rate(rows, exits, index, alphabet.encode(z), rate)
+    if L != 4:
+        raise ValueError("torus dynamics need rates over 2x2-square patterns (length 4)")
+    return [([(i + di) % n * n + (j + dj) % n for di in (0, 1) for dj in (0, 1)], moves)
+            for i in range(n) for j in range(n)]
 
 
-def build_generator(T, space: Space, max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
+def build_generator(T: JumpRateMatrix, space: Space,
+                    max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
     """Explicit sparse generator of the particle system on a finite space."""
+    if not isinstance(space, (CycleSpace, SegmentSpace, TorusSpace)):
+        raise TypeError(f"unknown space {space!r}")
     alphabet = T.alphabet
-    if isinstance(space, TorusSpace):
-        n_sites = space.n * space.n
-    else:
-        n_sites = space.n
+    n_sites = space.n * space.n if isinstance(space, TorusSpace) else space.n
     n_states = alphabet.kappa ** n_sites
     if n_states > max_states:
         raise StateCapExceeded(f"{n_states} states exceed the cap {max_states}")
     rows: List[Dict[int, object]] = [dict() for _ in range(n_states)]
     exits: List[object] = [Fraction(0) for _ in range(n_states)]
-    if isinstance(space, CycleSpace):
-        _build_cycle(T, space.n, rows, exits, alphabet)
-    elif isinstance(space, SegmentSpace):
-        _build_segment(T, space.n, space.boundary, rows, exits, alphabet)
-    elif isinstance(space, TorusSpace):
-        _build_torus(T, space.n, rows, exits, alphabet)
+    if isinstance(space, CycleSpace) and space.n < T.range_:
+        # wrapped windows overlap themselves; fall back to the pairwise rate
+        words = list(alphabet.words(n_sites))
+        for w in words:
+            for z in words:
+                if w != z:
+                    _add_rate(rows, exits, alphabet.encode(w), alphabet.encode(z),
+                              induced_rate_cyclic(T, w, z))
     else:
-        raise TypeError(f"unknown space {space!r}")
+        windows = _site_windows(T, space)
+        for index in range(n_states):
+            w = alphabet.decode(index, n_sites)
+            for sites, moves in windows:
+                for v, rate in moves.get(tuple(w[k] for k in sites), ()):
+                    z = list(w)
+                    for site, letter in zip(sites, v):
+                        z[site] = letter
+                    _add_rate(rows, exits, index, alphabet.encode(z), rate)
     return FiniteGenerator(space, alphabet, n_sites, rows, exits)
 
 

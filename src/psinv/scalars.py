@@ -40,22 +40,24 @@ def all_exact(values) -> bool:
 
 @dataclass(frozen=True)
 class ScalarContext:
-    """Equality context: exact when possible, |x| <= tol otherwise."""
+    """The one zero test: exact `== 0` when every input is rational,
+    |v| <= tol * scale as soon as a float entered the computation."""
 
     exact: bool = True
     tol: float = DEFAULT_TOL
+    scale: float = 1.0
 
     def is_zero(self, value) -> bool:
-        if self.exact and is_exact(value):
+        if self.exact:
             return value == 0
-        return abs(value) <= self.tol
+        return abs(value) <= self.tol * self.scale
 
-    def is_equal(self, a, b) -> bool:
-        return self.is_zero(a - b)
-
-    @staticmethod
-    def for_values(values, tol: float = DEFAULT_TOL) -> "ScalarContext":
-        return ScalarContext(exact=all_exact(values), tol=tol)
+    @classmethod
+    def for_balances(cls, T, law_exact: bool, tol: float = DEFAULT_TOL) -> "ScalarContext":
+        """Zero test for balances of the rate table T under a law: balances
+        scale with T, so the float tolerance is scaled by 1 + the largest rate."""
+        exact = T.is_exact and law_exact
+        return cls(exact, tol, 1.0 if exact else 1 + float(T.max_rate()))
 
 
 def scalar_repr(value) -> str:

@@ -34,7 +34,7 @@ from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
 from .criteria import (CriterionReport, check_markov_line, check_product_line,
                        markov_context, symmetrize)
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
-from .scalars import DEFAULT_TOL, is_exact
+from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,13 @@ class TripleMeasure:
         alphabet = Alphabet(self.kappa)
         values = [self.nu[w] for w in alphabet.words(3)]
         total = sum(values)
-        exact = all(is_exact(v) for v in values)
+        zero = ScalarContext(all_exact(values)).is_zero
         if any(v < 0 for v in values):
             raise ValueError("triple measure has negative entries")
-        if (exact and total != 1) or (not exact and abs(total - 1) > 1e-9):
+        if not zero(total - 1):
             raise ValueError(f"triple measure sums to {total}, not 1")
         for a, b, c in alphabet.words(3):
-            gap = self.nu[(a, b, c)] - self.nu[(b, c, a)]
-            if (exact and gap != 0) or (not exact and abs(gap) > 1e-9):
+            if not zero(self.nu[(a, b, c)] - self.nu[(b, c, a)]):
                 raise ValueError("triple measure is not rotation invariant")
 
     @property
@@ -265,8 +264,8 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
     if exact:
         equal = all(v == lam3[0] for v in lam3)
     else:
-        scale = abs(float(lam3[0])) or 1.0
-        equal = all(abs(float(v) - float(lam3[0])) <= 1e-9 * scale for v in lam3)
+        zero = ScalarContext(False, scale=abs(float(lam3[0])) or 1.0).is_zero
+        equal = all(zero(float(v) - float(lam3[0])) for v in lam3)
     if not equal:
         return CandidateSet((), True, ("ratio matrices have distinct dominant eigenvalues",))
     lam_cubed = lam3[0]
@@ -291,8 +290,8 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
             kernel = MarkovKernel.from_matrix(float_rows)
             rebuilt = triple_from_kernel(kernel)
             scale = max(abs(float(v)) for v in nu.nu.values())
-            if any(abs(float(rebuilt.nu[w]) - float(nu.nu[w])) > 1e-9 * max(1.0, scale)
-                   for w in rebuilt.nu):
+            zero = ScalarContext(False, scale=max(1.0, scale)).is_zero
+            if not all(zero(float(rebuilt.nu[w]) - float(nu.nu[w])) for w in rebuilt.nu):
                 return CandidateSet((), True, ("candidate failed float verification",))
             notes.append("numeric candidate (no exact certificate)")
         else:
@@ -374,15 +373,18 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
 # product-measure search
 # ---------------------------------------------------------------------------
 
+def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
+    """The square root of a nonnegative rational when it is rational."""
+    rn, rd = isqrt(value.numerator), isqrt(value.denominator)
+    if rn * rn == value.numerator and rd * rd == value.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 def _sqrt_exact(value):
     """Exact square root of a nonnegative rational, or float fallback."""
-    if is_exact(value):
-        f = Fraction(value)
-        rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
-            return Fraction(rn, rd)
-        return float(value) ** 0.5
-    return float(value) ** 0.5
+    root = _rational_sqrt(Fraction(value)) if is_exact(value) else None
+    return float(value) ** 0.5 if root is None else root
 
 
 def _factor_rank_one(kappa: int, pair_values, tol: float):
@@ -459,44 +461,25 @@ def _poly_is_zero(p):
 
 
 def _rational_roots(poly):
-    """Rational roots in (0, 1) of a polynomial with rational coefficients."""
+    """Rational roots in (0, 1) of a polynomial of degree <= 2 with rational
+    (or float, read exactly) coefficients, by the linear or quadratic formula."""
+    poly = [Fraction(c) for c in poly]
     while poly and poly[-1] == 0:
-        poly = poly[:-1]
-    if not poly or len(poly) == 1:
+        poly.pop()
+    if len(poly) > 3:
+        raise ValueError("root finder covers degree <= 2")
+    if len(poly) < 2:
         return []
-    denom = 1
-    for c in poly:
-        denom = denom * Fraction(c).denominator // _gcd(denom, Fraction(c).denominator)
-    ints = [int(c * denom) for c in poly]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out p = 0 roots; outside (0,1) anyway
-    if not ints or len(ints) == 1:
-        return []
-    lead, const = ints[-1], ints[0]
-    roots = set()
-    for q in _divisors(abs(lead)):
-        for r in _divisors(abs(const)):
-            for sign in (1, -1):
-                cand = Fraction(sign * r, q)
-                if 0 < cand < 1 and sum(c * cand ** k for k, c in enumerate(ints)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend((d, n // d))
-        d += 1
-    return sorted(set(out))
+    if len(poly) == 2:
+        roots = {-poly[0] / poly[1]}
+    else:
+        c, b, a = poly
+        disc = b * b - 4 * a * c
+        root = _rational_sqrt(disc) if disc >= 0 else None
+        if root is None:
+            return []
+        roots = {(-b + root) / (2 * a), (-b - root) / (2 * a)}
+    return sorted(r for r in roots if 0 < r < 1)
 
 
 def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchReport:

@@ -1,5 +1,10 @@
+import dataclasses
 import json
+import time
 
+import pytest
+
+from psinv import criteria
 from psinv.cli import main
 
 
@@ -109,6 +114,19 @@ class TestOracleCommands:
         assert doc["memory_bound"] == 5
         assert doc["pattern_persists"] is True
 
+    def test_oracle_disagreement_exit4(self, tmp_path, capsys, monkeypatch):
+        path = write_model(tmp_path, "tasep", extra={"rho": ["1/2", "1/2"]})
+        real = criteria.check_markov_cycle
+
+        def flipped(ctx, n):
+            report = real(ctx, n)
+            return dataclasses.replace(report, invariant=not report.invariant)
+
+        monkeypatch.setattr(criteria, "check_markov_cycle", flipped)
+        code, out, _ = run(capsys, "--report", "json", "verify-cycle", path, "--n", "4")
+        assert code == 4
+        assert json.loads(out)["oracle_agrees"] is False
+
     def test_state_cap_exit3(self, tmp_path, capsys):
         path = write_model(tmp_path, "tasep", extra={"rho": ["1/2", "1/2"]})
         code, _, err = run(capsys, "--max-states", "8", "verify-cycle", path, "--n", "6")
@@ -175,3 +193,55 @@ class TestModelCommand:
         path = write_model(tmp_path, "tasep", extra={"rho": [0.5, 0.5]})
         code, out, _ = run(capsys, "--float", "--tol", "1e-9", "check-product", path)
         assert code == 0
+
+
+SQUARE_WITH_LAWS = {"rho": ["2/3", "1/3"], "memory": 1,
+                    "kernel": [["1/2", "1/2"], ["1/2", "1/2"]]}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("model,params,extra,argv", [
+        pytest.param("tasep", None, {"rho": ["1/2", "1/2"], "kernel": 5}, ["check-product"],
+                     id="kernel-number"),
+        pytest.param("tasep", None, {"rho": 5}, ["check-product"], id="rho-number"),
+        pytest.param("tasep", None, {"rho": ["1/2", None]}, ["check-product"], id="rho-null"),
+        pytest.param("tasep", None, {"rho": ["1/2", "1/2"], "rates": 7}, ["check-product"],
+                     id="rates-number"),
+        pytest.param("tasep", None, {"rho": ["1/2", "1/2"], "rates": [5]}, ["check-product"],
+                     id="rate-entry-number"),
+        pytest.param("tasep", None,
+                     {"rho": ["1/2", "1/2"],
+                      "rates": [{"from": [1, 0], "to": [0, 1], "rate": "1/0"}]},
+                     ["check-product"], id="rate-zero-denominator"),
+        *[pytest.param("flip_2d", {"a": 4}, SQUARE_WITH_LAWS, argv, id=f"square-{argv[0]}")
+          for argv in (["find-product"], ["find-markov"], ["absorbing"],
+                       ["verify-cycle", "--n", "3"], ["equivalences"], ["check-markov"],
+                       ["check-product"], ["segment", "--construct-boundaries"])],
+        pytest.param("tasep", None, {"rho": ["1/2", "1/2"]}, ["check-2d"], id="line-check-2d"),
+    ])
+    def test_malformed_or_mismatched_file_exit2(self, tmp_path, capsys,
+                                                model, params, extra, argv):
+        path = write_model(tmp_path, model, extra=extra, params=params)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+
+
+class TestFindProductTwoColours:
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    def test_quadratic_root_found_fast(self, tmp_path, capsys, mode):
+        path = tmp_path / "quadratic.json"
+        path.write_text(json.dumps({"schema": 1, "kappa": 2, "range": 2, "rates": [
+            {"from": [0, 0], "to": [1, 1], "rate": "4/3"},
+            {"from": [1, 1], "to": [0, 0], "rate": "1/3"},
+            {"from": [1, 0], "to": [0, 1], "rate": "1"}]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, mode, "--report", "json", "find-product", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["candidates"] == [["1/3", "2/3"]]
+        if mode == "--exact":
+            assert doc["bernoulli_roots"] == ["2/3"]
+        assert elapsed < 1.0

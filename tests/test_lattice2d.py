@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from psinv.core import Alphabet
-from psinv.lattice2d import (GAMMA0, GAMMA2, SQUARE_CELLS, Shape, SquareJRM,
+from psinv.core import Alphabet, JumpRateMatrix
+from psinv.lattice2d import (GAMMA0, GAMMA2, SQUARE_CELLS, Shape,
                              bold_z, bold_z_partial, bold_z_table,
                              check_bold_z_sufficient, check_multinomial_preservation,
                              check_product_2d, check_product_2d_incremental,
@@ -21,8 +21,8 @@ def random_square(rng, kappa=2, entries=3):
     words = list(alphabet.words(4))
     pairs = [(u, v) for u in words for v in words if u != v]
     chosen = rng.sample(pairs, entries)
-    return SquareJRM(alphabet, {key: F(rng.randint(1, 9), rng.randint(1, 9))
-                                for key in chosen})
+    return JumpRateMatrix(alphabet, 4, {key: F(rng.randint(1, 9), rng.randint(1, 9))
+                                        for key in chosen})
 
 
 def row_tasep_square():
@@ -32,12 +32,12 @@ def row_tasep_square():
     for w in (0, 1):
         for z in (0, 1):
             rates[((1, 0, w, z), (0, 1, w, z))] = F(1)
-    return SquareJRM(Alphabet(2), rates)
+    return JumpRateMatrix(Alphabet(2), 4, rates)
 
 
 class TestBoldZ:
     def test_zero_dynamics(self):
-        T2 = SquareJRM(Alphabet(2), {})
+        T2 = JumpRateMatrix(Alphabet(2), 4, {})
         assert all(v == 0 for v in bold_z_table(T2, [F(1, 2), F(1, 2)]).values())
 
     def test_flip_model_balanced_at_half(self):
@@ -56,6 +56,11 @@ class TestBoldZ:
         with pytest.raises(ValueError):
             bold_z_table(flip_2d(1).square, [F(1), F(0)])
 
+    def test_square_patterns_required(self):
+        line = JumpRateMatrix(Alphabet(2), 2, {((1, 0), (0, 1)): 1})
+        with pytest.raises(ValueError, match="length 4"):
+            check_product_2d(line, [F(1, 2), F(1, 2)])
+
 
 class TestBoldZPartial:
     def test_full_overlap_is_bold_z(self, rng):
@@ -67,7 +72,7 @@ class TestBoldZPartial:
             assert bold_z_partial(T2, rho, overlap, table) == table[pattern]
 
     def test_zero_dynamics(self):
-        T2 = SquareJRM(Alphabet(2), {})
+        T2 = JumpRateMatrix(Alphabet(2), 4, {})
         assert bold_z_partial(T2, [F(1, 2), F(1, 2)], {(0, 0): 1}) == 0
 
     def test_single_cell_matches_brute_force(self, rng):
@@ -91,7 +96,7 @@ class TestBoldZPartial:
 
 class TestLineBalance2D:
     def test_zero_dynamics(self):
-        T2 = SquareJRM(Alphabet(2), {})
+        T2 = JumpRateMatrix(Alphabet(2), 4, {})
         for x in Alphabet(2).words(3):
             assert line_balance_2d(T2, [F(1, 2), F(1, 2)], GAMMA0, x) == 0
 
@@ -202,7 +207,7 @@ class TestBoldZSufficient:
         assert check_product_2d(T2, rho).invariant
 
     def test_zero_dynamics(self):
-        assert check_bold_z_sufficient(SquareJRM(Alphabet(2), {}), [F(1, 2), F(1, 2)])
+        assert check_bold_z_sufficient(JumpRateMatrix(Alphabet(2), 4, {}), [F(1, 2), F(1, 2)])
 
 
 class TestMultinomial:
@@ -237,7 +242,7 @@ class TestMultinomial:
         assert report.interior_invariant
 
     def test_zero_weight_trivial(self):
-        T2 = SquareJRM(Alphabet(3), {})
+        T2 = JumpRateMatrix(Alphabet(3), 4, {})
         report = check_multinomial_preservation(T2, lam=F(1))
         assert report.interior_invariant
         assert not report.boundary_residuals

@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel, product_law
-from psinv.criteria import check_markov_cycle, markov_context, product_context
+from psinv.criteria import check_markov_cycle, line_balance, markov_context, product_context
+from psinv.linalg import stationary_distribution
 from psinv.oracle import (CycleSpace, SegmentSpace, StateCapExceeded, TorusSpace,
                           absorbing_analysis, absorbing_exclusion, build_generator,
-                          gibbs_measure, product_measure, segment_measure,
-                          stationarity_residual)
-from psinv.models import contact, stochastic_ising, tasep, voter
+                          gibbs_measure, line_balance_raw, product_measure,
+                          segment_measure, stationarity_residual)
+from psinv.models import contact, hmc_example, stochastic_ising, tasep, voter
 
 from conftest import random_jrm, random_kernel, random_marginal
 
@@ -203,3 +205,48 @@ class TestSegmentAndTorusSpaces:
         gen = build_generator(flip_2d(1).square, TorusSpace(2))
         assert gen.n_sites == 4
         assert gen.row_sum_defect() == 0
+
+    def test_torus_needs_square_patterns(self):
+        with pytest.raises(ValueError, match="length 4"):
+            build_generator(tasep().jrm, TorusSpace(2))
+
+
+def _steps_inside(kernel, x):
+    """Product of the kernel step weights whose window lies inside x."""
+    m = kernel.memory
+    weight = F(1)
+    for j in range(len(x) - m):
+        weight *= kernel.step_weight(x[j:j + m + 1])
+    return weight
+
+
+class TestLineBalanceReference:
+    """line_balance_raw is the direct reference for criteria.line_balance:
+    the raw cylinder balance equals the normalized one times the kernel
+    step weights inside the word."""
+
+    FIXED = MarkovKernel.from_matrix([[F(2, 3), F(1, 3)], [F(1, 4), F(3, 4)]])
+
+    def cases(self):
+        rng = random.Random(17)
+        ising = stochastic_ising(F(1, 2))
+        hmc = hmc_example()
+        T = random_jrm(rng, kappa=2, range_=2)
+        return [(tasep().jrm, product_law([F(1, 3), F(2, 3)])),
+                (ising.jrm, stationary_distribution(ising.kernel)),
+                (hmc.jrm, stationary_distribution(hmc.kernel)),
+                (contact(1).jrm, stationary_distribution(self.FIXED)),
+                (voter().jrm, stationary_distribution(self.FIXED)),
+                (T, product_law(random_marginal(rng))),
+                (T, stationary_distribution(random_kernel(rng)))]
+
+    def test_raw_equals_normalized_times_inner_weight(self):
+        words = 0
+        for T, law in self.cases():
+            ctx = markov_context(T, law)
+            for n in (1, 2, 3):
+                for x in ctx.alphabet.words(n):
+                    words += 1
+                    assert line_balance_raw(T, law, x) == \
+                        line_balance(ctx, x) * _steps_inside(law.kernel, x), (T, x)
+        assert words == 123

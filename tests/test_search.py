@@ -1,12 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import check_product_line, product_context, z_table
-from psinv.search import (TripleMeasure, candidate_kernels, find_markov, find_product,
-                          kernel_from_ratios, ratio_table, solve_cycle3_system,
-                          triple_from_kernel)
+from psinv.search import (TripleMeasure, _rational_roots, candidate_kernels, find_markov,
+                          find_product, kernel_from_ratios, ratio_table,
+                          solve_cycle3_system, triple_from_kernel)
 from psinv.models import kappa2_general, tasep, tasep3
 
 from conftest import random_kernel
@@ -178,6 +179,24 @@ class TestFindProduct:
         assert not report.bernoulli_all
         assert F(1, 4) in report.bernoulli_roots
         assert any(rho == (F(3, 4), F(1, 4)) for rho, _ in report.candidates)
+
+    def test_bernoulli_root_with_large_denominators(self):
+        # 00 -> 11 at rate a, 11 -> 00 at rate 9a: root 1/4 whatever a is;
+        # nine-digit denominators once needed a trial division up to 10^9
+        a = F(123456789, 987654323)
+        T = JumpRateMatrix(Alphabet(2), 2, {((0, 0), (1, 1)): a, ((1, 1), (0, 0)): 9 * a})
+        start = time.perf_counter()
+        report = find_product(T)
+        assert report.bernoulli_roots == (F(1, 4),)
+        assert time.perf_counter() - start < 0.5
+
+    def test_rational_roots_formulas(self):
+        assert _rational_roots([F(-1, 3), F(1)]) == [F(1, 3)]         # p - 1/3
+        assert _rational_roots([F(2, 9), F(-1), F(1)]) == [F(1, 3), F(2, 3)]
+        assert _rational_roots([F(-1, 2), F(0), F(1)]) == []          # p^2 = 1/2
+        assert _rational_roots([F(1), F(0), F(1)]) == []              # no real root
+        assert _rational_roots([F(0), F(0), F(1)]) == []              # p = 0 only
+        assert _rational_roots([F(5)]) == []
 
 
 class TestRatioTables:
