@@ -412,11 +412,26 @@ def _cmd_equivalences(args) -> int:
     return EXIT_OK
 
 
+def _param_key(key: str):
+    """JSON object keys of --params: "3" is the int 3, "1,2" the pair (1, 2)."""
+    parts = key.split(",")
+    if not all(p.strip().isdigit() for p in parts):
+        return key
+    numbers = tuple(int(p) for p in parts)
+    return numbers if len(numbers) > 1 else numbers[0]
+
+
+def _decode_params(value):
+    if isinstance(value, dict):
+        return {_param_key(k): _decode_params(v) for k, v in value.items()}
+    return value
+
+
 def _cmd_model(args) -> int:
-    params = json.loads(args.params) if args.params else {}
     try:
+        params = _decode_params(json.loads(args.params)) if args.params else {}
         spec = models.build(args.name, **params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
         raise ModelFileError(str(exc)) from exc
     doc = model_to_json(spec)
     if args.emit:

@@ -144,13 +144,16 @@ def tasep3_exchange(rates: Mapping[Tuple[int, int], object]) -> ModelSpec:
 def zero_range(g, kappa_trunc: int, name: str = "zero_range") -> ModelSpec:
     """Zero-range mass transport on the truncation {0..kappa_trunc-1}:
     a pile of size a sends k particles to the right at rate g(a, k),
-    1 <= k <= a.  Jumps overfilling the right pile are dropped (counted)."""
+    1 <= k <= a; g is a function or a mapping {(a, k): rate} (absent pairs
+    have rate 0).  Jumps overfilling the right pile are dropped (counted)."""
+    if not (callable(g) or isinstance(g, Mapping)):
+        raise TypeError(f"g must be a function or a mapping {{(a, k): rate}}, not {g!r}")
     alphabet = Alphabet(kappa_trunc)
     rates = {}
     dropped = 0
     for a in alphabet.letters:
         for k in range(1, a + 1):
-            rate = as_scalar(g(a, k) if callable(g) else g[(a, k)])
+            rate = as_scalar(g(a, k) if callable(g) else g.get((a, k), 0))
             if rate == 0:
                 continue
             for b in alphabet.letters:

@@ -2,20 +2,30 @@
 
 For a cycle Z/nZ, a segment {1..n} with boundary rates, or an n x n torus,
 the particle system is an honest finite-state Markov jump process.  This
-module builds its full rate matrix Q (sparse, row-wise; diagonal implicit),
-evaluates stationarity residuals mu Q exactly, computes cyclic chain (Gibbs)
-weights, and analyses absorbing structure through strongly connected
-components.  Everything here is independent of the criteria module so the
-two can be tested against each other.
+module builds its full rate matrix Q as integer index arrays (compressed
+sparse rows; diagonal implicit), evaluates stationarity residuals mu Q
+exactly, computes cyclic chain (Gibbs) weights and product weights, and
+analyses absorbing structure through strongly connected components.  Exact
+rates and measures are Python ints over one common denominator each, so
+every sum is an integer sum; floats stay float64, summed in a fixed order.
+Everything here is independent of the criteria module so the two can be
+tested against each other.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
                    StationaryLaw, Word, induced_rate_cyclic)
+from .scalars import all_exact
 
 DEFAULT_STATE_CAP = 2 ** 20
 
@@ -43,20 +53,133 @@ class TorusSpace:
 Space = Union[CycleSpace, SegmentSpace, TorusSpace]
 
 
-@dataclass
-class FiniteGenerator:
-    """Explicit generator: rows[x][y] is the total jump rate x -> y (x != y);
-    the diagonal is minus the row's exit rate."""
+# ---------------------------------------------------------------------------
+# vectors over one common denominator
+# ---------------------------------------------------------------------------
 
-    space: Space
-    alphabet: Alphabet
-    n_sites: int
-    rows: List[Dict[int, object]]
-    exit_rates: List[object]
+def _common_denominator(values) -> Tuple[np.ndarray, int]:
+    """(numerators, denominator): Python ints (an object array) over the least
+    common denominator when every value is rational, float64 values over 1
+    as soon as one of them is a float."""
+    values = list(values)
+    if not all_exact(values):
+        return np.array([float(v) for v in values], dtype=float), 1
+    fractions = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fractions))
+    num = np.empty(len(fractions), dtype=object)
+    num[:] = [f.numerator * (den // f.denominator) for f in fractions]
+    return num, den
+
+
+def _floats(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den as float64, each value correctly rounded like float(Fraction)."""
+    if num.dtype != object:
+        return num
+    return np.array([v / den for v in num.tolist()], dtype=float)
+
+
+class ScaledArray(Sequence):
+    """The vector num / den.  Exact vectors hold Python ints (an object array)
+    over the positive int den; float vectors hold float64 values over 1.
+    Indexing yields Fraction or float; == compares values with any sequence."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, num: np.ndarray, den: int = 1):
+        num.setflags(write=False)
+        self.num = num
+        self.den = den
+
+    @property
+    def exact(self) -> bool:
+        return self.num.dtype == object
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, index: int):
+        value = self.num[index]
+        return Fraction(value, self.den) if self.exact else float(value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"ScaledArray({list(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# the explicit generator, in compressed sparse row (CSR) form
+# ---------------------------------------------------------------------------
+
+class _Row(Mapping):
+    """Row x of a generator as a read-only {target: rate} view."""
+
+    __slots__ = ("_gen", "_lo", "_hi")
+
+    def __init__(self, gen: "FiniteGenerator", lo: int, hi: int):
+        self._gen, self._lo, self._hi = gen, lo, hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._gen._targets[self._lo:self._hi])
+
+    def __getitem__(self, target):
+        targets = self._gen._targets
+        k = bisect_left(targets, target, self._lo, self._hi)
+        if k == self._hi or targets[k] != target:
+            raise KeyError(target)
+        return self._gen._rates[k]
+
+
+class FiniteGenerator:
+    """Explicit generator in CSR form: state x jumps to the states
+    dst[indptr[x]:indptr[x + 1]] (ascending) at the rates rate[...] / scale;
+    the diagonal entry is -exits[x] / scale.  An exact generator holds Python
+    ints (object arrays) over `scale`, the least common denominator of the
+    rates; a float generator holds float64 rates and scale 1.
+
+    `rows[x]` is a {target: rate} view of row x and `exit_rates[x]` the exit
+    rate, both as Fraction or float."""
+
+    def __init__(self, space: Space, alphabet: Alphabet, n_sites: int, indptr: np.ndarray,
+                 dst: np.ndarray, rate: np.ndarray, exits: np.ndarray, scale: int):
+        self.space, self.alphabet, self.n_sites = space, alphabet, n_sites
+        self.indptr, self.dst, self.rate, self.exits, self.scale = indptr, dst, rate, exits, scale
 
     @property
     def n_states(self) -> int:
         return self.alphabet.kappa ** self.n_sites
+
+    @property
+    def exact(self) -> bool:
+        return self.rate.dtype == object
+
+    @cached_property
+    def rows(self) -> List[_Row]:
+        """The row views, listed on first use; each length comes from indptr."""
+        ptr = self.indptr.tolist()
+        return [_Row(self, lo, hi) for lo, hi in zip(ptr, ptr[1:])]
+
+    @cached_property
+    def _targets(self) -> List[int]:
+        return self.dst.tolist()
+
+    @cached_property
+    def _rates(self) -> ScaledArray:
+        return ScaledArray(self.rate, self.scale)
+
+    @property
+    def exit_rates(self) -> ScaledArray:
+        return ScaledArray(self.exits, self.scale)
+
+    def sources(self) -> np.ndarray:
+        """The source state of every stored jump (the row index of dst)."""
+        return np.repeat(np.arange(self.n_states, dtype=np.int64), np.diff(self.indptr))
 
     def state_word(self, index: int) -> Word:
         return self.alphabet.decode(index, self.n_sites)
@@ -66,15 +189,27 @@ class FiniteGenerator:
 
     def row_sum_defect(self):
         """max |sum of off-diagonal row - exit rate|; zero by construction."""
-        return max((abs(sum(row.values()) - exit) for row, exit
-                    in zip(self.rows, self.exit_rates)), default=Fraction(0))
+        sums = np.zeros(self.n_states, dtype=self.rate.dtype)
+        np.add.at(sums, self.sources(), self.rate)
+        top = np.max(np.abs(sums - self.exits))
+        return Fraction(top, self.scale) if self.exact else float(top)
 
 
-def _add_rate(rows, exits, src: int, dst: int, rate):
-    if src == dst or rate == 0:
-        return
-    rows[src][dst] = rows[src].get(dst, Fraction(0)) + rate
-    exits[src] += rate
+def _digits(kappa: int, n: int) -> np.ndarray:
+    """digits[k, x]: the letter at site k of state x (site 0 most significant)."""
+    index = np.arange(kappa ** n, dtype=np.int64)
+    digits = np.empty((n, len(index)), dtype=np.min_scalar_type(kappa - 1))
+    for k in range(n):
+        digits[k] = index // kappa ** (n - 1 - k) % kappa
+    return digits
+
+
+def _pattern_codes(digits: np.ndarray, kappa: int, sites) -> np.ndarray:
+    """Base-kappa code of the pattern each state shows on `sites`, in order."""
+    code = np.zeros(digits.shape[1], dtype=np.int64)
+    for site in sites:
+        code = code * kappa + digits[site]
+    return code
 
 
 def _moves_by_source(T: JumpRateMatrix) -> Dict[Word, List[Tuple[Word, object]]]:
@@ -110,6 +245,76 @@ def _site_windows(T: JumpRateMatrix, space: Space):
             for i in range(n) for j in range(n)]
 
 
+def _window_jumps(T: JumpRateMatrix, space: Space, n_sites: int):
+    """(sources, targets, rate) per window and move, windows outermost.  The
+    sources show the move's pattern u on the window's sites; the target of a
+    move u -> v is the source plus sum (v_j - u_j) kappa^(n - 1 - site_j)."""
+    alphabet = T.alphabet
+    kappa = alphabet.kappa
+    digits = _digits(kappa, n_sites)
+    for sites, moves in _site_windows(T, space):
+        code = _pattern_codes(digits, kappa, sites)
+        for u, targets in moves.items():
+            sources = np.flatnonzero(code == alphabet.encode(u))
+            for v, rate in targets:
+                delta = sum((b - a) * kappa ** (n_sites - 1 - site)
+                            for site, a, b in zip(sites, u, v))
+                yield sources, sources + delta, rate
+
+
+def _pairwise_jumps(T: JumpRateMatrix, n: int):
+    """Jumps of a cycle shorter than the range, where wrapped windows overlap
+    themselves: the induced rate of every pair of distinct states."""
+    words = list(T.alphabet.words(n))
+    for i, w in enumerate(words):
+        for j, z in enumerate(words):
+            if i != j:
+                rate = induced_rate_cyclic(T, w, z)
+                if rate != 0:
+                    yield np.array([i]), np.array([j]), rate
+
+
+def _compress(space: Space, alphabet: Alphabet, n_sites: int, jumps) -> FiniteGenerator:
+    """CSR generator from (sources, targets, rate) jumps in generation order.
+
+    Transitions between the same two states are merged.  Float sums keep the
+    generation order: each exit rate and each merged rate adds its terms in
+    the order they were generated."""
+    n_states = alphabet.kappa ** n_sites
+    jumps = list(jumps)
+    values, scale = _common_denominator(rate for _, _, rate in jumps)
+    empty = [np.zeros(0, dtype=np.int64)]
+    src = np.concatenate([sources for sources, _, _ in jumps] or empty)
+    dst = np.concatenate([targets for _, targets, _ in jumps] or empty)
+    # which jump made each transition, for its rate
+    jump = np.repeat(np.arange(len(jumps)), [len(sources) for sources, _, _ in jumps])
+    del jumps
+    exits = np.zeros(n_states, dtype=values.dtype)
+    np.add.at(exits, src, values[jump])
+    key = src * n_states + dst
+    del src, dst
+    # stable: the transitions of one pair of states stay in generation order
+    order = np.argsort(key, kind="stable")
+    key, jump = key[order], jump[order]
+    del order
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    rank = np.arange(len(key)) - first[group]
+    rate = values[jump[first]]
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at = rank == r
+        rate[group[at]] += values[jump[at]]
+    key = key[first]
+    indptr = np.zeros(n_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n_states, minlength=n_states), out=indptr[1:])
+    targets = key % n_states
+    for array in (indptr, targets, rate, exits):
+        array.setflags(write=False)
+    return FiniteGenerator(space, alphabet, n_sites, indptr, targets, rate, exits, scale)
+
+
 def build_generator(T: JumpRateMatrix, space: Space,
                     max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
     """Explicit sparse generator of the particle system on a finite space."""
@@ -120,40 +325,33 @@ def build_generator(T: JumpRateMatrix, space: Space,
     n_states = alphabet.kappa ** n_sites
     if n_states > max_states:
         raise StateCapExceeded(f"{n_states} states exceed the cap {max_states}")
-    rows: List[Dict[int, object]] = [dict() for _ in range(n_states)]
-    exits: List[object] = [Fraction(0) for _ in range(n_states)]
     if isinstance(space, CycleSpace) and space.n < T.range_:
-        # wrapped windows overlap themselves; fall back to the pairwise rate
-        words = list(alphabet.words(n_sites))
-        for w in words:
-            for z in words:
-                if w != z:
-                    _add_rate(rows, exits, alphabet.encode(w), alphabet.encode(z),
-                              induced_rate_cyclic(T, w, z))
+        jumps = _pairwise_jumps(T, n_sites)
     else:
-        windows = _site_windows(T, space)
-        for index in range(n_states):
-            w = alphabet.decode(index, n_sites)
-            for sites, moves in windows:
-                for v, rate in moves.get(tuple(w[k] for k in sites), ()):
-                    z = list(w)
-                    for site, letter in zip(sites, v):
-                        z[site] = letter
-                    _add_rate(rows, exits, index, alphabet.encode(z), rate)
-    return FiniteGenerator(space, alphabet, n_sites, rows, exits)
+        jumps = _window_jumps(T, space, n_sites)
+    return _compress(space, alphabet, n_sites, jumps)
 
 
 def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
-    """max_x |(mu Q)(x)|, exact in rational mode; zero iff mu is invariant."""
+    """max_x |(mu Q)(x)|, exact in rational mode; zero iff mu is invariant.
+
+    Exact when the generator and mu are both rational; otherwise every value
+    is rounded to float first and the sums run in a fixed order: each target
+    adds its inflows by ascending source."""
     if len(mu) != gen.n_states:
         raise ValueError("measure length does not match the state space")
-    acc = [-mu[x] * gen.exit_rates[x] for x in range(gen.n_states)]
-    for y, row in enumerate(gen.rows):
-        if mu[y] == 0:
-            continue
-        for x, rate in row.items():
-            acc[x] += mu[y] * rate
-    return max((abs(v) for v in acc), default=Fraction(0))
+    if not isinstance(mu, ScaledArray):
+        mu = ScaledArray(*_common_denominator(mu))
+    exact = gen.exact and mu.exact
+    if exact:
+        weights, rate, exits = mu.num, gen.rate, gen.exits
+    else:
+        weights = _floats(mu.num, mu.den)
+        rate, exits = _floats(gen.rate, gen.scale), _floats(gen.exits, gen.scale)
+    acc = -weights * exits
+    np.add.at(acc, gen.dst, weights[gen.sources()] * rate)
+    top = np.max(np.abs(acc))
+    return Fraction(top, mu.den * gen.scale) if exact else float(top)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +360,7 @@ def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
 
 def cyclic_chain_weight(kernel: MarkovKernel, x: Word):
     """Unnormalized cyclic weight: product of kernel weights of the n wrapped
-    (m+1)-letter windows of x."""
+    (m+1)-letter windows of x (the per-word form of gibbs_measure)."""
     n = len(x)
     weight = Fraction(1)
     for j in range(n):
@@ -171,29 +369,34 @@ def cyclic_chain_weight(kernel: MarkovKernel, x: Word):
     return weight
 
 
-def gibbs_measure(kernel: MarkovKernel, n: int) -> List:
-    """Normalized cyclic chain law on Z/nZ (for memory 1 this is the usual
-    kernel-weight measure with trace normalization)."""
+def gibbs_measure(kernel: MarkovKernel, n: int) -> ScaledArray:
+    """Normalized cyclic chain law on Z/nZ: the weight of x is the product of
+    the kernel weights of its n wrapped (m+1)-letter windows (for memory 1
+    this is the usual kernel-weight measure with trace normalization)."""
     alphabet = kernel.alphabet
-    weights = [cyclic_chain_weight(kernel, alphabet.decode(i, n))
-               for i in range(alphabet.kappa ** n)]
-    total = sum(weights)
+    kappa, span = alphabet.kappa, kernel.memory + 1
+    table, _ = _common_denominator(kernel.step_weight(w) for w in alphabet.words(span))
+    digits = _digits(kappa, n)
+    weights = np.ones(kappa ** n, dtype=table.dtype)
+    for j in range(n):
+        weights = weights * table[_pattern_codes(digits, kappa,
+                                                 [(j + i) % n for i in range(span)])]
+    total = sum(weights.tolist())
     if total == 0:
         raise ValueError("cyclic weights sum to zero; no chain law on this cycle")
-    return [w / total for w in weights]
+    if weights.dtype == object:
+        return ScaledArray(weights, total)
+    return ScaledArray(weights / total)
 
 
-def product_measure(rho, n_sites: int) -> List:
-    kappa = len(rho)
-    alphabet = Alphabet(kappa)
-    out = []
-    for i in range(kappa ** n_sites):
-        w = alphabet.decode(i, n_sites)
-        weight = Fraction(1)
-        for a in w:
-            weight *= rho[a]
-        out.append(weight)
-    return out
+def product_measure(rho, n_sites: int) -> ScaledArray:
+    """The product of the marginal rho over n_sites sites."""
+    Alphabet(len(rho))  # rejects fewer than two letters, like every state space
+    factor, den = _common_denominator(rho)
+    weights = np.ones(1, dtype=factor.dtype)
+    for _ in range(n_sites):
+        weights = np.multiply.outer(weights, factor).ravel()
+    return ScaledArray(weights, den ** n_sites)
 
 
 def segment_measure(law: StationaryLaw, n: int) -> List:
@@ -242,38 +445,40 @@ def line_balance_raw(T: JumpRateMatrix, law: StationaryLaw, x: Word):
 # absorbing structure
 # ---------------------------------------------------------------------------
 
-def _tarjan_sccs(adjacency: List[List[int]]) -> List[List[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    n = len(adjacency)
+def _tarjan_sccs(ptr: List[int], succ: List[int]) -> List[List[int]]:
+    """Iterative Tarjan over CSR lists (the successors of x are
+    succ[ptr[x]:ptr[x + 1]]); components come out in reverse topological
+    order."""
+    n = len(ptr) - 1
     index = [0] * n
     low = [0] * n
     on_stack = [False] * n
     visited = [False] * n
     stack: List[int] = []
     sccs: List[List[int]] = []
-    counter = [1]
+    counter = 1
     for root in range(n):
         if visited[root]:
             continue
-        work = [(root, 0)]
+        work = [(root, ptr[root])]
         while work:
             node, edge_pos = work.pop()
-            if edge_pos == 0:
+            if not visited[node]:
                 visited[node] = True
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
+                index[node] = low[node] = counter
+                counter += 1
                 stack.append(node)
                 on_stack[node] = True
             advanced = False
-            for k in range(edge_pos, len(adjacency[node])):
-                succ = adjacency[node][k]
-                if not visited[succ]:
+            for k in range(edge_pos, ptr[node + 1]):
+                nxt = succ[k]
+                if not visited[nxt]:
                     work.append((node, k + 1))
-                    work.append((succ, 0))
+                    work.append((nxt, ptr[nxt]))
                     advanced = True
                     break
-                if on_stack[succ]:
-                    low[node] = min(low[node], index[succ])
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
             if advanced:
                 continue
             if low[node] == index[node]:
@@ -307,29 +512,25 @@ class AbsorbingReport:
 
 
 def absorbing_analysis(gen: FiniteGenerator) -> AbsorbingReport:
-    adjacency = [sorted(row.keys()) for row in gen.rows]
-    sccs = _tarjan_sccs(adjacency)
-    comp_of = [0] * gen.n_states
+    sccs = _tarjan_sccs(gen.indptr.tolist(), gen.dst.tolist())
+    comp_of = np.empty(gen.n_states, dtype=np.int64)
     for cid, comp in enumerate(sccs):
-        for node in comp:
-            comp_of[node] = cid
-    has_exit = [False] * len(sccs)
-    for u in range(gen.n_states):
-        for v in adjacency[u]:
-            if comp_of[v] != comp_of[u]:
-                has_exit[comp_of[u]] = True
+        comp_of[comp] = cid
+    src = gen.sources()
+    leaving = comp_of[src] != comp_of[gen.dst]
+    has_exit = np.zeros(len(sccs), dtype=bool)
+    has_exit[comp_of[src[leaving]]] = True
     sinks = [tuple(sorted(comp)) for cid, comp in enumerate(sccs) if not has_exit[cid]]
     absorbing = frozenset(node for comp in sinks for node in comp)
-    # reverse reachability from the absorbing set
-    reverse: List[List[int]] = [[] for _ in range(gen.n_states)]
-    for u in range(gen.n_states):
-        for v in adjacency[u]:
-            reverse[v].append(u)
+    # reverse reachability from the absorbing set, over the jumps sorted by target
+    order = np.argsort(gen.dst)
+    pred = src[order].tolist()
+    ptr = np.searchsorted(gen.dst[order], np.arange(gen.n_states + 1)).tolist()
     seen = set(absorbing)
     frontier = list(absorbing)
     while frontier:
         node = frontier.pop()
-        for prev in reverse[node]:
+        for prev in pred[ptr[node]:ptr[node + 1]]:
             if prev not in seen:
                 seen.add(prev)
                 frontier.append(prev)

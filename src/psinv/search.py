@@ -391,14 +391,16 @@ def _factor_rank_one(kappa: int, pair_values, tol: float):
     """Try to factor a symmetric pair table as rho x rho; None if impossible."""
     exact = all(is_exact(v) for v in pair_values.values())
     rho = [_sqrt_exact(pair_values[(u, u)]) for u in range(kappa)]
+    exact_test, float_test = ScalarContext(True), ScalarContext(False, tol)
     for u in range(kappa):
         for v in range(kappa):
             lhs = rho[u] * rho[v]
             rhs = pair_values[(u, v)]
             if exact and is_exact(lhs):
-                if lhs != rhs:
-                    return None
-            elif abs(float(lhs) - float(rhs)) > tol:
+                gap, test = lhs - rhs, exact_test
+            else:
+                gap, test = float(lhs) - float(rhs), float_test
+            if not test.is_zero(gap):
                 return None
     total = sum(rho)
     if total == 0:
@@ -612,10 +614,11 @@ def kernel_from_ratios(F: Mapping[Tuple[Word, Word], object], kappa: int,
     for key, value in F.items():
         if value <= 0:
             raise ValueError(f"ratio table must be positive; offending entry {key}")
+    unit_test = ScalarContext(exact_table, tol)
     for w in itertools.product(E, repeat=4):
         a, b, c, d = w
         unit = F[((a, b, c, d), (b, c))]
-        if (exact_table and unit != 1) or (not exact_table and abs(float(unit) - 1) > tol):
+        if not unit_test.is_zero(unit - 1 if exact_table else float(unit) - 1):
             raise ValueError(f"ratio of a word with itself must be 1 at {w}")
     C = [[F[((0, b, c, 0), (0, 0))] / F[((0, b, 0, 0), (0, 0))] for c in E] for b in E]
     pair = perron_pair(C)
@@ -634,11 +637,10 @@ def kernel_from_ratios(F: Mapping[Tuple[Word, Word], object], kappa: int,
     rebuilt = ratio_table(kernel)
     exact = kernel.is_exact and all(is_exact(x) for x in F.values())
     for key, value in F.items():
-        if exact:
-            ok = rebuilt[key] == value
-        else:
-            ok = abs(float(rebuilt[key]) - float(value)) <= tol * max(1.0, abs(float(value)))
-        if not ok:
+        # float entries are compared relative to their size
+        test = ScalarContext(exact, tol, 1.0 if exact else max(1.0, abs(float(value))))
+        if not test.is_zero(rebuilt[key] - value if exact else
+                            float(rebuilt[key]) - float(value)):
             raise ValueError(f"ratio table is inconsistent at {key}: "
                              f"{value} vs {rebuilt[key]} from the reconstruction")
     return kernel

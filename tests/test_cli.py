@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import time
 
 import pytest
@@ -193,6 +194,43 @@ class TestModelCommand:
         path = write_model(tmp_path, "tasep", extra={"rho": [0.5, 0.5]})
         code, out, _ = run(capsys, "--float", "--tol", "1e-9", "check-product", path)
         assert code == 0
+
+
+class TestModelParams:
+    """--params is JSON, so int and pair keys travel as "3" and "1,2"; the
+    emitted files give the golden check-product reports of tests/golden."""
+
+    GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    THIRDS = ["1/3", "1/3", "1/3"]
+
+    @pytest.mark.parametrize("name,params,rho", [
+        ("kappa2_general", {"rates": {"0": {"3": "4/3"}, "3": {"0": "1/3"}, "2": {"1": 1}}},
+         ["1/3", "2/3"]),
+        ("tasep3_exchange", {"rates": {"0,1": 1, "1,0": 1, "1,2": 2, "2,1": 2}}, THIRDS),
+        ("zero_range", {"g": {f"{a},{k}": 1 for a in range(4) for k in range(1, a + 1)},
+                        "kappa_trunc": 4}, ["8/15", "4/15", "2/15", "1/15"]),
+    ])
+    def test_keyed_params_build(self, tmp_path, capsys, name, params, rho):
+        path = write_model(tmp_path, name, extra={"rho": rho}, params=params)
+        code, out, _ = run(capsys, "--report", "json", "check-product", path)
+        doc = json.loads(out)
+        doc.pop("timings")
+        with open(os.path.join(self.GOLDEN, f"{name}__check_product.out")) as handle:
+            assert f"exit: {code}\n{json.dumps(doc, indent=2, sort_keys=True)}\n" == handle.read()
+
+    def test_missing_zero_range_rates_are_zero(self, tmp_path, capsys):
+        path = write_model(tmp_path, "zero_range", params={"g": {"1,1": 1}, "kappa_trunc": 3})
+        doc = json.loads(open(path).read())
+        assert {(tuple(e["from"]), tuple(e["to"])) for e in doc["rates"]} == \
+            {((1, 0), (0, 1)), ((1, 1), (0, 2))}
+
+    @pytest.mark.parametrize("g", [5, [1], "1,1"])
+    def test_zero_range_rates_not_a_mapping_exit2(self, tmp_path, capsys, g):
+        params = json.dumps({"g": g, "kappa_trunc": 3})
+        code, out, err = run(capsys, "model", "zero_range", "--params", params)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
 
 
 SQUARE_WITH_LAWS = {"rho": ["2/3", "1/3"], "memory": 1,

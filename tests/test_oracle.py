@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel, product_law
+from psinv.core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
+                        induced_rate_cyclic, product_law)
 from psinv.criteria import check_markov_cycle, line_balance, markov_context, product_context
 from psinv.linalg import stationary_distribution
 from psinv.oracle import (CycleSpace, SegmentSpace, StateCapExceeded, TorusSpace,
                           absorbing_analysis, absorbing_exclusion, build_generator,
-                          gibbs_measure, line_balance_raw, product_measure,
+                          cyclic_chain_weight, gibbs_measure, line_balance_raw, product_measure,
                           segment_measure, stationarity_residual)
 from psinv.models import contact, hmc_example, stochastic_ising, tasep, voter
 
-from conftest import random_jrm, random_kernel, random_marginal
+from conftest import random_jrm, random_kernel, random_marginal, rational
 
 F = Fraction
 
@@ -250,3 +251,181 @@ class TestLineBalanceReference:
                     assert line_balance_raw(T, law, x) == \
                         line_balance(ctx, x) * _steps_inside(law.kernel, x), (T, x)
         assert words == 123
+
+
+# ---------------------------------------------------------------------------
+# an independent per-state reference for the array oracle
+# ---------------------------------------------------------------------------
+
+def _reference_windows(T, space):
+    L, n = T.range_, space.n
+    if isinstance(space, CycleSpace):
+        return [([(s + i) % n for i in range(L)], T) for s in range(n)]
+    if isinstance(space, TorusSpace):
+        return [([(i + di) % n * n + (j + dj) % n for di in (0, 1) for dj in (0, 1)], T)
+                for i in range(n) for j in range(n)]
+    windows = [(list(range(s, s + L)), T) for s in range(n - L + 1)]
+    if space.boundary is not None:
+        windows += [(list(range(L - 1)), space.boundary.left),
+                    (list(range(n - L + 1, n)), space.boundary.right)]
+    return windows
+
+
+def reference_generator(T, space):
+    """Dict rows and exit rates, one state at a time, every rate added in
+    generation order (window, then move)."""
+    alphabet = T.alphabet
+    n_sites = space.n ** 2 if isinstance(space, TorusSpace) else space.n
+    rows = [{} for _ in range(alphabet.kappa ** n_sites)]
+    exits = [F(0)] * len(rows)
+
+    def add(src, dst, rate):
+        if src != dst and rate != 0:
+            rows[src][dst] = rows[src].get(dst, F(0)) + rate
+            exits[src] += rate
+
+    if isinstance(space, CycleSpace) and space.n < T.range_:
+        words = list(alphabet.words(n_sites))
+        for i, w in enumerate(words):
+            for j, z in enumerate(words):
+                add(i, j, induced_rate_cyclic(T, w, z))
+        return rows, exits
+    for index in range(len(rows)):
+        w = alphabet.decode(index, n_sites)
+        for sites, table in _reference_windows(T, space):
+            for u, v, rate in table.entries():
+                if tuple(w[k] for k in sites) == u:
+                    z = list(w)
+                    for site, letter in zip(sites, v):
+                        z[site] = letter
+                    add(index, alphabet.encode(z), rate)
+    return rows, exits
+
+
+def reference_residual(rows, exits, mu):
+    acc = [-mu[x] * exits[x] for x in range(len(rows))]
+    for y, row in enumerate(rows):
+        for x, rate in row.items():
+            acc[x] += mu[y] * rate
+    return max(abs(v) for v in acc)
+
+
+def reference_gibbs(kernel, n):
+    alphabet = kernel.alphabet
+    weights = [cyclic_chain_weight(kernel, alphabet.decode(i, n))
+               for i in range(alphabet.kappa ** n)]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def reference_product(rho, n_sites):
+    out = []
+    for i in range(len(rho) ** n_sites):
+        weight = F(1)
+        for a in Alphabet(len(rho)).decode(i, n_sites):
+            weight *= rho[a]
+        out.append(weight)
+    return out
+
+
+def _same(new, ref):
+    """Equal values; where the reference is a float, the same float bit for bit."""
+    if isinstance(ref, float):
+        return isinstance(new, float) and new.hex() == ref.hex()
+    return new == ref
+
+
+def _as_float(T):
+    return JumpRateMatrix(T.alphabet, T.range_, {(u, v): float(r) for u, v, r in T.entries()})
+
+
+@pytest.mark.parametrize("as_float", [False, True], ids=["exact", "float"])
+class TestAgainstReference:
+    """The CSR generator, the measures and the residual against the per-state
+    Fraction construction, on seeded random tables; float mode must agree
+    bit for bit, since float sums depend on their order."""
+
+    def check(self, T, space, mu, ref_mu):
+        gen = build_generator(T, space)
+        rows, exits = reference_generator(T, space)
+        assert len(gen.rows) == len(rows)
+        for x, ref_row in enumerate(rows):
+            row = gen.rows[x]
+            assert sorted(row) == sorted(ref_row), (space, x)
+            assert all(_same(row[y], rate) for y, rate in ref_row.items()), (space, x)
+            assert _same(gen.exit_rates[x], exits[x]), (space, x)
+        assert len(mu) == len(ref_mu)
+        assert all(_same(a, b) for a, b in zip(mu, ref_mu)), space
+        expected = reference_residual(rows, exits, ref_mu)
+        assert _same(stationarity_residual(gen, mu), expected), space
+        assert _same(stationarity_residual(gen, list(ref_mu)), expected), space
+
+    def table(self, rng, kappa, range_, as_float):
+        T = random_jrm(rng, kappa=kappa, range_=range_)
+        return _as_float(T) if as_float else T
+
+    def test_cycles(self, as_float):
+        rng = random.Random(31)
+        for kappa in (2, 3):
+            for range_ in (2, 3):
+                T = self.table(rng, kappa, range_, as_float)
+                M = random_kernel(rng, kappa=kappa)
+                if as_float:
+                    M = MarkovKernel.from_matrix([[float(p) for p in row] for row in M.matrix()])
+                for n in range(1, 7):
+                    self.check(T, CycleSpace(n), gibbs_measure(M, n), reference_gibbs(M, n))
+
+    def test_flips_merged_from_three_windows(self, as_float):
+        # every single-site flip is a move of three overlapping windows, so
+        # merged rates are sums of three terms, whose float value depends on
+        # the order of the additions
+        rng = random.Random(34)
+        words = list(Alphabet(2).words(3))
+        rates = {(u, tuple(1 - a if k == p else a for k, a in enumerate(u))): rational(rng)
+                 for u in words for p in range(3)}
+        T = JumpRateMatrix(Alphabet(2), 3, rates)
+        T = _as_float(T) if as_float else T
+        rho = [0.25, 0.75] if as_float else [F(1, 4), F(3, 4)]
+        for n in (3, 4, 5):
+            self.check(T, CycleSpace(n), product_measure(rho, n), reference_product(rho, n))
+
+    def test_segments_with_boundary_rates(self, as_float):
+        rng = random.Random(32)
+        for kappa in (2, 3):
+            for range_ in (2, 3):
+                T = self.table(rng, kappa, range_, as_float)
+                beta = BoundaryRates(self.table(rng, kappa, range_ - 1, as_float),
+                                     self.table(rng, kappa, range_ - 1, as_float))
+                rho = random_marginal(rng, kappa)
+                if as_float:
+                    rho = [float(p) for p in rho]
+                for n in range(range_ - 1, 6):
+                    for boundary in (None, beta):
+                        self.check(T, SegmentSpace(n, boundary), product_measure(rho, n),
+                                   reference_product(rho, n))
+
+    def test_tori(self, as_float):
+        rng = random.Random(33)
+        for kappa, n in ((2, 2), (2, 3), (3, 2)):
+            T = self.table(rng, kappa, 4, as_float)
+            rho = random_marginal(rng, kappa)
+            if as_float:
+                rho = [float(p) for p in rho]
+            self.check(T, TorusSpace(n), product_measure(rho, n * n),
+                       reference_product(rho, n * n))
+
+
+class TestScale:
+    """A cycle that the per-state construction could not afford: the Ising
+    chain on Z/16Z has 65,536 states and 2^20 transitions."""
+
+    def test_ising_cycle_16(self):
+        spec = stochastic_ising(F(1, 2))
+        mu = gibbs_measure(spec.kernel, 16)
+        gen = build_generator(spec.jrm, CycleSpace(16))
+        assert gen.n_states == 2 ** 16 and len(gen.dst) == 2 ** 20
+        assert stationarity_residual(gen, mu) == 0
+        rates = {(u, v): r for u, v, r in spec.jrm.entries()}
+        rates[((0, 0, 0), (0, 1, 0))] *= 2
+        twin = build_generator(JumpRateMatrix(Alphabet(2), 3, rates), CycleSpace(16))
+        assert stationarity_residual(twin, mu) > 0
