@@ -191,7 +191,7 @@ def _witness_json(witness):
             "residual": scalar_repr(residual) if not isinstance(residual, str) else residual}
 
 
-def report_json(report: CriterionReport, timings=None, residuals=None) -> dict:
+def report_json(report: CriterionReport, residuals=None) -> dict:
     doc = {"verdict": report.verdict, "criterion": report.criterion,
            "words_checked": report.words_checked}
     if report.witness is not None:
@@ -203,7 +203,6 @@ def report_json(report: CriterionReport, timings=None, residuals=None) -> dict:
         doc["details"] = {k: str(v) for k, v in report.details.items()}
     if residuals is not None:
         doc["residuals"] = residuals
-    doc["timings"] = timings or {}
     return doc
 
 
@@ -237,33 +236,29 @@ def _law_from_file(model: ModelFile, tol):
     raise ModelFileError("model file carries neither a kernel nor a marginal rho")
 
 
+def _verdict_exit(invariant: bool) -> int:
+    return EXIT_OK if invariant else EXIT_NOT_INVARIANT
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, model) -> (report, exit code)
 # ---------------------------------------------------------------------------
 
-def _cmd_check_markov(args) -> int:
-    model = _load(args)
+def _cmd_check_markov(args, model: ModelFile):
     if model.kernel is None:
         raise ModelFileError("check-markov needs a \"kernel\" entry")
-    start = time.perf_counter()
-    ctx = markov_context(model.jrm, model.kernel, args.tol)
-    report = criteria.check_markov_line(ctx)
-    _emit(report_json(report, {"total_s": time.perf_counter() - start}), args)
-    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+    report = criteria.check_markov_line(markov_context(model.jrm, model.kernel, args.tol))
+    return report_json(report), _verdict_exit(report.invariant)
 
 
-def _cmd_check_product(args) -> int:
-    model = _load(args)
+def _cmd_check_product(args, model: ModelFile):
     if model.rho is None:
         raise ModelFileError("check-product needs a \"rho\" entry")
-    start = time.perf_counter()
     report = criteria.check_product_line(model.jrm, model.rho, args.tol)
-    _emit(report_json(report, {"total_s": time.perf_counter() - start}), args)
-    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+    return report_json(report), _verdict_exit(report.invariant)
 
 
-def _cmd_find_markov(args) -> int:
-    model = _load(args)
+def _cmd_find_markov(args, model: ModelFile):
     result = search.find_markov(model.jrm, args.tol)
     def describe(c):
         return {
@@ -284,14 +279,11 @@ def _cmd_find_markov(args) -> int:
         "candidates": [describe(c) for c in result.candidates],
         "numeric_candidates": [describe(c) for c in result.numeric_candidates],
         "notes": list(result.notes),
-        "timings": {},
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_find_product(args) -> int:
-    model = _load(args)
+def _cmd_find_product(args, model: ModelFile):
     result = search.find_product(model.jrm, args.tol)
     doc = {
         "verdict": "all-bernoulli" if result.bernoulli_all else
@@ -301,16 +293,12 @@ def _cmd_find_product(args) -> int:
         "candidates": [[scalar_repr(p) for p in rho] for rho, _ in result.candidates],
         "bernoulli_roots": [scalar_repr(p) for p in result.bernoulli_roots],
         "notes": list(result.notes),
-        "timings": {},
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_verify_cycle(args) -> int:
-    model = _load(args)
+def _cmd_verify_cycle(args, model: ModelFile):
     n = args.n
-    start = time.perf_counter()
     ctx = _law_from_file(model, args.tol)
     report = criteria.check_markov_cycle(ctx, n)
     gen = build_generator(model.jrm, CycleSpace(n), max_states=args.max_states)
@@ -319,18 +307,14 @@ def _cmd_verify_cycle(args) -> int:
     else:
         mu = product_measure(model.rho, n)
     residual = stationarity_residual(gen, mu)
-    doc = report_json(report, {"total_s": time.perf_counter() - start},
-                      residuals={"oracle_max_residual": scalar_repr(residual)})
-    agreement = report.invariant == ctx.is_zero(residual)
-    doc["oracle_agrees"] = agreement
-    _emit(doc, args)
-    if not agreement:
-        return EXIT_ORACLE
-    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+    doc = report_json(report, residuals={"oracle_max_residual": scalar_repr(residual)})
+    doc["oracle_agrees"] = report.invariant == ctx.is_zero(residual)
+    if not doc["oracle_agrees"]:
+        return doc, EXIT_ORACLE
+    return doc, _verdict_exit(report.invariant)
 
 
-def _cmd_absorbing(args) -> int:
-    model = _load(args)
+def _cmd_absorbing(args, model: ModelFile):
     sizes = list(range(args.n_min, args.n_max + 1))
     verdict = oracle.absorbing_exclusion(model.jrm, sizes, max_states=args.max_states)
     doc = {
@@ -341,41 +325,31 @@ def _cmd_absorbing(args) -> int:
         "proper_sizes": list(verdict.proper_sizes),
         "pattern_persists": verdict.pattern_persists,
         "note": verdict.note,
-        "timings": {},
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def _cmd_check_2d(args) -> int:
-    model = _load(args)
+def _cmd_check_2d(args, model: ModelFile):
     if model.rho is None:
         raise ModelFileError("check-2d needs a \"rho\" entry")
-    start = time.perf_counter()
     report = check_product_2d(model.square, model.rho, args.tol)
-    doc = {"verdict": report.verdict, "criterion": report.criterion,
-           "words_checked": report.words_checked}
-    if report.witness is not None:
-        pattern, residual = report.witness
-        doc["witness"] = {"pattern": list(pattern), "residual": scalar_repr(residual)}
     try:
         gen = build_generator(model.square, TorusSpace(3), max_states=args.max_states)
-        mu = product_measure(model.rho, 9)
-        residual = stationarity_residual(gen, mu)
-        doc["residuals"] = {"torus3_max_residual": scalar_repr(residual)}
+        residual = scalar_repr(stationarity_residual(gen, product_measure(model.rho, 9)))
     except StateCapExceeded as exc:
-        doc["residuals"] = {"torus3_max_residual": f"skipped: {exc}"}
-    doc["timings"] = {"total_s": time.perf_counter() - start}
-    _emit(doc, args)
-    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+        residual = f"skipped: {exc}"
+    doc = report_json(report, residuals={"torus3_max_residual": residual})
+    if report.witness is not None:
+        # the witness of a square check is a pattern on a shape of cells
+        witness = doc["witness"]
+        doc["witness"] = {"pattern": witness["word"], "residual": witness["residual"]}
+    return doc, _verdict_exit(report.invariant)
 
 
-def _cmd_segment(args) -> int:
-    model = _load(args)
+def _cmd_segment(args, model: ModelFile):
     if model.kernel is None:
         raise ModelFileError("segment checks need a \"kernel\" entry")
     ctx = markov_context(model.jrm, model.kernel, args.tol)
-    start = time.perf_counter()
     if args.construct_boundaries:
         built = segment.construct_boundaries(ctx)
         doc = {
@@ -385,31 +359,23 @@ def _cmd_segment(args) -> int:
                           for s, d, r in built.boundary.left.entries()],
             "beta_right": [{"from": list(s), "to": list(d), "rate": scalar_repr(r)}
                            for s, d, r in built.boundary.right.entries()],
-            "timings": {"total_s": time.perf_counter() - start},
         }
         if built.discrepancy is not None:
             doc["witness"] = _witness_json(built.discrepancy)
-        _emit(doc, args)
-        return EXIT_OK if built.validated else EXIT_NOT_INVARIANT
+        return doc, _verdict_exit(built.validated)
     if model.beta is None:
         raise ModelFileError("segment check needs beta_left/beta_right "
                              "(or --construct-boundaries)")
     report = segment.check_segment(ctx, model.beta, args.n)
-    _emit(report_json(report, {"total_s": time.perf_counter() - start}), args)
-    return EXIT_OK if report.invariant else EXIT_NOT_INVARIANT
+    return report_json(report), _verdict_exit(report.invariant)
 
 
-def _cmd_equivalences(args) -> int:
-    model = _load(args)
-    ctx = _law_from_file(model, args.tol)
-    start = time.perf_counter()
-    panel = criteria.equivalence_panel(ctx)
+def _cmd_equivalences(args, model: ModelFile):
+    panel = criteria.equivalence_panel(_law_from_file(model, args.tol))
     doc = {"verdict": "agree" if len(set(panel.values())) == 1 else "disagree",
            "criterion": "equivalence-panel",
-           "panel": {k: bool(v) for k, v in panel.items()},
-           "timings": {"total_s": time.perf_counter() - start}}
-    _emit(doc, args)
-    return EXIT_OK
+           "panel": {k: bool(v) for k, v in panel.items()}}
+    return doc, EXIT_OK
 
 
 def _param_key(key: str):
@@ -490,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construct-boundaries", action="store_true")
 
     p = sub.add_parser("model")
-    p.set_defaults(handler=_cmd_model)
     p.add_argument("name")
     p.add_argument("--params", help="JSON object of builder parameters")
     p.add_argument("--emit", help="write the model file here")
@@ -501,7 +466,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "model":
+            return _cmd_model(args)
+        model = _load(args)
+        start = time.perf_counter()
+        doc, code = args.handler(args, model)
+        doc["timings"] = {"total_s": time.perf_counter() - start}
+        _emit(doc, args)
+        return code
     except (ModelFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

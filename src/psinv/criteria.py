@@ -83,6 +83,17 @@ class CriterionContext:
     def is_zero(self, value) -> bool:
         return self.scalar_context.is_zero(value)
 
+    def first_nonzero(self, words, balance):
+        """Scan words in order: (number of words checked, (first word with a
+        nonzero balance, its balance)), the witness None when all vanish."""
+        count = 0
+        for word in words:
+            count += 1
+            value = balance(word)
+            if not self.is_zero(value):
+                return count, (word, value)
+        return count, None
+
 
 def markov_context(T: JumpRateMatrix, kernel_or_law, tol: float = DEFAULT_TOL) -> CriterionContext:
     law = kernel_or_law
@@ -124,17 +135,26 @@ def z_table(ctx: CriterionContext) -> LocalBalanceTable:
     kernel = ctx.law.kernel
     values: Dict[Word, object] = {}
     out_rates = {b: ctx.T.out_rate(b) for b in ctx.alphabet.words(L)}
-    moves = list(ctx.T.entries())
+    into = _moves_into(ctx.T)
     for a in ctx.alphabet.words(m):
         for c in ctx.alphabet.words(m):
             for b in ctx.alphabet.words(L):
-                values[a + b + c] = _inflow(kernel, moves, a, b, c, -out_rates[b])
+                values[a + b + c] = _inflow(kernel, into.get(b, ()), a, b, c, -out_rates[b])
     return LocalBalanceTable(ctx, values)
 
 
+def _moves_into(T: JumpRateMatrix) -> Dict[Word, list]:
+    """The moves of T as target -> [(source, rate)], each list in entry order."""
+    into: Dict[Word, list] = {}
+    for u, v, rate in T.entries():
+        into.setdefault(v, []).append((u, rate))
+    return into
+
+
 def _inflow(kernel: MarkovKernel, moves, a: Word, b: Word, c: Word, start):
-    """start + sum_u T[u -> b] * M(a u c) / M(a b c), the chain weights M
-    running over the (m+1)-windows; terms are added in the order of moves."""
+    """start + sum_u T[u -> b] * M(a u c) / M(a b c) over the moves (u, rate)
+    into b, the chain weights M running over the (m+1)-windows; terms are
+    added in the order of moves."""
     m = kernel.memory
     steps = range(m + len(b))
     w = a + b + c
@@ -145,9 +165,7 @@ def _inflow(kernel: MarkovKernel, moves, a: Word, b: Word, c: Word, start):
             raise ZeroDivisionError(ZERO_DENOMINATOR_HINT)
         denom *= step
     total = start
-    for u, v, rate in moves:
-        if v != b:
-            continue
+    for u, rate in moves:
         wp = a + u + c
         num = Fraction(1)
         for j in steps:
@@ -352,13 +370,9 @@ def check_markov_line(ctx: CriterionContext) -> CriterionReport:
     reports the first violating word.
     """
     table = z_table(ctx)
-    count = 0
-    for word in _anchor_words(ctx):
-        count += 1
-        value = table.cyclic_window_sum(word)
-        if not ctx.is_zero(value):
-            return CriterionReport(False, "cycle-anchor", witness=(word, value),
-                                   words_checked=count)
+    count, witness = ctx.first_nonzero(_anchor_words(ctx), table.cyclic_window_sum)
+    if witness is not None:
+        return CriterionReport(False, "cycle-anchor", witness=witness, words_checked=count)
     certificate = potential_from_table(table)
     if not certificate.check(table):
         # cannot happen for exact data; guards the float path
@@ -392,22 +406,19 @@ def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
     if ctx.memory < 1:
         raise ValueError("small-cycles decision needs kernel memory >= 1")
     table = z_table(ctx)
-    count = 0
-    evaluated = []
-    top = ctx.alphabet.kappa ** ctx.memory
-    for n in range(ctx.memory + 1, top + 1):
-        evaluated.append(f"cycle-window-sum-{n}")
-        for x in ctx.alphabet.words(n):
-            count += 1
-            value = table.cyclic_window_sum(x)
-            if not ctx.is_zero(value):
-                return CriterionReport(False, "small-cycles", witness=(x, value),
-                                       criteria_evaluated=tuple(evaluated),
-                                       words_checked=count)
+    lengths = range(ctx.memory + 1, ctx.alphabet.kappa ** ctx.memory + 1)
+    count, witness = ctx.first_nonzero(
+        itertools.chain.from_iterable(ctx.alphabet.words(n) for n in lengths),
+        table.cyclic_window_sum)
+    top = lengths[-1] if witness is None else len(witness[0])
+    evaluated = tuple(f"cycle-window-sum-{n}" for n in range(lengths[0], top + 1))
+    if witness is not None:
+        return CriterionReport(False, "small-cycles", witness=witness,
+                               criteria_evaluated=evaluated, words_checked=count)
     certificate = potential_from_table(table)
     cert = certificate if certificate.check(table) else None
     return CriterionReport(True, "small-cycles", certificate=cert,
-                           criteria_evaluated=tuple(evaluated), words_checked=count)
+                           criteria_evaluated=evaluated, words_checked=count)
 
 
 def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
@@ -415,15 +426,10 @@ def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
     if n < 1:
         raise ValueError("cycle length must be >= 1")
     table = z_table(ctx) if n >= ctx.memory + ctx.range_ else None
-    count = 0
-    for x in ctx.alphabet.words(n):
-        count += 1
-        value = cycle_balance(ctx, x, table) if table is not None \
-            else _cycle_balance_direct(ctx, x)
-        if not ctx.is_zero(value):
-            return CriterionReport(False, f"cycle-{n}", witness=(x, value),
-                                   words_checked=count)
-    return CriterionReport(True, f"cycle-{n}", words_checked=count)
+    count, witness = ctx.first_nonzero(ctx.alphabet.words(n),
+                                       lambda x: cycle_balance(ctx, x, table))
+    return CriterionReport(witness is None, f"cycle-{n}", witness=witness,
+                           words_checked=count)
 
 
 def check_product_cycle(T: JumpRateMatrix, rho, n: int, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -529,15 +535,10 @@ def check_product_general_graph(T: JumpRateMatrix, rho, p: PairRateField,
         return CriterionReport(True, "pair-rates-zero")
     if p.is_symmetric:
         ctx = product_context(T, rho, tol)
-        table = z_table(ctx)
-        count = 0
-        for x in ctx.alphabet.words(2):
-            count += 1
-            value = table.cyclic_window_sum(x)
-            if not ctx.is_zero(value):
-                return CriterionReport(False, "symmetric-pair-cycle2",
-                                       witness=(x, value), words_checked=count)
-        return CriterionReport(True, "symmetric-pair-cycle2", words_checked=count)
+        count, witness = ctx.first_nonzero(ctx.alphabet.words(2),
+                                           z_table(ctx).cyclic_window_sum)
+        return CriterionReport(witness is None, "symmetric-pair-cycle2", witness=witness,
+                               words_checked=count)
     report = check_product_line(T, rho, tol)
     return CriterionReport(report.invariant, "asymmetric-pair-line",
                            witness=report.witness, certificate=report.certificate,
@@ -668,13 +669,13 @@ def tail_bounds_advisory(ctx: CriterionContext) -> dict:
     full model and is reported as such.
     """
     m, L = ctx.memory, ctx.range_
-    moves = list(ctx.T.entries())
+    into = _moves_into(ctx.T)
     sup_inflow = Fraction(0)
     for a in ctx.alphabet.words(m):
         for c in ctx.alphabet.words(m):
             for b in ctx.alphabet.words(L):
-                sup_inflow = max(sup_inflow,
-                                 _inflow(ctx.law.kernel, moves, a, b, c, Fraction(0)))
+                sup_inflow = max(sup_inflow, _inflow(ctx.law.kernel, into.get(b, ()),
+                                                     a, b, c, Fraction(0)))
     sup_exit = max((ctx.T.out_rate(b) for b in ctx.alphabet.words(L)), default=Fraction(0))
     return {"sup_weighted_inflow": sup_inflow, "sup_exit_rate": sup_exit,
             "advisory": "computed over the finite truncation only"}

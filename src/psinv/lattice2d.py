@@ -8,7 +8,8 @@ square is
 
     boldZ(x) = sum_y (prod rho(y) / prod rho(x)) * T[y -> x] - T_out(x),
 
-and the balance of a finite window C decomposes over the squares meeting C,
+that is, the memory-0 table Z of `criteria` over length-4 patterns.  The
+balance of a finite window C decomposes over the squares meeting C,
 with squares sticking out of C contributing partial sums of boldZ weighted by
 rho on the free cells.  Invariance of the product measure is equivalent to
 two finite families of vanishing statements: the window balances of the
@@ -18,12 +19,13 @@ adding the cell (1,1) to {(0,0),(0,1),(1,0),(2,0)}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 from .core import JumpRateMatrix, Word
-from .scalars import DEFAULT_TOL, ScalarContext, all_exact, as_scalar, is_exact
+from .criteria import CriterionReport, product_context, z_table
+from .scalars import DEFAULT_TOL, as_scalar, is_exact
 
 Cell = Tuple[int, int]
 
@@ -73,21 +75,9 @@ def _check_marginal(T2: JumpRateMatrix, rho) -> List:
     return rho
 
 
-def bold_z_table(T2: JumpRateMatrix, rho) -> Dict[Word, object]:
+def bold_z_table(T2: JumpRateMatrix, rho) -> Mapping[Word, object]:
     """boldZ over all kappa^4 square patterns."""
-    rho = _check_marginal(T2, rho)
-    table: Dict[Word, object] = {}
-    for x in T2.alphabet.words(4):
-        table[x] = -T2.out_rate(x)
-    for y, x, rate in T2.entries():
-        num = Fraction(1)
-        for a in y:
-            num *= rho[a]
-        den = Fraction(1)
-        for a in x:
-            den *= rho[a]
-        table[x] += rate * num / den
-    return table
+    return z_table(product_context(T2, _check_marginal(T2, rho))).values
 
 
 def bold_z(T2: JumpRateMatrix, rho, pattern: Word):
@@ -95,7 +85,7 @@ def bold_z(T2: JumpRateMatrix, rho, pattern: Word):
 
 
 def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int],
-                   table: Optional[Dict[Word, object]] = None,
+                   table: Optional[Mapping[Word, object]] = None,
                    cache: Optional[dict] = None):
     """Partial boldZ of a square: cells in `overlap` (positions within the
     2x2 square) are pinned to letters, the free cells are integrated against
@@ -136,7 +126,7 @@ def _anchors_meeting(shape: Shape) -> List[Cell]:
 
 
 def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word,
-                    table: Optional[Dict[Word, object]] = None):
+                    table: Optional[Mapping[Word, object]] = None):
     """Normalized balance of the window `pattern` on `shape`: the sum over
     all squares meeting the shape of their (partial) boldZ."""
     rho = _check_marginal(T2, rho)
@@ -161,20 +151,7 @@ def _restrict(shape: Shape, pattern: Word, sub: Shape) -> Word:
     return tuple(letters[c] for c in sub.cells)
 
 
-@dataclass(frozen=True)
-class Report2D:
-    invariant: bool
-    criterion: str
-    witness: Optional[Tuple] = None
-    words_checked: int = 0
-    details: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> str:
-        return "invariant" if self.invariant else "not-invariant"
-
-
-def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Report2D:
+def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> CriterionReport:
     """Decide invariance of the product measure rho on Z^2 under T2.
 
     Condition (a): the corner-shape balances vanish; condition (b): adding
@@ -182,33 +159,31 @@ def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Repor
     families together are equivalent to invariance.
     """
     rho = _check_marginal(T2, rho)
-    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
-    table = bold_z_table(T2, rho)
-    count = 0
-    for x in T2.alphabet.words(len(GAMMA0)):
-        count += 1
-        value = line_balance_2d(T2, rho, GAMMA0, x, table)
-        if not is_zero(value):
-            return Report2D(False, "corner-balance", witness=(x, value), words_checked=count)
-    for x in T2.alphabet.words(len(GAMMA2)):
-        count += 1
-        value = line_balance_2d(T2, rho, GAMMA2, x, table) - \
-            line_balance_2d(T2, rho, GAMMA1, _restrict(GAMMA2, x, GAMMA1), table)
-        if not is_zero(value):
-            return Report2D(False, "cell-addition-balance", witness=(x, value),
-                            words_checked=count)
-    return Report2D(True, "corner-and-addition", words_checked=count)
+    ctx = product_context(T2, rho, tol)
+    table = z_table(ctx).values
+    corners, witness = ctx.first_nonzero(
+        T2.alphabet.words(len(GAMMA0)), lambda x: line_balance_2d(T2, rho, GAMMA0, x, table))
+    if witness is not None:
+        return CriterionReport(False, "corner-balance", witness=witness, words_checked=corners)
+    count, witness = ctx.first_nonzero(
+        T2.alphabet.words(len(GAMMA2)),
+        lambda x: line_balance_2d(T2, rho, GAMMA2, x, table) -
+        line_balance_2d(T2, rho, GAMMA1, _restrict(GAMMA2, x, GAMMA1), table))
+    if witness is not None:
+        return CriterionReport(False, "cell-addition-balance", witness=witness,
+                               words_checked=corners + count)
+    return CriterionReport(True, "corner-and-addition", words_checked=corners + count)
 
 
 def check_bold_z_sufficient(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> bool:
     """True iff boldZ vanishes identically (sufficient for invariance,
     weaker than reversibility, not necessary)."""
-    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
-    return all(is_zero(v) for v in bold_z_table(T2, rho).values())
+    ctx = product_context(T2, _check_marginal(T2, rho), tol)
+    return all(ctx.is_zero(v) for v in z_table(ctx).values.values())
 
 
 def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern: Word,
-                      table: Optional[Dict[Word, object]] = None,
+                      table: Optional[Mapping[Word, object]] = None,
                       cache: Optional[dict] = None):
     """Balance change when `cell` is added to `shape`: only the squares
     containing the new cell contribute, each by a difference of partials
@@ -237,39 +212,36 @@ def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern
     return total
 
 
-def check_product_2d_incremental(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Report2D:
+def check_product_2d_incremental(T2: JumpRateMatrix, rho,
+                                 tol: float = DEFAULT_TOL) -> CriterionReport:
     """Slower equivalent decision through the growth conditions: the
     single-cell balance vanishes and growing any subset of the 3x3 block by
     one cell never changes the balance.  Exposed for cross-validation; the
     single-cell normalization follows the partial-sum convention and is
     checked against the torus oracle in the test suite."""
     rho = _check_marginal(T2, rho)
-    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
-    table = bold_z_table(T2, rho)
-    cache: dict = {}
-    count = 0
-    for a in T2.alphabet.letters:
-        count += 1
-        value = line_balance_2d(T2, rho, Shape([(0, 0)]), (a,), table)
-        if not is_zero(value):
-            return Report2D(False, "single-cell-balance", witness=(((a,),), value),
-                            words_checked=count)
+    ctx = product_context(T2, rho, tol)
+    table = z_table(ctx).values
+    cells, witness = ctx.first_nonzero(
+        (((a,),) for a in T2.alphabet.letters),
+        lambda word: line_balance_2d(T2, rho, Shape([(0, 0)]), word[0], table))
+    if witness is not None:
+        return CriterionReport(False, "single-cell-balance", witness=witness,
+                               words_checked=cells)
     block = hypercube(3)
-    for size in range(1, len(block)):
-        for subset in itertools.combinations(block.cells, size):
-            shape = Shape(subset)
-            for cell in block.cells:
-                if cell in shape:
-                    continue
-                grown = Shape(subset + (cell,))
-                for pattern in T2.alphabet.words(len(grown)):
-                    count += 1
-                    value = growth_difference(T2, rho, shape, cell, pattern, table, cache)
-                    if not is_zero(value):
-                        return Report2D(False, "growth-balance",
-                                        witness=((subset, cell, pattern), value),
-                                        words_checked=count)
-    return Report2D(True, "single-cell-and-growth", words_checked=count)
+    shapes = {subset: Shape(subset) for size in range(1, len(block))
+              for subset in itertools.combinations(block.cells, size)}
+    growths = ((subset, cell, pattern) for subset in shapes
+               for cell in block.cells if cell not in subset
+               for pattern in T2.alphabet.words(len(subset) + 1))
+    cache: dict = {}
+    count, witness = ctx.first_nonzero(
+        growths, lambda growth: growth_difference(T2, rho, shapes[growth[0]], growth[1],
+                                                  growth[2], table, cache))
+    if witness is not None:
+        return CriterionReport(False, "growth-balance", witness=witness,
+                               words_checked=cells + count)
+    return CriterionReport(True, "single-cell-and-growth", words_checked=cells + count)
 
 
 def truncated_poisson(lam, kappa: int) -> List:
@@ -307,16 +279,15 @@ def check_multinomial_preservation(T2: JumpRateMatrix, lam=1, tol: float = DEFAU
         raise ValueError("multinomial preservation needs a mass-preserving dynamics")
     kappa = T2.alphabet.kappa
     rho = truncated_poisson(lam, kappa)
-    is_zero = ScalarContext.for_balances(T2, all_exact(rho), tol).is_zero
-    table = bold_z_table(T2, rho)
+    ctx = product_context(T2, _check_marginal(T2, rho), tol)
     interior_ok = True
     interior_count = 0
     boundary = []
-    for x, value in sorted(table.items()):
+    for x, value in sorted(z_table(ctx).values.items()):
         if sum(x) <= kappa - 1:
             interior_count += 1
-            if not is_zero(value):
+            if not ctx.is_zero(value):
                 interior_ok = False
-        elif not is_zero(value):
+        elif not ctx.is_zero(value):
             boundary.append((x, value))
     return TruncationReport(interior_ok, interior_count, tuple(boundary), tuple(rho))

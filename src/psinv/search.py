@@ -160,6 +160,23 @@ def _family(variables, solution: LinearSolution) -> AffineFamily:
     return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples), fully)
 
 
+def _simplex_family(variables, balance_rows, twin) -> AffineFamily:
+    """Points x of the probability simplex with balance_rows . x = 0 and
+    x[w] = x[twin(w)] for every variable w."""
+    pos = {w: i for i, w in enumerate(variables)}
+    n = len(variables)
+    rows = list(balance_rows)
+    for w in variables:
+        if w < twin(w):
+            row = [Fraction(0)] * n
+            row[pos[w]] += 1
+            row[pos[twin(w)]] -= 1
+            rows.append(row)
+    rows.append([Fraction(1)] * n)
+    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
+    return _family(variables, solve_linear(rows, rhs))
+
+
 def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
     """All rotation-invariant probability triple measures killing the
     length-3 cyclic balances of T (a linear system; possibly empty)."""
@@ -168,17 +185,11 @@ def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
     alphabet = T.alphabet
     variables = list(alphabet.words(3))
     pos = {w: i for i, w in enumerate(variables)}
-    n = len(variables)
     rows: List[List] = []
-    rhs: List = []
-
-    def blank():
-        return [Fraction(0)] * n
-
     entries = list(T.entries())
     out = {w: T.out_rate(w) for w in alphabet.words(2)}
     for a, b, c in variables:
-        row = blank()
+        row = [Fraction(0)] * len(variables)
         for (src, dst, rate) in entries:
             u, v = src
             if dst == (a, b):
@@ -189,17 +200,7 @@ def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
                 row[pos[(b, u, v)]] += rate
         row[pos[(a, b, c)]] -= out[(a, b)] + out[(b, c)] + out[(c, a)]
         rows.append(row)
-        rhs.append(Fraction(0))
-    for a, b, c in variables:
-        if (a, b, c) < (b, c, a):
-            row = blank()
-            row[pos[(a, b, c)]] += 1
-            row[pos[(b, c, a)]] -= 1
-            rows.append(row)
-            rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
-    return _family(variables, solve_linear(rows, rhs))
+    return _simplex_family(variables, rows, lambda w: w[1:] + w[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -418,48 +419,9 @@ class ProductSearchReport:
     notes: Tuple[str, ...] = ()
 
 
-def _bernoulli_polynomials(S: JumpRateMatrix):
-    """For kappa = 2: each pair-balance equation as a polynomial in p where
-    rho = (1-p, p); coefficient lists in increasing degree."""
-    out = {w: S.out_rate(w) for w in S.alphabet.words(2)}
-
-    def pair_poly(u, v):
-        # rho_u rho_v as a polynomial in p
-        poly = [Fraction(1)]
-        for letter in (u, v):
-            poly = _poly_mul(poly, [Fraction(1), Fraction(-1)] if letter == 0
-                             else [Fraction(0), Fraction(1)])
-        return poly
-
-    polys = []
-    for b, c in S.alphabet.words(2):
-        acc = _poly_scale(pair_poly(b, c), -out[(b, c)])
-        for src, dst, rate in S.entries():
-            if dst == (b, c):
-                acc = _poly_add(acc, _poly_scale(pair_poly(*src), rate))
-        polys.append(acc)
-    return polys
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_scale(p, c):
-    return [c * a for a in p]
-
-
-def _poly_is_zero(p):
-    return all(c == 0 for c in p)
+# rho_u rho_v as a polynomial in p (increasing degree) for rho = (1 - p, p)
+_PAIR_POLYNOMIALS = {(0, 0): (1, -2, 1), (0, 1): (0, 1, -1), (1, 0): (0, 1, -1),
+                     (1, 1): (0, 0, 1)}
 
 
 def _rational_roots(poly):
@@ -496,32 +458,19 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     if T.range_ != 2:
         raise ValueError("product search needs range 2")
     S = symmetrize(T)
-    alphabet = T.alphabet
-    kappa = alphabet.kappa
-    variables = list(alphabet.words(2))
+    kappa = T.alphabet.kappa
+    variables = list(T.alphabet.words(2))
     pos = {w: i for i, w in enumerate(variables)}
-    n = len(variables)
     rows: List[List] = []
-    rhs: List = []
     out = {w: S.out_rate(w) for w in variables}
     for b, c in variables:
-        row = [Fraction(0)] * n
+        row = [Fraction(0)] * len(variables)
         for src, dst, rate in S.entries():
             if dst == (b, c):
                 row[pos[src]] += rate
         row[pos[(b, c)]] -= out[(b, c)]
         rows.append(row)
-        rhs.append(Fraction(0))
-    for u, v in variables:
-        if u < v:
-            row = [Fraction(0)] * n
-            row[pos[(u, v)]] += 1
-            row[pos[(v, u)]] -= 1
-            rows.append(row)
-            rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
-    family = _family(variables, solve_linear(rows, rhs))
+    family = _simplex_family(variables, rows, lambda w: w[::-1])
 
     candidates: List[Tuple[Tuple, CriterionReport]] = []
     notes: List[str] = []
@@ -554,14 +503,18 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
 
     bernoulli_all = False
     roots: Tuple = ()
-    if kappa == 2 and not T.is_zero:
-        polys = _bernoulli_polynomials(S)
-        if all(_poly_is_zero(p) for p in polys):
+    if kappa == 2:
+        # each pair-balance row as a polynomial in p, where rho = (1 - p, p);
+        # the outflow of the row's own pair comes first in every float sum
+        polys = [[sum((r * _PAIR_POLYNOMIALS[v][d] for r, v in zip(row, variables) if v != w),
+                      row[pos[w]] * _PAIR_POLYNOMIALS[w][d]) for d in range(3)]
+                 for w, row in zip(variables, rows)]
+        live = [p for p in polys if any(c != 0 for c in p)]
+        if not live:
             bernoulli_all = True
             for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
                 consider((1 - p, p))
         else:
-            live = [p for p in polys if not _poly_is_zero(p)]
             common = set(_rational_roots(live[0]))
             for p in live[1:]:
                 common &= set(_rational_roots(p))
@@ -569,11 +522,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
             for p in roots:
                 consider((1 - p, p))
     if T.is_zero:
-        bernoulli_all = kappa == 2
         notes.append("zero dynamics: every product measure is invariant")
-        if kappa == 2:
-            for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                consider((1 - p, p))
     return ProductSearchReport(S, family, tuple(candidates), bernoulli_all, roots,
                                tuple(notes))
 

@@ -17,6 +17,7 @@ the exact discrepancy when validation fails.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -90,15 +91,13 @@ def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int) -> Criteri
     """
     _require_21(ctx)
     table = z_table(ctx)
-    count = 0
     sizes = [n, n + 1] if n >= 7 else [n]
-    for size in sizes:
-        for x in ctx.alphabet.words(size):
-            count += 1
-            value = segment_balance(ctx, beta, x, table)
-            if not ctx.is_zero(value):
-                return CriterionReport(False, f"segment-{size}", witness=(x, value),
-                                       words_checked=count)
+    count, witness = ctx.first_nonzero(
+        itertools.chain.from_iterable(ctx.alphabet.words(size) for size in sizes),
+        lambda x: segment_balance(ctx, beta, x, table))
+    if witness is not None:
+        return CriterionReport(False, f"segment-{len(witness[0])}", witness=witness,
+                               words_checked=count)
     details = {}
     if n >= 7:
         details["derived"] = (

@@ -256,6 +256,8 @@ class TestInputErrors:
                        ["verify-cycle", "--n", "3"], ["equivalences"], ["check-markov"],
                        ["check-product"], ["segment", "--construct-boundaries"])],
         pytest.param("tasep", None, {"rho": ["1/2", "1/2"]}, ["check-2d"], id="line-check-2d"),
+        pytest.param("flip_2d", {"a": 4}, {"rho": ["1/2", "1/3"]}, ["check-2d"],
+                     id="square-rho-not-a-probability"),
     ])
     def test_malformed_or_mismatched_file_exit2(self, tmp_path, capsys,
                                                 model, params, extra, argv):
@@ -264,6 +266,33 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error: ")
         assert out == ""
+
+
+TASEP_LAWS = {"rho": ["1/2", "1/2"], "memory": 1,
+              "kernel": [["1/2", "1/2"], ["1/2", "1/2"]]}
+# one call of each report subcommand: (model, builder parameters, extra keys, arguments)
+REPORTS = [
+    ("stochastic_ising", {"x": "1/2"}, None, ["check-markov"]),
+    ("tasep", None, TASEP_LAWS, ["check-product"]),
+    ("tasep", None, None, ["find-markov"]),
+    ("tasep", None, None, ["find-product"]),
+    ("tasep", None, TASEP_LAWS, ["verify-cycle", "--n", "4"]),
+    ("voter", None, None, ["absorbing", "--n-min", "3", "--n-max", "5"]),
+    ("flip_2d", {"a": 4}, {"rho": ["2/3", "1/3"]}, ["check-2d"]),
+    ("tasep", None, TASEP_LAWS, ["segment", "--construct-boundaries"]),
+    ("stochastic_ising", {"x": "1/2"}, None, ["equivalences"]),
+]
+
+
+class TestTimings:
+    @pytest.mark.parametrize("model,params,extra,argv", REPORTS,
+                             ids=[case[3][0] for case in REPORTS])
+    def test_every_report_has_a_total_time(self, tmp_path, capsys, model, params, extra, argv):
+        path = write_model(tmp_path, model, extra=extra, params=params)
+        code, out, _ = run(capsys, "--report", "json", argv[0], path, *argv[1:])
+        assert code in (0, 1)
+        total = json.loads(out)["timings"]["total_s"]
+        assert isinstance(total, float) and total >= 0
 
 
 class TestFindProductTwoColours:

@@ -307,6 +307,51 @@ class TestSmallCycles:
             check_markov_small_cycles(tasep_product_ctx())
 
 
+def report_fields(report):
+    return (report.invariant, report.criterion, report.witness, report.words_checked,
+            report.criteria_evaluated)
+
+
+def memory2_kernel(rows):
+    """Memory-2 kernel over two letters from its rows, keyed by context."""
+    return MarkovKernel(Alphabet(2), 2, {(ctx, y): rows[ctx][y]
+                                         for ctx in rows for y in (0, 1)})
+
+
+class TestReportPins:
+    """Whole reports of passing and failing instances, pinned exactly."""
+
+    def test_small_cycles_memory2(self):
+        p = F(1, 3)
+        bernoulli = memory2_kernel({ctx: [1 - p, p] for ctx in Alphabet(2).words(2)})
+        assert report_fields(check_markov_small_cycles(markov_context(tasep().jrm, bernoulli))) \
+            == (True, "small-cycles", None, 24, ("cycle-window-sum-3", "cycle-window-sum-4"))
+        low, high = [F(1, 9), F(8, 9)], [F(8, 9), F(1, 9)]
+        alternating = memory2_kernel({(0, 0): low, (0, 1): high, (1, 0): low, (1, 1): high})
+        assert report_fields(check_markov_small_cycles(markov_context(tasep().jrm, alternating))) \
+            == (False, "small-cycles", ((0, 0, 1, 1), F(63)), 12,
+                ("cycle-window-sum-3", "cycle-window-sum-4"))
+        assert report_fields(check_markov_small_cycles(markov_context(contact(1).jrm,
+                                                                      alternating))) \
+            == (False, "small-cycles", ((0, 0, 0), F(192)), 1, ("cycle-window-sum-3",))
+
+    def test_cycle_below_window_length(self):
+        # n < m + L: balances come from the finite cycle directly
+        assert report_fields(check_markov_cycle(voter_ctx(), 1)) == (True, "cycle-1", None, 2, ())
+        assert report_fields(check_markov_cycle(voter_ctx(), 2)) == \
+            (False, "cycle-2", ((0, 0), F(8, 3)), 1, ())
+        assert report_fields(check_markov_cycle(ising_ctx(), 2)) == (True, "cycle-2", None, 4, ())
+
+    def test_general_graph_symmetric(self):
+        p = PairRateField(2, {(1,): F(1), (-1,): F(1)})
+        swap = JumpRateMatrix(Alphabet(2), 2, {((0, 1), (1, 0)): 1, ((1, 0), (0, 1)): 1})
+        assert report_fields(check_product_general_graph(swap, [F(1, 2), F(1, 2)], p)) == \
+            (True, "symmetric-pair-cycle2", None, 4, ())
+        creation = JumpRateMatrix(Alphabet(2), 2, {((0, 0), (1, 1)): 1})
+        assert report_fields(check_product_general_graph(creation, [F(1, 3), F(2, 3)], p)) == \
+            (False, "symmetric-pair-cycle2", ((0, 0), F(-2)), 1, ())
+
+
 class TestCycleDeciders:
     def test_invariant_on_line_invariant_on_cycles(self):
         ctx = ising_ctx()

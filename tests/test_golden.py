@@ -96,6 +96,12 @@ EXTRA_CASES = [
     ("hmc", ("--float",), ("verify-cycle", "--n", "5")),
     ("urn_shift_2d", ("--float",), ("check-2d",)),
     ("three_colour_flip_2d", ("--float",), ("check-2d",)),
+    # text reports print the keys in the order the report is built
+    ("pair_flip_2d", ("--report", "text"), ("check-2d",)),
+    ("contact", ("--report", "text"), ("verify-cycle", "--n", "4")),
+    ("contact", ("--report", "text"), ("absorbing", "--n-min", "3", "--n-max", "8")),
+    ("tasep", ("--report", "text"), ("find-product",)),
+    ("tasep", ("--report", "text"), ("segment", "--construct-boundaries")),
 ]
 
 

@@ -11,7 +11,8 @@ from psinv.lattice2d import (GAMMA0, GAMMA2, SQUARE_CELLS, Shape,
                              growth_difference, hypercube, line_balance_2d,
                              truncated_poisson, _anchors_meeting)
 from psinv.oracle import TorusSpace, build_generator, product_measure, stationarity_residual
-from psinv.models import ball_move_2d, flip_2d, pair_flip_2d, rotation_2d, three_colour_flip_2d
+from psinv.models import (ball_cycle_2d, ball_move_2d, catalog, flip_2d, pair_flip_2d,
+                          rotation_2d, three_colour_flip_2d, urn_shift_2d)
 
 F = Fraction
 
@@ -60,6 +61,60 @@ class TestBoldZ:
         line = JumpRateMatrix(Alphabet(2), 2, {((1, 0), (0, 1)): 1})
         with pytest.raises(ValueError, match="length 4"):
             check_product_2d(line, [F(1, 2), F(1, 2)])
+
+
+def reference_bold_z_table(T2, rho):
+    """boldZ term by term: -T_out(x), then rate * prod rho(y) / prod rho(x)
+    for each move y -> x, in entry order (the float rounding is pinned)."""
+    table = {x: -T2.out_rate(x) for x in T2.alphabet.words(4)}
+    for y, x, rate in T2.entries():
+        num = F(1)
+        for a in y:
+            num *= rho[a]
+        den = F(1)
+        for a in x:
+            den *= rho[a]
+        table[x] += rate * num / den
+    return table
+
+
+HALF = [F(1, 2), F(1, 2)]
+CATALOG_SQUARES = [
+    ("flip_2d", flip_2d(4), [F(2, 3), F(1, 3)]),
+    ("pair_flip_2d", pair_flip_2d(1, 2), HALF),
+    ("rotation_2d", rotation_2d(1, 1, 1, 1), [F(1, 3), F(2, 3)]),
+    ("three_colour_flip_2d", three_colour_flip_2d(1, 1, 1), [F(1, 3)] * 3),
+    ("ball_move_2d", ball_move_2d(2), HALF),
+    ("ball_cycle_2d", ball_cycle_2d(2), HALF),
+    ("urn_shift_2d", urn_shift_2d(2), [F(1, 3), F(2, 3)]),
+]
+
+
+class TestBoldZReference:
+    def test_every_catalog_square_is_listed(self):
+        squares = {name for name in catalog() if name.endswith("_2d")}
+        assert {name for name, _, _ in CATALOG_SQUARES} == squares
+
+    @pytest.mark.parametrize("name,spec,rho", CATALOG_SQUARES,
+                             ids=[c[0] for c in CATALOG_SQUARES])
+    def test_exact_table_matches_reference(self, name, spec, rho):
+        assert bold_z_table(spec.square, rho) == reference_bold_z_table(spec.square, rho)
+
+    @pytest.mark.parametrize("name,spec,rho", CATALOG_SQUARES,
+                             ids=[c[0] for c in CATALOG_SQUARES])
+    def test_float_table_matches_reference_bit_for_bit(self, name, spec, rho):
+        T2 = JumpRateMatrix(spec.square.alphabet, 4,
+                            {(src, dst): float(rate) for src, dst, rate in spec.square.entries()})
+        rho = [float(p) for p in rho]
+        got = bold_z_table(T2, rho)
+        expected = reference_bold_z_table(T2, rho)
+        assert got.keys() == expected.keys()
+        assert {x: float(v).hex() for x, v in got.items()} == \
+            {x: float(v).hex() for x, v in expected.items()}
+
+    def test_marginal_must_sum_to_one(self):
+        with pytest.raises(ValueError):
+            check_product_2d(flip_2d(4).square, [F(1, 2), F(1, 3)])
 
 
 class TestBoldZPartial:
@@ -193,6 +248,34 @@ class TestCheckProduct2D:
         for T2, rho in cases:
             assert check_product_2d_incremental(T2, rho).invariant == \
                 check_product_2d(T2, rho).invariant
+
+
+class TestReportPins:
+    """Whole reports of passing and failing instances, pinned exactly
+    (square checks list no evaluated criteria)."""
+
+    ADDITION = JumpRateMatrix(Alphabet(2), 4, {((0, 0, 1, 0), (0, 1, 0, 0)): F(1, 4)})
+
+    @staticmethod
+    def fields(report):
+        return (report.invariant, report.criterion, report.witness, report.words_checked)
+
+    def test_check_product_2d(self):
+        assert self.fields(check_product_2d(flip_2d(4).square, [F(2, 3), F(1, 3)])) == \
+            (True, "corner-and-addition", None, 40)
+        assert self.fields(check_product_2d(rotation_2d(2, 1, 2, 2).square, HALF)) == \
+            (False, "corner-balance", ((0, 0, 1), F(-1, 2)), 2)
+        assert self.fields(check_product_2d(self.ADDITION, HALF)) == \
+            (False, "cell-addition-balance", ((0, 0, 1, 0, 0), F(-1, 16)), 13)
+
+    def test_check_product_2d_incremental(self):
+        assert self.fields(check_product_2d_incremental(flip_2d(4).square,
+                                                        [F(2, 3), F(1, 3)])) == \
+            (True, "single-cell-and-growth", None, 118082)
+        assert self.fields(check_product_2d_incremental(flip_2d(4).square, HALF)) == \
+            (False, "single-cell-balance", (((0,),), F(3, 4)), 1)
+        assert self.fields(check_product_2d_incremental(self.ADDITION, HALF)) == \
+            (False, "growth-balance", ((((0, 0), (0, 1)), (1, 1), (0, 0, 0)), F(-1, 32)), 307)
 
 
 class TestBoldZSufficient:

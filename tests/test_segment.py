@@ -86,6 +86,32 @@ class TestCheckSegment:
         assert report.witness is not None
 
 
+class TestReportPins:
+    """Whole reports of passing and failing instances, pinned exactly."""
+
+    @staticmethod
+    def fields(report):
+        return (report.invariant, report.criterion, report.witness, report.words_checked,
+                report.criteria_evaluated, report.details)
+
+    def test_check_segment(self):
+        p = F(1, 4)
+        ctx = markov_context(tasep().jrm, MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]]))
+        source = construct_boundaries(ctx, variant="source-weighted").boundary
+        derived = ("balance vanishes at two consecutive sizes >= 7: the law is invariant "
+                   "on the line and on every segment of size >= 7 with these boundary rates")
+        assert self.fields(check_segment(ctx, source, 7)) == \
+            (True, "segment-7", None, 384, (), {"derived": derived})
+        assert self.fields(check_segment(ctx, source, 5)) == (True, "segment-5", None, 32, (), {})
+        target = construct_boundaries(ctx, variant="target-weighted").boundary
+        assert self.fields(check_segment(ctx, target, 7)) == \
+            (False, "segment-7", ((0,) * 7, F(-1, 6)), 1, (), {})
+        closed = markov_context(tasep().jrm, MarkovKernel.from_matrix([[F(2, 3), F(1, 3)],
+                                                                      [F(2, 3), F(1, 3)]]))
+        assert self.fields(check_segment(closed, BoundaryRates.zero(Alphabet(2), 1), 4)) == \
+            (False, "segment-4", ((0, 0, 0, 1), F(1)), 2, (), {})
+
+
 class TestConstructBoundaries:
     def test_requires_line_invariance(self, rng):
         while True:
