@@ -87,6 +87,7 @@ class JumpRateMatrix:
     alphabet: Alphabet
     range_: int
     _rates: Dict[Tuple[Word, Word], object] = field(repr=False)
+    _exits: Dict[Word, object] = field(repr=False, compare=False)
 
     def __init__(self, alphabet: Alphabet, range_: int, rates: Mapping):
         if range_ < 1:
@@ -94,14 +95,18 @@ class JumpRateMatrix:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "range_", range_)
         object.__setattr__(self, "_rates", _freeze_rates(alphabet, range_, rates))
+        # one pass in rate order: each float exit rate adds its terms in that order
+        exits: Dict[Word, object] = {}
+        for (src, _), rate in self._rates.items():
+            exits[src] = exits.get(src, Fraction(0)) + rate
+        object.__setattr__(self, "_exits", exits)
 
     def rate(self, src: Word, dst: Word):
         return self._rates.get((tuple(src), tuple(dst)), Fraction(0))
 
     def out_rate(self, src: Word):
         """Total rate at which the window leaves the word src."""
-        src = tuple(src)
-        return sum((r for (w, _), r in self._rates.items() if w == src), Fraction(0))
+        return self._exits.get(tuple(src), Fraction(0))
 
     def entries(self) -> Iterator[Tuple[Word, Word, object]]:
         for (src, dst), rate in sorted(self._rates.items()):
@@ -295,10 +300,6 @@ class StationaryLaw:
         for suffix in self.alphabet.words(m - len(word)):
             total += self.rho[word + suffix]
         return total
-
-    def single_marginal(self):
-        """Letter marginal as a list indexed by the alphabet."""
-        return [self.marginal((a,)) for a in self.alphabet.letters]
 
 
 def product_law(rho) -> StationaryLaw:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
-from .core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw,
-                   Word, induced_rate_cyclic, product_law)
+from .core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word,
+                   product_law)
 from .linalg import stationary_distribution
 from .scalars import DEFAULT_TOL, ScalarContext
 
@@ -213,17 +213,37 @@ def _cyclic_weight(ctx: CriterionContext, x: Word):
 
 
 def _cycle_balance_direct(ctx: CriterionContext, x: Word):
-    n = len(x)
-    inflow = Fraction(0)
-    for w in ctx.alphabet.words(n):
-        if w == x:
-            continue
-        rate_in = induced_rate_cyclic(ctx.T, w, x)
-        if rate_in != 0:
-            inflow += _cyclic_weight(ctx, w) * rate_in
-    outflow = sum(induced_rate_cyclic(ctx.T, x, w)
-                  for w in ctx.alphabet.words(n) if w != x)
-    return (inflow - _cyclic_weight(ctx, x) * outflow) / _cyclic_weight(ctx, x)
+    inflow, exit_rate = cycle_jumps(ctx.T, x)
+    weight = _cyclic_weight(ctx, x)
+    total_in = sum(_cyclic_weight(ctx, w) * rate for w, rate in inflow)
+    return (total_in - weight * exit_rate) / weight
+
+
+def cycle_jumps(T: JumpRateMatrix, x: Word):
+    """The jumps of T into and out of the cyclic word x on Z/nZ, n = len(x).
+
+    Returns (inflow, exit_rate): inflow lists (w, rate), one entry per
+    wrapped window and per move w -> x, with each source w read from the
+    site after its window; exit_rate is the total rate at which x is left.
+    When n < L a window covers some sites twice, and a move counts only when
+    it reads and writes the same letter on every copy of a site.
+    """
+    x = tuple(x)
+    n, L = len(x), T.range_
+    moves = list(T.entries())
+    inflow, exit_rate = [], Fraction(0)
+    for start in range(n):
+        sites = [(start + j) % n for j in range(L)]
+        first = [sites.index(site) for site in sites]  # first copy of each site
+        read = [(start + L + i) % n for i in range(n)]
+        window = tuple(x[site] for site in sites)
+        for u, v, rate in moves:
+            if v == window and all(u[i] == a for i, a in zip(first, u)):
+                letters = dict(zip(sites, u))
+                inflow.append((tuple(letters.get(site, x[site]) for site in read), rate))
+            elif u == window and all(v[i] == a for i, a in zip(first, v)):
+                exit_rate += rate
+    return inflow, exit_rate
 
 
 def deletion_defect(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):

@@ -177,27 +177,6 @@ class EigenPair:
     exact: bool
 
 
-def _char_poly_eval(A, x):
-    """det(A - x I) by exact elimination at a rational point."""
-    size = len(A)
-    m = [[A[i][j] - (x if i == j else 0) for j in range(size)] for i in range(size)]
-    det = Fraction(1)
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, size):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
 def _positive_vector(vec):
     """Scale a nullspace vector to be strictly positive, or return None."""
     if all(v > 0 for v in vec):
@@ -210,12 +189,12 @@ def _positive_vector(vec):
 def perron_pair(A, tol: float = 1e-13) -> EigenPair:
     """Dominant eigenpair of a nonnegative irreducible matrix.
 
-    Rational input: the float eigenvalue is rounded to a nearby rational and
-    certified exactly (char poly root + strictly positive eigenvectors, which
-    pins the dominant eigenvalue of an irreducible nonnegative matrix); on
-    success everything is exact.  Otherwise: power iteration on A + I (the
-    shift removes periodicity) from the all-ones vector to relative tolerance
-    `tol`, then one Rayleigh refinement.
+    Rational input: the float eigenvalue is rounded to a nearby rational g
+    and certified exactly (a nonzero nullspace of A - gI + strictly positive
+    eigenvectors, which pins the dominant eigenvalue of an irreducible
+    nonnegative matrix); on success everything is exact.  Otherwise: power
+    iteration on A + I (the shift removes periodicity) from the all-ones
+    vector to relative tolerance `tol`, then one Rayleigh refinement.
     """
     size = len(A)
     if any(len(row) != size for row in A):
@@ -234,12 +213,14 @@ def perron_pair(A, tol: float = 1e-13) -> EigenPair:
         tried = set()
         for denom_cap in (10 ** 6, 10 ** 12):
             guess = Fraction(lam_float).limit_denominator(denom_cap)
-            if guess in tried or _char_poly_eval(A, guess) != 0:
-                tried.add(guess)
+            if guess in tried:
                 continue
+            tried.add(guess)
             shifted = [[A[i][j] - (guess if i == j else 0) for j in range(size)]
                        for i in range(size)]
             right_basis = nullspace(shifted)
+            if not right_basis:
+                continue  # guess is no eigenvalue
             left_basis = nullspace([list(col) for col in zip(*shifted)])
             if len(right_basis) == 1 and len(left_basis) == 1:
                 right = _positive_vector(right_basis[0])

@@ -449,9 +449,6 @@ def project_jrm(T: JumpRateMatrix, pi: Sequence[int]) -> JumpRateMatrix:
     L = T.range_
     fibers = {a: tuple(x for x in T.alphabet.letters if pi[x] == a) for a in small.letters}
 
-    def project_word(word: Word) -> Word:
-        return tuple(pi[x] for x in word)
-
     rates = {}
     for u in small.words(L):
         reps = list(itertools.product(*[fibers[a] for a in u]))

@@ -320,6 +320,8 @@ def build_generator(T: JumpRateMatrix, space: Space,
     """Explicit sparse generator of the particle system on a finite space."""
     if not isinstance(space, (CycleSpace, SegmentSpace, TorusSpace)):
         raise TypeError(f"unknown space {space!r}")
+    if space.n < 1:
+        raise ValueError(f"size {space.n} must be >= 1")
     alphabet = T.alphabet
     n_sites = space.n * space.n if isinstance(space, TorusSpace) else space.n
     n_states = alphabet.kappa ** n_sites
@@ -562,13 +564,18 @@ def absorbing_exclusion(T: JumpRateMatrix, n_values: Sequence[int],
     """
     if T.is_zero:
         raise ValueError("zero dynamics: every state is absorbing, all laws invariant")
+    tested = tuple(n_values)
+    if not tested or min(tested) < 1:
+        raise ValueError("cycle sizes must be a nonempty list of sizes >= 1")
+    if max(tested) < T.range_:
+        raise ValueError(f"no memory bound: the largest cycle size {max(tested)} "
+                         f"is below the range {T.range_}")
     proper = []
-    for n in n_values:
+    for n in tested:
         gen = build_generator(T, CycleSpace(n), max_states=max_states)
         if absorbing_analysis(gen).is_proper:
             proper.append(n)
-    tested = tuple(n_values)
-    if len(proper) == len(tested) and tested:
+    if len(proper) == len(tested):
         bound = max(tested) - T.range_
         return ExclusionVerdict(True, bound, tested, tuple(proper), True,
                                 f"no full-support invariant Markov law with memory <= {bound}; "

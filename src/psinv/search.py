@@ -12,10 +12,11 @@ dropped, never patched.
 
 Product measures: a product invariant for T is invariant for its
 symmetrization S, and for symmetric dynamics invariance is exactly the
-vanishing of the pair balance table.  Replacing each product rho_u rho_v by
-a pair unknown makes that linear; solutions must then factor as a rank-one
-nonnegative symmetric matrix, and surviving marginals are verified against
-the original T.
+vanishing of the pair balance table.  The pair balances of S are the
+length-2 cyclic balances of T, so both systems come from one list of cycle
+jumps.  Replacing each product rho_u rho_v by a pair unknown makes that
+linear; solutions must then factor as a rank-one nonnegative symmetric
+matrix, and surviving marginals are verified against the original T.
 
 Affine solution families are sampled deterministically: polytope vertices
 (dimension <= 3) plus their centroid, falling back to the particular
@@ -32,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
 from .criteria import (CriterionReport, check_markov_line, check_product_line,
-                       markov_context, symmetrize)
+                       cycle_jumps, markov_context, symmetrize)
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
 from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact
 
@@ -93,10 +94,6 @@ class AffineFamily:
     vertices: Tuple[Tuple, ...]
     samples: Tuple[Tuple, ...]
     fully_sampled: bool
-
-    @property
-    def is_empty(self) -> bool:
-        return self.solution.status == "empty" and not self.samples
 
 
 def _polytope_vertices(solution: LinearSolution, max_dim: int = 3):
@@ -160,21 +157,34 @@ def _family(variables, solution: LinearSolution) -> AffineFamily:
     return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples), fully)
 
 
-def _simplex_family(variables, balance_rows, twin) -> AffineFamily:
-    """Points x of the probability simplex with balance_rows . x = 0 and
-    x[w] = x[twin(w)] for every variable w."""
+def _cycle_system(T: JumpRateMatrix, n: int):
+    """The length-n cyclic balances of T as rows over the weights of the
+    words of length n, and the family of rotation-invariant probability
+    vectors they kill.  Float systems pivot above the balance tolerance, so
+    that rounding noise does not decide their rank."""
+    variables = list(T.alphabet.words(n))
     pos = {w: i for i, w in enumerate(variables)}
-    n = len(variables)
-    rows = list(balance_rows)
+    rows: List[List] = []
+    for x in variables:
+        inflow, exit_rate = cycle_jumps(T, x)
+        row = [Fraction(0)] * len(variables)
+        for w, rate in inflow:
+            row[pos[w]] += rate
+        row[pos[x]] -= exit_rate
+        rows.append(row)
+    system = list(rows)
     for w in variables:
-        if w < twin(w):
-            row = [Fraction(0)] * n
+        turned = w[1:] + w[:1]
+        if w < turned:
+            row = [Fraction(0)] * len(variables)
             row[pos[w]] += 1
-            row[pos[twin(w)]] -= 1
-            rows.append(row)
-    rows.append([Fraction(1)] * n)
-    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-    return _family(variables, solve_linear(rows, rhs))
+            row[pos[turned]] -= 1
+            system.append(row)
+    system.append([Fraction(1)] * len(variables))
+    rhs = [Fraction(0)] * (len(system) - 1) + [Fraction(1)]
+    balances = ScalarContext.for_balances(T, True)
+    pivot = 0.0 if balances.exact else balances.tol * balances.scale
+    return rows, _family(variables, solve_linear(system, rhs, pivot))
 
 
 def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
@@ -182,25 +192,7 @@ def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
     length-3 cyclic balances of T (a linear system; possibly empty)."""
     if T.range_ != 2:
         raise ValueError("the triple-measure system needs range 2")
-    alphabet = T.alphabet
-    variables = list(alphabet.words(3))
-    pos = {w: i for i, w in enumerate(variables)}
-    rows: List[List] = []
-    entries = list(T.entries())
-    out = {w: T.out_rate(w) for w in alphabet.words(2)}
-    for a, b, c in variables:
-        row = [Fraction(0)] * len(variables)
-        for (src, dst, rate) in entries:
-            u, v = src
-            if dst == (a, b):
-                row[pos[(c, u, v)]] += rate
-            if dst == (b, c):
-                row[pos[(a, u, v)]] += rate
-            if dst == (c, a):
-                row[pos[(b, u, v)]] += rate
-        row[pos[(a, b, c)]] -= out[(a, b)] + out[(b, c)] + out[(c, a)]
-        rows.append(row)
-    return _simplex_family(variables, rows, lambda w: w[1:] + w[:1])
+    return _cycle_system(T, 3)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +441,17 @@ def _rational_roots(poly):
 def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchReport:
     """Product measures invariant for T.
 
-    Symmetrize, solve the linearized pair system, factor samples as rank-one
-    tables, and verify every emitted marginal against T itself.  For two
-    colours the rank-one slice is resolved exactly in the Bernoulli
-    parameter: either every parameter works, or the finitely many rational
-    roots are extracted and verified.
+    Solve the linearized pair system (the length-2 cyclic balances of T),
+    factor samples as rank-one tables, and verify every emitted marginal
+    against T itself.  For two colours the rank-one slice is resolved
+    exactly in the Bernoulli parameter: either every parameter works, or the
+    finitely many rational roots are extracted and verified.
     """
     if T.range_ != 2:
         raise ValueError("product search needs range 2")
-    S = symmetrize(T)
     kappa = T.alphabet.kappa
-    variables = list(T.alphabet.words(2))
-    pos = {w: i for i, w in enumerate(variables)}
-    rows: List[List] = []
-    out = {w: S.out_rate(w) for w in variables}
-    for b, c in variables:
-        row = [Fraction(0)] * len(variables)
-        for src, dst, rate in S.entries():
-            if dst == (b, c):
-                row[pos[src]] += rate
-        row[pos[(b, c)]] -= out[(b, c)]
-        rows.append(row)
-    family = _simplex_family(variables, rows, lambda w: w[::-1])
+    rows, family = _cycle_system(T, 2)
+    variables = family.variables
 
     candidates: List[Tuple[Tuple, CriterionReport]] = []
     notes: List[str] = []
@@ -507,8 +488,8 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
         # each pair-balance row as a polynomial in p, where rho = (1 - p, p);
         # the outflow of the row's own pair comes first in every float sum
         polys = [[sum((r * _PAIR_POLYNOMIALS[v][d] for r, v in zip(row, variables) if v != w),
-                      row[pos[w]] * _PAIR_POLYNOMIALS[w][d]) for d in range(3)]
-                 for w, row in zip(variables, rows)]
+                      row[k] * _PAIR_POLYNOMIALS[w][d]) for d in range(3)]
+                 for k, (w, row) in enumerate(zip(variables, rows))]
         live = [p for p in polys if any(c != 0 for c in p)]
         if not live:
             bernoulli_all = True
@@ -523,8 +504,8 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
                 consider((1 - p, p))
     if T.is_zero:
         notes.append("zero dynamics: every product measure is invariant")
-    return ProductSearchReport(S, family, tuple(candidates), bernoulli_all, roots,
-                               tuple(notes))
+    return ProductSearchReport(symmetrize(T), family, tuple(candidates), bernoulli_all,
+                               roots, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

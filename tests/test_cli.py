@@ -258,6 +258,12 @@ class TestInputErrors:
         pytest.param("tasep", None, {"rho": ["1/2", "1/2"]}, ["check-2d"], id="line-check-2d"),
         pytest.param("flip_2d", {"a": 4}, {"rho": ["1/2", "1/3"]}, ["check-2d"],
                      id="square-rho-not-a-probability"),
+        pytest.param("voter", None, None, ["absorbing", "--n-min", "2", "--n-max", "2"],
+                     id="absorbing-below-range"),
+        pytest.param("voter", None, None, ["absorbing", "--n-min", "5", "--n-max", "3"],
+                     id="absorbing-no-sizes"),
+        pytest.param("voter", None, None, ["absorbing", "--n-min", "0", "--n-max", "3"],
+                     id="absorbing-size-zero"),
     ])
     def test_malformed_or_mismatched_file_exit2(self, tmp_path, capsys,
                                                 model, params, extra, argv):

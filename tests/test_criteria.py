@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
+from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel, induced_rate_cyclic
 from psinv.criteria import (check_markov_cycle, check_markov_line,
                             check_markov_small_cycles, check_product_cycle,
                             check_product_general_graph, check_product_line,
@@ -15,7 +15,7 @@ from psinv.criteria import (check_markov_cycle, check_markov_line,
                             tail_bounds_advisory, z_table)
 from psinv.models import contact, hmc_example, stochastic_ising, tasep, tasep3, voter
 
-from conftest import random_jrm, random_kernel, random_marginal
+from conftest import random_jrm, random_kernel, random_marginal, rational
 
 F = Fraction
 
@@ -27,6 +27,42 @@ def tasep_product_ctx(p=F(1, 2)):
 def ising_ctx():
     spec = stochastic_ising(F(1, 2))
     return markov_context(spec.jrm, spec.kernel)
+
+
+def reference_cycle_balances(ctx, n):
+    """The normalized balance of every cyclic word x of length n straight
+    from the induced rates: every other word w feeds x at rate
+    induced_rate_cyclic(T, w, x), weighted by its cyclic chain weight."""
+    m = ctx.memory
+    kernel = ctx.law.kernel
+    words = list(ctx.alphabet.words(n))
+    weight = {}
+    for w in words:
+        weight[w] = F(1)
+        for j in range(n):
+            weight[w] *= kernel.step_weight(tuple(w[(j + i) % n] for i in range(m + 1)))
+    rate = {(w, z): induced_rate_cyclic(ctx.T, w, z) for w in words for z in words if w != z}
+    balances = {}
+    for x in words:
+        others = [w for w in words if w != x]
+        inflow = sum((weight[w] * rate[(w, x)] for w in others), F(0))
+        outflow = sum((rate[(x, w)] for w in others), F(0))
+        balances[x] = (inflow - weight[x] * outflow) / weight[x]
+    return balances
+
+
+def periodic_moves(rng, alphabet, range_, count=3):
+    """Moves u -> v whose windows repeat with a period p < L, so that they
+    still act on cycles shorter than the window."""
+    rates = {}
+    for _ in range(count):
+        p = rng.randint(1, max(1, range_ - 1))
+        u = [rng.randrange(alphabet.kappa) for _ in range(p)]
+        v = [rng.randrange(alphabet.kappa) for _ in range(p)]
+        if u != v:
+            rates[(tuple(u[j % p] for j in range(range_)),
+                   tuple(v[j % p] for j in range(range_)))] = rational(rng)
+    return JumpRateMatrix(alphabet, range_, rates)
 
 
 def voter_ctx(rng=None):
@@ -143,6 +179,23 @@ class TestCycleBalance:
             for n in (3, 4):
                 for x in Alphabet(2).words(n):
                     assert cycle_window_sum(ctx, x) == _cycle_balance_direct(ctx, x)
+
+    def test_short_cycles_match_induced_rate_reference(self, rng):
+        # below n = m + L windows overlap themselves; a move then acts only
+        # when it writes the same letter on both copies of a site.  Three
+        # colours stop at cycles of length 4 (the reference is quadratic in
+        # the 3^n words)
+        for kappa in (2, 3):
+            for L in range(1, 5):
+                for m in range(3):
+                    if kappa == 3 and m + L > 5:
+                        continue
+                    T = random_jrm(rng, kappa=kappa, range_=L, max_entries=8)
+                    T = T.plus(periodic_moves(rng, T.alphabet, L))
+                    ctx = markov_context(T, random_kernel(rng, kappa=kappa, memory=m))
+                    for n in range(1, m + L):
+                        for x, balance in reference_cycle_balances(ctx, n).items():
+                            assert cycle_balance(ctx, x) == balance
 
     def test_scaling_preserves_verdicts(self, rng):
         T = random_jrm(rng)

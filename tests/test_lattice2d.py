@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from psinv.core import Alphabet, JumpRateMatrix
-from psinv.lattice2d import (GAMMA0, GAMMA2, SQUARE_CELLS, Shape,
+from psinv.criteria import CriterionReport, product_context
+from psinv.lattice2d import (GAMMA0, GAMMA1, GAMMA2, SQUARE_CELLS, Shape,
                              bold_z, bold_z_partial, bold_z_table,
                              check_bold_z_sufficient, check_multinomial_preservation,
                              check_product_2d, check_product_2d_incremental,
@@ -24,6 +25,58 @@ def random_square(rng, kappa=2, entries=3):
     chosen = rng.sample(pairs, entries)
     return JumpRateMatrix(alphabet, 4, {key: F(rng.randint(1, 9), rng.randint(1, 9))
                                         for key in chosen})
+
+
+def balanced_square(rng, rho, kappa, pairs=3):
+    """Pairs u <-> v with rates c rho(v) and c rho(u) (products over the
+    four cells): detailed balance, so the product law rho is invariant."""
+    words = list(Alphabet(kappa).words(4))
+    rates = {}
+    for _ in range(pairs):
+        u, v = rng.sample(words, 2)
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        rates[(u, v)] = c * _weight(rho, v)
+        rates[(v, u)] = c * _weight(rho, u)
+    return JumpRateMatrix(Alphabet(kappa), 4, rates)
+
+
+def diagonal_swap(rng, kappa):
+    """One move that swaps the letters of the cells (0,1) and (1,0)."""
+    while True:
+        u = tuple(rng.randrange(kappa) for _ in range(4))
+        if u[1] != u[2]:
+            v = (u[0], u[2], u[1], u[3])
+            return JumpRateMatrix(Alphabet(kappa), 4, {(u, v): F(rng.randint(1, 9), 4)})
+
+
+def _weight(rho, pattern):
+    out = F(1)
+    for a in pattern:
+        out *= rho[a]
+    return out
+
+
+def reference_check_product_2d(T2, rho):
+    """check_product_2d with condition (b) as the whole balance of the
+    five-cell shape minus the whole balance of the four-cell hook."""
+    ctx = product_context(T2, rho)
+    table = bold_z_table(T2, rho)
+    corners, witness = ctx.first_nonzero(
+        T2.alphabet.words(3), lambda x: line_balance_2d(T2, rho, GAMMA0, x, table))
+    if witness is not None:
+        return CriterionReport(False, "corner-balance", witness=witness, words_checked=corners)
+
+    def addition(x):
+        letters = dict(zip(GAMMA2.cells, x))
+        hook = tuple(letters[c] for c in GAMMA1.cells)
+        return line_balance_2d(T2, rho, GAMMA2, x, table) - \
+            line_balance_2d(T2, rho, GAMMA1, hook, table)
+
+    count, witness = ctx.first_nonzero(T2.alphabet.words(5), addition)
+    if witness is not None:
+        return CriterionReport(False, "cell-addition-balance", witness=witness,
+                               words_checked=corners + count)
+    return CriterionReport(True, "corner-and-addition", words_checked=corners + count)
 
 
 def row_tasep_square():
@@ -238,6 +291,27 @@ class TestCheckProduct2D:
         assert not check_product_2d(bad, uniform).invariant
         gen_bad = build_generator(bad, TorusSpace(4))
         assert stationarity_residual(gen_bad, product_measure(uniform, 16)) != 0
+
+    def test_matches_whole_shape_reference(self, rng):
+        # detailed-balance squares (invariant), those plus one diagonal swap
+        # (near misses) and random squares; a three-colour invariant square
+        # runs all 243 addition words, so there is one
+        reports = []
+        for kappa, draws, balanced in ((2, 80, 15), (3, 30, 1)):
+            for i in range(draws):
+                raw = [rng.randint(1, 5) for _ in range(kappa)]
+                rho = [F(v, sum(raw)) for v in raw]
+                if i < balanced:
+                    T2 = balanced_square(rng, rho, kappa)
+                elif i % 2:
+                    T2 = balanced_square(rng, rho, kappa).plus(diagonal_swap(rng, kappa))
+                else:
+                    T2 = random_square(rng, kappa, rng.randint(1, 4))
+                report = check_product_2d(T2, rho)
+                assert report == reference_check_product_2d(T2, rho)
+                reports.append(report.criterion)
+        assert reports.count("corner-and-addition") >= 10
+        assert reports.count("cell-addition-balance") >= 10
 
     def test_incremental_variant_agrees(self, rng):
         cases = [

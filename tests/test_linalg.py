@@ -5,6 +5,7 @@ import pytest
 from psinv.core import MarkovKernel
 from psinv.linalg import (mat_vec, perron_pair, solve_linear, stationary_distribution,
                           vec_mat)
+from psinv.search import _rational_sqrt
 
 F = Fraction
 
@@ -95,6 +96,36 @@ class TestPerronPair:
                 for got, want in zip(Ar, [pair.value * r for r in pair.right]):
                     assert abs(float(got) - float(want)) < 1e-8
                 assert abs(sum(pair.left) - 1) < 1e-12
+
+    def test_rational_and_irrational_roots(self, rng):
+        # D B D^-1 with constant row sums s has the rational root s; 2x2
+        # matrices whose discriminant is no rational square have an
+        # irrational root, fail both denominator caps and take the float path
+        for _ in range(12):
+            size = rng.randint(2, 4)
+            s = F(rng.randint(1, 30), rng.randint(1, 7))
+            B = []
+            for _ in range(size):
+                raw = [F(rng.randint(1, 9)) for _ in range(size)]
+                B.append([v * s / sum(raw) for v in raw])
+            d = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(size)]
+            A = [[d[i] * B[i][j] / d[j] for j in range(size)] for i in range(size)]
+            pair = perron_pair(A)
+            assert pair.exact
+            assert pair.value == s
+            assert mat_vec(A, pair.right) == [pair.value * r for r in pair.right]
+            assert vec_mat(pair.left, A) == [pair.value * l for l in pair.left]
+            assert all(v > 0 for v in pair.left + pair.right)
+            assert sum(pair.left) == 1
+            assert sum(l * r for l, r in zip(pair.left, pair.right)) == 1
+        irrational = 0
+        while irrational < 6:
+            a, b, c, d = (F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(4))
+            disc = (a - d) ** 2 + 4 * b * c
+            if _rational_sqrt(disc) is not None:
+                continue
+            irrational += 1
+            assert not perron_pair([[a, b], [c, d]]).exact
 
     def test_float_path(self):
         A = [[0.1, 2.3], [1.7, 0.4]]

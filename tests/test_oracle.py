@@ -51,6 +51,12 @@ class TestBuildGenerator:
         with pytest.raises(StateCapExceeded):
             build_generator(tasep().jrm, CycleSpace(10), max_states=512)
 
+    @pytest.mark.parametrize("space", [CycleSpace(0), CycleSpace(-1), SegmentSpace(0)],
+                             ids=["cycle-0", "cycle-negative", "segment-0"])
+    def test_empty_spaces_rejected(self, space):
+        with pytest.raises(ValueError, match=">= 1"):
+            build_generator(tasep().jrm, space)
+
 
 class TestMeasures:
     def test_uniform_gibbs(self):
@@ -183,6 +189,22 @@ class TestExclusion:
     def test_zero_dynamics_rejected(self):
         with pytest.raises(ValueError):
             absorbing_exclusion(JumpRateMatrix(Alphabet(2), 2, {}), [3, 4])
+
+    @pytest.mark.parametrize("sizes,match", [
+        pytest.param([], "nonempty", id="no-sizes"),
+        pytest.param(range(5, 4), "nonempty", id="empty-range"),
+        pytest.param([0, 3, 4], ">= 1", id="size-zero"),
+        pytest.param([2], "below the range", id="below-range"),
+    ])
+    def test_sizes_without_a_bound_rejected(self, sizes, match):
+        # the voter model has range 3: no size below 3 bounds any memory
+        with pytest.raises(ValueError, match=match):
+            absorbing_exclusion(voter().jrm, sizes)
+
+    def test_smallest_bound_is_memory_zero(self):
+        verdict = absorbing_exclusion(voter().jrm, [3])
+        assert verdict.excluded
+        assert verdict.memory_bound == 0
 
 
 class TestSegmentAndTorusSpaces:

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
-from psinv.criteria import check_product_line, product_context, z_table
-from psinv.search import (TripleMeasure, _rational_roots, candidate_kernels, find_markov,
-                          find_product, kernel_from_ratios, ratio_table,
+from psinv.criteria import check_product_line, product_context, symmetrize, z_table
+from psinv.linalg import solve_linear
+from psinv.search import (TripleMeasure, _family, _rational_roots, candidate_kernels,
+                          find_markov, find_product, kernel_from_ratios, ratio_table,
                           solve_cycle3_system, triple_from_kernel)
+from psinv import models
 from psinv.models import kappa2_general, tasep, tasep3
 
-from conftest import random_kernel
+from conftest import random_jrm, random_kernel, rational
+from test_golden import MODELS
 
 F = Fraction
 
@@ -24,8 +27,112 @@ def in_family(family, point):
     if sol.dimension == 0:
         return all(d == 0 for d in diff)
     A = [[sol.basis[k][i] for k in range(sol.dimension)] for i in range(len(diff))]
-    from psinv.linalg import solve_linear
     return solve_linear(A, diff).status != "empty"
+
+
+def reference_cycle3_rows(T):
+    """The length-3 cyclic balances of T as rows over the triples (a, b, c):
+    a move (u, v) -> window of (a, b, c) feeds it from the triple read from
+    the site after that window."""
+    variables = list(T.alphabet.words(3))
+    pos = {w: i for i, w in enumerate(variables)}
+    out = {w: sum((r for u, _, r in T.entries() if u == w), F(0)) for w in T.alphabet.words(2)}
+    rows = []
+    for a, b, c in variables:
+        row = [F(0)] * len(variables)
+        for (u, v), dst, rate in T.entries():
+            if dst == (a, b):
+                row[pos[(c, u, v)]] += rate
+            if dst == (b, c):
+                row[pos[(a, u, v)]] += rate
+            if dst == (c, a):
+                row[pos[(b, u, v)]] += rate
+        row[pos[(a, b, c)]] -= out[(a, b)] + out[(b, c)] + out[(c, a)]
+        rows.append(row)
+    return variables, rows
+
+
+def reference_pair_rows(T):
+    """The pair balances of the symmetrization S of T as rows over the pairs."""
+    S = symmetrize(T)
+    variables = list(T.alphabet.words(2))
+    pos = {w: i for i, w in enumerate(variables)}
+    rows = []
+    for b, c in variables:
+        row = [F(0)] * len(variables)
+        for src, dst, rate in S.entries():
+            if dst == (b, c):
+                row[pos[src]] += rate
+        row[pos[(b, c)]] -= sum((r for u, _, r in S.entries() if u == (b, c)), F(0))
+        rows.append(row)
+    return variables, rows
+
+
+def reference_family(variables, rows):
+    """Rotation-invariant points of the probability simplex killing the rows,
+    solved by solve_linear and sampled like the search systems."""
+    pos = {w: i for i, w in enumerate(variables)}
+    rows = [list(row) for row in rows]
+    for w in variables:
+        turned = w[1:] + w[:1]
+        if w < turned:
+            row = [F(0)] * len(variables)
+            row[pos[w]] += 1
+            row[pos[turned]] -= 1
+            rows.append(row)
+    rows.append([F(1)] * len(variables))
+    rhs = [F(0)] * (len(rows) - 1) + [F(1)]
+    return _family(variables, solve_linear(rows, rhs))
+
+
+def random_range2(rng, kappa):
+    """A range-2 table; some draws add conservative swaps ab <-> ba with
+    equal rates, or are made of them, so that invariant products occur."""
+    kind = rng.randrange(3)
+    T = JumpRateMatrix(Alphabet(kappa), 2, {})
+    if kind < 2:
+        T = random_jrm(rng, kappa=kappa, max_entries=3 * kappa)
+    if kind > 0:
+        swaps = {}
+        for a in range(kappa):
+            for b in range(a + 1, kappa):
+                if rng.random() < 0.6:
+                    swaps[((a, b), (b, a))] = swaps[((b, a), (a, b))] = rational(rng)
+        T = T.plus(JumpRateMatrix(T.alphabet, 2, swaps))
+    return T
+
+
+def assert_same_family(family, reference):
+    assert family.variables == reference.variables
+    assert family.solution == reference.solution
+    assert family.vertices == reference.vertices
+    assert family.samples == reference.samples
+    assert family.fully_sampled == reference.fully_sampled
+
+
+def as_float(T):
+    return JumpRateMatrix(T.alphabet, T.range_, {(u, v): float(r) for u, v, r in T.entries()})
+
+
+RANGE2_MODELS = [key for key, (name, params, _) in MODELS.items()
+                 if getattr(models.build(name, **params).jrm, "range_", None) == 2]
+
+
+class TestFloatFamilies:
+    """Float rounding noise must not decide the rank of a search system."""
+
+    @pytest.mark.parametrize("search", [find_markov, find_product],
+                             ids=["find_markov", "find_product"])
+    @pytest.mark.parametrize("key", RANGE2_MODELS)
+    def test_float_dimension_is_exact_dimension(self, key, search):
+        name, params, _ = MODELS[key]
+        T = models.build(name, **params).jrm
+        exact = search(T).family.solution.dimension
+        assert search(as_float(T)).family.solution.dimension == exact
+
+    def test_float_zero_range_product_found(self):
+        name, params, _ = MODELS["zero_range"]
+        assert find_product(as_float(models.build(name, **params).jrm)).candidates
 
 
 class TestTripleMeasure:
@@ -61,6 +168,14 @@ class TestCycle3System:
     def test_range_checked(self):
         with pytest.raises(ValueError):
             solve_cycle3_system(JumpRateMatrix(Alphabet(2), 3, {}))
+
+    def test_matches_reference_rows(self, rng):
+        # four colours: 64 unknowns, few draws
+        for kappa, draws in ((2, 8), (3, 8), (4, 3)):
+            for _ in range(draws):
+                T = random_range2(rng, kappa)
+                assert_same_family(solve_cycle3_system(T),
+                                   reference_family(*reference_cycle3_rows(T)))
 
 
 class TestCandidateKernels:
@@ -158,6 +273,13 @@ class TestFindProduct:
             table = z_table(product_context(report.symmetrized, list(rho)))
             assert all(v == 0 for v in table.values.values())
             assert check_product_line(tasep().jrm, list(rho)).invariant
+
+    def test_family_matches_symmetrized_reference(self, rng):
+        for kappa in (2, 3, 4):
+            for _ in range(8):
+                T = random_range2(rng, kappa)
+                assert_same_family(find_product(T).family,
+                                   reference_family(*reference_pair_rows(T)))
 
     def test_three_colour_uniform_rates_empty(self):
         report = find_product(tasep3(1, 1, 1).jrm)
