@@ -19,15 +19,20 @@ checks the cyclic window sums of length h = 4m + 2L - 1 on the words
 a[1..s] 0^(s-1) and, on success, produces a potential function W with
 Z(w) = W(suffix) - W(prefix), which certifies invariance by telescoping.
 
-All evaluations are exact over rationals; verdicts report the first
-violating word in lexicographic order.
+Window sums over all words of a length gather Z by the base-kappa codes of
+the windows: exact sums add Python-int numerators over one denominator,
+float sums add float64 values window by window, in the order of `sum`.
+Verdicts report the first violating word in lexicographic order.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word,
                    product_law)
@@ -36,6 +41,8 @@ from .scalars import DEFAULT_TOL, ScalarContext
 
 ZERO_DENOMINATOR_HINT = ("kernel has zero entries; invariance with partial support "
                          "must go through restrict_support on a closed sub-alphabet")
+# words per block of an array window-sum scan (rounded down to a power of kappa)
+SCAN_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -192,16 +199,6 @@ def cycle_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTa
     return _cycle_balance_direct(ctx, x)
 
 
-def cycle_window_sum(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
-    """The formal wrapped window sum of Z, defined for any n >= 1.
-
-    Coincides with cycle_balance for n >= m + L; for shorter words it is the
-    object entering the small-cycles criterion, not a cycle balance.
-    """
-    table = table or z_table(ctx)
-    return table.cyclic_window_sum(tuple(x))
-
-
 def _cyclic_weight(ctx: CriterionContext, x: Word):
     n = len(x)
     kernel = ctx.law.kernel
@@ -246,32 +243,6 @@ def cycle_jumps(T: JumpRateMatrix, x: Word):
     return inflow, exit_rate
 
 
-def deletion_defect(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
-    """Window sums of Z of x minus those of x with its middle letter deleted.
-
-    x has the critical length h = 2s - 1; the deleted position is s.
-    """
-    x = tuple(x)
-    if len(x) != ctx.critical_length:
-        raise ValueError(f"word must have length {ctx.critical_length}")
-    table = table or z_table(ctx)
-    s = ctx.window_length
-    shorter = x[:s - 1] + x[s:]
-    return table.window_sum(x) - table.window_sum(shorter)
-
-
-def replacement_defect(ctx: CriterionContext, x: Word, y: int,
-                       table: Optional[LocalBalanceTable] = None):
-    """Window sums of Z of x minus those of x with its middle letter set to y."""
-    x = tuple(x)
-    if len(x) != ctx.critical_length:
-        raise ValueError(f"word must have length {ctx.critical_length}")
-    table = table or z_table(ctx)
-    s = ctx.window_length
-    replaced = x[:s - 1] + (y,) + x[s:]
-    return table.window_sum(x) - table.window_sum(replaced)
-
-
 def line_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
     """Normalized stationarity balance of the cylinder word x on the line.
 
@@ -310,6 +281,72 @@ def line_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTab
             windows = sum(table.values[full[j:j + s]] for j in range(n + L - 1))
             total += weight * windows
     return total
+
+
+# ---------------------------------------------------------------------------
+# window sums of all words of a length, as array gathers
+# ---------------------------------------------------------------------------
+
+def _z_array(table: LocalBalanceTable):
+    """(entries, den): Z by the code of its index word (`Alphabet.encode`, the
+    order of `Alphabet.words`).  Exact entries are Python-int numerators over
+    one denominator; float ones are float64, or the raw values when an exact
+    rate table meets a float law, so that sums mix them as `sum` does."""
+    ctx = table.context
+    values = [table.values[w] for w in ctx.alphabet.words(ctx.window_length)]
+    den = 1
+    if ctx.scalar_context.exact:
+        den = math.lcm(*(Fraction(v).denominator for v in values))
+        values = [int(v * den) for v in values]
+    elif all(isinstance(v, float) or v == 0 for v in values):
+        return np.array(values, dtype=float), den
+    entries = np.empty(len(values), dtype=object)
+    entries[:] = values
+    return entries, den
+
+
+def _letters(kappa: int, length: int) -> list:
+    """The letter columns of all words of a length, in lexicographic order."""
+    return list(np.indices((kappa,) * length).reshape(length, kappa ** length))
+
+
+def _window_sums(ctx: CriterionContext, entries, columns, count: int, cyclic: bool):
+    """Sums of Z over the windows of `count` words given by their letter
+    columns (an int or an array per position): the n wrapped windows when
+    cyclic, else the n - s + 1 linear ones, added in window order from zero.
+    A window code rolls as code * kappa mod kappa^s + its last letter."""
+    kappa, s, n = ctx.alphabet.kappa, ctx.window_length, len(columns)
+    code = 0
+    for j in range(s - 1):
+        code = code * kappa + columns[j % n]
+    total = np.zeros(count, dtype=entries.dtype)
+    for i in range(n if cyclic else n - s + 1):
+        code = code * kappa % kappa ** s + columns[(i + s - 1) % n]
+        total = total + entries[code]
+    return total
+
+
+def _first_nonzero_cycle(ctx: CriterionContext, array, n: int):
+    """CriterionContext.first_nonzero over the cyclic words of length n and
+    their wrapped window sums, from the array table (entries, den).  Words
+    are scanned in lexicographic blocks: one prefix followed by all
+    kappa^t <= SCAN_BLOCK suffixes."""
+    entries, den = array
+    kappa, t = ctx.alphabet.kappa, 0
+    while t < n and kappa ** (t + 1) <= SCAN_BLOCK:
+        t += 1
+    suffixes = _letters(kappa, t)
+    for prefix in range(kappa ** (n - t)):
+        columns = list(ctx.alphabet.decode(prefix, n - t)) + suffixes
+        sums = _window_sums(ctx, entries, columns, kappa ** t, cyclic=True)
+        hits = np.flatnonzero(~ctx.is_zero(sums))
+        if hits.size:
+            total = sums[hits[0]]
+            value = Fraction(total, den) if ctx.scalar_context.exact else \
+                total.item() if isinstance(total, np.generic) else total
+            code = prefix * kappa ** t + int(hits[0])
+            return code + 1, (ctx.alphabet.decode(code, n), value)
+    return kappa ** n, None
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +463,14 @@ def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
     if ctx.memory < 1:
         raise ValueError("small-cycles decision needs kernel memory >= 1")
     table = z_table(ctx)
+    array = _z_array(table)
     lengths = range(ctx.memory + 1, ctx.alphabet.kappa ** ctx.memory + 1)
-    count, witness = ctx.first_nonzero(
-        itertools.chain.from_iterable(ctx.alphabet.words(n) for n in lengths),
-        table.cyclic_window_sum)
-    top = lengths[-1] if witness is None else len(witness[0])
+    count = 0
+    for top in lengths:
+        checked, witness = _first_nonzero_cycle(ctx, array, top)
+        count += checked
+        if witness is not None:
+            break
     evaluated = tuple(f"cycle-window-sum-{n}" for n in range(lengths[0], top + 1))
     if witness is not None:
         return CriterionReport(False, "small-cycles", witness=witness,
@@ -445,9 +485,11 @@ def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
     """Decide invariance of the cyclic chain law on Z/nZ (all kappa^n words)."""
     if n < 1:
         raise ValueError("cycle length must be >= 1")
-    table = z_table(ctx) if n >= ctx.memory + ctx.range_ else None
-    count, witness = ctx.first_nonzero(ctx.alphabet.words(n),
-                                       lambda x: cycle_balance(ctx, x, table))
+    if n >= ctx.memory + ctx.range_:
+        count, witness = _first_nonzero_cycle(ctx, _z_array(z_table(ctx)), n)
+    else:
+        count, witness = ctx.first_nonzero(ctx.alphabet.words(n),
+                                           lambda x: _cycle_balance_direct(ctx, x))
     return CriterionReport(witness is None, f"cycle-{n}", witness=witness,
                            words_checked=count)
 
@@ -464,53 +506,41 @@ def equivalence_panel(ctx: CriterionContext) -> dict:
     recomputes each one independently so that agreement can be tested.
     """
     table = z_table(ctx)
-    s, h = ctx.window_length, ctx.critical_length
-    zero = ctx.is_zero
+    entries, _ = array = _z_array(table)
+    kappa, s, h = ctx.alphabet.kappa, ctx.window_length, ctx.critical_length
 
-    def window_sums(length):
-        return {x: table.window_sum(x) for x in ctx.alphabet.words(length)}
+    def zero(sums):
+        return bool(ctx.is_zero(sums).all())
 
-    sums_h = window_sums(h)
-    sums_h1 = window_sums(h - 1)
-
-    replace_anchor = all(zero(sums_h[w] - sums_h[w[:s - 1] + (0,) + w[s:]])
-                         for w in _anchor_words(ctx))
-    replace_all = all(zero(sums_h[x] - sums_h[x[:s - 1] + (y,) + x[s:]])
-                      for x in ctx.alphabet.words(h) for y in ctx.alphabet.letters)
-    delete_anchor = all(zero(sums_h[w] - sums_h1[w[:s - 1] + w[s:]])
-                        for w in _anchor_words(ctx))
-    delete_all = all(zero(sums_h[x] - sums_h1[x[:s - 1] + x[s:]])
-                     for x in ctx.alphabet.words(h))
-
-    def cycles_zero(n):
-        return all(zero(table.cyclic_window_sum(x)) for x in ctx.alphabet.words(n))
-
-    cycle_results = {n: cycles_zero(n) for n in range(ctx.memory + ctx.range_, h + 1)}
-    cycle_all = all(cycle_results.values())
-    cycle_critical = cycle_results[h]
-    cycle_anchor = all(zero(table.cyclic_window_sum(w)) for w in _anchor_words(ctx))
-
-    certificate = potential_from_table(table)
-    potential_exists = certificate.check(table)
-
-    # the line-invariance predicate is decided by the anchor criterion,
-    # which the other eight are provably equivalent to
-    line_invariant = cycle_anchor
-
+    sums_h, sums_h1 = (_window_sums(ctx, entries, _letters(kappa, n), kappa ** n, cyclic=False)
+                       for n in (h, h - 1))
+    # the middle letter (position s) of an h-word has place value kappa^(h-s)
+    codes, place = np.arange(kappa ** h), kappa ** (h - s)
+    middle = codes // place % kappa
+    deleted = codes // (place * kappa) * place + codes % place
+    anchors = np.arange(kappa ** s) * place  # a[1..s] 0^(s-1), as h - s = s - 1
+    cycles = {n: _first_nonzero_cycle(ctx, array, n)[1] is None
+              for n in range(ctx.memory + ctx.range_, h + 1)}
+    cycle_anchor = zero(_window_sums(ctx, entries, _letters(kappa, s) + [0] * (s - 1),
+                                     kappa ** s, cyclic=True))
     panel = {
-        "line_invariant": line_invariant,
-        "replacement_anchor_zero": replace_anchor,
-        "replacement_all_zero": replace_all,
-        "deletion_anchor_zero": delete_anchor,
-        "deletion_all_zero": delete_all,
-        "cycles_zero_all_lengths": cycle_all,
-        "cycle_zero_critical_length": cycle_critical,
+        # the line-invariance predicate is decided by the anchor criterion,
+        # which the other eight are provably equivalent to
+        "line_invariant": cycle_anchor,
+        "replacement_anchor_zero": zero(sums_h[anchors]
+                                        - sums_h[anchors - middle[anchors] * place]),
+        "replacement_all_zero": all(zero(sums_h - sums_h[codes + (y - middle) * place])
+                                    for y in ctx.alphabet.letters),
+        "deletion_anchor_zero": zero(sums_h[anchors] - sums_h1[deleted[anchors]]),
+        "deletion_all_zero": zero(sums_h - sums_h1[deleted]),
+        "cycles_zero_all_lengths": all(cycles.values()),
+        "cycle_zero_critical_length": cycles[h],
         "cycle_zero_anchor_words": cycle_anchor,
-        "potential_certificate_exists": potential_exists,
+        "potential_certificate_exists": potential_from_table(table).check(table),
     }
     if (ctx.memory, ctx.range_) == (1, 2):
-        panel["paired_lengths_6_5"] = cycle_results[6] and cycle_results[5]
-        panel["paired_lengths_6_4"] = cycle_results[6] and cycle_results[4]
+        panel["paired_lengths_6_5"] = cycles[6] and cycles[5]
+        panel["paired_lengths_6_4"] = cycles[6] and cycles[4]
     return panel
 
 
@@ -555,8 +585,7 @@ def check_product_general_graph(T: JumpRateMatrix, rho, p: PairRateField,
         return CriterionReport(True, "pair-rates-zero")
     if p.is_symmetric:
         ctx = product_context(T, rho, tol)
-        count, witness = ctx.first_nonzero(ctx.alphabet.words(2),
-                                           z_table(ctx).cyclic_window_sum)
+        count, witness = _first_nonzero_cycle(ctx, _z_array(z_table(ctx)), 2)
         return CriterionReport(witness is None, "symmetric-pair-cycle2", witness=witness,
                                words_checked=count)
     report = check_product_line(T, rho, tol)

@@ -76,41 +76,42 @@ def bold_z_table(T2: JumpRateMatrix, rho) -> Mapping[Word, object]:
     return z_table(product_context(T2, _check_marginal(T2, rho))).values
 
 
-def bold_z(T2: JumpRateMatrix, rho, pattern: Word):
-    return bold_z_table(T2, rho)[tuple(pattern)]
-
-
 def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int],
                    table: Optional[Mapping[Word, object]] = None,
                    cache: Optional[dict] = None):
     """Partial boldZ of a square: cells in `overlap` (positions within the
     2x2 square) are pinned to letters, the free cells are integrated against
     rho.  With all four cells pinned this is boldZ itself."""
-    key = tuple(sorted(overlap.items()))
-    if cache is not None and key in cache:
-        return cache[key]
     rho = _check_marginal(T2, rho)
     if table is None:
         table = bold_z_table(T2, rho)
-    overlap = dict(overlap)
     unknown = [c for c in overlap if c not in SQUARE_CELLS]
     if unknown:
         raise ValueError(f"cells {unknown} are not inside the 2x2 square")
     if not overlap:
         raise ValueError("overlap must pin at least one cell")
-    free = [k for k, c in enumerate(SQUARE_CELLS) if c not in overlap]
-    base = [overlap.get(c, 0) for c in SQUARE_CELLS]
-    total = Fraction(0)
-    for letters in itertools.product(T2.alphabet.letters, repeat=len(free)):
-        w = list(base)
-        weight = Fraction(1)
-        for k, a in zip(free, letters):
-            w[k] = a
-            weight *= rho[a]
-        total += table[tuple(w)] * weight
-    if cache is not None:
+    return _partial(T2, rho, tuple(sorted(overlap.items())), table,
+                    {} if cache is None else cache)
+
+
+def _partial(T2: JumpRateMatrix, rho: List, key: Tuple, table: Mapping[Word, object],
+             cache: dict):
+    """bold_z_partial for a checked marginal, the overlap given as its
+    (cell, letter) pairs in SQUARE_CELLS order, memoized in `cache`."""
+    if key not in cache:
+        overlap = dict(key)
+        free = [k for k, c in enumerate(SQUARE_CELLS) if c not in overlap]
+        base = [overlap.get(c, 0) for c in SQUARE_CELLS]
+        total = Fraction(0)
+        for letters in itertools.product(T2.alphabet.letters, repeat=len(free)):
+            w = list(base)
+            weight = Fraction(1)
+            for k, a in zip(free, letters):
+                w[k] = a
+                weight *= rho[a]
+            total += table[tuple(w)] * weight
         cache[key] = total
-    return total
+    return cache[key]
 
 
 def _anchors_meeting(shape: Shape) -> List[Cell]:
@@ -130,16 +131,18 @@ def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word,
         raise ValueError("pattern length does not match the shape")
     if table is None:
         table = bold_z_table(T2, rho)
-    letters = dict(zip(shape.cells, pattern))
     total = Fraction(0)
-    for (ai, aj) in _anchors_meeting(shape):
-        overlap = {}
-        for (di, dj) in SQUARE_CELLS:
-            cell = (ai + di, aj + dj)
-            if cell in letters:
-                overlap[(di, dj)] = letters[cell]
-        total += bold_z_partial(T2, rho, overlap, table)
+    for overlap in _overlaps(shape.cells, _anchors_meeting(shape)):
+        total += _partial(T2, rho, tuple((e, pattern[k]) for e, k in overlap), table, {})
     return total
+
+
+def _overlaps(cells, anchors) -> List[Tuple]:
+    """For the square at each anchor, its cells among `cells` as (position in
+    the square, index in `cells`) pairs in SQUARE_CELLS order."""
+    index = {c: k for k, c in enumerate(cells)}
+    return [tuple(((di, dj), index[(ai + di, aj + dj)]) for (di, dj) in SQUARE_CELLS
+                  if (ai + di, aj + dj) in index) for (ai, aj) in anchors]
 
 
 def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> CriterionReport:
@@ -159,9 +162,9 @@ def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Crite
     if witness is not None:
         return CriterionReport(False, "corner-balance", witness=witness, words_checked=corners)
     cache: dict = {}
+    plan = _growth_plan(GAMMA1, (1, 1))
     count, witness = ctx.first_nonzero(
-        T2.alphabet.words(len(GAMMA2)),
-        lambda x: growth_difference(T2, rho, GAMMA1, (1, 1), x, table, cache))
+        T2.alphabet.words(len(GAMMA2)), lambda x: _growth(T2, rho, plan, x, table, cache))
     if witness is not None:
         return CriterionReport(False, "cell-addition-balance", witness=witness,
                                words_checked=corners + count)
@@ -186,21 +189,26 @@ def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern
         table = bold_z_table(T2, rho)
     if cell in shape:
         raise ValueError("cell already belongs to the shape")
-    letters = dict(zip(sorted(shape.cells + (cell,)), pattern))
+    return _growth(T2, rho, _growth_plan(shape, cell), pattern, table,
+                   {} if cache is None else cache)
+
+
+def _growth_plan(shape: Shape, cell: Cell) -> List[Tuple[Tuple, Tuple]]:
+    """For each square containing `cell`, its overlaps (see _overlaps) with
+    the grown shape and with the old one, indexed in the grown pattern."""
+    anchors = [(cell[0] - di, cell[1] - dj) for (di, dj) in SQUARE_CELLS]
+    grown = _overlaps(sorted(shape.cells + (cell,)), anchors)
+    return [(new, tuple(p for p in new if p[0] != d)) for d, new in zip(SQUARE_CELLS, grown)]
+
+
+def _growth(T2: JumpRateMatrix, rho: List, plan, pattern: Word,
+            table: Mapping[Word, object], cache: dict):
+    """growth_difference for a checked marginal, along a _growth_plan."""
     total = Fraction(0)
-    for (di, dj) in SQUARE_CELLS:
-        ai, aj = cell[0] - di, cell[1] - dj
-        new_overlap = {}
-        old_overlap = {}
-        for (ei, ej) in SQUARE_CELLS:
-            spot = (ai + ei, aj + ej)
-            if spot in letters:
-                new_overlap[(ei, ej)] = letters[spot]
-                if spot != cell:
-                    old_overlap[(ei, ej)] = letters[spot]
-        total += bold_z_partial(T2, rho, new_overlap, table, cache)
-        if old_overlap:
-            total -= bold_z_partial(T2, rho, old_overlap, table, cache)
+    for new, old in plan:
+        total += _partial(T2, rho, tuple((e, pattern[k]) for e, k in new), table, cache)
+        if old:
+            total -= _partial(T2, rho, tuple((e, pattern[k]) for e, k in old), table, cache)
     return total
 
 
@@ -221,15 +229,15 @@ def check_product_2d_incremental(T2: JumpRateMatrix, rho,
         return CriterionReport(False, "single-cell-balance", witness=witness,
                                words_checked=cells)
     block = hypercube(3)
-    shapes = {subset: Shape(subset) for size in range(1, len(block))
-              for subset in itertools.combinations(block.cells, size)}
-    growths = ((subset, cell, pattern) for subset in shapes
-               for cell in block.cells if cell not in subset
+    plans = {(subset, cell): _growth_plan(Shape(subset), cell)
+             for size in range(1, len(block))
+             for subset in itertools.combinations(block.cells, size)
+             for cell in block.cells if cell not in subset}
+    growths = ((subset, cell, pattern) for subset, cell in plans
                for pattern in T2.alphabet.words(len(subset) + 1))
     cache: dict = {}
     count, witness = ctx.first_nonzero(
-        growths, lambda growth: growth_difference(T2, rho, shapes[growth[0]], growth[1],
-                                                  growth[2], table, cache))
+        growths, lambda growth: _growth(T2, rho, plans[growth[:2]], growth[2], table, cache))
     if witness is not None:
         return CriterionReport(False, "growth-balance", witness=witness,
                                words_checked=cells + count)

@@ -315,6 +315,12 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, jumps) -> FiniteGe
     return FiniteGenerator(space, alphabet, n_sites, indptr, targets, rate, exits, scale)
 
 
+def check_state_cap(alphabet: Alphabet, n_sites: int, max_states: int = DEFAULT_STATE_CAP):
+    """Raise StateCapExceeded when kappa^n_sites configurations exceed the cap."""
+    if alphabet.kappa ** n_sites > max_states:
+        raise StateCapExceeded(f"{alphabet.kappa ** n_sites} states exceed the cap {max_states}")
+
+
 def build_generator(T: JumpRateMatrix, space: Space,
                     max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
     """Explicit sparse generator of the particle system on a finite space."""
@@ -324,9 +330,7 @@ def build_generator(T: JumpRateMatrix, space: Space,
         raise ValueError(f"size {space.n} must be >= 1")
     alphabet = T.alphabet
     n_sites = space.n * space.n if isinstance(space, TorusSpace) else space.n
-    n_states = alphabet.kappa ** n_sites
-    if n_states > max_states:
-        raise StateCapExceeded(f"{n_states} states exceed the cap {max_states}")
+    check_state_cap(alphabet, n_sites, max_states)
     if isinstance(space, CycleSpace) and space.n < T.range_:
         jumps = _pairwise_jumps(T, n_sites)
     else:

@@ -119,16 +119,17 @@ def _polytope_vertices(solution: LinearSolution, max_dim: int = 3):
     return sorted(vertices)
 
 
-def _affine_contains(solution: LinearSolution, point) -> bool:
-    """Exact membership of a point in the affine solution set."""
+def _affine_contains(solution: LinearSolution, point, pivot) -> bool:
+    """Membership of a point in the affine solution set, up to the pivot
+    tolerance of the system (0 for exact systems)."""
     if solution.status == "empty":
         return False
     diff = [p - q for p, q in zip(point, solution.particular)]
     if solution.dimension == 0:
-        return all(d == 0 for d in diff)
+        return all(abs(d) <= pivot for d in diff)
     A = [[solution.basis[k][i] for k in range(solution.dimension)]
          for i in range(len(diff))]
-    return solve_linear(A, diff).status != "empty"
+    return solve_linear(A, diff, pivot).status != "empty"
 
 
 def _trial_marginals(kappa: int):
@@ -159,9 +160,9 @@ def _family(variables, solution: LinearSolution) -> AffineFamily:
 
 def _cycle_system(T: JumpRateMatrix, n: int):
     """The length-n cyclic balances of T as rows over the weights of the
-    words of length n, and the family of rotation-invariant probability
-    vectors they kill.  Float systems pivot above the balance tolerance, so
-    that rounding noise does not decide their rank."""
+    words of length n, the family of rotation-invariant probability vectors
+    they kill, and its pivot tolerance: float systems pivot above the
+    balance tolerance, so that rounding noise does not decide their rank."""
     variables = list(T.alphabet.words(n))
     pos = {w: i for i, w in enumerate(variables)}
     rows: List[List] = []
@@ -184,7 +185,7 @@ def _cycle_system(T: JumpRateMatrix, n: int):
     rhs = [Fraction(0)] * (len(system) - 1) + [Fraction(1)]
     balances = ScalarContext.for_balances(T, True)
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
-    return rows, _family(variables, solve_linear(system, rhs, pivot))
+    return rows, _family(variables, solve_linear(system, rhs, pivot)), pivot
 
 
 def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
@@ -450,7 +451,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     if T.range_ != 2:
         raise ValueError("product search needs range 2")
     kappa = T.alphabet.kappa
-    rows, family = _cycle_system(T, 2)
+    rows, family, pivot = _cycle_system(T, 2)
     variables = family.variables
 
     candidates: List[Tuple[Tuple, CriterionReport]] = []
@@ -479,7 +480,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     # rank-one trial points: product tables that happen to lie in the family
     for rho in _trial_marginals(kappa):
         point = [rho[u] * rho[v] for u, v in variables]
-        if _affine_contains(family.solution, point):
+        if _affine_contains(family.solution, point, pivot):
             consider(rho)
 
     bernoulli_all = False

@@ -274,6 +274,25 @@ class TestInputErrors:
         assert out == ""
 
 
+    @pytest.mark.parametrize("argv", [["verify-cycle", "--n", "24"],
+                                      ["--max-states", "1000", "verify-cycle", "--n", "12"]],
+                             ids=["n24-default-cap", "n12-cap-1000"])
+    def test_verify_cycle_checks_the_cap_before_the_decider(self, tmp_path, capsys,
+                                                            monkeypatch, argv):
+        path = write_model(tmp_path, "stochastic_ising", params={"x": "1/2"})
+
+        def decider(ctx, n):
+            raise AssertionError("the decider ran above the state cap")
+        monkeypatch.setattr(criteria, "check_markov_cycle", decider)
+        *options, command, flag, n = argv
+        start = time.perf_counter()
+        code, out, err = run(capsys, *options, command, path, flag, n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert err.startswith("resource cap: ")
+        assert out == ""
+
+
 TASEP_LAWS = {"rho": ["1/2", "1/2"], "memory": 1,
               "kernel": [["1/2", "1/2"], ["1/2", "1/2"]]}
 # one call of each report subcommand: (model, builder parameters, extra keys, arguments)

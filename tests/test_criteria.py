@@ -7,11 +7,10 @@ from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel, induced_rate_cycl
 from psinv.criteria import (check_markov_cycle, check_markov_line,
                             check_markov_small_cycles, check_product_cycle,
                             check_product_general_graph, check_product_line,
-                            cycle_balance, cycle_window_sum, deletion_defect,
-                            equivalence_panel, has_detailed_balance_product,
-                            is_reversible_for_chain, line_balance, markov_context,
-                            PairRateField, product_context,
-                            replacement_defect, restrict_support, symmetrize,
+                            cycle_balance, equivalence_panel,
+                            has_detailed_balance_product, is_reversible_for_chain,
+                            line_balance, markov_context, PairRateField,
+                            product_context, restrict_support, symmetrize,
                             tail_bounds_advisory, z_table)
 from psinv.models import contact, hmc_example, stochastic_ising, tasep, tasep3, voter
 
@@ -49,6 +48,28 @@ def reference_cycle_balances(ctx, n):
         outflow = sum((rate[(x, w)] for w in others), F(0))
         balances[x] = (inflow - weight[x] * outflow) / weight[x]
     return balances
+
+
+def cycle_window_sum(ctx, x, table=None):
+    """The formal wrapped window sum of Z, defined for any n >= 1: the cycle
+    balance for n >= m + L, the small-cycles criterion object below."""
+    return (table or z_table(ctx)).cyclic_window_sum(tuple(x))
+
+
+def deletion_defect(ctx, x, table=None):
+    """Window sums of Z of the critical-length word x minus those of x with
+    its middle letter (position s) deleted."""
+    table = table or z_table(ctx)
+    s = ctx.window_length
+    return table.window_sum(x) - table.window_sum(x[:s - 1] + x[s:])
+
+
+def replacement_defect(ctx, x, y, table=None):
+    """Window sums of Z of the critical-length word x minus those of x with
+    its middle letter set to y."""
+    table = table or z_table(ctx)
+    s = ctx.window_length
+    return table.window_sum(x) - table.window_sum(x[:s - 1] + (y,) + x[s:])
 
 
 def periodic_moves(rng, alphabet, range_, count=3):

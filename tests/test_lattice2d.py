@@ -6,7 +6,7 @@ import pytest
 from psinv.core import Alphabet, JumpRateMatrix
 from psinv.criteria import CriterionReport, product_context
 from psinv.lattice2d import (GAMMA0, GAMMA1, GAMMA2, SQUARE_CELLS, Shape,
-                             bold_z, bold_z_partial, bold_z_table,
+                             bold_z_partial, bold_z_table,
                              check_bold_z_sufficient, check_multinomial_preservation,
                              check_product_2d, check_product_2d_incremental,
                              growth_difference, hypercube, line_balance_2d,
@@ -16,6 +16,10 @@ from psinv.models import (ball_cycle_2d, ball_move_2d, catalog, flip_2d, pair_fl
                           rotation_2d, three_colour_flip_2d, urn_shift_2d)
 
 F = Fraction
+
+
+def bold_z(T2, rho, pattern):
+    return bold_z_table(T2, rho)[tuple(pattern)]
 
 
 def random_square(rng, kappa=2, entries=3):

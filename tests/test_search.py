@@ -281,6 +281,16 @@ class TestFindProduct:
                 assert_same_family(find_product(T).family,
                                    reference_family(*reference_pair_rows(T)))
 
+    @pytest.mark.parametrize("spec", [tasep(), tasep3(1, 2, 1)], ids=["tasep", "tasep3_121"])
+    def test_float_and_exact_list_the_same_candidates(self, spec):
+        # trial marginals in the family pass its membership test at the
+        # pivot tolerance of the float system, not at tolerance 0
+        T = spec.jrm
+        floated = JumpRateMatrix(T.alphabet, 2, {(u, v): float(r) for u, v, r in T.entries()})
+        exact = [rho for rho, _ in find_product(T).candidates]
+        assert len(exact) >= 4
+        assert [rho for rho, _ in find_product(floated).candidates] == exact
+
     def test_three_colour_uniform_rates_empty(self):
         report = find_product(tasep3(1, 1, 1).jrm)
         assert not report.candidates
