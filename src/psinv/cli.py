@@ -367,12 +367,15 @@ def _cmd_segment(args, model: ModelFile):
     if model.beta is None:
         raise ModelFileError("segment check needs beta_left/beta_right "
                              "(or --construct-boundaries)")
+    oracle.check_state_cap(model.jrm.alphabet, args.n + 1, args.max_states)
     report = segment.check_segment(ctx, model.beta, args.n)
     return report_json(report), _verdict_exit(report.invariant)
 
 
 def _cmd_equivalences(args, model: ModelFile):
-    panel = criteria.equivalence_panel(_law_from_file(model, args.tol))
+    ctx = _law_from_file(model, args.tol)
+    oracle.check_state_cap(model.jrm.alphabet, ctx.critical_length, args.max_states)
+    panel = criteria.equivalence_panel(ctx)
     doc = {"verdict": "agree" if len(set(panel.values())) == 1 else "disagree",
            "criterion": "equivalence-panel",
            "panel": {k: bool(v) for k, v in panel.items()}}

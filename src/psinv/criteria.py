@@ -6,10 +6,11 @@ of length s = 2m + L (an m-letter context on each side of an L-letter
 window) and measures the normalized inflow-minus-outflow rate of the window
 given its context:
 
-    Z(a, b, c) = sum_u T[u -> b] * prod_j M(w'_j..) / M(w_j..)  -  T_out(b)
+    Z(a b c) = (sum_u T[u -> b] * P(a u c) - T_out(b) * P(a b c)) / P(a b c)
 
-with w = a b c and w' = a u c, the products running over all (m+1)-windows.
-For m = 0 the context disappears and the weights are plain marginal ratios.
+with P(w) = prod_j M(w_j .. w_j+m) the chain weight of w over all its
+(m+1)-windows.  For m = 0 the context disappears and the weights are plain
+marginal ratios.
 
 Sums of Z over sliding windows reproduce the stationarity balance of cylinder
 words (line) and of cyclic words (cycles), once normalized by the chain
@@ -19,18 +20,23 @@ checks the cyclic window sums of length h = 4m + 2L - 1 on the words
 a[1..s] 0^(s-1) and, on success, produces a potential function W with
 Z(w) = W(suffix) - W(prefix), which certifies invariance by telescoping.
 
-Window sums over all words of a length gather Z by the base-kappa codes of
-the windows: exact sums add Python-int numerators over one denominator,
-float sums add float64 values window by window, in the order of `sum`.
-Verdicts report the first violating word in lexicographic order.
+Z is an array over the base-kappa codes of its index words (the order of
+`Alphabet.words`), built from one product array holding P of every index
+word, gathered from the kernel's step weights by window codes.  Exact
+tables hold Python-int numerators over one common denominator; float tables
+hold float64, the products taken in step order and the inflow terms added
+in the order of T.entries(), as scalar arithmetic adds them.  Window sums
+gather Z by window codes, one block of words at a time, window by window
+from zero.  Verdicts report the first violating word in lexicographic order.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -114,71 +120,103 @@ def product_context(T: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Criteri
     return CriterionContext(T, product_law(rho), tol)
 
 
+class WordTable(Mapping):
+    """Scalars over all words of one length, by the base-kappa code of the
+    word (`Alphabet.encode`, the order of `Alphabet.words`): exact tables
+    hold Python-int numerators over the one denominator `den`; float tables
+    hold float64, `exact_zero` marking the entries that scalar arithmetic
+    leaves an exact 0 (windows no jump touches); tables from exact and float
+    inputs hold the raw scalars, so that sums mix them as `sum` does."""
+
+    def __init__(self, alphabet: Alphabet, length: int, entries: np.ndarray,
+                 den: Optional[int] = None, exact_zero: Optional[np.ndarray] = None):
+        self.alphabet, self.length, self.entries = alphabet, length, entries
+        self.den, self.exact_zero = den, exact_zero
+
+    def __getitem__(self, word: Word):
+        if len(word) != self.length:
+            raise KeyError(word)
+        code = self.alphabet.encode(word)
+        if self.exact_zero is not None and self.exact_zero[code]:
+            return Fraction(0)
+        return _scalar(self.entries[code], self.den)
+
+    def __iter__(self):
+        return self.alphabet.words(self.length)
+
+    def __len__(self) -> int:
+        return self.alphabet.kappa ** self.length
+
+
+def _scalar(value, den: Optional[int]):
+    """An entry, or a sum of entries, as a scalar (a Fraction when exact)."""
+    return Fraction(value, den) if den is not None else \
+        value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class LocalBalanceTable:
     """The table Z over all words of length s = 2m + L."""
 
     context: CriterionContext
-    values: Mapping[Word, object]
+    values: WordTable
 
     def __getitem__(self, word: Word):
-        return self.values[tuple(word)]
-
-    def window_sum(self, word: Word):
-        """Sum of Z over the sliding length-s windows of a linear word."""
-        s = self.context.window_length
-        return sum(self.values[tuple(word[i:i + s])] for i in range(len(word) - s + 1))
-
-    def cyclic_window_sum(self, word: Word):
-        """Sum of Z over the n wrapped length-s windows of a cyclic word."""
-        n = len(word)
-        s = self.context.window_length
-        return sum(self.values[tuple(word[(i + j) % n] for j in range(s))] for i in range(n))
+        return self.values[word]
 
 
 def z_table(ctx: CriterionContext) -> LocalBalanceTable:
     """Fill the local balance table Z for all kappa^(2m+L) index words."""
-    m, L = ctx.memory, ctx.range_
-    kernel = ctx.law.kernel
-    values: Dict[Word, object] = {}
-    out_rates = {b: ctx.T.out_rate(b) for b in ctx.alphabet.words(L)}
-    into = _moves_into(ctx.T)
-    for a in ctx.alphabet.words(m):
-        for c in ctx.alphabet.words(m):
-            for b in ctx.alphabet.words(L):
-                values[a + b + c] = _inflow(kernel, into.get(b, ()), a, b, c, -out_rates[b])
-    return LocalBalanceTable(ctx, values)
+    start = [-ctx.T.out_rate(b) for b in ctx.alphabet.words(ctx.range_)]
+    return LocalBalanceTable(ctx, _balance_table(ctx, start))
 
 
-def _moves_into(T: JumpRateMatrix) -> Dict[Word, list]:
-    """The moves of T as target -> [(source, rate)], each list in entry order."""
-    into: Dict[Word, list] = {}
-    for u, v, rate in T.entries():
-        into.setdefault(v, []).append((u, rate))
-    return into
-
-
-def _inflow(kernel: MarkovKernel, moves, a: Word, b: Word, c: Word, start):
-    """start + sum_u T[u -> b] * M(a u c) / M(a b c) over the moves (u, rate)
-    into b, the chain weights M running over the (m+1)-windows; terms are
-    added in the order of moves."""
-    m = kernel.memory
-    steps = range(m + len(b))
-    w = a + b + c
-    denom = Fraction(1)
-    for j in steps:
-        step = kernel.step_weight(w[j:j + m + 1])
-        if step == 0:
-            raise ZeroDivisionError(ZERO_DENOMINATOR_HINT)
-        denom *= step
-    total = start
-    for u, rate in moves:
-        wp = a + u + c
-        num = Fraction(1)
-        for j in steps:
-            num *= kernel.step_weight(wp[j:j + m + 1])
-        total += rate * num / denom
-    return total
+def _balance_table(ctx: CriterionContext, start: list) -> WordTable:
+    """start[b] + sum_u T[u -> b] * P(a u c) / P(a b c) for every index word
+    a b c, with start listed by the code of b, the terms added in the order
+    of T.entries(), and P the chain weight: the product of the kernel's step
+    weights over the (m+1)-windows, taken in step order."""
+    alphabet, m, L = ctx.alphabet, ctx.memory, ctx.range_
+    kappa, s = alphabet.kappa, ctx.window_length
+    weights = [ctx.law.kernel.step_weight(w) for w in alphabet.words(m + 1)]
+    moves = list(ctx.T.entries())
+    rates = [rate for _, _, rate in moves]
+    codes = np.arange(kappa ** s)
+    b = codes // kappa ** m % kappa ** L
+    # the codes of a 0^L c; a move u -> v at (a, c) reads a u c and writes a v c
+    sides = (codes[:kappa ** m, None] * kappa ** (m + L) + codes[:kappa ** m]).ravel()
+    source, target = (np.array([alphabet.encode(w[k]) for w in moves], dtype=np.int64)
+                      .reshape(-1, 1) * kappa ** m + sides for k in (0, 1))
+    den = exact_zero = None
+    if ctx.scalar_context.exact:
+        scale = math.lcm(*(Fraction(w).denominator for w in weights))
+        weights = [int(w * scale) for w in weights]
+        scale = math.lcm(*(Fraction(x).denominator for x in rates + start))
+        rates, start = ([int(x * scale) for x in xs] for xs in (rates, start))
+        dtype = object
+    else:
+        dtype = float if all(isinstance(x, float) for x in weights + rates) else object
+        if dtype is float:
+            untouched = np.array([not isinstance(x, float) for x in start])
+            untouched[[alphabet.encode(v) for _, v, _ in moves]] = False
+            exact_zero = untouched[b]
+    weights, rates = np.array(weights, dtype=dtype), np.array(rates, dtype=dtype)[:, None]
+    chain = weights[codes // kappa ** (s - 1 - m)]
+    for j in range(1, m + L):
+        chain = chain * weights[codes // kappa ** (s - 1 - m - j) % kappa ** (m + 1)]
+    total = np.array(start, dtype=dtype)[b]
+    if ctx.scalar_context.exact:
+        # numerators over scale * P(a b c), then reduced to one denominator
+        total = total * chain
+        np.add.at(total, target.ravel(), (rates * chain[source]).ravel())
+        den = scale * chain
+        common = np.gcd(total, den)
+        total, den = total // common, den // common
+        common = math.lcm(*den)
+        total, den = total * (common // den), common
+    else:
+        np.add.at(total, target.ravel(), (rates * chain[source] / chain[target]).ravel())
+    return WordTable(alphabet, s, total, den, exact_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +232,18 @@ def cycle_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTa
     """
     x = tuple(x)
     if len(x) >= ctx.memory + ctx.range_:
-        table = table or z_table(ctx)
-        return table.cyclic_window_sum(x)
+        values = (table or z_table(ctx)).values
+        return _scalar(_window_sums(ctx, values.entries, x, 1, cyclic=True)[0], values.den)
     return _cycle_balance_direct(ctx, x)
 
 
-def _cyclic_weight(ctx: CriterionContext, x: Word):
-    n = len(x)
-    kernel = ctx.law.kernel
-    weight = Fraction(1)
-    for j in range(n):
-        window = tuple(x[(j + i) % n] for i in range(ctx.memory + 1))
-        weight *= kernel.step_weight(window)
-    return weight
-
-
 def _cycle_balance_direct(ctx: CriterionContext, x: Word):
+    def weight(w):  # the chain weight of a cyclic word over its wrapped windows
+        return ctx.law.kernel.word_weight((w * (ctx.memory + 1))[:len(w) + ctx.memory])
+
     inflow, exit_rate = cycle_jumps(ctx.T, x)
-    weight = _cyclic_weight(ctx, x)
-    total_in = sum(_cyclic_weight(ctx, w) * rate for w, rate in inflow)
-    return (total_in - weight * exit_rate) / weight
+    total_in = sum(weight(w) * rate for w, rate in inflow)
+    return (total_in - weight(x) * exit_rate) / weight(x)
 
 
 def cycle_jumps(T: JumpRateMatrix, x: Word):
@@ -255,55 +285,28 @@ def line_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTab
     n = len(x)
     if n < 1:
         raise ValueError("word must be nonempty")
-    table = table or z_table(ctx)
-    m, L = ctx.memory, ctx.range_
-    s = ctx.window_length
-    q = m + L - 1
-    kernel = ctx.law.kernel
-    law = ctx.law
+    m = ctx.memory
+    q = m + ctx.range_ - 1
+    values = (table or z_table(ctx)).values
     # chain-weight windows of x divided out by the normalization
     # (empty when n <= m: the balance is then not normalized)
-    normalized = set(range(q, q + n - m)) if m else set(range(q, q + n))
+    normalized = set(range(q, q + n - m))
     total = Fraction(0)
     for left in ctx.alphabet.words(q):
         for right in ctx.alphabet.words(q):
             full = left + x + right
-            if m:
-                weight = law.rho[full[:m]]
-                for j in range(len(full) - m):
-                    if j not in normalized:
-                        weight *= kernel.step_weight(full[j:j + m + 1])
-            else:
-                weight = Fraction(1)
-                for j in range(len(full)):
-                    if j not in normalized:
-                        weight *= kernel.step_weight(full[j:j + 1])
-            windows = sum(table.values[full[j:j + s]] for j in range(n + L - 1))
-            total += weight * windows
+            weight = ctx.law.rho[full[:m]] if m else Fraction(1)
+            for j in range(len(full) - m):
+                if j not in normalized:
+                    weight *= ctx.law.kernel.step_weight(full[j:j + m + 1])
+            windows = _window_sums(ctx, values.entries, full, 1, cyclic=False)[0]
+            total += weight * _scalar(windows, values.den)
     return total
 
 
 # ---------------------------------------------------------------------------
 # window sums of all words of a length, as array gathers
 # ---------------------------------------------------------------------------
-
-def _z_array(table: LocalBalanceTable):
-    """(entries, den): Z by the code of its index word (`Alphabet.encode`, the
-    order of `Alphabet.words`).  Exact entries are Python-int numerators over
-    one denominator; float ones are float64, or the raw values when an exact
-    rate table meets a float law, so that sums mix them as `sum` does."""
-    ctx = table.context
-    values = [table.values[w] for w in ctx.alphabet.words(ctx.window_length)]
-    den = 1
-    if ctx.scalar_context.exact:
-        den = math.lcm(*(Fraction(v).denominator for v in values))
-        values = [int(v * den) for v in values]
-    elif all(isinstance(v, float) or v == 0 for v in values):
-        return np.array(values, dtype=float), den
-    entries = np.empty(len(values), dtype=object)
-    entries[:] = values
-    return entries, den
-
 
 def _letters(kappa: int, length: int) -> list:
     """The letter columns of all words of a length, in lexicographic order."""
@@ -326,27 +329,30 @@ def _window_sums(ctx: CriterionContext, entries, columns, count: int, cyclic: bo
     return total
 
 
-def _first_nonzero_cycle(ctx: CriterionContext, array, n: int):
-    """CriterionContext.first_nonzero over the cyclic words of length n and
-    their wrapped window sums, from the array table (entries, den).  Words
-    are scanned in lexicographic blocks: one prefix followed by all
-    kappa^t <= SCAN_BLOCK suffixes."""
-    entries, den = array
+def _scan_words(ctx: CriterionContext, n: int, balances, den: Optional[int], pad: Word = ()):
+    """CriterionContext.first_nonzero over the words x + pad, x running over
+    all words of length n in lexicographic order, in blocks of one prefix and
+    all kappa^t <= SCAN_BLOCK suffixes: balances(columns, count) gives a
+    block's balances (numerators over den when exact) from its letters."""
     kappa, t = ctx.alphabet.kappa, 0
     while t < n and kappa ** (t + 1) <= SCAN_BLOCK:
         t += 1
     suffixes = _letters(kappa, t)
     for prefix in range(kappa ** (n - t)):
-        columns = list(ctx.alphabet.decode(prefix, n - t)) + suffixes
-        sums = _window_sums(ctx, entries, columns, kappa ** t, cyclic=True)
+        sums = balances(list(ctx.alphabet.decode(prefix, n - t)) + suffixes + list(pad),
+                        kappa ** t)
         hits = np.flatnonzero(~ctx.is_zero(sums))
         if hits.size:
-            total = sums[hits[0]]
-            value = Fraction(total, den) if ctx.scalar_context.exact else \
-                total.item() if isinstance(total, np.generic) else total
             code = prefix * kappa ** t + int(hits[0])
-            return code + 1, (ctx.alphabet.decode(code, n), value)
+            word = ctx.alphabet.decode(code, n) + tuple(pad)
+            return code + 1, (word, _scalar(sums[hits[0]], den))
     return kappa ** n, None
+
+
+def _first_nonzero_cycle(ctx: CriterionContext, values: WordTable, n: int, pad: Word = ()):
+    """_scan_words over the wrapped window sums of Z on the cycles x + pad."""
+    return _scan_words(ctx, n, lambda columns, count: _window_sums(
+        ctx, values.entries, columns, count, cyclic=True), values.den, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +367,16 @@ class PotentialCertificate:
     which certifies invariance on the line.
     """
 
-    values: Mapping[Word, object]
+    values: WordTable
 
     def check(self, table: LocalBalanceTable) -> bool:
-        ctx = table.context
-        s = ctx.window_length
-        for w, z in table.values.items():
-            if not ctx.is_zero(z - (self.values[w[1:]] - self.values[w[:s - 1]])):
-                return False
-        return True
+        ctx, z, w = table.context, table.values, self.values
+        kappa, s = ctx.alphabet.kappa, ctx.window_length
+        codes = np.arange(kappa ** s)
+        entries, steps = z.entries, w.entries[codes % kappa ** (s - 1)] - w.entries[codes // kappa]
+        if z.den != w.den:  # exact potential over another denominator
+            entries, steps = entries * w.den, steps * z.den
+        return bool(ctx.is_zero(entries - steps).all())
 
 
 def potential_from_table(table: LocalBalanceTable) -> PotentialCertificate:
@@ -378,15 +385,18 @@ def potential_from_table(table: LocalBalanceTable) -> PotentialCertificate:
     When the decisive cyclic checks pass this W satisfies the certificate
     identity for every index word; the identity must still be verified.
     """
-    ctx = table.context
-    s = ctx.window_length
-    values = {}
-    for x in ctx.alphabet.words(s - 1):
-        acc = Fraction(0)
-        for i in range(1, s):
-            acc += table.values[(0,) * (s - i) + x[:i]]
-        values[x] = acc
-    return PotentialCertificate(values)
+    ctx, z = table.context, table.values
+    kappa, s = ctx.alphabet.kappa, ctx.window_length
+    codes = np.arange(kappa ** (s - 1))
+    raw = z.den is None and z.entries.dtype == object
+    total = np.full(len(codes), Fraction(0) if raw else 0, dtype=z.entries.dtype)
+    exact_zero = None if z.exact_zero is None else np.ones(len(codes), dtype=bool)
+    for i in range(1, s):
+        prefix = codes // kappa ** (s - 1 - i)  # the code of 0^(s-i) x[1..i]
+        total = total + z.entries[prefix]
+        if exact_zero is not None:
+            exact_zero &= z.exact_zero[prefix]
+    return PotentialCertificate(WordTable(ctx.alphabet, s - 1, total, z.den, exact_zero))
 
 
 @dataclass(frozen=True)
@@ -411,14 +421,6 @@ class CriterionReport:
         return "invariant" if self.invariant else "not-invariant"
 
 
-def _anchor_words(ctx: CriterionContext):
-    """The decisive cyclic words a[1..s] 0^(s-1), in lexicographic order of a."""
-    s = ctx.window_length
-    pad = (0,) * (s - 1)
-    for a in ctx.alphabet.words(s):
-        yield a + pad
-
-
 def check_markov_line(ctx: CriterionContext) -> CriterionReport:
     """Decide invariance of the law on the line.
 
@@ -427,7 +429,8 @@ def check_markov_line(ctx: CriterionContext) -> CriterionReport:
     reports the first violating word.
     """
     table = z_table(ctx)
-    count, witness = ctx.first_nonzero(_anchor_words(ctx), table.cyclic_window_sum)
+    s = ctx.window_length
+    count, witness = _first_nonzero_cycle(ctx, table.values, s, pad=(0,) * (s - 1))
     if witness is not None:
         return CriterionReport(False, "cycle-anchor", witness=witness, words_checked=count)
     certificate = potential_from_table(table)
@@ -463,11 +466,10 @@ def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
     if ctx.memory < 1:
         raise ValueError("small-cycles decision needs kernel memory >= 1")
     table = z_table(ctx)
-    array = _z_array(table)
     lengths = range(ctx.memory + 1, ctx.alphabet.kappa ** ctx.memory + 1)
     count = 0
     for top in lengths:
-        checked, witness = _first_nonzero_cycle(ctx, array, top)
+        checked, witness = _first_nonzero_cycle(ctx, table.values, top)
         count += checked
         if witness is not None:
             break
@@ -486,7 +488,7 @@ def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
     if n < 1:
         raise ValueError("cycle length must be >= 1")
     if n >= ctx.memory + ctx.range_:
-        count, witness = _first_nonzero_cycle(ctx, _z_array(z_table(ctx)), n)
+        count, witness = _first_nonzero_cycle(ctx, z_table(ctx).values, n)
     else:
         count, witness = ctx.first_nonzero(ctx.alphabet.words(n),
                                            lambda x: _cycle_balance_direct(ctx, x))
@@ -506,7 +508,7 @@ def equivalence_panel(ctx: CriterionContext) -> dict:
     recomputes each one independently so that agreement can be tested.
     """
     table = z_table(ctx)
-    entries, _ = array = _z_array(table)
+    entries = table.values.entries
     kappa, s, h = ctx.alphabet.kappa, ctx.window_length, ctx.critical_length
 
     def zero(sums):
@@ -519,10 +521,9 @@ def equivalence_panel(ctx: CriterionContext) -> dict:
     middle = codes // place % kappa
     deleted = codes // (place * kappa) * place + codes % place
     anchors = np.arange(kappa ** s) * place  # a[1..s] 0^(s-1), as h - s = s - 1
-    cycles = {n: _first_nonzero_cycle(ctx, array, n)[1] is None
+    cycles = {n: _first_nonzero_cycle(ctx, table.values, n)[1] is None
               for n in range(ctx.memory + ctx.range_, h + 1)}
-    cycle_anchor = zero(_window_sums(ctx, entries, _letters(kappa, s) + [0] * (s - 1),
-                                     kappa ** s, cyclic=True))
+    cycle_anchor = _first_nonzero_cycle(ctx, table.values, s, (0,) * (s - 1))[1] is None
     panel = {
         # the line-invariance predicate is decided by the anchor criterion,
         # which the other eight are provably equivalent to
@@ -585,7 +586,7 @@ def check_product_general_graph(T: JumpRateMatrix, rho, p: PairRateField,
         return CriterionReport(True, "pair-rates-zero")
     if p.is_symmetric:
         ctx = product_context(T, rho, tol)
-        count, witness = _first_nonzero_cycle(ctx, _z_array(z_table(ctx)), 2)
+        count, witness = _first_nonzero_cycle(ctx, z_table(ctx).values, 2)
         return CriterionReport(witness is None, "symmetric-pair-cycle2", witness=witness,
                                words_checked=count)
     report = check_product_line(T, rho, tol)
@@ -717,14 +718,9 @@ def tail_bounds_advisory(ctx: CriterionContext) -> dict:
     Advisory only: a finite value over a truncation proves nothing about the
     full model and is reported as such.
     """
-    m, L = ctx.memory, ctx.range_
-    into = _moves_into(ctx.T)
-    sup_inflow = Fraction(0)
-    for a in ctx.alphabet.words(m):
-        for c in ctx.alphabet.words(m):
-            for b in ctx.alphabet.words(L):
-                sup_inflow = max(sup_inflow, _inflow(ctx.law.kernel, into.get(b, ()),
-                                                     a, b, c, Fraction(0)))
-    sup_exit = max((ctx.T.out_rate(b) for b in ctx.alphabet.words(L)), default=Fraction(0))
+    inflow = _balance_table(ctx, [Fraction(0)] * ctx.alphabet.kappa ** ctx.range_)
+    sup_inflow = max(Fraction(0), *inflow.values())
+    sup_exit = max((ctx.T.out_rate(b) for b in ctx.alphabet.words(ctx.range_)),
+                   default=Fraction(0))
     return {"sup_weighted_inflow": sup_inflow, "sup_exit_rate": sup_exit,
             "advisory": "computed over the finite truncation only"}

@@ -19,12 +19,17 @@ adding the cell (1,1) to {(0,0),(0,1),(1,0),(2,0)}.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from .core import JumpRateMatrix, Word
-from .criteria import CriterionReport, product_context, z_table
+from .criteria import (CriterionContext, CriterionReport, WordTable, _scalar, _scan_words,
+                       product_context, z_table)
 from .scalars import DEFAULT_TOL, as_scalar, is_exact
 
 Cell = Tuple[int, int]
@@ -71,47 +76,85 @@ def _check_marginal(T2: JumpRateMatrix, rho) -> List:
     return rho
 
 
-def bold_z_table(T2: JumpRateMatrix, rho) -> Mapping[Word, object]:
+def bold_z_table(T2: JumpRateMatrix, rho) -> WordTable:
     """boldZ over all kappa^4 square patterns."""
     return z_table(product_context(T2, _check_marginal(T2, rho))).values
 
 
 def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int],
-                   table: Optional[Mapping[Word, object]] = None,
-                   cache: Optional[dict] = None):
+                   table: Optional[WordTable] = None, cache: Optional[dict] = None):
     """Partial boldZ of a square: cells in `overlap` (positions within the
     2x2 square) are pinned to letters, the free cells are integrated against
-    rho.  With all four cells pinned this is boldZ itself."""
-    rho = _check_marginal(T2, rho)
-    if table is None:
-        table = bold_z_table(T2, rho)
+    rho.  With all four cells pinned this is boldZ itself.  `cache` keeps the
+    partials of each set of pinned cells between calls."""
     unknown = [c for c in overlap if c not in SQUARE_CELLS]
     if unknown:
         raise ValueError(f"cells {unknown} are not inside the 2x2 square")
     if not overlap:
         raise ValueError("overlap must pin at least one cell")
-    return _partial(T2, rho, tuple(sorted(overlap.items())), table,
-                    {} if cache is None else cache)
+    pinned = tuple((c, k) for k, c in enumerate(c for c in SQUARE_CELLS if c in overlap))
+    return _Partials.of(T2, rho, table, cache).one([(pinned, 1)],
+                                                   [overlap[c] for c, _ in pinned])
 
 
-def _partial(T2: JumpRateMatrix, rho: List, key: Tuple, table: Mapping[Word, object],
-             cache: dict):
-    """bold_z_partial for a checked marginal, the overlap given as its
-    (cell, letter) pairs in SQUARE_CELLS order, memoized in `cache`."""
-    if key not in cache:
-        overlap = dict(key)
-        free = [k for k, c in enumerate(SQUARE_CELLS) if c not in overlap]
-        base = [overlap.get(c, 0) for c in SQUARE_CELLS]
-        total = Fraction(0)
-        for letters in itertools.product(T2.alphabet.letters, repeat=len(free)):
-            w = list(base)
-            weight = Fraction(1)
-            for k, a in zip(free, letters):
-                w[k] = a
-                weight *= rho[a]
-            total += table[tuple(w)] * weight
-        cache[key] = total
-    return cache[key]
+class _Partials:
+    """The partial boldZ of one table and marginal (see bold_z_partial) for
+    every letter of the pinned cells, one array per set of pinned cells.
+
+    Exact tables add the table's integer numerators, weighted by the
+    numerators of rho over their common denominator D, into numerators over
+    the one denominator table.den * D^3 (a square has at most three free
+    cells).  Float tables add the free letters' terms from zero in the
+    order of their letters."""
+
+    def __init__(self, table: WordTable, rho: List, arrays: Optional[dict] = None):
+        self.arrays = {} if arrays is None else arrays
+        self.kappa, self.den, self.rho, self.unit = table.alphabet.kappa, table.den, rho, 1
+        entries = table.entries
+        if table.den is not None:
+            self.unit = math.lcm(*(Fraction(p).denominator for p in rho))
+            self.rho = [int(p * self.unit) for p in rho]
+            self.den = table.den * self.unit ** 3
+        elif entries.dtype != float or not all(isinstance(p, float) for p in rho):
+            entries = np.array(list(table.values()), dtype=object)
+        self.grid = entries.reshape((self.kappa,) * len(SQUARE_CELLS))
+
+    @classmethod
+    def of(cls, T2: JumpRateMatrix, rho, table: Optional[WordTable], cache: Optional[dict]):
+        rho = _check_marginal(T2, rho)
+        return cls(bold_z_table(T2, rho) if table is None else table, rho, cache)
+
+    def array(self, cells: Tuple[Cell, ...]) -> np.ndarray:
+        if cells not in self.arrays:
+            free = [k for k, c in enumerate(SQUARE_CELLS) if c not in cells]
+            total = 0
+            for letters in itertools.product(range(self.kappa), repeat=len(free)):
+                index, weight = [slice(None)] * len(SQUARE_CELLS), 1
+                for k, a in zip(free, letters):
+                    index[k] = a
+                    weight *= self.rho[a]
+                total = total + self.grid[tuple(index)] * weight
+            self.arrays[cells] = np.ravel(total * self.unit ** (3 - len(free)))
+        return self.arrays[cells]
+
+    def sums(self, terms, columns, count: int):
+        """Signed sums of partials for `count` patterns given by their letter
+        columns (an int or an array per pattern index), added in the order of
+        `terms`: (overlap, sign) pairs, each overlap as in _overlaps."""
+        total = np.zeros(count, dtype=self.grid.dtype)
+        for overlap, sign in terms:
+            code = 0
+            for _, k in overlap:
+                code = code * self.kappa + columns[k]
+            part = self.array(tuple(c for c, _ in overlap))[code]
+            total = total + part if sign > 0 else total - part
+        return total
+
+    def one(self, terms, pattern):
+        return _scalar(self.sums(terms, tuple(pattern), 1)[0], self.den)
+
+    def scan(self, ctx: CriterionContext, terms, n: int):
+        return _scan_words(ctx, n, partial(self.sums, terms), self.den)
 
 
 def _anchors_meeting(shape: Shape) -> List[Cell]:
@@ -122,19 +165,18 @@ def _anchors_meeting(shape: Shape) -> List[Cell]:
     return sorted(anchors)
 
 
+def _line_terms(shape: Shape) -> List[Tuple]:
+    """The squares meeting the shape, as sums terms of their partials."""
+    return [(overlap, 1) for overlap in _overlaps(shape.cells, _anchors_meeting(shape))]
+
+
 def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word,
-                    table: Optional[Mapping[Word, object]] = None):
+                    table: Optional[WordTable] = None):
     """Normalized balance of the window `pattern` on `shape`: the sum over
     all squares meeting the shape of their (partial) boldZ."""
-    rho = _check_marginal(T2, rho)
     if len(pattern) != len(shape):
         raise ValueError("pattern length does not match the shape")
-    if table is None:
-        table = bold_z_table(T2, rho)
-    total = Fraction(0)
-    for overlap in _overlaps(shape.cells, _anchors_meeting(shape)):
-        total += _partial(T2, rho, tuple((e, pattern[k]) for e, k in overlap), table, {})
-    return total
+    return _Partials.of(T2, rho, table, None).one(_line_terms(shape), pattern)
 
 
 def _overlaps(cells, anchors) -> List[Tuple]:
@@ -156,15 +198,11 @@ def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Crite
     """
     rho = _check_marginal(T2, rho)
     ctx = product_context(T2, rho, tol)
-    table = z_table(ctx).values
-    corners, witness = ctx.first_nonzero(
-        T2.alphabet.words(len(GAMMA0)), lambda x: line_balance_2d(T2, rho, GAMMA0, x, table))
+    partials = _Partials(z_table(ctx).values, rho)
+    corners, witness = partials.scan(ctx, _line_terms(GAMMA0), len(GAMMA0))
     if witness is not None:
         return CriterionReport(False, "corner-balance", witness=witness, words_checked=corners)
-    cache: dict = {}
-    plan = _growth_plan(GAMMA1, (1, 1))
-    count, witness = ctx.first_nonzero(
-        T2.alphabet.words(len(GAMMA2)), lambda x: _growth(T2, rho, plan, x, table, cache))
+    count, witness = partials.scan(ctx, _growth_plan(GAMMA1, (1, 1)), len(GAMMA2))
     if witness is not None:
         return CriterionReport(False, "cell-addition-balance", witness=witness,
                                words_checked=corners + count)
@@ -179,37 +217,26 @@ def check_bold_z_sufficient(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -
 
 
 def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern: Word,
-                      table: Optional[Mapping[Word, object]] = None,
-                      cache: Optional[dict] = None):
+                      table: Optional[WordTable] = None, cache: Optional[dict] = None):
     """Balance change when `cell` is added to `shape`: only the squares
     containing the new cell contribute, each by a difference of partials
     (a square that missed the old shape entirely has no old term)."""
-    rho = _check_marginal(T2, rho)
-    if table is None:
-        table = bold_z_table(T2, rho)
+    partials = _Partials.of(T2, rho, table, cache)
     if cell in shape:
         raise ValueError("cell already belongs to the shape")
-    return _growth(T2, rho, _growth_plan(shape, cell), pattern, table,
-                   {} if cache is None else cache)
+    return partials.one(_growth_plan(shape, cell), pattern)
 
 
-def _growth_plan(shape: Shape, cell: Cell) -> List[Tuple[Tuple, Tuple]]:
-    """For each square containing `cell`, its overlaps (see _overlaps) with
-    the grown shape and with the old one, indexed in the grown pattern."""
+def _growth_plan(shape: Shape, cell: Cell) -> List[Tuple]:
+    """For each square containing `cell`, its overlap (see _overlaps) with
+    the grown shape and, subtracted, with the old one, both indexed in the
+    grown pattern, as sums terms."""
     anchors = [(cell[0] - di, cell[1] - dj) for (di, dj) in SQUARE_CELLS]
-    grown = _overlaps(sorted(shape.cells + (cell,)), anchors)
-    return [(new, tuple(p for p in new if p[0] != d)) for d, new in zip(SQUARE_CELLS, grown)]
-
-
-def _growth(T2: JumpRateMatrix, rho: List, plan, pattern: Word,
-            table: Mapping[Word, object], cache: dict):
-    """growth_difference for a checked marginal, along a _growth_plan."""
-    total = Fraction(0)
-    for new, old in plan:
-        total += _partial(T2, rho, tuple((e, pattern[k]) for e, k in new), table, cache)
-        if old:
-            total -= _partial(T2, rho, tuple((e, pattern[k]) for e, k in old), table, cache)
-    return total
+    terms = []
+    for d, new in zip(SQUARE_CELLS, _overlaps(sorted(shape.cells + (cell,)), anchors)):
+        old = tuple(p for p in new if p[0] != d)
+        terms += [(new, 1), (old, -1)] if old else [(new, 1)]
+    return terms
 
 
 def check_product_2d_incremental(T2: JumpRateMatrix, rho,
@@ -221,27 +248,22 @@ def check_product_2d_incremental(T2: JumpRateMatrix, rho,
     checked against the torus oracle in the test suite."""
     rho = _check_marginal(T2, rho)
     ctx = product_context(T2, rho, tol)
-    table = z_table(ctx).values
-    cells, witness = ctx.first_nonzero(
-        (((a,),) for a in T2.alphabet.letters),
-        lambda word: line_balance_2d(T2, rho, Shape([(0, 0)]), word[0], table))
+    partials = _Partials(z_table(ctx).values, rho)
+    count, witness = partials.scan(ctx, _line_terms(Shape([(0, 0)])), 1)
     if witness is not None:
-        return CriterionReport(False, "single-cell-balance", witness=witness,
-                               words_checked=cells)
-    block = hypercube(3)
-    plans = {(subset, cell): _growth_plan(Shape(subset), cell)
-             for size in range(1, len(block))
-             for subset in itertools.combinations(block.cells, size)
-             for cell in block.cells if cell not in subset}
-    growths = ((subset, cell, pattern) for subset, cell in plans
-               for pattern in T2.alphabet.words(len(subset) + 1))
-    cache: dict = {}
-    count, witness = ctx.first_nonzero(
-        growths, lambda growth: _growth(T2, rho, plans[growth[:2]], growth[2], table, cache))
-    if witness is not None:
-        return CriterionReport(False, "growth-balance", witness=witness,
-                               words_checked=cells + count)
-    return CriterionReport(True, "single-cell-and-growth", words_checked=cells + count)
+        return CriterionReport(False, "single-cell-balance", witness=((witness[0],), witness[1]),
+                               words_checked=count)
+    block = hypercube(3).cells
+    for subset, cell in ((subset, cell) for size in range(1, len(block))
+                         for subset in itertools.combinations(block, size)
+                         for cell in block if cell not in subset):
+        checked, witness = partials.scan(ctx, _growth_plan(Shape(subset), cell), len(subset) + 1)
+        count += checked
+        if witness is not None:
+            return CriterionReport(False, "growth-balance", witness=((subset, cell, witness[0]),
+                                                                     witness[1]),
+                                   words_checked=count)
+    return CriterionReport(True, "single-cell-and-growth", words_checked=count)
 
 
 def truncated_poisson(lam, kappa: int) -> List:

@@ -18,12 +18,17 @@ the exact discrepancy when validation fails.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .core import BoundaryRates, JumpRateMatrix, Word
-from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable,
-                       check_markov_line, z_table)
+from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable, _scalar,
+                       _scan_words, _window_sums, check_markov_line, z_table)
+from .scalars import all_exact
 
 _VARIANTS = ("target-weighted", "source-weighted")
 
@@ -33,53 +38,75 @@ def _require_21(ctx: CriterionContext):
         raise ValueError("segment balance is implemented for range 2, memory 1")
 
 
-def segment_balance(ctx: CriterionContext, beta: BoundaryRates, x: Word,
-                    table: Optional[LocalBalanceTable] = None):
-    """Normalized stationarity balance of the word x on the segment {1..n}.
+def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
+                      table: Optional[LocalBalanceTable] = None):
+    """(balances(columns, count), den): the segment balances of words of
+    size n from their letter columns, as for `_scan_words`.
 
-    Interior jumps contribute the window sums of Z; the two outermost jump
-    windows and the boundary rates contribute explicit blocks with the
-    context weights of the chain law.
+    Interior jumps contribute the linear window sums of Z; the two outermost
+    jump windows and the boundary rates contribute explicit blocks with the
+    context weights of the chain law.  A block depends on three letters only
+    (x1 x2 x3 on the left, x(n-2) x(n-1) x(n) on the right), so each is a
+    table of its terms, in the order they are added: the exit rates, then
+    one term per jump into the block.  Exact tables sum the terms up front.
     """
     _require_21(ctx)
-    x = tuple(x)
-    n = len(x)
     if n < 3:
         raise ValueError("segment balance needs n >= 3")
     if beta.left.range_ != 1:
         raise ValueError("boundary rates must act on single sites (range 1)")
-    table = table or z_table(ctx)
-    M = ctx.law.kernel
-    rho = ctx.law.rho
-    E = ctx.alphabet.letters
-    T = ctx.T
+    M, T = ctx.law.kernel, ctx.T
+    left, right = [], []
+    for x in ctx.alphabet.words(3):
+        # left: jump window (1,2), boundary at site 1, weights from the law at
+        # site 1; right: window (n-1,n), boundary at site n.  A boundary jump
+        # keeps the letter u[kept] of the site next to it.
+        sides = ((left, beta.left, x[:2], x[:1], 1, ctx.law.rho),
+                 (right, beta.right, x[1:], x[2:], 0, None))
+        for block, side, window, site, kept, law in sides:
+            terms = [-(side.out_rate(site) + T.out_rate(window))]
+            denom = M.word_weight(x, law)
+            for u in itertools.product(ctx.alphabet.letters, repeat=2):
+                amount = T.rate(u, window)
+                if u[kept] == x[1]:
+                    amount += side.rate(u[1 - kept:2 - kept], site)
+                if amount != 0:
+                    source = u + x[2:] if law else x[:1] + u
+                    terms.append(M.word_weight(source, law) / denom * amount)
+            block.append(terms)
+    z = (table or z_table(ctx)).values
+    terms = [t for row in left + right for t in row]
+    entries, den = z.entries, z.den
+    if den is not None and all_exact(terms):
+        left, right = ([[sum(row)] for row in block] for block in (left, right))
+        den = math.lcm(den, *(Fraction(row[0]).denominator for row in left + right))
+        entries = entries * (den // z.den)
+        left, right = ([[int(row[0] * den)] for row in block] for block in (left, right))
+    elif den is not None or entries.dtype != float or not all(
+            isinstance(t, float) or t == 0 for t in terms):
+        den, entries = None, np.array(list(z.values()), dtype=object)
+    width = max(len(row) for row in left + right)
+    left, right = ([np.array([row[k] if k < len(row) else 0 for row in block], entries.dtype)
+                    for k in range(width)] for block in (left, right))
+    kappa = ctx.alphabet.kappa
 
-    total = table.window_sum(x)
+    def balances(columns, count):
+        total = _window_sums(ctx, entries, columns, count, cyclic=False)
+        for block, first in ((left, 0), (right, len(columns) - 3)):
+            code = (columns[first] * kappa + columns[first + 1]) * kappa + columns[first + 2]
+            for column in block:
+                total = total + column[code]
+        return total
 
-    # left block: jump window (1,2) and the left boundary at site 1
-    total -= beta.left.out_rate((x[0],)) + T.out_rate((x[0], x[1]))
-    denom = rho[(x[0],)] * M.prob((x[0],), x[1]) * M.prob((x[1],), x[2])
-    for u1 in E:
-        for u2 in E:
-            weight = rho[(u1,)] * M.prob((u1,), u2) * M.prob((u2,), x[2]) / denom
-            amount = T.rate((u1, u2), (x[0], x[1]))
-            if u2 == x[1]:
-                amount += beta.left.rate((u1,), (x[0],))
-            if amount != 0:
-                total += weight * amount
+    return balances, den
 
-    # right block: jump window (n-1, n) and the right boundary at site n
-    total -= beta.right.out_rate((x[n - 1],)) + T.out_rate((x[n - 2], x[n - 1]))
-    denom = M.prob((x[n - 3],), x[n - 2]) * M.prob((x[n - 2],), x[n - 1])
-    for u1 in E:
-        for u2 in E:
-            weight = M.prob((x[n - 3],), u1) * M.prob((u1,), u2) / denom
-            amount = T.rate((u1, u2), (x[n - 2], x[n - 1]))
-            if u1 == x[n - 2]:
-                amount += beta.right.rate((u2,), (x[n - 1],))
-            if amount != 0:
-                total += weight * amount
-    return total
+
+def segment_balance(ctx: CriterionContext, beta: BoundaryRates, x: Word,
+                    table: Optional[LocalBalanceTable] = None):
+    """Normalized stationarity balance of the word x on the segment {1..n}:
+    the linear window sums of Z plus the two boundary blocks."""
+    balances, den = _segment_balances(ctx, beta, len(x), table)
+    return _scalar(balances(tuple(x), 1)[0], den)
 
 
 def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int) -> CriterionReport:
@@ -89,15 +116,14 @@ def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int) -> Criteri
     carries the derived conclusions (line invariance, and invariance on every
     segment of size >= n with the same boundary rates).
     """
-    _require_21(ctx)
-    table = z_table(ctx)
-    sizes = [n, n + 1] if n >= 7 else [n]
-    count, witness = ctx.first_nonzero(
-        itertools.chain.from_iterable(ctx.alphabet.words(size) for size in sizes),
-        lambda x: segment_balance(ctx, beta, x, table))
-    if witness is not None:
-        return CriterionReport(False, f"segment-{len(witness[0])}", witness=witness,
-                               words_checked=count)
+    balances, den = _segment_balances(ctx, beta, n)
+    count = 0
+    for size in [n, n + 1] if n >= 7 else [n]:
+        checked, witness = _scan_words(ctx, size, balances, den)
+        count += checked
+        if witness is not None:
+            return CriterionReport(False, f"segment-{size}", witness=witness,
+                                   words_checked=count)
     details = {}
     if n >= 7:
         details["derived"] = (

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from psinv import criteria
+from psinv import criteria, segment
 from psinv.cli import main
 
 
@@ -291,6 +291,31 @@ class TestInputErrors:
         assert code == 3
         assert err.startswith("resource cap: ")
         assert out == ""
+
+
+    def test_segment_and_equivalences_check_the_cap_first(self, tmp_path, capsys,
+                                                          monkeypatch):
+        beta = [{"from": [0], "to": [1], "rate": "1/2"}]
+        segment_file = write_model(tmp_path, "tasep",
+                                   extra={**TASEP_LAWS, "beta_left": beta, "beta_right": beta})
+        # kappa = 4, m = 2, L = 3: the panel would take all 4^17 words of length h
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({
+            "schema": 1, "kappa": 4, "range": 3, "memory": 2,
+            "rates": [{"from": [0, 1, 2], "to": [2, 1, 0], "rate": "1"}],
+            "kernel": [["1/4"] * 4] * 16}))
+
+        def decider(*args):
+            raise AssertionError("the decider ran above the state cap")
+        monkeypatch.setattr(criteria, "equivalence_panel", decider)
+        monkeypatch.setattr(segment, "check_segment", decider)
+        for argv in (["segment", segment_file, "--n", "40"], ["equivalences", str(wide)]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3, argv
+            assert err.startswith("resource cap: ")
+            assert out == ""
 
 
 TASEP_LAWS = {"rho": ["1/2", "1/2"], "memory": 1,

@@ -10,7 +10,7 @@ from psinv.lattice2d import (GAMMA0, GAMMA1, GAMMA2, SQUARE_CELLS, Shape,
                              check_bold_z_sufficient, check_multinomial_preservation,
                              check_product_2d, check_product_2d_incremental,
                              growth_difference, hypercube, line_balance_2d,
-                             truncated_poisson, _anchors_meeting)
+                             truncated_poisson, _anchors_meeting, _growth_plan, _line_terms)
 from psinv.oracle import TorusSpace, build_generator, product_measure, stationarity_residual
 from psinv.models import (ball_cycle_2d, ball_move_2d, catalog, flip_2d, pair_flip_2d,
                           rotation_2d, three_colour_flip_2d, urn_shift_2d)
@@ -354,6 +354,97 @@ class TestReportPins:
             (False, "single-cell-balance", (((0,),), F(3, 4)), 1)
         assert self.fields(check_product_2d_incremental(self.ADDITION, HALF)) == \
             (False, "growth-balance", ((((0, 0), (0, 1)), (1, 1), (0, 0, 0)), F(-1, 32)), 307)
+
+
+def reference_partial(T2, rho, overlap, letters, table):
+    """One partial boldZ as a `Fraction(0)`-started sum of table[w] * weight
+    over the free letters, the weights multiplied from `Fraction(1)`."""
+    pinned = {c: letters[k] for c, k in overlap}
+    free = [k for k, c in enumerate(SQUARE_CELLS) if c not in pinned]
+    total = F(0)
+    for free_letters in itertools.product(T2.alphabet.letters, repeat=len(free)):
+        w = [pinned.get(c, 0) for c in SQUARE_CELLS]
+        weight = F(1)
+        for k, a in zip(free, free_letters):
+            w[k] = a
+            weight *= rho[a]
+        total += table[tuple(w)] * weight
+    return total
+
+
+def reference_sum(T2, rho, terms, pattern, table):
+    total = F(0)
+    for overlap, sign in terms:
+        part = reference_partial(T2, rho, overlap, pattern, table)
+        total = total + part if sign > 0 else total - part
+    return total
+
+
+def reference_scans(T2, rho, incremental):
+    """The 2D deciders as one scalar sum of partials per pattern."""
+    ctx = product_context(T2, rho)
+    table = reference_bold_z_table(T2, rho)
+    if incremental:
+        first = [(((a,),), _line_terms(Shape([(0, 0)])), (a,)) for a in T2.alphabet.letters]
+        block = hypercube(3).cells
+        second = ((((subset, cell, x), _growth_plan(Shape(subset), cell), x)
+                   for size in range(1, len(block))
+                   for subset in itertools.combinations(block, size)
+                   for cell in block if cell not in subset
+                   for x in T2.alphabet.words(size + 1)))
+    else:
+        first = [(x, _line_terms(GAMMA0), x) for x in T2.alphabet.words(3)]
+        second = ((x, _growth_plan(GAMMA1, (1, 1)), x) for x in T2.alphabet.words(5))
+    count = 0
+    for items in (first, second):
+        for label, terms, pattern in items:
+            count += 1
+            value = reference_sum(T2, rho, terms, pattern, table)
+            if not ctx.is_zero(value):
+                return False, count, (label, value.hex() if isinstance(value, float) else value)
+    return True, count, None
+
+
+def floated_square(T2):
+    return JumpRateMatrix(T2.alphabet, 4, {(u, v): float(r) for u, v, r in T2.entries()})
+
+
+class TestPartialSumReference:
+    """Integer partial sums against the scalar sums they replaced: the same
+    verdicts, counts and witnesses, float residuals bit for bit."""
+
+    @staticmethod
+    def fields(report):
+        witness = report.witness
+        if witness is not None and isinstance(witness[1], float):
+            witness = (witness[0], witness[1].hex())
+        return report.invariant, report.words_checked, witness
+
+    def cases(self, rng):
+        out = [(spec.square, rho) for _, spec, rho in CATALOG_SQUARES]
+        for kappa in (2, 3):
+            rho = [F(rng.randint(1, 5)) for _ in range(kappa)]
+            rho = [p / sum(rho) for p in rho]
+            good = balanced_square(rng, rho, kappa)
+            out += [(good, rho), (good.plus(diagonal_swap(rng, kappa)), rho)]
+        for T2, rho in list(out):
+            out += [(floated_square(T2), [float(p) for p in rho]),
+                    (T2, [float(p) for p in rho])]
+        return out
+
+    def test_check_product_2d(self, rng):
+        for T2, rho in self.cases(rng):
+            assert self.fields(check_product_2d(T2, rho)) == reference_scans(T2, rho, False)
+
+    def test_check_product_2d_incremental_failures(self, rng):
+        failing = 0
+        for T2, rho in self.cases(rng):
+            if check_product_2d(T2, rho).invariant:
+                continue  # the full growth scan is pinned by TestReportPins
+            failing += 1
+            assert self.fields(check_product_2d_incremental(T2, rho)) == \
+                reference_scans(T2, rho, True)
+        assert failing
 
 
 class TestBoldZSufficient:

@@ -9,11 +9,14 @@ import importlib.util
 import os
 from fractions import Fraction
 
-from psinv.criteria import check_markov_cycle, check_markov_line, markov_context, z_table
+from psinv.criteria import (check_markov_cycle, check_markov_line, markov_context,
+                            product_context, z_table)
 from psinv.linalg import perron_pair
-from psinv.models import stochastic_ising, tasep
+from psinv.models import hmc_example, stochastic_ising, tasep
 from psinv.oracle import CycleSpace, build_generator
 from psinv.search import candidate_kernels, solve_cycle3_system, triple_from_kernel
+
+from z_reference import reference_z_values
 
 F = Fraction
 LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -44,6 +47,16 @@ def test_named_functions_exist():
     # the tracer wraps public functions, plus the private ones and methods in EXTRA
     for name in traced - set(layers.EXTRA):
         assert not name.split(".")[-1].startswith("_"), f"{name} is not public"
+
+
+def test_z_entries_counts_the_table_entries():
+    # the criteria.z_entries hook adds len(z_table(ctx).values) per call
+    spec = hmc_example()
+    for ctx in (markov_context(spec.jrm, spec.kernel),
+                product_context(tasep().jrm, [F(1, 3), F(2, 3)])):
+        values = z_table(ctx).values
+        assert len(values) == ctx.alphabet.kappa ** (2 * ctx.memory + ctx.range_)
+        assert dict(values.items()) == reference_z_values(ctx)
 
 
 def test_hooked_result_attributes_exist():

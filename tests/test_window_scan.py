@@ -1,141 +1,74 @@
 """The array window-sum scan of `criteria` against the per-word path it
 replaced.
 
-The reference deciders below are the per-word forms: one `cycle_balance`
-(one `Fraction` or float sum) per cyclic word, and the equivalence panel
-over dicts of linear window sums.  The array forms must return the same
-verdicts, word counts and witnesses; float residuals must match bit for bit.
+The reference deciders below are the per-word forms over the dict table of
+`z_reference`: one `Fraction` or float window sum per cyclic word, and the
+equivalence panel over dicts of linear window sums.  The array forms must
+return the same verdicts, word counts and witnesses; float residuals must
+match bit for bit.
 """
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from psinv import criteria
-from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
+from psinv.core import JumpRateMatrix
 from psinv.criteria import (check_markov_cycle, check_markov_small_cycles,
                             check_product_general_graph, cycle_balance,
                             equivalence_panel, markov_context, PairRateField,
                             product_context, z_table)
 
-from conftest import random_kernel, random_marginal, rational
+from conftest import random_marginal
+from z_reference import (cyclic_window_sum, floated, instances, invariant_instance,
+                         perturbed_instance, pinned_witness, reference_certificate_check,
+                         reference_potential, reference_z_values, window_sum)
 
 F = Fraction
-
-
-# ---------------------------------------------------------------------------
-# instances
-# ---------------------------------------------------------------------------
-
-def invariant_instance(rng, kappa, memory, range_):
-    """Rates preserving a product law, with the law written as a memory-m
-    kernel whose rows all equal its marginal.  Pairwise detailed balance
-    gives Z = 0; a drift of adjacent swaps at rates r(x, y) with
-    r(x, y) - r(y, x) = P(x) - P(y) gives the nonzero, telescoping
-    Z(b) = P(last letter) - P(first letter)."""
-    alphabet = Alphabet(kappa)
-    rho = random_marginal(rng, kappa)
-    words = list(alphabet.words(range_))
-    rates = {}
-
-    def add(u, v, rate):
-        if u != v and rate:
-            rates[(u, v)] = rates.get((u, v), 0) + rate
-
-    def weight(w):
-        return math.prod(rho[a] for a in w)
-
-    for _ in range(3):
-        u, v = rng.sample(words, 2)
-        c = rational(rng)
-        add(u, v, c * weight(v))
-        add(v, u, c * weight(u))
-    potential = [rng.randint(0, 3) for _ in alphabet.letters]
-    for w in words:
-        for j in range(range_ - 1):
-            x, y = w[j], w[j + 1]
-            add(w, w[:j] + (y, x) + w[j + 2:], max(0, potential[x] - potential[y]))
-    kernel = MarkovKernel(alphabet, memory, {(c, y): rho[y] for c in alphabet.words(memory)
-                                             for y in alphabet.letters})
-    return JumpRateMatrix(alphabet, range_, rates), kernel
-
-
-def perturbed_instance(rng, kappa, memory, range_):
-    """An invariant rate table with one more random move, under a random
-    kernel (not invariant in general)."""
-    T, _ = invariant_instance(rng, kappa, memory, range_)
-    words = list(T.alphabet.words(range_))
-    u, v = rng.sample(words, 2)
-    return T.plus(JumpRateMatrix(T.alphabet, range_, {(u, v): rational(rng)})), \
-        random_kernel(rng, kappa=kappa, memory=memory)
-
-
-def floated(T, kernel):
-    rates = {(u, v): float(rate) for u, v, rate in T.entries()}
-    entries = {(c, y): float(kernel.prob(c, y)) for c in kernel.alphabet.words(kernel.memory)
-               for y in kernel.alphabet.letters}
-    return (JumpRateMatrix(T.alphabet, T.range_, rates),
-            MarkovKernel(kernel.alphabet, kernel.memory, entries))
-
-
-def instances(seed, kappa, memory, range_):
-    """(label, context): an invariant and a perturbed instance, each exact
-    and in floats."""
-    rng = random.Random(f"{seed}-{kappa}-{memory}-{range_}")
-    for kind, draw in (("invariant", invariant_instance), ("perturbed", perturbed_instance)):
-        T, kernel = draw(rng, kappa, memory, range_)
-        yield f"{kind}/exact", markov_context(T, kernel)
-        yield f"{kind}/float", markov_context(*floated(T, kernel))
 
 
 # ---------------------------------------------------------------------------
 # the per-word reference
 # ---------------------------------------------------------------------------
 
-def pinned(witness):
-    """A witness with float residuals written bit for bit."""
-    if witness is None:
-        return None
-    word, value = witness
-    return word, value.hex() if isinstance(value, float) else value
-
-
-def reference_cycle(ctx, n, table=None):
+def reference_cycle(ctx, n, values=None):
     """(verdict, words checked, witness) of the cycle decider as one
-    cycle_balance per word, in lexicographic order."""
+    per-word cycle balance of the dict table, in lexicographic order."""
     if n >= ctx.memory + ctx.range_:
-        table = table or z_table(ctx)
-    count, witness = ctx.first_nonzero(ctx.alphabet.words(n),
-                                       lambda x: cycle_balance(ctx, x, table))
-    return witness is None, count, pinned(witness)
+        values = values or reference_z_values(ctx)
+        balance = lambda x: cyclic_window_sum(values, ctx.window_length, x)  # noqa: E731
+    else:
+        balance = lambda x: cycle_balance(ctx, x)  # noqa: E731
+    count, witness = ctx.first_nonzero(ctx.alphabet.words(n), balance)
+    return witness is None, count, pinned_witness(witness)
 
 
 def reference_cycle_window_sums(ctx, n):
     """The small-cycles scan of one length n as one wrapped window sum per
     word, also below n = m + L."""
-    table = z_table(ctx)
-    count, witness = ctx.first_nonzero(ctx.alphabet.words(n), table.cyclic_window_sum)
+    values = reference_z_values(ctx)
+    count, witness = ctx.first_nonzero(
+        ctx.alphabet.words(n), lambda x: cyclic_window_sum(values, ctx.window_length, x))
     return witness is None, count, witness
 
 
 def fields(report):
-    return report.invariant, report.words_checked, pinned(report.witness)
+    return report.invariant, report.words_checked, pinned_witness(report.witness)
 
 
 def reference_panel(ctx):
     """The equivalence panel over dicts of per-word window sums."""
-    table = z_table(ctx)
+    values = reference_z_values(ctx)
     s, h = ctx.window_length, ctx.critical_length
     zero = ctx.is_zero
     words = ctx.alphabet.words
     anchors = [a + (0,) * (s - 1) for a in words(s)]
-    sums_h = {x: table.window_sum(x) for x in words(h)}
-    sums_h1 = {x: table.window_sum(x) for x in words(h - 1)}
-    cycles = {n: all(zero(table.cyclic_window_sum(x)) for x in words(n))
+    sums_h = {x: window_sum(values, s, x) for x in words(h)}
+    sums_h1 = {x: window_sum(values, s, x) for x in words(h - 1)}
+    cycles = {n: all(zero(cyclic_window_sum(values, s, x)) for x in words(n))
               for n in range(ctx.memory + ctx.range_, h + 1)}
-    cycle_anchor = all(zero(table.cyclic_window_sum(w)) for w in anchors)
+    cycle_anchor = all(zero(cyclic_window_sum(values, s, w)) for w in anchors)
     panel = {
         "line_invariant": cycle_anchor,
         "replacement_anchor_zero": all(zero(sums_h[w] - sums_h[w[:s - 1] + (0,) + w[s:]])
@@ -149,7 +82,8 @@ def reference_panel(ctx):
         "cycles_zero_all_lengths": all(cycles.values()),
         "cycle_zero_critical_length": cycles[h],
         "cycle_zero_anchor_words": cycle_anchor,
-        "potential_certificate_exists": criteria.potential_from_table(table).check(table),
+        "potential_certificate_exists": reference_certificate_check(
+            ctx, values, reference_potential(ctx, values)),
     }
     if (ctx.memory, ctx.range_) == (1, 2):
         panel["paired_lengths_6_5"] = cycles[6] and cycles[5]
@@ -173,9 +107,9 @@ class TestCycleScan:
             # tables above 500 entries are checked on their two shortest cycles
             last = min(top, memory + range_ + 1) if size > 500 else top
             for label, ctx in instances(6, kappa, memory, range_):
-                table = z_table(ctx)
+                values = reference_z_values(ctx)
                 for n in range(memory + range_, last + 1):
-                    expected = reference_cycle(ctx, n, table)
+                    expected = reference_cycle(ctx, n, values)
                     assert fields(check_markov_cycle(ctx, n)) == expected, (label, memory,
                                                                             range_, n)
                     invariant_seen += expected[0]
@@ -247,17 +181,19 @@ class TestCodeOrder:
                 T, kernel = perturbed_instance(rng, kappa, memory, range_)
                 ctx = markov_context(T, kernel) if exact else \
                     markov_context(*floated(T, kernel))
-                table = z_table(ctx)
-                entries, den = criteria._z_array(table)
+                values = z_table(ctx).values
+                entries, den = values.entries, values.den
                 words = list(ctx.alphabet.words(ctx.window_length))
-                assert len(entries) == len(words)
+                assert len(entries) == len(words) == len(values)
+                assert list(values) == words
+                reference = reference_z_values(ctx)
                 for code, word in enumerate(words):
                     assert ctx.alphabet.encode(word) == code
                     assert ctx.alphabet.decode(code, len(word)) == word
                     if exact:
-                        assert F(entries[code], den) == table[word]
+                        assert F(entries[code], den) == reference[word]
                     else:
-                        assert den == 1 and entries[code] == table[word]
+                        assert den is None and entries[code] == reference[word]
 
 
 class TestPanelReference:

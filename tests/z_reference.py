@@ -1,0 +1,227 @@
+"""Per-word references for the array forms of `criteria` and `segment`.
+
+These are the dict `Z` table (one `_inflow` of `Fraction` or float products
+per index word), the wrapped and linear window sums of one word, the anchor
+scan of `check_markov_line`, the candidate potential and its check, and the
+per-word `segment_balance` scan, as the package computed them before `Z`
+became an array.  The array forms must return the same exact values, word
+counts and witnesses, and the same floats bit for bit.
+
+The instance generators draw invariant and perturbed rate tables, exact and
+in floats, for any alphabet size, memory and range.
+"""
+import math
+import random
+from fractions import Fraction
+
+from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
+from psinv.criteria import markov_context
+
+from conftest import random_kernel, random_marginal, rational
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# instances
+# ---------------------------------------------------------------------------
+
+def invariant_instance(rng, kappa, memory, range_):
+    """Rates preserving a product law, with the law written as a memory-m
+    kernel whose rows all equal its marginal.  Pairwise detailed balance
+    gives Z = 0; a drift of adjacent swaps at rates r(x, y) with
+    r(x, y) - r(y, x) = P(x) - P(y) gives the nonzero, telescoping
+    Z(b) = P(last letter) - P(first letter)."""
+    alphabet = Alphabet(kappa)
+    rho = random_marginal(rng, kappa)
+    words = list(alphabet.words(range_))
+    rates = {}
+
+    def add(u, v, rate):
+        if u != v and rate:
+            rates[(u, v)] = rates.get((u, v), 0) + rate
+
+    def weight(w):
+        return math.prod(rho[a] for a in w)
+
+    for _ in range(3):
+        u, v = rng.sample(words, 2)
+        c = rational(rng)
+        add(u, v, c * weight(v))
+        add(v, u, c * weight(u))
+    potential = [rng.randint(0, 3) for _ in alphabet.letters]
+    for w in words:
+        for j in range(range_ - 1):
+            x, y = w[j], w[j + 1]
+            add(w, w[:j] + (y, x) + w[j + 2:], max(0, potential[x] - potential[y]))
+    kernel = MarkovKernel(alphabet, memory, {(c, y): rho[y] for c in alphabet.words(memory)
+                                             for y in alphabet.letters})
+    return JumpRateMatrix(alphabet, range_, rates), kernel
+
+
+def perturbed_instance(rng, kappa, memory, range_):
+    """An invariant rate table with one more random move, under a random
+    kernel (not invariant in general)."""
+    T, _ = invariant_instance(rng, kappa, memory, range_)
+    words = list(T.alphabet.words(range_))
+    u, v = rng.sample(words, 2)
+    return T.plus(JumpRateMatrix(T.alphabet, range_, {(u, v): rational(rng)})), \
+        random_kernel(rng, kappa=kappa, memory=memory)
+
+
+def floated(T, kernel):
+    rates = {(u, v): float(rate) for u, v, rate in T.entries()}
+    entries = {(c, y): float(kernel.prob(c, y)) for c in kernel.alphabet.words(kernel.memory)
+               for y in kernel.alphabet.letters}
+    return (JumpRateMatrix(T.alphabet, T.range_, rates),
+            MarkovKernel(kernel.alphabet, kernel.memory, entries))
+
+
+def instances(seed, kappa, memory, range_, mixed=False):
+    """(label, context): an invariant and a perturbed instance, each exact
+    and in floats; with `mixed` also exact rates under the float law."""
+    rng = random.Random(f"{seed}-{kappa}-{memory}-{range_}")
+    for kind, draw in (("invariant", invariant_instance), ("perturbed", perturbed_instance)):
+        T, kernel = draw(rng, kappa, memory, range_)
+        yield f"{kind}/exact", markov_context(T, kernel)
+        float_T, float_kernel = floated(T, kernel)
+        yield f"{kind}/float", markov_context(float_T, float_kernel)
+        if mixed:
+            yield f"{kind}/exact-rates-float-law", markov_context(T, float_kernel)
+
+
+def pinned(value):
+    """A scalar with its type, floats written bit for bit."""
+    return value.hex() if isinstance(value, float) else (type(value).__name__, value)
+
+
+def pinned_witness(witness):
+    if witness is None:
+        return None
+    word, value = witness
+    return word, pinned(value)
+
+
+# ---------------------------------------------------------------------------
+# the dict table and per-word window sums
+# ---------------------------------------------------------------------------
+
+def reference_z_values(ctx, start=None):
+    """{index word: Z}, one `_inflow` per word; `start` replaces the
+    exit-rate term (the tail bounds start every entry from 0)."""
+    m, L = ctx.memory, ctx.range_
+    kernel = ctx.law.kernel
+    into = {}
+    for u, v, rate in ctx.T.entries():
+        into.setdefault(v, []).append((u, rate))
+    values = {}
+    for a in ctx.alphabet.words(m):
+        for c in ctx.alphabet.words(m):
+            for b in ctx.alphabet.words(L):
+                first = -ctx.T.out_rate(b) if start is None else start
+                values[a + b + c] = _inflow(kernel, into.get(b, ()), a, b, c, first)
+    return values
+
+
+def _inflow(kernel, moves, a, b, c, start):
+    m = kernel.memory
+    steps = range(m + len(b))
+    w = a + b + c
+    denom = Fraction(1)
+    for j in steps:
+        denom *= kernel.step_weight(w[j:j + m + 1])
+    total = start
+    for u, rate in moves:
+        wp = a + u + c
+        num = Fraction(1)
+        for j in steps:
+            num *= kernel.step_weight(wp[j:j + m + 1])
+        total += rate * num / denom
+    return total
+
+
+def window_sum(values, s, word):
+    """Sum of Z over the sliding length-s windows of a linear word."""
+    return sum(values[tuple(word[i:i + s])] for i in range(len(word) - s + 1))
+
+
+def cyclic_window_sum(values, s, word):
+    """Sum of Z over the n wrapped length-s windows of a cyclic word."""
+    n = len(word)
+    return sum(values[tuple(word[(i + j) % n] for j in range(s))] for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the line decider: anchor scan and potential
+# ---------------------------------------------------------------------------
+
+def reference_anchor_scan(ctx, values):
+    """(words checked, witness) of the anchor words a[1..s] 0^(s-1)."""
+    s = ctx.window_length
+    anchors = (a + (0,) * (s - 1) for a in ctx.alphabet.words(s))
+    return ctx.first_nonzero(anchors, lambda w: cyclic_window_sum(values, s, w))
+
+
+def reference_potential(ctx, values):
+    s = ctx.window_length
+    potential = {}
+    for x in ctx.alphabet.words(s - 1):
+        acc = Fraction(0)
+        for i in range(1, s):
+            acc += values[(0,) * (s - i) + x[:i]]
+        potential[x] = acc
+    return potential
+
+
+def reference_certificate_check(ctx, values, potential):
+    s = ctx.window_length
+    return all(ctx.is_zero(z - (potential[w[1:]] - potential[w[:s - 1]]))
+               for w, z in values.items())
+
+
+# ---------------------------------------------------------------------------
+# the segment decider
+# ---------------------------------------------------------------------------
+
+def reference_segment_balance(ctx, beta, x, values):
+    M = ctx.law.kernel
+    rho = ctx.law.rho
+    E = ctx.alphabet.letters
+    T = ctx.T
+    n = len(x)
+    total = window_sum(values, ctx.window_length, x)
+    total -= beta.left.out_rate((x[0],)) + T.out_rate((x[0], x[1]))
+    denom = rho[(x[0],)] * M.prob((x[0],), x[1]) * M.prob((x[1],), x[2])
+    for u1 in E:
+        for u2 in E:
+            weight = rho[(u1,)] * M.prob((u1,), u2) * M.prob((u2,), x[2]) / denom
+            amount = T.rate((u1, u2), (x[0], x[1]))
+            if u2 == x[1]:
+                amount += beta.left.rate((u1,), (x[0],))
+            if amount != 0:
+                total += weight * amount
+    total -= beta.right.out_rate((x[n - 1],)) + T.out_rate((x[n - 2], x[n - 1]))
+    denom = M.prob((x[n - 3],), x[n - 2]) * M.prob((x[n - 2],), x[n - 1])
+    for u1 in E:
+        for u2 in E:
+            weight = M.prob((x[n - 3],), u1) * M.prob((u1,), u2) / denom
+            amount = T.rate((u1, u2), (x[n - 2], x[n - 1]))
+            if u1 == x[n - 2]:
+                amount += beta.right.rate((u2,), (x[n - 1],))
+            if amount != 0:
+                total += weight * amount
+    return total
+
+
+def reference_segment_scan(ctx, beta, n, values):
+    """(words checked, witness) of check_segment: sizes n, and n + 1 when
+    n >= 7, one segment balance per word."""
+    sizes = [n, n + 1] if n >= 7 else [n]
+    count = 0
+    for size in sizes:
+        checked, witness = ctx.first_nonzero(
+            ctx.alphabet.words(size), lambda x: reference_segment_balance(ctx, beta, x, values))
+        count += checked
+        if witness is not None:
+            return count, witness
+    return count, None
