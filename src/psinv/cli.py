@@ -10,6 +10,7 @@ the brute-force oracle disagree (verify-cycle).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -416,7 +417,9 @@ def _cmd_model(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The psinv parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="psinv",
         description="Invariance criteria, searches and brute-force oracles "

@@ -23,6 +23,8 @@ from .scalars import ScalarContext, all_exact, as_scalar, is_exact
 
 Word = Tuple[int, ...]
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -98,15 +100,15 @@ class JumpRateMatrix:
         # one pass in rate order: each float exit rate adds its terms in that order
         exits: Dict[Word, object] = {}
         for (src, _), rate in self._rates.items():
-            exits[src] = exits.get(src, Fraction(0)) + rate
+            exits[src] = exits.get(src, _ZERO) + rate
         object.__setattr__(self, "_exits", exits)
 
     def rate(self, src: Word, dst: Word):
-        return self._rates.get((tuple(src), tuple(dst)), Fraction(0))
+        return self._rates.get((tuple(src), tuple(dst)), _ZERO)
 
     def out_rate(self, src: Word):
         """Total rate at which the window leaves the word src."""
-        return self._exits.get(tuple(src), Fraction(0))
+        return self._exits.get(tuple(src), _ZERO)
 
     def entries(self) -> Iterator[Tuple[Word, Word, object]]:
         for (src, dst), rate in sorted(self._rates.items()):
@@ -121,7 +123,7 @@ class JumpRateMatrix:
         return all(is_exact(r) for r in self._rates.values())
 
     def max_rate(self):
-        return max(self._rates.values(), default=Fraction(0))
+        return max(self._rates.values(), default=_ZERO)
 
     def scaled(self, factor) -> "JumpRateMatrix":
         factor = as_scalar(factor)
@@ -173,7 +175,7 @@ class MarkovKernel:
                 raise ValueError(f"kernel entry for {ctx}->{letter} outside [0,1]")
             table[(ctx, letter)] = p
         for ctx in alphabet.words(memory):
-            row = [table.get((ctx, y), Fraction(0)) for y in alphabet.letters]
+            row = [table.get((ctx, y), _ZERO) for y in alphabet.letters]
             total = sum(row)
             if not ScalarContext(all_exact(row)).is_zero(total - 1):
                 raise ValueError(f"row for context {ctx} sums to {total}, not 1")
@@ -192,7 +194,7 @@ class MarkovKernel:
         return cls(Alphabet(len(rho)), 0, {((), a): p for a, p in enumerate(rho)})
 
     def prob(self, ctx: Word, letter: int):
-        return self._entries.get((tuple(ctx), letter), Fraction(0))
+        return self._entries.get((tuple(ctx), letter), _ZERO)
 
     def step_weight(self, window: Word):
         """Kernel weight of a length-(m+1) window: P(last letter | first m)."""

@@ -1,17 +1,19 @@
-"""Small dense linear algebra: exact solves, nullspaces, stationary laws,
+"""Small exact linear algebra: solves, nullspaces, stationary laws,
 dominant eigenpairs.
 
-Everything in scope has dimension at most kappa^m (a few dozen), so matrices
-are plain lists of lists.  With Fraction entries the elimination is exact;
-with floats a pivot tolerance applies.  Dominant eigenpairs follow the usual
-nonnegative-matrix theory: for an irreducible nonnegative matrix the largest
-eigenvalue is simple with positive left/right eigenvectors, normalized here
-so that l . 1 = 1 and l . r = 1.
+Matrices are plain lists of lists.  The largest in scope is the length-3
+cyclic balance system of `search`: kappa^3 unknowns and up to 95 rows at
+kappa = 4.  With rational entries the elimination is exact, in integers on
+sparse rows; with floats a pivot tolerance applies.  Dominant eigenpairs
+follow the usual nonnegative-matrix theory: for an irreducible nonnegative
+matrix the largest eigenvalue is simple with positive left/right
+eigenvectors, normalized here so that l . 1 = 1 and l . r = 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -19,18 +21,58 @@ import numpy as np
 from .core import MarkovKernel, StationaryLaw
 from .scalars import all_exact
 
-
-def _clone(matrix):
-    return [list(row) for row in matrix]
+_ZERO = Fraction(0)
 
 
 def rref(matrix, tol: float = 0.0):
     """Reduced row echelon form; returns (R, pivot_columns).
 
-    Exact when entries are rational.  For float input pass a positive tol and
-    partial pivoting kicks in.
+    Exact when tol is 0 and every entry is rational, with Fraction entries.
+    For float input pass a positive tol and partial pivoting kicks in.
     """
-    m = _clone(matrix)
+    if tol == 0 and all_exact(v for row in matrix for v in row):
+        return _rref_exact(matrix)
+    return _rref_float(matrix, tol)
+
+
+def _eliminate(row, pivot, c):
+    """Integer row `row` with column c cleared by `pivot`: head * row - f *
+    pivot (head, f their column-c entries over their gcd), over the gcd of
+    its entries.  Rows are {column: int}, zeros left out."""
+    g = gcd(pivot[c], row[c])
+    head, f = pivot[c] // g, row[c] // g
+    new = {k: a * head for k, a in row.items()}
+    for k, b in pivot.items():
+        new[k] = new.get(k, 0) - f * b
+    g = gcd(*new.values())
+    return {k: v // g for k, v in new.items() if v}
+
+
+def _rref_exact(matrix):
+    """Gauss-Jordan on sparse integer rows (each rational row times the lcm
+    of its denominators).  The reduced form is unique, so the pivot order
+    (fewest nonzeros first, which limits fill-in) does not change R."""
+    cols = len(matrix[0]) if matrix else 0
+    dens = [lcm(*(v.denominator for v in row)) for row in matrix]
+    pending = [{c: v.numerator * (d // v.denominator) for c, v in enumerate(row) if v}
+               for row, d in zip(matrix, dens)]
+    done, pivots = [], []
+    for c in range(cols):
+        hits = [row for row in pending if c in row]
+        if not hits:
+            continue
+        pivot = min(hits, key=len)
+        pending = [_eliminate(row, pivot, c) if c in row else row
+                   for row in pending if row is not pivot]
+        done = [_eliminate(row, pivot, c) if c in row else row for row in done] + [pivot]
+        pivots.append(c)
+    red = [[Fraction(row[j], row[c]) if j in row else _ZERO for j in range(cols)]
+           for row, c in zip(done, pivots)]
+    return red + [[_ZERO] * cols for _ in range(len(matrix) - len(done))], pivots
+
+
+def _rref_float(matrix, tol):
+    m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -83,11 +125,12 @@ def solve_linear(A, b, tol: float = 0.0) -> LinearSolution:
     if len(b) != rows:
         raise ValueError("right-hand side length does not match the matrix")
     aug = [list(A[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug, tol=tol)
+    exact = all_exact(v for row in aug for v in row)
+    red, pivots = _rref_exact(aug) if exact and tol == 0 else _rref_float(aug, tol)
     if cols in pivots:
         return LinearSolution("empty", None, [])
     pivot_rows = {c: r for r, c in enumerate(pivots)}
-    zero = Fraction(0) if all_exact(v for row in aug for v in row) else 0.0
+    zero = _ZERO if exact else 0.0
     particular = [zero] * cols
     for c, r in pivot_rows.items():
         particular[c] = red[r][cols]
@@ -104,9 +147,7 @@ def solve_linear(A, b, tol: float = 0.0) -> LinearSolution:
 
 
 def nullspace(A, tol: float = 0.0) -> List[List]:
-    rows = len(A)
-    zero_rhs = [Fraction(0)] * rows
-    return solve_linear(A, zero_rhs, tol=tol).basis
+    return solve_linear(A, [_ZERO] * len(A), tol=tol).basis
 
 
 def mat_vec(A, x):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from psinv import criteria, segment
-from psinv.cli import main
+from psinv.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -28,6 +28,18 @@ def write_model(tmp_path, name, extra=None, params=None):
         doc.update(extra)
         path.write_text(json.dumps(doc))
     return str(path)
+
+
+class TestParser:
+    def test_built_once_without_leaking_state(self, tmp_path, capsys):
+        path = write_model(tmp_path, "tasep", extra={"rho": ["3/4", "1/4"]})
+        build_parser.cache_clear()
+        _, floated, _ = run(capsys, "--float", "--report", "json", "check-product", path)
+        _, exact, _ = run(capsys, "--report", "json", "check-product", path)
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert json.loads(floated)["certificate"]["1"] == "1.0"
+        assert json.loads(exact)["certificate"] == {"0": "0", "1": "1"}
 
 
 class TestModelFiles:

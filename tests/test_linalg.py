@@ -1,13 +1,81 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from psinv import models, search
 from psinv.core import MarkovKernel
-from psinv.linalg import (mat_vec, perron_pair, solve_linear, stationary_distribution,
+from psinv.linalg import (mat_vec, perron_pair, rref, solve_linear, stationary_distribution,
                           vec_mat)
-from psinv.search import _rational_sqrt
+from psinv.search import _cycle_system, _rational_sqrt
+
+from test_golden import MODELS
+from test_search import RANGE2_MODELS, as_float
+from z_reference import invariant_instance, perturbed_instance
 
 F = Fraction
+
+
+def reference_rref(matrix, tol=0.0):
+    """`rref` as the package computed it before exact elimination became
+    integer and sparse: dense Gauss-Jordan in the entries' own arithmetic,
+    pivoting on the largest absolute value.  Its float form is unchanged."""
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = max(range(r, rows), key=lambda i: abs(m[i][c]))
+        if abs(m[pivot][c]) <= tol or m[pivot][c] == 0:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        head = m[r][c]
+        m[r] = [v / head for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def assert_matches_reference(matrix, tol=0.0):
+    red, pivots = rref(matrix, tol)
+    exact = tol == 0 and all(isinstance(v, (int, Fraction)) for row in matrix for v in row)
+    if exact:
+        # the reference divides an int row by an int head in floats, so it
+        # runs on the same entries as Fractions
+        ref_red, ref_pivots = reference_rref([[F(v) for v in row] for row in matrix])
+        assert all(type(v) is Fraction for row in red for v in row)
+        assert red == ref_red
+    else:
+        ref_red, ref_pivots = reference_rref(matrix, tol)
+        assert [[float(v).hex() for v in row] for row in red] == \
+            [[float(v).hex() for v in row] for row in ref_red]
+    assert pivots == ref_pivots
+    assert len(red) == len(matrix)
+
+
+def random_entry(rng, digits, density=0.6):
+    if rng.random() > density:
+        return F(0)
+    top = 10 ** digits - 1
+    return F(rng.randint(-top, top), rng.randint(1, top))
+
+
+def random_matrix(rng, rows, cols, digits, rank=None):
+    """A rows x cols matrix of `digits`-digit rationals; with `rank`, a
+    product of rows x rank and rank x cols factors."""
+    if rank is None:
+        return [[random_entry(rng, digits) for _ in range(cols)] for _ in range(rows)]
+    left = random_matrix(rng, rows, rank, digits)
+    right = random_matrix(rng, rank, cols, digits)
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*right)]
+            for row in left]
 
 
 class TestSolveLinear:
@@ -139,3 +207,105 @@ class TestPerronPair:
             assert abs(got - want) < 1e-9
         assert abs(sum(pair.left) - 1) < 1e-12
         assert abs(sum(l * r for l, r in zip(pair.left, pair.right)) - 1) < 1e-12
+
+
+class TestExactRref:
+    """The integer sparse elimination against the dense Fraction reference:
+    the reduced row echelon form is unique, so both agree entry for entry."""
+
+    SHAPES = [(5, 5), (3, 7), (8, 3), (1, 1), (1, 6), (6, 1)]
+
+    @pytest.mark.parametrize("digits", [1, 7])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_random_full_and_deficient_rank(self, shape, digits):
+        rng = random.Random(f"rref-{shape}-{digits}")
+        rows, cols = shape
+        for _ in range(6):
+            assert_matches_reference(random_matrix(rng, rows, cols, digits))
+            for rank in range(1, min(rows, cols)):
+                assert_matches_reference(random_matrix(rng, rows, cols, digits, rank))
+
+    @pytest.mark.parametrize("digits", [1, 7])
+    def test_zero_rows_and_columns(self, digits):
+        rng = random.Random(f"rref-zeros-{digits}")
+        for _ in range(10):
+            matrix = random_matrix(rng, 6, 5, digits, rank=rng.randint(1, 4))
+            for i in rng.sample(range(6), 2):
+                matrix[i] = [F(0)] * 5
+            for j in rng.sample(range(5), 2):
+                for row in matrix:
+                    row[j] = F(0)
+            assert_matches_reference(matrix)
+        assert_matches_reference([[F(0)] * 4 for _ in range(3)])
+
+    @pytest.mark.parametrize("digits", [1, 7])
+    def test_inconsistent_augmented_systems(self, digits):
+        # b outside the column space of a rank-deficient A: the last column
+        # becomes a pivot and solve_linear reports the system empty
+        rng = random.Random(f"rref-empty-{digits}")
+        for _ in range(10):
+            A = random_matrix(rng, 5, 4, digits, rank=2)
+            aug = [row + [random_entry(rng, digits, density=1)] for row in A]
+            assert_matches_reference(aug)
+            assert 4 in rref(aug)[1]
+            assert solve_linear(A, [row[-1] for row in aug]).status == "empty"
+
+    def test_no_rows(self):
+        assert rref([]) == ([], [])
+        assert_matches_reference([])
+
+    def test_mixed_int_and_fraction_entries(self):
+        rng = random.Random("rref-mixed")
+        for _ in range(20):
+            matrix = [[rng.randint(-5, 5) if rng.random() < 0.5 else random_entry(rng, 1)
+                       for _ in range(5)] for _ in range(4)]
+            assert_matches_reference(matrix)
+        assert rref([[2, 1]]) == ([[F(1), F(1, 2)]], [0])
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12])
+    def test_floats_are_bit_identical(self, tol):
+        rng = random.Random(f"rref-float-{tol}")
+        for rows, cols in self.SHAPES:
+            for _ in range(5):
+                matrix = [[float(random_entry(rng, 2)) for _ in range(cols)] for _ in range(rows)]
+                assert_matches_reference(matrix, tol)
+                deficient = random_matrix(rng, rows, cols, 1, rank=max(1, min(rows, cols) - 1))
+                assert_matches_reference([[float(v) for v in row] for row in deficient], tol)
+
+
+def cycle_systems(T, n, monkeypatch):
+    """Every (A, b, tol) that `_cycle_system(T, n)` hands to solve_linear:
+    the cycle system itself and the active-set systems of its vertices."""
+    seen = []
+
+    def recording(A, b, tol=0.0):
+        seen.append((A, b, tol))
+        return solve_linear(A, b, tol)
+
+    monkeypatch.setattr(search, "solve_linear", recording)
+    _cycle_system(T, n)
+    monkeypatch.undo()
+    return seen
+
+
+def range2_tables():
+    for key in RANGE2_MODELS:
+        name, params, _ = MODELS[key]
+        yield key, models.build(name, **params).jrm
+    for kappa in (2, 3, 4):
+        rng = random.Random(f"cycle-systems-{kappa}")
+        for k in range(2):
+            yield f"invariant-k{kappa}-{k}", invariant_instance(rng, kappa, 0, 2)[0]
+        yield f"perturbed-k{kappa}", perturbed_instance(rng, kappa, 0, 2)[0]
+
+
+class TestCycleSystems:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_search_systems_match_reference(self, n, monkeypatch):
+        count = 0
+        for label, T in range2_tables():
+            for table in (T, as_float(T)):
+                for A, b, tol in cycle_systems(table, n, monkeypatch):
+                    assert_matches_reference([row + [v] for row, v in zip(A, b)], tol)
+                    count += 1
+        assert count > 2 * len(RANGE2_MODELS)

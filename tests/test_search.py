@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -329,6 +331,50 @@ class TestFindProduct:
         assert _rational_roots([F(1), F(0), F(1)]) == []              # no real root
         assert _rational_roots([F(0), F(0), F(1)]) == []              # p = 0 only
         assert _rational_roots([F(5)]) == []
+
+
+def seven_digits(rng):
+    return F(rng.randint(10 ** 6, 10 ** 7 - 1), rng.randint(10 ** 6, 10 ** 7 - 1))
+
+
+def large_invariant_table(rng, kappa):
+    """Range-2 rates with 7-digit rationals that keep a 7-digit product law
+    rho invariant: pair moves in detailed balance with rho x rho along the
+    edges of a random tree on the pairs plus kappa^2 // 2 more edges (swap
+    edges ab - ba left out), and swaps (i, j) -> (j, i), i > j, at rate
+    c_i - c_j with c increasing."""
+    raw = rng.sample(range(10 ** 6, 10 ** 7), kappa)
+    rho = tuple(F(v, sum(raw)) for v in raw)
+    pairs = list(itertools.product(range(kappa), repeat=2))
+    rng.shuffle(pairs)
+    edges = [(x, rng.choice(pairs[:i])) for i, x in enumerate(pairs) if i]
+    edges += [tuple(rng.sample(pairs, 2)) for _ in range(kappa ** 2 // 2)]
+    rates = {}
+
+    def add(u, v, rate):
+        rates[(u, v)] = rates.get((u, v), 0) + rate
+
+    for x, y in edges:
+        if y != x[::-1]:
+            forward = seven_digits(rng)
+            add(x, y, forward)
+            add(y, x, forward * rho[x[0]] * rho[x[1]] / (rho[y[0]] * rho[y[1]]))
+    c = [F(0)]
+    for _ in range(kappa - 1):
+        c.append(c[-1] + seven_digits(rng))
+    for i in range(kappa):
+        for j in range(i):
+            add((i, j), (j, i), c[i] - c[j])
+    return JumpRateMatrix(Alphabet(kappa), 2, rates), rho
+
+
+class TestLargeRationals:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_constructed_product_found(self, seed):
+        T, rho = large_invariant_table(random.Random(f"large-{seed}"), 3)
+        assert rho in [marginal for marginal, _ in find_product(T).candidates]
+        kernels = [cand.kernel.matrix() for cand in find_markov(T).candidates]
+        assert [list(rho)] * 3 in kernels
 
 
 class TestRatioTables:
