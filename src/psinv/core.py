@@ -125,6 +125,13 @@ class JumpRateMatrix:
     def max_rate(self):
         return max(self._rates.values(), default=_ZERO)
 
+    def floated(self) -> "JumpRateMatrix":
+        """The rates as floats in the same order (self when they already are)."""
+        if all(isinstance(r, float) for r in self._rates.values()):
+            return self
+        return JumpRateMatrix(self.alphabet, self.range_,
+                              {key: float(r) for key, r in self._rates.items()})
+
     def scaled(self, factor) -> "JumpRateMatrix":
         factor = as_scalar(factor)
         if factor < 0:
@@ -291,6 +298,15 @@ class StationaryLaw:
     @property
     def is_exact(self) -> bool:
         return self.kernel.is_exact and all(is_exact(v) for v in self.rho.values())
+
+    def floated(self) -> "StationaryLaw":
+        """The kernel and rho as floats (self when they already are)."""
+        entries, rho = self.kernel._entries, self.rho
+        if all(isinstance(p, float) for p in [*entries.values(), *rho.values()]):
+            return self
+        return StationaryLaw(MarkovKernel(self.alphabet, self.memory,
+                                          {key: float(p) for key, p in entries.items()}),
+                             {w: float(p) for w, p in rho.items()})
 
     def marginal(self, word: Word):
         """Stationary probability of seeing `word` in consecutive positions."""

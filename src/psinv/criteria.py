@@ -43,7 +43,7 @@ import numpy as np
 from .core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word,
                    product_law)
 from .linalg import stationary_distribution
-from .scalars import DEFAULT_TOL, ScalarContext
+from .scalars import DEFAULT_TOL, ScalarContext, all_exact
 
 ZERO_DENOMINATOR_HINT = ("kernel has zero entries; invariance with partial support "
                          "must go through restrict_support on a closed sub-alphabet")
@@ -58,6 +58,9 @@ class CriterionContext:
     Derived sizes: window_length s = 2m + L (index length of Z) and
     critical_length h = 4m + 2L - 1 (word length of the decisive cyclic
     checks, h = 2s - 1).
+
+    Exact when the rates and the law are all rational; otherwise the
+    context holds float copies of both, so that every table is float64.
     """
 
     T: JumpRateMatrix
@@ -70,8 +73,11 @@ class CriterionContext:
             raise ValueError("rate matrix and law use different alphabets")
         if not self.law.kernel.is_positive:
             raise ValueError(ZERO_DENOMINATOR_HINT)
-        object.__setattr__(self, "scalar_context",
-                           ScalarContext.for_balances(self.T, self.law.is_exact, self.tol))
+        scalars = ScalarContext.for_balances(self.T, self.law.is_exact, self.tol)
+        object.__setattr__(self, "scalar_context", scalars)
+        if not scalars.exact:
+            object.__setattr__(self, "T", self.T.floated())
+            object.__setattr__(self, "law", self.law.floated())
 
     @property
     def alphabet(self) -> Alphabet:
@@ -125,8 +131,7 @@ class WordTable(Mapping):
     word (`Alphabet.encode`, the order of `Alphabet.words`): exact tables
     hold Python-int numerators over the one denominator `den`; float tables
     hold float64, `exact_zero` marking the entries that scalar arithmetic
-    leaves an exact 0 (windows no jump touches); tables from exact and float
-    inputs hold the raw scalars, so that sums mix them as `sum` does."""
+    leaves an exact 0 (windows no jump touches)."""
 
     def __init__(self, alphabet: Alphabet, length: int, entries: np.ndarray,
                  den: Optional[int] = None, exact_zero: Optional[np.ndarray] = None):
@@ -150,8 +155,7 @@ class WordTable(Mapping):
 
 def _scalar(value, den: Optional[int]):
     """An entry, or a sum of entries, as a scalar (a Fraction when exact)."""
-    return Fraction(value, den) if den is not None else \
-        value.item() if isinstance(value, np.generic) else value
+    return Fraction(value, den) if den is not None else float(value)
 
 
 @dataclass(frozen=True)
@@ -188,24 +192,23 @@ def _balance_table(ctx: CriterionContext, start: list) -> WordTable:
     source, target = (np.array([alphabet.encode(w[k]) for w in moves], dtype=np.int64)
                       .reshape(-1, 1) * kappa ** m + sides for k in (0, 1))
     den = exact_zero = None
-    if ctx.scalar_context.exact:
+    exact = ctx.scalar_context.exact
+    if exact:
         scale = math.lcm(*(Fraction(w).denominator for w in weights))
         weights = [int(w * scale) for w in weights]
         scale = math.lcm(*(Fraction(x).denominator for x in rates + start))
         rates, start = ([int(x * scale) for x in xs] for xs in (rates, start))
-        dtype = object
     else:
-        dtype = float if all(isinstance(x, float) for x in weights + rates) else object
-        if dtype is float:
-            untouched = np.array([not isinstance(x, float) for x in start])
-            untouched[[alphabet.encode(v) for _, v, _ in moves]] = False
-            exact_zero = untouched[b]
+        untouched = np.array([not isinstance(x, float) for x in start])
+        untouched[[alphabet.encode(v) for _, v, _ in moves]] = False
+        exact_zero = untouched[b]
+    dtype = object if exact else float
     weights, rates = np.array(weights, dtype=dtype), np.array(rates, dtype=dtype)[:, None]
     chain = weights[codes // kappa ** (s - 1 - m)]
     for j in range(1, m + L):
         chain = chain * weights[codes // kappa ** (s - 1 - m - j) % kappa ** (m + 1)]
     total = np.array(start, dtype=dtype)[b]
-    if ctx.scalar_context.exact:
+    if exact:
         # numerators over scale * P(a b c), then reduced to one denominator
         total = total * chain
         np.add.at(total, target.ravel(), (rates * chain[source]).ravel())
@@ -388,8 +391,7 @@ def potential_from_table(table: LocalBalanceTable) -> PotentialCertificate:
     ctx, z = table.context, table.values
     kappa, s = ctx.alphabet.kappa, ctx.window_length
     codes = np.arange(kappa ** (s - 1))
-    raw = z.den is None and z.entries.dtype == object
-    total = np.full(len(codes), Fraction(0) if raw else 0, dtype=z.entries.dtype)
+    total = np.zeros(len(codes), dtype=z.entries.dtype)
     exact_zero = None if z.exact_zero is None else np.ones(len(codes), dtype=bool)
     for i in range(1, s):
         prefix = codes // kappa ** (s - 1 - i)  # the code of 0^(s-i) x[1..i]
@@ -643,8 +645,8 @@ def restrict_support(T: JumpRateMatrix, law_or_rho, support) -> RestrictedInstan
             m = kernel.memory
             entries = {}
             for ctx_word in itertools.product(support, repeat=m):
-                total = sum(kernel.prob(ctx_word, y) for y in support)
-                if total != 1:
+                row = [kernel.prob(ctx_word, y) for y in support]
+                if not ScalarContext(all_exact(row)).is_zero(sum(row) - 1):
                     raise ValueError(f"kernel row {ctx_word} leaks mass outside the support")
                 for y in support:
                     entries[(tuple(new_letter[a] for a in ctx_word), new_letter[y])] = \

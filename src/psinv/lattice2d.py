@@ -82,19 +82,17 @@ def bold_z_table(T2: JumpRateMatrix, rho) -> WordTable:
 
 
 def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int],
-                   table: Optional[WordTable] = None, cache: Optional[dict] = None):
+                   table: Optional[WordTable] = None):
     """Partial boldZ of a square: cells in `overlap` (positions within the
     2x2 square) are pinned to letters, the free cells are integrated against
-    rho.  With all four cells pinned this is boldZ itself.  `cache` keeps the
-    partials of each set of pinned cells between calls."""
+    rho.  With all four cells pinned this is boldZ itself."""
     unknown = [c for c in overlap if c not in SQUARE_CELLS]
     if unknown:
         raise ValueError(f"cells {unknown} are not inside the 2x2 square")
     if not overlap:
         raise ValueError("overlap must pin at least one cell")
     pinned = tuple((c, k) for k, c in enumerate(c for c in SQUARE_CELLS if c in overlap))
-    return _Partials.of(T2, rho, table, cache).one([(pinned, 1)],
-                                                   [overlap[c] for c, _ in pinned])
+    return _Partials.of(T2, rho, table).one([(pinned, 1)], [overlap[c] for c, _ in pinned])
 
 
 class _Partials:
@@ -104,25 +102,24 @@ class _Partials:
     Exact tables add the table's integer numerators, weighted by the
     numerators of rho over their common denominator D, into numerators over
     the one denominator table.den * D^3 (a square has at most three free
-    cells).  Float tables add the free letters' terms from zero in the
-    order of their letters."""
+    cells).  Float tables read rho as floats and add the free letters'
+    terms from zero in the order of their letters."""
 
-    def __init__(self, table: WordTable, rho: List, arrays: Optional[dict] = None):
-        self.arrays = {} if arrays is None else arrays
-        self.kappa, self.den, self.rho, self.unit = table.alphabet.kappa, table.den, rho, 1
-        entries = table.entries
-        if table.den is not None:
+    def __init__(self, table: WordTable, rho: List):
+        self.arrays = {}
+        self.kappa, self.den, self.unit = table.alphabet.kappa, table.den, 1
+        if table.den is None:
+            self.rho = [float(p) for p in rho]
+        else:
             self.unit = math.lcm(*(Fraction(p).denominator for p in rho))
             self.rho = [int(p * self.unit) for p in rho]
             self.den = table.den * self.unit ** 3
-        elif entries.dtype != float or not all(isinstance(p, float) for p in rho):
-            entries = np.array(list(table.values()), dtype=object)
-        self.grid = entries.reshape((self.kappa,) * len(SQUARE_CELLS))
+        self.grid = table.entries.reshape((self.kappa,) * len(SQUARE_CELLS))
 
     @classmethod
-    def of(cls, T2: JumpRateMatrix, rho, table: Optional[WordTable], cache: Optional[dict]):
+    def of(cls, T2: JumpRateMatrix, rho, table: Optional[WordTable]):
         rho = _check_marginal(T2, rho)
-        return cls(bold_z_table(T2, rho) if table is None else table, rho, cache)
+        return cls(bold_z_table(T2, rho) if table is None else table, rho)
 
     def array(self, cells: Tuple[Cell, ...]) -> np.ndarray:
         if cells not in self.arrays:
@@ -176,7 +173,7 @@ def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word,
     all squares meeting the shape of their (partial) boldZ."""
     if len(pattern) != len(shape):
         raise ValueError("pattern length does not match the shape")
-    return _Partials.of(T2, rho, table, None).one(_line_terms(shape), pattern)
+    return _Partials.of(T2, rho, table).one(_line_terms(shape), pattern)
 
 
 def _overlaps(cells, anchors) -> List[Tuple]:
@@ -217,11 +214,11 @@ def check_bold_z_sufficient(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -
 
 
 def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern: Word,
-                      table: Optional[WordTable] = None, cache: Optional[dict] = None):
+                      table: Optional[WordTable] = None):
     """Balance change when `cell` is added to `shape`: only the squares
     containing the new cell contribute, each by a difference of partials
     (a square that missed the old shape entirely has no old term)."""
-    partials = _Partials.of(T2, rho, table, cache)
+    partials = _Partials.of(T2, rho, table)
     if cell in shape:
         raise ValueError("cell already belongs to the shape")
     return partials.one(_growth_plan(shape, cell), pattern)

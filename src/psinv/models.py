@@ -141,7 +141,7 @@ def tasep3_exchange(rates: Mapping[Tuple[int, int], object]) -> ModelSpec:
                      jrm=JumpRateMatrix(Alphabet(3), 2, table))
 
 
-def zero_range(g, kappa_trunc: int, name: str = "zero_range") -> ModelSpec:
+def zero_range(g, kappa_trunc: int) -> ModelSpec:
     """Zero-range mass transport on the truncation {0..kappa_trunc-1}:
     a pile of size a sends k particles to the right at rate g(a, k),
     1 <= k <= a; g is a function or a mapping {(a, k): rate} (absent pairs
@@ -162,7 +162,7 @@ def zero_range(g, kappa_trunc: int, name: str = "zero_range") -> ModelSpec:
                 else:
                     dropped += 1
     notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
-    return ModelSpec(name, {"kappa_trunc": kappa_trunc},
+    return ModelSpec("zero_range", {"kappa_trunc": kappa_trunc},
                      jrm=JumpRateMatrix(alphabet, 2, rates),
                      expected={"product_invariant":
                                "geometric family when g(a, k) depends on k only"},
@@ -299,40 +299,50 @@ def three_colour_flip_2d(a0, a1, a2) -> ModelSpec:
                      expected={"product_invariant": "rho with a_i rho_i^4 constant"})
 
 
+_STEP = {SQUARE_CELLS.index(c): SQUARE_CELLS.index(_CYCLIC_CELLS[(k + 1) % 4])
+         for k, c in enumerate(_CYCLIC_CELLS)}  # lex index -> next cell around
+
+
+def _moved(x: Word, i: int, j: int) -> Word:
+    y = list(x)
+    y[i] -= 1
+    y[j] += 1
+    return tuple(y)
+
+
+def _mass_dynamics(name: str, kappa_trunc: int, weight, moves, invariant: str) -> ModelSpec:
+    """Square dynamics scaled by the total mass: each pattern x of mass
+    m = |x|_1 > 0 with weight(m) != 0 (default 1) jumps to y at rate
+    weight(m) * factor for each (y, factor) of moves(x), in that order.
+    Jumps overfilling a cell of the truncation are dropped (counted)."""
+    alphabet = Alphabet(kappa_trunc)
+    weight = weight or (lambda m: 1)
+    rates = {}
+    dropped = 0
+    for x in itertools.product(alphabet.letters, repeat=4):
+        w = as_scalar(weight(sum(x))) if any(x) else 0
+        if w == 0:
+            continue
+        for y, factor in moves(x):
+            if max(y) < kappa_trunc:
+                rates[(x, y)] = w * factor
+            else:
+                dropped += 1
+    notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
+    return ModelSpec(name, {"kappa_trunc": kappa_trunc},
+                     square=JumpRateMatrix(alphabet, 4, rates),
+                     expected={"product_invariant": invariant}, notes=notes)
+
+
 def ball_move_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None) -> ModelSpec:
     """Mass-preserving urn dynamics on the square: with total mass
     m = |x|_1, each unit at cell i moves to any other cell j at rate
     weight(m) / 3.  Preserves Poisson products (truncated here)."""
-    alphabet = Alphabet(kappa_trunc)
-    weight = weight or (lambda m: Fraction(1))
-    rates = {}
-    dropped = 0
-    for x in itertools.product(alphabet.letters, repeat=4):
-        mass = sum(x)
-        if mass == 0:
-            continue
-        w = as_scalar(weight(mass))
-        if w == 0:
-            continue
-        for i in range(4):
-            if x[i] == 0:
-                continue
-            for j in range(4):
-                if j == i:
-                    continue
-                y = list(x)
-                y[i] -= 1
-                y[j] += 1
-                if y[j] < kappa_trunc:
-                    key = (tuple(x), tuple(y))
-                    rates[key] = rates.get(key, 0) + w * Fraction(x[i], 3)
-                else:
-                    dropped += 1
-    notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
-    return ModelSpec("ball_move_2d", {"kappa_trunc": kappa_trunc},
-                     square=JumpRateMatrix(alphabet, 4, rates),
-                     expected={"product_invariant": "truncated Poisson, interior-exact"},
-                     notes=notes)
+    def moves(x):
+        return [(_moved(x, i, j), Fraction(x[i], 3))
+                for i in range(4) if x[i] for j in range(4) if j != i]
+    return _mass_dynamics("ball_move_2d", kappa_trunc, weight, moves,
+                          "truncated Poisson, interior-exact")
 
 
 def ball_cycle_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None) -> ModelSpec:
@@ -340,60 +350,23 @@ def ball_cycle_2d(kappa_trunc: int, weight: Callable[[int], object] | None = Non
     the next cell around the square at rate weight(mass) per ball.  Preserves
     Poisson products on the full alphabet; the truncation leaves visible
     residuals on overfull patterns."""
-    alphabet = Alphabet(kappa_trunc)
-    weight = weight or (lambda m: Fraction(1))
-    lex_of = {c: k for k, c in enumerate(SQUARE_CELLS)}
-    step = {lex_of[_CYCLIC_CELLS[k]]: lex_of[_CYCLIC_CELLS[(k + 1) % 4]] for k in range(4)}
-    rates = {}
-    dropped = 0
-    for x in itertools.product(alphabet.letters, repeat=4):
-        mass = sum(x)
-        if mass == 0:
-            continue
-        w = as_scalar(weight(mass))
-        if w == 0:
-            continue
-        for i, j in step.items():
-            if x[i] == 0:
-                continue
-            y = list(x)
-            y[i] -= 1
-            y[j] += 1
-            if y[j] < kappa_trunc:
-                rates[(tuple(x), tuple(y))] = w * Fraction(x[i])
-            else:
-                dropped += 1
-    notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
-    return ModelSpec("ball_cycle_2d", {"kappa_trunc": kappa_trunc},
-                     square=JumpRateMatrix(alphabet, 4, rates),
-                     expected={"product_invariant": "truncated Poisson, interior-exact"},
-                     notes=notes)
+    def moves(x):
+        return [(_moved(x, i, j), Fraction(x[i])) for i, j in _STEP.items() if x[i]]
+    return _mass_dynamics("ball_cycle_2d", kappa_trunc, weight, moves,
+                          "truncated Poisson, interior-exact")
 
 
 def urn_shift_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None) -> ModelSpec:
     """Mass-preserving square dynamics shifting the four cell values one
     step around the square at rate weight(total mass); preserves any
     cell-exchangeable product, truncated Poisson included."""
-    alphabet = Alphabet(kappa_trunc)
-    weight = weight or (lambda m: Fraction(1))
-    lex_of = {c: k for k, c in enumerate(SQUARE_CELLS)}
-    rates = {}
-    for x in itertools.product(alphabet.letters, repeat=4):
-        mass = sum(x)
-        if mass == 0:
-            continue
-        w = as_scalar(weight(mass))
-        if w == 0:
-            continue
-        shifted = [0, 0, 0, 0]
-        for k, cell in enumerate(_CYCLIC_CELLS):
-            target = _CYCLIC_CELLS[(k + 1) % 4]
-            shifted[lex_of[target]] = x[lex_of[cell]]
-        if tuple(shifted) != x:
-            rates[(tuple(x), tuple(shifted))] = w
-    return ModelSpec("urn_shift_2d", {"kappa_trunc": kappa_trunc},
-                     square=JumpRateMatrix(alphabet, 4, rates),
-                     expected={"product_invariant": "any exchangeable product"})
+    def moves(x):
+        shifted = [0] * 4
+        for i, j in _STEP.items():
+            shifted[j] = x[i]
+        return [(tuple(shifted), 1)] if tuple(shifted) != x else []
+    return _mass_dynamics("urn_shift_2d", kappa_trunc, weight, moves,
+                          "any exchangeable product")
 
 
 _BUILDERS = {

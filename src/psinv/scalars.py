@@ -1,10 +1,10 @@
 """Scalar handling: exact rationals by default, floats with explicit tolerance.
 
 All quantities in this package are plain Python numbers.  When every input of
-a computation is rational (int or Fraction) the arithmetic stays in Fraction
-and equality tests are exact.  As soon as a float enters, Python's coercion
-rules push the whole computation to float and zero tests must go through an
-explicit tolerance, carried by a ScalarContext.
+a computation is rational (int or Fraction) the arithmetic and its equality
+tests are exact.  One float input makes the whole computation float: the
+deciders copy every input to floats once, so no table mixes the two, and
+zero tests go through an explicit tolerance, carried by a ScalarContext.
 """
 from __future__ import annotations
 

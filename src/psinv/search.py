@@ -37,6 +37,9 @@ from .criteria import (CriterionReport, check_markov_line, check_product_line,
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
 from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact
 
+# largest family dimension whose polytope vertices are enumerated
+MAX_VERTEX_DIM = 3
+
 
 @dataclass(frozen=True)
 class TripleMeasure:
@@ -96,14 +99,14 @@ class AffineFamily:
     fully_sampled: bool
 
 
-def _polytope_vertices(solution: LinearSolution, max_dim: int = 3):
+def _polytope_vertices(solution: LinearSolution):
     """Vertices of {particular + B t >= 0} by exact active-set enumeration."""
     dim = solution.dimension
     n = len(solution.particular)
     if dim == 0:
         point = tuple(solution.particular)
         return [point] if all(v >= 0 for v in point) else []
-    if dim > max_dim:
+    if dim > MAX_VERTEX_DIM:
         return []
     vertices = set()
     rows = [[solution.basis[k][i] for k in range(dim)] for i in range(n)]
@@ -148,7 +151,7 @@ def _family(variables, solution: LinearSolution) -> AffineFamily:
         return AffineFamily(tuple(variables), solution, (), (), True)
     vertices = _polytope_vertices(solution)
     samples = list(vertices)
-    fully = solution.dimension <= 3
+    fully = solution.dimension <= MAX_VERTEX_DIM
     if len(vertices) > 1:
         k = len(vertices)
         centroid = tuple(sum(v[i] for v in vertices) / k for i in range(len(vertices[0])))
@@ -326,7 +329,8 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
     numeric_found: List[Candidate] = []
     notes: List[str] = []
     if not family.fully_sampled:
-        notes.append("solution family has dimension > 3; only sampled points explored")
+        notes.append(f"solution family has dimension > {MAX_VERTEX_DIM}; "
+                     "only sampled points explored")
 
     def admit(kernel: MarkovKernel, exact: bool, provenance: str):
         matrix = kernel.matrix()

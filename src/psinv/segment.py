@@ -28,9 +28,10 @@ import numpy as np
 from .core import BoundaryRates, JumpRateMatrix, Word
 from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable, _scalar,
                        _scan_words, _window_sums, check_markov_line, z_table)
-from .scalars import all_exact
 
 _VARIANTS = ("target-weighted", "source-weighted")
+# n0: balances vanishing on two consecutive sizes >= N0 vanish on every size
+N0 = 7
 
 
 def _require_21(ctx: CriterionContext):
@@ -40,8 +41,11 @@ def _require_21(ctx: CriterionContext):
 
 def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
                       table: Optional[LocalBalanceTable] = None):
-    """(balances(columns, count), den): the segment balances of words of
-    size n from their letter columns, as for `_scan_words`.
+    """(context, balances(columns, count), den): the segment balances of
+    words of size n from their letter columns, as for `_scan_words`, under
+    the context that decides them.  Float boundary rates make an exact
+    context float (with its own table); a float context takes float copies
+    of the boundary rates.
 
     Interior jumps contribute the linear window sums of Z; the two outermost
     jump windows and the boundary rates contribute explicit blocks with the
@@ -55,6 +59,10 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
         raise ValueError("segment balance needs n >= 3")
     if beta.left.range_ != 1:
         raise ValueError("boundary rates must act on single sites (range 1)")
+    if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
+        ctx, table = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol), None
+    if not ctx.scalar_context.exact:
+        beta = BoundaryRates(beta.left.floated(), beta.right.floated())
     M, T = ctx.law.kernel, ctx.T
     left, right = [], []
     for x in ctx.alphabet.words(3):
@@ -75,16 +83,12 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
                     terms.append(M.word_weight(source, law) / denom * amount)
             block.append(terms)
     z = (table or z_table(ctx)).values
-    terms = [t for row in left + right for t in row]
     entries, den = z.entries, z.den
-    if den is not None and all_exact(terms):
+    if den is not None:
         left, right = ([[sum(row)] for row in block] for block in (left, right))
         den = math.lcm(den, *(Fraction(row[0]).denominator for row in left + right))
         entries = entries * (den // z.den)
         left, right = ([[int(row[0] * den)] for row in block] for block in (left, right))
-    elif den is not None or entries.dtype != float or not all(
-            isinstance(t, float) or t == 0 for t in terms):
-        den, entries = None, np.array(list(z.values()), dtype=object)
     width = max(len(row) for row in left + right)
     left, right = ([np.array([row[k] if k < len(row) else 0 for row in block], entries.dtype)
                     for k in range(width)] for block in (left, right))
@@ -98,36 +102,36 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
                 total = total + column[code]
         return total
 
-    return balances, den
+    return ctx, balances, den
 
 
 def segment_balance(ctx: CriterionContext, beta: BoundaryRates, x: Word,
                     table: Optional[LocalBalanceTable] = None):
     """Normalized stationarity balance of the word x on the segment {1..n}:
     the linear window sums of Z plus the two boundary blocks."""
-    balances, den = _segment_balances(ctx, beta, len(x), table)
+    _, balances, den = _segment_balances(ctx, beta, len(x), table)
     return _scalar(balances(tuple(x), 1)[0], den)
 
 
 def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int) -> CriterionReport:
     """Test the segment balance on every word of E^n.
 
-    For n >= 7 the size n + 1 is tested as well; when both vanish the report
+    For n >= N0 the size n + 1 is tested as well; when both vanish the report
     carries the derived conclusions (line invariance, and invariance on every
     segment of size >= n with the same boundary rates).
     """
-    balances, den = _segment_balances(ctx, beta, n)
+    ctx, balances, den = _segment_balances(ctx, beta, n)
     count = 0
-    for size in [n, n + 1] if n >= 7 else [n]:
+    for size in [n, n + 1] if n >= N0 else [n]:
         checked, witness = _scan_words(ctx, size, balances, den)
         count += checked
         if witness is not None:
             return CriterionReport(False, f"segment-{size}", witness=witness,
                                    words_checked=count)
     details = {}
-    if n >= 7:
+    if n >= N0:
         details["derived"] = (
-            "balance vanishes at two consecutive sizes >= 7: the law is "
+            f"balance vanishes at two consecutive sizes >= {N0}: the law is "
             f"invariant on the line and on every segment of size >= {n} "
             "with these boundary rates")
     return CriterionReport(True, f"segment-{n}", words_checked=count, details=details)
@@ -144,8 +148,8 @@ class BoundaryConstruction:
     discrepancy: Optional[Tuple[Word, object]]
 
 
-def construct_boundaries(ctx: CriterionContext, variant: str = "target-weighted",
-                         validate_n: int = 7) -> BoundaryConstruction:
+def construct_boundaries(ctx: CriterionContext,
+                         variant: str = "target-weighted") -> BoundaryConstruction:
     """Build boundary rates under which the chain law should be invariant on
     every segment, given that it is invariant on the line (checked first).
 
@@ -156,9 +160,9 @@ def construct_boundaries(ctx: CriterionContext, variant: str = "target-weighted"
     while `source-weighted` weights the letter the exterior site leaves:
         right[z -> a] = sum_{v,b} M_{z,v} T[(z,v)->(a,b)].
     Diagonal entries are dropped (self-jumps are not jumps; they cancel in
-    every balance).  The result is validated on segments of size
-    `validate_n` and `validate_n` + 1 and returned with the outcome; a
-    failed validation is reported, never silently repaired.
+    every balance).  The result is validated on segments of size N0 and
+    N0 + 1 and returned with the outcome; a failed validation is reported,
+    never silently repaired.
     """
     _require_21(ctx)
     if variant not in _VARIANTS:
@@ -190,6 +194,6 @@ def construct_boundaries(ctx: CriterionContext, variant: str = "target-weighted"
                 right[((z,), (a,))] = rvalue
     beta = BoundaryRates(JumpRateMatrix(ctx.alphabet, 1, left),
                          JumpRateMatrix(ctx.alphabet, 1, right))
-    validation = check_segment(ctx, beta, validate_n)
+    validation = check_segment(ctx, beta, N0)
     return BoundaryConstruction(beta, variant, validation.invariant, validation,
                                 validation.witness)

@@ -519,6 +519,16 @@ class TestSupportRestriction:
         assert restricted.T.rate((0, 1), (1, 0)) == 1
         assert restricted.law.marginal((0,)) == F(1, 3)
 
+    def test_float_kernel_rows_sum_within_tolerance(self):
+        # 0.3 + 0.6 + 0.1 == 0.9999999999999999 in floats
+        T = JumpRateMatrix(Alphabet(4), 2, {((1, 0), (0, 1)): 1.0})
+        kernel = MarkovKernel.from_matrix([[0.3, 0.6, 0.1, 0]] * 3 + [[0.25] * 4])
+        restricted = restrict_support(T, kernel, [0, 1, 2])
+        assert restricted.law.kernel.prob((0,), 1) == 0.6
+        leaky = MarkovKernel.from_matrix([[0.3, 0.6, 0.099, 0.001]] * 3 + [[0.25] * 4])
+        with pytest.raises(ValueError, match="leaks mass"):
+            restrict_support(T, leaky, [0, 1, 2])
+
 
 class TestSymmetrize:
     def test_tasep(self):
