@@ -423,14 +423,15 @@ class CriterionReport:
         return "invariant" if self.invariant else "not-invariant"
 
 
-def check_markov_line(ctx: CriterionContext) -> CriterionReport:
-    """Decide invariance of the law on the line.
+def check_markov_line(ctx: CriterionContext,
+                      table: Optional[LocalBalanceTable] = None) -> CriterionReport:
+    """Decide invariance of the law on the line (from Z, built unless given).
 
     Tests the cyclic window sums of length h on the words a[1..s] 0^(s-1);
     on success builds and verifies a potential certificate, on failure
     reports the first violating word.
     """
-    table = z_table(ctx)
+    table = table or z_table(ctx)
     s = ctx.window_length
     count, witness = _first_nonzero_cycle(ctx, table.values, s, pad=(0,) * (s - 1))
     if witness is not None:

@@ -2,12 +2,12 @@
 dominant eigenpairs.
 
 Matrices are plain lists of lists.  The largest in scope is the length-3
-cyclic balance system of `search`: kappa^3 unknowns and up to 95 rows at
-kappa = 4.  With rational entries the elimination is exact, in integers on
-sparse rows; with floats a pivot tolerance applies.  Dominant eigenpairs
-follow the usual nonnegative-matrix theory: for an irreducible nonnegative
-matrix the largest eigenvalue is simple with positive left/right
-eigenvectors, normalized here so that l . 1 = 1 and l . r = 1.
+cyclic balance system of `search`: 25 rows by 24 unknowns (one per rotation
+orbit of the triples) at kappa = 4.  With rational entries the elimination
+is exact, in integers on sparse rows; with floats a pivot tolerance applies.
+Dominant eigenpairs follow the usual nonnegative-matrix theory: for an
+irreducible nonnegative matrix the largest eigenvalue is simple with
+positive left/right eigenvectors, normalized so that l . 1 = 1 and l . r = 1.
 """
 from __future__ import annotations
 

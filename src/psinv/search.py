@@ -3,9 +3,11 @@
 Markov kernels: every positive kernel M whose chain law kills the length-3
 cyclic balances gives a rotation-invariant triple measure
 nu(a,b,c) = M_ab M_bc M_ca / Tr(M^3), and nu solves an explicit linear
-system.  Conversely a positive solution nu determines at most one positive
-recurrent kernel: the matrices N_a built from nu must share their dominant
-eigenvalue, and the kernel is recovered from the dominant eigenvectors.
+system with one unknown per rotation orbit of the triples (25 rows by 24
+unknowns at kappa = 4).  Conversely a positive solution nu determines at
+most one positive recurrent kernel: the matrices N_a built from nu must
+share their dominant eigenvalue, and the kernel is recovered from the
+dominant eigenvectors.
 Recovered kernels are always verified against nu and then filtered by the
 full line-invariance criterion; candidates that fail verification are
 dropped, never patched.
@@ -33,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
 from .criteria import (CriterionReport, check_markov_line, check_product_line,
-                       cycle_jumps, markov_context, symmetrize)
+                       cycle_jumps, markov_context)
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
 from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact
 
@@ -146,49 +148,55 @@ def _trial_marginals(kappa: int):
         yield tuple(Fraction(v, total) for v in raw)
 
 
-def _family(variables, solution: LinearSolution) -> AffineFamily:
+def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
+    """The family of a solution in which variable i reads column columns[i]:
+    vertices are found on the solution, then expanded."""
     if solution.status == "empty":
         return AffineFamily(tuple(variables), solution, (), (), True)
-    vertices = _polytope_vertices(solution)
+
+    def expand(vector):
+        return [vector[c] for c in columns]
+
+    vertices = sorted(tuple(expand(v)) for v in _polytope_vertices(solution))
     samples = list(vertices)
     fully = solution.dimension <= MAX_VERTEX_DIM
     if len(vertices) > 1:
         k = len(vertices)
         centroid = tuple(sum(v[i] for v in vertices) / k for i in range(len(vertices[0])))
         samples.append(centroid)
+    solution = LinearSolution(solution.status, expand(solution.particular),
+                              [expand(vector) for vector in solution.basis])
     if not samples and all(v >= 0 for v in solution.particular):
         samples.append(tuple(solution.particular))
     return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples), fully)
 
 
 def _cycle_system(T: JumpRateMatrix, n: int):
-    """The length-n cyclic balances of T as rows over the weights of the
-    words of length n, the family of rotation-invariant probability vectors
-    they kill, and its pivot tolerance: float systems pivot above the
-    balance tolerance, so that rounding noise does not decide their rank."""
+    """The length-n cyclic balances of T, the family of rotation-invariant
+    probability vectors on the words of length n they kill, and its pivot
+    tolerance: float systems pivot above the balance tolerance, so that
+    rounding noise does not decide their rank.
+
+    The unknowns are one weight per rotation orbit, ordered by the orbit's
+    largest rotation; the rows, {largest rotation: row}, are one balance per
+    orbit.  In that order the reduced form frees the same columns as the
+    word system with every rotation tied, and expands to that system's."""
     variables = list(T.alphabet.words(n))
-    pos = {w: i for i, w in enumerate(variables)}
-    rows: List[List] = []
-    for x in variables:
+    keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in variables})
+    col = {k[i:] + k[:i]: j for j, k in enumerate(keys) for i in range(n)}
+    rows: Dict[Word, List] = {}
+    for x in keys:
         inflow, exit_rate = cycle_jumps(T, x)
-        row = [Fraction(0)] * len(variables)
+        row = rows[x] = [Fraction(0)] * len(keys)
         for w, rate in inflow:
-            row[pos[w]] += rate
-        row[pos[x]] -= exit_rate
-        rows.append(row)
-    system = list(rows)
-    for w in variables:
-        turned = w[1:] + w[:1]
-        if w < turned:
-            row = [Fraction(0)] * len(variables)
-            row[pos[w]] += 1
-            row[pos[turned]] -= 1
-            system.append(row)
-    system.append([Fraction(1)] * len(variables))
-    rhs = [Fraction(0)] * (len(system) - 1) + [Fraction(1)]
+            row[col[w]] += rate
+        row[col[x]] -= exit_rate
+    sizes = [Fraction(len({k[i:] + k[:i] for i in range(n)})) for k in keys]
+    rhs = [Fraction(0)] * len(keys) + [Fraction(1)]
     balances = ScalarContext.for_balances(T, True)
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
-    return rows, _family(variables, solve_linear(system, rhs, pivot)), pivot
+    solution = solve_linear(list(rows.values()) + [sizes], rhs, pivot)
+    return rows, _family(variables, solution, [col[w] for w in variables]), pivot
 
 
 def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
@@ -408,7 +416,6 @@ def _factor_rank_one(kappa: int, pair_values, tol: float):
 
 @dataclass(frozen=True)
 class ProductSearchReport:
-    symmetrized: JumpRateMatrix
     family: AffineFamily
     candidates: Tuple[Tuple[Tuple, CriterionReport], ...]
     bernoulli_all: bool
@@ -491,10 +498,10 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     roots: Tuple = ()
     if kappa == 2:
         # each pair-balance row as a polynomial in p, where rho = (1 - p, p);
-        # the outflow of the row's own pair comes first in every float sum
-        polys = [[sum((r * _PAIR_POLYNOMIALS[v][d] for r, v in zip(row, variables) if v != w),
+        # the outflow of the row's own orbit comes first in every float sum
+        polys = [[sum((r * _PAIR_POLYNOMIALS[v][d] for r, v in zip(row, rows) if v != w),
                       row[k] * _PAIR_POLYNOMIALS[w][d]) for d in range(3)]
-                 for k, (w, row) in enumerate(zip(variables, rows))]
+                 for k, (w, row) in enumerate(rows.items())]
         live = [p for p in polys if any(c != 0 for c in p)]
         if not live:
             bernoulli_all = True
@@ -509,8 +516,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
                 consider((1 - p, p))
     if T.is_zero:
         notes.append("zero dynamics: every product measure is invariant")
-    return ProductSearchReport(symmetrize(T), family, tuple(candidates), bernoulli_all,
-                               roots, tuple(notes))
+    return ProductSearchReport(family, tuple(candidates), bernoulli_all, roots, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,15 @@ def segment_balance(ctx: CriterionContext, beta: BoundaryRates, x: Word,
     return _scalar(balances(tuple(x), 1)[0], den)
 
 
-def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int) -> CriterionReport:
-    """Test the segment balance on every word of E^n.
+def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int,
+                  table: Optional[LocalBalanceTable] = None) -> CriterionReport:
+    """Test the segment balance on every word of E^n (from Z, built unless given).
 
     For n >= N0 the size n + 1 is tested as well; when both vanish the report
     carries the derived conclusions (line invariance, and invariance on every
     segment of size >= n with the same boundary rates).
     """
-    ctx, balances, den = _segment_balances(ctx, beta, n)
+    ctx, balances, den = _segment_balances(ctx, beta, n, table)
     count = 0
     for size in [n, n + 1] if n >= N0 else [n]:
         checked, witness = _scan_words(ctx, size, balances, den)
@@ -167,7 +168,8 @@ def construct_boundaries(ctx: CriterionContext,
     _require_21(ctx)
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    line = check_markov_line(ctx)
+    table = z_table(ctx)
+    line = check_markov_line(ctx, table)
     if not line.invariant:
         raise ValueError("law is not invariant on the line; no boundary rates exist")
     M = ctx.law.kernel
@@ -194,6 +196,6 @@ def construct_boundaries(ctx: CriterionContext,
                 right[((z,), (a,))] = rvalue
     beta = BoundaryRates(JumpRateMatrix(ctx.alphabet, 1, left),
                          JumpRateMatrix(ctx.alphabet, 1, right))
-    validation = check_segment(ctx, beta, N0)
+    validation = check_segment(ctx, beta, N0, table)
     return BoundaryConstruction(beta, variant, validation.invariant, validation,
                                 validation.witness)

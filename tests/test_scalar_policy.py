@@ -94,8 +94,12 @@ class TestSegment:
             all_float = CriterionContext(float_T, StationaryLaw(
                 float_kernel, {w: float(p) for w, p in ctx.law.rho.items()}))
             assert ctx.scalar_context.exact
+            exact_table = z_table(ctx)
             for n in sizes:
                 report = check_segment(ctx, float_boundary(beta), n)
+                # the exact table passed in is dropped for the float decision
+                assert fields(report) == \
+                    fields(check_segment(ctx, float_boundary(beta), n, exact_table))
                 assert fields(report) == fields(check_segment(all_float, float_boundary(beta), n))
                 assert fields(report) == fields(check_segment(all_float, beta, n))
                 assert report.invariant == (kind == "invariant"), (kind, n)

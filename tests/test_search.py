@@ -8,9 +8,9 @@ import pytest
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import check_product_line, product_context, symmetrize, z_table
 from psinv.linalg import solve_linear
-from psinv.search import (TripleMeasure, _family, _rational_roots, candidate_kernels,
-                          find_markov, find_product, kernel_from_ratios, ratio_table,
-                          solve_cycle3_system, triple_from_kernel)
+from psinv.search import (TripleMeasure, _cycle_system, _family, _rational_roots,
+                          candidate_kernels, find_markov, find_product, kernel_from_ratios,
+                          ratio_table, solve_cycle3_system, triple_from_kernel)
 from psinv import models
 from psinv.models import kappa2_general, tasep, tasep3
 
@@ -77,14 +77,14 @@ def reference_family(variables, rows):
     rows = [list(row) for row in rows]
     for w in variables:
         turned = w[1:] + w[:1]
-        if w < turned:
+        if w != turned:
             row = [F(0)] * len(variables)
             row[pos[w]] += 1
             row[pos[turned]] -= 1
             rows.append(row)
     rows.append([F(1)] * len(variables))
     rhs = [F(0)] * (len(rows) - 1) + [F(1)]
-    return _family(variables, solve_linear(rows, rhs))
+    return _family(variables, solve_linear(rows, rhs), range(len(variables)))
 
 
 def random_range2(rng, kappa):
@@ -180,6 +180,49 @@ class TestCycle3System:
                                    reference_family(*reference_cycle3_rows(T)))
 
 
+def assert_rotation_invariant(family):
+    """Every vertex, sample, the particular solution and every basis
+    direction of a family give equal weights to the rotations of a word."""
+    sol = family.solution
+    vectors = family.vertices + family.samples
+    if sol.status != "empty":
+        vectors += (tuple(sol.particular),) + tuple(tuple(v) for v in sol.basis)
+    for vector in vectors:
+        nu = dict(zip(family.variables, vector))
+        assert all(nu[w] == nu[w[1:] + w[:1]] for w in nu)
+
+
+class TestOrbitSystem:
+    """One unknown per rotation orbit, expanded to the words, gives the
+    family of the word system with every rotation tied, entry for entry."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("key", RANGE2_MODELS)
+    def test_catalog_matches_tied_reference(self, key, n):
+        name, params, _ = MODELS[key]
+        T = models.build(name, **params).jrm
+        kappa = T.alphabet.kappa
+        rows, family, _ = _cycle_system(T, n)
+        # necklaces of length n over kappa letters
+        assert len(rows) == {2: kappa * (kappa + 1) // 2, 3: (kappa ** 3 + 2 * kappa) // 3}[n]
+        reference = reference_cycle3_rows(T) if n == 3 else reference_pair_rows(T)
+        assert_same_family(family, reference_family(*reference))
+        if n == 3:
+            assert_rotation_invariant(family)
+
+    def test_random_families_rotation_invariant(self, rng):
+        for kappa, draws in ((2, 8), (3, 6), (4, 2)):
+            for _ in range(draws):
+                assert_rotation_invariant(solve_cycle3_system(random_range2(rng, kappa)))
+
+    def test_tasep3_exchange_dimension(self):
+        # tying only w to its rotation when w < turned left 101 and 202
+        # untied, and the family one dimension too large
+        name, params, _ = MODELS["tasep3_exchange"]
+        family = find_markov(models.build(name, **params).jrm).family
+        assert family.solution.dimension == 9
+
+
 class TestCandidateKernels:
     def test_round_trip_recovers_kernel(self, rng):
         for kappa in (2, 3):
@@ -272,7 +315,7 @@ class TestFindProduct:
         # length-3 cycles of the original dynamics
         report = find_product(tasep().jrm)
         for rho, _ in report.candidates:
-            table = z_table(product_context(report.symmetrized, list(rho)))
+            table = z_table(product_context(symmetrize(tasep().jrm), list(rho)))
             assert all(v == 0 for v in table.values.values())
             assert check_product_line(tasep().jrm, list(rho)).invariant
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
+from psinv import criteria
 from psinv.criteria import markov_context
 from psinv.oracle import SegmentSpace, build_generator, segment_measure
 from psinv.segment import check_segment, construct_boundaries, segment_balance
@@ -157,6 +158,20 @@ class TestConstructBoundaries:
         ctx = markov_context(tasep().jrm, M)
         built = construct_boundaries(ctx, variant="target-weighted")
         assert built.validated
+
+    def test_builds_one_z_table(self, monkeypatch):
+        built = []
+        real = criteria._balance_table
+
+        def counting(ctx, start):
+            built.append(ctx)
+            return real(ctx, start)
+
+        monkeypatch.setattr(criteria, "_balance_table", counting)
+        p = F(1, 4)
+        ctx = markov_context(tasep().jrm, MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]]))
+        assert construct_boundaries(ctx, variant="source-weighted").validated
+        assert built == [ctx]
 
     def test_validated_boundaries_work_on_longer_segments(self):
         p = F(1, 4)
