@@ -70,7 +70,7 @@ def _parse_rate_list(items, alphabet, length, as_float, what):
             raise ModelFileError(f"{what}[{k}] is malformed: {exc}") from exc
         if len(src) != length or len(dst) != length:
             raise ModelFileError(f"{what}[{k}] words must have length {length}")
-        rates[(src, dst)] = rates.get((src, dst), 0) + rate
+        rates[(src, dst)] = rates[(src, dst)] + rate if (src, dst) in rates else rate
     return rates
 
 

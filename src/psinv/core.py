@@ -78,7 +78,7 @@ def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple
         if src == dst and rate != 0:
             raise ValueError(f"diagonal rate {src}->{src} must be zero")
         if rate != 0:
-            table[(src, dst)] = table.get((src, dst), 0) + rate
+            table[(src, dst)] = table[(src, dst)] + rate if (src, dst) in table else rate
     return table
 
 
@@ -100,7 +100,7 @@ class JumpRateMatrix:
         # one pass in rate order: each float exit rate adds its terms in that order
         exits: Dict[Word, object] = {}
         for (src, _), rate in self._rates.items():
-            exits[src] = exits.get(src, _ZERO) + rate
+            exits[src] = exits[src] + rate if src in exits else rate
         object.__setattr__(self, "_exits", exits)
 
     def rate(self, src: Word, dst: Word):

@@ -178,11 +178,9 @@ def z_table(ctx: CriterionContext) -> LocalBalanceTable:
 def _balance_table(ctx: CriterionContext, start: list) -> WordTable:
     """start[b] + sum_u T[u -> b] * P(a u c) / P(a b c) for every index word
     a b c, with start listed by the code of b, the terms added in the order
-    of T.entries(), and P the chain weight: the product of the kernel's step
-    weights over the (m+1)-windows, taken in step order."""
+    of T.entries(), and P the chain weight of `_chain_weights`."""
     alphabet, m, L = ctx.alphabet, ctx.memory, ctx.range_
     kappa, s = alphabet.kappa, ctx.window_length
-    weights = [ctx.law.kernel.step_weight(w) for w in alphabet.words(m + 1)]
     moves = list(ctx.T.entries())
     rates = [rate for _, _, rate in moves]
     codes = np.arange(kappa ** s)
@@ -194,32 +192,54 @@ def _balance_table(ctx: CriterionContext, start: list) -> WordTable:
     den = exact_zero = None
     exact = ctx.scalar_context.exact
     if exact:
-        scale = math.lcm(*(Fraction(w).denominator for w in weights))
-        weights = [int(w * scale) for w in weights]
-        scale = math.lcm(*(Fraction(x).denominator for x in rates + start))
-        rates, start = ([int(x * scale) for x in xs] for xs in (rates, start))
+        scaled, scale = _integers(rates + start)
+        rates, start = scaled[:len(rates)], scaled[len(rates):]
     else:
         untouched = np.array([not isinstance(x, float) for x in start])
         untouched[[alphabet.encode(v) for _, v, _ in moves]] = False
         exact_zero = untouched[b]
     dtype = object if exact else float
-    weights, rates = np.array(weights, dtype=dtype), np.array(rates, dtype=dtype)[:, None]
-    chain = weights[codes // kappa ** (s - 1 - m)]
-    for j in range(1, m + L):
-        chain = chain * weights[codes // kappa ** (s - 1 - m - j) % kappa ** (m + 1)]
+    rates, chain = np.array(rates, dtype=dtype)[:, None], _chain_weights(ctx, s)
     total = np.array(start, dtype=dtype)[b]
     if exact:
         # numerators over scale * P(a b c), then reduced to one denominator
         total = total * chain
         np.add.at(total, target.ravel(), (rates * chain[source]).ravel())
-        den = scale * chain
-        common = np.gcd(total, den)
-        total, den = total // common, den // common
-        common = math.lcm(*den)
-        total, den = total * (common // den), common
+        total, den = _over_one_denominator(total, scale * chain)
     else:
         np.add.at(total, target.ravel(), (rates * chain[source] / chain[target]).ravel())
     return WordTable(alphabet, s, total, den, exact_zero)
+
+
+def _integers(values) -> Tuple[list, int]:
+    """Rationals as (Python-int numerators, their least common denominator)."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _chain_weights(ctx: CriterionContext, length: int, first: Optional[list] = None):
+    """The chain weight P of every word of a length, by code: `first` (listed
+    by the code of the first m letters) when given, times the kernel's step
+    weights over the (m+1)-windows, multiplied in that order.  Exact weights
+    are Python ints, all scaled by one common factor."""
+    m, kappa, exact = ctx.memory, ctx.alphabet.kappa, ctx.scalar_context.exact
+    weights = [ctx.law.kernel.step_weight(w) for w in ctx.alphabet.words(m + 1)]
+    if exact:
+        weights, first = _integers(weights)[0], first and _integers(first)[0]
+    weights, codes = np.array(weights, object if exact else float), np.arange(kappa ** length)
+    chain = first and np.array(first, weights.dtype)[codes // kappa ** (length - m)]
+    for j in range(length - m):
+        step = weights[codes // kappa ** (length - 1 - m - j) % kappa ** (m + 1)]
+        chain = step if chain is None else chain * step
+    return chain
+
+
+def _over_one_denominator(numerators, denominators):
+    """Ratios of Python-int arrays as (numerators, least common denominator)."""
+    common = np.gcd(numerators, denominators)
+    numerators, denominators = numerators // common, denominators // common
+    den = math.lcm(*denominators)
+    return numerators * (den // denominators), den
 
 
 # ---------------------------------------------------------------------------

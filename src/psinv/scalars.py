@@ -21,11 +21,9 @@ def as_scalar(value):
     Accepts int, Fraction, float and strings such as "3/5" or "0.25"
     (strings always parse exactly, into Fraction).
     """
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (Fraction, float)):
         return value
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 

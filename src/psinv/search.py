@@ -340,14 +340,14 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
         notes.append(f"solution family has dimension > {MAX_VERTEX_DIM}; "
                      "only sampled points explored")
 
-    def admit(kernel: MarkovKernel, exact: bool, provenance: str):
-        matrix = kernel.matrix()
+    def admit(law: StationaryLaw, exact: bool, provenance: str,
+              report: Optional[CriterionReport] = None):
+        matrix = law.kernel.matrix()
         if matrix in seen:
             return
         seen.append(matrix)
-        law = stationary_distribution(kernel)
-        report = check_markov_line(markov_context(T, law, tol))
-        cand = Candidate(kernel, law, exact, report, provenance)
+        report = report or check_markov_line(markov_context(T, law, tol))
+        cand = Candidate(law.kernel, law, exact, report, provenance)
         (exact_found if exact else numeric_found).append(cand)
 
     for point in family.samples:
@@ -361,13 +361,13 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
         result = candidate_kernels(T, nu, tol)
         notes.extend(result.notes)
         for cand in result.candidates:
-            admit(cand.kernel, cand.exact, "triple-measure sample")
+            admit(cand.law, cand.exact, "triple-measure sample")
 
     products = find_product(T, tol)
-    for rho, _ in products.candidates:
-        rows = [list(rho) for _ in rho]
-        admit(MarkovKernel.from_matrix(rows), all(is_exact(p) for p in rho),
-              "invariant product")
+    for rho, report in products.candidates:
+        law = StationaryLaw(MarkovKernel.from_matrix([list(rho) for _ in rho]),
+                            {(a,): p for a, p in enumerate(rho)})
+        admit(law, all(is_exact(p) for p in rho), "invariant product", report)
     if products.bernoulli_all:
         notes.append("every Bernoulli product is invariant; the constant-row "
                      "kernels form a one-parameter family (samples listed)")

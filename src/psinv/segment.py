@@ -3,9 +3,14 @@
 For range 2 and kernel memory 1, the segment dynamics adds two single-site
 rate matrices acting on the first and last site.  The normalized balance of
 a word splits into the interior window sums of Z plus two boundary blocks
-mixing the jump rates with the boundary rates.  If the balance vanishes on
-two consecutive sizes n0, n0 + 1 with n0 >= 7, it vanishes for every larger
-size and the law is invariant on the whole line.
+mixing the jump rates with the boundary rates.  Each block is a table over
+the three letters at its end of the word, built like Z from one array of
+chain weights of those words: exact blocks hold integer numerators over the
+denominator of Z, float blocks float64 terms added in the order of the
+per-word sum, so a size-n scan is the window gather of Z plus two lookups.
+If the balance vanishes on two consecutive sizes n0, n0 + 1 with n0 >= 7,
+it vanishes for every larger size and the law is invariant on the whole
+line.
 
 Explicit boundary rates emulating the rest of the line come in two variants
 that differ in which letter of the exterior jump carries the kernel weight
@@ -20,14 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import BoundaryRates, JumpRateMatrix, Word
-from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable, _scalar,
-                       _scan_words, _window_sums, check_markov_line, z_table)
+from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable, _chain_weights,
+                       _integers, _over_one_denominator, _scalar, _scan_words, _window_sums,
+                       check_markov_line, z_table)
 
 _VARIANTS = ("target-weighted", "source-weighted")
 # n0: balances vanishing on two consecutive sizes >= N0 vanish on every size
@@ -47,12 +52,13 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
     context float (with its own table); a float context takes float copies
     of the boundary rates.
 
-    Interior jumps contribute the linear window sums of Z; the two outermost
-    jump windows and the boundary rates contribute explicit blocks with the
-    context weights of the chain law.  A block depends on three letters only
-    (x1 x2 x3 on the left, x(n-2) x(n-1) x(n) on the right), so each is a
-    table of its terms, in the order they are added: the exit rates, then
-    one term per jump into the block.  Exact tables sum the terms up front.
+    A block word x (the three letters at one end) gets -(boundary exit at
+    the end site + T exit of its jump window), then for each pair u, in
+    lexicographic order, W(source) / W(x) times the rate of u into the
+    window: T plus the boundary move of the end site lifted to the pair.
+    Left: window x1 x2, source u x3, W = rho(x1) M(x1,x2) M(x2,x3); right:
+    window x2 x3, source x1 u, W = M(x1,x2) M(x2,x3).  Exact blocks are one
+    column of sums; float columns that are zero everywhere are left out.
     """
     _require_21(ctx)
     if n < 3:
@@ -63,36 +69,36 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
         ctx, table = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol), None
     if not ctx.scalar_context.exact:
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
-    M, T = ctx.law.kernel, ctx.T
-    left, right = [], []
-    for x in ctx.alphabet.words(3):
-        # left: jump window (1,2), boundary at site 1, weights from the law at
-        # site 1; right: window (n-1,n), boundary at site n.  A boundary jump
-        # keeps the letter u[kept] of the site next to it.
-        sides = ((left, beta.left, x[:2], x[:1], 1, ctx.law.rho),
-                 (right, beta.right, x[1:], x[2:], 0, None))
-        for block, side, window, site, kept, law in sides:
-            terms = [-(side.out_rate(site) + T.out_rate(window))]
-            denom = M.word_weight(x, law)
-            for u in itertools.product(ctx.alphabet.letters, repeat=2):
-                amount = T.rate(u, window)
-                if u[kept] == x[1]:
-                    amount += side.rate(u[1 - kept:2 - kept], site)
-                if amount != 0:
-                    source = u + x[2:] if law else x[:1] + u
-                    terms.append(M.word_weight(source, law) / denom * amount)
-            block.append(terms)
+    T, exact, kappa = ctx.T, ctx.scalar_context.exact, ctx.alphabet.kappa
+    pairs, codes, u = list(ctx.alphabet.words(2)), np.arange(kappa ** 3), np.arange(kappa ** 2)
+    rho, blocks = [ctx.law.rho[(a,)] for a in ctx.alphabet.letters], []
+    # boundary rates, end site in the window, initial weight, window and source codes
+    for side, end, initial, window, source in (
+            (beta.left, 0, rho, codes // kappa, u[:, None] * kappa + codes % kappa),
+            (beta.right, 1, None, codes % kappa ** 2, codes - codes % kappa ** 2 + u[:, None])):
+        exits = [-(side.out_rate(w[end:end + 1]) + T.out_rate(w)) for w in pairs]
+        amounts = [T.rate(v, w) + side.rate(v[end:end + 1], w[end:end + 1])
+                   if v[1 - end] == w[1 - end] else T.rate(v, w)
+                   for v, w in itertools.product(pairs, repeat=2)]
+        values, scale = _integers(exits + amounts) if exact else (exits + amounts, None)
+        values = np.array(values, object if exact else float)
+        exits = values[:len(pairs)][window]
+        amounts = values[len(pairs):].reshape(len(pairs), -1)[:, window]
+        weights = _chain_weights(ctx, 3, initial)
+        if exact:
+            blocks.append((exits * weights + (amounts * weights[source]).sum(axis=0),
+                           scale * weights))
+        else:
+            columns = [exits, *(weights[source] / weights * amounts)]
+            blocks.append([column for column in columns if column.any()])
     z = (table or z_table(ctx)).values
     entries, den = z.entries, z.den
-    if den is not None:
-        left, right = ([[sum(row)] for row in block] for block in (left, right))
-        den = math.lcm(den, *(Fraction(row[0]).denominator for row in left + right))
-        entries = entries * (den // z.den)
-        left, right = ([[int(row[0] * den)] for row in block] for block in (left, right))
-    width = max(len(row) for row in left + right)
-    left, right = ([np.array([row[k] if k < len(row) else 0 for row in block], entries.dtype)
-                    for k in range(width)] for block in (left, right))
-    kappa = ctx.alphabet.kappa
+    if exact:
+        numerators, block_den = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
+        den = math.lcm(den, block_den)
+        entries, numerators = entries * (den // z.den), numerators * (den // block_den)
+        blocks = [[numerators[:kappa ** 3]], [numerators[kappa ** 3:]]]
+    left, right = blocks
 
     def balances(columns, count):
         total = _window_sums(ctx, entries, columns, count, cyclic=False)

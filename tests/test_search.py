@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from psinv import criteria
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import check_product_line, product_context, symmetrize, z_table
 from psinv.linalg import solve_linear
@@ -279,6 +280,29 @@ class TestFindMarkov:
             rows = cand.kernel.matrix()
             assert rows[0] == rows[1]  # constant rows: an i.i.d. law
         assert any("Bernoulli" in note for note in report.notes)
+
+    def test_decides_each_product_once(self, monkeypatch):
+        built = []
+        real = criteria._balance_table
+
+        def counting(ctx, start):
+            built.append(ctx.memory)
+            return real(ctx, start)
+
+        monkeypatch.setattr(criteria, "_balance_table", counting)
+        products = find_product(tasep().jrm)
+        assert len(built) == len(products.candidates) == 5
+        built.clear()
+        report = find_markov(tasep().jrm)
+        # one table for the triple-measure sample; the five products reuse
+        # the memory-0 line reports of find_product
+        assert built == [1, 0, 0, 0, 0, 0]
+        assert [c.provenance for c in report.candidates] == ["invariant product"] * 5
+        for cand, (rho, line_report) in zip(report.candidates, products.candidates):
+            assert cand.line_report.invariant
+            assert cand.line_report.words_checked == line_report.words_checked
+            assert [cand.law.rho[(a,)] for a in range(2)] == list(rho)
+            assert cand.kernel.matrix() == [list(rho), list(rho)]
 
     def test_emitted_kernels_kill_length3_cycles(self):
         report = find_markov(tasep().jrm)

@@ -1,24 +1,27 @@
-"""The array `Z` table and the line and segment scans over it, against the
-per-word references of `z_reference`: equal exact values, word counts and
-witnesses, and floats equal bit for bit, including exact zeros that float
-arithmetic leaves untouched (they render as "0", not "0.0")."""
+"""The array `Z` table, the line and segment scans over it and the segment
+boundary blocks, against the per-word references of `z_reference`: equal
+exact values, word counts and witnesses, and floats equal bit for bit,
+including exact zeros that float arithmetic leaves untouched (they render as
+"0", not "0.0")."""
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from psinv import criteria
-from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix
+from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
 from psinv.criteria import (check_markov_line, cycle_balance, markov_context,
                             tail_bounds_advisory, z_table)
-from psinv.segment import check_segment, construct_boundaries, segment_balance
+from psinv.segment import _segment_balances, check_segment, construct_boundaries, segment_balance
 
 from z_reference import (cyclic_window_sum, floated, instances, invariant_instance,
                          perturbed_instance, pinned, pinned_witness,
                          reference_anchor_scan, reference_certificate_check,
                          reference_potential, reference_segment_balance,
-                         reference_segment_scan, reference_z_values)
+                         reference_segment_balances, reference_segment_scan,
+                         reference_z_values)
 
 F = Fraction
 # kappa^(2m+L) above this is left out for time
@@ -183,3 +186,51 @@ class TestSegmentScan:
                 for t in range(n + 2):
                     monkeypatch.setattr(criteria, "SCAN_BLOCK", 2 ** t)
                     assert segment_fields(ctx, beta, n) == expected, (label, n, t)
+
+
+def block_cases(seed, kappa):
+    """segment_cases, plus exact contexts under float boundary rates and
+    under boundary rates with a zero side, and T = 0 exact and in floats
+    under random and zero boundary rates."""
+    rng = random.Random(f"{seed}-{kappa}-blocks")
+    for label, ctx, beta in segment_cases(seed, kappa):
+        yield label, ctx, beta
+        if ctx.scalar_context.exact:
+            yield f"{label}/float-boundary", ctx, floated_boundary(beta)
+            yield f"{label}/zero-right", ctx, BoundaryRates(
+                beta.left, JumpRateMatrix(ctx.alphabet, 1, {}))
+    _, kernel = perturbed_instance(rng, kappa, 1, 2)
+    zero = JumpRateMatrix(Alphabet(kappa), 2, {})
+    for label, law in (("exact", kernel), ("float", floated(zero, kernel)[1])):
+        ctx = markov_context(zero, law)
+        yield f"zero-T/{label}", ctx, random_boundary(rng, kappa)
+        yield f"zero-T/{label}/zero-boundary", ctx, BoundaryRates.zero(Alphabet(kappa), 1)
+
+
+class TestSegmentBlocks:
+    @pytest.mark.parametrize("kappa", [2, 3, 4])
+    def test_every_balance_matches_the_per_word_blocks(self, kappa):
+        for label, ctx, beta in block_cases(54, kappa):
+            for n in range(3, 9):
+                decided, balances, den = _segment_balances(ctx, beta, n)
+                reference, expected, expected_den = reference_segment_balances(ctx, beta, n)
+                assert decided.scalar_context.exact == reference.scalar_context.exact
+                assert den == expected_den, (label, n)
+                columns = criteria._letters(kappa, n)
+                got, want = balances(columns, kappa ** n), expected(columns, kappa ** n)
+                assert got.dtype == want.dtype, (label, n)
+                if den is None:  # bit for bit: equal .hex()
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (label, n)
+                else:
+                    assert np.array_equal(got, want), (label, n)
+
+    def test_makes_no_word_weight_call(self, monkeypatch):
+        cases = list(block_cases(55, 3))
+
+        def word_weight(*args, **kwargs):
+            raise AssertionError("per-word chain weight")
+
+        monkeypatch.setattr(MarkovKernel, "word_weight", word_weight)
+        for label, ctx, beta in cases:
+            decided, balances, den = _segment_balances(ctx, beta, 5)
+            assert balances((0,) * 5, 1).size == 1, label

@@ -4,18 +4,23 @@ These are the dict `Z` table (one `_inflow` of `Fraction` or float products
 per index word), the wrapped and linear window sums of one word, the anchor
 scan of `check_markov_line`, the candidate potential and its check, and the
 per-word `segment_balance` scan, as the package computed them before `Z`
-became an array.  The array forms must return the same exact values, word
+became an array; and the segment boundary blocks as the package built them
+before they became chain-weight arrays (one `word_weight` quotient per
+block word and jump).  The array forms must return the same exact values, word
 counts and witnesses, and the same floats bit for bit.
 
 The instance generators draw invariant and perturbed rate tables, exact and
 in floats, for any alphabet size, memory and range.
 """
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
-from psinv.criteria import markov_context
+import numpy as np
+
+from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
+from psinv.criteria import CriterionContext, _window_sums, markov_context, z_table
 
 from conftest import random_kernel, random_marginal, rational
 
@@ -225,3 +230,52 @@ def reference_segment_scan(ctx, beta, n, values):
         if witness is not None:
             return count, witness
     return count, None
+
+
+def reference_segment_balances(ctx, beta, n, table=None):
+    """`segment._segment_balances` with its boundary blocks built word by
+    word: (context, balances(columns, count), den)."""
+    if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
+        ctx, table = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol), None
+    if not ctx.scalar_context.exact:
+        beta = BoundaryRates(beta.left.floated(), beta.right.floated())
+    M, T = ctx.law.kernel, ctx.T
+    left, right = [], []
+    for x in ctx.alphabet.words(3):
+        # left: jump window (1,2), boundary at site 1, weights from the law at
+        # site 1; right: window (n-1,n), boundary at site n.  A boundary jump
+        # keeps the letter u[kept] of the site next to it.
+        sides = ((left, beta.left, x[:2], x[:1], 1, ctx.law.rho),
+                 (right, beta.right, x[1:], x[2:], 0, None))
+        for block, side, window, site, kept, law in sides:
+            terms = [-(side.out_rate(site) + T.out_rate(window))]
+            denom = M.word_weight(x, law)
+            for u in itertools.product(ctx.alphabet.letters, repeat=2):
+                amount = T.rate(u, window)
+                if u[kept] == x[1]:
+                    amount += side.rate(u[1 - kept:2 - kept], site)
+                if amount != 0:
+                    source = u + x[2:] if law else x[:1] + u
+                    terms.append(M.word_weight(source, law) / denom * amount)
+            block.append(terms)
+    z = (table or z_table(ctx)).values
+    entries, den = z.entries, z.den
+    if den is not None:
+        left, right = ([[sum(row)] for row in block] for block in (left, right))
+        den = math.lcm(den, *(Fraction(row[0]).denominator for row in left + right))
+        entries = entries * (den // z.den)
+        left, right = ([[int(row[0] * den)] for row in block] for block in (left, right))
+    width = max(len(row) for row in left + right)
+    left, right = ([np.array([row[k] if k < len(row) else 0 for row in block], entries.dtype)
+                    for k in range(width)] for block in (left, right))
+    kappa = ctx.alphabet.kappa
+
+    def balances(columns, count):
+        total = _window_sums(ctx, entries, columns, count, cyclic=False)
+        for block, first in ((left, 0), (right, len(columns) - 3)):
+            code = (columns[first] * kappa + columns[first + 1]) * kappa + columns[first + 2]
+            for column in block:
+                total = total + column[code]
+        return total
+
+    return ctx, balances, den
