@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Models live in JSON files (schema 1): rates and probabilities are strings
-like "3/5" (exact) or numbers; words are integer arrays.  Unknown keys are
+like "3/5" (exact) or finite numbers; words are integer arrays, and
+integer fields take JSON integers only (not booleans).  Unknown keys are
 rejected so that typos cannot silently drop data.  Reports are printed as
 text or JSON; exit codes: 0 verdict computed (invariant where applicable),
 1 not-invariant, 2 input error, 3 resource cap exceeded, 4 the criterion and
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .criteria import CriterionReport, markov_context, product_context
 from .lattice2d import check_product_2d
 from .oracle import (CycleSpace, StateCapExceeded, TorusSpace, build_generator,
                      gibbs_measure, product_measure, stationarity_residual)
-from .scalars import DEFAULT_TOL, as_scalar, scalar_repr
+from .scalars import DEFAULT_TOL, as_scalar, parse_float, parse_rational, scalar_repr
 
 EXIT_OK = 0
 EXIT_NOT_INVARIANT = 1
@@ -33,6 +35,7 @@ EXIT_ORACLE = 4
 
 _MODEL_KEYS = {"schema", "kappa", "range", "memory", "rates", "kernel", "rho",
                "beta_left", "beta_right", "two_dimensional", "square_rates"}
+_RATE_KEYS = frozenset({"from", "to", "rate"})
 
 
 class ModelFileError(ValueError):
@@ -51,23 +54,56 @@ class ModelFile:
     two_dimensional: bool
 
 
+class _InvalidScalar(ValueError):
+    """A boolean or a non-finite number where a rate or probability belongs;
+    the caller names the field."""
+
+
 def _parse_scalar(value, as_float: bool):
-    scalar = as_scalar(value)
-    return float(scalar) if as_float else scalar
+    """A rate or probability: a rational string, a JSON integer or a finite
+    JSON number (never a boolean); a float under --float."""
+    kind = type(value)
+    if kind is bool or (kind is float and not math.isfinite(value)):
+        raise _InvalidScalar(f"must be a finite number or a rational string, "
+                             f"not {json.dumps(value)}")
+    if not as_float:
+        return parse_rational(value) if kind is str else as_scalar(value)
+    try:
+        return parse_float(value) if kind is str else float(as_scalar(value))
+    except OverflowError as exc:
+        raise _InvalidScalar(f"{value} is out of float range") from exc
+
+
+def _named_scalar(value, as_float: bool, name: str):
+    try:
+        return _parse_scalar(value, as_float)
+    except _InvalidScalar as exc:
+        raise ModelFileError(f"{name} {exc}") from exc
+
+
+def _integer(value, message: str) -> int:
+    """A JSON integer (not a boolean, not a float with an integer value)."""
+    if type(value) is not int:
+        raise ModelFileError(message)
+    return value
 
 
 def _parse_rate_list(items, alphabet, length, as_float, what):
     rates = {}
     for k, item in enumerate(items):
-        extra = set(item) - {"from", "to", "rate"}
-        if extra:
-            raise ModelFileError(f"{what}[{k}] has unknown keys {sorted(extra)}")
+        if not _RATE_KEYS.issuperset(item):
+            raise ModelFileError(f"{what}[{k}] has unknown keys {sorted(set(item) - _RATE_KEYS)}")
         try:
-            src = tuple(int(a) for a in item["from"])
-            dst = tuple(int(a) for a in item["to"])
+            src, dst = tuple(item["from"]), tuple(item["to"])
             rate = _parse_scalar(item["rate"], as_float)
+        except _InvalidScalar as exc:
+            raise ModelFileError(f"{what}[{k}] rate {exc}") from exc
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ModelFileError(f"{what}[{k}] is malformed: {exc}") from exc
+        for a in src + dst:
+            if type(a) is not int:
+                raise ModelFileError(f"{what}[{k}] words must list integer letters, not "
+                                     f"{json.dumps(item['from'])} -> {json.dumps(item['to'])}")
         if len(src) != length or len(dst) != length:
             raise ModelFileError(f"{what}[{k}] words must have length {length}")
         rates[(src, dst)] = rates[(src, dst)] + rate if (src, dst) in rates else rate
@@ -94,12 +130,10 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
     unknown = set(doc) - _MODEL_KEYS
     if unknown:
         raise ModelFileError(f"unknown keys {sorted(unknown)} in model file")
-    if doc.get("schema") != 1:
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != 1:
         raise ModelFileError("model file must declare \"schema\": 1")
-    try:
-        kappa = int(doc["kappa"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ModelFileError("model file needs an integer \"kappa\"") from exc
+    kappa = _integer(doc.get("kappa"), "model file needs an integer \"kappa\"")
     alphabet = Alphabet(kappa)
 
     two_dimensional = bool(doc.get("two_dimensional", False)) or "square_rates" in doc
@@ -113,35 +147,32 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
                                                               alphabet, 4, as_float,
                                                               "square_rates"))
     else:
-        try:
-            range_ = int(doc["range"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ModelFileError("model file needs an integer \"range\"") from exc
+        range_ = _integer(doc.get("range"), "model file needs an integer \"range\"")
         jrm = JumpRateMatrix(alphabet, range_,
                              _parse_rate_list(doc.get("rates", []), alphabet,
                                               range_, as_float, "rates"))
 
     kernel = None
     if "kernel" in doc:
-        memory = int(doc.get("memory", 1))
+        memory = _integer(doc.get("memory", 1), "model file needs an integer \"memory\"")
         rows = doc["kernel"]
         contexts = list(alphabet.words(memory))
         if len(rows) != len(contexts):
             raise ModelFileError(f"kernel must have {len(contexts)} rows "
                                  "(contexts in lexicographic order)")
         entries = {}
-        for ctx_word, row in zip(contexts, rows):
+        for r, (ctx_word, row) in enumerate(zip(contexts, rows)):
             if len(row) != kappa:
                 raise ModelFileError("kernel rows must have kappa entries")
             for y, value in enumerate(row):
-                entries[(ctx_word, y)] = _parse_scalar(value, as_float)
+                entries[(ctx_word, y)] = _named_scalar(value, as_float, f"kernel[{r}][{y}]")
         kernel = MarkovKernel(alphabet, memory, entries)
     elif "memory" in doc:
         raise ModelFileError("\"memory\" is only meaningful next to \"kernel\"")
 
     rho = None
     if "rho" in doc:
-        rho = [_parse_scalar(v, as_float) for v in doc["rho"]]
+        rho = [_named_scalar(v, as_float, f"rho[{a}]") for a, v in enumerate(doc["rho"])]
         if len(rho) != kappa:
             raise ModelFileError("rho must have kappa entries")
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .scalars import ScalarContext, all_exact, as_scalar, is_exact
+from .scalars import ScalarContext, all_exact, as_scalar, exact_sum, over_common_denominator
 
 Word = Tuple[int, ...]
 
@@ -46,8 +46,9 @@ class Alphabet:
 
     def check_word(self, word: Word) -> Word:
         word = tuple(word)
-        if not all(0 <= a < self.kappa for a in word):
-            raise ValueError(f"word {word} leaves the alphabet of size {self.kappa}")
+        for a in word:
+            if not 0 <= a < self.kappa:
+                raise ValueError(f"word {word} leaves the alphabet of size {self.kappa}")
         return word
 
     def encode(self, word: Word) -> int:
@@ -65,6 +66,12 @@ class Alphabet:
         return tuple(reversed(letters))
 
 
+def _sign(value):
+    """A number of the sign of a scalar: floats as they are, rationals by
+    their numerator (their denominator is positive)."""
+    return value if isinstance(value, float) else value.numerator
+
+
 def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple[Word, Word], object]:
     table: Dict[Tuple[Word, Word], object] = {}
     for (src, dst), value in rates.items():
@@ -73,34 +80,45 @@ def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple
         if len(src) != length or len(dst) != length:
             raise ValueError(f"rate entry {src}->{dst} does not have length {length}")
         rate = as_scalar(value)
-        if rate < 0:
+        sign = _sign(rate)
+        if sign < 0:
             raise ValueError(f"negative rate for {src}->{dst}")
-        if src == dst and rate != 0:
+        if src == dst and sign != 0:
             raise ValueError(f"diagonal rate {src}->{src} must be zero")
-        if rate != 0:
+        if sign != 0:
             table[(src, dst)] = table[(src, dst)] + rate if (src, dst) in table else rate
     return table
 
 
 @dataclass(frozen=True)
 class JumpRateMatrix:
-    """Sparse jump rates T[w -> w'] over length-L words; absent entry = 0."""
+    """Sparse jump rates T[w -> w'] over length-L words; absent entry = 0.
+
+    Exact when every rate is rational, decided once at construction."""
 
     alphabet: Alphabet
     range_: int
     _rates: Dict[Tuple[Word, Word], object] = field(repr=False)
     _exits: Dict[Word, object] = field(repr=False, compare=False)
+    _exact: bool = field(repr=False, compare=False)
 
     def __init__(self, alphabet: Alphabet, range_: int, rates: Mapping):
         if range_ < 1:
             raise ValueError("range must be >= 1")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "range_", range_)
-        object.__setattr__(self, "_rates", _freeze_rates(alphabet, range_, rates))
-        # one pass in rate order: each float exit rate adds its terms in that order
+        table = _freeze_rates(alphabet, range_, rates)
+        object.__setattr__(self, "_rates", table)
+        object.__setattr__(self, "_exact", all_exact(table.values()))
         exits: Dict[Word, object] = {}
-        for (src, _), rate in self._rates.items():
-            exits[src] = exits[src] + rate if src in exits else rate
+        if self._exact:
+            for (src, _), rate in table.items():
+                exits.setdefault(src, []).append(rate)
+            exits = {src: exact_sum(out) for src, out in exits.items()}
+        else:
+            # one pass in rate order: each float exit rate adds its terms in that order
+            for (src, _), rate in table.items():
+                exits[src] = exits[src] + rate if src in exits else rate
         object.__setattr__(self, "_exits", exits)
 
     def rate(self, src: Word, dst: Word):
@@ -120,7 +138,7 @@ class JumpRateMatrix:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact(r) for r in self._rates.values())
+        return self._exact
 
     def max_rate(self):
         return max(self._rates.values(), default=_ZERO)
@@ -159,11 +177,20 @@ class MarkovKernel:
     Rows must be complete and sum to one.  m = 0 has a single empty context,
     which makes the kernel a plain marginal distribution: the associated
     stationary chain is an i.i.d. sequence, i.e. a product measure.
+
+    The step weights are also kept as one list over the (m+1)-windows by
+    their base-kappa code (context first, then the next letter).  An exact
+    kernel (every entry rational, decided once at construction) also keeps
+    them as Python-int numerators over their least common denominator, on
+    which its rows are checked.
     """
 
     alphabet: Alphabet
     memory: int
     _entries: Dict[Tuple[Word, int], object] = field(repr=False)
+    _steps: Tuple = field(repr=False, compare=False)
+    _exact: bool = field(repr=False, compare=False)
+    _integer_steps: Optional[Tuple[List[int], int]] = field(repr=False, compare=False)
 
     def __init__(self, alphabet: Alphabet, memory: int, entries: Mapping):
         if memory < 0:
@@ -178,15 +205,30 @@ class MarkovKernel:
             if not 0 <= letter < alphabet.kappa:
                 raise ValueError(f"letter {letter} outside alphabet")
             p = as_scalar(value)
-            if p < 0 or p > 1:
+            if (p < 0 or p > 1) if isinstance(p, float) else \
+                    not 0 <= p.numerator <= p.denominator:
                 raise ValueError(f"kernel entry for {ctx}->{letter} outside [0,1]")
             table[(ctx, letter)] = p
-        for ctx in alphabet.words(memory):
-            row = [table.get((ctx, y), _ZERO) for y in alphabet.letters]
+        kappa = alphabet.kappa
+        steps = tuple(table.get((ctx, y), _ZERO)
+                      for ctx in alphabet.words(memory) for y in alphabet.letters)
+        exact = all_exact(steps)
+        integer_steps = over_common_denominator(steps) if exact else None
+        for r, ctx in enumerate(alphabet.words(memory)):
+            if exact:
+                nums, den = integer_steps
+                total = sum(nums[r * kappa:(r + 1) * kappa])
+                if total != den:
+                    raise ValueError(f"row for context {ctx} sums to {Fraction(total, den)}, not 1")
+                continue
+            row = steps[r * kappa:(r + 1) * kappa]
             total = sum(row)
             if not ScalarContext(all_exact(row)).is_zero(total - 1):
                 raise ValueError(f"row for context {ctx} sums to {total}, not 1")
         object.__setattr__(self, "_entries", table)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_integer_steps", integer_steps)
 
     @classmethod
     def from_matrix(cls, rows) -> "MarkovKernel":
@@ -211,36 +253,47 @@ class MarkovKernel:
         return self.prob(window[:-1], window[-1])
 
     @property
+    def step_weights(self) -> Tuple:
+        """Kernel weight of every (m+1)-window, by the window's code."""
+        return self._steps
+
+    @property
+    def integer_steps(self) -> Optional[Tuple[List[int], int]]:
+        """(numerators, common denominator) of `step_weights`; None unless exact."""
+        return self._integer_steps
+
+    @property
     def is_positive(self) -> bool:
-        return all(self.prob(ctx, y) > 0
-                   for ctx in self.alphabet.words(self.memory)
-                   for y in self.alphabet.letters)
+        if self._exact:
+            return all(n > 0 for n in self._integer_steps[0])
+        return all(p > 0 for p in self._steps)
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact(p) for p in self._entries.values())
+        return self._exact
 
     def matrix(self):
         """Row-stochastic matrix on contexts ordered lexicographically (m = 1
         gives back the usual kappa x kappa kernel)."""
-        return [[self.prob(ctx, y) for y in self.alphabet.letters]
-                for ctx in self.alphabet.words(self.memory)]
+        kappa = self.alphabet.kappa
+        return [list(self._steps[r:r + kappa]) for r in range(0, len(self._steps), kappa)]
 
     def block_states(self):
         return list(self.alphabet.words(max(self.memory, 1)))
 
-    def block_transition(self):
-        """Transition matrix of the chain of length-max(m,1) sliding blocks."""
-        states = self.block_states()
-        pos = {w: i for i, w in enumerate(states)}
-        size = len(states)
-        mat = [[Fraction(0)] * size for _ in range(size)]
-        for w in states:
-            for y in self.alphabet.letters:
-                ctx = w[len(w) - self.memory:] if self.memory else ()
-                nxt = (w + (y,))[1:]
-                mat[pos[w]][pos[nxt]] += self.prob(ctx, y)
-        return states, mat
+    def block_moves(self) -> Iterator[Tuple[int, int, int]]:
+        """The moves of the chain of length-b sliding blocks, b = max(m, 1),
+        blocks by their code (the order of `block_states`): (i, j, w) for
+        block i followed by the letter y, j = (i kappa + y) mod kappa^b,
+        with the step weight of the window code w = (i kappa + y) mod
+        kappa^(m+1).  Every block has kappa moves out and kappa moves in,
+        from distinct blocks; each block's moves in come in increasing i."""
+        kappa = self.alphabet.kappa
+        size, window = kappa ** max(self.memory, 1), kappa ** (self.memory + 1)
+        for i in range(size):
+            for y in range(kappa):
+                code = i * kappa + y
+                yield i, code % size, code % window
 
     def word_weight(self, word: Word, initial=None):
         """Chain weight prod M(window) of a word, optionally times an initial
@@ -262,30 +315,42 @@ class StationaryLaw:
     """A kernel together with its stationary block law.
 
     rho is indexed by words of length max(m, 1); it is a probability vector
-    and invariant for the sliding-block chain of the kernel.
+    and invariant for the sliding-block chain of the kernel.  Exact when the
+    kernel and rho are, decided once at construction; the checks of an
+    exact law run on integers.
     """
 
     kernel: MarkovKernel
     rho: Mapping[Word, object]
+    _exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = self.kernel.block_states()
+        kernel = self.kernel
+        states = kernel.block_states()
         missing = [w for w in states if w not in self.rho]
         if missing:
             raise ValueError(f"stationary law misses blocks {missing[:3]}")
-        values = [self.rho[w] for w in states]
-        total = sum(values)
-        exact = all_exact(values)
+        rho = [self.rho[w] for w in states]
+        exact = all_exact(rho)
+        object.__setattr__(self, "_exact", exact and kernel.is_exact)
+        values, den = over_common_denominator(rho) if exact else (rho, None)
         if any(v < 0 for v in values):
             raise ValueError("stationary law has negative entries")
+        total = Fraction(sum(values), den) if exact else sum(values)
         if not ScalarContext(exact).is_zero(total - 1):
             raise ValueError(f"stationary law sums to {total}, not 1")
-        flow_test = ScalarContext(exact and self.kernel.is_exact)
-        states2, mat = self.kernel.block_transition()
-        for j, w in enumerate(states2):
-            flow = sum(self.rho[v] * mat[i][j] for i, v in enumerate(states2))
-            if not flow_test.is_zero(flow - self.rho[w]):
-                raise ValueError("rho is not invariant for the kernel")
+        # sum_i rho_i M(i -> j) = rho_j for every block j; an exact law sums
+        # integers, over den times the kernel's common step denominator
+        if self._exact:
+            weights, scale = kernel.integer_steps
+        else:
+            values, weights, scale = rho, kernel.step_weights, 1
+        flows = [0] * len(states)
+        for i, j, w in kernel.block_moves():
+            flows[j] = flows[j] + values[i] * weights[w]
+        flow_test = ScalarContext(self._exact)
+        if not all(flow_test.is_zero(flow - v * scale) for flow, v in zip(flows, values)):
+            raise ValueError("rho is not invariant for the kernel")
 
     @property
     def memory(self) -> int:
@@ -297,7 +362,7 @@ class StationaryLaw:
 
     @property
     def is_exact(self) -> bool:
-        return self.kernel.is_exact and all(is_exact(v) for v in self.rho.values())
+        return self._exact
 
     def floated(self) -> "StationaryLaw":
         """The kernel and rho as floats (self when they already are)."""

@@ -43,7 +43,7 @@ import numpy as np
 from .core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word,
                    product_law)
 from .linalg import stationary_distribution
-from .scalars import DEFAULT_TOL, ScalarContext, all_exact
+from .scalars import DEFAULT_TOL, ScalarContext, all_exact, over_common_denominator
 
 ZERO_DENOMINATOR_HINT = ("kernel has zero entries; invariance with partial support "
                          "must go through restrict_support on a closed sub-alphabet")
@@ -192,7 +192,7 @@ def _balance_table(ctx: CriterionContext, start: list) -> WordTable:
     den = exact_zero = None
     exact = ctx.scalar_context.exact
     if exact:
-        scaled, scale = _integers(rates + start)
+        scaled, scale = over_common_denominator(rates + start)
         rates, start = scaled[:len(rates)], scaled[len(rates):]
     else:
         untouched = np.array([not isinstance(x, float) for x in start])
@@ -211,21 +211,16 @@ def _balance_table(ctx: CriterionContext, start: list) -> WordTable:
     return WordTable(alphabet, s, total, den, exact_zero)
 
 
-def _integers(values) -> Tuple[list, int]:
-    """Rationals as (Python-int numerators, their least common denominator)."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
 def _chain_weights(ctx: CriterionContext, length: int, first: Optional[list] = None):
     """The chain weight P of every word of a length, by code: `first` (listed
     by the code of the first m letters) when given, times the kernel's step
     weights over the (m+1)-windows, multiplied in that order.  Exact weights
     are Python ints, all scaled by one common factor."""
     m, kappa, exact = ctx.memory, ctx.alphabet.kappa, ctx.scalar_context.exact
-    weights = [ctx.law.kernel.step_weight(w) for w in ctx.alphabet.words(m + 1)]
+    weights = ctx.law.kernel.step_weights
     if exact:
-        weights, first = _integers(weights)[0], first and _integers(first)[0]
+        weights = ctx.law.kernel.integer_steps[0]
+        first = first and over_common_denominator(first)[0]
     weights, codes = np.array(weights, object if exact else float), np.arange(kappa ** length)
     chain = first and np.array(first, weights.dtype)[codes // kappa ** (length - m)]
     for j in range(length - m):

@@ -22,6 +22,7 @@ from .core import MarkovKernel, StationaryLaw
 from .scalars import all_exact
 
 _ZERO = Fraction(0)
+_NOT_UNIQUE = "kernel has no unique stationary law (reducible or periodic chain)"
 
 
 def rref(matrix, tol: float = 0.0):
@@ -50,12 +51,22 @@ def _eliminate(row, pivot, c):
 
 def _rref_exact(matrix):
     """Gauss-Jordan on sparse integer rows (each rational row times the lcm
-    of its denominators).  The reduced form is unique, so the pivot order
-    (fewest nonzeros first, which limits fill-in) does not change R."""
+    of its denominators), expanded back to rows of Fractions."""
     cols = len(matrix[0]) if matrix else 0
     dens = [lcm(*(v.denominator for v in row)) for row in matrix]
-    pending = [{c: v.numerator * (d // v.denominator) for c, v in enumerate(row) if v}
-               for row, d in zip(matrix, dens)]
+    done, pivots = _gauss_jordan(
+        [{c: v.numerator * (d // v.denominator) for c, v in enumerate(row) if v}
+         for row, d in zip(matrix, dens)], cols)
+    red = [[Fraction(row[j], row[c]) if j in row else _ZERO for j in range(cols)]
+           for row, c in zip(done, pivots)]
+    return red + [[_ZERO] * cols for _ in range(len(matrix) - len(done))], pivots
+
+
+def _gauss_jordan(pending, cols):
+    """Reduced row echelon form of sparse integer rows ({column: int}, zeros
+    left out): (the nonzero reduced rows, their pivot columns), in column
+    order.  The reduced form is unique, so the pivot order (fewest nonzeros
+    first, which limits fill-in) does not change it."""
     done, pivots = [], []
     for c in range(cols):
         hits = [row for row in pending if c in row]
@@ -66,9 +77,7 @@ def _rref_exact(matrix):
                    for row in pending if row is not pivot]
         done = [_eliminate(row, pivot, c) if c in row else row for row in done] + [pivot]
         pivots.append(c)
-    red = [[Fraction(row[j], row[c]) if j in row else _ZERO for j in range(cols)]
-           for row, c in zip(done, pivots)]
-    return red + [[_ZERO] * cols for _ in range(len(matrix) - len(done))], pivots
+    return done, pivots
 
 
 def _rref_float(matrix, tol):
@@ -185,23 +194,42 @@ def is_irreducible(A) -> bool:
 def stationary_distribution(kernel: MarkovKernel) -> StationaryLaw:
     """Unique stationary law of the sliding-block chain of a kernel.
 
-    Exact for rational kernels.  Raises when the chain does not determine a
-    unique stationary vector (reducible or otherwise degenerate kernel).
+    Solves (P^t - I) x = 0 with sum x = 1, P the block transition matrix.
+    Exact kernels: integer Gauss-Jordan on sparse rows over the kernel's
+    common denominator.  Otherwise `solve_linear` with a pivot tolerance.
+    Raises when the chain does not determine a unique stationary vector
+    (reducible or otherwise degenerate kernel).
     """
-    states, P = kernel.block_transition()
+    states = kernel.block_states()
     size = len(states)
-    # rows: (P^t - I) x = 0 plus normalization sum x = 1
-    A = [[P[j][i] - (1 if i == j else 0) for j in range(size)] for i in range(size)]
-    A.append([Fraction(1)] * size)
-    b = [Fraction(0)] * size + [Fraction(1)]
-    tol = 0.0 if kernel.is_exact else 1e-12
-    sol = solve_linear(A, b, tol=tol)
-    if sol.status != "unique":
-        raise ValueError("kernel has no unique stationary law (reducible or periodic chain)")
-    if any(v < 0 for v in sol.particular):
+    if kernel.is_exact:
+        weights, den = kernel.integer_steps
+        rows = [{} for _ in range(size)]
+        for i, j, w in kernel.block_moves():
+            rows[j][i] = weights[w]
+        for j, row in enumerate(rows):
+            row[j] = row.get(j, 0) - den
+        rows = [{i: v for i, v in row.items() if v} for row in rows]
+        done, pivots = _gauss_jordan(rows + [dict.fromkeys(range(size + 1), 1)], size + 1)
+        if pivots != list(range(size)):
+            raise ValueError(_NOT_UNIQUE)
+        x = [Fraction(row.get(size, 0), row[c]) for row, c in zip(done, pivots)]
+    else:
+        # P^t - I as the dense solve has always read it: entries of P are
+        # 0 + weight, absent moves Fraction(0)
+        A = [[_ZERO] * size for _ in range(size)]
+        for i, j, w in kernel.block_moves():
+            A[j][i] = _ZERO + kernel.step_weights[w]
+        for j in range(size):
+            A[j][j] = A[j][j] - 1
+        sol = solve_linear(A + [[Fraction(1)] * size], [_ZERO] * size + [Fraction(1)],
+                           tol=1e-12)
+        if sol.status != "unique":
+            raise ValueError(_NOT_UNIQUE)
+        x = sol.particular
+    if any(v < 0 for v in x):
         raise ValueError("stationary vector has negative entries")
-    rho = {w: sol.particular[i] for i, w in enumerate(states)}
-    return StationaryLaw(kernel, rho)
+    return StationaryLaw(kernel, dict(zip(states, x)))
 
 
 @dataclass(frozen=True)

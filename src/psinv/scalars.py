@@ -10,9 +10,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
+from typing import List, Tuple
 
 DEFAULT_TOL = 1e-9
+
+
+def _integer_ratio(text: str):
+    """(p, q) when text is "p/q" or "p" in ASCII digits, p optionally signed
+    and q > 0; None for every other string."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("-", "+") else num
+    if digits.isascii() and digits.isdigit() and (
+            not slash or (den.isascii() and den.isdigit())):
+        q = int(den) if slash else 1
+        if q:
+            return int(num), q
+    return None
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text).  The common forms "p/q" and "p" are read by int();
+    every other string goes to Fraction's own parser, so decimals,
+    exponents, underscores, whitespace and other digit scripts keep their
+    meaning and their errors."""
+    ratio = _integer_ratio(text)
+    return Fraction(*ratio) if ratio else Fraction(text)
+
+
+def parse_float(text: str) -> float:
+    """float(Fraction(text)); "p/q" and "p" as p / q, which int division
+    rounds correctly, as float(Fraction) does, without the Fraction."""
+    ratio = _integer_ratio(text)
+    return ratio[0] / ratio[1] if ratio else float(Fraction(text))
 
 
 def as_scalar(value):
@@ -21,19 +52,38 @@ def as_scalar(value):
     Accepts int, Fraction, float and strings such as "3/5" or "0.25"
     (strings always parse exactly, into Fraction).
     """
-    if isinstance(value, (Fraction, float)):
+    kind = type(value)
+    if kind is Fraction or kind is float or isinstance(value, (Fraction, float)):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
 def is_exact(value) -> bool:
-    return isinstance(value, Rational)
+    kind = type(value)
+    return kind is Fraction or kind is int or (kind is not float and isinstance(value, Rational))
 
 
 def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def over_common_denominator(values) -> Tuple[List[int], int]:
+    """Rationals as (Python-int numerators, their least common denominator)."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def exact_sum(values) -> Fraction:
+    """The sum of a nonempty list of rationals, added over their common
+    denominator (the one value itself when it is alone)."""
+    if len(values) == 1:
+        return values[0]
+    nums, den = over_common_denominator(values)
+    return Fraction(sum(nums), den)
 
 
 @dataclass(frozen=True)

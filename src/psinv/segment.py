@@ -31,8 +31,9 @@ import numpy as np
 
 from .core import BoundaryRates, JumpRateMatrix, Word
 from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable, _chain_weights,
-                       _integers, _over_one_denominator, _scalar, _scan_words, _window_sums,
+                       _over_one_denominator, _scalar, _scan_words, _window_sums,
                        check_markov_line, z_table)
+from .scalars import over_common_denominator
 
 _VARIANTS = ("target-weighted", "source-weighted")
 # n0: balances vanishing on two consecutive sizes >= N0 vanish on every size
@@ -80,7 +81,8 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
         amounts = [T.rate(v, w) + side.rate(v[end:end + 1], w[end:end + 1])
                    if v[1 - end] == w[1 - end] else T.rate(v, w)
                    for v, w in itertools.product(pairs, repeat=2)]
-        values, scale = _integers(exits + amounts) if exact else (exits + amounts, None)
+        values, scale = over_common_denominator(exits + amounts) if exact else \
+            (exits + amounts, None)
         values = np.array(values, object if exact else float)
         exits = values[:len(pairs)][window]
         amounts = values[len(pairs):].reshape(len(pairs), -1)[:, window]

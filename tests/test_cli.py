@@ -2,11 +2,13 @@ import dataclasses
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
 from psinv import criteria, segment
-from psinv.cli import build_parser, main
+from psinv.cli import ModelFileError, build_parser, load_model_file, main
+from psinv.scalars import parse_rational
 
 
 def run(capsys, *argv):
@@ -70,6 +72,129 @@ class TestModelFiles:
         rates = {(tuple(e["from"]), tuple(e["to"])): e["rate"] for e in doc["rates"]}
         assert rates[((0, 1, 0), (0, 0, 0))] == "4"
         assert rates[((0, 0, 0), (0, 1, 0))] == "1/4"
+
+
+EDGE_STRINGS = [" 3/5 ", "\t7\n", "1_0", "1/1_0", "1__0", "_1", "1_", "-3/5", "3/-5", "+3/+5",
+                "+3/5", "-0", "007/010", "1/0", "-1/0", "0/5", "0.25", "-.5", "1e-3", "1.5E3",
+                "٣", "٣/٤", "²", "1/2/3", "", " ", "+", "-", "/5", "5/", "3 /5", "3/ 5", "0x10",
+                "nan", "Infinity", "1" * 40 + "/" + "7" * 30, "-" + "9" * 25, "1e400"]
+
+
+def rho_file(tmp_path, values):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"schema": 1, "kappa": 2, "range": 2, "rates": [],
+                                "rho": values}))
+    return str(path)
+
+
+class TestScalarStrings:
+    """Rate strings read like Fraction(str): the same value, or the same error."""
+
+    @pytest.mark.parametrize("text", EDGE_STRINGS)
+    def test_parse_rational_matches_fraction(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                parse_rational(text)
+            assert str(caught.value) == str(exc)
+        else:
+            value = parse_rational(text)
+            assert type(value) is Fraction and value == expected
+
+    @pytest.mark.parametrize("as_float", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("text", EDGE_STRINGS)
+    def test_model_file_matches_fraction(self, tmp_path, text, as_float):
+        """Loaded as rho: the value of Fraction(text), a float with its bits
+        under --float, or exit 2 with Fraction's message."""
+        path = rho_file(tmp_path, [text, "1/2"])
+        try:
+            expected = Fraction(text)
+            if as_float:
+                expected = float(expected)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            with pytest.raises(ModelFileError) as caught:
+                load_model_file(path, as_float)
+            if not isinstance(exc, OverflowError):
+                assert str(exc) in str(caught.value)
+            return
+        value = load_model_file(path, as_float).rho[0]
+        assert type(value) is type(expected)
+        assert value.hex() == expected.hex() if as_float else value == expected
+
+
+class TestStrictModelFields:
+    """Booleans, non-finite numbers and non-integer integer fields exit 2
+    naming the field."""
+
+    LINE = {"schema": 1, "kappa": 2, "range": 2, "memory": 1,
+            "rates": [{"from": [1, 0], "to": [0, 1], "rate": "1"}],
+            "kernel": [["1/2", "1/2"], ["1/2", "1/2"]], "rho": ["1/2", "1/2"],
+            "beta_left": [{"from": [0], "to": [1], "rate": "1/4"}],
+            "beta_right": [{"from": [1], "to": [0], "rate": "1/4"}]}
+
+    def run_doc(self, tmp_path, capsys, doc, *argv):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, *argv, str(path))
+
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"),
+                                       float("-inf"), 1e400], ids=repr)
+    @pytest.mark.parametrize("field,name,argv", [
+        ("rates", "rates[0] rate", ["check-product"]),
+        ("kernel", "kernel[1][0]", ["check-markov"]),
+        ("rho", "rho[1]", ["check-product"]),
+        ("beta_left", "beta_left[0] rate", ["segment"]),
+        ("beta_right", "beta_right[0] rate", ["segment"]),
+    ])
+    def test_scalar_rejected(self, tmp_path, capsys, field, name, argv, value, mode):
+        doc = json.loads(json.dumps(self.LINE))
+        if field == "kernel":
+            doc["kernel"][1][0] = value
+        elif field == "rho":
+            doc["rho"][1] = value
+        else:
+            doc[field][0]["rate"] = value
+        code, out, err = self.run_doc(tmp_path, capsys, doc, mode, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name} must be a finite number")
+
+    def test_float_overflow_rejected(self, tmp_path, capsys):
+        doc = dict(self.LINE, rates=[{"from": [1, 0], "to": [0, 1], "rate": "1e400"}])
+        code, out, err = self.run_doc(tmp_path, capsys, doc, "--float", "check-product")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rates[0] rate 1e400 is out of float range")
+        code, _, _ = self.run_doc(tmp_path, capsys, doc, "check-product")
+        assert code == 0
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None], ids=repr)
+    @pytest.mark.parametrize("field", ["kappa", "range", "memory"])
+    def test_integer_field_rejected(self, tmp_path, capsys, field, value):
+        code, out, err = self.run_doc(tmp_path, capsys, dict(self.LINE, **{field: value}),
+                                      "check-markov")
+        assert (code, out) == (2, "")
+        assert err == f'error: model file needs an integer "{field}"\n'
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=repr)
+    def test_schema_rejected(self, tmp_path, capsys, value):
+        code, _, err = self.run_doc(tmp_path, capsys, dict(self.LINE, schema=value),
+                                    "check-product")
+        assert code == 2
+        assert err == 'error: model file must declare "schema": 1\n'
+
+    @pytest.mark.parametrize("letter", [1.9, True, "1", 1.0], ids=repr)
+    @pytest.mark.parametrize("side", ["from", "to"])
+    def test_word_letters_rejected(self, tmp_path, capsys, side, letter):
+        rate = {"from": [1, 0], "to": [0, 1], "rate": "1", side: [letter, 0]}
+        code, out, err = self.run_doc(tmp_path, capsys, dict(self.LINE, rates=[rate]),
+                                      "check-product")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rates[0] words must list integer letters")
+
+    def test_valid_file_still_loads(self, tmp_path, capsys):
+        code, _, err = self.run_doc(tmp_path, capsys, self.LINE, "check-markov")
+        assert (code, err) == (0, "")
 
 
 class TestCheckCommands:

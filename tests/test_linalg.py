@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from psinv import models, search
-from psinv.core import MarkovKernel
+from psinv import linalg
+from psinv.core import Alphabet, MarkovKernel, StationaryLaw
 from psinv.linalg import (mat_vec, perron_pair, rref, solve_linear, stationary_distribution,
                           vec_mat)
 from psinv.search import _cycle_system, _rational_sqrt
 
 from test_golden import MODELS
 from test_search import RANGE2_MODELS, as_float
-from z_reference import invariant_instance, perturbed_instance
+from conftest import random_kernel
+from z_reference import (invariant_instance, perturbed_instance, pinned, reference_law_check,
+                         reference_stationary)
 
 F = Fraction
 
@@ -127,6 +130,146 @@ class TestStationaryDistribution:
         with pytest.raises(ValueError):
             stationary_distribution(MarkovKernel.from_matrix([[F(1), F(0)],
                                                               [F(0), F(1)]]))
+
+
+def outcome(fn, *args):
+    """fn's result with its types (floats bit for bit), or its ValueError."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return None if result is None else {w: pinned(v) for w, v in result.items()}
+
+
+def solved(kernel):
+    return stationary_distribution(kernel).rho
+
+
+def checked(kernel, rho):
+    StationaryLaw(kernel, rho)
+
+
+def sparse_kernel(rng, kappa, memory, zeros):
+    """A random exact kernel with up to `zeros` zero entries per row."""
+    entries = {}
+    for ctx in Alphabet(kappa).words(memory):
+        raw = [F(rng.randint(1, 9)) for _ in range(kappa)]
+        for y in rng.sample(range(kappa), rng.randint(0, min(zeros, kappa - 1))):
+            raw[y] = F(0)
+        for y in range(kappa):
+            entries[(ctx, y)] = raw[y] / sum(raw)
+    return MarkovKernel(Alphabet(kappa), memory, entries)
+
+
+def floated_kernel(kernel, keep=()):
+    """The kernel in floats, the rows of the contexts in `keep` left exact."""
+    return MarkovKernel(kernel.alphabet, kernel.memory,
+                        {(c, y): p if c in keep else float(p)
+                         for (c, y), p in kernel._entries.items()})
+
+
+SHAPES = [(kappa, memory) for kappa in (2, 3, 4) for memory in (0, 1, 2)]
+
+
+class TestIntegerStationary:
+    """The integer solve and flow check against the Fraction matrix forms."""
+
+    @pytest.mark.parametrize("kappa,memory", SHAPES)
+    def test_random_exact_kernels(self, kappa, memory):
+        rng = random.Random(f"stationary-{kappa}-{memory}")
+        for _ in range(4):
+            kernel = random_kernel(rng, kappa=kappa, memory=memory)
+            law = stationary_distribution(kernel)
+            assert outcome(solved, kernel) == outcome(reference_stationary, kernel)
+            assert all(type(p) is F for p in law.rho.values())
+            assert law.is_exact
+
+    @pytest.mark.parametrize("kappa,memory", SHAPES)
+    def test_kernels_with_zero_entries(self, kappa, memory):
+        """Unique laws with zero blocks, reducible and periodic chains: the
+        same law or the same error."""
+        rng = random.Random(f"sparse-{kappa}-{memory}")
+        for _ in range(8):
+            kernel = sparse_kernel(rng, kappa, memory, zeros=kappa - 1)
+            assert outcome(solved, kernel) == outcome(reference_stationary, kernel)
+
+    @pytest.mark.parametrize("rows,unique", [
+        ([[1, 0], [0, 1]], False),                          # reducible
+        ([[0, 1], [1, 0]], True),                           # periodic, one law
+        ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], False),         # two closed classes
+        ([[F(1, 2), F(1, 2)], [0, 1]], True),               # one transient state
+    ])
+    def test_degenerate_chains(self, rows, unique):
+        kernel = MarkovKernel.from_matrix([[F(p) for p in row] for row in rows])
+        for k in (kernel, floated_kernel(kernel)):
+            result = outcome(solved, k)
+            assert result == outcome(reference_stationary, k)
+            assert isinstance(result, dict) == unique
+        if not unique:
+            assert outcome(solved, kernel) == (
+                "ValueError", "kernel has no unique stationary law (reducible or periodic chain)")
+
+    def test_exact_solve_bypasses_solve_linear(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "solve_linear",
+                            lambda *args, **kwargs: calls.append(args))
+        stationary_distribution(random_kernel(random.Random(5), kappa=3, memory=2))
+        assert calls == []
+
+    @pytest.mark.parametrize("kappa,memory", SHAPES)
+    def test_perturbed_rho_is_not_invariant(self, kappa, memory):
+        """One entry moved by a small amount (another compensating, so the sum
+        stays 1) fails the flow check, as the Fraction loop found."""
+        rng = random.Random(f"perturb-{kappa}-{memory}")
+        kernel = random_kernel(rng, kappa=kappa, memory=memory)
+        rho = stationary_distribution(kernel).rho
+        assert outcome(checked, kernel, rho) is None
+        states = list(rho)
+        for _ in range(3):
+            a, b = rng.sample(states, 2)
+            eps = F(1, rng.randint(10 ** 6, 10 ** 7))
+            bad = rho | {a: rho[a] + eps, b: rho[b] - eps}
+            assert outcome(checked, kernel, bad) == outcome(reference_law_check, kernel, bad) \
+                == ("ValueError", "rho is not invariant for the kernel")
+
+    def test_law_checks_match_reference(self):
+        """Missing blocks, negative entries, a wrong sum, and mixed exact and
+        float parts: the same acceptance and the same message."""
+        kernel = random_kernel(random.Random(9), kappa=2, memory=2)
+        rho = stationary_distribution(kernel).rho
+        a, b = sorted(rho)[:2]
+        float_rho = {w: float(p) for w, p in rho.items()}
+        cases = [
+            (kernel, {w: p for w, p in rho.items() if w != a}),
+            (kernel, rho | {a: -rho[a], b: rho[b] + 2 * rho[a]}),
+            (kernel, rho | {a: rho[a] + 1}),
+            (kernel, rho | {a: 2 * rho[a]}),
+            (kernel, float_rho),
+            (kernel, float_rho | {a: float_rho[a] + 1e-6, b: float_rho[b] - 1e-6}),
+            (floated_kernel(kernel), rho),
+            (floated_kernel(kernel), rho | {a: rho[a] + F(1, 1000), b: rho[b] - F(1, 1000)}),
+            (floated_kernel(kernel, keep=[(0, 0)]), float_rho),
+            (kernel, {w: int(i == 0) for i, w in enumerate(sorted(rho))}),
+        ]
+        for k, r in cases:
+            assert outcome(checked, k, r) == outcome(reference_law_check, k, r)
+            if outcome(checked, k, r) is None:
+                assert StationaryLaw(k, r).is_exact == (k.is_exact and all(
+                    isinstance(p, (int, F)) for p in r.values()))
+
+    @pytest.mark.parametrize("kappa,memory", SHAPES)
+    def test_float_kernels_unchanged(self, kappa, memory):
+        """Float and mixed kernels: the same floats bit for bit, and the same
+        types where an entry stays exact."""
+        rng = random.Random(f"float-{kappa}-{memory}")
+        for draw in range(3):
+            kernel = random_kernel(rng, kappa=kappa, memory=memory)
+            contexts = list(kernel.alphabet.words(memory))
+            for k in (floated_kernel(kernel), floated_kernel(kernel, keep=contexts[:1])):
+                assert outcome(solved, k) == outcome(reference_stationary, k)
+        kernel = sparse_kernel(rng, kappa, memory, zeros=kappa - 1)
+        assert outcome(solved, floated_kernel(kernel)) == \
+            outcome(reference_stationary, floated_kernel(kernel))
 
 
 class TestPerronPair:

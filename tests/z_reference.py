@@ -9,6 +9,11 @@ before they became chain-weight arrays (one `word_weight` quotient per
 block word and jump).  The array forms must return the same exact values, word
 counts and witnesses, and the same floats bit for bit.
 
+Also the stationary law as it was solved and checked before both ran on
+integers: the dense `Fraction` block transition matrix, `solve_linear` on
+P^T - I with a row of ones, and the `Fraction` flow loop of
+`StationaryLaw`.
+
 The instance generators draw invariant and perturbed rate tables, exact and
 in floats, for any alphabet size, memory and range.
 """
@@ -21,6 +26,8 @@ import numpy as np
 
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
 from psinv.criteria import CriterionContext, _window_sums, markov_context, z_table
+from psinv.linalg import solve_linear
+from psinv.scalars import ScalarContext, all_exact
 
 from conftest import random_kernel, random_marginal, rational
 
@@ -279,3 +286,60 @@ def reference_segment_balances(ctx, beta, n, table=None):
         return total
 
     return ctx, balances, den
+
+
+# ---------------------------------------------------------------------------
+# the stationary law on Fraction matrices
+# ---------------------------------------------------------------------------
+
+def reference_block_transition(kernel):
+    """(block states, transition matrix of the chain of length-max(m,1)
+    sliding blocks), entries Fraction(0) plus the kernel weight."""
+    states = kernel.block_states()
+    pos = {w: i for i, w in enumerate(states)}
+    size = len(states)
+    mat = [[Fraction(0)] * size for _ in range(size)]
+    for w in states:
+        for y in kernel.alphabet.letters:
+            ctx = w[len(w) - kernel.memory:] if kernel.memory else ()
+            nxt = (w + (y,))[1:]
+            mat[pos[w]][pos[nxt]] += kernel.prob(ctx, y)
+    return states, mat
+
+
+def reference_stationary(kernel):
+    """{block: probability} of `stationary_distribution`, by one dense
+    `solve_linear` (pivot tolerance 1e-12 unless the kernel is exact)."""
+    states, P = reference_block_transition(kernel)
+    size = len(states)
+    A = [[P[j][i] - (1 if i == j else 0) for j in range(size)] for i in range(size)]
+    A.append([Fraction(1)] * size)
+    b = [Fraction(0)] * size + [Fraction(1)]
+    exact = all_exact(p for row in P for p in row)
+    sol = solve_linear(A, b, tol=0.0 if exact else 1e-12)
+    if sol.status != "unique":
+        raise ValueError("kernel has no unique stationary law (reducible or periodic chain)")
+    if any(v < 0 for v in sol.particular):
+        raise ValueError("stationary vector has negative entries")
+    return {w: sol.particular[i] for i, w in enumerate(states)}
+
+
+def reference_law_check(kernel, rho):
+    """The checks of `StationaryLaw`: raises its ValueError, else None."""
+    states = kernel.block_states()
+    missing = [w for w in states if w not in rho]
+    if missing:
+        raise ValueError(f"stationary law misses blocks {missing[:3]}")
+    values = [rho[w] for w in states]
+    total = sum(values)
+    exact = all_exact(values)
+    if any(v < 0 for v in values):
+        raise ValueError("stationary law has negative entries")
+    if not ScalarContext(exact).is_zero(total - 1):
+        raise ValueError(f"stationary law sums to {total}, not 1")
+    flow_test = ScalarContext(exact and kernel.is_exact)
+    _, mat = reference_block_transition(kernel)
+    for j, w in enumerate(states):
+        flow = sum(rho[v] * mat[i][j] for i, v in enumerate(states))
+        if not flow_test.is_zero(flow - rho[w]):
+            raise ValueError("rho is not invariant for the kernel")
