@@ -66,12 +66,6 @@ class Alphabet:
         return tuple(reversed(letters))
 
 
-def _sign(value):
-    """A number of the sign of a scalar: floats as they are, rationals by
-    their numerator (their denominator is positive)."""
-    return value if isinstance(value, float) else value.numerator
-
-
 def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple[Word, Word], object]:
     table: Dict[Tuple[Word, Word], object] = {}
     for (src, dst), value in rates.items():
@@ -80,7 +74,7 @@ def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple
         if len(src) != length or len(dst) != length:
             raise ValueError(f"rate entry {src}->{dst} does not have length {length}")
         rate = as_scalar(value)
-        sign = _sign(rate)
+        sign = rate if isinstance(rate, float) else rate.numerator  # denominators are positive
         if sign < 0:
             raise ValueError(f"negative rate for {src}->{dst}")
         if src == dst and sign != 0:
@@ -214,16 +208,12 @@ class MarkovKernel:
                       for ctx in alphabet.words(memory) for y in alphabet.letters)
         exact = all_exact(steps)
         integer_steps = over_common_denominator(steps) if exact else None
+        values, one = integer_steps if exact else (steps, 1)
         for r, ctx in enumerate(alphabet.words(memory)):
-            if exact:
-                nums, den = integer_steps
-                total = sum(nums[r * kappa:(r + 1) * kappa])
-                if total != den:
-                    raise ValueError(f"row for context {ctx} sums to {Fraction(total, den)}, not 1")
-                continue
-            row = steps[r * kappa:(r + 1) * kappa]
+            row = values[r * kappa:(r + 1) * kappa]
             total = sum(row)
-            if not ScalarContext(all_exact(row)).is_zero(total - 1):
+            if not ScalarContext(exact or all_exact(row)).is_zero(total - one):
+                total = Fraction(total, one) if exact else total
                 raise ValueError(f"row for context {ctx} sums to {total}, not 1")
         object.__setattr__(self, "_entries", table)
         object.__setattr__(self, "_steps", steps)

@@ -215,8 +215,9 @@ def stationary_distribution(kernel: MarkovKernel) -> StationaryLaw:
             raise ValueError(_NOT_UNIQUE)
         x = [Fraction(row.get(size, 0), row[c]) for row, c in zip(done, pivots)]
     else:
-        # P^t - I as the dense solve has always read it: entries of P are
-        # 0 + weight, absent moves Fraction(0)
+        # P's entries are Fraction(0) + weight, Fraction(0) where there is no
+        # move: the float elimination's result types and signed zeros depend
+        # on these operands
         A = [[_ZERO] * size for _ in range(size)]
         for i, j, w in kernel.block_moves():
             A[j][i] = _ZERO + kernel.step_weights[w]
