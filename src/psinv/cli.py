@@ -332,7 +332,7 @@ def _cmd_find_product(args, model: ModelFile):
 def _cmd_verify_cycle(args, model: ModelFile):
     n = args.n
     ctx = _law_from_file(model, args.tol)
-    oracle.check_state_cap(model.jrm.alphabet, n, args.max_states)
+    oracle.check_space(model.jrm, CycleSpace(n), args.max_states)
     report = criteria.check_markov_cycle(ctx, n)
     gen = build_generator(model.jrm, CycleSpace(n), max_states=args.max_states)
     if model.kernel is not None:

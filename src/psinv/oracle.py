@@ -5,9 +5,12 @@ the particle system is an honest finite-state Markov jump process.  This
 module builds its full rate matrix Q as integer index arrays (compressed
 sparse rows; diagonal implicit), evaluates stationarity residuals mu Q
 exactly, computes cyclic chain (Gibbs) weights and product weights, and
-analyses absorbing structure through strongly connected components.  Exact
-rates and measures are Python ints over one common denominator each, so
-every sum is an integer sum; floats stay float64, summed in a fixed order.
+finds the closed classes of the jump graph by labelling each state with the
+least state it reaches.  Exact rates and measures are integers over one
+common denominator each: int64 when an a-priori bound on every value and sum
+computed from them (largest numerator x largest factor x number of terms) is
+below INT64_LIMIT, Python ints in object arrays otherwise, so every sum is
+an exact integer sum; floats stay float64, summed in a fixed order.
 Everything here is independent of the criteria module so the two can be
 tested against each other.
 """
@@ -19,7 +22,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +31,11 @@ from .core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
 from .scalars import all_exact
 
 DEFAULT_STATE_CAP = 2 ** 20
+# raw transitions one build may generate: the build peaks below 50 bytes
+# per raw transition, so about 0.4 GB
+TRANSITION_BUDGET = 2 ** 23
+# exact arrays are int64 when every value computed from them stays below this
+INT64_LIMIT = 2 ** 62
 
 
 class StateCapExceeded(RuntimeError):
@@ -57,49 +65,63 @@ Space = Union[CycleSpace, SegmentSpace, TorusSpace]
 # vectors over one common denominator
 # ---------------------------------------------------------------------------
 
-def _common_denominator(values) -> Tuple[np.ndarray, int]:
-    """(numerators, denominator): Python ints (an object array) over the least
-    common denominator when every value is rational, float64 values over 1
-    as soon as one of them is a float."""
+def _common_denominator(values) -> Tuple[object, int, bool]:
+    """(numerators, denominator, exact): Python ints over the least common
+    denominator when every value is rational, float64 values over 1 as soon
+    as one of them is a float."""
     values = list(values)
     if not all_exact(values):
-        return np.array([float(v) for v in values], dtype=float), 1
+        return np.array([float(v) for v in values], dtype=float), 1, False
     fractions = [Fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fractions))
-    num = np.empty(len(fractions), dtype=object)
-    num[:] = [f.numerator * (den // f.denominator) for f in fractions]
-    return num, den
+    return [f.numerator * (den // f.denominator) for f in fractions], den, True
 
 
-def _floats(num: np.ndarray, den: int) -> np.ndarray:
+def _ints(values, bound: int) -> np.ndarray:
+    """Integers as int64 when `bound`, an a-priori bound on every value and
+    sum that will be computed from them, is below INT64_LIMIT; otherwise as
+    Python ints in an object array."""
+    if bound < INT64_LIMIT:
+        return np.asarray(values, dtype=np.int64)
+    if isinstance(values, np.ndarray):
+        return values.astype(object)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _top(num) -> int:
+    """The largest |value| of a list or array of integers, as a Python int."""
+    if isinstance(num, np.ndarray) and num.dtype != object:
+        return int(np.abs(num).max(initial=0))
+    return max(map(abs, num.tolist() if isinstance(num, np.ndarray) else num), default=0)
+
+
+def _floats(num: np.ndarray, den: int, exact: bool) -> np.ndarray:
     """num / den as float64, each value correctly rounded like float(Fraction)."""
-    if num.dtype != object:
+    if not exact:
         return num
     return np.array([v / den for v in num.tolist()], dtype=float)
 
 
 class ScaledArray(Sequence):
-    """The vector num / den.  Exact vectors hold Python ints (an object array)
-    over the positive int den; float vectors hold float64 values over 1.
-    Indexing yields Fraction or float; == compares values with any sequence."""
+    """The vector num / den.  Exact vectors hold integers (int64, or Python
+    ints in an object array) over the positive int den; float vectors hold
+    float64 values over 1.  Indexing yields Fraction or float; == compares
+    values with any sequence."""
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, num: np.ndarray, den: int = 1):
+    def __init__(self, num: np.ndarray, den: int, exact: bool):
         num.setflags(write=False)
-        self.num = num
-        self.den = den
-
-    @property
-    def exact(self) -> bool:
-        return self.num.dtype == object
+        self.num, self.den, self.exact = num, den, exact
 
     def __len__(self) -> int:
         return len(self.num)
 
     def __getitem__(self, index: int):
         value = self.num[index]
-        return Fraction(value, self.den) if self.exact else float(value)
+        return Fraction(int(value), self.den) if self.exact else float(value)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -139,25 +161,23 @@ class _Row(Mapping):
 class FiniteGenerator:
     """Explicit generator in CSR form: state x jumps to the states
     dst[indptr[x]:indptr[x + 1]] (ascending) at the rates rate[...] / scale;
-    the diagonal entry is -exits[x] / scale.  An exact generator holds Python
-    ints (object arrays) over `scale`, the least common denominator of the
-    rates; a float generator holds float64 rates and scale 1.
+    the diagonal entry is -exits[x] / scale.  An exact generator holds
+    integers (int64 or Python ints, see INT64_LIMIT) over `scale`, the least
+    common denominator of the rates; a float generator holds float64 rates
+    and scale 1.
 
     `rows[x]` is a {target: rate} view of row x and `exit_rates[x]` the exit
     rate, both as Fraction or float."""
 
     def __init__(self, space: Space, alphabet: Alphabet, n_sites: int, indptr: np.ndarray,
-                 dst: np.ndarray, rate: np.ndarray, exits: np.ndarray, scale: int):
+                 dst: np.ndarray, rate: np.ndarray, exits: np.ndarray, scale: int, exact: bool):
         self.space, self.alphabet, self.n_sites = space, alphabet, n_sites
         self.indptr, self.dst, self.rate, self.exits, self.scale = indptr, dst, rate, exits, scale
+        self.exact = exact
 
     @property
     def n_states(self) -> int:
         return self.alphabet.kappa ** self.n_sites
-
-    @property
-    def exact(self) -> bool:
-        return self.rate.dtype == object
 
     @cached_property
     def rows(self) -> List[_Row]:
@@ -171,11 +191,11 @@ class FiniteGenerator:
 
     @cached_property
     def _rates(self) -> ScaledArray:
-        return ScaledArray(self.rate, self.scale)
+        return ScaledArray(self.rate, self.scale, self.exact)
 
     @property
     def exit_rates(self) -> ScaledArray:
-        return ScaledArray(self.exits, self.scale)
+        return ScaledArray(self.exits, self.scale, self.exact)
 
     def sources(self) -> np.ndarray:
         """The source state of every stored jump (the row index of dst)."""
@@ -192,127 +212,146 @@ class FiniteGenerator:
         sums = np.zeros(self.n_states, dtype=self.rate.dtype)
         np.add.at(sums, self.sources(), self.rate)
         top = np.max(np.abs(sums - self.exits))
-        return Fraction(top, self.scale) if self.exact else float(top)
+        return Fraction(int(top), self.scale) if self.exact else float(top)
 
 
-def _digits(kappa: int, n: int) -> np.ndarray:
-    """digits[k, x]: the letter at site k of state x (site 0 most significant)."""
-    index = np.arange(kappa ** n, dtype=np.int64)
-    digits = np.empty((n, len(index)), dtype=np.min_scalar_type(kappa - 1))
-    for k in range(n):
-        digits[k] = index // kappa ** (n - 1 - k) % kappa
-    return digits
-
-
-def _pattern_codes(digits: np.ndarray, kappa: int, sites) -> np.ndarray:
-    """Base-kappa code of the pattern each state shows on `sites`, in order."""
-    code = np.zeros(digits.shape[1], dtype=np.int64)
-    for site in sites:
-        code = code * kappa + digits[site]
-    return code
-
-
-def _moves_by_source(T: JumpRateMatrix) -> Dict[Word, List[Tuple[Word, object]]]:
-    moves: Dict[Word, List[Tuple[Word, object]]] = {}
-    for u, v, rate in T.entries():
-        moves.setdefault(u, []).append((v, rate))
-    return moves
-
-
-def _site_windows(T: JumpRateMatrix, space: Space):
-    """The jump windows of a space: (sites in pattern order, moves by source
-    pattern).  Cycles wrap; segments add their two boundary windows; the
-    torus has one 2x2 square per site, cells in SQUARE_CELLS order."""
-    moves = _moves_by_source(T)
+def _window_groups(T: JumpRateMatrix, space: Space):
+    """The jump windows of a space, grouped by move list: (sites, moves) with
+    sites[w] the sites of window w in pattern order and moves the (u, v, rate)
+    in source-pattern order.  Cycles wrap; segments add their two boundary
+    windows; the torus has one 2x2 square per site, cells in SQUARE_CELLS
+    order."""
+    moves = list(T.entries())
     L, n = T.range_, space.n
     if isinstance(space, CycleSpace):
-        return [([(start + i) % n for i in range(L)], moves) for start in range(n)]
-    if isinstance(space, SegmentSpace):
+        groups = [(np.add.outer(np.arange(n), np.arange(L)) % n, moves)]
+    elif isinstance(space, SegmentSpace):
+        groups = [(np.add.outer(np.arange(max(n - L + 1, 0)), np.arange(L)), moves)]
         boundary = space.boundary
-        windows = [(list(range(start, start + L)), moves) for start in range(n - L + 1)]
         if boundary is not None:
             if boundary.left.range_ != L - 1:
                 raise ValueError(f"boundary rates must have range {L - 1}")
             if n >= L - 1:
-                windows.append((list(range(L - 1)), _moves_by_source(boundary.left)))
-                windows.append((list(range(n - L + 1, n)), _moves_by_source(boundary.right)))
-        return windows
-    if n < 2:
-        raise ValueError("torus oracle needs n >= 2")
-    if L != 4:
-        raise ValueError("torus dynamics need rates over 2x2-square patterns (length 4)")
-    return [([(i + di) % n * n + (j + dj) % n for di in (0, 1) for dj in (0, 1)], moves)
-            for i in range(n) for j in range(n)]
+                groups.append((np.arange(L - 1)[None, :], list(boundary.left.entries())))
+                groups.append((np.arange(n - L + 1, n)[None, :], list(boundary.right.entries())))
+    else:
+        if n < 2:
+            raise ValueError("torus oracle needs n >= 2")
+        if L != 4:
+            raise ValueError("torus dynamics need rates over 2x2-square patterns (length 4)")
+        i, j = np.divmod(np.arange(n * n), n)
+        groups = [(np.stack([(i + di) % n * n + (j + dj) % n for di in (0, 1) for dj in (0, 1)],
+                            axis=1), moves)]
+    return [(sites, moves) for sites, moves in groups if len(sites) and moves]
 
 
-def _window_jumps(T: JumpRateMatrix, space: Space, n_sites: int):
-    """(sources, targets, rate) per window and move, windows outermost.  The
-    sources show the move's pattern u on the window's sites; the target of a
-    move u -> v is the source plus sum (v_j - u_j) kappa^(n - 1 - site_j)."""
-    alphabet = T.alphabet
-    kappa = alphabet.kappa
-    digits = _digits(kappa, n_sites)
-    for sites, moves in _site_windows(T, space):
-        code = _pattern_codes(digits, kappa, sites)
-        for u, targets in moves.items():
-            sources = np.flatnonzero(code == alphabet.encode(u))
-            for v, rate in targets:
-                delta = sum((b - a) * kappa ** (n_sites - 1 - site)
-                            for site, a, b in zip(sites, u, v))
-                yield sources, sources + delta, rate
+def _window_blocks(groups, kappa: int, n_sites: int):
+    """The jump blocks (fro, base, shift, move index) of every group, and the
+    rates the move indices point to.  The states that show move k's pattern
+    u on window w are fro[w, k] + base[w, :], ascending, and each of them
+    jumps by shift[w, k]: base[w] lists the states that read zeros on window
+    w, and fro[w, k] puts u's digits in place."""
+    blocks, rates = [], []
+    for sites, moves in groups:
+        windows, width = sites.shape
+        place = kappa ** (n_sites - 1 - sites)
+        u = np.array([move[0] for move in moves], dtype=np.int64)
+        v = np.array([move[1] for move in moves], dtype=np.int64)
+        # the states that read zeros on each window, from the other sites' digits
+        others = np.ones((windows, n_sites), dtype=bool)
+        others[np.arange(windows)[:, None], sites] = False
+        other_place = kappa ** (n_sites - 1 - np.nonzero(others)[1].reshape(windows, -1))
+        base = np.zeros((windows, 1), dtype=np.int64)
+        for t in range(n_sites - width):
+            base = (base[:, :, None] + other_place[:, t, None, None] * np.arange(kappa)).reshape(
+                windows, -1)
+        blocks.append((place @ u.T, base, place @ (v - u).T,
+                       np.arange(len(rates), len(rates) + len(moves))))
+        rates += [rate for _, _, rate in moves]
+    return blocks, rates
 
 
-def _pairwise_jumps(T: JumpRateMatrix, n: int):
+def _pairwise_blocks(T: JumpRateMatrix, n: int):
     """Jumps of a cycle shorter than the range, where wrapped windows overlap
-    themselves: the induced rate of every pair of distinct states."""
+    themselves: the induced rate of every pair of distinct states, one
+    block each."""
     words = list(T.alphabet.words(n))
+    pairs, rates = [], []
     for i, w in enumerate(words):
         for j, z in enumerate(words):
             if i != j:
                 rate = induced_rate_cyclic(T, w, z)
                 if rate != 0:
-                    yield np.array([i]), np.array([j]), rate
+                    pairs.append((i, j))
+                    rates.append(rate)
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return [(src[None, :], np.zeros((1, 1), dtype=np.int64), (dst - src)[None, :],
+             np.arange(len(rates)))], rates
 
 
-def _compress(space: Space, alphabet: Alphabet, n_sites: int, jumps) -> FiniteGenerator:
-    """CSR generator from (sources, targets, rate) jumps in generation order.
+def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> FiniteGenerator:
+    """CSR generator from jump blocks (fro, base, shift, move): the states
+    fro[w, k] + base[w, :] jump by shift[w, k] at rates[move[k]].  Generation
+    order is block list, window, move, ascending source.
 
     Transitions between the same two states are merged.  Float sums keep the
     generation order: each exit rate and each merged rate adds its terms in
     the order they were generated."""
     n_states = alphabet.kappa ** n_sites
-    jumps = list(jumps)
-    values, scale = _common_denominator(rate for _, _, rate in jumps)
-    empty = [np.zeros(0, dtype=np.int64)]
-    src = np.concatenate([sources for sources, _, _ in jumps] or empty)
-    dst = np.concatenate([targets for _, targets, _ in jumps] or empty)
-    # which jump made each transition, for its rate
-    jump = np.repeat(np.arange(len(jumps)), [len(sources) for sources, _, _ in jumps])
-    del jumps
+    nums, scale, exact = _common_denominator(rates)
+    empty = np.zeros(0, dtype=np.int64)
+    shift = np.concatenate([s.ravel() for _, _, s, _ in blocks] + [empty])
+    move = np.concatenate([np.broadcast_to(m, s.shape).ravel() for _, _, s, m in blocks]
+                          + [empty]).astype(np.min_scalar_type(len(rates)))
+    width = np.concatenate([np.full(s.size, base.shape[1]) for _, base, s, _ in blocks] + [empty])
+    raw = int(width.sum())
+    # every exit and merged rate is a sum of at most `raw` nonnegative rates
+    values = _ints(nums, _top(nums) * raw) if exact else nums
+    # rank the blocks by shift, ties in generation order: then sorting the
+    # keys source * J + rank orders the jumps by source, then target, and
+    # keeps the jumps between two states in generation order.  Each block's
+    # keys are ascending, so the stable sort merges sorted runs.
+    bits = max(len(shift) - 1, 0).bit_length()
+    J = 1 << bits
+    by_shift = np.argsort(shift, kind="stable")
+    rank = np.empty(len(shift), dtype=np.int64)
+    rank[by_shift] = np.arange(len(shift))
+    key = np.empty(raw, dtype=np.int64)
+    at = block = 0
+    for fro, base, s, _ in blocks:
+        part = key[at:at + s.size * base.shape[1]].reshape(*s.shape, base.shape[1])
+        np.add((fro * J + rank[block:block + s.size].reshape(s.shape))[:, :, None],
+               base[:, None, :] * J, out=part)
+        at, block = at + part.size, block + s.size
     exits = np.zeros(n_states, dtype=values.dtype)
-    np.add.at(exits, src, values[jump])
-    key = src * n_states + dst
-    del src, dst
-    # stable: the transitions of one pair of states stay in generation order
-    order = np.argsort(key, kind="stable")
-    key, jump = key[order], jump[order]
-    del order
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = key[1:] != key[:-1]
+    if not exact:
+        np.add.at(exits, key >> bits, np.repeat(values[move], width))
+    key.sort(kind="stable")
+    src = key >> bits
+    np.bitwise_and(key, J - 1, out=key)
+    dst = shift[by_shift][key]
+    dst += src
+    move = move[by_shift][key]
+    del key
+    new = np.ones(raw, dtype=bool)
+    new[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
     first = np.flatnonzero(new)
-    group = np.cumsum(new) - 1
-    rank = np.arange(len(key)) - first[group]
-    rate = values[jump[first]]
-    for r in range(1, int(rank.max(initial=0)) + 1):
-        at = rank == r
-        rate[group[at]] += values[jump[at]]
-    key = key[first]
+    if len(first) == raw:
+        rate, targets = values[move], dst
+    else:
+        rate, targets, src = values[move[first]], dst[first], src[first]
+        size = np.diff(first, append=raw)
+        for k in range(1, int(size.max())):
+            long = np.flatnonzero(size > k)
+            rate[long] += values[move[first[long] + k]]
     indptr = np.zeros(n_states + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n_states, minlength=n_states), out=indptr[1:])
-    targets = key % n_states
+    np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
+    if exact:
+        rows = np.flatnonzero(np.diff(indptr))
+        exits[rows] = np.add.reduceat(rate, indptr[rows])
     for array in (indptr, targets, rate, exits):
         array.setflags(write=False)
-    return FiniteGenerator(space, alphabet, n_sites, indptr, targets, rate, exits, scale)
+    return FiniteGenerator(space, alphabet, n_sites, indptr, targets, rate, exits, scale, exact)
 
 
 def check_state_cap(alphabet: Alphabet, n_sites: int, max_states: int = DEFAULT_STATE_CAP):
@@ -321,43 +360,67 @@ def check_state_cap(alphabet: Alphabet, n_sites: int, max_states: int = DEFAULT_
         raise StateCapExceeded(f"{alphabet.kappa ** n_sites} states exceed the cap {max_states}")
 
 
-def build_generator(T: JumpRateMatrix, space: Space,
-                    max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
-    """Explicit sparse generator of the particle system on a finite space."""
+def check_space(T: JumpRateMatrix, space: Space, max_states: int = DEFAULT_STATE_CAP):
+    """Check a space before anything is allocated: raise StateCapExceeded
+    when it has more states than the cap, or when its generator would hold
+    more than TRANSITION_BUDGET raw transitions (windows x moves x the
+    kappa^(sites - width) states that show each pattern).  Returns the number
+    of sites and the window groups (None for a cycle shorter than the range)."""
     if not isinstance(space, (CycleSpace, SegmentSpace, TorusSpace)):
         raise TypeError(f"unknown space {space!r}")
     if space.n < 1:
         raise ValueError(f"size {space.n} must be >= 1")
-    alphabet = T.alphabet
+    kappa = T.alphabet.kappa
     n_sites = space.n * space.n if isinstance(space, TorusSpace) else space.n
-    check_state_cap(alphabet, n_sites, max_states)
+    check_state_cap(T.alphabet, n_sites, max_states)
     if isinstance(space, CycleSpace) and space.n < T.range_:
-        jumps = _pairwise_jumps(T, n_sites)
+        return n_sites, None
+    groups = _window_groups(T, space)
+    count = sum(len(sites) * len(moves) * kappa ** (n_sites - sites.shape[1])
+                for sites, moves in groups)
+    if count > TRANSITION_BUDGET:
+        raise StateCapExceeded(f"about {count} transitions exceed the budget {TRANSITION_BUDGET}")
+    return n_sites, groups
+
+
+def build_generator(T: JumpRateMatrix, space: Space,
+                    max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
+    """Explicit sparse generator of the particle system on a finite space."""
+    n_sites, groups = check_space(T, space, max_states)
+    if groups is None:
+        blocks = _pairwise_blocks(T, n_sites)
     else:
-        jumps = _window_jumps(T, space, n_sites)
-    return _compress(space, alphabet, n_sites, jumps)
+        blocks = _window_blocks(groups, T.alphabet.kappa, n_sites)
+    return _compress(space, T.alphabet, n_sites, *blocks)
 
 
 def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
     """max_x |(mu Q)(x)|, exact in rational mode; zero iff mu is invariant.
 
-    Exact when the generator and mu are both rational; otherwise every value
+    Exact when the generator and mu are both rational, summed on int64 when
+    the bound allows and on Python ints otherwise; otherwise every value
     is rounded to float first and the sums run in a fixed order: each target
     adds its inflows by ascending source."""
     if len(mu) != gen.n_states:
         raise ValueError("measure length does not match the state space")
     if not isinstance(mu, ScaledArray):
-        mu = ScaledArray(*_common_denominator(mu))
+        nums, den, exact = _common_denominator(mu)
+        mu = ScaledArray(_ints(nums, _top(nums)) if exact else nums, den, exact)
     exact = gen.exact and mu.exact
     if exact:
-        weights, rate, exits = mu.num, gen.rate, gen.exits
+        # rates are nonnegative, so no rate exceeds its row's exit rate: each
+        # of the 1 + in-degree terms of a sum is at most top(mu) * top(exits).
+        # Python-int weights make every product and sum a Python int.
+        terms = 1 + int(np.bincount(gen.dst, minlength=1).max())
+        weights = _ints(mu.num, _top(mu.num) * _top(gen.exits) * terms)
+        rate, exits = gen.rate, gen.exits
     else:
-        weights = _floats(mu.num, mu.den)
-        rate, exits = _floats(gen.rate, gen.scale), _floats(gen.exits, gen.scale)
+        weights = _floats(mu.num, mu.den, mu.exact)
+        rate, exits = (_floats(a, gen.scale, gen.exact) for a in (gen.rate, gen.exits))
     acc = -weights * exits
     np.add.at(acc, gen.dst, weights[gen.sources()] * rate)
     top = np.max(np.abs(acc))
-    return Fraction(top, mu.den * gen.scale) if exact else float(top)
+    return Fraction(int(top), mu.den * gen.scale) if exact else float(top)
 
 
 # ---------------------------------------------------------------------------
@@ -381,28 +444,36 @@ def gibbs_measure(kernel: MarkovKernel, n: int) -> ScaledArray:
     this is the usual kernel-weight measure with trace normalization)."""
     alphabet = kernel.alphabet
     kappa, span = alphabet.kappa, kernel.memory + 1
-    table, _ = _common_denominator(kernel.step_weight(w) for w in alphabet.words(span))
-    digits = _digits(kappa, n)
-    weights = np.ones(kappa ** n, dtype=table.dtype)
-    for j in range(n):
-        weights = weights * table[_pattern_codes(digits, kappa,
-                                                 [(j + i) % n for i in range(span)])]
-    total = sum(weights.tolist())
+    nums, _, exact = _common_denominator(kernel.step_weight(w) for w in alphabet.words(span))
+    # each weight is a product of n entries, and the total sums kappa^n weights
+    table = _ints(nums, _top(nums) ** n * kappa ** n) if exact else nums
+    # windows 0 .. n - span lie inside the word: extend the prefixes one
+    # letter at a time, each extension adding the window that ends there
+    weights = np.ones(kappa ** min(span - 1, n), dtype=table.dtype)
+    for length in range(span, n + 1):
+        weights = np.repeat(weights, kappa) * np.tile(table, kappa ** (length - span))
+    # the wrapped windows, read off the word repeated `laps` times
+    laps = -(-(n + span - 1) // n)
+    word = np.arange(kappa ** n, dtype=np.int64) * sum(kappa ** (n * k) for k in range(laps))
+    for j in range(max(n - span + 1, 0), n):
+        weights = weights * table[word // kappa ** (n * laps - j - span) % kappa ** span]
+    total = int(weights.sum()) if exact else sum(weights.tolist())
     if total == 0:
         raise ValueError("cyclic weights sum to zero; no chain law on this cycle")
-    if weights.dtype == object:
-        return ScaledArray(weights, total)
-    return ScaledArray(weights / total)
+    if exact:
+        return ScaledArray(weights, total, True)
+    return ScaledArray(weights / total, 1, False)
 
 
 def product_measure(rho, n_sites: int) -> ScaledArray:
     """The product of the marginal rho over n_sites sites."""
     Alphabet(len(rho))  # rejects fewer than two letters, like every state space
-    factor, den = _common_denominator(rho)
+    nums, den, exact = _common_denominator(rho)
+    factor = _ints(nums, _top(nums) ** n_sites) if exact else nums
     weights = np.ones(1, dtype=factor.dtype)
     for _ in range(n_sites):
         weights = np.multiply.outer(weights, factor).ravel()
-    return ScaledArray(weights, den ** n_sites)
+    return ScaledArray(weights, den ** n_sites, exact)
 
 
 def segment_measure(law: StationaryLaw, n: int) -> List:
@@ -451,55 +522,24 @@ def line_balance_raw(T: JumpRateMatrix, law: StationaryLaw, x: Word):
 # absorbing structure
 # ---------------------------------------------------------------------------
 
-def _tarjan_sccs(ptr: List[int], succ: List[int]) -> List[List[int]]:
-    """Iterative Tarjan over CSR lists (the successors of x are
-    succ[ptr[x]:ptr[x + 1]]); components come out in reverse topological
-    order."""
-    n = len(ptr) - 1
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = 1
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, ptr[root])]
-        while work:
-            node, edge_pos = work.pop()
-            if not visited[node]:
-                visited[node] = True
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(edge_pos, ptr[node + 1]):
-                nxt = succ[k]
-                if not visited[nxt]:
-                    work.append((node, k + 1))
-                    work.append((nxt, ptr[nxt]))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    other = stack.pop()
-                    on_stack[other] = False
-                    comp.append(other)
-                    if other == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+def _reach(indptr: np.ndarray, adj: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Mark, in place, every state reachable from the marked ones, where the
+    neighbours of x are adj[indptr[x]:indptr[x + 1]]: a frontier search that
+    gathers each level's neighbours at once."""
+    frontier = np.flatnonzero(seen)
+    slot = np.empty(len(seen), dtype=np.int64)
+    while len(frontier):
+        lo = indptr[frontier]
+        counts = indptr[frontier + 1] - lo
+        ends = np.cumsum(counts)
+        near = adj[np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)]
+        near = near[~seen[near]]
+        # one copy of each new state: the one whose position its slot keeps
+        at = np.arange(len(near))
+        slot[near] = at
+        frontier = near[slot[near] == at]
+        seen[frontier] = True
+    return seen
 
 
 @dataclass(frozen=True)
@@ -518,31 +558,44 @@ class AbsorbingReport:
 
 
 def absorbing_analysis(gen: FiniteGenerator) -> AbsorbingReport:
-    sccs = _tarjan_sccs(gen.indptr.tolist(), gen.dst.tolist())
-    comp_of = np.empty(gen.n_states, dtype=np.int64)
-    for cid, comp in enumerate(sccs):
-        comp_of[comp] = cid
+    """The closed classes of the jump graph, from least[x], the least state
+    that x reaches.  A closed class C has least = min C on all of C, and so
+    do all successors of its states; conversely, if every state reachable
+    from r has the label r, then everything r reaches also reaches r, so r
+    reaches exactly one closed class."""
+    n, indptr, dst = gen.n_states, gen.indptr, gen.dst
     src = gen.sources()
-    leaving = comp_of[src] != comp_of[gen.dst]
-    has_exit = np.zeros(len(sccs), dtype=bool)
-    has_exit[comp_of[src[leaving]]] = True
-    sinks = [tuple(sorted(comp)) for cid, comp in enumerate(sccs) if not has_exit[cid]]
-    absorbing = frozenset(node for comp in sinks for node in comp)
-    # reverse reachability from the absorbing set, over the jumps sorted by target
-    order = np.argsort(gen.dst)
-    pred = src[order].tolist()
-    ptr = np.searchsorted(gen.dst[order], np.arange(gen.n_states + 1)).tolist()
-    seen = set(absorbing)
-    frontier = list(absorbing)
-    while frontier:
-        node = frontier.pop()
-        for prev in pred[ptr[node]:ptr[node + 1]]:
-            if prev not in seen:
-                seen.add(prev)
-                frontier.append(prev)
-    return AbsorbingReport(tuple(sorted(sinks)), absorbing,
-                           len(absorbing) < gen.n_states,
-                           len(seen) == gen.n_states)
+    rows = np.flatnonzero(np.diff(indptr))
+    # min-propagation over the jumps, with pointer jumping: least[least[x]]
+    # is reachable from x too
+    least = np.arange(n)
+    while True:
+        step = least.copy()
+        if len(rows):
+            step[rows] = np.minimum(step[rows], np.minimum.reduceat(least[dst], indptr[rows]))
+        step = np.minimum(step, step[step])
+        if np.array_equal(step, least):
+            break
+        least = step
+    # reverse adjacency: the sources of the jumps into each state
+    # (a stable sort of a small integer type is a radix sort)
+    order = np.argsort(dst.astype(np.min_scalar_type(n - 1)), kind="stable")
+    pred = src[order]
+    rptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=rptr[1:])
+    # drop every state that reaches a jump between two labels: the rest is
+    # the largest closed set on which each jump keeps its label
+    leaky = np.zeros(n, dtype=bool)
+    leaky[src[least[src] != least[dst]]] = True
+    _reach(rptr, pred, leaky)
+    absorbing = _reach(indptr, dst, ~leaky & (least == np.arange(n)))
+    states = np.flatnonzero(absorbing)
+    labels = least[states]
+    order = np.argsort(labels, kind="stable")
+    classes = np.split(states[order], np.flatnonzero(np.diff(labels[order])) + 1)
+    reached = _reach(rptr, pred, absorbing.copy())
+    return AbsorbingReport(tuple(tuple(c.tolist()) for c in classes),
+                           frozenset(states.tolist()), len(states) < n, bool(reached.all()))
 
 
 @dataclass(frozen=True)

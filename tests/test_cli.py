@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from psinv import criteria, segment
+from psinv import criteria, oracle, segment
 from psinv.cli import ModelFileError, build_parser, load_model_file, main
 from psinv.scalars import parse_rational
 
@@ -68,7 +68,8 @@ class TestModelFiles:
 
     def test_rational_strings_roundtrip(self, tmp_path):
         path = write_model(tmp_path, "stochastic_ising", params={"x": "1/2"})
-        doc = json.loads(open(path).read())
+        with open(path) as handle:
+            doc = json.load(handle)
         rates = {(tuple(e["from"]), tuple(e["to"])): e["rate"] for e in doc["rates"]}
         assert rates[((0, 1, 0), (0, 0, 0))] == "4"
         assert rates[((0, 0, 0), (0, 1, 0))] == "1/4"
@@ -265,6 +266,24 @@ class TestOracleCommands:
         assert code == 4
         assert json.loads(out)["oracle_agrees"] is False
 
+    def test_verify_cycle_same_on_int64_and_object_paths(self, tmp_path, capsys, monkeypatch):
+        # the object path is forced by lowering the int64 limit to 0
+        cases = [("stochastic_ising", {"x": "1/2"}, None, "8", 0),
+                 ("stochastic_ising", {"x": "1/2"},
+                  {"kernel": [["1/2", "1/2"], ["1/3", "2/3"]]}, "7", 1),
+                 ("tasep", None, {"rho": ["1/3", "2/3"]}, "6", 0)]
+        for name, params, extra, n, expected in cases:
+            path = write_model(tmp_path, name, extra=extra, params=params)
+            outputs = []
+            for limit in (oracle.INT64_LIMIT, 0):
+                monkeypatch.setattr(oracle, "INT64_LIMIT", limit)
+                code, out, _ = run(capsys, "--report", "json", "verify-cycle", path, "--n", n)
+                doc = json.loads(out)
+                doc.pop("timings")
+                outputs.append((code, doc))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == expected and outputs[0][1]["oracle_agrees"] is True
+
     def test_state_cap_exit3(self, tmp_path, capsys):
         path = write_model(tmp_path, "tasep", extra={"rho": ["1/2", "1/2"]})
         code, _, err = run(capsys, "--max-states", "8", "verify-cycle", path, "--n", "6")
@@ -357,7 +376,8 @@ class TestModelParams:
 
     def test_missing_zero_range_rates_are_zero(self, tmp_path, capsys):
         path = write_model(tmp_path, "zero_range", params={"g": {"1,1": 1}, "kappa_trunc": 3})
-        doc = json.loads(open(path).read())
+        with open(path) as handle:
+            doc = json.load(handle)
         assert {(tuple(e["from"]), tuple(e["to"])) for e in doc["rates"]} == \
             {((1, 0), (0, 1)), ((1, 1), (0, 2))}
 
@@ -411,9 +431,11 @@ class TestInputErrors:
         assert out == ""
 
 
+    # n = 20 has 2^20 states, within the default cap, but about 21M transitions
     @pytest.mark.parametrize("argv", [["verify-cycle", "--n", "24"],
-                                      ["--max-states", "1000", "verify-cycle", "--n", "12"]],
-                             ids=["n24-default-cap", "n12-cap-1000"])
+                                      ["--max-states", "1000", "verify-cycle", "--n", "12"],
+                                      ["verify-cycle", "--n", "20"]],
+                             ids=["n24-default-cap", "n12-cap-1000", "n20-transition-budget"])
     def test_verify_cycle_checks_the_cap_before_the_decider(self, tmp_path, capsys,
                                                             monkeypatch, argv):
         path = write_model(tmp_path, "stochastic_ising", params={"x": "1/2"})

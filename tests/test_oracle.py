@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from psinv import oracle
 from psinv.core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
                         induced_rate_cyclic, product_law)
 from psinv.criteria import check_markov_cycle, line_balance, markov_context, product_context
@@ -50,6 +52,12 @@ class TestBuildGenerator:
     def test_state_cap(self):
         with pytest.raises(StateCapExceeded):
             build_generator(tasep().jrm, CycleSpace(10), max_states=512)
+
+    def test_transition_budget(self):
+        # 2^20 states are within the cap, but 20 windows x 8 moves x 2^17
+        # sources are not within the budget; the check allocates nothing
+        with pytest.raises(StateCapExceeded, match="20971520 transitions"):
+            build_generator(stochastic_ising(F(1, 2)).jrm, CycleSpace(20))
 
     @pytest.mark.parametrize("space", [CycleSpace(0), CycleSpace(-1), SegmentSpace(0)],
                              ids=["cycle-0", "cycle-negative", "segment-0"])
@@ -168,6 +176,147 @@ class TestAbsorbing:
         assert not report.is_proper
         assert len(report.absorbing_states) == gen.n_states
         assert len(report.sink_components) == 5  # one class per particle count
+
+
+# ---------------------------------------------------------------------------
+# the sink classes against Tarjan's algorithm
+
+def _tarjan_sccs(ptr, succ):
+    """Iterative Tarjan over CSR lists (the successors of x are
+    succ[ptr[x]:ptr[x + 1]]); components come out in reverse topological
+    order."""
+    n = len(ptr) - 1
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    visited = [False] * n
+    stack = []
+    sccs = []
+    counter = 1
+    for root in range(n):
+        if visited[root]:
+            continue
+        work = [(root, ptr[root])]
+        while work:
+            node, edge_pos = work.pop()
+            if not visited[node]:
+                visited[node] = True
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            advanced = False
+            for k in range(edge_pos, ptr[node + 1]):
+                nxt = succ[k]
+                if not visited[nxt]:
+                    work.append((node, k + 1))
+                    work.append((nxt, ptr[nxt]))
+                    advanced = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    other = stack.pop()
+                    on_stack[other] = False
+                    comp.append(other)
+                    if other == node:
+                        break
+                sccs.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return sccs
+
+
+def reference_absorbing(gen):
+    """The four AbsorbingReport fields from Tarjan's components (a sink is a
+    component that no jump leaves) and a reverse search over Python sets."""
+    ptr, succ = gen.indptr.tolist(), gen.dst.tolist()
+    comp_of = {}
+    for cid, comp in enumerate(_tarjan_sccs(ptr, succ)):
+        comp_of.update((node, cid) for node in comp)
+    has_exit = {comp_of[x] for x in range(gen.n_states)
+                for y in succ[ptr[x]:ptr[x + 1]] if comp_of[x] != comp_of[y]}
+    sinks = {}
+    for node, cid in comp_of.items():
+        if cid not in has_exit:
+            sinks.setdefault(cid, []).append(node)
+    absorbing = frozenset(node for comp in sinks.values() for node in comp)
+    pred = [[] for _ in range(gen.n_states)]
+    for x in range(gen.n_states):
+        for y in succ[ptr[x]:ptr[x + 1]]:
+            pred[y].append(x)
+    seen = set(absorbing)
+    frontier = list(absorbing)
+    while frontier:
+        for prev in pred[frontier.pop()]:
+            if prev not in seen:
+                seen.add(prev)
+                frontier.append(prev)
+    return (tuple(sorted(tuple(sorted(comp)) for comp in sinks.values())), absorbing,
+            len(absorbing) < gen.n_states, len(seen) == gen.n_states)
+
+
+class TestAbsorbingAgainstTarjan:
+    """Sink classes by least-reachable-state labels against Tarjan's
+    components, on all four report fields."""
+
+    def check(self, T, space):
+        gen = build_generator(T, space)
+        report = absorbing_analysis(gen)
+        assert (report.sink_components, report.absorbing_states, report.is_proper,
+                report.reaches_all) == reference_absorbing(gen), space
+
+    def test_random_tables_on_cycles_and_segments(self):
+        rng = random.Random(41)
+        for kappa in (2, 3):
+            for range_ in (1, 2, 3):
+                for entries in (2, 6, 12):
+                    T = random_jrm(rng, kappa=kappa, range_=range_, max_entries=entries)
+                    for n in range(1, 7 if kappa == 2 else 5):
+                        self.check(T, CycleSpace(n))
+                        self.check(T, SegmentSpace(n))
+                    if range_ > 1:
+                        beta = BoundaryRates(random_jrm(rng, kappa, range_ - 1, entries),
+                                             random_jrm(rng, kappa, range_ - 1, entries))
+                        for n in range(range_ - 1, 6 if kappa == 2 else 4):
+                            self.check(T, SegmentSpace(n, beta))
+
+    def test_random_tables_on_tori(self):
+        rng = random.Random(42)
+        for kappa, n in ((2, 2), (2, 3), (3, 2)):
+            for entries in (2, 6, 20):
+                self.check(random_jrm(rng, kappa=kappa, range_=4, max_entries=entries),
+                           TorusSpace(n))
+
+    def test_zero_dynamics(self):
+        for n in (1, 3, 5):
+            self.check(JumpRateMatrix(Alphabet(2), 2, {}), CycleSpace(n))
+
+    def test_one_way_annihilation_has_many_singleton_classes(self):
+        # a pair of particles annihilates and nothing creates one: every
+        # state is its own component, and each state without an adjacent
+        # pair is a sink
+        T = JumpRateMatrix(Alphabet(2), 2, {((1, 1), (0, 0)): 1})
+        for n in range(2, 11):
+            self.check(T, CycleSpace(n))
+            self.check(T, SegmentSpace(n))
+
+    def test_tasep_conservation_classes(self):
+        for n in range(2, 11):
+            self.check(tasep().jrm, CycleSpace(n))
+
+    def test_three_opinion_voter(self):
+        for n in range(3, 8):
+            self.check(voter(3).jrm, CycleSpace(n))
+
+    def test_contact_process(self):
+        for n in range(2, 10):
+            self.check(contact(F(3, 2)).jrm, CycleSpace(n))
 
 
 class TestExclusion:
@@ -451,3 +600,62 @@ class TestScale:
         rates[((0, 0, 0), (0, 1, 0))] *= 2
         twin = build_generator(JumpRateMatrix(Alphabet(2), 3, rates), CycleSpace(16))
         assert stationarity_residual(twin, mu) > 0
+
+
+class TestExactPaths:
+    """Exact arrays are int64 under the a-priori bound and Python ints in
+    object arrays above it.  Lowering INT64_LIMIT forces the object path on
+    the same instances; both must give the same rows, exit rates, measures
+    and residuals."""
+
+    def results(self, T, space, measure):
+        gen = build_generator(T, space)
+        mu = measure()
+        return gen, mu, [stationarity_residual(gen, mu), stationarity_residual(gen, list(mu))]
+
+    def test_int64_and_object_paths_agree(self, monkeypatch):
+        rng = random.Random(44)
+        ising = stochastic_ising(F(1, 3))
+        cases = [(ising.jrm, CycleSpace(10), lambda: gibbs_measure(ising.kernel, 10))]
+        for kappa, range_ in ((2, 2), (3, 2), (2, 3)):
+            T = random_jrm(rng, kappa=kappa, range_=range_)
+            M = random_kernel(rng, kappa=kappa)
+            rho = random_marginal(rng, kappa)
+            beta = BoundaryRates(random_jrm(rng, kappa, range_ - 1),
+                                 random_jrm(rng, kappa, range_ - 1))
+            cases += [(T, CycleSpace(5), lambda M=M: gibbs_measure(M, 5)),
+                      (T, SegmentSpace(5, beta), lambda rho=rho: product_measure(rho, 5))]
+        T = random_jrm(rng, kappa=2, range_=4, max_entries=10)
+        cases.append((T, TorusSpace(3), lambda: product_measure([F(2, 7), F(5, 7)], 9)))
+        for T, space, measure in cases:
+            gen, mu, residuals = self.results(T, space, measure)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "INT64_LIMIT", 0)
+                wide_gen, wide_mu, wide_residuals = self.results(T, space, measure)
+            assert gen.rate.dtype == mu.num.dtype == np.int64
+            assert wide_gen.rate.dtype == wide_mu.num.dtype == object
+            assert gen.exact and wide_gen.exact and mu.exact and wide_mu.exact
+            assert gen.rows == wide_gen.rows, space
+            assert list(gen.exit_rates) == list(wide_gen.exit_rates), space
+            assert list(mu) == list(wide_mu), space
+            assert residuals == wide_residuals, space
+            assert all(type(r) is Fraction for r in residuals)
+
+    @pytest.mark.parametrize("x,dtype", [(F(1, 3), np.int64), (F(2, 7), object)],
+                             ids=["x-1/3-int64", "x-2/7-object"])
+    def test_ising_n14_path(self, monkeypatch, x, dtype):
+        # at x = 2/7 the Gibbs numerators have 79 bits, at x = 1/3 45 bits
+        spec = stochastic_ising(x)
+        mu = gibbs_measure(spec.kernel, 14)
+        gen = build_generator(spec.jrm, CycleSpace(14))
+        assert mu.num.dtype == dtype and gen.rate.dtype == np.int64
+        made = []
+        real = oracle._ints
+
+        def spy(values, bound):
+            out = real(values, bound)
+            made.append(out.dtype)
+            return out
+        monkeypatch.setattr(oracle, "_ints", spy)
+        assert stationarity_residual(gen, mu) == 0
+        assert made == [dtype]  # the weights, which fix the type of every product and sum
