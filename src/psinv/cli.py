@@ -332,6 +332,8 @@ def _cmd_find_product(args, model: ModelFile):
 def _cmd_verify_cycle(args, model: ModelFile):
     n = args.n
     ctx = _law_from_file(model, args.tol)
+    if n < 1:
+        raise ValueError("cycle length must be >= 1")
     oracle.check_space(model.jrm, CycleSpace(n), args.max_states)
     report = criteria.check_markov_cycle(ctx, n)
     gen = build_generator(model.jrm, CycleSpace(n), max_states=args.max_states)

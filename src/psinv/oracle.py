@@ -16,7 +16,6 @@ tested against each other.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 
 from .core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
                    StationaryLaw, Word, induced_rate_cyclic)
-from .scalars import all_exact
+from .scalars import all_exact, over_common_denominator
 
 DEFAULT_STATE_CAP = 2 ** 20
 # raw transitions one build may generate: the build peaks below 50 bytes
@@ -72,9 +71,7 @@ def _common_denominator(values) -> Tuple[object, int, bool]:
     values = list(values)
     if not all_exact(values):
         return np.array([float(v) for v in values], dtype=float), 1, False
-    fractions = [Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (den // f.denominator) for f in fractions], den, True
+    return (*over_common_denominator([Fraction(v) for v in values]), True)
 
 
 def _ints(values, bound: int) -> np.ndarray:
@@ -208,7 +205,9 @@ class FiniteGenerator:
         return self.alphabet.encode(word)
 
     def row_sum_defect(self):
-        """max |sum of off-diagonal row - exit rate|; zero by construction."""
+        """max |sum of off-diagonal row - exit rate|: the exit rates are
+        summed from the raw jumps, so this is zero (up to rounding for
+        floats) unless merging the transitions lost or changed a rate."""
         sums = np.zeros(self.n_states, dtype=self.rate.dtype)
         np.add.at(sums, self.sources(), self.rate)
         top = np.max(np.abs(sums - self.exits))
@@ -294,7 +293,8 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> 
     fro[w, k] + base[w, :] jump by shift[w, k] at rates[move[k]].  Generation
     order is block list, window, move, ascending source.
 
-    Transitions between the same two states are merged.  Float sums keep the
+    Transitions between the same two states are merged.  Exit rates are
+    summed from the raw jumps, apart from the merge.  Float sums keep the
     generation order: each exit rate and each merged rate adds its terms in
     the order they were generated."""
     n_states = alphabet.kappa ** n_sites
@@ -324,8 +324,7 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> 
                base[:, None, :] * J, out=part)
         at, block = at + part.size, block + s.size
     exits = np.zeros(n_states, dtype=values.dtype)
-    if not exact:
-        np.add.at(exits, key >> bits, np.repeat(values[move], width))
+    np.add.at(exits, key >> bits, np.repeat(values[move], width))
     key.sort(kind="stable")
     src = key >> bits
     np.bitwise_and(key, J - 1, out=key)
@@ -346,9 +345,6 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> 
             rate[long] += values[move[first[long] + k]]
     indptr = np.zeros(n_states + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
-    if exact:
-        rows = np.flatnonzero(np.diff(indptr))
-        exits[rows] = np.add.reduceat(rate, indptr[rows])
     for array in (indptr, targets, rate, exits):
         array.setflags(write=False)
     return FiniteGenerator(space, alphabet, n_sites, indptr, targets, rate, exits, scale, exact)

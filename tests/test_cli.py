@@ -451,6 +451,14 @@ class TestInputErrors:
         assert err.startswith("resource cap: ")
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_verify_cycle_rejects_sizes_below_one(self, tmp_path, capsys, n):
+        path = write_model(tmp_path, "stochastic_ising", params={"x": "1/2"})
+        code, out, err = run(capsys, "verify-cycle", path, "--n", n)
+        assert code == 2
+        assert err == "error: cycle length must be >= 1\n"
+        assert out == ""
+
 
     def test_segment_and_equivalences_check_the_cap_first(self, tmp_path, capsys,
                                                           monkeypatch):
