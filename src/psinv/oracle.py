@@ -293,8 +293,8 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> 
     fro[w, k] + base[w, :] jump by shift[w, k] at rates[move[k]].  Generation
     order is block list, window, move, ascending source.
 
-    Transitions between the same two states are merged.  Exit rates are
-    summed from the raw jumps, apart from the merge.  Float sums keep the
+    Transitions between the same two states are merged; exit rates add the
+    rates of the raw jumps, apart from the merge.  Float sums keep the
     generation order: each exit rate and each merged rate adds its terms in
     the order they were generated."""
     n_states = alphabet.kappa ** n_sites
@@ -324,7 +324,8 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> 
                base[:, None, :] * J, out=part)
         at, block = at + part.size, block + s.size
     exits = np.zeros(n_states, dtype=values.dtype)
-    np.add.at(exits, key >> bits, np.repeat(values[move], width))
+    if not exact:
+        np.add.at(exits, key >> bits, np.repeat(values[move], width))
     key.sort(kind="stable")
     src = key >> bits
     np.bitwise_and(key, J - 1, out=key)
@@ -332,19 +333,28 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> 
     dst += src
     move = move[by_shift][key]
     del key
+    jump = values[move]
+    del move
     new = np.ones(raw, dtype=bool)
     new[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
     first = np.flatnonzero(new)
     if len(first) == raw:
-        rate, targets = values[move], dst
+        rate, targets = jump, dst
     else:
-        rate, targets, src = values[move[first]], dst[first], src[first]
+        targets = dst[first]
+        del dst
+        src, rate = src[first], jump[first]
         size = np.diff(first, append=raw)
         for k in range(1, int(size.max())):
             long = np.flatnonzero(size > k)
-            rate[long] += values[move[first[long] + k]]
+            rate[long] += jump[first[long] + k]
     indptr = np.zeros(n_states + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_states), out=indptr[1:])
+    if exact:
+        # integer sums do not depend on their order: each row adds its raw
+        # jumps, which start at the first jump of its first target
+        rows = np.flatnonzero(np.diff(indptr))
+        exits[rows] = np.add.reduceat(jump, first[indptr[rows]])
     for array in (indptr, targets, rate, exits):
         array.setflags(write=False)
     return FiniteGenerator(space, alphabet, n_sites, indptr, targets, rate, exits, scale, exact)
