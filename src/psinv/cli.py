@@ -88,7 +88,7 @@ def _integer(value, message: str) -> int:
     return value
 
 
-def _parse_rate_list(items, alphabet, length, as_float, what):
+def _parse_rate_list(items, length, as_float, what):
     rates = {}
     for k, item in enumerate(items):
         if not _RATE_KEYS.issuperset(item):
@@ -143,14 +143,12 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
     if two_dimensional:
         if "rates" in doc or "range" in doc:
             raise ModelFileError("two-dimensional models use square_rates, not rates/range")
-        square = JumpRateMatrix(alphabet, 4, _parse_rate_list(doc.get("square_rates", []),
-                                                              alphabet, 4, as_float,
-                                                              "square_rates"))
+        square = JumpRateMatrix(alphabet, 4, _parse_rate_list(
+            doc.get("square_rates", []), 4, as_float, "square_rates"))
     else:
         range_ = _integer(doc.get("range"), "model file needs an integer \"range\"")
-        jrm = JumpRateMatrix(alphabet, range_,
-                             _parse_rate_list(doc.get("rates", []), alphabet,
-                                              range_, as_float, "rates"))
+        jrm = JumpRateMatrix(alphabet, range_, _parse_rate_list(
+            doc.get("rates", []), range_, as_float, "rates"))
 
     kernel = None
     if "kernel" in doc:
@@ -182,11 +180,11 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
             raise ModelFileError("boundary rates require a one-dimensional model")
         beta = BoundaryRates(
             JumpRateMatrix(alphabet, range_ - 1,
-                           _parse_rate_list(doc.get("beta_left", []), alphabet,
-                                            range_ - 1, as_float, "beta_left")),
+                           _parse_rate_list(doc.get("beta_left", []), range_ - 1,
+                                            as_float, "beta_left")),
             JumpRateMatrix(alphabet, range_ - 1,
-                           _parse_rate_list(doc.get("beta_right", []), alphabet,
-                                            range_ - 1, as_float, "beta_right")))
+                           _parse_rate_list(doc.get("beta_right", []), range_ - 1,
+                                            as_float, "beta_right")))
     return ModelFile(kappa, range_, jrm, square, kernel, rho, beta, two_dimensional)
 
 
@@ -216,8 +214,6 @@ def model_to_json(spec: models.ModelSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def _witness_json(witness):
-    if witness is None:
-        return None
     word, residual = witness
     return {"word": list(word) if word is not None else None,
             "residual": scalar_repr(residual) if not isinstance(residual, str) else residual}

@@ -425,14 +425,14 @@ def induced_rate(T: JumpRateMatrix, w: Word, z: Word):
     return total
 
 
-def induced_rate_cyclic(T: JumpRateMatrix, w: Word, z: Word, n: int | None = None):
-    """Induced rate on Z/nZ: windows wrap modulo n (all n of them, even n < L)."""
+def induced_rate_cyclic(T: JumpRateMatrix, w: Word, z: Word):
+    """Induced rate on Z/nZ, n = len(w): windows wrap modulo n (all n of
+    them, even n < L)."""
     w, z = tuple(w), tuple(z)
     if len(w) != len(z):
         raise ValueError("induced rate needs words of equal length")
-    if n is None:
-        n = len(w)
-    if n != len(w) or n < 1:
+    n = len(w)
+    if n < 1:
         raise ValueError("cyclic words must have length n >= 1")
     L = T.range_
     total = Fraction(0)

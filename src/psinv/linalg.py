@@ -169,26 +169,15 @@ def vec_mat(x, A):
 
 
 def is_irreducible(A) -> bool:
-    """Strong connectivity of the positive-entry digraph of a square matrix."""
+    """Strong connectivity of the positive-entry digraph of a square matrix:
+    (I + [A > 0])^(n-1) has no zero entry, by repeated boolean squaring."""
     size = len(A)
-    adj = [[j for j in range(size) if A[i][j] != 0 and A[i][j] > 0] for i in range(size)]
-    radj = [[] for _ in range(size)]
-    for i in range(size):
-        for j in adj[i]:
-            radj[j].append(i)
-
-    def reach(start, graph):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in graph[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    return len(reach(0, adj)) == size and len(reach(0, radj)) == size
+    reach = np.eye(size, dtype=bool) | np.array(
+        [[v > 0 for v in row] for row in A], dtype=bool).reshape(size, size)
+    steps = 1
+    while steps < size - 1:
+        reach, steps = reach @ reach, 2 * steps
+    return size > 0 and bool(reach.all())
 
 
 def stationary_distribution(kernel: MarkovKernel) -> StationaryLaw:

@@ -8,9 +8,9 @@ unknowns at kappa = 4).  Conversely a positive solution nu determines at
 most one positive recurrent kernel: the matrices N_a built from nu must
 share their dominant eigenvalue, and the kernel is recovered from the
 dominant eigenvectors.
-Recovered kernels are always verified against nu and then filtered by the
-full line-invariance criterion; candidates that fail verification are
-dropped, never patched.
+Each recovered kernel is verified once against nu (exactly when the kernel
+is exact) and then filtered by the full line-invariance criterion;
+candidates that fail verification are dropped, never patched.
 
 Product measures: a product invariant for T is invariant for its
 symmetrization S, and for symmetric dynamics invariance is exactly the
@@ -22,8 +22,9 @@ matrix, and surviving marginals are verified against the original T.
 
 Affine solution families are sampled deterministically: polytope vertices
 (dimension <= 3) plus their centroid, falling back to the particular
-solution in higher dimension; two-colour instances additionally solve the
-rank-one slice exactly in the Bernoulli parameter.
+solution in higher dimension.  Trial marginals are kept when their product
+table kills the pair balances, and two-colour instances solve the rank-one
+slice exactly in the Bernoulli parameter.
 """
 from __future__ import annotations
 
@@ -124,19 +125,6 @@ def _polytope_vertices(solution: LinearSolution):
     return sorted(vertices)
 
 
-def _affine_contains(solution: LinearSolution, point, pivot) -> bool:
-    """Membership of a point in the affine solution set, up to the pivot
-    tolerance of the system (0 for exact systems)."""
-    if solution.status == "empty":
-        return False
-    diff = [p - q for p, q in zip(point, solution.particular)]
-    if solution.dimension == 0:
-        return all(abs(d) <= pivot for d in diff)
-    A = [[solution.basis[k][i] for k in range(solution.dimension)]
-         for i in range(len(diff))]
-    return solve_linear(A, diff, pivot).status != "empty"
-
-
 def _trial_marginals(kappa: int):
     """Small deterministic battery of full-support marginals."""
     batches = [[1] * kappa,
@@ -146,6 +134,14 @@ def _trial_marginals(kappa: int):
     for raw in batches:
         total = sum(raw)
         yield tuple(Fraction(v, total) for v in raw)
+
+
+def _kills_balances(rows, balances: ScalarContext, values) -> bool:
+    """Whether weights on the orbits, in row order, kill every balance row of
+    a cycle system: for a product table, which is rotation-invariant and sums
+    to one, this is membership in the system's family."""
+    return all(balances.is_zero(sum(r * v for r, v in zip(row, values)))
+               for row in rows.values())
 
 
 def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
@@ -173,8 +169,8 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
 
 def _cycle_system(T: JumpRateMatrix, n: int):
     """The length-n cyclic balances of T, the family of rotation-invariant
-    probability vectors on the words of length n they kill, and its pivot
-    tolerance: float systems pivot above the balance tolerance, so that
+    probability vectors on the words of length n they kill, and the zero
+    test of those balances: float systems pivot above its tolerance, so that
     rounding noise does not decide their rank.
 
     The unknowns are one weight per rotation orbit, ordered by the orbit's
@@ -196,7 +192,7 @@ def _cycle_system(T: JumpRateMatrix, n: int):
     balances = ScalarContext.for_balances(T, True)
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
     solution = solve_linear(list(rows.values()) + [sizes], rhs, pivot)
-    return rows, _family(variables, solution, [col[w] for w in variables]), pivot
+    return rows, _family(variables, solution, [col[w] for w in variables]), balances
 
 
 def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
@@ -215,51 +211,50 @@ def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
 class Candidate:
     kernel: MarkovKernel
     law: StationaryLaw
-    exact: bool
     line_report: Optional[CriterionReport] = None
     provenance: str = ""
+
+    @property
+    def exact(self) -> bool:
+        return self.kernel.is_exact
 
 
 @dataclass(frozen=True)
 class CandidateSet:
     candidates: Tuple[Candidate, ...]
-    exhausted: bool
     notes: Tuple[str, ...] = ()
 
 
 def _try_rationalize(kernel_rows, nu: TripleMeasure) -> Optional[MarkovKernel]:
-    """Round a float kernel to small rationals and re-verify exactly."""
-    kappa = len(kernel_rows)
+    """Round a float kernel to small rationals; kept when it reproduces an
+    exact nu exactly (it rescues rational kernels that Perron certification misses)."""
+    if not all(is_exact(v) for v in nu.nu.values()):
+        return None
     rows = [[Fraction(v).limit_denominator(10 ** 6) for v in row] for row in kernel_rows]
     if any(sum(row) != 1 or any(p <= 0 for p in row) for row in rows):
         return None
     kernel = MarkovKernel.from_matrix(rows)
-    if not all(is_exact(v) for v in nu.nu.values()):
-        return None
     rebuilt = triple_from_kernel(kernel)
-    if all(rebuilt.nu[w] == nu.nu[w] for w in rebuilt.nu):
-        return kernel
-    return None
+    return kernel if all(rebuilt.nu[w] == nu.nu[w] for w in rebuilt.nu) else None
 
 
-def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
-                      tol: float = DEFAULT_TOL) -> CandidateSet:
+def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure) -> CandidateSet:
     """Reconstruct the unique kernel compatible with a positive triple
     measure, when it exists.
 
     Builds the ratio matrices N_a = [nu(a,x,y) / nu(a,x,a)], whose dominant
     eigenvalues must satisfy nu(a,a,a) * lambda_a^3 all equal (this sidesteps
     cube roots: the common value is the needed lambda^3).  The kernel then
-    comes from rho_a M_ab = sum_x nu(a,b,x) r_a(x) / lambda^3 and is kept
-    only if it reproduces nu exactly (or within tolerance on the float
-    path, with a rational re-check of the rounded kernel attempted first).
+    comes from rho_a M_ab = sum_x nu(a,b,x) r_a(x) / lambda^3, exact when
+    every eigenpair was certified, else rounded to small rationals when that
+    reproduces nu, else in floats; it is kept only if it reproduces nu
+    (within tolerance when it is a float kernel).
     """
     if T.range_ != 2:
         raise ValueError("kernel search needs range 2")
     if not nu.is_positive:
-        return CandidateSet((), True, ("triple measure not strictly positive; skipped",))
-    kappa = nu.kappa
-    E = range(kappa)
+        return CandidateSet((), ("triple measure not strictly positive; skipped",))
+    E = range(nu.kappa)
     pairs = []
     for a in E:
         N = [[nu.nu[(a, x, y)] / nu.nu[(a, x, a)] for y in E] for x in E]
@@ -272,37 +267,25 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
         zero = ScalarContext(False, scale=abs(float(lam3[0])) or 1.0).is_zero
         equal = all(zero(float(v) - float(lam3[0])) for v in lam3)
     if not equal:
-        return CandidateSet((), True, ("ratio matrices have distinct dominant eigenvalues",))
+        return CandidateSet((), ("ratio matrices have distinct dominant eigenvalues",))
     lam_cubed = lam3[0]
     joint = [[sum(nu.nu[(a, b, x)] * pairs[a].right[x] for x in E) / lam_cubed
               for b in E] for a in E]
     rho = [sum(row) for row in joint]
     if any(r <= 0 for r in rho):
-        return CandidateSet((), True, ("reconstructed joint law not positive",))
+        return CandidateSet((), ("reconstructed joint law not positive",))
     rows = [[joint[a][b] / rho[a] for b in E] for a in E]
-    notes = []
-    if exact:
-        kernel = MarkovKernel.from_matrix(rows)
-        rebuilt = triple_from_kernel(kernel)
-        if any(rebuilt.nu[w] != nu.nu[w] for w in rebuilt.nu):
-            return CandidateSet((), True, ("candidate failed exact verification",))
-    else:
-        kernel = _try_rationalize(rows, nu)
-        if kernel is None:
-            float_rows = [[float(v) for v in row] for row in rows]
-            total = [sum(row) for row in float_rows]
-            float_rows = [[v / t for v in row] for row, t in zip(float_rows, total)]
-            kernel = MarkovKernel.from_matrix(float_rows)
-            rebuilt = triple_from_kernel(kernel)
-            scale = max(abs(float(v)) for v in nu.nu.values())
-            zero = ScalarContext(False, scale=max(1.0, scale)).is_zero
-            if not all(zero(float(rebuilt.nu[w]) - float(nu.nu[w])) for w in rebuilt.nu):
-                return CandidateSet((), True, ("candidate failed float verification",))
-            notes.append("numeric candidate (no exact certificate)")
-        else:
-            exact = True
-    law = stationary_distribution(kernel)
-    return CandidateSet((Candidate(kernel, law, exact),), True, tuple(notes))
+    kernel = MarkovKernel.from_matrix(rows) if exact else _try_rationalize(rows, nu)
+    if kernel is None:
+        float_rows = [[float(v) for v in row] for row in rows]
+        kernel = MarkovKernel.from_matrix([[v / sum(row) for v in row] for row in float_rows])
+    rebuilt = triple_from_kernel(kernel)
+    test = ScalarContext(kernel.is_exact, scale=max(1, max(abs(v) for v in nu.nu.values())))
+    if not all(test.is_zero(rebuilt.nu[w] - nu.nu[w]) for w in rebuilt.nu):
+        kind = "exact" if kernel.is_exact else "float"
+        return CandidateSet((), (f"candidate failed {kind} verification",))
+    notes = () if kernel.is_exact else ("numeric candidate (no exact certificate)",)
+    return CandidateSet((Candidate(kernel, stationary_distribution(kernel)),), notes)
 
 
 @dataclass(frozen=True)
@@ -328,10 +311,10 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
     criterion; the per-candidate report distinguishes membership in the
     length-3 solution set from full invariance.
     """
-    if T.is_zero:
-        return MarkovSearchReport(solve_cycle3_system(T), (), (), True,
-                                  ("zero dynamics: every positive kernel is invariant",))
     family = solve_cycle3_system(T)
+    if T.is_zero:
+        return MarkovSearchReport(family, (), (), True,
+                                  ("zero dynamics: every positive kernel is invariant",))
     seen = []
     exact_found: List[Candidate] = []
     numeric_found: List[Candidate] = []
@@ -340,15 +323,14 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
         notes.append(f"solution family has dimension > {MAX_VERTEX_DIM}; "
                      "only sampled points explored")
 
-    def admit(law: StationaryLaw, exact: bool, provenance: str,
-              report: Optional[CriterionReport] = None):
+    def admit(law: StationaryLaw, provenance: str, report: Optional[CriterionReport] = None):
         matrix = law.kernel.matrix()
         if matrix in seen:
             return
         seen.append(matrix)
         report = report or check_markov_line(markov_context(T, law, tol))
-        cand = Candidate(law.kernel, law, exact, report, provenance)
-        (exact_found if exact else numeric_found).append(cand)
+        cand = Candidate(law.kernel, law, report, provenance)
+        (exact_found if cand.exact else numeric_found).append(cand)
 
     for point in family.samples:
         nu_map = dict(zip(family.variables, point))
@@ -358,16 +340,16 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
             continue
         if not nu.is_positive:
             continue
-        result = candidate_kernels(T, nu, tol)
+        result = candidate_kernels(T, nu)
         notes.extend(result.notes)
         for cand in result.candidates:
-            admit(cand.law, cand.exact, "triple-measure sample")
+            admit(cand.law, "triple-measure sample")
 
     products = find_product(T, tol)
     for rho, report in products.candidates:
         law = StationaryLaw(MarkovKernel.from_matrix([list(rho) for _ in rho]),
                             {(a,): p for a, p in enumerate(rho)})
-        admit(law, all(is_exact(p) for p in rho), "invariant product", report)
+        admit(law, "invariant product", report)
     if products.bernoulli_all:
         notes.append("every Bernoulli product is invariant; the constant-row "
                      "kernels form a one-parameter family (samples listed)")
@@ -462,8 +444,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     if T.range_ != 2:
         raise ValueError("product search needs range 2")
     kappa = T.alphabet.kappa
-    rows, family, pivot = _cycle_system(T, 2)
-    variables = family.variables
+    rows, family, balances = _cycle_system(T, 2)
 
     candidates: List[Tuple[Tuple, CriterionReport]] = []
     notes: List[str] = []
@@ -483,15 +464,13 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
                          "verify through restrict_support on its support")
 
     for point in family.samples:
-        pair_values = dict(zip(variables, point))
+        pair_values = dict(zip(family.variables, point))
         rho = _factor_rank_one(kappa, pair_values, tol)
         if rho is not None:
             consider(rho)
 
-    # rank-one trial points: product tables that happen to lie in the family
     for rho in _trial_marginals(kappa):
-        point = [rho[u] * rho[v] for u, v in variables]
-        if _affine_contains(family.solution, point, pivot):
+        if _kills_balances(rows, balances, [rho[u] * rho[v] for u, v in rows]):
             consider(rho)
 
     bernoulli_all = False
@@ -508,10 +487,9 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
             for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
                 consider((1 - p, p))
         else:
-            common = set(_rational_roots(live[0]))
-            for p in live[1:]:
-                common &= set(_rational_roots(p))
-            roots = tuple(sorted(common))
+            roots = tuple(p for p in _rational_roots(live[0])
+                          if all(sum(Fraction(c) * p ** d for d, c in enumerate(poly)) == 0
+                                 for poly in live[1:]))
             for p in roots:
                 consider((1 - p, p))
     if T.is_zero:

@@ -309,6 +309,18 @@ class TestTwoDimensional:
         doc = json.loads(out)
         assert doc["witness"]["residual"] != "0"
 
+    @pytest.mark.parametrize("name, params, rho, verdict, code", [
+        ("flip_2d", {"a": 4}, ["2/3", "1/3"], "invariant", 0),
+        ("pair_flip_2d", {"a": 1, "b": 2}, ["1/2", "1/2"], "not-invariant", 1)])
+    def test_check_2d_skips_the_torus_above_the_cap(self, tmp_path, capsys, name, params,
+                                                    rho, verdict, code):
+        # the 3x3 torus has 2^9 states
+        path = write_model(tmp_path, name, params=params, extra={"rho": rho})
+        got, out, _ = run(capsys, "--report", "json", "--max-states", "100", "check-2d", path)
+        doc = json.loads(out)
+        assert (got, doc["verdict"]) == (code, verdict)
+        assert doc["residuals"]["torus3_max_residual"].startswith("skipped:")
+
 
 class TestSegmentCommand:
     def test_construct_boundaries(self, tmp_path, capsys):
@@ -329,6 +341,19 @@ class TestSegmentCommand:
                                   "beta_right": [{"from": [1], "to": [0], "rate": "3/4"}]})
         code, out, _ = run(capsys, "segment", path, "--n", "5")
         assert code == 0
+
+    def test_segment_at_n0_prints_the_derived_conclusion(self, tmp_path, capsys):
+        kernel = {"memory": 1, "kernel": [["1/2", "1/2"], ["1/2", "1/2"]]}
+        path = write_model(tmp_path, "tasep", extra=kernel)
+        _, out, _ = run(capsys, "--report", "json", "segment", path, "--construct-boundaries")
+        built = json.loads(out)
+        path = write_model(tmp_path, "tasep", extra=dict(
+            kernel, beta_left=built["beta_left"], beta_right=built["beta_right"]))
+        code, out, _ = run(capsys, "--report", "json", "segment", path, "--n", "7")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "invariant")
+        assert doc["details"]["derived"].startswith(
+            "balance vanishes at two consecutive sizes >= 7: the law is invariant on the line")
 
 
 class TestEquivalencesCommand:

@@ -272,6 +272,62 @@ class TestIntegerStationary:
             outcome(reference_stationary, floated_kernel(kernel))
 
 
+def reference_is_irreducible(A) -> bool:
+    """Strong connectivity of the positive-entry digraph of a square matrix,
+    by a forward and a reverse graph search from vertex 0 (the form
+    `linalg.is_irreducible` had before boolean squaring; it raises
+    IndexError on the 0 x 0 matrix)."""
+    size = len(A)
+    adj = [[j for j in range(size) if A[i][j] != 0 and A[i][j] > 0] for i in range(size)]
+    radj = [[] for _ in range(size)]
+    for i in range(size):
+        for j in adj[i]:
+            radj[j].append(i)
+
+    def reach(start, graph):
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in graph[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+    return len(reach(0, adj)) == size and len(reach(0, radj)) == size
+
+
+class TestIsIrreducible:
+    # positive entry drawn from rng, and the zero of that kind
+    ENTRIES = {"fraction": (lambda rng: F(rng.randint(1, 9), rng.randint(1, 9)), F(0)),
+               "int": (lambda rng: rng.randint(1, 9), 0),
+               "float": (lambda rng: rng.randint(1, 9) / rng.randint(1, 9), 0.0)}
+
+    @pytest.mark.parametrize("kind", ENTRIES)
+    def test_matches_graph_search(self, kind):
+        rng = random.Random(f"irreducible-{kind}")
+        entry, zero = self.ENTRIES[kind]
+        assert linalg.is_irreducible([]) is False
+        seen = set()
+        for size in range(1, 9):
+            for _ in range(40):
+                density = rng.choice((0.1, 0.25, 0.5, 0.9))
+                A = [[entry(rng) if rng.random() < density else zero for _ in range(size)]
+                     for _ in range(size)]
+                if rng.random() < 0.2:
+                    k = rng.randrange(size)
+                    if rng.random() < 0.5:
+                        A[k] = [zero] * size
+                    else:
+                        for row in A:
+                            row[k] = zero
+                expected = reference_is_irreducible(A)
+                assert linalg.is_irreducible(A) is expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+
 class TestPerronPair:
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,19 @@ class TestAlmostGeometricInvariance:
         assert spec.jrm.rate((2, 0), (0, 2)) == 2
         assert spec.jrm.is_mass_preserving()  # swaps conserve the letter sum
 
+    def test_zero_rates_leave_no_entry(self):
+        from psinv.models import kappa2_general, tasep3_cyclic, tasep3_exchange, \
+            three_colour_flip_2d
+        one = {((1, 0), (0, 1)): 1}
+        assert tasep3(1, 0, "0").jrm == JumpRateMatrix(Alphabet(3), 2, one)
+        assert tasep3_cyclic(0, 1, 0.0).jrm == JumpRateMatrix(Alphabet(3), 2, one)
+        assert tasep3_exchange({(1, 0): 1, (2, 0): F(0)}).jrm == \
+            JumpRateMatrix(Alphabet(3), 2, one)
+        assert dict(((u, v), r) for u, v, r in kappa2_general(
+            {2: {1: 1, 0: 0}, 3: {3: 0}}).jrm.entries()) == one
+        square = three_colour_flip_2d(0, 2, 0).square
+        assert list(square.entries()) == [((1,) * 4, (2,) * 4, 2)]
+
 
 def markov_context_for(restricted):
     from psinv.criteria import CriterionContext

@@ -1,0 +1,120 @@
+"""No dead code in src/psinv: every private name is used and every parameter
+is read.
+
+A private name (a `_`-prefixed function, class or module constant; dunder
+names excluded) must be referenced somewhere in the package outside its own
+definition.  Every parameter of a named function must be read in its body,
+apart from `self`, `cls` and `_`-prefixed names.  The source is read with
+`ast`, not imported.
+"""
+import ast
+import os
+
+import psinv
+
+SOURCE = os.path.dirname(os.path.abspath(psinv.__file__))
+
+
+def package_trees():
+    """{module name: parsed tree} of every module of the package."""
+    trees = {}
+    for name in sorted(os.listdir(SOURCE)):
+        if name.endswith(".py"):
+            with open(os.path.join(SOURCE, name)) as handle:
+                trees[name[:-3]] = ast.parse(handle.read())
+    return trees
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree):
+    """(name, node) of every private function and class, at any depth, and
+    of every private module constant (the node is None for constants)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if is_private(node.name):
+                found.append((node.name, node))
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and is_private(target.id):
+                found.append((target.id, None))
+    return found
+
+
+def references(tree, skip=None):
+    """Names read in a tree, as bare names or attributes, leaving out the
+    subtree `skip`."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced_private_names(trees):
+    read = {module: references(tree) for module, tree in trees.items()}
+    dead = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree):
+            elsewhere = any(name in names for other, names in read.items() if other != module)
+            if not elsewhere and name not in references(tree, skip=node):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def functions(tree, prefix=""):
+    """(qualified name, node) of every named function, methods included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from functions(node, name + ".")
+        else:
+            yield from functions(node, prefix)
+
+
+def unread_parameters(trees):
+    unread = []
+    for module, tree in trees.items():
+        for name, node in functions(tree):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{module}.{name}.{p.arg}" for p in params
+                       if p.arg not in read and p.arg not in ("self", "cls")
+                       and not p.arg.startswith("_")]
+    return unread
+
+
+def test_every_private_name_is_used():
+    assert unreferenced_private_names(package_trees()) == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(package_trees()) == []
+
+
+def test_checks_see_dead_code():
+    tree = ast.parse("_USED = 1\n_UNUSED = 2\n"
+                     "def _helper(a, b, _c, *rest):\n    return _helper(a, _USED)\n"
+                     "class Box:\n    def _spin(self, cls):\n        return cls\n"
+                     "    def __len__(self):\n        return 0\n")
+    # _helper calls only itself
+    assert sorted(unreferenced_private_names({"m": tree})) == \
+        ["m._UNUSED", "m._helper", "m._spin"]
+    assert unread_parameters({"m": tree}) == ["m._helper.b", "m._helper.rest"]

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from psinv import criteria
+from psinv import criteria, search
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import check_product_line, product_context, symmetrize, z_table
 from psinv.linalg import solve_linear
-from psinv.search import (TripleMeasure, _cycle_system, _family, _rational_roots,
-                          candidate_kernels, find_markov, find_product, kernel_from_ratios,
-                          ratio_table, solve_cycle3_system, triple_from_kernel)
+from psinv.search import (TripleMeasure, _cycle_system, _family, _kills_balances,
+                          _rational_roots, _trial_marginals, candidate_kernels, find_markov,
+                          find_product, kernel_from_ratios, ratio_table, solve_cycle3_system,
+                          triple_from_kernel)
 from psinv import models
 from psinv.models import kappa2_general, tasep, tasep3
 
@@ -21,16 +22,18 @@ from test_golden import MODELS
 F = Fraction
 
 
-def in_family(family, point):
-    """Membership of a point in an affine family: solve for coefficients."""
+def in_family(family, point, pivot=0.0):
+    """Membership of a point in an affine family, up to the pivot tolerance
+    of its system (0 for exact systems): solve for coefficients.  This was
+    find_product's test of its trial marginals before the pair-row test."""
     sol = family.solution
     if sol.status == "empty":
         return False
     diff = [p - q for p, q in zip(point, sol.particular)]
     if sol.dimension == 0:
-        return all(d == 0 for d in diff)
+        return all(abs(d) <= pivot for d in diff)
     A = [[sol.basis[k][i] for k in range(sol.dimension)] for i in range(len(diff))]
-    return solve_linear(A, diff).status != "empty"
+    return solve_linear(A, diff, pivot).status != "empty"
 
 
 def reference_cycle3_rows(T):
@@ -236,6 +239,20 @@ class TestCandidateKernels:
                 assert cand.exact
                 assert cand.kernel.matrix() == M.matrix()
 
+    def test_rounding_rescues_a_missed_certificate(self, monkeypatch):
+        # when Perron certification misses a rational eigenvalue, the float
+        # kernel rounded to small rationals still reproduces nu exactly
+        real = search.perron_pair
+        monkeypatch.setattr(search, "perron_pair",
+                            lambda A: real([[float(v) for v in row] for row in A]))
+        for kappa in (2, 3, 4):
+            M = random_kernel(random.Random(f"rescue-{kappa}"), kappa=kappa)
+            result = candidate_kernels(JumpRateMatrix(Alphabet(kappa), 2, {}),
+                                       triple_from_kernel(M))
+            assert result.notes == ()
+            assert [(c.kernel.matrix(), c.exact) for c in result.candidates] == \
+                [(M.matrix(), True)]
+
     def test_uniform_triple_gives_uniform_kernel(self):
         nu = TripleMeasure(2, {w: F(1, 8) for w in Alphabet(2).words(3)})
         result = candidate_kernels(tasep().jrm, nu)
@@ -359,6 +376,33 @@ class TestFindProduct:
         exact = [rho for rho, _ in find_product(T).candidates]
         assert len(exact) >= 4
         assert [rho for rho, _ in find_product(floated).candidates] == exact
+
+    def test_pair_rows_agree_with_membership_solve(self):
+        # a length-2 cycle is a finite chain that commutes with rotation, so
+        # its system always has a solution: the families are unique or larger
+        statuses, kept = set(), [0, 0]
+        for kappa in (2, 3, 4):
+            rng = random.Random(f"trial-membership-{kappa}")
+            tables = [random_range2(rng, kappa) for _ in range(8)]
+            tables += [JumpRateMatrix(Alphabet(kappa), 2, {})] + \
+                [tasep3(1, 2, 1).jrm] * (kappa == 3)
+            for T in tables:
+                for table in (T, as_float(T)):
+                    rows, family, balances = _cycle_system(table, 2)
+                    pivot = 0.0 if balances.exact else balances.tol * balances.scale
+                    statuses.add(family.solution.status)
+                    for rho in _trial_marginals(kappa):
+                        point = [rho[u] * rho[v] for u, v in family.variables]
+                        inside = in_family(family, point, pivot)
+                        values = [rho[u] * rho[v] for u, v in rows]
+                        assert _kills_balances(rows, balances, values) == inside
+                        kept[table.is_exact] += inside
+                    for point in family.samples:
+                        weight = dict(zip(family.variables, point))
+                        assert in_family(family, point, pivot)
+                        assert _kills_balances(rows, balances, [weight[k] for k in rows])
+        assert statuses == {"unique", "family"}
+        assert min(kept) >= 8, kept
 
     def test_three_colour_uniform_rates_empty(self):
         report = find_product(tasep3(1, 1, 1).jrm)
