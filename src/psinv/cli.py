@@ -44,14 +44,11 @@ class ModelFileError(ValueError):
 
 @dataclass
 class ModelFile:
-    kappa: int
-    range_: Optional[int]
     jrm: Optional[JumpRateMatrix]
     square: Optional[JumpRateMatrix]  # 2x2-square patterns
     kernel: Optional[MarkovKernel]
     rho: Optional[list]
     beta: Optional[BoundaryRates]
-    two_dimensional: bool
 
 
 class _InvalidScalar(ValueError):
@@ -139,7 +136,6 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
     two_dimensional = bool(doc.get("two_dimensional", False)) or "square_rates" in doc
     jrm = None
     square = None
-    range_ = None
     if two_dimensional:
         if "rates" in doc or "range" in doc:
             raise ModelFileError("two-dimensional models use square_rates, not rates/range")
@@ -176,7 +172,7 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
 
     beta = None
     if "beta_left" in doc or "beta_right" in doc:
-        if range_ is None:
+        if jrm is None:
             raise ModelFileError("boundary rates require a one-dimensional model")
         beta = BoundaryRates(
             JumpRateMatrix(alphabet, range_ - 1,
@@ -185,7 +181,12 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
             JumpRateMatrix(alphabet, range_ - 1,
                            _parse_rate_list(doc.get("beta_right", []), range_ - 1,
                                             as_float, "beta_right")))
-    return ModelFile(kappa, range_, jrm, square, kernel, rho, beta, two_dimensional)
+    return ModelFile(jrm, square, kernel, rho, beta)
+
+
+def _rates_json(T: JumpRateMatrix) -> list:
+    return [{"from": list(src), "to": list(dst), "rate": scalar_repr(rate)}
+            for src, dst, rate in T.entries()]
 
 
 def model_to_json(spec: models.ModelSpec) -> dict:
@@ -193,14 +194,11 @@ def model_to_json(spec: models.ModelSpec) -> dict:
     if spec.square is not None:
         doc["kappa"] = spec.square.alphabet.kappa
         doc["two_dimensional"] = True
-        doc["square_rates"] = [{"from": list(src), "to": list(dst),
-                                "rate": scalar_repr(rate)}
-                               for src, dst, rate in spec.square.entries()]
+        doc["square_rates"] = _rates_json(spec.square)
         return doc
     doc["kappa"] = spec.jrm.alphabet.kappa
     doc["range"] = spec.jrm.range_
-    doc["rates"] = [{"from": list(src), "to": list(dst), "rate": scalar_repr(rate)}
-                    for src, dst, rate in spec.jrm.entries()]
+    doc["rates"] = _rates_json(spec.jrm)
     if spec.kernel is not None:
         doc["memory"] = spec.kernel.memory
         doc["kernel"] = [[scalar_repr(v) for v in row] for row in spec.kernel.matrix()]
@@ -249,7 +247,7 @@ def _load(args) -> ModelFile:
     one-dimensional models every other subcommand."""
     model = load_model_file(args.file, args.float_mode)
     wants_2d = args.command == "check-2d"
-    if model.two_dimensional != wants_2d:
+    if (model.square is not None) != wants_2d:
         raise ModelFileError(f"{args.command} needs a "
                              f"{'two' if wants_2d else 'one'}-dimensional model file")
     return model
@@ -386,10 +384,8 @@ def _cmd_segment(args, model: ModelFile):
         doc = {
             "verdict": "validated" if built.validated else "discrepancy",
             "criterion": f"boundary-construction-{built.variant}",
-            "beta_left": [{"from": list(s), "to": list(d), "rate": scalar_repr(r)}
-                          for s, d, r in built.boundary.left.entries()],
-            "beta_right": [{"from": list(s), "to": list(d), "rate": scalar_repr(r)}
-                           for s, d, r in built.boundary.right.entries()],
+            "beta_left": _rates_json(built.boundary.left),
+            "beta_right": _rates_json(built.boundary.right),
         }
         if built.discrepancy is not None:
             doc["witness"] = _witness_json(built.discrepancy)

@@ -427,7 +427,9 @@ def induced_rate(T: JumpRateMatrix, w: Word, z: Word):
 
 def induced_rate_cyclic(T: JumpRateMatrix, w: Word, z: Word):
     """Induced rate on Z/nZ, n = len(w): windows wrap modulo n (all n of
-    them, even n < L)."""
+    them, even n < L, when a window reads some sites more than once).  The
+    tests' reference for the oracle and the cycle deciders, which apply the
+    same rule as a period test on the moves."""
     w, z = tuple(w), tuple(z)
     if len(w) != len(z):
         raise ValueError("induced rate needs words of equal length")

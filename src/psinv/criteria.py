@@ -271,22 +271,24 @@ def cycle_jumps(T: JumpRateMatrix, x: Word):
     wrapped window and per move w -> x, with each source w read from the
     site after its window; exit_rate is the total rate at which x is left.
     When n < L a window covers some sites twice, and a move counts only when
-    it reads and writes the same letter on every copy of a site.
+    both of its words repeat with period n.
     """
     x = tuple(x)
     n, L = len(x), T.range_
     moves = list(T.entries())
+    if n < L:
+        moves = [(u, v, rate) for u, v, rate in moves
+                 if u[n:] == u[:L - n] and v[n:] == v[:L - n]]
     inflow, exit_rate = [], Fraction(0)
     for start in range(n):
         sites = [(start + j) % n for j in range(L)]
-        first = [sites.index(site) for site in sites]  # first copy of each site
         read = [(start + L + i) % n for i in range(n)]
         window = tuple(x[site] for site in sites)
         for u, v, rate in moves:
-            if v == window and all(u[i] == a for i, a in zip(first, u)):
+            if v == window:
                 letters = dict(zip(sites, u))
                 inflow.append((tuple(letters.get(site, x[site]) for site in read), rate))
-            elif u == window and all(v[i] == a for i, a in zip(first, v)):
+            elif u == window:
                 exit_rate += rate
     return inflow, exit_rate
 
@@ -624,7 +626,6 @@ class RestrictedInstance:
     support: Tuple[int, ...]
     T: JumpRateMatrix
     law: Optional[StationaryLaw]
-    letter_map: Mapping[int, int]
 
 
 def restrict_support(T: JumpRateMatrix, law_or_rho, support) -> RestrictedInstance:
@@ -674,7 +675,7 @@ def restrict_support(T: JumpRateMatrix, law_or_rho, support) -> RestrictedInstan
             if mass != 1 and any(rho[a] != 0 for a in range(kappa) if a not in inside):
                 raise ValueError("marginal has mass outside the support")
             law = product_law([rho[a] / mass for a in support])
-    return RestrictedInstance(support, restricted_T, law, new_letter)
+    return RestrictedInstance(support, restricted_T, law)
 
 
 def symmetrize(T: JumpRateMatrix) -> JumpRateMatrix:

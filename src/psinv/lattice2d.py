@@ -61,8 +61,8 @@ GAMMA1 = Shape([(0, 0), (0, 1), (1, 0), (2, 0)])
 GAMMA2 = Shape([(0, 0), (0, 1), (1, 0), (2, 0), (1, 1)])
 
 
-def hypercube(side: int, dim: int = 2) -> Shape:
-    return Shape(itertools.product(range(side), repeat=dim))
+def hypercube(side: int) -> Shape:
+    return Shape(itertools.product(range(side), repeat=2))
 
 
 def _check_marginal(T2: JumpRateMatrix, rho) -> List:
@@ -286,7 +286,6 @@ class TruncationReport:
     residuals on the remaining patterns reported, never hidden."""
 
     interior_invariant: bool
-    interior_patterns: int
     boundary_residuals: Tuple[Tuple[Word, object], ...]
     marginal: Tuple
 
@@ -300,13 +299,11 @@ def check_multinomial_preservation(T2: JumpRateMatrix, lam=1, tol: float = DEFAU
     rho = truncated_poisson(lam, kappa)
     ctx = product_context(T2, _check_marginal(T2, rho), tol)
     interior_ok = True
-    interior_count = 0
     boundary = []
     for x, value in sorted(z_table(ctx).values.items()):
         if sum(x) <= kappa - 1:
-            interior_count += 1
             if not ctx.is_zero(value):
                 interior_ok = False
         elif not ctx.is_zero(value):
             boundary.append((x, value))
-    return TruncationReport(interior_ok, interior_count, tuple(boundary), tuple(rho))
+    return TruncationReport(interior_ok, tuple(boundary), tuple(rho))

@@ -22,6 +22,7 @@ from .core import MarkovKernel, StationaryLaw
 from .scalars import all_exact
 
 _ZERO = Fraction(0)
+PERRON_TOL = 1e-13  # relative convergence of the float power iteration
 _NOT_UNIQUE = "kernel has no unique stationary law (reducible or periodic chain)"
 
 
@@ -155,8 +156,8 @@ def solve_linear(A, b, tol: float = 0.0) -> LinearSolution:
     return LinearSolution(status, particular, basis)
 
 
-def nullspace(A, tol: float = 0.0) -> List[List]:
-    return solve_linear(A, [_ZERO] * len(A), tol=tol).basis
+def nullspace(A) -> List[List]:
+    return solve_linear(A, [_ZERO] * len(A)).basis
 
 
 def mat_vec(A, x):
@@ -245,7 +246,7 @@ def _positive_vector(vec):
     return None
 
 
-def perron_pair(A, tol: float = 1e-13) -> EigenPair:
+def perron_pair(A) -> EigenPair:
     """Dominant eigenpair of a nonnegative irreducible matrix.
 
     Rational input: the float eigenvalue is rounded to a nearby rational g
@@ -253,7 +254,7 @@ def perron_pair(A, tol: float = 1e-13) -> EigenPair:
     eigenvectors, which pins the dominant eigenvalue of an irreducible
     nonnegative matrix); on success everything is exact.  Otherwise: power
     iteration on A + I (the shift removes periodicity) from the all-ones
-    vector to relative tolerance `tol`, then one Rayleigh refinement.
+    vector to relative tolerance PERRON_TOL, then one Rayleigh refinement.
     """
     size = len(A)
     if any(len(row) != size for row in A):
@@ -303,8 +304,8 @@ def perron_pair(A, tol: float = 1e-13) -> EigenPair:
         y_new = shifted.T @ y
         y_new /= np.linalg.norm(y_new)
         lam_new = float(x_new @ (shifted @ x_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and \
-           np.linalg.norm(x_new - x) <= tol * 10 and np.linalg.norm(y_new - y) <= tol * 10:
+        if abs(lam_new - lam) <= PERRON_TOL * max(1.0, abs(lam_new)) and \
+           max(np.linalg.norm(x_new - x), np.linalg.norm(y_new - y)) <= PERRON_TOL * 10:
             x, y, lam = x_new, y_new, lam_new
             break
         x, y, lam = x_new, y_new, lam_new

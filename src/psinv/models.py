@@ -1,8 +1,8 @@
 """Catalog of concrete particle systems with their documented verdicts.
 
-Each builder returns a ModelSpec bundling the jump rates (1D or 2x2-square),
-optional canonical kernels or marginals, and the expected behaviour the
-acceptance suite asserts.  Infinite-alphabet models (zero range, block size
+Each builder returns a ModelSpec bundling the jump rates (1D or 2x2-square)
+with optional canonical kernels or marginals; its docstring states the
+model's known invariant laws.  Infinite-alphabet models (zero range, block size
 dynamics) are instantiated on a finite truncation {0..kappa-1}: jumps that
 would leave the truncation are dropped and the number of dropped entries is
 recorded in the model's notes, so truncation effects stay visible.
@@ -10,7 +10,7 @@ recorded in the model's notes, so truncation effects stay visible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -21,26 +21,25 @@ from .scalars import as_scalar
 
 @dataclass(frozen=True)
 class ModelSpec:
-    name: str
-    params: dict
     jrm: Optional[JumpRateMatrix] = None
     square: Optional[JumpRateMatrix] = None
     kernel: Optional[MarkovKernel] = None
     rho: Optional[Tuple] = None
-    expected: dict = field(default_factory=dict)
     notes: Tuple[str, ...] = ()
 
 
 def tasep() -> ModelSpec:
-    T = JumpRateMatrix(Alphabet(2), 2, {((1, 0), (0, 1)): 1})
-    return ModelSpec("tasep", {}, jrm=T,
-                     expected={"product_invariant": "every Bernoulli(p), 0 < p < 1"})
+    """Totally asymmetric exclusion: a particle hops onto an empty right
+    neighbour at rate 1.  Every Bernoulli(p) product, 0 < p < 1, is invariant."""
+    return ModelSpec(jrm=JumpRateMatrix(Alphabet(2), 2, {((1, 0), (0, 1)): 1}))
 
 
 def contact(lam, encoding: str = "L2") -> ModelSpec:
     """Contact process: recovery at rate 1, infection by each occupied
     neighbour at rate lam.  The range-2 encoding is primary (smaller
-    criterion systems); the range-3 encoding is kept for cross-checks."""
+    criterion systems); the range-3 encoding is kept for cross-checks.  The
+    all-zero configuration is absorbing, so no full-support Markov law of
+    any memory is invariant."""
     lam = as_scalar(lam)
     if lam <= 0:
         raise ValueError("infection rate must be positive")
@@ -63,14 +62,14 @@ def contact(lam, encoding: str = "L2") -> ModelSpec:
         T = JumpRateMatrix(alphabet, 3, rates)
     else:
         raise ValueError("encoding must be 'L2' or 'L3'")
-    return ModelSpec("contact", {"lam": lam, "encoding": encoding}, jrm=T,
-                     expected={"absorbing": "all-zero configuration",
-                               "markov_laws": "none with full support, any memory"})
+    return ModelSpec(jrm=T)
 
 
 def voter(kappa: int = 2) -> ModelSpec:
     """Voter model: the middle site adopts the opinion of each neighbour at
-    rate 1 (rate 2 when both neighbours agree on a new opinion)."""
+    rate 1 (rate 2 when both neighbours agree on a new opinion).  The kappa
+    constant configurations are absorbing, so no full-support Markov law of
+    any memory is invariant."""
     alphabet = Alphabet(kappa)
     rates: Dict[Tuple[Word, Word], object] = {}
     for a, m, b in itertools.product(alphabet.letters, repeat=3):
@@ -80,16 +79,15 @@ def voter(kappa: int = 2) -> ModelSpec:
             rate = (1 if c == a else 0) + (1 if c == b else 0)
             if rate:
                 rates[((a, m, b), (a, c, b))] = rate
-    return ModelSpec("voter", {"kappa": kappa}, jrm=JumpRateMatrix(alphabet, 3, rates),
-                     expected={"absorbing": "the kappa constant configurations",
-                               "markov_laws": "none with full support, any memory"})
+    return ModelSpec(jrm=JumpRateMatrix(alphabet, 3, rates))
 
 
 def stochastic_ising(x) -> ModelSpec:
     """Spin-flip dynamics with rates x^((2b-1)(2a+2c-2)) for flipping the
     middle of (a, b, c); x plays the role of the inverse temperature weight
-    and must be rational so everything stays exact.  The canonical invariant
-    chain kernel has M[0][1] = x^2/(1+x^2) and M[1][1] = 1/(1+x^2)."""
+    and must be rational so everything stays exact.  The Z table vanishes
+    identically, and the bundled kernel, with M[0][1] = x^2/(1+x^2) and
+    M[1][1] = 1/(1+x^2), gives the unique invariant chain law."""
     x = as_scalar(x)
     if x <= 0:
         raise ValueError("the weight x must be positive")
@@ -101,10 +99,7 @@ def stochastic_ising(x) -> ModelSpec:
     p_align = 1 / (1 + x ** 2)       # stay aligned with the previous spin
     kernel = MarkovKernel.from_matrix([[p_align, 1 - p_align],
                                        [1 - p_align, p_align]])
-    return ModelSpec("stochastic_ising", {"x": x}, jrm=JumpRateMatrix(alphabet, 3, rates),
-                     kernel=kernel,
-                     expected={"z_table": "identically zero",
-                               "markov_invariant": "unique, the bundled kernel"})
+    return ModelSpec(jrm=JumpRateMatrix(alphabet, 3, rates), kernel=kernel)
 
 
 def tasep3(r10, r20, r21) -> ModelSpec:
@@ -112,18 +107,14 @@ def tasep3(r10, r20, r21) -> ModelSpec:
     pairs (1,0), (2,0), (2,1).  Full-support invariant products exist exactly
     when r20 = r21 + r10."""
     rates = {((1, 0), (0, 1)): r10, ((2, 0), (0, 2)): r20, ((2, 1), (1, 2)): r21}
-    return ModelSpec("tasep3", {"r10": r10, "r20": r20, "r21": r21},
-                     jrm=JumpRateMatrix(Alphabet(3), 2, rates),
-                     expected={"product_invariant": "all full-support rho iff r20 == r21 + r10"})
+    return ModelSpec(jrm=JumpRateMatrix(Alphabet(3), 2, rates))
 
 
 def tasep3_cyclic(r02, r10, r21) -> ModelSpec:
     """Variant where colour i overtakes i-1 mod 3 only; no invariant Markov
     law with positive kernel unless all three rates vanish."""
     rates = {((0, 2), (2, 0)): r02, ((1, 0), (0, 1)): r10, ((2, 1), (1, 2)): r21}
-    return ModelSpec("tasep3_cyclic", {"r02": r02, "r10": r10, "r21": r21},
-                     jrm=JumpRateMatrix(Alphabet(3), 2, rates),
-                     expected={"markov_invariant": "none unless all rates are zero"})
+    return ModelSpec(jrm=JumpRateMatrix(Alphabet(3), 2, rates))
 
 
 def tasep3_exchange(rates: Mapping[Tuple[int, int], object]) -> ModelSpec:
@@ -134,15 +125,15 @@ def tasep3_exchange(rates: Mapping[Tuple[int, int], object]) -> ModelSpec:
         if a == b:
             raise ValueError("exchange needs two distinct colours")
         table[((a, b), (b, a))] = value
-    return ModelSpec("tasep3_exchange", {"rates": dict(rates)},
-                     jrm=JumpRateMatrix(Alphabet(3), 2, table))
+    return ModelSpec(jrm=JumpRateMatrix(Alphabet(3), 2, table))
 
 
 def zero_range(g, kappa_trunc: int) -> ModelSpec:
     """Zero-range mass transport on the truncation {0..kappa_trunc-1}:
     a pile of size a sends k particles to the right at rate g(a, k),
     1 <= k <= a; g is a function or a mapping {(a, k): rate} (absent pairs
-    have rate 0).  Jumps overfilling the right pile are dropped (counted)."""
+    have rate 0).  Jumps overfilling the right pile are dropped (counted).
+    When g(a, k) depends on k only, the geometric products are invariant."""
     if not (callable(g) or isinstance(g, Mapping)):
         raise TypeError(f"g must be a function or a mapping {{(a, k): rate}}, not {g!r}")
     alphabet = Alphabet(kappa_trunc)
@@ -159,11 +150,7 @@ def zero_range(g, kappa_trunc: int) -> ModelSpec:
                 else:
                     dropped += 1
     notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
-    return ModelSpec("zero_range", {"kappa_trunc": kappa_trunc},
-                     jrm=JumpRateMatrix(alphabet, 2, rates),
-                     expected={"product_invariant":
-                               "geometric family when g(a, k) depends on k only"},
-                     notes=notes)
+    return ModelSpec(jrm=JumpRateMatrix(alphabet, 2, rates), notes=notes)
 
 
 def pushtasep_blocks(kappa_trunc: int) -> ModelSpec:
@@ -173,7 +160,8 @@ def pushtasep_blocks(kappa_trunc: int) -> ModelSpec:
     A particle hopping right moves one unit of mass to the next block; a
     particle jumping to the empty site on its left merges mass leftwards:
     (a, b) -> (a - 1, b + 1) at rate 1 and (a, b) -> (a + k, b - k) at rate
-    1 for 1 <= k <= b, both truncated to the finite alphabet."""
+    1 for 1 <= k <= b, both truncated to the finite alphabet.  Products of
+    geometric marginals are invariant."""
     alphabet = Alphabet(kappa_trunc)
     rates: Dict[Tuple[Word, Word], object] = {}
     dropped = 0
@@ -189,15 +177,15 @@ def pushtasep_blocks(kappa_trunc: int) -> ModelSpec:
             else:
                 dropped += 1
     notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
-    return ModelSpec("pushtasep_blocks", {"kappa_trunc": kappa_trunc},
-                     jrm=JumpRateMatrix(alphabet, 2, rates),
-                     expected={"product_invariant": "geometric marginals"},
-                     notes=notes)
+    return ModelSpec(jrm=JumpRateMatrix(alphabet, 2, rates), notes=notes)
 
 
 def hmc_example() -> ModelSpec:
     """Three-colour system whose invariant chain projects onto a hidden
-    Markov law on two colours (colours 1 and 2 merge)."""
+    Markov law on two colours (colours 1 and 2 merge).  The Z table of the
+    bundled kernel vanishes identically; the projection (0, 1, 1) has rates
+    270 for 000 -> 010 and 294 back, and its law is no Markov chain: the
+    ratios P(111)/P(11) = 71/106 and P(11)/P(1) = 53/81 differ."""
     alphabet = Alphabet(3)
     rates = {
         ((0, 0, 0), (0, 1, 0)): 255,
@@ -212,14 +200,8 @@ def hmc_example() -> ModelSpec:
         [Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)],
         [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)],
     ])
-    return ModelSpec("hmc_example", {}, jrm=JumpRateMatrix(alphabet, 3, rates),
-                     kernel=kernel,
-                     rho=(Fraction(35, 89), Fraction(29, 89), Fraction(25, 89)),
-                     expected={"z_table": "identically zero",
-                               "projection": (0, 1, 1),
-                               "projected_rates": {"(0,0,0)->(0,1,0)": 270,
-                                                   "(0,1,0)->(0,0,0)": 294},
-                               "non_markov_ratios": (Fraction(71, 106), Fraction(53, 81))})
+    return ModelSpec(jrm=JumpRateMatrix(alphabet, 3, rates), kernel=kernel,
+                     rho=(Fraction(35, 89), Fraction(29, 89), Fraction(25, 89)))
 
 
 def kappa2_general(rates: Mapping[int, Mapping[int, object]]) -> ModelSpec:
@@ -230,8 +212,7 @@ def kappa2_general(rates: Mapping[int, Mapping[int, object]]) -> ModelSpec:
     for i, row in rates.items():
         for j, value in row.items():
             table[(tuple(divmod(i, 2)), tuple(divmod(j, 2)))] = value
-    return ModelSpec("kappa2_general", {"rates": rates},
-                     jrm=JumpRateMatrix(alphabet, 2, table))
+    return ModelSpec(jrm=JumpRateMatrix(alphabet, 2, table))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +235,7 @@ def flip_2d(a, b=1) -> ModelSpec:
     up = (1, 1, 1, 0)
     down = (0, 0, 0, 1)
     square = JumpRateMatrix(Alphabet(2), 4, {(up, down): a, (down, up): b})
-    return ModelSpec("flip_2d", {"a": a, "b": b}, square=square,
-                     expected={"product_invariant": "Bernoulli with a p^2 - p^2 + 2p - 1 = 0"})
+    return ModelSpec(square=square)
 
 
 def pair_flip_2d(a, b) -> ModelSpec:
@@ -264,8 +244,7 @@ def pair_flip_2d(a, b) -> ModelSpec:
     up = (1, 0, 1, 0)
     down = (0, 1, 0, 1)
     square = JumpRateMatrix(Alphabet(2), 4, {(up, down): a, (down, up): b})
-    return ModelSpec("pair_flip_2d", {"a": a, "b": b}, square=square,
-                     expected={"product_invariant": "all iff a == b"})
+    return ModelSpec(square=square)
 
 
 def rotation_2d(a, b, c, d) -> ModelSpec:
@@ -279,8 +258,7 @@ def rotation_2d(a, b, c, d) -> ModelSpec:
         (words[2], words[3]): c,
         (words[3], words[0]): d,
     })
-    return ModelSpec("rotation_2d", {"a": a, "b": b, "c": c, "d": d}, square=square,
-                     expected={"product_invariant": "all Bernoulli iff a == b == c == d"})
+    return ModelSpec(square=square)
 
 
 def three_colour_flip_2d(a0, a1, a2) -> ModelSpec:
@@ -290,9 +268,7 @@ def three_colour_flip_2d(a0, a1, a2) -> ModelSpec:
         ((i, i, i, i), ((i + 1) % 3,) * 4): rate
         for i, rate in enumerate((a0, a1, a2))
     })
-    return ModelSpec("three_colour_flip_2d", {"a0": a0, "a1": a1, "a2": a2},
-                     square=square,
-                     expected={"product_invariant": "rho with a_i rho_i^4 constant"})
+    return ModelSpec(square=square)
 
 
 _STEP = {SQUARE_CELLS.index(c): SQUARE_CELLS.index(_CYCLIC_CELLS[(k + 1) % 4])
@@ -306,7 +282,7 @@ def _moved(x: Word, i: int, j: int) -> Word:
     return tuple(y)
 
 
-def _mass_dynamics(name: str, kappa_trunc: int, weight, moves, invariant: str) -> ModelSpec:
+def _mass_dynamics(kappa_trunc: int, weight, moves) -> ModelSpec:
     """Square dynamics scaled by the total mass: each pattern x of mass
     m = |x|_1 > 0 with weight(m) != 0 (default 1) jumps to y at rate
     weight(m) * factor for each (y, factor) of moves(x), in that order.
@@ -325,9 +301,7 @@ def _mass_dynamics(name: str, kappa_trunc: int, weight, moves, invariant: str) -
             else:
                 dropped += 1
     notes = (f"truncation dropped {dropped} jump entries",) if dropped else ()
-    return ModelSpec(name, {"kappa_trunc": kappa_trunc},
-                     square=JumpRateMatrix(alphabet, 4, rates),
-                     expected={"product_invariant": invariant}, notes=notes)
+    return ModelSpec(square=JumpRateMatrix(alphabet, 4, rates), notes=notes)
 
 
 def ball_move_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None) -> ModelSpec:
@@ -337,8 +311,7 @@ def ball_move_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None
     def moves(x):
         return [(_moved(x, i, j), Fraction(x[i], 3))
                 for i in range(4) if x[i] for j in range(4) if j != i]
-    return _mass_dynamics("ball_move_2d", kappa_trunc, weight, moves,
-                          "truncated Poisson, interior-exact")
+    return _mass_dynamics(kappa_trunc, weight, moves)
 
 
 def ball_cycle_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None) -> ModelSpec:
@@ -348,8 +321,7 @@ def ball_cycle_2d(kappa_trunc: int, weight: Callable[[int], object] | None = Non
     residuals on overfull patterns."""
     def moves(x):
         return [(_moved(x, i, j), Fraction(x[i])) for i, j in _STEP.items() if x[i]]
-    return _mass_dynamics("ball_cycle_2d", kappa_trunc, weight, moves,
-                          "truncated Poisson, interior-exact")
+    return _mass_dynamics(kappa_trunc, weight, moves)
 
 
 def urn_shift_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None) -> ModelSpec:
@@ -361,8 +333,7 @@ def urn_shift_2d(kappa_trunc: int, weight: Callable[[int], object] | None = None
         for i, j in _STEP.items():
             shifted[j] = x[i]
         return [(tuple(shifted), 1)] if tuple(shifted) != x else []
-    return _mass_dynamics("urn_shift_2d", kappa_trunc, weight, moves,
-                          "any exchangeable product")
+    return _mass_dynamics(kappa_trunc, weight, moves)
 
 
 _BUILDERS = {

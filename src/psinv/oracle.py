@@ -3,7 +3,9 @@
 For a cycle Z/nZ, a segment {1..n} with boundary rates, or an n x n torus,
 the particle system is an honest finite-state Markov jump process.  This
 module builds its full rate matrix Q as integer index arrays (compressed
-sparse rows; diagonal implicit), evaluates stationarity residuals mu Q
+sparse rows; diagonal implicit) from its jump windows, cycles shorter than
+the range included, each build counted against TRANSITION_BUDGET before
+anything is allocated.  It evaluates stationarity residuals mu Q
 exactly, computes cyclic chain (Gibbs) weights and product weights, and
 finds the closed classes of the jump graph by labelling each state with the
 least state it reaches.  Exact rates and measures are integers over one
@@ -26,7 +28,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
-                   StationaryLaw, Word, induced_rate_cyclic)
+                   StationaryLaw, Word)
 from .scalars import all_exact, over_common_denominator
 
 DEFAULT_STATE_CAP = 2 ** 20
@@ -223,7 +225,13 @@ def _window_groups(T: JumpRateMatrix, space: Space):
     moves = list(T.entries())
     L, n = T.range_, space.n
     if isinstance(space, CycleSpace):
-        groups = [(np.add.outer(np.arange(n), np.arange(L)) % n, moves)]
+        if n < L:
+            # a window reads each site more than once: a move applies when
+            # both of its words repeat with period n, and then acts as
+            # u[:n] -> v[:n] on the window's n sites
+            moves = [(u[:n], v[:n], rate) for u, v, rate in moves
+                     if u[n:] == u[:L - n] and v[n:] == v[:L - n]]
+        groups = [(np.add.outer(np.arange(n), np.arange(min(L, n))) % n, moves)]
     elif isinstance(space, SegmentSpace):
         groups = [(np.add.outer(np.arange(max(n - L + 1, 0)), np.arange(L)), moves)]
         boundary = space.boundary
@@ -268,24 +276,6 @@ def _window_blocks(groups, kappa: int, n_sites: int):
                        np.arange(len(rates), len(rates) + len(moves))))
         rates += [rate for _, _, rate in moves]
     return blocks, rates
-
-
-def _pairwise_blocks(T: JumpRateMatrix, n: int):
-    """Jumps of a cycle shorter than the range, where wrapped windows overlap
-    themselves: the induced rate of every pair of distinct states, one
-    block each."""
-    words = list(T.alphabet.words(n))
-    pairs, rates = [], []
-    for i, w in enumerate(words):
-        for j, z in enumerate(words):
-            if i != j:
-                rate = induced_rate_cyclic(T, w, z)
-                if rate != 0:
-                    pairs.append((i, j))
-                    rates.append(rate)
-    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return [(src[None, :], np.zeros((1, 1), dtype=np.int64), (dst - src)[None, :],
-             np.arange(len(rates)))], rates
 
 
 def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> FiniteGenerator:
@@ -371,7 +361,7 @@ def check_space(T: JumpRateMatrix, space: Space, max_states: int = DEFAULT_STATE
     when it has more states than the cap, or when its generator would hold
     more than TRANSITION_BUDGET raw transitions (windows x moves x the
     kappa^(sites - width) states that show each pattern).  Returns the number
-    of sites and the window groups (None for a cycle shorter than the range)."""
+    of sites and the window groups."""
     if not isinstance(space, (CycleSpace, SegmentSpace, TorusSpace)):
         raise TypeError(f"unknown space {space!r}")
     if space.n < 1:
@@ -379,8 +369,6 @@ def check_space(T: JumpRateMatrix, space: Space, max_states: int = DEFAULT_STATE
     kappa = T.alphabet.kappa
     n_sites = space.n * space.n if isinstance(space, TorusSpace) else space.n
     check_state_cap(T.alphabet, n_sites, max_states)
-    if isinstance(space, CycleSpace) and space.n < T.range_:
-        return n_sites, None
     groups = _window_groups(T, space)
     count = sum(len(sites) * len(moves) * kappa ** (n_sites - sites.shape[1])
                 for sites, moves in groups)
@@ -393,11 +381,8 @@ def build_generator(T: JumpRateMatrix, space: Space,
                     max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
     """Explicit sparse generator of the particle system on a finite space."""
     n_sites, groups = check_space(T, space, max_states)
-    if groups is None:
-        blocks = _pairwise_blocks(T, n_sites)
-    else:
-        blocks = _window_blocks(groups, T.alphabet.kappa, n_sites)
-    return _compress(space, T.alphabet, n_sites, *blocks)
+    blocks, rates = _window_blocks(groups, T.alphabet.kappa, n_sites)
+    return _compress(space, T.alphabet, n_sites, blocks, rates)
 
 
 def stationarity_residual(gen: FiniteGenerator, mu: Sequence):

@@ -1,11 +1,13 @@
-"""No dead code in src/psinv: every private name is used and every parameter
-is read.
+"""No dead code in src/psinv: every private name is used, every parameter
+is read and every dataclass field is read.
 
 A private name (a `_`-prefixed function, class or module constant; dunder
 names excluded) must be referenced somewhere in the package outside its own
 definition.  Every parameter of a named function must be read in its body,
-apart from `self`, `cls` and `_`-prefixed names.  The source is read with
-`ast`, not imported.
+apart from `self`, `cls` and `_`-prefixed names.  Every field of a
+`@dataclass` must be read as an attribute somewhere in the package or its
+tests; a field that shares its name with another attribute passes unseen.
+The source is read with `ast`, not imported.
 """
 import ast
 import os
@@ -13,14 +15,16 @@ import os
 import psinv
 
 SOURCE = os.path.dirname(os.path.abspath(psinv.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
-def package_trees():
-    """{module name: parsed tree} of every module of the package."""
+def package_trees(folder=SOURCE):
+    """{module name: parsed tree} of every module of the package (or of
+    another folder)."""
     trees = {}
-    for name in sorted(os.listdir(SOURCE)):
+    for name in sorted(os.listdir(folder)):
         if name.endswith(".py"):
-            with open(os.path.join(SOURCE, name)) as handle:
+            with open(os.path.join(folder, name)) as handle:
                 trees[name[:-3]] = ast.parse(handle.read())
     return trees
 
@@ -101,12 +105,33 @@ def unread_parameters(trees):
     return unread
 
 
+def unread_fields(trees, readers):
+    """Class.field of every dataclass field in `trees` that no tree of
+    `readers` reads as an attribute."""
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                unread += [f"{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    return unread
+
+
 def test_every_private_name_is_used():
     assert unreferenced_private_names(package_trees()) == []
 
 
 def test_every_parameter_is_read():
     assert unread_parameters(package_trees()) == []
+
+
+def test_every_dataclass_field_is_read():
+    trees = package_trees()
+    readers = list(trees.values()) + list(package_trees(TESTS).values())
+    assert unread_fields(trees, readers) == []
 
 
 def test_checks_see_dead_code():
@@ -118,3 +143,13 @@ def test_checks_see_dead_code():
     assert sorted(unreferenced_private_names({"m": tree})) == \
         ["m._UNUSED", "m._helper", "m._spin"]
     assert unread_parameters({"m": tree}) == ["m._helper.b", "m._helper.rest"]
+
+
+def test_field_check_sees_unread_fields():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int\n"
+                     "@dataclass\nclass One:\n    only: int\n"
+                     "class Plain:\n    loose: int\n"
+                     "def use(pair, one):\n    pair.right = one.only\n    return pair.left\n")
+    # a store is no read, and only dataclasses have fields
+    assert unread_fields({"m": tree}, [tree]) == ["Pair.right"]

@@ -59,6 +59,12 @@ class TestBuildGenerator:
         with pytest.raises(StateCapExceeded, match="20971520 transitions"):
             build_generator(stochastic_ising(F(1, 2)).jrm, CycleSpace(20))
 
+    def test_short_cycles_count_against_the_budget(self, monkeypatch):
+        # on Z/2Z the four flips of (a, b, a) apply, on each of the 2 windows
+        monkeypatch.setattr(oracle, "TRANSITION_BUDGET", 7)
+        with pytest.raises(StateCapExceeded, match="about 8 transitions"):
+            build_generator(stochastic_ising(F(1, 2)).jrm, CycleSpace(2))
+
     @pytest.mark.parametrize("space", [CycleSpace(0), CycleSpace(-1), SegmentSpace(0)],
                              ids=["cycle-0", "cycle-negative", "segment-0"])
     def test_empty_spaces_rejected(self, space):
@@ -506,6 +512,30 @@ def _same(new, ref):
     return new == ref
 
 
+def _close(new, ref):
+    """Equal values; where the reference is a float, a float within 1e-13 of
+    it, relative to its size (at least 1e-3): a float64 sum of the same few
+    hundred terms in another order."""
+    if isinstance(ref, float):
+        return isinstance(new, float) and abs(new - ref) <= 1e-13 * max(abs(ref), 1e-3)
+    return new == ref
+
+
+def dense_periodic_table(rng, kappa, range_):
+    """Moves from every word that repeats with a period n < range_: three to
+    words of period n, and three to any words, most of which repeat with no
+    period below range_ and so take no part on a short cycle."""
+    words = list(Alphabet(kappa).words(range_))
+    rates = {}
+    for n in range(1, range_):
+        periodic = [w for w in words if w == (w[:n] * range_)[:range_]]
+        for u in periodic:
+            for v in rng.choices(periodic, k=3) + rng.choices(words, k=3):
+                if u != v:
+                    rates[(u, v)] = rational(rng)
+    return JumpRateMatrix(Alphabet(kappa), range_, rates)
+
+
 def _as_float(T):
     return JumpRateMatrix(T.alphabet, T.range_, {(u, v): float(r) for u, v, r in T.entries()})
 
@@ -516,7 +546,8 @@ class TestAgainstReference:
     Fraction construction, on seeded random tables; float mode must agree
     bit for bit, since float sums depend on their order."""
 
-    def check(self, T, space, mu, ref_mu):
+    def check(self, T, space, mu, ref_mu, summed=_same):
+        """`summed` compares the exit rates and residuals, which are sums."""
         gen = build_generator(T, space)
         rows, exits = reference_generator(T, space)
         assert len(gen.rows) == len(rows)
@@ -524,12 +555,12 @@ class TestAgainstReference:
             row = gen.rows[x]
             assert sorted(row) == sorted(ref_row), (space, x)
             assert all(_same(row[y], rate) for y, rate in ref_row.items()), (space, x)
-            assert _same(gen.exit_rates[x], exits[x]), (space, x)
+            assert summed(gen.exit_rates[x], exits[x]), (space, x)
         assert len(mu) == len(ref_mu)
         assert all(_same(a, b) for a, b in zip(mu, ref_mu)), space
         expected = reference_residual(rows, exits, ref_mu)
-        assert _same(stationarity_residual(gen, mu), expected), space
-        assert _same(stationarity_residual(gen, list(ref_mu)), expected), space
+        assert summed(stationarity_residual(gen, mu), expected), space
+        assert summed(stationarity_residual(gen, list(ref_mu)), expected), space
 
     def table(self, rng, kappa, range_, as_float):
         T = random_jrm(rng, kappa=kappa, range_=range_)
@@ -545,6 +576,21 @@ class TestAgainstReference:
                     M = MarkovKernel.from_matrix([[float(p) for p in row] for row in M.matrix()])
                 for n in range(1, 7):
                     self.check(T, CycleSpace(n), gibbs_measure(M, n), reference_gibbs(M, n))
+
+    def test_short_cycles_of_dense_periodic_tables(self, as_float):
+        # the reference adds each state's exit rate target by target, the
+        # generator window by window: float exit rates agree to rounding
+        rng = random.Random(35)
+        for kappa in (2, 3, 4):
+            for range_ in (2, 3, 4, 5):
+                T = dense_periodic_table(rng, kappa, range_)
+                T = _as_float(T) if as_float else T
+                rho = random_marginal(rng, kappa)
+                if as_float:
+                    rho = [float(p) for p in rho]
+                for n in range(1, range_):
+                    self.check(T, CycleSpace(n), product_measure(rho, n),
+                               reference_product(rho, n), summed=_close)
 
     def test_flips_merged_from_three_windows(self, as_float):
         # every single-site flip is a move of three overlapping windows, so
