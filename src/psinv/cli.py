@@ -44,6 +44,8 @@ class ModelFileError(ValueError):
 
 @dataclass
 class ModelFile:
+    kappa: int
+    range_: Optional[int]
     jrm: Optional[JumpRateMatrix]
     square: Optional[JumpRateMatrix]  # 2x2-square patterns
     kernel: Optional[MarkovKernel]
@@ -136,6 +138,7 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
     two_dimensional = bool(doc.get("two_dimensional", False)) or "square_rates" in doc
     jrm = None
     square = None
+    range_ = None
     if two_dimensional:
         if "rates" in doc or "range" in doc:
             raise ModelFileError("two-dimensional models use square_rates, not rates/range")
@@ -172,7 +175,7 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
 
     beta = None
     if "beta_left" in doc or "beta_right" in doc:
-        if jrm is None:
+        if range_ is None:
             raise ModelFileError("boundary rates require a one-dimensional model")
         beta = BoundaryRates(
             JumpRateMatrix(alphabet, range_ - 1,
@@ -181,7 +184,7 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
             JumpRateMatrix(alphabet, range_ - 1,
                            _parse_rate_list(doc.get("beta_right", []), range_ - 1,
                                             as_float, "beta_right")))
-    return ModelFile(jrm, square, kernel, rho, beta)
+    return ModelFile(kappa, range_, jrm, square, kernel, rho, beta)
 
 
 def _rates_json(T: JumpRateMatrix) -> list:

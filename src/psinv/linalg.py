@@ -305,7 +305,8 @@ def perron_pair(A) -> EigenPair:
         y_new /= np.linalg.norm(y_new)
         lam_new = float(x_new @ (shifted @ x_new))
         if abs(lam_new - lam) <= PERRON_TOL * max(1.0, abs(lam_new)) and \
-           max(np.linalg.norm(x_new - x), np.linalg.norm(y_new - y)) <= PERRON_TOL * 10:
+           np.linalg.norm(x_new - x) <= PERRON_TOL * 10 and \
+           np.linalg.norm(y_new - y) <= PERRON_TOL * 10:
             x, y, lam = x_new, y_new, lam_new
             break
         x, y, lam = x_new, y_new, lam_new
