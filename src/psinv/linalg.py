@@ -8,6 +8,8 @@ is exact, in integers on sparse rows; with floats a pivot tolerance applies.
 Dominant eigenpairs follow the usual nonnegative-matrix theory: for an
 irreducible nonnegative matrix the largest eigenvalue is simple with
 positive left/right eigenvectors, normalized so that l . 1 = 1 and l . r = 1.
+On rational input an integer M-matrix test decides whether that eigenvalue
+is rational, and then the pair is exact; nothing is rounded or guessed.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import MarkovKernel, StationaryLaw
-from .scalars import all_exact
+from .scalars import all_exact, over_common_denominator
 
 _ZERO = Fraction(0)
 PERRON_TOL = 1e-13  # relative convergence of the float power iteration
@@ -227,8 +229,9 @@ def stationary_distribution(kernel: MarkovKernel) -> StationaryLaw:
 class EigenPair:
     """Dominant eigenvalue with positive left/right eigenvectors.
 
-    Normalization: sum(left) = 1 and left . right = 1.  `exact` records
-    whether the data was certified in rational arithmetic.
+    Normalization: sum(left) = 1 and left . right = 1.  `exact` is True when
+    the pair is rational and exact; False on rational input means that the
+    dominant eigenvalue is proven irrational, and the pair is float.
     """
 
     value: object
@@ -237,24 +240,36 @@ class EigenPair:
     exact: bool
 
 
-def _positive_vector(vec):
-    """Scale a nullspace vector to be strictly positive, or return None."""
-    if all(v > 0 for v in vec):
-        return list(vec)
-    if all(v < 0 for v in vec):
-        return [-v for v in vec]
-    return None
+def _det_above_root(t: int, B) -> Optional[int]:
+    """det(tI - B) when t >= rho(B), else None, for an irreducible nonnegative
+    integer matrix B.  Then tI - B is an M-matrix: its leading principal
+    minors of orders 1..n-1 are positive and its determinant is >= 0, and
+    fraction-free (Bareiss) elimination gives them all in integers (Berman
+    and Plemmons 1979, ch. 6; Bareiss 1968)."""
+    m = [[(t if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(B)]
+    prev = 1
+    for k in range(len(m) - 1):
+        if m[k][k] <= 0:
+            return None
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m[-1][-1] if m[-1][-1] >= 0 else None
 
 
 def perron_pair(A) -> EigenPair:
     """Dominant eigenpair of a nonnegative irreducible matrix.
 
-    Rational input: the float eigenvalue is rounded to a nearby rational g
-    and certified exactly (a nonzero nullspace of A - gI + strictly positive
-    eigenvectors, which pins the dominant eigenvalue of an irreducible
-    nonnegative matrix); on success everything is exact.  Otherwise: power
-    iteration on A + I (the shift removes periodicity) from the all-ones
-    vector to relative tolerance PERRON_TOL, then one Rayleigh refinement.
+    Rational input is decided exactly.  With den the lcm of A's denominators,
+    B = den * A has a monic integer characteristic polynomial, so a rational
+    root of B is an integer.  The least integer K >= rho(B) is found by the
+    M-matrix test, galloping out from numpy's estimate and then bisecting;
+    the root is rational exactly when det(KI - B) = 0, and then the value
+    K / den and its eigenvectors (exact nullspaces) are returned.  Float input
+    and proven-irrational roots take power iteration on A + I (the shift
+    removes periodicity) from the all-ones vector to relative tolerance
+    PERRON_TOL, then one Rayleigh refinement.
     """
     size = len(A)
     if any(len(row) != size for row in A):
@@ -264,34 +279,29 @@ def perron_pair(A) -> EigenPair:
     if not is_irreducible(A):
         raise ValueError("matrix is reducible; dominant eigenpair not unique up to scale")
 
-    exact_input = all_exact(v for row in A for v in row)
     F = np.array([[float(v) for v in row] for row in A])
-    eigvals = np.linalg.eigvals(F)
-    lam_float = float(max(eigvals.real))
-
-    if exact_input:
-        tried = set()
-        for denom_cap in (10 ** 6, 10 ** 12):
-            guess = Fraction(lam_float).limit_denominator(denom_cap)
-            if guess in tried:
-                continue
-            tried.add(guess)
-            shifted = [[A[i][j] - (guess if i == j else 0) for j in range(size)]
-                       for i in range(size)]
-            right_basis = nullspace(shifted)
-            if not right_basis:
-                continue  # guess is no eigenvalue
-            left_basis = nullspace([list(col) for col in zip(*shifted)])
-            if len(right_basis) == 1 and len(left_basis) == 1:
-                right = _positive_vector(right_basis[0])
-                left = _positive_vector(left_basis[0])
-                if right is not None and left is not None:
-                    left_sum = sum(left)
-                    left = [v / left_sum for v in left]
-                    scale = sum(l * r for l, r in zip(left, right))
-                    right = [r / scale for r in right]
-                    return EigenPair(guess, left, right, True)
-            break
+    if all_exact(v for row in A for v in row):
+        nums, den = over_common_denominator([v for row in A for v in row])
+        B = [nums[i:i + size] for i in range(0, size * size, size)]
+        hi = round(Fraction(float(max(np.linalg.eigvals(F).real))) * den)
+        step = 1 + abs(hi) // 2 ** 48  # about the estimate's rounding error
+        lo = hi - step  # galloping and bisecting until lo < rho(B) <= hi
+        while _det_above_root(hi, B) is None:
+            lo, hi, step = hi, hi + step, 2 * step
+        while _det_above_root(lo, B) is not None:
+            lo, hi, step = lo - step, lo, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _det_above_root(mid, B) is not None else (mid, hi)
+        if _det_above_root(hi, B) == 0:
+            value = Fraction(hi, den)
+            shifted = [[v - (value if i == j else 0) for j, v in enumerate(row)]
+                       for i, row in enumerate(A)]
+            (right,), (left,) = nullspace(shifted), nullspace([list(c) for c in zip(*shifted)])
+            total = sum(left)  # the signs follow: left . 1 = 1, left . right = 1
+            left = [v / total for v in left]
+            scale = sum(l * r for l, r in zip(left, right))
+            return EigenPair(value, left, [r / scale for r in right], True)
 
     # float path: power iteration with all-ones start on the shifted matrix
     shifted = F + np.eye(size)

@@ -7,7 +7,8 @@ system with one unknown per rotation orbit of the triples (25 rows by 24
 unknowns at kappa = 4).  Conversely a positive solution nu determines at
 most one positive recurrent kernel: the matrices N_a built from nu must
 share their dominant eigenvalue, and the kernel is recovered from the
-dominant eigenvectors.
+dominant eigenvectors: exactly when every N_a has a rational dominant
+eigenvalue (decided exactly by `linalg.perron_pair`), else in floats.
 Each recovered kernel is verified once against nu (exactly when the kernel
 is exact) and then filtered by the full line-invariance criterion;
 candidates that fail verification are dropped, never patched.
@@ -167,11 +168,11 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
     return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples), fully)
 
 
-def _cycle_system(T: JumpRateMatrix, n: int):
+def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
     """The length-n cyclic balances of T, the family of rotation-invariant
     probability vectors on the words of length n they kill, and the zero
-    test of those balances: float systems pivot above its tolerance, so that
-    rounding noise does not decide their rank.
+    test of those balances (tolerance tol): float systems pivot above it, so
+    that rounding noise does not decide their rank.
 
     The unknowns are one weight per rotation orbit, ordered by the orbit's
     largest rotation; the rows, {largest rotation: row}, are one balance per
@@ -189,18 +190,18 @@ def _cycle_system(T: JumpRateMatrix, n: int):
         row[col[x]] -= exit_rate
     sizes = [Fraction(len({k[i:] + k[:i] for i in range(n)})) for k in keys]
     rhs = [Fraction(0)] * len(keys) + [Fraction(1)]
-    balances = ScalarContext.for_balances(T, True)
+    balances = ScalarContext.for_balances(T, True, tol)
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
     solution = solve_linear(list(rows.values()) + [sizes], rhs, pivot)
     return rows, _family(variables, solution, [col[w] for w in variables]), balances
 
 
-def solve_cycle3_system(T: JumpRateMatrix) -> AffineFamily:
+def solve_cycle3_system(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> AffineFamily:
     """All rotation-invariant probability triple measures killing the
     length-3 cyclic balances of T (a linear system; possibly empty)."""
     if T.range_ != 2:
         raise ValueError("the triple-measure system needs range 2")
-    return _cycle_system(T, 3)[1]
+    return _cycle_system(T, 3, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +226,8 @@ class CandidateSet:
     notes: Tuple[str, ...] = ()
 
 
-def _try_rationalize(kernel_rows, nu: TripleMeasure) -> Optional[MarkovKernel]:
-    """Round a float kernel to small rationals; kept when it reproduces an
-    exact nu exactly (it rescues rational kernels that Perron certification misses)."""
-    if not all(is_exact(v) for v in nu.nu.values()):
-        return None
-    rows = [[Fraction(v).limit_denominator(10 ** 6) for v in row] for row in kernel_rows]
-    if any(sum(row) != 1 or any(p <= 0 for p in row) for row in rows):
-        return None
-    kernel = MarkovKernel.from_matrix(rows)
-    rebuilt = triple_from_kernel(kernel)
-    return kernel if all(rebuilt.nu[w] == nu.nu[w] for w in rebuilt.nu) else None
-
-
-def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure) -> CandidateSet:
+def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
+                      tol: float = DEFAULT_TOL) -> CandidateSet:
     """Reconstruct the unique kernel compatible with a positive triple
     measure, when it exists.
 
@@ -246,9 +235,9 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure) -> CandidateSet:
     eigenvalues must satisfy nu(a,a,a) * lambda_a^3 all equal (this sidesteps
     cube roots: the common value is the needed lambda^3).  The kernel then
     comes from rho_a M_ab = sum_x nu(a,b,x) r_a(x) / lambda^3, exact when
-    every eigenpair was certified, else rounded to small rationals when that
-    reproduces nu, else in floats; it is kept only if it reproduces nu
-    (within tolerance when it is a float kernel).
+    every dominant eigenvalue is rational, else in floats (no rational
+    kernel can reproduce nu then); it is kept only if it reproduces nu
+    (within tol, relative to nu, when it is a float kernel).
     """
     if T.range_ != 2:
         raise ValueError("kernel search needs range 2")
@@ -264,7 +253,7 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure) -> CandidateSet:
     if exact:
         equal = all(v == lam3[0] for v in lam3)
     else:
-        zero = ScalarContext(False, scale=abs(float(lam3[0])) or 1.0).is_zero
+        zero = ScalarContext(False, tol, abs(float(lam3[0])) or 1.0).is_zero
         equal = all(zero(float(v) - float(lam3[0])) for v in lam3)
     if not equal:
         return CandidateSet((), ("ratio matrices have distinct dominant eigenvalues",))
@@ -275,12 +264,13 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure) -> CandidateSet:
     if any(r <= 0 for r in rho):
         return CandidateSet((), ("reconstructed joint law not positive",))
     rows = [[joint[a][b] / rho[a] for b in E] for a in E]
-    kernel = MarkovKernel.from_matrix(rows) if exact else _try_rationalize(rows, nu)
-    if kernel is None:
+    if exact:
+        kernel = MarkovKernel.from_matrix(rows)
+    else:
         float_rows = [[float(v) for v in row] for row in rows]
         kernel = MarkovKernel.from_matrix([[v / sum(row) for v in row] for row in float_rows])
     rebuilt = triple_from_kernel(kernel)
-    test = ScalarContext(kernel.is_exact, scale=max(1, max(abs(v) for v in nu.nu.values())))
+    test = ScalarContext(kernel.is_exact, tol, max(1, max(abs(v) for v in nu.nu.values())))
     if not all(test.is_zero(rebuilt.nu[w] - nu.nu[w]) for w in rebuilt.nu):
         kind = "exact" if kernel.is_exact else "float"
         return CandidateSet((), (f"candidate failed {kind} verification",))
@@ -311,7 +301,7 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
     criterion; the per-candidate report distinguishes membership in the
     length-3 solution set from full invariance.
     """
-    family = solve_cycle3_system(T)
+    family = solve_cycle3_system(T, tol)
     if T.is_zero:
         return MarkovSearchReport(family, (), (), True,
                                   ("zero dynamics: every positive kernel is invariant",))
@@ -340,7 +330,7 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
             continue
         if not nu.is_positive:
             continue
-        result = candidate_kernels(T, nu)
+        result = candidate_kernels(T, nu, tol)
         notes.extend(result.notes)
         for cand in result.candidates:
             admit(cand.law, "triple-measure sample")
@@ -444,7 +434,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     if T.range_ != 2:
         raise ValueError("product search needs range 2")
     kappa = T.alphabet.kappa
-    rows, family, balances = _cycle_system(T, 2)
+    rows, family, balances = _cycle_system(T, 2, tol)
 
     candidates: List[Tuple[Tuple, CriterionReport]] = []
     notes: List[str] = []
@@ -543,16 +533,8 @@ def kernel_from_ratios(F: Mapping[Tuple[Word, Word], object], kappa: int,
     pair = perron_pair(C)
     v = pair.right
     M = [[C[b][c] * v[c] / (pair.value * v[b]) for c in E] for b in E]
-    if pair.exact:
-        kernel = MarkovKernel.from_matrix(M)
-    else:
-        rounded = [[Fraction(x).limit_denominator(10 ** 6) for x in row] for row in M]
-        if all(sum(row) == 1 for row in rounded):
-            kernel = MarkovKernel.from_matrix(rounded)
-        else:
-            total = [sum(row) for row in M]
-            kernel = MarkovKernel.from_matrix([[x / t for x in row]
-                                               for row, t in zip(M, total)])
+    kernel = MarkovKernel.from_matrix(M if pair.exact else
+                                      [[x / sum(row) for x in row] for row in M])
     rebuilt = ratio_table(kernel)
     exact = kernel.is_exact and all(is_exact(x) for x in F.values())
     for key, value in F.items():

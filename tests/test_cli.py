@@ -554,3 +554,22 @@ class TestFindProductTwoColours:
         if mode == "--exact":
             assert doc["bernoulli_roots"] == ["2/3"]
         assert elapsed < 1.0
+
+
+class TestSearchTolerance:
+    @pytest.mark.parametrize("command, dimensions", [("find-markov", (1, 3)),
+                                                     ("find-product", (1, 2))])
+    def test_tol_decides_the_family(self, tmp_path, capsys, command, dimensions):
+        # a creation rate of 1e-7 next to TASEP: a real rate at the default
+        # tolerance, rounding noise at --tol 1e-6, where the TASEP family returns
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"schema": 1, "kappa": 2, "range": 2, "rates": [
+            {"from": [0, 1], "to": [1, 0], "rate": "1"},
+            {"from": [0, 0], "to": [1, 1], "rate": "1/10000000"}]}))
+        found = []
+        for tol in ("1e-9", "1e-6"):
+            code, out, _ = run(capsys, "--float", "--tol", tol, "--report", "json",
+                               command, str(path))
+            assert code == 0
+            found.append(json.loads(out)["family_dimension"])
+        assert tuple(found) == dimensions

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from psinv import models, search
@@ -367,7 +368,8 @@ class TestPerronPair:
     def test_rational_and_irrational_roots(self, rng):
         # D B D^-1 with constant row sums s has the rational root s; 2x2
         # matrices whose discriminant is no rational square have an
-        # irrational root, fail both denominator caps and take the float path
+        # irrational root, which the M-matrix test proves, and take the
+        # float path
         for _ in range(12):
             size = rng.randint(2, 4)
             s = F(rng.randint(1, 30), rng.randint(1, 7))
@@ -393,6 +395,40 @@ class TestPerronPair:
                 continue
             irrational += 1
             assert not perron_pair([[a, b], [c, d]]).exact
+
+    def test_m_matrix_test_matches_spectral_radius(self, rng):
+        # random irreducible integer matrices, some with zero diagonals and
+        # some periodic (edges only from one class to the next): t passes
+        # exactly when t >= rho(B), with det(tI - B), 0 at an integer root
+        seen = set()
+        for _ in range(400):
+            size = rng.randint(1, 5)
+            period = rng.choice([p for p in (1, 2, 3) if p <= size])
+            classes = [i % period for i in range(size)]
+            rng.shuffle(classes)
+            B = [[rng.choice((0, 0, 1, 2, 5, 9)) if classes[j] == (classes[i] + 1) % period
+                  else 0 for j in range(size)] for i in range(size)]
+            if rng.random() < 0.3:
+                for i in range(size):
+                    B[i][i] = 0
+            if not linalg.is_irreducible(B):
+                continue
+            rho = max(abs(np.linalg.eigvals(np.array(B, dtype=float))))
+            for t in range(int(rho) - 2, int(rho) + 3):
+                det = linalg._det_above_root(t, B)
+                if abs(t - rho) < 1e-9:
+                    seen.add("root")
+                    assert det == 0
+                elif t > rho:
+                    expected = np.linalg.det(t * np.eye(size) - np.array(B, dtype=float))
+                    assert det is not None and det > 0 and abs(det - expected) < 1e-6 * det
+                else:
+                    assert det is None
+            pair = perron_pair(B)
+            assert pair.exact == (abs(rho - round(rho)) < 1e-9)
+            assert pair.value == round(rho) if pair.exact else abs(pair.value - rho) < 1e-9
+            seen.add(("periodic" if period > 1 else "plain", size))
+        assert "root" in seen and ("periodic", 3) in seen and ("plain", 5) in seen
 
     def test_float_path(self):
         A = [[0.1, 2.3], [1.7, 0.4]]

@@ -9,6 +9,8 @@ apart from `self`, `cls` and `_`-prefixed names.  Every field of a
 tests or the benchmark (`perfbench` and its tests); a field that shares its
 name with another attribute passes unseen, so before such a field is removed,
 grep src, tests and perfbench for its readers by hand.
+No rational is guessed either: the package never calls `limit_denominator`,
+which rounds a float to a nearby fraction; exact answers are decided.
 The source is read with `ast`, not imported.
 """
 import ast
@@ -123,6 +125,13 @@ def unread_fields(trees, readers):
     return unread
 
 
+def rational_guesses(trees):
+    """module:line of every call of a `limit_denominator` method."""
+    return [f"{module}:{node.lineno}" for module, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "limit_denominator"]
+
+
 def test_every_private_name_is_used():
     assert unreferenced_private_names(package_trees()) == []
 
@@ -139,6 +148,10 @@ def test_every_dataclass_field_is_read():
     assert unread_fields(trees, readers) == []
 
 
+def test_no_rational_guesses():
+    assert rational_guesses(package_trees()) == []
+
+
 def test_checks_see_dead_code():
     tree = ast.parse("_USED = 1\n_UNUSED = 2\n"
                      "def _helper(a, b, _c, *rest):\n    return _helper(a, _USED)\n"
@@ -148,6 +161,9 @@ def test_checks_see_dead_code():
     assert sorted(unreferenced_private_names({"m": tree})) == \
         ["m._UNUSED", "m._helper", "m._spin"]
     assert unread_parameters({"m": tree}) == ["m._helper.b", "m._helper.rest"]
+    guess = ast.parse("from fractions import Fraction\n"
+                      "x = Fraction(0.1).limit_denominator(10)\n")
+    assert rational_guesses({"m": guess}) == ["m:2"]
 
 
 def test_field_check_sees_unread_fields():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from psinv import criteria, search
+from psinv import criteria
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import check_product_line, product_context, symmetrize, z_table
 from psinv.linalg import solve_linear
@@ -239,19 +239,36 @@ class TestCandidateKernels:
                 assert cand.exact
                 assert cand.kernel.matrix() == M.matrix()
 
-    def test_rounding_rescues_a_missed_certificate(self, monkeypatch):
-        # when Perron certification misses a rational eigenvalue, the float
-        # kernel rounded to small rationals still reproduces nu exactly
-        real = search.perron_pair
-        monkeypatch.setattr(search, "perron_pair",
-                            lambda A: real([[float(v) for v in row] for row in A]))
-        for kappa in (2, 3, 4):
-            M = random_kernel(random.Random(f"rescue-{kappa}"), kappa=kappa)
+    def test_near_reducible_kernel_gives_its_exact_candidate(self):
+        # two diagonal entries within 1e-5 of 1: numpy's dominant eigenvalue
+        # of N_0 is about 4.9e-11 off 324082/324081, and float power
+        # iteration ends about 8e-6 off it
+        M = MarkovKernel.from_matrix(
+            [[F(324081, 324082), F(1, 972246), F(1, 972246), F(1, 972246)],
+             [F(1, 926190), F(308729, 308730), F(1, 926190), F(1, 926190)],
+             [F(1, 25), F(6, 25), F(9, 25), F(9, 25)], [F(3, 8), F(1, 8), F(3, 8), F(1, 8)]])
+        result = candidate_kernels(JumpRateMatrix(Alphabet(4), 2, {}), triple_from_kernel(M))
+        assert result.notes == ()
+        assert [(c.kernel.matrix(), c.exact) for c in result.candidates] == [(M.matrix(), True)]
+
+    def test_near_reducible_kernels_recovered_exactly(self):
+        # one dominant diagonal entry per row, the others 1-3 over a
+        # denominator up to 10^6: every N_a has the rational dominant
+        # eigenvalue 1 / M_aa, however close to a reducible matrix it is
+        rng = random.Random("near-reducible")
+        for _ in range(40):
+            kappa = rng.choice((3, 4))
+            rows = []
+            for a in range(kappa):
+                den = rng.randint(10, 10 ** 6)
+                row = [F(rng.randint(1, 3), den) for _ in range(kappa)]
+                row[a] = 1 - (sum(row) - row[a])
+                rows.append(row)
+            M = MarkovKernel.from_matrix(rows)
             result = candidate_kernels(JumpRateMatrix(Alphabet(kappa), 2, {}),
                                        triple_from_kernel(M))
-            assert result.notes == ()
             assert [(c.kernel.matrix(), c.exact) for c in result.candidates] == \
-                [(M.matrix(), True)]
+                [(M.matrix(), True)], rows
 
     def test_uniform_triple_gives_uniform_kernel(self):
         nu = TripleMeasure(2, {w: F(1, 8) for w in Alphabet(2).words(3)})
@@ -505,6 +522,16 @@ class TestRatioTables:
             table[key] = F(1)
         kernel = kernel_from_ratios(table, kappa)
         assert kernel.matrix() == [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+
+    def test_float_table_gives_float_kernel(self, rng):
+        # float in, float out: the kernel is not rounded to rationals
+        for kappa in (2, 3):
+            M = random_kernel(rng, kappa=kappa)
+            table = {key: float(v) for key, v in ratio_table(M).items()}
+            kernel = kernel_from_ratios(table, kappa)
+            assert not kernel.is_exact
+            for got, want in zip(kernel.matrix(), M.matrix()):
+                assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want))
 
     def test_inconsistent_table_rejected(self, rng):
         M = random_kernel(rng, kappa=2)
