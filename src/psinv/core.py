@@ -407,24 +407,6 @@ class BoundaryRates:
         return cls(empty, empty)
 
 
-def induced_rate(T: JumpRateMatrix, w: Word, z: Word):
-    """Total rate of the transition w -> z by a single jump inside the word.
-
-    Sums T over every length-L window fully contained in the word, restricted
-    to windows outside of which w and z agree.  Zero when the words are equal
-    (zero diagonal) or shorter than L.
-    """
-    w, z = tuple(w), tuple(z)
-    if len(w) != len(z):
-        raise ValueError("induced rate needs words of equal length")
-    L = T.range_
-    total = Fraction(0)
-    for start in range(len(w) - L + 1):
-        if all(w[j] == z[j] for j in range(len(w)) if not start <= j < start + L):
-            total += T.rate(w[start:start + L], z[start:start + L])
-    return total
-
-
 def induced_rate_cyclic(T: JumpRateMatrix, w: Word, z: Word):
     """Induced rate on Z/nZ, n = len(w): windows wrap modulo n (all n of
     them, even n < L, when a window reads some sites more than once).  The

@@ -1,10 +1,13 @@
-"""Small exact linear algebra: solves, nullspaces, stationary laws,
-dominant eigenpairs.
+"""Small exact linear algebra: linear systems, stationary laws, dominant
+eigenpairs.
 
-Matrices are plain lists of lists.  The largest in scope is the length-3
+A linear system is a list of sparse rows {column: coefficient}, absent
+entries zero, whose column `cols` holds the right-hand side, and
+`solve_linear` is its one solver.  The largest in scope is the length-3
 cyclic balance system of `search`: 25 rows by 24 unknowns (one per rotation
 orbit of the triples) at kappa = 4.  With rational entries the elimination
-is exact, in integers on sparse rows; with floats a pivot tolerance applies.
+is exact, in integers on the sparse rows; with floats a pivot tolerance
+applies to dense rows.
 Dominant eigenpairs follow the usual nonnegative-matrix theory: for an
 irreducible nonnegative matrix the largest eigenvalue is simple with
 positive left/right eigenvectors, normalized so that l . 1 = 1 and l . r = 1.
@@ -14,7 +17,9 @@ is rational, and then the pair is exact; nothing is rounded or guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
@@ -25,18 +30,6 @@ from .scalars import all_exact, over_common_denominator
 
 _ZERO = Fraction(0)
 PERRON_TOL = 1e-13  # relative convergence of the float power iteration
-_NOT_UNIQUE = "kernel has no unique stationary law (reducible or periodic chain)"
-
-
-def rref(matrix, tol: float = 0.0):
-    """Reduced row echelon form; returns (R, pivot_columns).
-
-    Exact when tol is 0 and every entry is rational, with Fraction entries.
-    For float input pass a positive tol and partial pivoting kicks in.
-    """
-    if tol == 0 and all_exact(v for row in matrix for v in row):
-        return _rref_exact(matrix)
-    return _rref_float(matrix, tol)
 
 
 def _eliminate(row, pivot, c):
@@ -50,19 +43,6 @@ def _eliminate(row, pivot, c):
         new[k] = new.get(k, 0) - f * b
     g = gcd(*new.values())
     return {k: v // g for k, v in new.items() if v}
-
-
-def _rref_exact(matrix):
-    """Gauss-Jordan on sparse integer rows (each rational row times the lcm
-    of its denominators), expanded back to rows of Fractions."""
-    cols = len(matrix[0]) if matrix else 0
-    dens = [lcm(*(v.denominator for v in row)) for row in matrix]
-    done, pivots = _gauss_jordan(
-        [{c: v.numerator * (d // v.denominator) for c, v in enumerate(row) if v}
-         for row, d in zip(matrix, dens)], cols)
-    red = [[Fraction(row[j], row[c]) if j in row else _ZERO for j in range(cols)]
-           for row, c in zip(done, pivots)]
-    return red + [[_ZERO] * cols for _ in range(len(matrix) - len(done))], pivots
 
 
 def _gauss_jordan(pending, cols):
@@ -109,7 +89,7 @@ def _rref_float(matrix, tol):
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """Affine description of {x : A x = b}.
+    """Affine description of the solutions of a linear system.
 
     status is "unique", "family" or "empty"; particular is one solution (None
     when empty); basis spans the homogeneous solutions.
@@ -130,45 +110,46 @@ class LinearSolution:
         return x
 
 
-def solve_linear(A, b, tol: float = 0.0) -> LinearSolution:
-    """Solve A x = b, returning the full affine solution set."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if len(b) != rows:
-        raise ValueError("right-hand side length does not match the matrix")
-    aug = [list(A[i]) + [b[i]] for i in range(rows)]
-    exact = all_exact(v for row in aug for v in row)
-    red, pivots = _rref_exact(aug) if exact and tol == 0 else _rref_float(aug, tol)
+def solve_linear(rows, cols: int, tol: float = 0.0) -> LinearSolution:
+    """The affine solution set of a linear system in the unknowns 0..cols-1.
+
+    Each row is sparse, {column: coefficient} with absent entries zero, and
+    its column `cols` holds the right-hand side.  Rational rows with tol 0
+    are solved exactly: each row times the lcm of its denominators, then
+    Gauss-Jordan in integers.  Other rows are made dense, Fraction(0)
+    filling the absent entries (the float elimination's result types and
+    signed zeros depend on these operands), and reduced with partial
+    pivoting, pivots of size <= tol counting as zero.
+    """
+    exact = all_exact(chain.from_iterable(row.values() for row in rows))
+    if exact and tol == 0:
+        dens = [lcm(*(v.denominator for v in row.values())) for row in rows]
+        red, pivots = _gauss_jordan(
+            [{c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
+             for row, d in zip(rows, dens)], cols + 1)
+
+        def entry(r, c):
+            return Fraction(red[r][c], red[r][pivots[r]]) if c in red[r] else _ZERO
+    else:
+        red, pivots = _rref_float([[row.get(c, _ZERO) for c in range(cols + 1)]
+                                   for row in rows], tol)
+
+        def entry(r, c):
+            return red[r][c]
     if cols in pivots:
         return LinearSolution("empty", None, [])
-    pivot_rows = {c: r for r, c in enumerate(pivots)}
     zero = _ZERO if exact else 0.0
     particular = [zero] * cols
-    for c, r in pivot_rows.items():
-        particular[c] = red[r][cols]
-    free = [c for c in range(cols) if c not in pivot_rows]
+    for r, c in enumerate(pivots):
+        particular[c] = entry(r, cols)
     basis = []
-    for f in free:
+    for f in sorted(set(range(cols)) - set(pivots)):
         vec = [zero] * cols
         vec[f] = zero + 1
-        for c, r in pivot_rows.items():
-            vec[c] = -red[r][f]
+        for r, c in enumerate(pivots):
+            vec[c] = -entry(r, f)
         basis.append(vec)
-    status = "unique" if not basis else "family"
-    return LinearSolution(status, particular, basis)
-
-
-def nullspace(A) -> List[List]:
-    return solve_linear(A, [_ZERO] * len(A)).basis
-
-
-def mat_vec(A, x):
-    return [sum(a * v for a, v in zip(row, x)) for row in A]
-
-
-def vec_mat(x, A):
-    cols = len(A[0]) if A else 0
-    return [sum(x[i] * A[i][c] for i in range(len(A))) for c in range(cols)]
+    return LinearSolution("family" if basis else "unique", particular, basis)
 
 
 def is_irreducible(A) -> bool:
@@ -186,43 +167,32 @@ def is_irreducible(A) -> bool:
 def stationary_distribution(kernel: MarkovKernel) -> StationaryLaw:
     """Unique stationary law of the sliding-block chain of a kernel.
 
-    Solves (P^t - I) x = 0 with sum x = 1, P the block transition matrix.
-    Exact kernels: integer Gauss-Jordan on sparse rows over the kernel's
-    common denominator.  Otherwise `solve_linear` with a pivot tolerance.
-    Raises when the chain does not determine a unique stationary vector
-    (reducible or otherwise degenerate kernel).
+    Solves (P^t - I) x = 0 with sum x = 1, P the block transition matrix, in
+    one `solve_linear` call: exact kernels give integer rows, P's weights
+    over the kernel's common denominator; other kernels give Fraction(0) +
+    weight (the float elimination's result types and signed zeros depend on
+    these operands) and a pivot tolerance.  Raises when the chain does not
+    determine a unique stationary vector (reducible or otherwise degenerate
+    kernel).
     """
     states = kernel.block_states()
     size = len(states)
     if kernel.is_exact:
-        weights, den = kernel.integer_steps
-        rows = [{} for _ in range(size)]
-        for i, j, w in kernel.block_moves():
-            rows[j][i] = weights[w]
-        for j, row in enumerate(rows):
-            row[j] = row.get(j, 0) - den
-        rows = [{i: v for i, v in row.items() if v} for row in rows]
-        done, pivots = _gauss_jordan(rows + [dict.fromkeys(range(size + 1), 1)], size + 1)
-        if pivots != list(range(size)):
-            raise ValueError(_NOT_UNIQUE)
-        x = [Fraction(row.get(size, 0), row[c]) for row, c in zip(done, pivots)]
+        (weights, one), zero = kernel.integer_steps, 0
     else:
-        # P's entries are Fraction(0) + weight, Fraction(0) where there is no
-        # move: the float elimination's result types and signed zeros depend
-        # on these operands
-        A = [[_ZERO] * size for _ in range(size)]
-        for i, j, w in kernel.block_moves():
-            A[j][i] = _ZERO + kernel.step_weights[w]
-        for j in range(size):
-            A[j][j] = A[j][j] - 1
-        sol = solve_linear(A + [[Fraction(1)] * size], [_ZERO] * size + [Fraction(1)],
-                           tol=1e-12)
-        if sol.status != "unique":
-            raise ValueError(_NOT_UNIQUE)
-        x = sol.particular
-    if any(v < 0 for v in x):
+        weights, one, zero = [_ZERO + w for w in kernel.step_weights], 1, _ZERO
+    rows = [{} for _ in range(size)]
+    for i, j, w in kernel.block_moves():
+        rows[j][i] = weights[w]
+    for j, row in enumerate(rows):
+        row[j] = row.get(j, zero) - one
+    sol = solve_linear(rows + [dict.fromkeys(range(size + 1), zero + 1)], size,
+                       tol=0.0 if kernel.is_exact else 1e-12)
+    if sol.status != "unique":
+        raise ValueError("kernel has no unique stationary law (reducible or periodic chain)")
+    if any(v < 0 for v in sol.particular):
         raise ValueError("stationary vector has negative entries")
-    return StationaryLaw(kernel, dict(zip(states, x)))
+    return StationaryLaw(kernel, dict(zip(states, sol.particular)))
 
 
 @dataclass(frozen=True)
@@ -266,10 +236,11 @@ def perron_pair(A) -> EigenPair:
     root of B is an integer.  The least integer K >= rho(B) is found by the
     M-matrix test, galloping out from numpy's estimate and then bisecting;
     the root is rational exactly when det(KI - B) = 0, and then the value
-    K / den and its eigenvectors (exact nullspaces) are returned.  Float input
-    and proven-irrational roots take power iteration on A + I (the shift
-    removes periodicity) from the all-ones vector to relative tolerance
-    PERRON_TOL, then one Rayleigh refinement.
+    K / den and its eigenvectors (the exact null vectors of KI - B and its
+    transpose) are returned; each K is tested once.  Float input and
+    proven-irrational roots take power iteration on A + I (the shift removes
+    periodicity) from the all-ones vector to relative tolerance PERRON_TOL,
+    then one Rayleigh refinement.
     """
     size = len(A)
     if any(len(row) != size for row in A):
@@ -283,25 +254,28 @@ def perron_pair(A) -> EigenPair:
     if all_exact(v for row in A for v in row):
         nums, den = over_common_denominator([v for row in A for v in row])
         B = [nums[i:i + size] for i in range(0, size * size, size)]
+        det = cache(lambda t: _det_above_root(t, B))  # no K is tested twice
         hi = round(Fraction(float(max(np.linalg.eigvals(F).real))) * den)
         step = 1 + abs(hi) // 2 ** 48  # about the estimate's rounding error
         lo = hi - step  # galloping and bisecting until lo < rho(B) <= hi
-        while _det_above_root(hi, B) is None:
+        while det(hi) is None:
             lo, hi, step = hi, hi + step, 2 * step
-        while _det_above_root(lo, B) is not None:
+        while det(lo) is not None:
             lo, hi, step = lo - step, lo, 2 * step
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _det_above_root(mid, B) is not None else (mid, hi)
-        if _det_above_root(hi, B) == 0:
-            value = Fraction(hi, den)
-            shifted = [[v - (value if i == j else 0) for j, v in enumerate(row)]
-                       for i, row in enumerate(A)]
-            (right,), (left,) = nullspace(shifted), nullspace([list(c) for c in zip(*shifted)])
+            lo, hi = (lo, mid) if det(mid) is not None else (mid, hi)
+        if det(hi) == 0:
+            # the null vectors of KI - B and of its transpose, in integer rows
+            M = [[(hi if i == j else 0) - v for j, v in enumerate(row)]
+                 for i, row in enumerate(B)]
+            rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+            cols = [{i: v for i, v in enumerate(col) if v} for col in zip(*M)]
+            (right,), (left,) = solve_linear(rows, size).basis, solve_linear(cols, size).basis
             total = sum(left)  # the signs follow: left . 1 = 1, left . right = 1
             left = [v / total for v in left]
             scale = sum(l * r for l, r in zip(left, right))
-            return EigenPair(value, left, [r / scale for r in right], True)
+            return EigenPair(Fraction(hi, den), left, [r / scale for r in right], True)
 
     # float path: power iteration with all-ones start on the shifted matrix
     shifted = F + np.eye(size)

@@ -68,7 +68,7 @@ def is_exact(value) -> bool:
 
 
 def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
+    return all(map(is_exact, values))
 
 
 def over_common_denominator(values) -> Tuple[List[int], int]:

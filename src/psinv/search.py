@@ -41,6 +41,8 @@ from .criteria import (CriterionReport, check_markov_line, check_product_line,
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
 from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact
 
+_ZERO = Fraction(0)
+
 # largest family dimension whose polytope vertices are enumerated
 MAX_VERTEX_DIM = 3
 
@@ -113,11 +115,11 @@ def _polytope_vertices(solution: LinearSolution):
     if dim > MAX_VERTEX_DIM:
         return []
     vertices = set()
-    rows = [[solution.basis[k][i] for k in range(dim)] for i in range(n)]
+    # coordinate i vanishes: sum_k basis[k][i] t_k = -particular[i], a row over t
+    rows = [{k: solution.basis[k][i] for k in range(dim)} | {dim: -solution.particular[i]}
+            for i in range(n)]
     for active in itertools.combinations(range(n), dim):
-        A = [rows[i] for i in active]
-        b = [-solution.particular[i] for i in active]
-        sol = solve_linear(A, b)
+        sol = solve_linear([rows[i] for i in active], dim)
         if sol.status != "unique":
             continue
         point = tuple(solution.sample(sol.particular))
@@ -141,7 +143,7 @@ def _kills_balances(rows, balances: ScalarContext, values) -> bool:
     """Whether weights on the orbits, in row order, kill every balance row of
     a cycle system: for a product table, which is rotation-invariant and sums
     to one, this is membership in the system's family."""
-    return all(balances.is_zero(sum(r * v for r, v in zip(row, values)))
+    return all(balances.is_zero(sum(r * values[c] for c, r in row.items()))
                for row in rows.values())
 
 
@@ -175,24 +177,26 @@ def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
     that rounding noise does not decide their rank.
 
     The unknowns are one weight per rotation orbit, ordered by the orbit's
-    largest rotation; the rows, {largest rotation: row}, are one balance per
-    orbit.  In that order the reduced form frees the same columns as the
-    word system with every rotation tied, and expands to that system's."""
+    largest rotation; the rows, {largest rotation: {column: coefficient}} in
+    ascending columns, are one balance per orbit.  In that order the reduced
+    form frees the same columns as the word system with every rotation tied,
+    and expands to that system's.  One more row, with right-hand side 1,
+    weighs each orbit by its size."""
     variables = list(T.alphabet.words(n))
     keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in variables})
     col = {k[i:] + k[:i]: j for j, k in enumerate(keys) for i in range(n)}
-    rows: Dict[Word, List] = {}
+    rows: Dict[Word, Dict[int, object]] = {}
     for x in keys:
         inflow, exit_rate = cycle_jumps(T, x)
-        row = rows[x] = [Fraction(0)] * len(keys)
+        row: Dict[int, object] = {}
         for w, rate in inflow:
-            row[col[w]] += rate
-        row[col[x]] -= exit_rate
-    sizes = [Fraction(len({k[i:] + k[:i] for i in range(n)})) for k in keys]
-    rhs = [Fraction(0)] * len(keys) + [Fraction(1)]
+            row[col[w]] = row.get(col[w], _ZERO) + rate
+        row[col[x]] = row.get(col[x], _ZERO) - exit_rate
+        rows[x] = dict(sorted(row.items()))
+    sizes = {j: Fraction(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(keys)}
     balances = ScalarContext.for_balances(T, True, tol)
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
-    solution = solve_linear(list(rows.values()) + [sizes], rhs, pivot)
+    solution = solve_linear([*rows.values(), sizes | {len(keys): Fraction(1)}], len(keys), pivot)
     return rows, _family(variables, solution, [col[w] for w in variables]), balances
 
 
@@ -468,7 +472,8 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     if kappa == 2:
         # each pair-balance row as a polynomial in p, where rho = (1 - p, p);
         # the outflow of the row's own orbit comes first in every float sum
-        polys = [[sum((r * _PAIR_POLYNOMIALS[v][d] for r, v in zip(row, rows) if v != w),
+        keys = list(rows)
+        polys = [[sum((r * _PAIR_POLYNOMIALS[keys[c]][d] for c, r in row.items() if c != k),
                       row[k] * _PAIR_POLYNOMIALS[w][d]) for d in range(3)]
                  for k, (w, row) in enumerate(rows.items())]
         live = [p for p in polys if any(c != 0 for c in p)]

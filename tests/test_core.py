@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from psinv.core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw,
-                        induced_rate, induced_rate_cyclic, product_law)
+                        induced_rate_cyclic, product_law)
 from psinv.models import tasep, voter
 
 from conftest import random_jrm
@@ -56,38 +56,6 @@ class TestJumpRateMatrix:
     def test_string_rates_parse_exactly(self):
         T = JumpRateMatrix(Alphabet(2), 2, {((0, 1), (1, 0)): "3/7"})
         assert T.rate((0, 1), (1, 0)) == Fraction(3, 7)
-
-
-class TestInducedRate:
-    def test_tasep_three_letters(self):
-        assert induced_rate(tasep().jrm, (1, 1, 0), (1, 0, 1)) == 1
-
-    def test_equal_words_zero(self, rng):
-        T = random_jrm(rng, kappa=2, range_=2)
-        for w in Alphabet(2).words(4):
-            assert induced_rate(T, w, w) == 0
-
-    def test_single_window(self):
-        assert induced_rate(tasep().jrm, (1, 0), (0, 1)) == 1
-
-    def test_too_short_is_zero(self):
-        assert induced_rate(tasep().jrm, (1,), (0,)) == 0
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            induced_rate(tasep().jrm, (1, 0), (0, 1, 1))
-
-    def test_linearity_in_rates(self, rng):
-        alphabet = Alphabet(2)
-        for _ in range(20):
-            T1 = random_jrm(rng)
-            T2 = random_jrm(rng)
-            a, b = Fraction(rng.randint(0, 5)), Fraction(rng.randint(0, 5))
-            combo = T1.scaled(a).plus(T2.scaled(b))
-            for w in alphabet.words(3):
-                for z in alphabet.words(3):
-                    assert induced_rate(combo, w, z) == \
-                        a * induced_rate(T1, w, z) + b * induced_rate(T2, w, z)
 
 
 class TestInducedRateCyclic:

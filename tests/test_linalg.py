@@ -7,61 +7,63 @@ import pytest
 from psinv import models, search
 from psinv import linalg
 from psinv.core import Alphabet, MarkovKernel, StationaryLaw
-from psinv.linalg import (mat_vec, perron_pair, rref, solve_linear, stationary_distribution,
-                          vec_mat)
+from psinv.linalg import perron_pair, solve_linear, stationary_distribution
 from psinv.search import _cycle_system, _rational_sqrt
 
 from test_golden import MODELS
 from test_search import RANGE2_MODELS, as_float
 from conftest import random_kernel
 from z_reference import (invariant_instance, perturbed_instance, pinned, reference_law_check,
-                         reference_stationary)
+                         reference_solve, reference_stationary)
 
 F = Fraction
 
 
-def reference_rref(matrix, tol=0.0):
-    """`rref` as the package computed it before exact elimination became
-    integer and sparse: dense Gauss-Jordan in the entries' own arithmetic,
-    pivoting on the largest absolute value.  Its float form is unchanged."""
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot = max(range(r, rows), key=lambda i: abs(m[i][c]))
-        if abs(m[pivot][c]) <= tol or m[pivot][c] == 0:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        head = m[r][c]
-        m[r] = [v / head for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def mat_vec(A, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in A]
 
 
-def assert_matches_reference(matrix, tol=0.0):
-    red, pivots = rref(matrix, tol)
-    exact = tol == 0 and all(isinstance(v, (int, Fraction)) for row in matrix for v in row)
-    if exact:
-        # the reference divides an int row by an int head in floats, so it
-        # runs on the same entries as Fractions
-        ref_red, ref_pivots = reference_rref([[F(v) for v in row] for row in matrix])
-        assert all(type(v) is Fraction for row in red for v in row)
-        assert red == ref_red
-    else:
-        ref_red, ref_pivots = reference_rref(matrix, tol)
-        assert [[float(v).hex() for v in row] for row in red] == \
-            [[float(v).hex() for v in row] for row in ref_red]
-    assert pivots == ref_pivots
-    assert len(red) == len(matrix)
+def vec_mat(x, A):
+    cols = len(A[0]) if A else 0
+    return [sum(x[i] * A[i][c] for i in range(len(A))) for c in range(cols)]
+
+
+def sparse(matrix, keep_zeros=False):
+    """The rows {column: entry} of a dense augmented matrix (its last column
+    the right-hand side), zero entries left out unless keep_zeros."""
+    return [{c: v for c, v in enumerate(row) if keep_zeros or v != 0} for row in matrix]
+
+
+def dense(rows, cols):
+    """(A, b) of sparse rows over cols unknowns, Fraction(0) filling the
+    absent entries, as `solve_linear` fills them for its float path."""
+    full = [[row.get(c, F(0)) for c in range(cols + 1)] for row in rows]
+    return [row[:cols] for row in full], [row[cols] for row in full]
+
+
+def pinned_solution(sol):
+    """Status, particular solution and basis, every entry with its type and
+    floats bit for bit."""
+    def pin(vector):
+        return None if vector is None else [pinned(v) for v in vector]
+    return sol.status, pin(sol.particular), [pin(v) for v in sol.basis]
+
+
+def assert_matches_reference(rows, cols, tol=0.0):
+    """`solve_linear` on sparse rows against the dense reference solve of
+    the same system: exact entries are Fractions equal by value, floats
+    equal bit for bit."""
+    sol = solve_linear(rows, cols, tol)
+    assert pinned_solution(sol) == pinned_solution(reference_solve(*dense(rows, cols), tol))
+    return sol
+
+
+def assert_matrix_matches_reference(matrix, tol=0.0):
+    """A dense augmented matrix as sparse rows, with and without its zero
+    entries: the same solutions as the reference on the dense form."""
+    cols = len(matrix[0]) - 1 if matrix else 0
+    for keep_zeros in (False, True):
+        assert_matches_reference(sparse(matrix, keep_zeros), cols, tol)
 
 
 def random_entry(rng, digits, density=0.6):
@@ -84,18 +86,17 @@ def random_matrix(rng, rows, cols, digits, rank=None):
 
 class TestSolveLinear:
     def test_identity_unique(self):
-        sol = solve_linear([[F(1), 0, 0], [0, F(1), 0], [0, 0, F(1)]],
-                           [F(1), F(2), F(3)])
+        sol = solve_linear([{0: F(1), 3: F(1)}, {1: F(1), 3: F(2)}, {2: F(1), 3: F(3)}], 3)
         assert sol.status == "unique"
         assert sol.particular == [1, 2, 3]
 
     def test_zero_matrix_family(self):
-        sol = solve_linear([[F(0), F(0)], [F(0), F(0)]], [F(0), F(0)])
+        sol = solve_linear([{0: F(0), 1: F(0)}, {}], 2)
         assert sol.status == "family"
         assert sol.dimension == 2
 
     def test_inconsistent_empty(self):
-        sol = solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
+        sol = solve_linear([{0: F(1), 1: F(1), 2: F(1)}, {0: F(2), 1: F(2), 2: F(3)}], 2)
         assert sol.status == "empty"
 
     def test_residual_zero_on_samples(self, rng):
@@ -105,11 +106,99 @@ class TestSolveLinear:
             A = [[F(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
             x = [F(rng.randint(-3, 3)) for _ in range(cols)]
             b = mat_vec(A, x)
-            sol = solve_linear(A, b)
+            sol = solve_linear(sparse([row + [v] for row, v in zip(A, b)]), cols)
             assert sol.status != "empty"
             assert mat_vec(A, sol.particular) == b
             for vec in sol.basis:
                 assert mat_vec(A, vec) == [F(0)] * rows
+
+
+class TestSparseRows:
+    """Sparse input forms: explicit zeros, key order, empty rows, rows with
+    only a right-hand side, and systems without rows or unknowns; exact
+    systems agree with the dense reference by value, float systems bit for
+    bit."""
+
+    SYSTEMS = [(5, 4), (3, 6), (6, 2), (2, 1)]
+
+    def systems(self, seed):
+        """Seeded augmented matrices, exact and in floats, full and
+        deficient rank: (matrix, tol)."""
+        rng = random.Random(f"sparse-rows-{seed}")
+        for rows, cols in self.SYSTEMS:
+            for rank in (None, 1):
+                matrix = random_matrix(rng, rows, cols + 1, 1, rank)
+                yield matrix, 0.0
+                yield [[float(v) for v in row] for row in matrix], 1e-12
+
+    def test_explicit_zero_entries(self):
+        for matrix, tol in self.systems("zeros"):
+            cols = len(matrix[0]) - 1
+            # kept zeros are the float zeros of the dense matrix itself
+            kept = assert_matches_reference(sparse(matrix, keep_zeros=True), cols, tol)
+            dropped = assert_matches_reference(sparse(matrix), cols, tol)
+            if tol == 0:
+                assert pinned_solution(kept) == pinned_solution(dropped)
+            exact_zeros = [{**row, **{c: F(0) for c in range(cols + 1) if c not in row}}
+                           for row in sparse(matrix)]
+            assert pinned_solution(assert_matches_reference(exact_zeros, cols, tol)) == \
+                pinned_solution(dropped)
+
+    def test_unsorted_keys(self):
+        rng = random.Random("sparse-rows-order")
+        for matrix, tol in self.systems("order"):
+            cols = len(matrix[0]) - 1
+            rows = sparse(matrix)
+            shuffled = []
+            for row in rows:
+                items = list(row.items())
+                rng.shuffle(items)
+                shuffled.append(dict(items))
+            assert pinned_solution(assert_matches_reference(shuffled, cols, tol)) == \
+                pinned_solution(solve_linear(rows, cols, tol))
+
+    def test_empty_rows(self):
+        for matrix, tol in self.systems("empty-rows"):
+            cols = len(matrix[0]) - 1
+            rows = sparse(matrix)
+            padded = [{}] + rows[:1] + [{}] + rows[1:]
+            sol = assert_matches_reference(padded, cols, tol)
+            if tol == 0:
+                assert pinned_solution(sol) == pinned_solution(solve_linear(rows, cols))
+        sol = solve_linear([{}, {}], 3)
+        assert (sol.status, sol.particular, sol.basis) == (
+            "family", [F(0)] * 3, [[F(1), 0, 0], [0, F(1), 0], [0, 0, F(1)]])
+
+    def test_right_hand_side_alone_makes_the_system_empty(self):
+        for matrix, tol in self.systems("rhs"):
+            cols = len(matrix[0]) - 1
+            for value in (F(3, 7), 0.25):
+                rows = sparse(matrix) + [{cols: value}]
+                assert assert_matches_reference(rows, cols, tol).status == "empty"
+        assert solve_linear([{2: F(1)}], 2).status == "empty"
+        assert solve_linear([{2: 0.5}], 2, 1e-12).status == "empty"
+
+    def test_no_rows_or_no_unknowns(self):
+        for tol in (0.0, 1e-12):
+            assert pinned_solution(solve_linear([], 0, tol)) == ("unique", [], [])
+            assert assert_matches_reference([], 0, tol).status == "unique"
+            sol = solve_linear([], 2, tol)
+            assert (sol.status, sol.particular, sol.basis) == (
+                "family", [0, 0], [[1, 0], [0, 1]])
+        # no unknowns: only right-hand sides, zero or not
+        for rows, status in (([{}], "unique"), ([{0: F(0)}], "unique"),
+                             ([{0: F(2)}], "empty"), ([{0: 0.0}, {}], "unique"),
+                             ([{0: 0.5}], "empty")):
+            for tol in (0.0, 1e-12):
+                assert assert_matches_reference(rows, 0, tol).status == status
+        assert solve_linear([{0: F(0)}], 0).particular == []
+
+    def test_rows_are_not_changed(self):
+        rows = [{1: F(2), 0: F(4), 2: F(6)}, {0: F(1, 3), 2: F(0)}]
+        copy = [dict(row) for row in rows]
+        solve_linear(rows, 2)
+        solve_linear(rows, 2, 1e-12)
+        assert rows == copy and [list(row) for row in rows] == [list(row) for row in copy]
 
 
 class TestStationaryDistribution:
@@ -210,12 +299,26 @@ class TestIntegerStationary:
             assert outcome(solved, kernel) == (
                 "ValueError", "kernel has no unique stationary law (reducible or periodic chain)")
 
-    def test_exact_solve_bypasses_solve_linear(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(linalg, "solve_linear",
-                            lambda *args, **kwargs: calls.append(args))
-        stationary_distribution(random_kernel(random.Random(5), kappa=3, memory=2))
-        assert calls == []
+    def test_exact_solve_hands_integer_rows_to_elimination(self, monkeypatch):
+        # one solve_linear call, whose elimination sees only Python ints
+        solves, eliminations = [], []
+
+        def solving(rows, cols, tol=0.0):
+            solves.append(tol)
+            return solve_linear(rows, cols, tol)
+
+        def eliminating(pending, cols):
+            eliminations.append([type(v) for row in pending for v in row.values()])
+            return gauss_jordan(pending, cols)
+
+        gauss_jordan = linalg._gauss_jordan
+        monkeypatch.setattr(linalg, "solve_linear", solving)
+        monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
+        kernel = random_kernel(random.Random(5), kappa=3, memory=2)
+        law = stationary_distribution(kernel)
+        assert solves == [0.0] and len(eliminations) == 1
+        assert set(eliminations[0]) == {int}
+        assert law.rho == reference_stationary(kernel)
 
     @pytest.mark.parametrize("kappa,memory", SHAPES)
     def test_perturbed_rho_is_not_invariant(self, kappa, memory):
@@ -430,6 +533,48 @@ class TestPerronPair:
             seen.add(("periodic" if period > 1 else "plain", size))
         assert "root" in seen and ("periodic", 3) in seen and ("plain", 5) in seen
 
+    @staticmethod
+    def counting(monkeypatch):
+        """The K of every M-matrix test, in order."""
+        tested = []
+        det_above_root = linalg._det_above_root
+        monkeypatch.setattr(linalg, "_det_above_root",
+                            lambda t, B: tested.append(t) or det_above_root(t, B))
+        return tested
+
+    def test_two_tests_when_the_estimate_is_right(self, rng, monkeypatch):
+        # small entries: numpy's estimate rounds to K or K - 1 for the least
+        # integer K >= rho(B), so K passes, K - 1 fails, and nothing else runs
+        tested = self.counting(monkeypatch)
+        exact = 0
+        for _ in range(40):
+            size = rng.randint(1, 4)
+            A = [[F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(size)]
+                 for _ in range(size)]
+            tested.clear()
+            exact += perron_pair(A).exact
+            assert len(tested) == 2, tested
+        assert 0 < exact < 40
+
+    @pytest.mark.parametrize("factor", [0.0, 1 / 3, 3.0], ids=["zero", "third", "triple"])
+    def test_wrong_estimate_tests_each_k_once(self, factor, rng, monkeypatch):
+        # a scaled estimate makes the search gallop and bisect: it finds the
+        # same pair, and no K is tested twice
+        eigvals = np.linalg.eigvals
+        most = 0
+        for _ in range(20):
+            size = rng.randint(1, 4)
+            A = [[F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(size)]
+                 for _ in range(size)]
+            expected = perron_pair(A)
+            tested = self.counting(monkeypatch)
+            monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigvals(M) * factor)
+            assert perron_pair(A) == expected
+            assert len(tested) == len(set(tested))
+            most = max(most, len(tested))
+            monkeypatch.undo()
+        assert most > 4
+
     def test_float_path(self):
         A = [[0.1, 2.3], [1.7, 0.4]]
         pair = perron_pair(A)
@@ -445,8 +590,11 @@ class TestPerronPair:
 
 
 class TestExactRref:
-    """The integer sparse elimination against the dense Fraction reference:
-    the reduced row echelon form is unique, so both agree entry for entry."""
+    """`solve_linear` on the sparse rows of seeded augmented matrices
+    against the dense reference solve: the reduced row echelon form is
+    unique, so both give the same solutions, exact entries equal by value
+    and floats bit for bit.  A matrix with one column is a system with no
+    unknowns."""
 
     SHAPES = [(5, 5), (3, 7), (8, 3), (1, 1), (1, 6), (6, 1)]
 
@@ -456,9 +604,9 @@ class TestExactRref:
         rng = random.Random(f"rref-{shape}-{digits}")
         rows, cols = shape
         for _ in range(6):
-            assert_matches_reference(random_matrix(rng, rows, cols, digits))
+            assert_matrix_matches_reference(random_matrix(rng, rows, cols, digits))
             for rank in range(1, min(rows, cols)):
-                assert_matches_reference(random_matrix(rng, rows, cols, digits, rank))
+                assert_matrix_matches_reference(random_matrix(rng, rows, cols, digits, rank))
 
     @pytest.mark.parametrize("digits", [1, 7])
     def test_zero_rows_and_columns(self, digits):
@@ -470,32 +618,33 @@ class TestExactRref:
             for j in rng.sample(range(5), 2):
                 for row in matrix:
                     row[j] = F(0)
-            assert_matches_reference(matrix)
-        assert_matches_reference([[F(0)] * 4 for _ in range(3)])
+            assert_matrix_matches_reference(matrix)
+        assert_matrix_matches_reference([[F(0)] * 4 for _ in range(3)])
 
     @pytest.mark.parametrize("digits", [1, 7])
     def test_inconsistent_augmented_systems(self, digits):
-        # b outside the column space of a rank-deficient A: the last column
-        # becomes a pivot and solve_linear reports the system empty
+        # b outside the column space of a rank-deficient A: the right-hand
+        # side column becomes a pivot and the system is empty
         rng = random.Random(f"rref-empty-{digits}")
         for _ in range(10):
             A = random_matrix(rng, 5, 4, digits, rank=2)
             aug = [row + [random_entry(rng, digits, density=1)] for row in A]
-            assert_matches_reference(aug)
-            assert 4 in rref(aug)[1]
-            assert solve_linear(A, [row[-1] for row in aug]).status == "empty"
+            assert_matrix_matches_reference(aug)
+            assert solve_linear(sparse(aug), 4).status == "empty"
 
     def test_no_rows(self):
-        assert rref([]) == ([], [])
-        assert_matches_reference([])
+        sol = solve_linear([], 0)
+        assert (sol.status, sol.particular, sol.basis) == ("unique", [], [])
+        assert_matrix_matches_reference([])
 
     def test_mixed_int_and_fraction_entries(self):
         rng = random.Random("rref-mixed")
         for _ in range(20):
             matrix = [[rng.randint(-5, 5) if rng.random() < 0.5 else random_entry(rng, 1)
                        for _ in range(5)] for _ in range(4)]
-            assert_matches_reference(matrix)
-        assert rref([[2, 1]]) == ([[F(1), F(1, 2)]], [0])
+            assert_matrix_matches_reference(matrix)
+        assert pinned_solution(solve_linear([{0: 2, 1: 1}], 1)) == \
+            ("unique", [pinned(F(1, 2))], [])
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
     def test_floats_are_bit_identical(self, tol):
@@ -503,19 +652,21 @@ class TestExactRref:
         for rows, cols in self.SHAPES:
             for _ in range(5):
                 matrix = [[float(random_entry(rng, 2)) for _ in range(cols)] for _ in range(rows)]
-                assert_matches_reference(matrix, tol)
+                assert_matrix_matches_reference(matrix, tol)
                 deficient = random_matrix(rng, rows, cols, 1, rank=max(1, min(rows, cols) - 1))
-                assert_matches_reference([[float(v) for v in row] for row in deficient], tol)
+                assert_matrix_matches_reference([[float(v) for v in row] for row in deficient],
+                                                tol)
 
 
 def cycle_systems(T, n, monkeypatch):
-    """Every (A, b, tol) that `_cycle_system(T, n)` hands to solve_linear:
-    the cycle system itself and the active-set systems of its vertices."""
+    """Every (rows, cols, tol) that `_cycle_system(T, n)` hands to
+    solve_linear: the cycle system itself and the active-set systems of its
+    vertices."""
     seen = []
 
-    def recording(A, b, tol=0.0):
-        seen.append((A, b, tol))
-        return solve_linear(A, b, tol)
+    def recording(rows, cols, tol=0.0):
+        seen.append((rows, cols, tol))
+        return solve_linear(rows, cols, tol)
 
     monkeypatch.setattr(search, "solve_linear", recording)
     _cycle_system(T, n)
@@ -540,7 +691,8 @@ class TestCycleSystems:
         count = 0
         for label, T in range2_tables():
             for table in (T, as_float(T)):
-                for A, b, tol in cycle_systems(table, n, monkeypatch):
-                    assert_matches_reference([row + [v] for row, v in zip(A, b)], tol)
+                for rows, cols, tol in cycle_systems(table, n, monkeypatch):
+                    assert all(isinstance(row, dict) for row in rows)
+                    assert_matches_reference(rows, cols, tol)
                     count += 1
         assert count > 2 * len(RANGE2_MODELS)

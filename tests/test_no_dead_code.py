@@ -11,6 +11,8 @@ name with another attribute passes unseen, so before such a field is removed,
 grep src, tests and perfbench for its readers by hand.
 No rational is guessed either: the package never calls `limit_denominator`,
 which rounds a float to a nearby fraction; exact answers are decided.
+Elimination has one way in: the eliminators `_gauss_jordan` and
+`_rref_float` are read only inside `linalg.solve_linear`.
 The source is read with `ast`, not imported.
 """
 import ast
@@ -132,6 +134,29 @@ def rational_guesses(trees):
             and isinstance(node.func, ast.Attribute) and node.func.attr == "limit_denominator"]
 
 
+def readers(trees, names):
+    """module.scope of every place that reads one of `names`, as a bare name
+    or an attribute; the scope is the innermost enclosing function or class
+    (qualified, as in `functions`), or <module>."""
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names \
+                or isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(f"{module}.{scope or '<module>'}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, tree in trees.items():
+        visit(tree, module, "")
+    return sorted(found)
+
+
+ELIMINATORS = {"_gauss_jordan", "_rref_float"}
+
+
 def test_every_private_name_is_used():
     assert unreferenced_private_names(package_trees()) == []
 
@@ -152,6 +177,10 @@ def test_no_rational_guesses():
     assert rational_guesses(package_trees()) == []
 
 
+def test_elimination_only_through_solve_linear():
+    assert readers(package_trees(), ELIMINATORS) == ["linalg.solve_linear"]
+
+
 def test_checks_see_dead_code():
     tree = ast.parse("_USED = 1\n_UNUSED = 2\n"
                      "def _helper(a, b, _c, *rest):\n    return _helper(a, _USED)\n"
@@ -164,6 +193,13 @@ def test_checks_see_dead_code():
     guess = ast.parse("from fractions import Fraction\n"
                       "x = Fraction(0.1).limit_denominator(10)\n")
     assert rational_guesses({"m": guess}) == ["m:2"]
+    solver = ast.parse("def _gauss_jordan(rows, cols):\n    return rows\n"
+                       "def solve_linear(rows, cols):\n    return _gauss_jordan(rows, cols)\n"
+                       "class Law:\n    def solve(self, m):\n"
+                       "        eliminate = m._rref_float\n        return eliminate\n"
+                       "SHORTCUT = _gauss_jordan\n")
+    assert readers({"m": solver}, ELIMINATORS) == \
+        ["m.<module>", "m.Law.solve", "m.solve_linear"]
 
 
 def test_field_check_sees_unread_fields():

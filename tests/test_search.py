@@ -8,7 +8,6 @@ import pytest
 from psinv import criteria
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import check_product_line, product_context, symmetrize, z_table
-from psinv.linalg import solve_linear
 from psinv.search import (TripleMeasure, _cycle_system, _family, _kills_balances,
                           _rational_roots, _trial_marginals, candidate_kernels, find_markov,
                           find_product, kernel_from_ratios, ratio_table, solve_cycle3_system,
@@ -18,6 +17,7 @@ from psinv.models import kappa2_general, tasep, tasep3
 
 from conftest import random_jrm, random_kernel, rational
 from test_golden import MODELS
+from z_reference import reference_solve
 
 F = Fraction
 
@@ -33,7 +33,7 @@ def in_family(family, point, pivot=0.0):
     if sol.dimension == 0:
         return all(abs(d) <= pivot for d in diff)
     A = [[sol.basis[k][i] for k in range(sol.dimension)] for i in range(len(diff))]
-    return solve_linear(A, diff, pivot).status != "empty"
+    return reference_solve(A, diff, pivot).status != "empty"
 
 
 def reference_cycle3_rows(T):
@@ -76,7 +76,7 @@ def reference_pair_rows(T):
 
 def reference_family(variables, rows):
     """Rotation-invariant points of the probability simplex killing the rows,
-    solved by solve_linear and sampled like the search systems."""
+    solved by the dense reference solve and sampled like the search systems."""
     pos = {w: i for i, w in enumerate(variables)}
     rows = [list(row) for row in rows]
     for w in variables:
@@ -88,7 +88,7 @@ def reference_family(variables, rows):
             rows.append(row)
     rows.append([F(1)] * len(variables))
     rhs = [F(0)] * (len(rows) - 1) + [F(1)]
-    return _family(variables, solve_linear(rows, rhs), range(len(variables)))
+    return _family(variables, reference_solve(rows, rhs), range(len(variables)))
 
 
 def random_range2(rng, kappa):

@@ -9,9 +9,12 @@ before they became chain-weight arrays (one `word_weight` quotient per
 block word and jump).  The array forms must return the same exact values, word
 counts and witnesses, and the same floats bit for bit.
 
-Also the stationary law as it was solved and checked before both ran on
-integers: the dense `Fraction` block transition matrix, `solve_linear` on
-P^T - I with a row of ones, and the `Fraction` flow loop of
+Also the dense linear solve as the package computed it before exact
+elimination became integer and sparse (`reference_rref`, and
+`reference_solve` on top of it), independent of `linalg.solve_linear`; and
+the stationary law as it was solved and checked before both ran on
+integers: the dense `Fraction` block transition matrix, `reference_solve`
+on P^T - I with a row of ones, and the `Fraction` flow loop of
 `StationaryLaw`.
 
 The instance generators draw invariant and perturbed rate tables, exact and
@@ -26,7 +29,7 @@ import numpy as np
 
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
 from psinv.criteria import CriterionContext, _window_sums, markov_context, z_table
-from psinv.linalg import solve_linear
+from psinv.linalg import LinearSolution
 from psinv.scalars import ScalarContext, all_exact
 
 from conftest import random_kernel, random_marginal, rational
@@ -289,6 +292,65 @@ def reference_segment_balances(ctx, beta, n, table=None):
 
 
 # ---------------------------------------------------------------------------
+# the dense linear solve
+# ---------------------------------------------------------------------------
+
+def reference_rref(matrix, tol=0.0):
+    """Reduced row echelon form and pivot columns, as the package computed
+    it before exact elimination became integer and sparse: dense
+    Gauss-Jordan in the entries' own arithmetic, pivoting on the largest
+    absolute value.  Its float form is unchanged."""
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = max(range(r, rows), key=lambda i: abs(m[i][c]))
+        if abs(m[pivot][c]) <= tol or m[pivot][c] == 0:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        head = m[r][c]
+        m[r] = [v / head for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_solve(A, b, tol=0.0):
+    """The solutions of the dense system A x = b, as `solve_linear` found
+    them before its rows became sparse: exact input with tol 0 is reduced
+    as Fractions, anything else in its own arithmetic with pivot tolerance
+    tol."""
+    cols = len(A[0]) if A else 0
+    aug = [list(row) + [v] for row, v in zip(A, b)]
+    exact = all_exact(v for row in aug for v in row)
+    if exact and tol == 0:
+        aug = [[Fraction(v) for v in row] for row in aug]
+    red, pivots = reference_rref(aug, tol)
+    if cols in pivots:
+        return LinearSolution("empty", None, [])
+    zero = Fraction(0) if exact else 0.0
+    particular = [zero] * cols
+    for r, c in enumerate(pivots):
+        particular[c] = red[r][cols]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [zero] * cols
+        vec[f] = zero + 1
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][f]
+        basis.append(vec)
+    return LinearSolution("family" if basis else "unique", particular, basis)
+
+
+# ---------------------------------------------------------------------------
 # the stationary law on Fraction matrices
 # ---------------------------------------------------------------------------
 
@@ -309,14 +371,14 @@ def reference_block_transition(kernel):
 
 def reference_stationary(kernel):
     """{block: probability} of `stationary_distribution`, by one dense
-    `solve_linear` (pivot tolerance 1e-12 unless the kernel is exact)."""
+    `reference_solve` (pivot tolerance 1e-12 unless the kernel is exact)."""
     states, P = reference_block_transition(kernel)
     size = len(states)
     A = [[P[j][i] - (1 if i == j else 0) for j in range(size)] for i in range(size)]
     A.append([Fraction(1)] * size)
     b = [Fraction(0)] * size + [Fraction(1)]
     exact = all_exact(p for row in P for p in row)
-    sol = solve_linear(A, b, tol=0.0 if exact else 1e-12)
+    sol = reference_solve(A, b, tol=0.0 if exact else 1e-12)
     if sol.status != "unique":
         raise ValueError("kernel has no unique stationary law (reducible or periodic chain)")
     if any(v < 0 for v in sol.particular):
