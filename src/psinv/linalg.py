@@ -6,8 +6,10 @@ entries zero, whose column `cols` holds the right-hand side, and
 `solve_linear` is its one solver.  The largest in scope is the length-3
 cyclic balance system of `search`: 25 rows by 24 unknowns (one per rotation
 orbit of the triples) at kappa = 4.  With rational entries the elimination
-is exact, in integers on the sparse rows; with floats a pivot tolerance
-applies to dense rows.
+is exact, fraction-free Gauss-Jordan in integers on the sparse rows, which
+the exact builders (the cycle systems, stationary laws and Perron vectors)
+already hand over as Python ints; with floats a pivot tolerance applies to
+dense rows.
 Dominant eigenpairs follow the usual nonnegative-matrix theory: for an
 irreducible nonnegative matrix the largest eigenvalue is simple with
 positive left/right eigenvectors, normalized so that l . 1 = 1 and l . r = 1.
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
@@ -115,18 +116,24 @@ def solve_linear(rows, cols: int, tol: float = 0.0) -> LinearSolution:
 
     Each row is sparse, {column: coefficient} with absent entries zero, and
     its column `cols` holds the right-hand side.  Rational rows with tol 0
-    are solved exactly: each row times the lcm of its denominators, then
-    Gauss-Jordan in integers.  Other rows are made dense, Fraction(0)
-    filling the absent entries (the float elimination's result types and
-    signed zeros depend on these operands), and reduced with partial
-    pivoting, pivots of size <= tol counting as zero.
+    are solved exactly by Gauss-Jordan in integers: rows of Python ints as
+    they are, other rational rows each times the lcm of its denominators.
+    Other rows are made dense, Fraction(0) filling the absent entries (the
+    float elimination's result types and signed zeros depend on these
+    operands), and reduced with partial pivoting, pivots of size <= tol
+    counting as zero.
     """
-    exact = all_exact(chain.from_iterable(row.values() for row in rows))
+    entries = [v for row in rows for v in row.values()]
+    integer = all(type(v) is int for v in entries)
+    exact = integer or all_exact(entries)
     if exact and tol == 0:
-        dens = [lcm(*(v.denominator for v in row.values())) for row in rows]
-        red, pivots = _gauss_jordan(
-            [{c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
-             for row, d in zip(rows, dens)], cols + 1)
+        if integer:
+            scaled = [{c: v for c, v in row.items() if v} for row in rows]
+        else:
+            dens = [lcm(*(v.denominator for v in row.values())) for row in rows]
+            scaled = [{c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
+                      for row, d in zip(rows, dens)]
+        red, pivots = _gauss_jordan(scaled, cols + 1)
 
         def entry(r, c):
             return Fraction(red[r][c], red[r][pivots[r]]) if c in red[r] else _ZERO
@@ -234,10 +241,12 @@ def perron_pair(A) -> EigenPair:
     Rational input is decided exactly.  With den the lcm of A's denominators,
     B = den * A has a monic integer characteristic polynomial, so a rational
     root of B is an integer.  The least integer K >= rho(B) is found by the
-    M-matrix test, galloping out from numpy's estimate and then bisecting;
-    the root is rational exactly when det(KI - B) = 0, and then the value
-    K / den and its eigenvectors (the exact null vectors of KI - B and its
-    transpose) are returned; each K is tested once.  Float input and
+    M-matrix test: galloping up from numpy's estimate to a passing K, then
+    secant steps through the two least passing K, which never pass below
+    rho(B) (bisecting while only one is known); the root is rational
+    exactly when det(KI - B) = 0, and then the value K / den and its
+    eigenvectors (the exact null vectors of KI - B and its transpose) are
+    returned; each K is tested once.  Float input and
     proven-irrational roots take power iteration on A + I (the shift removes
     periodicity) from the all-ones vector to relative tolerance PERRON_TOL,
     then one Rayleigh refinement.
@@ -257,14 +266,25 @@ def perron_pair(A) -> EigenPair:
         det = cache(lambda t: _det_above_root(t, B))  # no K is tested twice
         hi = round(Fraction(float(max(np.linalg.eigvals(F).real))) * den)
         step = 1 + abs(hi) // 2 ** 48  # about the estimate's rounding error
-        lo = hi - step  # galloping and bisecting until lo < rho(B) <= hi
-        while det(hi) is None:
+        lo, above = hi - step, None  # lo < rho(B) <= hi; above: the next passing K
+        while det(hi) is None:  # gallop up
             lo, hi, step = hi, hi + step, 2 * step
-        while det(lo) is not None:
-            lo, hi, step = lo - step, lo, 2 * step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if det(mid) is not None else (mid, hi)
+        if det(lo) is not None:  # two passing K, and rho(B) >= 0 > -1
+            lo, hi, above = -1, lo, hi
+        while hi - lo > 1 and det(hi) != 0:
+            if above is None:
+                k = (lo + hi) // 2
+            else:
+                # p(t) = det(tI - B) is increasing and convex above rho(B), so
+                # the secant through (hi, p(hi)) and (above, p(above)) meets
+                # zero at some t* in [rho(B), hi]: ceil(t*) passes, and when
+                # that is hi itself, hi - 1 is tested
+                p, q = det(hi), det(above)
+                k = max(lo + 1, min(hi - p * (above - hi) // (q - p), hi - 1))
+            if det(k) is None:
+                lo = k
+            else:
+                above, hi = hi, k
         if det(hi) == 0:
             # the null vectors of KI - B and of its transpose, in integer rows
             M = [[(hi if i == j else 0) - v for j, v in enumerate(row)]

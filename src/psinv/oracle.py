@@ -10,8 +10,9 @@ exactly, computes cyclic chain (Gibbs) weights and product weights, and
 finds the closed classes of the jump graph by labelling each state with the
 least state it reaches.  Exact rates and measures are integers over one
 common denominator each: int64 when an a-priori bound on every value and sum
-computed from them (largest numerator x largest factor x number of terms) is
-below INT64_LIMIT, Python ints in object arrays otherwise, so every sum is
+computed from them (largest numerator x largest factor x number of terms;
+the residual bounds the two sides of its sums apart when that is too
+coarse) is below INT64_LIMIT, Python ints in object arrays otherwise, so every sum is
 an exact integer sum; floats stay float64, summed in a fixed order.
 Everything here is independent of the criteria module so the two can be
 tested against each other.
@@ -94,6 +95,15 @@ def _top(num) -> int:
     if isinstance(num, np.ndarray) and num.dtype != object:
         return int(np.abs(num).max(initial=0))
     return max(map(abs, num.tolist() if isinstance(num, np.ndarray) else num), default=0)
+
+
+def _column_sums(gen: FiniteGenerator, terms: int) -> np.ndarray:
+    """The total rate into each state, exactly; `terms` bounds the number of
+    rates into one state."""
+    rate = _ints(gen.rate, _top(gen.rate) * terms)
+    sums = np.zeros(gen.n_states, dtype=rate.dtype)
+    np.add.at(sums, gen.dst, rate)
+    return sums
 
 
 def _floats(num: np.ndarray, den: int, exact: bool) -> np.ndarray:
@@ -399,11 +409,19 @@ def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
         mu = ScaledArray(_ints(nums, _top(nums)) if exact else nums, den, exact)
     exact = gen.exact and mu.exact
     if exact:
-        # rates are nonnegative, so no rate exceeds its row's exit rate: each
-        # of the 1 + in-degree terms of a sum is at most top(mu) * top(exits).
-        # Python-int weights make every product and sum a Python int.
+        # a sum starts at -mu(x) exits(x) and adds nonnegative inflows, so
+        # every partial sum and product is at most the larger of its two
+        # sides: top(mu * exits), and top(mu) times the largest column sum
+        # of the rates.  The cheaper top(mu) * top(exits) * (1 + in-degree)
+        # bounds both (no rate exceeds its row's exit rate) and is tried
+        # first.  Python-int weights make every product and sum a Python int.
         terms = 1 + int(np.bincount(gen.dst, minlength=1).max())
-        weights = _ints(mu.num, _top(mu.num) * _top(gen.exits) * terms)
+        bound = _top(mu.num) * _top(gen.exits) * terms
+        if bound >= INT64_LIMIT > _top(mu.num):
+            product = _top(mu.num) * _top(gen.exits)
+            outflows = _ints(mu.num, product) * _ints(gen.exits, product)
+            bound = max(_top(outflows), _top(mu.num) * _top(_column_sums(gen, terms)))
+        weights = _ints(mu.num, bound)
         rate, exits = gen.rate, gen.exits
     else:
         weights = _floats(mu.num, mu.den, mu.exact)

@@ -21,11 +21,18 @@ jumps.  Replacing each product rho_u rho_v by a pair unknown makes that
 linear; solutions must then factor as a rank-one nonnegative symmetric
 matrix, and surviving marginals are verified against the original T.
 
+Both systems take each cyclic word's jumps from `criteria.cycle_jumps`,
+looked up in one grouping of T's moves by window per system.  An exact T
+gives rows of Python ints, its rates' numerators over their common
+denominator, which `linalg.solve_linear` eliminates as they are; float
+systems keep their Fraction(0) + rate entries and addition order.
+
 Affine solution families are sampled deterministically: polytope vertices
 (dimension <= 3) plus their centroid, falling back to the particular
 solution in higher dimension.  Trial marginals are kept when their product
-table kills the pair balances, and two-colour instances solve the rank-one
-slice exactly in the Bernoulli parameter.
+table kills the pair balances (on exact rows, one integer dot product per
+row with the marginal's raw integer weights), and two-colour instances
+solve the rank-one slice exactly in the Bernoulli parameter.
 """
 from __future__ import annotations
 
@@ -37,11 +44,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
 from .criteria import (CriterionReport, check_markov_line, check_product_line,
-                       cycle_jumps, markov_context)
+                       cycle_jumps, markov_context, window_moves)
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
-from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact
-
-_ZERO = Fraction(0)
+from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact, over_common_denominator
 
 # largest family dimension whose polytope vertices are enumerated
 MAX_VERTEX_DIM = 3
@@ -115,9 +120,13 @@ def _polytope_vertices(solution: LinearSolution):
     if dim > MAX_VERTEX_DIM:
         return []
     vertices = set()
-    # coordinate i vanishes: sum_k basis[k][i] t_k = -particular[i], a row over t
-    rows = [{k: solution.basis[k][i] for k in range(dim)} | {dim: -solution.particular[i]}
+    # coordinate i vanishes: sum_k basis[k][i] t_k = -particular[i], a row over t;
+    # exact rows are scaled to integers once, for every active set
+    rows = [[solution.basis[k][i] for k in range(dim)] + [-solution.particular[i]]
             for i in range(n)]
+    if all_exact(v for row in rows for v in row):
+        rows = [over_common_denominator(row)[0] for row in rows]
+    rows = [dict(enumerate(row)) for row in rows]
     for active in itertools.combinations(range(n), dim):
         sol = solve_linear([rows[i] for i in active], dim)
         if sol.status != "unique":
@@ -129,20 +138,20 @@ def _polytope_vertices(solution: LinearSolution):
 
 
 def _trial_marginals(kappa: int):
-    """Small deterministic battery of full-support marginals."""
-    batches = [[1] * kappa,
-               list(range(1, kappa + 1)),
-               list(range(kappa, 0, -1)),
-               [1] * (kappa - 1) + [kappa + 1]]
-    for raw in batches:
-        total = sum(raw)
-        yield tuple(Fraction(v, total) for v in raw)
+    """Small deterministic battery of full-support marginals, as positive
+    integer weights (the marginal is each weight over their sum)."""
+    return [[1] * kappa,
+            list(range(1, kappa + 1)),
+            list(range(kappa, 0, -1)),
+            [1] * (kappa - 1) + [kappa + 1]]
 
 
 def _kills_balances(rows, balances: ScalarContext, values) -> bool:
     """Whether weights on the orbits, in row order, kill every balance row of
-    a cycle system: for a product table, which is rotation-invariant and sums
-    to one, this is membership in the system's family."""
+    a cycle system: for a positive multiple of a product table, which is
+    rotation-invariant, this is membership of the normalized table in the
+    system's family.  Integer rows and weights make each test one integer
+    dot product."""
     return all(balances.is_zero(sum(r * values[c] for c, r in row.items()))
                for row in rows.values())
 
@@ -178,25 +187,31 @@ def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
 
     The unknowns are one weight per rotation orbit, ordered by the orbit's
     largest rotation; the rows, {largest rotation: {column: coefficient}} in
-    ascending columns, are one balance per orbit.  In that order the reduced
-    form frees the same columns as the word system with every rotation tied,
-    and expands to that system's.  One more row, with right-hand side 1,
-    weighs each orbit by its size."""
+    ascending columns, are one balance per orbit, its jumps looked up by
+    window (`criteria.window_moves`).  In that order the reduced form frees
+    the same columns as the word system with every rotation tied, and
+    expands to that system's.  One more row, with right-hand side 1, weighs
+    each orbit by its size.  An exact T gives Python-int rows: the balances
+    over the rates' common denominator (a homogeneous row keeps its
+    solutions when scaled), the sizes as ints; float rows add their rates
+    from Fraction(0)."""
     variables = list(T.alphabet.words(n))
     keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in variables})
     col = {k[i:] + k[:i]: j for j, k in enumerate(keys) for i in range(n)}
+    balances = ScalarContext.for_balances(T, True, tol)
+    moves = window_moves(T, numerators=balances.exact)
     rows: Dict[Word, Dict[int, object]] = {}
     for x in keys:
-        inflow, exit_rate = cycle_jumps(T, x)
+        inflow, exit_rate = cycle_jumps(T, x, moves)
         row: Dict[int, object] = {}
         for w, rate in inflow:
-            row[col[w]] = row.get(col[w], _ZERO) + rate
-        row[col[x]] = row.get(col[x], _ZERO) - exit_rate
+            row[col[w]] = row.get(col[w], moves.zero) + rate
+        row[col[x]] = row.get(col[x], moves.zero) - exit_rate
         rows[x] = dict(sorted(row.items()))
-    sizes = {j: Fraction(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(keys)}
-    balances = ScalarContext.for_balances(T, True, tol)
+    number = int if balances.exact else Fraction
+    sizes = {j: number(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(keys)}
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
-    solution = solve_linear([*rows.values(), sizes | {len(keys): Fraction(1)}], len(keys), pivot)
+    solution = solve_linear([*rows.values(), sizes | {len(keys): number(1)}], len(keys), pivot)
     return rows, _family(variables, solution, [col[w] for w in variables]), balances
 
 
@@ -463,9 +478,14 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
         if rho is not None:
             consider(rho)
 
-    for rho in _trial_marginals(kappa):
-        if _kills_balances(rows, balances, [rho[u] * rho[v] for u, v in rows]):
-            consider(rho)
+    def marginal(raw):
+        return tuple(Fraction(v, sum(raw)) for v in raw)
+
+    for raw in _trial_marginals(kappa):
+        # exact rows are tested on the raw weights: a pair (u, v) weighs raw_u raw_v
+        weights = raw if balances.exact else marginal(raw)
+        if _kills_balances(rows, balances, [weights[u] * weights[v] for u, v in rows]):
+            consider(marginal(raw))
 
     bernoulli_all = False
     roots: Tuple = ()

@@ -1,17 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from psinv import models, search
+from psinv import models
 from psinv import linalg
 from psinv.core import Alphabet, MarkovKernel, StationaryLaw
 from psinv.linalg import perron_pair, solve_linear, stationary_distribution
-from psinv.search import _cycle_system, _rational_sqrt
+from psinv.search import _rational_sqrt, triple_from_kernel
 
 from test_golden import MODELS
-from test_search import RANGE2_MODELS, as_float
+from test_search import RANGE2_MODELS, as_float, cycle_systems
 from conftest import random_kernel
 from z_reference import (invariant_instance, perturbed_instance, pinned, reference_law_check,
                          reference_solve, reference_stationary)
@@ -130,6 +131,26 @@ class TestSparseRows:
                 matrix = random_matrix(rng, rows, cols + 1, 1, rank)
                 yield matrix, 0.0
                 yield [[float(v) for v in row] for row in matrix], 1e-12
+
+    def test_integer_rows_go_to_elimination_as_they_are(self, monkeypatch):
+        # rows of Python ints (zeros included) are not rescaled: no lcm is
+        # taken, elimination sees the nonzero entries unchanged, and the
+        # solutions are those of the same rows as Fractions
+        for matrix, tol in self.systems("integers"):
+            if tol:
+                continue
+            cols = len(matrix[0]) - 1
+            den = math.lcm(*(v.denominator for row in matrix for v in row))
+            rows = [{c: int(v * den) for c, v in row.items()} for row in sparse(matrix, True)]
+            expected = pinned_solution(assert_matches_reference(sparse(matrix), cols))
+            seen = []
+            eliminate = linalg._gauss_jordan
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "lcm", None)
+                patch.setattr(linalg, "_gauss_jordan", lambda pending, width:
+                              seen.append(pending) or eliminate(pending, width))
+                assert pinned_solution(solve_linear(rows, cols)) == expected
+            assert seen == [[{c: v for c, v in row.items() if v} for row in rows]]
 
     def test_explicit_zero_entries(self):
         for matrix, tol in self.systems("zeros"):
@@ -575,6 +596,42 @@ class TestPerronPair:
             monkeypatch.undo()
         assert most > 4
 
+    def test_secant_steps_on_seven_digit_kernels(self, monkeypatch):
+        # the ratio matrices N_a = [nu(a,x,y) / nu(a,x,a)] of seeded kappa
+        # 3-4 kernels whose rows have 7-digit denominators, every other one
+        # near-reducible: each has the rational dominant eigenvalue 1 / M_aa,
+        # and the exact pair is pinned by its eigen identities.  Galloping
+        # and bisecting took about 83 M-matrix tests per call on these
+        # kernels; the secant steps take about 9.
+        tested = self.counting(monkeypatch)
+        rng = random.Random("perron-7-digit")
+        calls = 0
+        for i in range(40):
+            kappa = rng.choice((3, 4))
+            rows = []
+            for a in range(kappa):
+                den = rng.randint(10 ** 6, 10 ** 7 - 1)
+                if i % 2:
+                    row = [F(rng.randint(1, 3), den) for _ in range(kappa)]
+                    row[a] = 1 - (sum(row) - row[a])
+                else:
+                    cuts = sorted(rng.sample(range(1, den), kappa - 1))
+                    row = [F(b - c, den) for b, c in zip(cuts + [den], [0] + cuts)]
+                rows.append(row)
+            nu = triple_from_kernel(MarkovKernel.from_matrix(rows)).nu
+            for a in range(kappa):
+                N = [[nu[(a, x, y)] / nu[(a, x, a)] for y in range(kappa)] for x in range(kappa)]
+                start = len(tested)
+                pair = perron_pair(N)
+                assert len(set(tested[start:])) == len(tested) - start
+                assert pair.exact and pair.value == 1 / rows[a][a]
+                assert mat_vec(N, pair.right) == [pair.value * r for r in pair.right]
+                assert vec_mat(pair.left, N) == [pair.value * l for l in pair.left]
+                assert sum(pair.left) == 1
+                assert sum(l * r for l, r in zip(pair.left, pair.right)) == 1
+                calls += 1
+        assert len(tested) <= 12 * calls, len(tested) / calls
+
     def test_float_path(self):
         A = [[0.1, 2.3], [1.7, 0.4]]
         pair = perron_pair(A)
@@ -656,22 +713,6 @@ class TestExactRref:
                 deficient = random_matrix(rng, rows, cols, 1, rank=max(1, min(rows, cols) - 1))
                 assert_matrix_matches_reference([[float(v) for v in row] for row in deficient],
                                                 tol)
-
-
-def cycle_systems(T, n, monkeypatch):
-    """Every (rows, cols, tol) that `_cycle_system(T, n)` hands to
-    solve_linear: the cycle system itself and the active-set systems of its
-    vertices."""
-    seen = []
-
-    def recording(rows, cols, tol=0.0):
-        seen.append((rows, cols, tol))
-        return solve_linear(rows, cols, tol)
-
-    monkeypatch.setattr(search, "solve_linear", recording)
-    _cycle_system(T, n)
-    monkeypatch.undo()
-    return seen
 
 
 def range2_tables():

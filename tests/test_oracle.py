@@ -687,6 +687,38 @@ class TestExactPaths:
             assert residuals == wide_residuals, space
             assert all(type(r) is Fraction for r in residuals)
 
+    @pytest.mark.parametrize("x,n", [(F(2, 7), 8), (F(2, 9), 7), (F(3, 5), 10)])
+    def test_each_side_bounded_by_itself(self, monkeypatch, x, n):
+        # top(mu) * top(exits) * (1 + in-degree) has 63 or 64 bits here,
+        # while the outflows and top(mu) times the largest column sum of the
+        # rates stay below 2^62: the residual runs on int64, invariant or
+        # not, and equals the object path's
+        spec = stochastic_ising(x)
+        rates = {(u, v): r for u, v, r in spec.jrm.entries()}
+        rates[((0, 0, 0), (0, 1, 0))] *= F(3, 2)
+        made = []
+        real = oracle._ints
+
+        def spy(values, bound):
+            out = real(values, bound)
+            made.append(out.dtype)
+            return out
+        for T in (spec.jrm, JumpRateMatrix(Alphabet(2), 3, rates)):
+            gen, mu = build_generator(T, CycleSpace(n)), gibbs_measure(spec.kernel, n)
+            terms = 1 + int(np.bincount(gen.dst).max())
+            assert oracle._top(mu.num) * oracle._top(gen.exits) * terms >= oracle.INT64_LIMIT
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_ints", spy)
+                residual = stationarity_residual(gen, mu)
+            assert made[-1] == np.int64  # the weights
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "INT64_LIMIT", 0)
+                wide_gen = build_generator(T, CycleSpace(n))
+                wide_mu = gibbs_measure(spec.kernel, n)
+                assert wide_gen.rate.dtype == wide_mu.num.dtype == object
+                assert stationarity_residual(wide_gen, wide_mu) == residual
+            assert (residual == 0) == (T is spec.jrm)
+
     @pytest.mark.parametrize("x,dtype", [(F(1, 3), np.int64), (F(2, 7), object)],
                              ids=["x-1/3-int64", "x-2/7-object"])
     def test_ising_n14_path(self, monkeypatch, x, dtype):

@@ -5,19 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from psinv import criteria
+from psinv import criteria, search
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
-from psinv.criteria import check_product_line, product_context, symmetrize, z_table
+from psinv.criteria import (check_product_line, cycle_jumps, product_context, symmetrize,
+                            window_moves, z_table)
+from psinv.linalg import solve_linear
 from psinv.search import (TripleMeasure, _cycle_system, _family, _kills_balances,
                           _rational_roots, _trial_marginals, candidate_kernels, find_markov,
                           find_product, kernel_from_ratios, ratio_table, solve_cycle3_system,
                           triple_from_kernel)
 from psinv import models
 from psinv.models import kappa2_general, tasep, tasep3
+from psinv.scalars import over_common_denominator
 
 from conftest import random_jrm, random_kernel, rational
 from test_golden import MODELS
-from z_reference import reference_solve
+from z_reference import pinned, reference_cycle_jumps, reference_cycle_rows, reference_solve
 
 F = Fraction
 
@@ -227,6 +230,95 @@ class TestOrbitSystem:
         assert family.solution.dimension == 9
 
 
+def exact_tables(seed):
+    """Seeded exact tables, kappa 2-4 at range 2 and 3, each with a few moves
+    between words of period 1 or 2 (so that cycles shorter than the range
+    see jumps), and the tables with no moves."""
+    rng = random.Random(seed)
+    for kappa in (2, 3, 4):
+        for range_ in (2, 3):
+            yield JumpRateMatrix(Alphabet(kappa), range_, {})
+            for _ in range(3):
+                T = random_jrm(rng, kappa=kappa, range_=range_, max_entries=3 * kappa)
+                periodic = {}
+                for _ in range(3):
+                    u, v = (((rng.randrange(kappa), rng.randrange(kappa)) * range_)[:range_]
+                            for _ in range(2))
+                    if u != v:
+                        periodic[(u, v)] = rational(rng)
+                yield T.plus(JumpRateMatrix(T.alphabet, range_, periodic))
+
+
+def cycle_systems(T, n, monkeypatch):
+    """Every (rows, cols, tol) that `_cycle_system(T, n)` hands to
+    solve_linear: the cycle system itself and the active-set systems of its
+    vertices."""
+    seen = []
+
+    def recording(rows, cols, tol=0.0):
+        seen.append((rows, cols, tol))
+        return solve_linear(rows, cols, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "solve_linear", recording)
+        _cycle_system(T, n)
+    return seen
+
+
+def pinned_rows(rows):
+    return [[(c, pinned(v)) for c, v in row.items()] for row in rows]
+
+
+class TestIntegerRows:
+    """Exact cycle systems are Python-int rows: the reference builder's
+    Fraction rows times the rates' common denominator, the orbit-size row
+    as it was.  Float systems keep the reference's rows bit for bit, and
+    jumps looked up by window are the jumps of the full scan."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_rows_are_reference_rows_over_the_denominator(self, n, monkeypatch):
+        shorter = 0
+        for T in exact_tables(f"integer-rows-{n}"):
+            den = over_common_denominator([rate for _, _, rate in T.entries()])[1]
+            handed = [rows for rows, _, _ in cycle_systems(T, n, monkeypatch)]
+            *balances, sizes = handed[0]
+            *reference, reference_sizes = reference_cycle_rows(T, n)
+            assert [list(row) for row in balances] == [list(row) for row in reference]
+            assert balances == [{c: v * den for c, v in row.items()} for row in reference]
+            assert sizes == reference_sizes
+            for rows in handed:
+                assert all(type(v) is int for row in rows for v in row.values())
+            shorter += n < T.range_ and any(v for row in balances for v in row.values())
+        assert shorter >= 4 or n == 3  # n = 3 is shorter than no range here
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_float_rows_are_reference_rows_bit_for_bit(self, n, monkeypatch):
+        for T in exact_tables(f"float-rows-{n}"):
+            floated = as_float(T)
+            if T.is_zero:  # no rate, no float: the system stays exact
+                continue
+            rows = cycle_systems(floated, n, monkeypatch)[0][0]
+            assert pinned_rows(rows) == pinned_rows(reference_cycle_rows(floated, n))
+
+    def test_cycle_jumps_match_the_scan(self):
+        for T in exact_tables("cycle-jumps"):
+            den = over_common_denominator([rate for _, _, rate in T.entries()])[1]
+            numerators = window_moves(T, numerators=True)
+            for table in (T, as_float(T)):
+                moves = window_moves(table)
+                for n in range(1, table.range_ + 2):
+                    for x in table.alphabet.words(n):
+                        inflow, exit_rate = reference_cycle_jumps(table, x)
+                        expected = [(w, pinned(r)) for w, r in inflow], pinned(exit_rate)
+                        for got in (cycle_jumps(table, x), cycle_jumps(table, x, moves)):
+                            assert ([(w, pinned(r)) for w, r in got[0]], pinned(got[1])) \
+                                == expected
+                        if table is T:
+                            inflow_int, exit_int = cycle_jumps(T, x, numerators)
+                            assert inflow_int == [(w, r * den) for w, r in inflow]
+                            assert type(exit_int) is int and exit_int == exit_rate * den
+
+
 class TestCandidateKernels:
     def test_round_trip_recovers_kernel(self, rng):
         for kappa in (2, 3):
@@ -408,16 +500,24 @@ class TestFindProduct:
                     rows, family, balances = _cycle_system(table, 2)
                     pivot = 0.0 if balances.exact else balances.tol * balances.scale
                     statuses.add(family.solution.status)
-                    for rho in _trial_marginals(kappa):
+                    for raw in _trial_marginals(kappa):
+                        rho = [F(v, sum(raw)) for v in raw]
                         point = [rho[u] * rho[v] for u, v in family.variables]
                         inside = in_family(family, point, pivot)
-                        values = [rho[u] * rho[v] for u, v in rows]
+                        # exact systems test the raw integer weights, float
+                        # systems the marginal's product table
+                        weights = raw if table.is_exact else rho
+                        values = [weights[u] * weights[v] for u, v in rows]
+                        assert all(type(v) is int for v in values) == table.is_exact
                         assert _kills_balances(rows, balances, values) == inside
                         kept[table.is_exact] += inside
                     for point in family.samples:
                         weight = dict(zip(family.variables, point))
+                        values = [weight[k] for k in rows]
+                        if table.is_exact:  # the sample over its common denominator
+                            values = over_common_denominator(values)[0]
                         assert in_family(family, point, pivot)
-                        assert _kills_balances(rows, balances, [weight[k] for k in rows])
+                        assert _kills_balances(rows, balances, values)
         assert statuses == {"unique", "family"}
         assert min(kept) >= 8, kept
 

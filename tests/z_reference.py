@@ -17,6 +17,10 @@ integers: the dense `Fraction` block transition matrix, `reference_solve`
 on P^T - I with a row of ones, and the `Fraction` flow loop of
 `StationaryLaw`.
 
+And the length-n cyclic balance rows of `search._cycle_system` as they
+were built before their jumps were looked up by window and exact rows became
+integers: every window scanned against every move, `Fraction` rows.
+
 The instance generators draw invariant and perturbed rate tables, exact and
 in floats, for any alphabet size, memory and range.
 """
@@ -348,6 +352,51 @@ def reference_solve(A, b, tol=0.0):
             vec[c] = -red[r][f]
         basis.append(vec)
     return LinearSolution("family" if basis else "unique", particular, basis)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic balance rows
+# ---------------------------------------------------------------------------
+
+def reference_cycle_jumps(T, x):
+    """`criteria.cycle_jumps` as it scanned every move for each window:
+    (inflow, exit_rate), in the same order and from Fraction(0)."""
+    x = tuple(x)
+    n, L = len(x), T.range_
+    moves = list(T.entries())
+    if n < L:
+        moves = [(u, v, rate) for u, v, rate in moves
+                 if u[n:] == u[:L - n] and v[n:] == v[:L - n]]
+    inflow, exit_rate = [], Fraction(0)
+    for start in range(n):
+        sites = [(start + j) % n for j in range(L)]
+        read = [(start + L + i) % n for i in range(n)]
+        window = tuple(x[site] for site in sites)
+        for u, v, rate in moves:
+            if v == window:
+                letters = dict(zip(sites, u))
+                inflow.append((tuple(letters.get(site, x[site]) for site in read), rate))
+            elif u == window:
+                exit_rate += rate
+    return inflow, exit_rate
+
+
+def reference_cycle_rows(T, n):
+    """The rows `search._cycle_system` hands to `solve_linear`, as it built
+    them with Fraction(0) + rate entries: one balance row per rotation
+    orbit, then the orbit-size row with right-hand side Fraction(1)."""
+    keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in T.alphabet.words(n)})
+    col = {k[i:] + k[:i]: j for j, k in enumerate(keys) for i in range(n)}
+    rows = []
+    for x in keys:
+        inflow, exit_rate = reference_cycle_jumps(T, x)
+        row = {}
+        for w, rate in inflow:
+            row[col[w]] = row.get(col[w], Fraction(0)) + rate
+        row[col[x]] = row.get(col[x], Fraction(0)) - exit_rate
+        rows.append(dict(sorted(row.items())))
+    sizes = {j: Fraction(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(keys)}
+    return rows + [sizes | {len(keys): Fraction(1)}]
 
 
 # ---------------------------------------------------------------------------
