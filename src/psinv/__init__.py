@@ -8,7 +8,7 @@ an independent brute-force oracle for every verdict.
 """
 
 from .core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
-                   StationaryLaw, induced_rate_cyclic, markov_law, product_law)
+                   StationaryLaw, markov_law, product_law)
 from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable,
                        PotentialCertificate, check_markov_cycle, check_markov_line,
                        check_markov_small_cycles, check_product_cycle,

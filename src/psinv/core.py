@@ -17,9 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from .scalars import ScalarContext, all_exact, as_scalar, exact_sum, over_common_denominator
+import numpy as np
+
+from .scalars import ScalarContext, all_exact, as_scalar, over_common_denominator
 
 Word = Tuple[int, ...]
 
@@ -84,16 +87,28 @@ def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple
     return table
 
 
+class CodedMoves(NamedTuple):
+    """A rate table's moves in `entries()` order by window code, and every
+    window's exit rate by code: Python ints over their lcm `den` when exact,
+    else as stored (den None).  A named tuple: cheaper to define than a dataclass."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    rates: List
+    exits: List
+    den: Optional[int]
+
+
 @dataclass(frozen=True)
 class JumpRateMatrix:
     """Sparse jump rates T[w -> w'] over length-L words; absent entry = 0.
 
-    Exact when every rate is rational, decided once at construction."""
+    Exact when every rate is rational, decided once at construction; the
+    sorted and coded moves are built on first use."""
 
     alphabet: Alphabet
     range_: int
     _rates: Dict[Tuple[Word, Word], object] = field(repr=False)
-    _exits: Dict[Word, object] = field(repr=False, compare=False)
     _exact: bool = field(repr=False, compare=False)
 
     def __init__(self, alphabet: Alphabet, range_: int, rates: Mapping):
@@ -104,27 +119,38 @@ class JumpRateMatrix:
         table = _freeze_rates(alphabet, range_, rates)
         object.__setattr__(self, "_rates", table)
         object.__setattr__(self, "_exact", all_exact(table.values()))
-        exits: Dict[Word, object] = {}
-        if self._exact:
-            for (src, _), rate in table.items():
-                exits.setdefault(src, []).append(rate)
-            exits = {src: exact_sum(out) for src, out in exits.items()}
-        else:
-            # one pass in rate order: each float exit rate adds its terms in that order
-            for (src, _), rate in table.items():
-                exits[src] = exits[src] + rate if src in exits else rate
-        object.__setattr__(self, "_exits", exits)
 
     def rate(self, src: Word, dst: Word):
         return self._rates.get((tuple(src), tuple(dst)), _ZERO)
 
     def out_rate(self, src: Word):
         """Total rate at which the window leaves the word src."""
-        return self._exits.get(tuple(src), _ZERO)
+        coded = self.coded
+        rate = coded.exits[self.alphabet.encode(src)]
+        return rate if coded.den is None else Fraction(rate, coded.den)
+
+    @cached_property
+    def _sorted(self) -> Tuple[Tuple[Word, Word, object], ...]:
+        return tuple((src, dst, rate) for (src, dst), rate in sorted(self._rates.items()))
 
     def entries(self) -> Iterator[Tuple[Word, Word, object]]:
-        for (src, dst), rate in sorted(self._rates.items()):
-            yield src, dst, rate
+        return iter(self._sorted)
+
+    @cached_property
+    def coded(self) -> CodedMoves:
+        """The coded moves; float exit rates add their terms in rate order."""
+        encode, moves = self.alphabet.encode, self._sorted
+        if self._exact:
+            rates, den = over_common_denominator([rate for _, _, rate in moves])
+            out = zip((src for src, _, _ in moves), rates)
+        else:
+            rates, den = [rate for _, _, rate in moves], None
+            out = ((src, rate) for (src, _), rate in self._rates.items())
+        exits = [_ZERO if den is None else 0] * self.alphabet.kappa ** self.range_
+        for src, rate in out:  # 0 + x is x, in floats too
+            exits[encode(src)] += rate
+        return CodedMoves(*(np.array([encode(move[k]) for move in moves], dtype=np.int64)
+                            for k in (0, 1)), rates, exits, den)
 
     @property
     def is_zero(self) -> bool:
@@ -326,8 +352,9 @@ class StationaryLaw:
         values, den = over_common_denominator(rho) if exact else (rho, None)
         if any(v < 0 for v in values):
             raise ValueError("stationary law has negative entries")
-        total = Fraction(sum(values), den) if exact else sum(values)
-        if not ScalarContext(exact).is_zero(total - 1):
+        total = sum(values)
+        if total != den if exact else not ScalarContext(False).is_zero(total - 1):
+            total = Fraction(total, den) if exact else total
             raise ValueError(f"stationary law sums to {total}, not 1")
         # sum_i rho_i M(i -> j) = rho_j for every block j; an exact law sums
         # integers, over den times the kernel's common step denominator
@@ -406,25 +433,3 @@ class BoundaryRates:
         empty = JumpRateMatrix(alphabet, range_, {})
         return cls(empty, empty)
 
-
-def induced_rate_cyclic(T: JumpRateMatrix, w: Word, z: Word):
-    """Induced rate on Z/nZ, n = len(w): windows wrap modulo n (all n of
-    them, even n < L, when a window reads some sites more than once).  The
-    tests' reference for the oracle and the cycle deciders, which apply the
-    same rule as a period test on the moves."""
-    w, z = tuple(w), tuple(z)
-    if len(w) != len(z):
-        raise ValueError("induced rate needs words of equal length")
-    n = len(w)
-    if n < 1:
-        raise ValueError("cyclic words must have length n >= 1")
-    L = T.range_
-    total = Fraction(0)
-    for start in range(n):
-        window = [(start + j) % n for j in range(L)]
-        inside = set(window)
-        if all(w[j] == z[j] for j in range(n) if j not in inside):
-            src = tuple(w[j] for j in window)
-            dst = tuple(z[j] for j in window)
-            total += T.rate(src, dst)
-    return total

@@ -171,41 +171,36 @@ class LocalBalanceTable:
 
 def z_table(ctx: CriterionContext) -> LocalBalanceTable:
     """Fill the local balance table Z for all kappa^(2m+L) index words."""
-    start = [-ctx.T.out_rate(b) for b in ctx.alphabet.words(ctx.range_)]
-    return LocalBalanceTable(ctx, _balance_table(ctx, start))
+    return LocalBalanceTable(ctx, _balance_table(ctx))
 
 
-def _balance_table(ctx: CriterionContext, start: list) -> WordTable:
-    """start[b] + sum_u T[u -> b] * P(a u c) / P(a b c) for every index word
-    a b c, with start listed by the code of b, the terms added in the order
+def _balance_table(ctx: CriterionContext, exits: bool = True) -> WordTable:
+    """-T_out(b) (0 without `exits`) + sum_u T[u -> b] * P(a u c) / P(a b c)
+    for every index word a b c, from `T.coded`, the terms added in the order
     of T.entries(), and P the chain weight of `_chain_weights`."""
     alphabet, m, L = ctx.alphabet, ctx.memory, ctx.range_
     kappa, s = alphabet.kappa, ctx.window_length
-    moves = list(ctx.T.entries())
-    rates = [rate for _, _, rate in moves]
+    moves = ctx.T.coded
+    start = [-x for x in moves.exits] if exits else [0] * kappa ** L
     codes = np.arange(kappa ** s)
     b = codes // kappa ** m % kappa ** L
     # the codes of a 0^L c; a move u -> v at (a, c) reads a u c and writes a v c
     sides = (codes[:kappa ** m, None] * kappa ** (m + L) + codes[:kappa ** m]).ravel()
-    source, target = (np.array([alphabet.encode(w[k]) for w in moves], dtype=np.int64)
-                      .reshape(-1, 1) * kappa ** m + sides for k in (0, 1))
+    source, target = (w[:, None] * kappa ** m + sides for w in (moves.sources, moves.targets))
     den = exact_zero = None
     exact = ctx.scalar_context.exact
-    if exact:
-        scaled, scale = over_common_denominator(rates + start)
-        rates, start = scaled[:len(rates)], scaled[len(rates):]
-    else:
+    if not exact:
         untouched = np.array([not isinstance(x, float) for x in start])
-        untouched[[alphabet.encode(v) for _, v, _ in moves]] = False
+        untouched[moves.targets] = False
         exact_zero = untouched[b]
     dtype = object if exact else float
-    rates, chain = np.array(rates, dtype=dtype)[:, None], _chain_weights(ctx, s)
+    rates, chain = np.array(moves.rates, dtype=dtype)[:, None], _chain_weights(ctx, s)
     total = np.array(start, dtype=dtype)[b]
     if exact:
-        # numerators over scale * P(a b c), then reduced to one denominator
+        # numerators over den * P(a b c), then reduced to one denominator
         total = total * chain
         np.add.at(total, target.ravel(), (rates * chain[source]).ravel())
-        total, den = _over_one_denominator(total, scale * chain)
+        total, den = _over_one_denominator(total, moves.den * chain)
     else:
         np.add.at(total, target.ravel(), (rates * chain[source] / chain[target]).ravel())
     return WordTable(alphabet, s, total, den, exact_zero)
@@ -278,12 +273,10 @@ class WindowMoves:
 def window_moves(T: JumpRateMatrix, numerators: bool = False) -> WindowMoves:
     """T's moves grouped by window, for `cycle_jumps` to look up.  With
     `numerators` (exact T only) each rate is read as its Python-int numerator
-    over the rates' least common denominator and exit sums start at 0;
-    otherwise rates are as stored and exit sums start at Fraction(0)."""
+    over the rates' least common denominator (`T.coded`) and exit sums start
+    at 0; otherwise rates are as stored and exit sums start at Fraction(0)."""
     entries = list(T.entries())
-    rates = [rate for _, _, rate in entries]
-    if numerators:
-        rates = over_common_denominator(rates)[0]
+    rates = T.coded.rates if numerators else [rate for _, _, rate in entries]
     into: Dict[Word, list] = {}
     out_of: Dict[Word, list] = {}
     for (u, v, _), rate in zip(entries, rates):
@@ -501,7 +494,7 @@ def check_product_line(T: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Crit
 
     rho must have full support; partial supports go through restrict_support.
     """
-    rho = [Fraction(p) if not isinstance(p, float) else p for p in rho]
+    rho = [p if isinstance(p, (Fraction, float)) else Fraction(p) for p in rho]
     if any(p <= 0 for p in rho):
         raise ValueError("marginal must have full support; " + ZERO_DENOMINATOR_HINT)
     ctx = product_context(T, rho, tol)
@@ -771,7 +764,7 @@ def tail_bounds_advisory(ctx: CriterionContext) -> dict:
     Advisory only: a finite value over a truncation proves nothing about the
     full model and is reported as such.
     """
-    inflow = _balance_table(ctx, [Fraction(0)] * ctx.alphabet.kappa ** ctx.range_)
+    inflow = _balance_table(ctx, exits=False)
     sup_inflow = max(Fraction(0), *inflow.values())
     sup_exit = max((ctx.T.out_rate(b) for b in ctx.alphabet.words(ctx.range_)),
                    default=Fraction(0))

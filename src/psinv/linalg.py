@@ -5,11 +5,10 @@ A linear system is a list of sparse rows {column: coefficient}, absent
 entries zero, whose column `cols` holds the right-hand side, and
 `solve_linear` is its one solver.  The largest in scope is the length-3
 cyclic balance system of `search`: 25 rows by 24 unknowns (one per rotation
-orbit of the triples) at kappa = 4.  With rational entries the elimination
-is exact, fraction-free Gauss-Jordan in integers on the sparse rows, which
-the exact builders (the cycle systems, stationary laws and Perron vectors)
-already hand over as Python ints; with floats a pivot tolerance applies to
-dense rows.
+orbit of the triples) at kappa = 4.  Rational rows are eliminated exactly,
+by fraction-free Gauss-Jordan in integers (the exact builders hand over
+Python ints), and the solution stays Python ints over one common
+denominator until a caller needs Fractions; floats pivot above a tolerance.
 Dominant eigenpairs follow the usual nonnegative-matrix theory: for an
 irreducible nonnegative matrix the largest eigenvalue is simple with
 positive left/right eigenvectors, normalized so that l . 1 = 1 and l . r = 1.
@@ -93,19 +92,23 @@ class LinearSolution:
     """Affine description of the solutions of a linear system.
 
     status is "unique", "family" or "empty"; particular is one solution (None
-    when empty); basis spans the homogeneous solutions.
+    when empty); basis spans the homogeneous solutions.  Exact solutions hold
+    Python ints over their least common denominator `den`, float ones None.
     """
 
     status: str
     particular: Optional[List]
     basis: List[List]
+    den: Optional[int] = None
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def sample(self, coefficients: Sequence):
-        x = list(self.particular)
+    def sample(self, coefficients: Sequence, den: int = 1):
+        """particular + sum_k t_k basis_k; exact solutions take the t_k as
+        ints over den and give ints over self.den * den."""
+        x = list(self.particular) if self.den is None else [a * den for a in self.particular]
         for t, vec in zip(coefficients, self.basis):
             x = [a + t * v for a, v in zip(x, vec)]
         return x
@@ -117,7 +120,8 @@ def solve_linear(rows, cols: int, tol: float = 0.0) -> LinearSolution:
     Each row is sparse, {column: coefficient} with absent entries zero, and
     its column `cols` holds the right-hand side.  Rational rows with tol 0
     are solved exactly by Gauss-Jordan in integers: rows of Python ints as
-    they are, other rational rows each times the lcm of its denominators.
+    they are, other rational rows each times the lcm of its denominators;
+    the solution is read off the reduced rows over the lcm of their pivots.
     Other rows are made dense, Fraction(0) filling the absent entries (the
     float elimination's result types and signed zeros depend on these
     operands), and reduced with partial pivoting, pivots of size <= tol
@@ -134,29 +138,38 @@ def solve_linear(rows, cols: int, tol: float = 0.0) -> LinearSolution:
             scaled = [{c: v.numerator * (d // v.denominator) for c, v in row.items() if v}
                       for row, d in zip(rows, dens)]
         red, pivots = _gauss_jordan(scaled, cols + 1)
+        # row r: head x_c + sum_f red[r][f] x_f = red[r][cols], scaled so head = den
+        den = lcm(*(row[c] for row, c in zip(red, pivots)))
+        red = [{k: v * (den // row[c]) for k, v in row.items()} for row, c in zip(red, pivots)]
+        zero, one = 0, den
 
         def entry(r, c):
-            return Fraction(red[r][c], red[r][pivots[r]]) if c in red[r] else _ZERO
+            return red[r].get(c, 0)
     else:
         red, pivots = _rref_float([[row.get(c, _ZERO) for c in range(cols + 1)]
                                    for row in rows], tol)
+        den, zero = None, _ZERO if exact else 0.0
+        one = zero + 1
 
         def entry(r, c):
             return red[r][c]
     if cols in pivots:
         return LinearSolution("empty", None, [])
-    zero = _ZERO if exact else 0.0
     particular = [zero] * cols
     for r, c in enumerate(pivots):
         particular[c] = entry(r, cols)
     basis = []
     for f in sorted(set(range(cols)) - set(pivots)):
         vec = [zero] * cols
-        vec[f] = zero + 1
+        vec[f] = one
         for r, c in enumerate(pivots):
             vec[c] = -entry(r, f)
         basis.append(vec)
-    return LinearSolution("family" if basis else "unique", particular, basis)
+    if den is not None:  # over the least common denominator
+        g = gcd(den, *particular, *(v for vec in basis for v in vec))
+        particular, basis = [v // g for v in particular], [[v // g for v in vec] for vec in basis]
+        den //= g
+    return LinearSolution("family" if basis else "unique", particular, basis, den)
 
 
 def is_irreducible(A) -> bool:
@@ -199,7 +212,8 @@ def stationary_distribution(kernel: MarkovKernel) -> StationaryLaw:
         raise ValueError("kernel has no unique stationary law (reducible or periodic chain)")
     if any(v < 0 for v in sol.particular):
         raise ValueError("stationary vector has negative entries")
-    return StationaryLaw(kernel, dict(zip(states, sol.particular)))
+    rho = sol.particular if sol.den is None else [Fraction(v, sol.den) for v in sol.particular]
+    return StationaryLaw(kernel, dict(zip(states, rho)))
 
 
 @dataclass(frozen=True)
@@ -292,10 +306,10 @@ def perron_pair(A) -> EigenPair:
             rows = [{j: v for j, v in enumerate(row) if v} for row in M]
             cols = [{i: v for i, v in enumerate(col) if v} for col in zip(*M)]
             (right,), (left,) = solve_linear(rows, size).basis, solve_linear(cols, size).basis
-            total = sum(left)  # the signs follow: left . 1 = 1, left . right = 1
-            left = [v / total for v in left]
-            scale = sum(l * r for l, r in zip(left, right))
-            return EigenPair(Fraction(hi, den), left, [r / scale for r in right], True)
+            # integer null vectors, normalized (signs too): left . 1 = left . right = 1
+            total, scale = sum(left), sum(l * r for l, r in zip(left, right))
+            return EigenPair(Fraction(hi, den), [Fraction(v, total) for v in left],
+                             [Fraction(r * total, scale) for r in right], True)
 
     # float path: power iteration with all-ones start on the shifted matrix
     shifted = F + np.eye(size)

@@ -436,17 +436,6 @@ def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
 # reference measures on the finite spaces
 # ---------------------------------------------------------------------------
 
-def cyclic_chain_weight(kernel: MarkovKernel, x: Word):
-    """Unnormalized cyclic weight: product of kernel weights of the n wrapped
-    (m+1)-letter windows of x (the per-word form of gibbs_measure)."""
-    n = len(x)
-    weight = Fraction(1)
-    for j in range(n):
-        window = tuple(x[(j + i) % n] for i in range(kernel.memory + 1))
-        weight *= kernel.step_weight(window)
-    return weight
-
-
 def gibbs_measure(kernel: MarkovKernel, n: int) -> ScaledArray:
     """Normalized cyclic chain law on Z/nZ: the weight of x is the product of
     the kernel weights of its n wrapped (m+1)-letter windows (for memory 1
@@ -489,42 +478,6 @@ def segment_measure(law: StationaryLaw, n: int) -> List:
     """The stationary chain law restricted to n consecutive sites."""
     alphabet = law.alphabet
     return [law.marginal(alphabet.decode(i, n)) for i in range(alphabet.kappa ** n)]
-
-
-def line_balance_raw(T: JumpRateMatrix, law: StationaryLaw, x: Word):
-    """Direct unnormalized cylinder balance of x on the line.
-
-    Enumerates the dependence window of x (x plus L-1 sites each side) and
-    balances inflow against outflow under the stationary law; independent of
-    the window-sum machinery in the criteria module.
-    """
-    x = tuple(x)
-    n = len(x)
-    L = T.range_
-    q = L - 1
-    alphabet = law.alphabet
-    total = Fraction(0)
-    entries = list(T.entries())
-    for left in alphabet.words(q):
-        for right in alphabet.words(q):
-            w = left + x + right
-            weight = law.marginal(w)
-            if weight == 0:
-                continue
-            for offset in range(len(w) - L + 1):
-                src = w[offset:offset + L]
-                for u, v, rate in entries:
-                    # outflow: a jump src -> v changing some letter of x
-                    if u == src:
-                        z = w[:offset] + v + w[offset + L:]
-                        if z[q:q + n] != x:
-                            total -= weight * rate
-                    # inflow: a jump u -> src restoring x from elsewhere
-                    if v == src:
-                        z = w[:offset] + u + w[offset + L:]
-                        if z[q:q + n] != x:
-                            total += law.marginal(z) * rate
-    return total
 
 
 # ---------------------------------------------------------------------------

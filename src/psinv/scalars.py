@@ -77,15 +77,6 @@ def over_common_denominator(values) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def exact_sum(values) -> Fraction:
-    """The sum of a nonempty list of rationals, added over their common
-    denominator (the one value itself when it is alone)."""
-    if len(values) == 1:
-        return values[0]
-    nums, den = over_common_denominator(values)
-    return Fraction(sum(nums), den)
-
-
 @dataclass(frozen=True)
 class ScalarContext:
     """The one zero test: exact `== 0` when every input is rational,
@@ -111,6 +102,6 @@ class ScalarContext:
 def scalar_repr(value) -> str:
     """Render a scalar the way model files expect it ("p/q" for rationals)."""
     if is_exact(value):
-        f = Fraction(value)
+        f = value if isinstance(value, Fraction) else Fraction(value)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     return repr(float(value))

@@ -22,24 +22,26 @@ linear; solutions must then factor as a rank-one nonnegative symmetric
 matrix, and surviving marginals are verified against the original T.
 
 Both systems take each cyclic word's jumps from `criteria.cycle_jumps`,
-looked up in one grouping of T's moves by window per system.  An exact T
-gives rows of Python ints, its rates' numerators over their common
-denominator, which `linalg.solve_linear` eliminates as they are; float
-systems keep their Fraction(0) + rate entries and addition order.
+looked up in one grouping of T's moves by window.  An exact T gives rows of
+Python ints (its rates' numerators over their common denominator), and from
+the solve to the report every exact quantity stays Python ints over one
+denominator: solutions, samples, triple measures, rank-one factors, roots;
+Fractions are made only for kernels, laws and marginals that leave the
+search.  Float systems keep their Fraction(0) + rate entries and order.
 
-Affine solution families are sampled deterministically: polytope vertices
-(dimension <= 3) plus their centroid, falling back to the particular
-solution in higher dimension.  Trial marginals are kept when their product
-table kills the pair balances (on exact rows, one integer dot product per
-row with the marginal's raw integer weights), and two-colour instances
-solve the rank-one slice exactly in the Bernoulli parameter.
+Families are sampled deterministically: polytope vertices (dimension <= 3)
+plus their centroid, else the particular solution.  Trial marginals are kept
+when their product table kills the pair balances (on exact rows, integer
+dot products with raw weights), and two-colour instances solve the rank-one
+slice exactly in the Bernoulli parameter.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
@@ -54,45 +56,52 @@ MAX_VERTEX_DIM = 3
 
 @dataclass(frozen=True)
 class TripleMeasure:
-    """Rotation-invariant probability measure on three-letter words."""
+    """Rotation-invariant probability measure on three-letter words, by word
+    code (`Alphabet.words(3)` order): Python-int weights over `den` when
+    exact, floats when den is None."""
 
     kappa: int
-    nu: Mapping[Word, object]
+    weights: Tuple
+    den: Optional[int] = None
 
     def __post_init__(self):
-        alphabet = Alphabet(self.kappa)
-        values = [self.nu[w] for w in alphabet.words(3)]
-        total = sum(values)
-        zero = ScalarContext(all_exact(values)).is_zero
+        values, den, square = self.weights, self.den, Alphabet(self.kappa).kappa ** 2
+        if len(values) != square * self.kappa:
+            raise ValueError("triple measure needs one weight per three-letter word")
+        zero = ScalarContext(den is not None or all_exact(values)).is_zero
         if any(v < 0 for v in values):
             raise ValueError("triple measure has negative entries")
-        if not zero(total - 1):
-            raise ValueError(f"triple measure sums to {total}, not 1")
-        for a, b, c in alphabet.words(3):
-            if not zero(self.nu[(a, b, c)] - self.nu[(b, c, a)]):
-                raise ValueError("triple measure is not rotation invariant")
+        total = sum(values)
+        if not zero(total - (1 if den is None else den)):
+            raise ValueError(f"triple measure sums to "
+                             f"{total if den is None else Fraction(total, den)}, not 1")
+        # the word a b c has code c0 = a kappa^2 + (b c), b c a has (b c) kappa + a
+        if not all(zero(v - values[c0 % square * self.kappa + c0 // square])
+                   for c0, v in enumerate(values)):
+            raise ValueError("triple measure is not rotation invariant")
 
     @property
     def is_positive(self) -> bool:
-        return all(v > 0 for v in self.nu.values())
+        return all(v > 0 for v in self.weights)
 
 
 def triple_from_kernel(kernel: MarkovKernel) -> TripleMeasure:
-    """The cyclic length-3 weights of a kernel, trace-normalized."""
+    """The cyclic length-3 weights M_ab M_bc M_ca of a kernel (of the least
+    rotation a b c of each word; integers when exact), trace-normalized."""
     if kernel.memory != 1:
         raise ValueError("triple measures are built from memory-1 kernels")
-    E = kernel.alphabet.letters
-    raw = {}
-    for a, b, c in itertools.product(E, repeat=3):
-        rep = min((a, b, c), (b, c, a), (c, a, b))
-        if rep not in raw:
-            raw[rep] = kernel.prob(rep[:1], rep[1]) * kernel.prob(rep[1:2], rep[2]) * \
-                kernel.prob(rep[2:], rep[0])
-    trace = sum(raw[min((a, b, c), (b, c, a), (c, a, b))]
-                for a, b, c in itertools.product(E, repeat=3))
-    return TripleMeasure(kernel.alphabet.kappa,
-                         {(a, b, c): raw[min((a, b, c), (b, c, a), (c, a, b))] / trace
-                          for a, b, c in itertools.product(E, repeat=3)})
+    kappa = kernel.alphabet.kappa
+    steps, square = kernel.integer_steps[0] if kernel.is_exact else kernel.step_weights, kappa ** 2
+    codes = range(square * kappa)
+    turn = [c % square * kappa + c // square for c in codes]  # a b c -> b c a
+    raw = [steps[c // kappa] * steps[c % square] * steps[c % kappa * kappa + c // square]
+           for c in (min(c, turn[c], turn[turn[c]]) for c in codes)]
+    trace = sum(raw)
+    if not trace:
+        raise ZeroDivisionError("the kernel has no cycle of length 3")
+    if kernel.is_exact:
+        return TripleMeasure(kappa, tuple(raw), trace)
+    return TripleMeasure(kappa, tuple(v / trace for v in raw))
 
 
 # ---------------------------------------------------------------------------
@@ -101,40 +110,16 @@ def triple_from_kernel(kernel: MarkovKernel) -> TripleMeasure:
 
 @dataclass(frozen=True)
 class AffineFamily:
-    """Solutions of a linear system restricted to the probability simplex."""
+    """Solutions of a linear system restricted to the probability simplex.
+    Exact vertices and samples are Python ints over the one denominator
+    `den`; float ones are floats (den None)."""
 
     variables: Tuple[Word, ...]
     solution: LinearSolution
     vertices: Tuple[Tuple, ...]
     samples: Tuple[Tuple, ...]
     fully_sampled: bool
-
-
-def _polytope_vertices(solution: LinearSolution):
-    """Vertices of {particular + B t >= 0} by exact active-set enumeration."""
-    dim = solution.dimension
-    n = len(solution.particular)
-    if dim == 0:
-        point = tuple(solution.particular)
-        return [point] if all(v >= 0 for v in point) else []
-    if dim > MAX_VERTEX_DIM:
-        return []
-    vertices = set()
-    # coordinate i vanishes: sum_k basis[k][i] t_k = -particular[i], a row over t;
-    # exact rows are scaled to integers once, for every active set
-    rows = [[solution.basis[k][i] for k in range(dim)] + [-solution.particular[i]]
-            for i in range(n)]
-    if all_exact(v for row in rows for v in row):
-        rows = [over_common_denominator(row)[0] for row in rows]
-    rows = [dict(enumerate(row)) for row in rows]
-    for active in itertools.combinations(range(n), dim):
-        sol = solve_linear([rows[i] for i in active], dim)
-        if sol.status != "unique":
-            continue
-        point = tuple(solution.sample(sol.particular))
-        if all(v >= 0 for v in point):
-            vertices.add(point)
-    return sorted(vertices)
+    den: Optional[int] = None
 
 
 def _trial_marginals(kappa: int):
@@ -158,25 +143,46 @@ def _kills_balances(rows, balances: ScalarContext, values) -> bool:
 
 def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
     """The family of a solution in which variable i reads column columns[i]:
-    vertices are found on the solution, then expanded."""
+    the vertices of {particular + B t >= 0} by exact active-set enumeration
+    (dimension <= MAX_VERTEX_DIM) and their centroid, else the particular
+    solution if nonnegative; exact ones as ints over one denominator."""
     if solution.status == "empty":
         return AffineFamily(tuple(variables), solution, (), (), True)
-
-    def expand(vector):
-        return [vector[c] for c in columns]
-
-    vertices = sorted(tuple(expand(v)) for v in _polytope_vertices(solution))
-    samples = list(vertices)
-    fully = solution.dimension <= MAX_VERTEX_DIM
-    if len(vertices) > 1:
-        k = len(vertices)
-        centroid = tuple(sum(v[i] for v in vertices) / k for i in range(len(vertices[0])))
-        samples.append(centroid)
-    solution = LinearSolution(solution.status, expand(solution.particular),
-                              [expand(vector) for vector in solution.basis])
+    dim, n = solution.dimension, len(solution.particular)
+    # coordinate i vanishes: sum_k basis[k][i] t_k = -particular[i], a row
+    # over t (integer rows when the solution is exact)
+    rows = [dict(enumerate([solution.basis[k][i] for k in range(dim)] + [-solution.particular[i]]))
+            for i in range(n)]
+    exact, found = solution.den is not None, set()
+    for active in itertools.combinations(range(n), dim) if 0 < dim <= MAX_VERTEX_DIM else ():
+        sol = solve_linear([rows[i] for i in active], dim)
+        if sol.status == "unique":
+            t, d = sol.particular, sol.den or 1
+            if not exact and sol.den:  # a float family's exact active rows (mixed tables)
+                t, d = [Fraction(v, d) for v in t], 1
+            point = solution.sample(t, d)
+            if all(v >= 0 for v in point):  # t is unique, and so its reduced form
+                found.add((tuple(point[c] for c in columns), d))
+    if dim == 0 and all(v >= 0 for v in solution.particular):
+        found.add((tuple(solution.particular[c] for c in columns), 1))
+    common = lcm(*(d for _, d in found))  # 1 in a float family
+    vertices = sorted(tuple(v * (common // d) for v in p) for p, d in found)
+    den = solution.den and solution.den * common
+    samples, k = list(vertices), len(vertices)
+    if k > 1:
+        sums = [sum(v[i] for v in vertices) for i in range(len(vertices[0]))]
+        if den is None:
+            samples.append(tuple(x / k for x in sums))
+        else:  # the vertices over k den, then their centroid
+            vertices = [tuple(x * k for x in v) for v in vertices]
+            samples, den = vertices + [tuple(sums)], den * k
+    solution = LinearSolution(solution.status, [solution.particular[c] for c in columns],
+                              [[vector[c] for c in columns] for vector in solution.basis],
+                              solution.den)
     if not samples and all(v >= 0 for v in solution.particular):
         samples.append(tuple(solution.particular))
-    return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples), fully)
+    return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples),
+                        dim <= MAX_VERTEX_DIM, den)
 
 
 def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
@@ -253,47 +259,57 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
     Builds the ratio matrices N_a = [nu(a,x,y) / nu(a,x,a)], whose dominant
     eigenvalues must satisfy nu(a,a,a) * lambda_a^3 all equal (this sidesteps
     cube roots: the common value is the needed lambda^3).  The kernel then
-    comes from rho_a M_ab = sum_x nu(a,b,x) r_a(x) / lambda^3, exact when
-    every dominant eigenvalue is rational, else in floats (no rational
-    kernel can reproduce nu then); it is kept only if it reproduces nu
-    (within tol, relative to nu, when it is a float kernel).
+    comes from rho_a M_ab = sum_x nu(a,b,x) r_a(x) / lambda^3: on nu's
+    integer weights when nu is exact and every dominant eigenvalue rational
+    (a row's common factor cancels), kept if its triple measure is nu by
+    cross-multiplication.  Else no rational kernel reproduces nu: a float
+    kernel is kept if it reproduces nu within tol, relative to nu.
     """
     if T.range_ != 2:
         raise ValueError("kernel search needs range 2")
     if not nu.is_positive:
         return CandidateSet((), ("triple measure not strictly positive; skipped",))
-    E = range(nu.kappa)
-    pairs = []
-    for a in E:
-        N = [[nu.nu[(a, x, y)] / nu.nu[(a, x, a)] for y in E] for x in E]
-        pairs.append(perron_pair(N))
-    exact = all(p.exact for p in pairs)
-    lam3 = [nu.nu[(a, a, a)] * pairs[a].value ** 3 for a in E]
+    kappa, weights, den = nu.kappa, nu.weights, nu.den
+    E, square = range(kappa), kappa * kappa
+    ratio = Fraction if den is not None else operator.truediv
+    pairs = [perron_pair([[ratio(weights[a * square + x * kappa + y],
+                                 weights[a * square + x * kappa + a]) for y in E] for x in E])
+             for a in E]
+    exact = den is not None and all(p.exact for p in pairs)
     if exact:
-        equal = all(v == lam3[0] for v in lam3)
+        # nu(a,a,a) lambda_a^3 as (numerator, denominator), nu's den cancelling
+        lam3 = [(weights[a * (square + kappa + 1)] * p.value.numerator ** 3,
+                 p.value.denominator ** 3) for a, p in zip(E, pairs)]
+        equal = all(n * lam3[0][1] == lam3[0][0] * d for n, d in lam3)
+        rights = [over_common_denominator(p.right)[0] for p in pairs]
+        joint = [[sum(weights[a * square + b * kappa + x] * rights[a][x] for x in E)
+                  for b in E] for a in E]
     else:
+        value = weights.__getitem__ if den is None else (lambda c: Fraction(weights[c], den))
+        lam3 = [value(a * (square + kappa + 1)) * pairs[a].value ** 3 for a in E]
         zero = ScalarContext(False, tol, abs(float(lam3[0])) or 1.0).is_zero
         equal = all(zero(float(v) - float(lam3[0])) for v in lam3)
+        joint = equal and [[sum(value(a * square + b * kappa + x) * pairs[a].right[x]
+                                for x in E) / lam3[0] for b in E] for a in E]
     if not equal:
         return CandidateSet((), ("ratio matrices have distinct dominant eigenvalues",))
-    lam_cubed = lam3[0]
-    joint = [[sum(nu.nu[(a, b, x)] * pairs[a].right[x] for x in E) / lam_cubed
-              for b in E] for a in E]
     rho = [sum(row) for row in joint]
     if any(r <= 0 for r in rho):
         return CandidateSet((), ("reconstructed joint law not positive",))
-    rows = [[joint[a][b] / rho[a] for b in E] for a in E]
     if exact:
-        kernel = MarkovKernel.from_matrix(rows)
+        kernel = MarkovKernel.from_matrix([[Fraction(v, r) for v in row]
+                                           for row, r in zip(joint, rho)])
+        rebuilt = triple_from_kernel(kernel)
+        verified = all(v * den == w * rebuilt.den for v, w in zip(rebuilt.weights, weights))
     else:
-        float_rows = [[float(v) for v in row] for row in rows]
-        kernel = MarkovKernel.from_matrix([[v / sum(row) for v in row] for row in float_rows])
-    rebuilt = triple_from_kernel(kernel)
-    test = ScalarContext(kernel.is_exact, tol, max(1, max(abs(v) for v in nu.nu.values())))
-    if not all(test.is_zero(rebuilt.nu[w] - nu.nu[w]) for w in rebuilt.nu):
-        kind = "exact" if kernel.is_exact else "float"
-        return CandidateSet((), (f"candidate failed {kind} verification",))
-    notes = () if kernel.is_exact else ("numeric candidate (no exact certificate)",)
+        rows = [[float(v / r) for v in row] for row, r in zip(joint, rho)]
+        kernel = MarkovKernel.from_matrix([[v / sum(row) for v in row] for row in rows])
+        test = ScalarContext(False, tol, 1 if den is not None else max(1, *map(abs, weights)))
+        verified = all(test.is_zero(v - value(c))
+                       for c, v in enumerate(triple_from_kernel(kernel).weights))
+    if not verified:
+        return CandidateSet((), (f"candidate failed {'exact' if exact else 'float'} verification",))
+    notes = () if exact else ("numeric candidate (no exact certificate)",)
     return CandidateSet((Candidate(kernel, stationary_distribution(kernel)),), notes)
 
 
@@ -342,9 +358,8 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
         (exact_found if cand.exact else numeric_found).append(cand)
 
     for point in family.samples:
-        nu_map = dict(zip(family.variables, point))
         try:
-            nu = TripleMeasure(T.alphabet.kappa, nu_map)
+            nu = TripleMeasure(T.alphabet.kappa, point, family.den)
         except ValueError:
             continue
         if not nu.is_positive:
@@ -370,39 +385,39 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
 # product-measure search
 # ---------------------------------------------------------------------------
 
-def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    """The square root of a nonnegative rational when it is rational."""
-    rn, rd = isqrt(value.numerator), isqrt(value.denominator)
-    if rn * rn == value.numerator and rd * rd == value.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _sqrt_exact(value):
-    """Exact square root of a nonnegative rational, or float fallback."""
-    root = _rational_sqrt(Fraction(value)) if is_exact(value) else None
-    return float(value) ** 0.5 if root is None else root
+    """Square root of a nonnegative scalar: a Fraction when rational, else a float."""
+    if is_exact(value):
+        num, den = Fraction(value).as_integer_ratio()
+        rn, rd = isqrt(num), isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return Fraction(rn, rd)
+    return float(value) ** 0.5
 
 
-def _factor_rank_one(kappa: int, pair_values, tol: float):
-    """Try to factor a symmetric pair table as rho x rho; None if impossible."""
-    exact = all(is_exact(v) for v in pair_values.values())
-    rho = [_sqrt_exact(pair_values[(u, u)]) for u in range(kappa)]
-    exact_test, float_test = ScalarContext(True), ScalarContext(False, tol)
+def _factor_rank_one(kappa: int, values, den: Optional[int], tol: float):
+    """Factor a symmetric pair table (by pair code) as rho x rho: (weights,
+    den) with rho = weights / den, or None.  Exact tables (ints over den)
+    with square N_uu den take s_u = isqrt(N_uu den), s_u s_v = N_uv den; a
+    float table or a non-square diagonal falls back to floats (den None)."""
+    diagonal = range(0, kappa * kappa, kappa + 1)
+    if den is not None:
+        roots = [isqrt(values[c] * den) for c in diagonal]
+        if all(r * r == values[c] * den for r, c in zip(roots, diagonal)):
+            rank_one = all(roots[c // kappa] * roots[c % kappa] == v * den
+                           for c, v in enumerate(values))
+            return (roots, sum(roots)) if rank_one and sum(roots) else None
+        values = [Fraction(v, den) for v in values]
+    exact = all(is_exact(v) for v in values)
+    rho = [_sqrt_exact(values[c]) for c in diagonal]
     for u in range(kappa):
         for v in range(kappa):
-            lhs = rho[u] * rho[v]
-            rhs = pair_values[(u, v)]
-            if exact and is_exact(lhs):
-                gap, test = lhs - rhs, exact_test
-            else:
-                gap, test = float(lhs) - float(rhs), float_test
-            if not test.is_zero(gap):
+            lhs, rhs = rho[u] * rho[v], values[u * kappa + v]
+            if lhs != rhs if exact and is_exact(lhs) else \
+                    not ScalarContext(False, tol).is_zero(float(lhs) - float(rhs)):
                 return None
     total = sum(rho)
-    if total == 0:
-        return None
-    return [r / total for r in rho]
+    return ([r / total for r in rho], None) if total != 0 else None
 
 
 @dataclass(frozen=True)
@@ -419,10 +434,17 @@ _PAIR_POLYNOMIALS = {(0, 0): (1, -2, 1), (0, 1): (0, 1, -1), (1, 0): (0, 1, -1),
                      (1, 1): (0, 0, 1)}
 
 
+def _integer_coefficients(poly):
+    """Rational (or float, read exactly) coefficients over their common denominator."""
+    ratios = [c.as_integer_ratio() for c in poly]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios]
+
+
 def _rational_roots(poly):
-    """Rational roots in (0, 1) of a polynomial of degree <= 2 with rational
-    (or float, read exactly) coefficients, by the linear or quadratic formula."""
-    poly = [Fraction(c) for c in poly]
+    """Rational roots in (0, 1) of a polynomial of degree <= 2 with integer
+    coefficients (increasing degree), by the linear or quadratic formula."""
+    poly = list(poly)
     while poly and poly[-1] == 0:
         poly.pop()
     if len(poly) > 3:
@@ -430,15 +452,16 @@ def _rational_roots(poly):
     if len(poly) < 2:
         return []
     if len(poly) == 2:
-        roots = {-poly[0] / poly[1]}
+        roots = [(-poly[0], poly[1])]
     else:
         c, b, a = poly
         disc = b * b - 4 * a * c
-        root = _rational_sqrt(disc) if disc >= 0 else None
-        if root is None:
+        root = isqrt(disc) if disc >= 0 else None
+        if root is None or root * root != disc:
             return []
-        roots = {(-b + root) / (2 * a), (-b - root) / (2 * a)}
-    return sorted(r for r in roots if 0 < r < 1)
+        roots = [(-b + root, 2 * a), (-b - root, 2 * a)]
+    # n / d lies in (0, 1) exactly when 0 < n d < d^2
+    return sorted({Fraction(n, d) for n, d in roots if 0 < n * d < d * d})
 
 
 def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchReport:
@@ -459,8 +482,10 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     notes: List[str] = []
     seen = set()
 
-    def consider(rho):
-        rho = tuple(rho)
+    def consider(weights, den=None):
+        # a marginal weights / den, or floats; seen by value, so that a float
+        # marginal and an equal exact one count once
+        rho = tuple(weights) if den is None else tuple(Fraction(v, den) for v in weights)
         if rho in seen:
             return
         seen.add(rho)
@@ -473,19 +498,15 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
                          "verify through restrict_support on its support")
 
     for point in family.samples:
-        pair_values = dict(zip(family.variables, point))
-        rho = _factor_rank_one(kappa, pair_values, tol)
-        if rho is not None:
-            consider(rho)
-
-    def marginal(raw):
-        return tuple(Fraction(v, sum(raw)) for v in raw)
+        factor = _factor_rank_one(kappa, point, family.den, tol)
+        if factor is not None:
+            consider(*factor)
 
     for raw in _trial_marginals(kappa):
         # exact rows are tested on the raw weights: a pair (u, v) weighs raw_u raw_v
-        weights = raw if balances.exact else marginal(raw)
+        weights = raw if balances.exact else [Fraction(v, sum(raw)) for v in raw]
         if _kills_balances(rows, balances, [weights[u] * weights[v] for u, v in rows]):
-            consider(marginal(raw))
+            consider(raw, sum(raw))
 
     bernoulli_all = False
     roots: Tuple = ()
@@ -496,17 +517,18 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
         polys = [[sum((r * _PAIR_POLYNOMIALS[keys[c]][d] for c, r in row.items() if c != k),
                       row[k] * _PAIR_POLYNOMIALS[w][d]) for d in range(3)]
                  for k, (w, row) in enumerate(rows.items())]
-        live = [p for p in polys if any(c != 0 for c in p)]
+        live = [_integer_coefficients(p) for p in polys if any(c != 0 for c in p)]
         if not live:
             bernoulli_all = True
-            for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                consider((1 - p, p))
+            for p in (1, 2, 3):
+                consider((4 - p, p), 4)
         else:
+            # p = n / q is a root of c0 + c1 p + c2 p^2 when c0 q^2 + c1 n q + c2 n^2 = 0
             roots = tuple(p for p in _rational_roots(live[0])
-                          if all(sum(Fraction(c) * p ** d for d, c in enumerate(poly)) == 0
-                                 for poly in live[1:]))
+                          if all(sum(c * p.numerator ** d * p.denominator ** (2 - d)
+                                     for d, c in enumerate(poly)) == 0 for poly in live[1:]))
             for p in roots:
-                consider((1 - p, p))
+                consider((p.denominator - p.numerator, p.numerator), p.denominator)
     if T.is_zero:
         notes.append("zero dynamics: every product measure is invariant")
     return ProductSearchReport(family, tuple(candidates), bernoulli_all, roots, tuple(notes))

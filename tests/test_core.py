@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from psinv.core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw,
-                        induced_rate_cyclic, product_law)
+from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, product_law
 from psinv.models import tasep, voter
+from psinv.scalars import over_common_denominator
 
-from conftest import random_jrm
+from conftest import random_jrm, rational
+from z_reference import induced_rate_cyclic, pinned, reference_exit_rates
 
 
 def brute_cyclic_rate(T, w, z):
@@ -118,3 +120,46 @@ class TestKernelsAndLaws:
         kernel = MarkovKernel.from_matrix([[Fraction(1, 2), Fraction(1, 2)],
                                            [Fraction(1, 4), Fraction(3, 4)]])
         assert kernel.word_weight((0, 1, 1)) == Fraction(1, 2) * Fraction(3, 4)
+
+
+class TestCodedMoves:
+    """The coded form of a rate table against its entries and
+    `over_common_denominator`, and its exit rates against the sums the
+    table made at construction: exact by value, floats bit for bit."""
+
+    @staticmethod
+    def tables():
+        """(alphabet, range, rates): seeded exact, float and mixed tables,
+        and the tables with no moves."""
+        rng = random.Random("coded-moves")
+        for kappa, range_ in ((2, 1), (2, 2), (3, 2), (2, 3), (4, 2)):
+            alphabet = Alphabet(kappa)
+            words = list(alphabet.words(range_))
+            yield alphabet, range_, {}
+            for _ in range(3):
+                rates = {tuple(rng.sample(words, 2)): rational(rng, 1, 99) / rational(rng)
+                         for _ in range(2 * kappa)}
+                yield alphabet, range_, rates
+                yield alphabet, range_, {key: float(r) for key, r in rates.items()}
+                yield alphabet, range_, {key: float(r) if i % 2 else r
+                                         for i, (key, r) in enumerate(rates.items())}
+
+    def test_codes_rates_and_exit_rates(self):
+        for alphabet, range_, rates in self.tables():
+            T = JumpRateMatrix(alphabet, range_, rates)
+            coded, entries = T.coded, list(T.entries())
+            words = list(alphabet.words(range_))
+            assert coded.sources.tolist() == [alphabet.encode(u) for u, _, _ in entries]
+            assert coded.targets.tolist() == [alphabet.encode(v) for _, v, _ in entries]
+            exits = reference_exit_rates(rates)
+            expected = [exits.get(w, Fraction(0)) for w in words]
+            if T.is_exact:
+                nums, den = over_common_denominator([rate for _, _, rate in entries])
+                assert (coded.rates, coded.den) == (nums, den)
+                assert coded.exits == [e * den for e in expected]
+                assert all(type(v) is int for v in coded.rates + coded.exits)
+            else:
+                assert coded.den is None
+                assert [pinned(r) for r in coded.rates] == [pinned(r) for _, _, r in entries]
+                assert [pinned(e) for e in coded.exits] == [pinned(e) for e in expected]
+            assert [pinned(T.out_rate(w)) for w in words] == [pinned(e) for e in expected]

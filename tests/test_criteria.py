@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel, induced_rate_cyclic
+from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import (check_markov_cycle, check_markov_line,
                             check_markov_small_cycles, check_product_cycle,
                             check_product_general_graph, check_product_line,
@@ -15,7 +15,7 @@ from psinv.criteria import (check_markov_cycle, check_markov_line,
 from psinv.models import contact, hmc_example, stochastic_ising, tasep, tasep3, voter
 
 from conftest import random_jrm, random_kernel, random_marginal, rational
-from z_reference import cyclic_window_sum, window_sum
+from z_reference import cyclic_window_sum, induced_rate_cyclic, window_sum
 
 F = Fraction
 

@@ -2,9 +2,10 @@
 
 Neither side imports from the other, so an agreement between them is a
 check and not a tautology; in particular both compute their short cycle
-rates themselves, not through `core.induced_rate_cyclic`, which stays the
-tests' reference.  The imports are read from the source with `ast`, not by
-importing.
+rates themselves, not through `induced_rate_cyclic`, the tests' per-word
+reference in `z_reference` (with `cyclic_chain_weight` and
+`line_balance_raw`), which the package does not define.  The imports are
+read from the source with `ast`, not by importing.
 """
 import ast
 import os

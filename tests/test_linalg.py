@@ -9,13 +9,14 @@ from psinv import models
 from psinv import linalg
 from psinv.core import Alphabet, MarkovKernel, StationaryLaw
 from psinv.linalg import perron_pair, solve_linear, stationary_distribution
-from psinv.search import _rational_sqrt, triple_from_kernel
+from psinv.search import _sqrt_exact, triple_from_kernel
 
 from test_golden import MODELS
 from test_search import RANGE2_MODELS, as_float, cycle_systems
 from conftest import random_kernel
-from z_reference import (invariant_instance, perturbed_instance, pinned, reference_law_check,
-                         reference_solve, reference_stationary)
+from z_reference import (fraction_solution, invariant_instance, perturbed_instance, pinned,
+                         reference_law_check, reference_solve, reference_stationary,
+                         triple_values)
 
 F = Fraction
 
@@ -47,6 +48,7 @@ def pinned_solution(sol):
     floats bit for bit."""
     def pin(vector):
         return None if vector is None else [pinned(v) for v in vector]
+    sol = fraction_solution(sol)
     return sol.status, pin(sol.particular), [pin(v) for v in sol.basis]
 
 
@@ -107,7 +109,7 @@ class TestSolveLinear:
             A = [[F(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
             x = [F(rng.randint(-3, 3)) for _ in range(cols)]
             b = mat_vec(A, x)
-            sol = solve_linear(sparse([row + [v] for row, v in zip(A, b)]), cols)
+            sol = fraction_solution(solve_linear(sparse([row + [v] for row, v in zip(A, b)]), cols))
             assert sol.status != "empty"
             assert mat_vec(A, sol.particular) == b
             for vec in sol.basis:
@@ -133,9 +135,10 @@ class TestSparseRows:
                 yield [[float(v) for v in row] for row in matrix], 1e-12
 
     def test_integer_rows_go_to_elimination_as_they_are(self, monkeypatch):
-        # rows of Python ints (zeros included) are not rescaled: no lcm is
-        # taken, elimination sees the nonzero entries unchanged, and the
-        # solutions are those of the same rows as Fractions
+        # rows of Python ints (zeros included) are not rescaled: one lcm is
+        # taken, of the reduced rows' pivots for the solution's denominator,
+        # elimination sees the nonzero entries unchanged, and the solutions
+        # are those of the same rows as Fractions
         for matrix, tol in self.systems("integers"):
             if tol:
                 continue
@@ -143,14 +146,15 @@ class TestSparseRows:
             den = math.lcm(*(v.denominator for row in matrix for v in row))
             rows = [{c: int(v * den) for c, v in row.items()} for row in sparse(matrix, True)]
             expected = pinned_solution(assert_matches_reference(sparse(matrix), cols))
-            seen = []
+            seen, lcms = [], []
             eliminate = linalg._gauss_jordan
             with monkeypatch.context() as patch:
-                patch.setattr(linalg, "lcm", None)
+                patch.setattr(linalg, "lcm", lambda *heads: lcms.append(heads) or math.lcm(*heads))
                 patch.setattr(linalg, "_gauss_jordan", lambda pending, width:
                               seen.append(pending) or eliminate(pending, width))
                 assert pinned_solution(solve_linear(rows, cols)) == expected
             assert seen == [[{c: v for c, v in row.items() if v} for row in rows]]
+            assert len(lcms) == 1
 
     def test_explicit_zero_entries(self):
         for matrix, tol in self.systems("zeros"):
@@ -515,7 +519,7 @@ class TestPerronPair:
         while irrational < 6:
             a, b, c, d = (F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(4))
             disc = (a - d) ** 2 + 4 * b * c
-            if _rational_sqrt(disc) is not None:
+            if isinstance(_sqrt_exact(disc), F):
                 continue
             irrational += 1
             assert not perron_pair([[a, b], [c, d]]).exact
@@ -618,7 +622,7 @@ class TestPerronPair:
                     cuts = sorted(rng.sample(range(1, den), kappa - 1))
                     row = [F(b - c, den) for b, c in zip(cuts + [den], [0] + cuts)]
                 rows.append(row)
-            nu = triple_from_kernel(MarkovKernel.from_matrix(rows)).nu
+            nu = triple_values(triple_from_kernel(MarkovKernel.from_matrix(rows)))
             for a in range(kappa):
                 N = [[nu[(a, x, y)] / nu[(a, x, a)] for y in range(kappa)] for x in range(kappa)]
                 start = len(tested)

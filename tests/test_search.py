@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import random
 import time
@@ -10,17 +11,21 @@ from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import (check_product_line, cycle_jumps, product_context, symmetrize,
                             window_moves, z_table)
 from psinv.linalg import solve_linear
-from psinv.search import (TripleMeasure, _cycle_system, _family, _kills_balances,
-                          _rational_roots, _trial_marginals, candidate_kernels, find_markov,
+from psinv.search import (TripleMeasure, _cycle_system, _factor_rank_one, _family,
+                          _kills_balances, _rational_roots, _trial_marginals,
+                          candidate_kernels, find_markov,
                           find_product, kernel_from_ratios, ratio_table, solve_cycle3_system,
                           triple_from_kernel)
 from psinv import models
 from psinv.models import kappa2_general, tasep, tasep3
 from psinv.scalars import over_common_denominator
 
-from conftest import random_jrm, random_kernel, rational
+from conftest import random_jrm, random_kernel, random_marginal, rational
 from test_golden import MODELS
-from z_reference import pinned, reference_cycle_jumps, reference_cycle_rows, reference_solve
+from z_reference import (exact_triple, fraction_family, fraction_solution, pinned,
+                         reference_cycle_jumps, reference_cycle_rows, reference_factor_rank_one,
+                         reference_family, reference_solve, reference_triple_check,
+                         triple_values)
 
 F = Fraction
 
@@ -29,7 +34,7 @@ def in_family(family, point, pivot=0.0):
     """Membership of a point in an affine family, up to the pivot tolerance
     of its system (0 for exact systems): solve for coefficients.  This was
     find_product's test of its trial marginals before the pair-row test."""
-    sol = family.solution
+    sol = fraction_solution(family.solution)
     if sol.status == "empty":
         return False
     diff = [p - q for p, q in zip(point, sol.particular)]
@@ -77,9 +82,10 @@ def reference_pair_rows(T):
     return variables, rows
 
 
-def reference_family(variables, rows):
+def reference_tied_family(variables, rows):
     """Rotation-invariant points of the probability simplex killing the rows,
-    solved by the dense reference solve and sampled like the search systems."""
+    solved by the dense reference solve and sampled like the search systems
+    in Fractions."""
     pos = {w: i for i, w in enumerate(variables)}
     rows = [list(row) for row in rows]
     for w in variables:
@@ -91,7 +97,7 @@ def reference_family(variables, rows):
             rows.append(row)
     rows.append([F(1)] * len(variables))
     rhs = [F(0)] * (len(rows) - 1) + [F(1)]
-    return _family(variables, reference_solve(rows, rhs), range(len(variables)))
+    return reference_family(variables, reference_solve(rows, rhs), range(len(variables)))
 
 
 def random_range2(rng, kappa):
@@ -112,11 +118,9 @@ def random_range2(rng, kappa):
 
 
 def assert_same_family(family, reference):
-    assert family.variables == reference.variables
-    assert family.solution == reference.solution
-    assert family.vertices == reference.vertices
-    assert family.samples == reference.samples
-    assert family.fully_sampled == reference.fully_sampled
+    """The family equals the Fraction reference, its integer solution,
+    vertices and samples read over their denominators."""
+    assert fraction_family(family) == reference
 
 
 def as_float(T):
@@ -147,11 +151,11 @@ class TestFloatFamilies:
 class TestTripleMeasure:
     def test_rotation_validation(self):
         nu = {w: F(1, 8) for w in Alphabet(2).words(3)}
-        TripleMeasure(2, nu)
+        exact_triple(2, nu)
         nu[(0, 0, 1)] = F(1, 4)
         nu[(0, 1, 1)] = F(0)
         with pytest.raises(ValueError):
-            TripleMeasure(2, nu)
+            exact_triple(2, nu)
 
     def test_from_kernel_is_valid(self, rng):
         for _ in range(5):
@@ -171,7 +175,7 @@ class TestCycle3System:
         for p in (F(1, 5), F(1, 2), F(7, 9)):
             kernel = MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]])
             nu = triple_from_kernel(kernel)
-            point = tuple(nu.nu[w] for w in family.variables)
+            point = tuple(triple_values(nu)[w] for w in family.variables)
             assert in_family(family, point)
 
     def test_range_checked(self):
@@ -184,7 +188,7 @@ class TestCycle3System:
             for _ in range(draws):
                 T = random_range2(rng, kappa)
                 assert_same_family(solve_cycle3_system(T),
-                                   reference_family(*reference_cycle3_rows(T)))
+                                   reference_tied_family(*reference_cycle3_rows(T)))
 
 
 def assert_rotation_invariant(family):
@@ -213,7 +217,7 @@ class TestOrbitSystem:
         # necklaces of length n over kappa letters
         assert len(rows) == {2: kappa * (kappa + 1) // 2, 3: (kappa ** 3 + 2 * kappa) // 3}[n]
         reference = reference_cycle3_rows(T) if n == 3 else reference_pair_rows(T)
-        assert_same_family(family, reference_family(*reference))
+        assert_same_family(family, reference_tied_family(*reference))
         if n == 3:
             assert_rotation_invariant(family)
 
@@ -363,7 +367,7 @@ class TestCandidateKernels:
                 [(M.matrix(), True)], rows
 
     def test_uniform_triple_gives_uniform_kernel(self):
-        nu = TripleMeasure(2, {w: F(1, 8) for w in Alphabet(2).words(3)})
+        nu = exact_triple(2, {w: F(1, 8) for w in Alphabet(2).words(3)})
         result = candidate_kernels(tasep().jrm, nu)
         assert result.candidates[0].kernel.matrix() == \
             [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
@@ -372,7 +376,7 @@ class TestCandidateKernels:
         nu_map = {w: F(0) for w in Alphabet(2).words(3)}
         nu_map[(0, 0, 0)] = F(1, 2)
         nu_map[(1, 1, 1)] = F(1, 2)
-        nu = TripleMeasure(2, nu_map)
+        nu = exact_triple(2, nu_map)
         result = candidate_kernels(tasep().jrm, nu)
         assert not result.candidates
 
@@ -380,17 +384,17 @@ class TestCandidateKernels:
         # perturbing one rotation class breaks the product structure: either
         # the eigenvalues split or the verification fails, never a bad kernel
         M = random_kernel(rng, kappa=2)
-        nu = dict(triple_from_kernel(M).nu)
+        nu = triple_values(triple_from_kernel(M))
         eps = F(1, 50)
         for w in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
             nu[w] = nu[w] + eps
         for w in ((0, 1, 1), (1, 1, 0), (1, 0, 1)):
             nu[w] = nu[w] - eps
-        measure = TripleMeasure(2, nu)
+        measure = exact_triple(2, nu)
         result = candidate_kernels(tasep().jrm, measure)
         for cand in result.candidates:
             rebuilt = triple_from_kernel(cand.kernel)
-            assert all(rebuilt.nu[w] == nu[w] for w in nu)
+            assert triple_values(rebuilt) == nu
 
 
 class TestFindMarkov:
@@ -411,9 +415,9 @@ class TestFindMarkov:
         built = []
         real = criteria._balance_table
 
-        def counting(ctx, start):
+        def counting(ctx, *args):
             built.append(ctx.memory)
-            return real(ctx, start)
+            return real(ctx, *args)
 
         monkeypatch.setattr(criteria, "_balance_table", counting)
         products = find_product(tasep().jrm)
@@ -435,7 +439,7 @@ class TestFindMarkov:
         for cand in report.candidates:
             ctx_nu = triple_from_kernel(cand.kernel)
             family = solve_cycle3_system(tasep().jrm)
-            point = tuple(ctx_nu.nu[w] for w in family.variables)
+            point = tuple(triple_values(ctx_nu)[w] for w in family.variables)
             assert in_family(family, point)
 
     def test_mass_preserving_two_colours_only_iid(self, rng):
@@ -474,7 +478,7 @@ class TestFindProduct:
             for _ in range(8):
                 T = random_range2(rng, kappa)
                 assert_same_family(find_product(T).family,
-                                   reference_family(*reference_pair_rows(T)))
+                                   reference_tied_family(*reference_pair_rows(T)))
 
     @pytest.mark.parametrize("spec", [tasep(), tasep3(1, 2, 1)], ids=["tasep", "tasep3_121"])
     def test_float_and_exact_list_the_same_candidates(self, spec):
@@ -511,12 +515,11 @@ class TestFindProduct:
                         assert all(type(v) is int for v in values) == table.is_exact
                         assert _kills_balances(rows, balances, values) == inside
                         kept[table.is_exact] += inside
-                    for point in family.samples:
+                    for point, read in zip(family.samples, fraction_family(family)[3]):
+                        # exact samples are ints over the family's denominator
                         weight = dict(zip(family.variables, point))
                         values = [weight[k] for k in rows]
-                        if table.is_exact:  # the sample over its common denominator
-                            values = over_common_denominator(values)[0]
-                        assert in_family(family, point, pivot)
+                        assert in_family(family, read, pivot)
                         assert _kills_balances(rows, balances, values)
         assert statuses == {"unique", "family"}
         assert min(kept) >= 8, kept
@@ -553,12 +556,12 @@ class TestFindProduct:
         assert time.perf_counter() - start < 0.5
 
     def test_rational_roots_formulas(self):
-        assert _rational_roots([F(-1, 3), F(1)]) == [F(1, 3)]         # p - 1/3
-        assert _rational_roots([F(2, 9), F(-1), F(1)]) == [F(1, 3), F(2, 3)]
-        assert _rational_roots([F(-1, 2), F(0), F(1)]) == []          # p^2 = 1/2
-        assert _rational_roots([F(1), F(0), F(1)]) == []              # no real root
-        assert _rational_roots([F(0), F(0), F(1)]) == []              # p = 0 only
-        assert _rational_roots([F(5)]) == []
+        assert _rational_roots([-1, 3]) == [F(1, 3)]                  # 3 p - 1
+        assert _rational_roots([2, -9, 9]) == [F(1, 3), F(2, 3)]
+        assert _rational_roots([-1, 0, 2]) == []                      # p^2 = 1/2
+        assert _rational_roots([1, 0, 1]) == []                       # no real root
+        assert _rational_roots([0, 0, 1]) == []                       # p = 0 only
+        assert _rational_roots([5]) == []
 
 
 def seven_digits(rng):
@@ -647,3 +650,174 @@ class TestRatioTables:
         table[((0, 0, 0, 0), (0, 0))] = F(2)
         with pytest.raises(ValueError, match="must be 1"):
             kernel_from_ratios(table, 2)
+
+
+def raised(fn, *args):
+    """The message of the ValueError fn raises, None when it returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def family_systems(seed):
+    """Seeded systems over n unknowns with a positive solution q / sum(q):
+    n - 1 - d random integer rows orthogonal to q, then the row of ones with
+    right-hand side 1, for d = 0..4 below n: (rows, n), families of
+    dimension d."""
+    rng = random.Random(seed)
+    for n in (3, 4, 5, 6):
+        for dim in range(min(n - 1, 5)):
+            q = [rng.randint(1, 5) for _ in range(n)]
+            rows = []
+            for _ in range(n - 1 - dim):
+                row = [rng.randint(-4, 4) for _ in range(n - 1)]
+                # the last coefficient makes row . q = 0, scaled to integers
+                last = F(-sum(a * b for a, b in zip(row, q)), q[-1])
+                row = [a * last.denominator for a in row] + [last.numerator]
+                rows.append({c: v for c, v in enumerate(row) if v})
+            yield rows + [dict.fromkeys(range(n + 1), 1)], n
+
+
+class TestIntegerCandidates:
+    """The integer forms of the search's candidates (solutions, samples,
+    triple measures, rank-one factors) against their Fraction references."""
+
+    @staticmethod
+    def measures(rng, kappa):
+        """(label, {word: value}): a kernel's triple measure, and the same
+        with a negative entry, unnormalised, or not rotation invariant."""
+        nu = triple_values(triple_from_kernel(random_kernel(rng, kappa=kappa)))
+        yield "valid", nu
+        w = rng.choice([w for w in nu if len(set(w)) > 1])
+        yield "negative", {**nu, w: -nu[w]}
+        yield "unnormalised", {x: 2 * v for x, v in nu.items()}
+        turned, eps = w[1:] + w[:1], nu[w] / 3
+        yield "not-rotation-invariant", {**nu, w: nu[w] + eps, turned: nu[turned] - eps}
+
+    def test_triple_measure_checks_match_reference(self):
+        rng = random.Random("triple-checks")
+        for kappa in (2, 3, 4):
+            for _ in range(4):
+                for label, nu in self.measures(rng, kappa):
+                    expected = raised(reference_triple_check, kappa, nu)
+                    assert (expected is None) == (label == "valid"), label
+                    assert raised(exact_triple, kappa, nu) == expected
+                    floats = {w: float(v) for w, v in nu.items()}
+                    assert raised(TripleMeasure, kappa, tuple(floats.values())) == \
+                        raised(reference_triple_check, kappa, floats)
+
+    @staticmethod
+    def pair_tables(rng, kappa):
+        """Seeded symmetric pair tables {(u, v): value}: rank one with square
+        diagonals, square diagonals off rank one, non-square diagonals near
+        and far from rank one, and each in floats."""
+        rho = random_marginal(rng, kappa)
+        table = {(u, v): rho[u] * rho[v] for u in range(kappa) for v in range(kappa)}
+        off = {**table, (0, 1): 2 * table[(0, 1)], (1, 0): 2 * table[(1, 0)]}
+        for near in (F(1, 10 ** 15), F(1, 100)):
+            # rho_0^2 (1 + near) is not a square: near passes the float test
+            yield {**table, (0, 0): table[(0, 0)] * (1 + near)}
+        for exact in (table, off):
+            yield exact
+            yield {key: float(v) for key, v in exact.items()}
+
+    def test_factor_rank_one_matches_reference(self):
+        rng = random.Random("rank-one")
+        outcomes = set()
+        for kappa in (2, 3, 4):
+            for _ in range(5):
+                for table in self.pair_tables(rng, kappa):
+                    values = [table[(u, v)] for u in range(kappa) for v in range(kappa)]
+                    exact = all(isinstance(v, F) for v in values)
+                    values, den = over_common_denominator(values) if exact else (values, None)
+                    got = _factor_rank_one(kappa, values, den, 1e-9)
+                    if got is not None:
+                        weights, den = got
+                        got = [F(v, den) for v in weights] if den else weights
+                    expected = reference_factor_rank_one(kappa, table, 1e-9)
+                    assert (got and [pinned(v) for v in got]) == \
+                        (expected and [pinned(v) for v in expected])
+                    outcomes.add((exact, None if got is None else type(got[0]).__name__))
+        assert outcomes == {(True, "Fraction"), (True, "float"), (True, None),
+                            (False, "float"), (False, None)}
+
+    def test_family_samples_match_fraction_reference(self):
+        # exact solutions, their vertices, centroid and samples are ints over
+        # one denominator; read as Fractions they are the reference's, and
+        # float systems give the reference's floats bit for bit
+        dims = set()
+        for rows, n in family_systems("families"):
+            variables = list(range(n)) + list(range(n))[::2]
+            columns = variables  # repeated columns, as orbits expand to words
+            for table, tol in ((rows, 0.0), ([{c: float(v) for c, v in row.items()}
+                                              for row in rows], 1e-12)):
+                sol = solve_linear(table, n, tol)
+                family = _family(variables, sol, columns)
+                reference = reference_family(variables, fraction_solution(sol), columns)
+                assert (family.den is None) == bool(tol)
+                if tol == 0:
+                    assert fraction_family(family) == reference
+                    assert all(type(v) is int for p in family.samples for v in p)
+                else:
+                    read = fraction_family(family)
+                    assert [[pinned(v) for v in p] for p in read[2] + read[3]] == \
+                        [[pinned(v) for v in p] for p in reference[2] + reference[3]]
+                dims.add(sol.dimension)
+        assert dims == {0, 1, 2, 3, 4}
+
+    def test_mixed_rate_families_match_reference(self):
+        # a float family (the table mixes Fractions and floats) whose active
+        # rows can be all Fractions: t is read over its denominator, and
+        # every vertex is listed once
+        T = JumpRateMatrix(Alphabet(2), 2, {((0, 1), (1, 0)): 0.5, ((0, 0), (1, 1)): F(1),
+                                            ((1, 1), (0, 0)): F(1)})
+        for family in (_cycle_system(T, 2)[1], solve_cycle3_system(T)):
+            columns = range(len(family.variables))
+            reference = reference_family(family.variables, family.solution, columns)
+            assert family.den is None and len(set(family.vertices)) == len(family.vertices)
+            assert [[pinned(v) for v in p] for p in family.vertices + family.samples] == \
+                [[pinned(v) for v in p] for p in reference[2] + reference[3]]
+        assert [[pinned(v) for v in p] for p in _cycle_system(T, 2)[1].vertices] == \
+            [[pinned(v) for v in p] for p in [(F(0), F(1, 2), F(1, 2), 0.0),
+                                               (F(1, 2), F(0), F(0), 0.5)]]
+
+    def test_float_marginal_and_equal_exact_one_are_checked_once(self, monkeypatch):
+        # the one sample of this float table factors to (0.5, 0.5), which the
+        # trial marginal [1, 1] and the Bernoulli root 1/2 give exactly
+        T = JumpRateMatrix(Alphabet(2), 2, {((0, 0), (0, 1)): 1.0, ((1, 1), (1, 0)): 1.0,
+                                            ((0, 1), (0, 0)): 1.0, ((1, 0), (1, 1)): 1.0})
+        checked = []
+
+        def counting(*args):
+            checked.append(args[1])
+            return check_product_line(*args)
+
+        monkeypatch.setattr(search, "check_product_line", counting)
+        report = find_product(T)
+        assert report.family.samples == ((0.25,) * 4,)
+        assert report.bernoulli_roots == (F(1, 2),)
+        assert len(checked) == 1
+        assert [[pinned(p) for p in rho] for rho, _ in report.candidates] == [[pinned(0.5)] * 2]
+
+
+class TestFractionChurn:
+    """The exact searches make Fractions only for what leaves them: at most
+    half the constructions of the Fraction pipeline (find_markov 215,
+    find_product 114 on tasep3(1, 2, 1))."""
+
+    @pytest.mark.parametrize("search,bound", [(find_markov, 107), (find_product, 57)],
+                             ids=["find_markov", "find_product"])
+    def test_fraction_constructions(self, search, bound, monkeypatch):
+        T = models.tasep3(r10=1, r20=2, r21=1).jrm
+        made, new = [], fractions.Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+        search(T)
+        monkeypatch.undo()
+        assert len(made) <= bound

@@ -163,9 +163,9 @@ class TestConstructBoundaries:
         built = []
         real = criteria._balance_table
 
-        def counting(ctx, start):
+        def counting(ctx, *args):
             built.append(ctx)
-            return real(ctx, start)
+            return real(ctx, *args)
 
         monkeypatch.setattr(criteria, "_balance_table", counting)
         p = F(1, 4)

@@ -21,6 +21,12 @@ And the length-n cyclic balance rows of `search._cycle_system` as they
 were built before their jumps were looked up by window and exact rows became
 integers: every window scanned against every move, `Fraction` rows.
 
+And the search's candidate steps as they ran on `Fraction`s before exact
+solutions, samples and triple measures became Python ints over one common
+denominator: the sampled family (active-set vertices and their centroid),
+the triple-measure checks and the rank-one factoring; with readers of the
+integer forms as `Fraction`s.
+
 The instance generators draw invariant and perturbed rate tables, exact and
 in floats, for any alphabet size, memory and range.
 """
@@ -34,7 +40,8 @@ import numpy as np
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
 from psinv.criteria import CriterionContext, _window_sums, markov_context, z_table
 from psinv.linalg import LinearSolution
-from psinv.scalars import ScalarContext, all_exact
+from psinv.scalars import ScalarContext, all_exact, is_exact, over_common_denominator
+from psinv.search import MAX_VERTEX_DIM, TripleMeasure
 
 from conftest import random_kernel, random_marginal, rational
 
@@ -354,6 +361,27 @@ def reference_solve(A, b, tol=0.0):
     return LinearSolution("family" if basis else "unique", particular, basis)
 
 
+def reference_exit_rates(rates):
+    """{window: exit rate} of a rate dict as `JumpRateMatrix` summed them at
+    construction before its moves became coded: exact sums, float terms
+    added in the dict's order, the first one as it is."""
+    exits = {}
+    for (src, _), rate in rates.items():
+        exits[src] = exits[src] + rate if src in exits else rate
+    return exits
+
+
+def fraction_solution(sol):
+    """An exact `LinearSolution` (Python ints over `den`) with the Fraction
+    entries it had before solutions became integer; float solutions as they
+    are."""
+    if sol.den is None:
+        return sol
+    def read(vector):
+        return [Fraction(v, sol.den) for v in vector]
+    return LinearSolution(sol.status, read(sol.particular), [read(v) for v in sol.basis])
+
+
 # ---------------------------------------------------------------------------
 # the cyclic balance rows
 # ---------------------------------------------------------------------------
@@ -454,3 +482,201 @@ def reference_law_check(kernel, rho):
         flow = sum(rho[v] * mat[i][j] for i, v in enumerate(states))
         if not flow_test.is_zero(flow - rho[w]):
             raise ValueError("rho is not invariant for the kernel")
+
+
+# ---------------------------------------------------------------------------
+# per-word references of the deciders and the oracle
+# ---------------------------------------------------------------------------
+
+def induced_rate_cyclic(T, w, z):
+    """Induced rate on Z/nZ, n = len(w): windows wrap modulo n (all n of
+    them, even n < L, when a window reads some sites more than once).  The
+    reference for the oracle and the cycle deciders, which apply the same
+    rule as a period test on the moves."""
+    w, z = tuple(w), tuple(z)
+    if len(w) != len(z):
+        raise ValueError("induced rate needs words of equal length")
+    n = len(w)
+    if n < 1:
+        raise ValueError("cyclic words must have length n >= 1")
+    L = T.range_
+    total = Fraction(0)
+    for start in range(n):
+        window = [(start + j) % n for j in range(L)]
+        inside = set(window)
+        if all(w[j] == z[j] for j in range(n) if j not in inside):
+            src = tuple(w[j] for j in window)
+            dst = tuple(z[j] for j in window)
+            total += T.rate(src, dst)
+    return total
+
+
+def cyclic_chain_weight(kernel, x):
+    """Unnormalized cyclic weight: product of kernel weights of the n wrapped
+    (m+1)-letter windows of x (the per-word form of `oracle.gibbs_measure`)."""
+    n = len(x)
+    weight = Fraction(1)
+    for j in range(n):
+        window = tuple(x[(j + i) % n] for i in range(kernel.memory + 1))
+        weight *= kernel.step_weight(window)
+    return weight
+
+
+def line_balance_raw(T, law, x):
+    """Direct unnormalized cylinder balance of x on the line.
+
+    Enumerates the dependence window of x (x plus L-1 sites each side) and
+    balances inflow against outflow under the stationary law; independent of
+    the window-sum machinery of `criteria.line_balance`.
+    """
+    x = tuple(x)
+    n = len(x)
+    L = T.range_
+    q = L - 1
+    alphabet = law.alphabet
+    total = Fraction(0)
+    entries = list(T.entries())
+    for left in alphabet.words(q):
+        for right in alphabet.words(q):
+            w = left + x + right
+            weight = law.marginal(w)
+            if weight == 0:
+                continue
+            for offset in range(len(w) - L + 1):
+                src = w[offset:offset + L]
+                for u, v, rate in entries:
+                    # outflow: a jump src -> v changing some letter of x
+                    if u == src:
+                        z = w[:offset] + v + w[offset + L:]
+                        if z[q:q + n] != x:
+                            total -= weight * rate
+                    # inflow: a jump u -> src restoring x from elsewhere
+                    if v == src:
+                        z = w[:offset] + u + w[offset + L:]
+                        if z[q:q + n] != x:
+                            total += law.marginal(z) * rate
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the search's candidates on Fractions
+# ---------------------------------------------------------------------------
+
+def reference_polytope_vertices(solution):
+    """Vertices of {particular + B t >= 0} of a Fraction solution, as
+    `search._polytope_vertices` found them: every active set solved by
+    `reference_solve`, the point sampled in Fractions."""
+    dim = solution.dimension
+    n = len(solution.particular)
+    if dim == 0:
+        point = tuple(solution.particular)
+        return [point] if all(v >= 0 for v in point) else []
+    if dim > MAX_VERTEX_DIM:
+        return []
+    vertices = set()
+    for active in itertools.combinations(range(n), dim):
+        sol = reference_solve([[solution.basis[k][i] for k in range(dim)] for i in active],
+                              [-solution.particular[i] for i in active])
+        if sol.status != "unique":
+            continue
+        point = list(solution.particular)
+        for t, vec in zip(sol.particular, solution.basis):
+            point = [a + t * v for a, v in zip(point, vec)]
+        if all(v >= 0 for v in point):
+            vertices.add(tuple(point))
+    return sorted(vertices)
+
+
+def reference_family(variables, solution, columns):
+    """(variables, solution, vertices, samples, fully sampled) of
+    `search._family` on a Fraction solution: the vertices, then their
+    centroid, in Fractions."""
+    if solution.status == "empty":
+        return tuple(variables), solution, (), (), True
+
+    def expand(vector):
+        return [vector[c] for c in columns]
+
+    vertices = sorted(tuple(expand(v)) for v in reference_polytope_vertices(solution))
+    samples = list(vertices)
+    if len(vertices) > 1:
+        k = len(vertices)
+        samples.append(tuple(sum(v[i] for v in vertices) / k for i in range(len(vertices[0]))))
+    fully = solution.dimension <= MAX_VERTEX_DIM
+    solution = LinearSolution(solution.status, expand(solution.particular),
+                              [expand(vector) for vector in solution.basis])
+    if not samples and all(v >= 0 for v in solution.particular):
+        samples.append(tuple(solution.particular))
+    return tuple(variables), solution, tuple(vertices), tuple(samples), fully
+
+
+def fraction_family(family):
+    """A `search.AffineFamily` in the form of `reference_family`: exact
+    solutions, vertices and samples read as Fractions over their
+    denominators."""
+    def read(point):
+        return tuple(point) if family.den is None else \
+            tuple(Fraction(v, family.den) for v in point)
+    return (family.variables, fraction_solution(family.solution),
+            tuple(map(read, family.vertices)), tuple(map(read, family.samples)),
+            family.fully_sampled)
+
+
+def triple_values(measure):
+    """{word: nu(word)} of a `search.TripleMeasure`: Fractions when it is
+    exact, its floats otherwise."""
+    words = Alphabet(measure.kappa).words(3)
+    if measure.den is None:
+        return dict(zip(words, measure.weights))
+    return {w: Fraction(v, measure.den) for w, v in zip(words, measure.weights)}
+
+
+def exact_triple(kappa, nu):
+    """The exact `TripleMeasure` of {word: rational}, over the values'
+    common denominator."""
+    weights, den = over_common_denominator([nu[w] for w in Alphabet(kappa).words(3)])
+    return TripleMeasure(kappa, tuple(weights), den)
+
+
+def reference_triple_check(kappa, nu):
+    """The checks of `TripleMeasure` on {word: scalar}, as it ran them in
+    the scalars' own arithmetic: raises its ValueError, else None."""
+    alphabet = Alphabet(kappa)
+    values = [nu[w] for w in alphabet.words(3)]
+    total = sum(values)
+    zero = ScalarContext(all_exact(values)).is_zero
+    if any(v < 0 for v in values):
+        raise ValueError("triple measure has negative entries")
+    if not zero(total - 1):
+        raise ValueError(f"triple measure sums to {total}, not 1")
+    for a, b, c in alphabet.words(3):
+        if not zero(nu[(a, b, c)] - nu[(b, c, a)]):
+            raise ValueError("triple measure is not rotation invariant")
+
+
+def _reference_sqrt(value):
+    if is_exact(value):
+        value = Fraction(value)
+        rn, rd = math.isqrt(value.numerator), math.isqrt(value.denominator)
+        if rn * rn == value.numerator and rd * rd == value.denominator:
+            return Fraction(rn, rd)
+    return float(value) ** 0.5
+
+
+def reference_factor_rank_one(kappa, pair_values, tol):
+    """rho with rho x rho the symmetric pair table {(u, v): scalar}, or
+    None, as `search._factor_rank_one` found it in the scalars' own
+    arithmetic: exact square roots where they are rational, else floats,
+    and every product compared exactly when both its roots are exact."""
+    exact = all(is_exact(v) for v in pair_values.values())
+    rho = [_reference_sqrt(pair_values[(u, u)]) for u in range(kappa)]
+    for u in range(kappa):
+        for v in range(kappa):
+            lhs, rhs = rho[u] * rho[v], pair_values[(u, v)]
+            if exact and is_exact(lhs):
+                if lhs != rhs:
+                    return None
+            elif not ScalarContext(False, tol).is_zero(float(lhs) - float(rhs)):
+                return None
+    total = sum(rho)
+    return None if total == 0 else [r / total for r in rho]
