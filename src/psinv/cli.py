@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -21,11 +22,12 @@ from typing import Optional
 
 from . import criteria, models, oracle, search, segment
 from .core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
-from .criteria import CriterionReport, markov_context, product_context
+from .criteria import CriterionReport, WordTable, markov_context, product_context
 from .lattice2d import check_product_2d
 from .oracle import (CycleSpace, StateCapExceeded, TorusSpace, build_generator,
                      gibbs_measure, product_measure, stationarity_residual)
-from .scalars import DEFAULT_TOL, as_scalar, parse_float, parse_rational, scalar_repr
+from .scalars import (DEFAULT_TOL, as_scalar, parse_float, parse_rational, ratio_repr,
+                      scalar_repr)
 
 EXIT_OK = 0
 EXIT_NOT_INVARIANT = 1
@@ -220,14 +222,22 @@ def _witness_json(witness):
             "residual": scalar_repr(residual) if not isinstance(residual, str) else residual}
 
 
+def _table_json(table: WordTable) -> dict:
+    """{word: scalar_repr of its entry} in word order, from the table's arrays."""
+    letters = [str(a) for a in table.alphabet.letters]
+    words = map("".join, itertools.product(letters, repeat=table.length))
+    zero = itertools.repeat(False) if table.exact_zero is None else table.exact_zero.tolist()
+    return {word: "0" if exact_zero else ratio_repr(entry, table.den)
+            for word, entry, exact_zero in zip(words, table.entries.tolist(), zero)}
+
+
 def report_json(report: CriterionReport, residuals=None) -> dict:
     doc = {"verdict": report.verdict, "criterion": report.criterion,
            "words_checked": report.words_checked}
     if report.witness is not None:
         doc["witness"] = _witness_json(report.witness)
     if report.certificate is not None:
-        doc["certificate"] = {"".join(map(str, word)): scalar_repr(value)
-                              for word, value in sorted(report.certificate.values.items())}
+        doc["certificate"] = _table_json(report.certificate.values)
     if report.details:
         doc["details"] = {k: str(v) for k, v in report.details.items()}
     if residuals is not None:
@@ -276,13 +286,16 @@ def _verdict_exit(invariant: bool) -> int:
 def _cmd_check_markov(args, model: ModelFile):
     if model.kernel is None:
         raise ModelFileError("check-markov needs a \"kernel\" entry")
-    report = criteria.check_markov_line(markov_context(model.jrm, model.kernel, args.tol))
+    ctx = markov_context(model.jrm, model.kernel, args.tol)
+    oracle.check_state_cap(model.jrm.alphabet, ctx.window_length, args.max_states)
+    report = criteria.check_markov_line(ctx)
     return report_json(report), _verdict_exit(report.invariant)
 
 
 def _cmd_check_product(args, model: ModelFile):
     if model.rho is None:
         raise ModelFileError("check-product needs a \"rho\" entry")
+    oracle.check_state_cap(model.jrm.alphabet, model.jrm.range_, args.max_states)
     report = criteria.check_product_line(model.jrm, model.rho, args.tol)
     return report_json(report), _verdict_exit(report.invariant)
 
@@ -334,10 +347,7 @@ def _cmd_verify_cycle(args, model: ModelFile):
     oracle.check_space(model.jrm, CycleSpace(n), args.max_states)
     report = criteria.check_markov_cycle(ctx, n)
     gen = build_generator(model.jrm, CycleSpace(n), max_states=args.max_states)
-    if model.kernel is not None:
-        mu = gibbs_measure(model.kernel, n)
-    else:
-        mu = product_measure(model.rho, n)
+    mu = gibbs_measure(model.kernel, n) if model.kernel else product_measure(model.rho, n)
     residual = stationarity_residual(gen, mu)
     doc = report_json(report, residuals={"oracle_max_residual": scalar_repr(residual)})
     doc["oracle_agrees"] = report.invariant == ctx.is_zero(residual)
@@ -383,6 +393,7 @@ def _cmd_segment(args, model: ModelFile):
         raise ModelFileError("segment checks need a \"kernel\" entry")
     ctx = markov_context(model.jrm, model.kernel, args.tol)
     if args.construct_boundaries:
+        oracle.check_state_cap(model.jrm.alphabet, segment.N0 + 1, args.max_states)
         built = segment.construct_boundaries(ctx)
         doc = {
             "verdict": "validated" if built.validated else "discrepancy",

@@ -288,6 +288,13 @@ class MarkovKernel:
     def is_exact(self) -> bool:
         return self._exact
 
+    def floated(self) -> "MarkovKernel":
+        """The entries as floats (self when they already are)."""
+        if all(isinstance(p, float) for p in self._entries.values()):
+            return self
+        return MarkovKernel(self.alphabet, self.memory,
+                            {key: float(p) for key, p in self._entries.items()})
+
     def matrix(self):
         """Row-stochastic matrix on contexts ordered lexicographically (m = 1
         gives back the usual kappa x kappa kernel)."""
@@ -383,12 +390,10 @@ class StationaryLaw:
 
     def floated(self) -> "StationaryLaw":
         """The kernel and rho as floats (self when they already are)."""
-        entries, rho = self.kernel._entries, self.rho
-        if all(isinstance(p, float) for p in [*entries.values(), *rho.values()]):
+        kernel, rho = self.kernel.floated(), self.rho
+        if kernel is self.kernel and all(isinstance(p, float) for p in rho.values()):
             return self
-        return StationaryLaw(MarkovKernel(self.alphabet, self.memory,
-                                          {key: float(p) for key, p in entries.items()}),
-                             {w: float(p) for w, p in rho.items()})
+        return StationaryLaw(kernel, {w: float(p) for w, p in rho.items()})
 
     def marginal(self, word: Word):
         """Stationary probability of seeing `word` in consecutive positions."""

@@ -10,7 +10,9 @@ given its context:
 
 with P(w) = prod_j M(w_j .. w_j+m) the chain weight of w over all its
 (m+1)-windows.  For m = 0 the context disappears and the weights are plain
-marginal ratios.
+marginal ratios.  Z reads the kernel M alone: the stationary law enters
+only the boundary terms of line and segment balances, so a context solves
+it on the first read of `CriterionContext.law`, and most verdicts never do.
 
 Sums of Z over sliding windows reproduce the stationarity balance of cylinder
 words (line) and of cyclic words (cycles), once normalized by the chain
@@ -34,9 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,31 +56,49 @@ SCAN_BLOCK = 2 ** 15
 
 @dataclass(frozen=True)
 class CriterionContext:
-    """Binds a jump rate matrix to a candidate stationary law.
+    """Binds a jump rate matrix to a candidate law: a Markov kernel, or a
+    stationary law kept as given.
+
+    Tables and window sums read the kernel alone.  `law` is the stationary
+    law, solved from the kernel on its first read (by line and segment
+    balances and the boundary construction) unless one was given.
 
     Derived sizes: window_length s = 2m + L (index length of Z) and
     critical_length h = 4m + 2L - 1 (word length of the decisive cyclic
     checks, h = 2s - 1).
 
-    Exact when the rates and the law are all rational; otherwise the
-    context holds float copies of both, so that every table is float64.
+    Exact when the rates and the kernel (or the given law) are rational;
+    otherwise the context holds float copies of the rates and the kernel,
+    and `law` is the float copy of the law, so that every table is float64.
     """
 
     T: JumpRateMatrix
-    law: StationaryLaw
+    kernel_or_law: Union[MarkovKernel, StationaryLaw] = field(repr=False)
     tol: float = DEFAULT_TOL
+    kernel: MarkovKernel = field(init=False, compare=False)
     scalar_context: ScalarContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T.alphabet.kappa != self.law.alphabet.kappa:
+        given = self.kernel_or_law
+        kernel = given.kernel if isinstance(given, StationaryLaw) else given
+        if self.T.alphabet.kappa != kernel.alphabet.kappa:
             raise ValueError("rate matrix and law use different alphabets")
-        if not self.law.kernel.is_positive:
+        if not kernel.is_positive:
             raise ValueError(ZERO_DENOMINATOR_HINT)
-        scalars = ScalarContext.for_balances(self.T, self.law.is_exact, self.tol)
+        scalars = ScalarContext.for_balances(self.T, given.is_exact, self.tol)
         object.__setattr__(self, "scalar_context", scalars)
         if not scalars.exact:
             object.__setattr__(self, "T", self.T.floated())
-            object.__setattr__(self, "law", self.law.floated())
+            kernel = kernel.floated()
+        object.__setattr__(self, "kernel", kernel)
+
+    @cached_property
+    def law(self) -> StationaryLaw:
+        """The stationary law: as given, or solved from the kernel now."""
+        law = self.kernel_or_law
+        if isinstance(law, MarkovKernel):
+            law = stationary_distribution(law)
+        return law if self.scalar_context.exact else law.floated()
 
     @property
     def alphabet(self) -> Alphabet:
@@ -85,7 +106,7 @@ class CriterionContext:
 
     @property
     def memory(self) -> int:
-        return self.law.memory
+        return self.kernel.memory
 
     @property
     def range_(self) -> int:
@@ -115,14 +136,13 @@ class CriterionContext:
 
 
 def markov_context(T: JumpRateMatrix, kernel_or_law, tol: float = DEFAULT_TOL) -> CriterionContext:
-    law = kernel_or_law
-    if isinstance(kernel_or_law, MarkovKernel):
-        law = stationary_distribution(kernel_or_law)
-    return CriterionContext(T, law, tol)
+    """Context for a Markov kernel, whose stationary law is solved only when
+    read, or for a stationary law, kept as given."""
+    return CriterionContext(T, kernel_or_law, tol)
 
 
 def product_context(T: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> CriterionContext:
-    """Context for a product measure (memory-0 kernel with marginal rho)."""
+    """Context for a product measure: its law, never solved, is rho's."""
     return CriterionContext(T, product_law(rho), tol)
 
 
@@ -212,9 +232,9 @@ def _chain_weights(ctx: CriterionContext, length: int, first: Optional[list] = N
     weights over the (m+1)-windows, multiplied in that order.  Exact weights
     are Python ints, all scaled by one common factor."""
     m, kappa, exact = ctx.memory, ctx.alphabet.kappa, ctx.scalar_context.exact
-    weights = ctx.law.kernel.step_weights
+    weights = ctx.kernel.step_weights
     if exact:
-        weights = ctx.law.kernel.integer_steps[0]
+        weights = ctx.kernel.integer_steps[0]
         first = first and over_common_denominator(first)[0]
     weights, codes = np.array(weights, object if exact else float), np.arange(kappa ** length)
     chain = first and np.array(first, weights.dtype)[codes // kappa ** (length - m)]
@@ -252,7 +272,7 @@ def cycle_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTa
 
 def _cycle_balance_direct(ctx: CriterionContext, x: Word, moves: Optional[WindowMoves] = None):
     def weight(w):  # the chain weight of a cyclic word over its wrapped windows
-        return ctx.law.kernel.word_weight((w * (ctx.memory + 1))[:len(w) + ctx.memory])
+        return ctx.kernel.word_weight((w * (ctx.memory + 1))[:len(w) + ctx.memory])
 
     inflow, exit_rate = cycle_jumps(ctx.T, x, moves)
     total_in = sum(weight(w) * rate for w, rate in inflow)
@@ -344,7 +364,7 @@ def line_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTab
             weight = ctx.law.rho[full[:m]] if m else Fraction(1)
             for j in range(len(full) - m):
                 if j not in normalized:
-                    weight *= ctx.law.kernel.step_weight(full[j:j + m + 1])
+                    weight *= ctx.kernel.step_weight(full[j:j + m + 1])
             windows = _window_sums(ctx, values.entries, full, 1, cyclic=False)[0]
             total += weight * _scalar(windows, values.den)
     return total
@@ -636,10 +656,7 @@ def check_product_general_graph(T: JumpRateMatrix, rho, p: PairRateField,
         count, witness = _first_nonzero_cycle(ctx, z_table(ctx).values, 2)
         return CriterionReport(witness is None, "symmetric-pair-cycle2", witness=witness,
                                words_checked=count)
-    report = check_product_line(T, rho, tol)
-    return CriterionReport(report.invariant, "asymmetric-pair-line",
-                           witness=report.witness, certificate=report.certificate,
-                           words_checked=report.words_checked)
+    return replace(check_product_line(T, rho, tol), criterion="asymmetric-pair-line")
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +665,12 @@ def check_product_general_graph(T: JumpRateMatrix, rho, p: PairRateField,
 
 @dataclass(frozen=True)
 class RestrictedInstance:
-    """A rate matrix (and optionally a law) re-indexed over a closed support."""
+    """A rate matrix re-indexed over a closed support, with the candidate
+    (a marginal's product law, or a kernel) as a CriterionContext takes it."""
 
     support: Tuple[int, ...]
     T: JumpRateMatrix
-    law: Optional[StationaryLaw]
+    kernel_or_law: Optional[Union[MarkovKernel, StationaryLaw]]
 
 
 def restrict_support(T: JumpRateMatrix, law_or_rho, support) -> RestrictedInstance:
@@ -671,31 +689,27 @@ def restrict_support(T: JumpRateMatrix, law_or_rho, support) -> RestrictedInstan
         if set(src) <= inside and not set(dst) <= inside:
             raise ValueError(f"support not closed: rate {rate} leads {src} -> {dst}")
     new_letter = {a: i for i, a in enumerate(support)}
-    sub = Alphabet(len(support)) if len(support) >= 2 else None
-    rates = {}
-    for src, dst, rate in T.entries():
-        if set(src) <= inside and set(dst) <= inside:
-            rates[(tuple(new_letter[a] for a in src), tuple(new_letter[a] for a in dst))] = rate
-    if sub is None:
-        # one-letter support: the only word is constant, all rates vanish
-        restricted_T = None
-    else:
-        restricted_T = JumpRateMatrix(sub, T.range_, rates)
 
+    def relabel(word):
+        return tuple(new_letter[a] for a in word)
+
+    # a one-letter support has only the constant word: no rates, no law
+    sub = Alphabet(len(support)) if len(support) >= 2 else None
+    rates = {(relabel(src), relabel(dst)): rate for src, dst, rate in T.entries()
+             if set(src) <= inside and set(dst) <= inside}
+    restricted_T = JumpRateMatrix(sub, T.range_, rates) if sub else None
     law = None
     if law_or_rho is not None and sub is not None:
         kernel = law_or_rho.kernel if isinstance(law_or_rho, StationaryLaw) else law_or_rho
         if isinstance(kernel, MarkovKernel):
-            m = kernel.memory
             entries = {}
-            for ctx_word in itertools.product(support, repeat=m):
+            for ctx_word in itertools.product(support, repeat=kernel.memory):
                 row = [kernel.prob(ctx_word, y) for y in support]
                 if not ScalarContext(all_exact(row)).is_zero(sum(row) - 1):
                     raise ValueError(f"kernel row {ctx_word} leaks mass outside the support")
-                for y in support:
-                    entries[(tuple(new_letter[a] for a in ctx_word), new_letter[y])] = \
-                        kernel.prob(ctx_word, y)
-            law = stationary_distribution(MarkovKernel(sub, m, entries))
+                entries.update(((relabel(ctx_word), new_letter[y]), p)
+                               for y, p in zip(support, row))
+            law = MarkovKernel(sub, kernel.memory, entries)
         else:
             rho = list(law_or_rho)
             mass = sum(rho[a] for a in support)
@@ -725,19 +739,10 @@ def is_reversible_for_chain(ctx: CriterionContext) -> bool:
     (memory 1, range 2), which forces Z = 0 identically."""
     if (ctx.memory, ctx.range_) != (1, 2):
         raise ValueError("reversibility helper covers memory 1, range 2")
-    M = ctx.law.kernel
-    E = ctx.alphabet.letters
-    for a in E:
-        for d in E:
-            for b, c in itertools.product(E, repeat=2):
-                for u, v in itertools.product(E, repeat=2):
-                    lhs = ctx.T.rate((u, v), (b, c)) * M.prob((a,), u) * \
-                        M.prob((u,), v) * M.prob((v,), d)
-                    rhs = M.prob((a,), b) * M.prob((b,), c) * M.prob((c,), d) * \
-                        ctx.T.rate((b, c), (u, v))
-                    if not ctx.is_zero(lhs - rhs):
-                        return False
-    return True
+    M, T = ctx.kernel.prob, ctx.T.rate
+    return all(ctx.is_zero(T((u, v), (b, c)) * M((a,), u) * M((u,), v) * M((v,), d)
+                           - M((a,), b) * M((b,), c) * M((c,), d) * T((b, c), (u, v)))
+               for a, d, b, c, u, v in itertools.product(ctx.alphabet.letters, repeat=6))
 
 
 def has_detailed_balance_product(T: JumpRateMatrix, rho) -> bool:
@@ -745,13 +750,9 @@ def has_detailed_balance_product(T: JumpRateMatrix, rho) -> bool:
     rho_b rho_c T[(b,c)->(u,v)] = rho_u rho_v T[(u,v)->(b,c)]."""
     if T.range_ != 2:
         raise ValueError("detailed balance helper covers range 2")
-    E = range(len(rho))
-    for b, c in itertools.product(E, repeat=2):
-        for u, v in itertools.product(E, repeat=2):
-            if rho[b] * rho[c] * T.rate((b, c), (u, v)) != \
-               rho[u] * rho[v] * T.rate((u, v), (b, c)):
-                return False
-    return True
+    rate = T.rate
+    return all(rho[b] * rho[c] * rate((b, c), (u, v)) == rho[u] * rho[v] * rate((u, v), (b, c))
+               for b, c, u, v in itertools.product(range(len(rho)), repeat=4))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import List, Tuple
 
@@ -99,9 +99,16 @@ class ScalarContext:
         return cls(exact, tol, 1.0 if exact else 1 + float(T.max_rate()))
 
 
+def ratio_repr(numerator, den=None) -> str:
+    """Render numerator / den in lowest terms ("p/q", or "p" when q is 1);
+    with den None, numerator is a float, rendered by repr."""
+    if den is None:
+        return repr(float(numerator))
+    common = gcd(numerator, den)
+    p, q = numerator // common, den // common
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def scalar_repr(value) -> str:
     """Render a scalar the way model files expect it ("p/q" for rationals)."""
-    if is_exact(value):
-        f = value if isinstance(value, Fraction) else Fraction(value)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return repr(float(value))
+    return ratio_repr(value.numerator, value.denominator) if is_exact(value) else ratio_repr(value)

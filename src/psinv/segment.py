@@ -33,7 +33,6 @@ from .core import BoundaryRates, JumpRateMatrix, Word
 from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable, _chain_weights,
                        _over_one_denominator, _scalar, _scan_words, _window_sums,
                        check_markov_line, z_table)
-from .scalars import over_common_denominator
 
 _VARIANTS = ("target-weighted", "source-weighted")
 # n0: balances vanishing on two consecutive sizes >= N0 vanish on every size
@@ -58,8 +57,10 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
     lexicographic order, W(source) / W(x) times the rate of u into the
     window: T plus the boundary move of the end site lifted to the pair.
     Left: window x1 x2, source u x3, W = rho(x1) M(x1,x2) M(x2,x3); right:
-    window x2 x3, source x1 u, W = M(x1,x2) M(x2,x3).  Exact blocks are one
-    column of sums; float columns that are zero everywhere are left out.
+    window x2 x3, source x1 u, W = M(x1,x2) M(x2,x3).  The rates come from
+    the coded moves of T and of the boundary (`JumpRateMatrix.coded`), exact
+    ones over the lcm of their denominators.  Exact blocks are one column of
+    sums; float columns that are zero everywhere are left out.
     """
     _require_21(ctx)
     if n < 3:
@@ -71,21 +72,25 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
     if not ctx.scalar_context.exact:
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
     T, exact, kappa = ctx.T, ctx.scalar_context.exact, ctx.alphabet.kappa
-    pairs, codes, u = list(ctx.alphabet.words(2)), np.arange(kappa ** 3), np.arange(kappa ** 2)
+    codes, u = np.arange(kappa ** 3), np.arange(kappa ** 2)
+    moves, dtype = T.coded, object if exact else float
     rho, blocks = [ctx.law.rho[(a,)] for a in ctx.alphabet.letters], []
     # boundary rates, end site in the window, initial weight, window and source codes
     for side, end, initial, window, source in (
             (beta.left, 0, rho, codes // kappa, u[:, None] * kappa + codes % kappa),
             (beta.right, 1, None, codes % kappa ** 2, codes - codes % kappa ** 2 + u[:, None])):
-        exits = [-(side.out_rate(w[end:end + 1]) + T.out_rate(w)) for w in pairs]
-        amounts = [T.rate(v, w) + side.rate(v[end:end + 1], w[end:end + 1])
-                   if v[1 - end] == w[1 - end] else T.rate(v, w)
-                   for v, w in itertools.product(pairs, repeat=2)]
-        values, scale = over_common_denominator(exits + amounts) if exact else \
-            (exits + amounts, None)
-        values = np.array(values, object if exact else float)
-        exits = values[:len(pairs)][window]
-        amounts = values[len(pairs):].reshape(len(pairs), -1)[:, window]
+        # T's and the boundary's coded rates over one denominator (exact) or as stored
+        lifted, place = side.coded, kappa ** (1 - end)  # place value of the end site
+        scale = exact and math.lcm(moves.den, lifted.den)
+        t, b = (scale // moves.den, scale // lifted.den) if exact else (1, 1)
+        exits = np.array([-(lifted.exits[a] * b + x * t)
+                          for a, x in zip(u // place % kappa, moves.exits)], dtype)[window]
+        amounts = np.zeros((kappa ** 2, kappa ** 2), dtype)
+        amounts[moves.sources, moves.targets] = np.array(moves.rates, dtype) * t
+        others = u[:kappa] * kappa ** end  # the other site's letter, in place
+        for a, c, rate in zip(lifted.sources, lifted.targets, lifted.rates):
+            amounts[a * place + others, c * place + others] += rate * b
+        amounts = amounts[:, window]
         weights = _chain_weights(ctx, 3, initial)
         if exact:
             blocks.append((exits * weights + (amounts * weights[source]).sum(axis=0),
@@ -180,28 +185,17 @@ def construct_boundaries(ctx: CriterionContext,
     line = check_markov_line(ctx, table)
     if not line.invariant:
         raise ValueError("law is not invariant on the line; no boundary rates exist")
-    M = ctx.law.kernel
-    rho = ctx.law.rho
-    E = ctx.alphabet.letters
-    T = ctx.T
-    left = {}
-    right = {}
-    for z in E:
-        for a in E:
-            if a == z:
-                continue
-            lvalue = sum(rho[(u,)] * M.prob((u,), z) * T.rate((u, z), (v, a))
-                         for u in E for v in E) / rho[(z,)]
-            if lvalue != 0:
-                left[((z,), (a,))] = lvalue
-            if variant == "target-weighted":
-                rvalue = sum(T.rate((z, v), (a, b)) * M.prob((z,), b)
-                             for v in E for b in E)
-            else:
-                rvalue = sum(M.prob((z,), v) * T.rate((z, v), (a, b))
-                             for v in E for b in E)
-            if rvalue != 0:
-                right[((z,), (a,))] = rvalue
+    M, rho, E, T = ctx.kernel.prob, ctx.law.rho, ctx.alphabet.letters, ctx.T
+    left, right = {}, {}  # zero rates leave no entry in a JumpRateMatrix
+    for z, a in itertools.product(E, repeat=2):
+        if a == z:
+            continue
+        left[((z,), (a,))] = sum(rho[(u,)] * M((u,), z) * T.rate((u, z), (v, a))
+                                 for u in E for v in E) / rho[(z,)]
+        if variant == "target-weighted":
+            right[((z,), (a,))] = sum(T.rate((z, v), (a, b)) * M((z,), b) for v in E for b in E)
+        else:
+            right[((z,), (a,))] = sum(M((z,), v) * T.rate((z, v), (a, b)) for v in E for b in E)
     beta = BoundaryRates(JumpRateMatrix(ctx.alphabet, 1, left),
                          JumpRateMatrix(ctx.alphabet, 1, right))
     validation = check_segment(ctx, beta, N0, table)

@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import os
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from psinv import criteria, oracle, segment
-from psinv.cli import ModelFileError, build_parser, load_model_file, main
-from psinv.scalars import parse_rational
+from psinv import criteria, linalg, oracle, segment
+from psinv.cli import ModelFileError, _table_json, build_parser, load_model_file, main
+from psinv.core import MarkovKernel
+from psinv.models import stochastic_ising, tasep
+from psinv.scalars import parse_rational, scalar_repr
 
 
 def run(capsys, *argv):
@@ -354,6 +357,114 @@ class TestSegmentCommand:
         assert (code, doc["verdict"]) == (0, "invariant")
         assert doc["details"]["derived"].startswith(
             "balance vanishes at two consecutive sizes >= 7: the law is invariant on the line")
+
+
+def uniform_kernel_file(tmp_path, kappa, memory, **extra):
+    """A model with no jumps and the uniform memory-m kernel."""
+    rows = [[f"1/{kappa}"] * kappa for _ in range(kappa ** memory)]
+    doc = dict(schema=1, kappa=kappa, range=2, rates=[], memory=memory, kernel=rows, **extra)
+    path = tmp_path / f"uniform_k{kappa}m{memory}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestDeciderCaps:
+    """The deciders' tables count against --max-states before they are built:
+    the Z table (kappa^(2m+L) words) and the boundary validation (kappa^(N0+1)
+    words), as the oracle and the segment scan already were."""
+
+    def test_check_markov_z_table(self, tmp_path, capsys):
+        path = uniform_kernel_file(tmp_path, 2, 7)  # Z has 2^16 words
+        for command in (["check-markov", path], ["verify-cycle", path, "--n", "16"]):
+            code, _, err = run(capsys, "--max-states", "1000", *command)
+            assert code == 3 and "65536 states" in err, command
+        code, out, _ = run(capsys, "--max-states", str(2 ** 16), "check-markov", path)
+        assert code == 0
+
+    def test_check_product_z_table(self, tmp_path, capsys):
+        path = write_model(tmp_path, "tasep", extra={"rho": ["1/2", "1/2"]})
+        code, _, err = run(capsys, "--max-states", "3", "check-product", path)
+        assert code == 3 and "4 states exceed the cap 3" in err
+        assert run(capsys, "--max-states", "4", "check-product", path)[0] == 0
+
+    def test_segment_boundary_construction(self, tmp_path, capsys):
+        path = uniform_kernel_file(tmp_path, 7, 1, beta_left=[], beta_right=[])
+        for command in (["--construct-boundaries"], ["--n", "7"]):
+            code, _, err = run(capsys, "segment", path, *command)
+            assert code == 3 and f"{7 ** 8} states" in err, command
+
+
+class TestLazyLaw:
+    """Only the verdicts that integrate against the stationary law solve it:
+    the segment decider and the boundary construction, once per context."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        real, calls = linalg.stationary_distribution, []
+
+        def counted(kernel):
+            calls.append(kernel)
+            return real(kernel)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "psinv" and \
+                    getattr(module, "stationary_distribution", None) is real:
+                monkeypatch.setattr(module, "stationary_distribution", counted)
+        return calls
+
+    KERNEL = {"memory": 1, "kernel": [["3/4", "1/4"], ["3/4", "1/4"]]}
+    BETA = {"beta_left": [{"from": [0], "to": [1], "rate": "1/4"}],
+            "beta_right": [{"from": [1], "to": [0], "rate": "3/4"}]}
+
+    @pytest.mark.parametrize("argv, extra, solved", [
+        (["check-markov"], KERNEL, 0),
+        (["check-product"], {"rho": ["1/4", "3/4"]}, 0),
+        (["verify-cycle", "--n", "5"], KERNEL, 0),
+        (["verify-cycle", "--n", "1"], KERNEL, 0),
+        (["verify-cycle", "--n", "5"], {"rho": ["1/4", "3/4"]}, 0),
+        (["equivalences"], KERNEL, 0),
+        (["segment", "--n", "7"], dict(KERNEL, **BETA), 1),
+        (["segment", "--construct-boundaries"], KERNEL, 1)])
+    @pytest.mark.parametrize("mode", ["--exact", "--float"])
+    def test_solves_per_command(self, tmp_path, capsys, solves, argv, extra, solved, mode):
+        path = write_model(tmp_path, "tasep", extra=extra)
+        command, *options = argv
+        code, _, err = run(capsys, mode, command, path, *options)
+        assert code in (0, 1) and err == ""
+        assert len(solves) == solved
+
+    def test_one_solve_under_float_boundary_rates(self, tmp_path, capsys, solves):
+        beta = {side: [dict(rate, rate=0.25) for rate in rates]
+                for side, rates in self.BETA.items()}
+        path = write_model(tmp_path, "tasep", extra=dict(self.KERNEL, **beta))
+        assert run(capsys, "segment", path, "--n", "7")[0] in (0, 1)
+        assert len(solves) == 1
+
+
+class TestCertificateRendering:
+    """Certificates render from the table arrays, entry for entry as
+    scalar_repr renders WordTable's scalars, in word order."""
+
+    def tables(self):
+        ising = stochastic_ising(Fraction(1, 3))
+        kernel = MarkovKernel.from_matrix([[Fraction(2, 7), Fraction(5, 7)],
+                                           [Fraction(1, 3), Fraction(2, 3)]])
+        for T, law in ((ising.jrm, ising.kernel), (tasep().jrm, kernel),
+                       (tasep().jrm.floated(), kernel), (ising.jrm.floated(), kernel)):
+            table = criteria.z_table(criteria.markov_context(T, law))
+            yield table.values
+            yield criteria.potential_from_table(table).values
+
+    def test_equals_scalar_repr_of_the_entries(self):
+        kinds = set()
+        for table in self.tables():
+            expected = [("".join(map(str, word)), scalar_repr(value))
+                        for word, value in table.items()]
+            assert list(_table_json(table).items()) == expected
+            kinds.add("exact" if table.den is not None else "float")
+            if table.exact_zero is not None and table.exact_zero.any():
+                kinds.add("exact zeros in floats")
+        assert kinds == {"exact", "float", "exact zeros in floats"}
 
 
 class TestEquivalencesCommand:

@@ -12,6 +12,8 @@ from psinv.criteria import (check_markov_cycle, check_markov_line,
                             line_balance, markov_context, PairRateField,
                             product_context, restrict_support, symmetrize,
                             tail_bounds_advisory, z_table)
+from psinv import criteria
+from psinv.linalg import stationary_distribution
 from psinv.models import contact, hmc_example, stochastic_ising, tasep, tasep3, voter
 
 from conftest import random_jrm, random_kernel, random_marginal, rational
@@ -116,6 +118,13 @@ class TestZTable:
         kernel = MarkovKernel.from_matrix([[F(1), F(0)], [F(1, 2), F(1, 2)]])
         with pytest.raises(ValueError, match="restrict_support"):
             markov_context(tasep().jrm, kernel)
+
+    @pytest.mark.parametrize("rows", [[[F(1), F(0)], [F(1, 2), F(1, 2)]],
+                                      [[F(1), F(0)], [F(0), F(1)]]])
+    def test_zero_kernel_entry_rejected_before_any_solve(self, rows):
+        # the second kernel is reducible: it has no unique stationary law
+        with pytest.raises(ValueError, match="restrict_support"):
+            markov_context(tasep().jrm, MarkovKernel.from_matrix(rows))
 
     def test_balance_lemma_weighted_row_sums(self, rng):
         # sum over the window of Z times the chain weight vanishes for every
@@ -517,14 +526,14 @@ class TestSupportRestriction:
         T = JumpRateMatrix(Alphabet(3), 2, {((1, 2), (2, 1)): 1, ((0, 0), (0, 1)): 1})
         restricted = restrict_support(T, [F(0), F(1, 3), F(2, 3)], [1, 2])
         assert restricted.T.rate((0, 1), (1, 0)) == 1
-        assert restricted.law.marginal((0,)) == F(1, 3)
+        assert restricted.kernel_or_law.marginal((0,)) == F(1, 3)
 
     def test_float_kernel_rows_sum_within_tolerance(self):
         # 0.3 + 0.6 + 0.1 == 0.9999999999999999 in floats
         T = JumpRateMatrix(Alphabet(4), 2, {((1, 0), (0, 1)): 1.0})
         kernel = MarkovKernel.from_matrix([[0.3, 0.6, 0.1, 0]] * 3 + [[0.25] * 4])
         restricted = restrict_support(T, kernel, [0, 1, 2])
-        assert restricted.law.kernel.prob((0,), 1) == 0.6
+        assert restricted.kernel_or_law.prob((0,), 1) == 0.6
         leaky = MarkovKernel.from_matrix([[0.3, 0.6, 0.099, 0.001]] * 3 + [[0.25] * 4])
         with pytest.raises(ValueError, match="leaks mass"):
             restrict_support(T, leaky, [0, 1, 2])
@@ -592,3 +601,46 @@ class TestTailBounds:
         assert bounds["sup_exit_rate"] == 1
         assert bounds["sup_weighted_inflow"] == 1
         assert "truncation" in bounds["advisory"]
+
+
+class TestLazyLaw:
+    """A context reads its kernel; the stationary law is solved on the first
+    read of `law`, and a law passed in is kept."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(kernel):
+            calls.append(kernel)
+            return stationary_distribution(kernel)
+
+        monkeypatch.setattr(criteria, "stationary_distribution", counted)
+        return calls
+
+    def test_solved_once_on_first_read(self, rng, solves):
+        ctx = markov_context(random_jrm(rng, kappa=3), random_kernel(rng, kappa=3))
+        check_markov_line(ctx)
+        equivalence_panel(ctx)
+        check_markov_cycle(ctx, 2)
+        assert solves == []
+        assert ctx.law is ctx.law and solves == [ctx.kernel]
+        assert ctx.law == stationary_distribution(ctx.kernel)
+
+    def test_given_laws_are_kept(self, rng, solves):
+        law = stationary_distribution(random_kernel(rng))
+        assert markov_context(tasep().jrm, law).law is law
+        assert tasep_product_ctx().law.rho == {(0,): F(1, 2), (1,): F(1, 2)}
+        assert solves == []
+
+    @pytest.mark.parametrize("kappa,memory", [(2, 1), (3, 1), (2, 2)])
+    def test_float_law_is_the_floated_exact_law(self, rng, kappa, memory):
+        for _ in range(5):
+            kernel = random_kernel(rng, kappa=kappa, memory=memory)
+            ctx = markov_context(random_jrm(rng, kappa=kappa).floated(), kernel)
+            expected = stationary_distribution(kernel).floated()
+            assert not ctx.scalar_context.exact
+            for got, want in ((ctx.law.rho.values(), expected.rho.values()),
+                              (ctx.law.kernel.step_weights, expected.kernel.step_weights),
+                              (ctx.kernel.step_weights, expected.kernel.step_weights)):
+                assert [p.hex() for p in got] == [p.hex() for p in want]

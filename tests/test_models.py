@@ -157,7 +157,7 @@ class TestAlmostGeometricInvariance:
 
 def markov_context_for(restricted):
     from psinv.criteria import CriterionContext
-    return CriterionContext(restricted.T, restricted.law)
+    return CriterionContext(restricted.T, restricted.kernel_or_law)
 
 
 class TestTruncatedMassTransport:

@@ -12,7 +12,9 @@ grep src, tests and perfbench for its readers by hand.
 No rational is guessed either: the package never calls `limit_denominator`,
 which rounds a float to a nearby fraction; exact answers are decided.
 Elimination has one way in: the eliminators `_gauss_jordan` and
-`_rref_float` are read only inside `linalg.solve_linear`.
+`_rref_float` are read only inside `linalg.solve_linear`.  The deciders
+solve stationary laws one way: `criteria` reads `stationary_distribution`
+only inside `CriterionContext.law`, which solves on first read.
 The source is read with `ast`, not imported.
 """
 import ast
@@ -179,6 +181,11 @@ def test_no_rational_guesses():
 
 def test_elimination_only_through_solve_linear():
     assert readers(package_trees(), ELIMINATORS) == ["linalg.solve_linear"]
+
+
+def test_criteria_solve_laws_only_in_the_context():
+    criteria = {"criteria": package_trees()["criteria"]}
+    assert readers(criteria, {"stationary_distribution"}) == ["criteria.CriterionContext.law"]
 
 
 def test_checks_see_dead_code():

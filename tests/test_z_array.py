@@ -16,7 +16,8 @@ from psinv.criteria import (check_markov_line, cycle_balance, markov_context,
                             tail_bounds_advisory, z_table)
 from psinv.segment import _segment_balances, check_segment, construct_boundaries, segment_balance
 
-from z_reference import (cyclic_window_sum, floated, instances, invariant_instance,
+from z_reference import (cyclic_window_sum, floated, fraction_segment_balances, instances,
+                         invariant_instance,
                          perturbed_instance, pinned, pinned_witness,
                          reference_anchor_scan, reference_certificate_check,
                          reference_potential, reference_segment_balance,
@@ -208,12 +209,12 @@ def block_cases(seed, kappa):
 
 
 class TestSegmentBlocks:
-    @pytest.mark.parametrize("kappa", [2, 3, 4])
-    def test_every_balance_matches_the_per_word_blocks(self, kappa):
-        for label, ctx, beta in block_cases(54, kappa):
-            for n in range(3, 9):
+    @staticmethod
+    def assert_same_balances(kappa, seed, sizes, reference_balances):
+        for label, ctx, beta in block_cases(seed, kappa):
+            for n in sizes:
                 decided, balances, den = _segment_balances(ctx, beta, n)
-                reference, expected, expected_den = reference_segment_balances(ctx, beta, n)
+                reference, expected, expected_den = reference_balances(ctx, beta, n)
                 assert decided.scalar_context.exact == reference.scalar_context.exact
                 assert den == expected_den, (label, n)
                 columns = criteria._letters(kappa, n)
@@ -223,6 +224,14 @@ class TestSegmentBlocks:
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (label, n)
                 else:
                     assert np.array_equal(got, want), (label, n)
+
+    @pytest.mark.parametrize("kappa", [2, 3, 4])
+    def test_every_balance_matches_the_per_word_blocks(self, kappa):
+        self.assert_same_balances(kappa, 54, range(3, 9), reference_segment_balances)
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_coded_rates_match_the_fraction_rates(self, kappa):
+        self.assert_same_balances(kappa, 56, (3, 4, 7), fraction_segment_balances)
 
     def test_makes_no_word_weight_call(self, monkeypatch):
         cases = list(block_cases(55, 3))

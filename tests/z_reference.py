@@ -6,7 +6,8 @@ scan of `check_markov_line`, the candidate potential and its check, and the
 per-word `segment_balance` scan, as the package computed them before `Z`
 became an array; and the segment boundary blocks as the package built them
 before they became chain-weight arrays (one `word_weight` quotient per
-block word and jump).  The array forms must return the same exact values, word
+block word and jump), and before their rates were read from the coded
+rates (`Fraction` exit and pair rates).  The array forms must return the same exact values, word
 counts and witnesses, and the same floats bit for bit.
 
 Also the dense linear solve as the package computed it before exact
@@ -38,7 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
-from psinv.criteria import CriterionContext, _window_sums, markov_context, z_table
+from psinv.criteria import (CriterionContext, _chain_weights, _over_one_denominator,
+                             _window_sums, markov_context, z_table)
 from psinv.linalg import LinearSolution
 from psinv.scalars import ScalarContext, all_exact, is_exact, over_common_denominator
 from psinv.search import MAX_VERTEX_DIM, TripleMeasure
@@ -290,6 +292,57 @@ def reference_segment_balances(ctx, beta, n, table=None):
     left, right = ([np.array([row[k] if k < len(row) else 0 for row in block], entries.dtype)
                     for k in range(width)] for block in (left, right))
     kappa = ctx.alphabet.kappa
+
+    def balances(columns, count):
+        total = _window_sums(ctx, entries, columns, count, cyclic=False)
+        for block, first in ((left, 0), (right, len(columns) - 3)):
+            code = (columns[first] * kappa + columns[first + 1]) * kappa + columns[first + 2]
+            for column in block:
+                total = total + column[code]
+        return total
+
+    return ctx, balances, den
+
+
+def fraction_segment_balances(ctx, beta, n, table=None):
+    """`segment._segment_balances` with its boundary blocks built from
+    `Fraction` exit rates and per-pair `Fraction` rates, put over one
+    denominator afterwards, as the package built them before they were read
+    from the coded rates: (context, balances(columns, count), den)."""
+    if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
+        ctx, table = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol), None
+    if not ctx.scalar_context.exact:
+        beta = BoundaryRates(beta.left.floated(), beta.right.floated())
+    T, exact, kappa = ctx.T, ctx.scalar_context.exact, ctx.alphabet.kappa
+    pairs, codes, u = list(ctx.alphabet.words(2)), np.arange(kappa ** 3), np.arange(kappa ** 2)
+    rho, blocks = [ctx.law.rho[(a,)] for a in ctx.alphabet.letters], []
+    for side, end, initial, window, source in (
+            (beta.left, 0, rho, codes // kappa, u[:, None] * kappa + codes % kappa),
+            (beta.right, 1, None, codes % kappa ** 2, codes - codes % kappa ** 2 + u[:, None])):
+        exits = [-(side.out_rate(w[end:end + 1]) + T.out_rate(w)) for w in pairs]
+        amounts = [T.rate(v, w) + side.rate(v[end:end + 1], w[end:end + 1])
+                   if v[1 - end] == w[1 - end] else T.rate(v, w)
+                   for v, w in itertools.product(pairs, repeat=2)]
+        values, scale = over_common_denominator(exits + amounts) if exact else \
+            (exits + amounts, None)
+        values = np.array(values, object if exact else float)
+        exits = values[:len(pairs)][window]
+        amounts = values[len(pairs):].reshape(len(pairs), -1)[:, window]
+        weights = _chain_weights(ctx, 3, initial)
+        if exact:
+            blocks.append((exits * weights + (amounts * weights[source]).sum(axis=0),
+                           scale * weights))
+        else:
+            columns = [exits, *(weights[source] / weights * amounts)]
+            blocks.append([column for column in columns if column.any()])
+    z = (table or z_table(ctx)).values
+    entries, den = z.entries, z.den
+    if exact:
+        numerators, block_den = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
+        den = math.lcm(den, block_den)
+        entries, numerators = entries * (den // z.den), numerators * (den // block_den)
+        blocks = [[numerators[:kappa ** 3]], [numerators[kappa ** 3:]]]
+    left, right = blocks
 
     def balances(columns, count):
         total = _window_sums(ctx, entries, columns, count, cyclic=False)
