@@ -19,9 +19,16 @@ vanishing of the pair balance table.  The pair balances of S are the
 length-2 cyclic balances of T, so both systems come from one list of cycle
 jumps.  Replacing each product rho_u rho_v by a pair unknown makes that
 linear; solutions must then factor as a rank-one nonnegative symmetric
-matrix, and surviving marginals are verified against the original T.
+matrix, and surviving marginals are verified against the original T on its
+length-3 cyclic balances.  That is the line criterion: a full-support
+product is a positive memory-0 kernel, whose critical length on a range-2
+table is h = 4m + 2L - 1 = 3, and its line invariance holds exactly when
+every cyclic balance of length h vanishes (`equivalence_panel`'s
+`cycle_zero_critical_length`).  The product of rho kills a balance row
+exactly when the cyclic window sum of Z over that orbit vanishes, so no Z
+table is built.
 
-Both systems take each cyclic word's jumps from `criteria.cycle_jumps`,
+Every system takes each cyclic word's jumps from `criteria.cycle_jumps`,
 looked up in one grouping of T's moves by window.  An exact T gives rows of
 Python ints (its rates' numerators over their common denominator), and from
 the solve to the report every exact quantity stays Python ints over one
@@ -31,9 +38,11 @@ search.  Float systems keep their Fraction(0) + rate entries and order.
 
 Families are sampled deterministically: polytope vertices (dimension <= 3)
 plus their centroid, else the particular solution.  Trial marginals are kept
-when their product table kills the pair balances (on exact rows, integer
-dot products with raw weights), and two-colour instances solve the rank-one
-slice exactly in the Bernoulli parameter.
+when their product table kills the pair balances, and marginals are verified
+when their product kills the length-3 balances (on exact rows and marginals,
+integer dot products with raw weights; else in floats, at the tolerance of a
+float criterion context); two-colour instances solve the rank-one slice
+exactly in the Bernoulli parameter.
 """
 from __future__ import annotations
 
@@ -45,10 +54,11 @@ from math import isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
-from .criteria import (CriterionReport, check_markov_line, check_product_line,
-                       cycle_jumps, markov_context, window_moves)
+from .criteria import (CriterionReport, WindowMoves, check_markov_line, cycle_jumps,
+                       markov_context, window_moves)
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
-from .scalars import DEFAULT_TOL, ScalarContext, all_exact, is_exact, over_common_denominator
+from .scalars import (DEFAULT_TOL, ScalarContext, all_exact, is_exact, over_common_denominator,
+                      scalar_repr)
 
 # largest family dimension whose polytope vertices are enumerated
 MAX_VERTEX_DIM = 3
@@ -185,27 +195,15 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
                         dim <= MAX_VERTEX_DIM, den)
 
 
-def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
-    """The length-n cyclic balances of T, the family of rotation-invariant
-    probability vectors on the words of length n they kill, and the zero
-    test of those balances (tolerance tol): float systems pivot above it, so
-    that rounding noise does not decide their rank.
-
-    The unknowns are one weight per rotation orbit, ordered by the orbit's
-    largest rotation; the rows, {largest rotation: {column: coefficient}} in
-    ascending columns, are one balance per orbit, its jumps looked up by
-    window (`criteria.window_moves`).  In that order the reduced form frees
-    the same columns as the word system with every rotation tied, and
-    expands to that system's.  One more row, with right-hand side 1, weighs
-    each orbit by its size.  An exact T gives Python-int rows: the balances
-    over the rates' common denominator (a homogeneous row keeps its
-    solutions when scaled), the sizes as ints; float rows add their rates
-    from Fraction(0)."""
-    variables = list(T.alphabet.words(n))
-    keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in variables})
+def _cycle_rows(T: JumpRateMatrix, n: int, moves: WindowMoves):
+    """The length-n cyclic balances of T, {largest rotation: {column:
+    coefficient}} with one row per rotation orbit, in ascending order of the
+    key (the column order) and of the columns; and the column of every word.
+    The jumps are looked up in `moves` (`criteria.window_moves`): numerators
+    give Python-int rows over the rates' common denominator, stored rates
+    give rows that add them from Fraction(0)."""
+    keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in T.alphabet.words(n)})
     col = {k[i:] + k[:i]: j for j, k in enumerate(keys) for i in range(n)}
-    balances = ScalarContext.for_balances(T, True, tol)
-    moves = window_moves(T, numerators=balances.exact)
     rows: Dict[Word, Dict[int, object]] = {}
     for x in keys:
         inflow, exit_rate = cycle_jumps(T, x, moves)
@@ -214,10 +212,33 @@ def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
             row[col[w]] = row.get(col[w], moves.zero) + rate
         row[col[x]] = row.get(col[x], moves.zero) - exit_rate
         rows[x] = dict(sorted(row.items()))
+    return rows, col
+
+
+def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL,
+                  moves: Optional[WindowMoves] = None):
+    """The length-n cyclic balances of T (`_cycle_rows`, from `moves` when
+    given), the family of rotation-invariant probability vectors on the
+    words of length n they kill, and the zero test of those balances
+    (tolerance tol): float systems pivot above it, so that rounding noise
+    does not decide their rank.
+
+    The unknowns are one weight per rotation orbit, in the order of the
+    rows.  In that order the reduced form frees the same columns as the
+    word system with every rotation tied, and expands to that system's.
+    One more row, with right-hand side 1, weighs each orbit by its size.  An
+    exact T gives Python-int rows: the balances over the rates' common
+    denominator (a homogeneous row keeps its solutions when scaled), the
+    sizes as ints; float rows add their rates from Fraction(0)."""
+    balances = ScalarContext.for_balances(T, True, tol)
+    if moves is None:
+        moves = window_moves(T, numerators=balances.exact)
+    rows, col = _cycle_rows(T, n, moves)
     number = int if balances.exact else Fraction
-    sizes = {j: number(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(keys)}
+    sizes = {j: number(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(rows)}
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
-    solution = solve_linear([*rows.values(), sizes | {len(keys): number(1)}], len(keys), pivot)
+    solution = solve_linear([*rows.values(), sizes | {len(rows): number(1)}], len(rows), pivot)
+    variables = list(T.alphabet.words(n))
     return rows, _family(variables, solution, [col[w] for w in variables]), balances
 
 
@@ -464,23 +485,48 @@ def _rational_roots(poly):
     return sorted({Fraction(n, d) for n, d in roots if 0 < n * d < d * d})
 
 
+def _kills_cycles3(T: JumpRateMatrix, rows, weights, den: Optional[int],
+                   tol: float = DEFAULT_TOL) -> bool:
+    """Whether the product of the full-support marginal weights / den (float
+    or mixed weights when den is None) kills the length-3 cyclic balance
+    rows of T (`_cycle_rows`, Python ints over the rates' common denominator
+    when T is exact).  An exact T and marginal make each orbit one integer
+    dot product on the raw weights.  Otherwise the test is in floats: an
+    orbit's balance over its own weight is the cyclic window sum of Z, tested
+    at the scale of a float criterion context."""
+    keys = list(rows)
+    if T.is_exact and den is not None:
+        return _kills_balances(rows, ScalarContext(), [weights[a] * weights[b] * weights[c]
+                                                       for a, b, c in keys])
+    rho = [float(v) if den is None else v / den for v in weights]
+    values = [rho[a] * rho[b] * rho[c] for a, b, c in keys]
+    unit = T.coded.den if T.is_exact else 1  # exact rows are numerators over it
+    zero = ScalarContext.for_balances(T, False, tol).is_zero
+    return all(zero(sum(r / unit * values[c] for c, r in row.items()) / values[j])
+               for j, row in enumerate(rows.values()))
+
+
 def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchReport:
     """Product measures invariant for T.
 
     Solve the linearized pair system (the length-2 cyclic balances of T),
     factor samples as rank-one tables, and verify every emitted marginal
-    against T itself.  For two colours the rank-one slice is resolved
-    exactly in the Bernoulli parameter: either every parameter works, or the
-    finitely many rational roots are extracted and verified.
+    against T itself, on its length-3 cyclic balances (the line criterion of
+    a memory-0 law; the rows are built for the first marginal to decide).
+    For two colours the rank-one slice is resolved exactly in the Bernoulli
+    parameter: either every parameter works, or the finitely many rational
+    roots are extracted and verified.
     """
     if T.range_ != 2:
         raise ValueError("product search needs range 2")
     kappa = T.alphabet.kappa
-    rows, family, balances = _cycle_system(T, 2, tol)
+    moves = window_moves(T, numerators=T.is_exact)
+    rows, family, balances = _cycle_system(T, 2, tol, moves)
 
     candidates: List[Tuple[Tuple, CriterionReport]] = []
     notes: List[str] = []
     seen = set()
+    triple_rows: List[dict] = []
 
     def consider(weights, den=None):
         # a marginal weights / den, or floats; seen by value, so that a float
@@ -490,11 +536,14 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
             return
         seen.add(rho)
         if all(p > 0 for p in rho):
-            report = check_product_line(T, list(rho), tol)
-            if report.invariant:
-                candidates.append((rho, report))
+            if not triple_rows:
+                triple_rows.append(_cycle_rows(T, 3, moves)[0])
+            if _kills_cycles3(T, triple_rows[0], weights, den, tol):
+                # the report check_markov_cycle gives on the product's context
+                candidates.append((rho, CriterionReport(True, "cycle-3",
+                                                        words_checked=kappa ** 3)))
         else:
-            notes.append(f"sample {rho} lacks full support; "
+            notes.append(f"sample ({', '.join(map(scalar_repr, rho))}) lacks full support; "
                          "verify through restrict_support on its support")
 
     for point in family.samples:

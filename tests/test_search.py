@@ -8,17 +8,19 @@ import pytest
 
 from psinv import criteria, search
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
-from psinv.criteria import (check_product_line, cycle_jumps, product_context, symmetrize,
+from psinv.criteria import (check_markov_cycle, check_product_line, cycle_jumps,
+                            product_context, symmetrize,
                             window_moves, z_table)
 from psinv.linalg import solve_linear
-from psinv.search import (TripleMeasure, _cycle_system, _factor_rank_one, _family,
-                          _kills_balances, _rational_roots, _trial_marginals,
+from psinv.oracle import CycleSpace, build_generator, product_measure, stationarity_residual
+from psinv.search import (TripleMeasure, _cycle_rows, _cycle_system, _factor_rank_one, _family,
+                          _kills_balances, _kills_cycles3, _rational_roots, _trial_marginals,
                           candidate_kernels, find_markov,
                           find_product, kernel_from_ratios, ratio_table, solve_cycle3_system,
                           triple_from_kernel)
 from psinv import models
 from psinv.models import kappa2_general, tasep, tasep3
-from psinv.scalars import over_common_denominator
+from psinv.scalars import ScalarContext, over_common_denominator
 
 from conftest import random_jrm, random_kernel, random_marginal, rational
 from test_golden import MODELS
@@ -412,27 +414,56 @@ class TestFindMarkov:
         assert any("Bernoulli" in note for note in report.notes)
 
     def test_decides_each_product_once(self, monkeypatch):
-        built = []
-        real = criteria._balance_table
+        built, decided = [], []
+        real_table, real_decision = criteria._balance_table, search._kills_cycles3
 
-        def counting(ctx, *args):
+        def counting_table(ctx, *args):
             built.append(ctx.memory)
-            return real(ctx, *args)
+            return real_table(ctx, *args)
 
-        monkeypatch.setattr(criteria, "_balance_table", counting)
-        products = find_product(tasep().jrm)
-        assert len(built) == len(products.candidates) == 5
-        built.clear()
-        report = find_markov(tasep().jrm)
+        def counting_decision(T, rows, weights, den=None, *args):
+            decided.append(tuple(weights) if den is None else tuple(F(v, den) for v in weights))
+            return real_decision(T, rows, weights, den, *args)
+
+        monkeypatch.setattr(criteria, "_balance_table", counting_table)
+        monkeypatch.setattr(search, "_kills_cycles3", counting_decision)
+        T = tasep().jrm
+        products = find_product(T)
+        # each distinct full-support marginal is decided once, on the rows,
+        # and no Z table is built
+        assert len(decided) == len(set(decided)) == len(products.candidates) == 5
+        assert built == []
+        first = list(decided)
+        decided.clear()
+        report = find_markov(T)
         # one table for the triple-measure sample; the five products reuse
-        # the memory-0 line reports of find_product
-        assert built == [1, 0, 0, 0, 0, 0]
+        # the decisions of find_product
+        assert built == [1]
+        assert decided == first
         assert [c.provenance for c in report.candidates] == ["invariant product"] * 5
         for cand, (rho, line_report) in zip(report.candidates, products.candidates):
+            assert cand.line_report == line_report == \
+                check_markov_cycle(product_context(T, list(rho)), 3)
             assert cand.line_report.invariant
-            assert cand.line_report.words_checked == line_report.words_checked
             assert [cand.law.rho[(a,)] for a in range(2)] == list(rho)
             assert cand.kernel.matrix() == [list(rho), list(rho)]
+
+    def test_routes_through_the_traced_searches_once(self, monkeypatch):
+        # the benchmark times and counts find_markov through these two calls
+        calls = []
+        for name in ("solve_cycle3_system", "find_product"):
+            real = getattr(search, name)
+
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(search, name, counting)
+        for T in (tasep().jrm, tasep3(r10=1, r20=2, r21=1).jrm,
+                  invariant_product_table(random.Random("routes"), 3)[0]):
+            calls.clear()
+            find_markov(T)
+            assert sorted(calls) == ["find_product", "solve_cycle3_system"]
 
     def test_emitted_kernels_kill_length3_cycles(self):
         report = find_markov(tasep().jrm)
@@ -463,6 +494,14 @@ class TestFindProduct:
         assert report.candidates
         for rho, line_report in report.candidates:
             assert line_report.invariant
+
+    def test_partial_support_notes_render_scalars(self):
+        # samples render as model files write scalars; floats by repr
+        hint = "lacks full support; verify through restrict_support on its support"
+        assert find_product(tasep().jrm).notes == (f"sample (0, 1) {hint}",
+                                                   f"sample (1, 0) {hint}")
+        assert find_product(as_float(tasep().jrm)).notes == (f"sample (0.0, 1.0) {hint}",
+                                                             f"sample (1.0, 0.0) {hint}")
 
     def test_output_closure(self):
         # every emitted marginal kills the symmetrized balance table and the
@@ -564,17 +603,18 @@ class TestFindProduct:
         assert _rational_roots([5]) == []
 
 
-def seven_digits(rng):
-    return F(rng.randint(10 ** 6, 10 ** 7 - 1), rng.randint(10 ** 6, 10 ** 7 - 1))
+def digits_rational(rng, digits=7):
+    lo, hi = 10 ** (digits - 1), 10 ** digits - 1
+    return F(rng.randint(lo, hi), rng.randint(lo, hi))
 
 
-def large_invariant_table(rng, kappa):
-    """Range-2 rates with 7-digit rationals that keep a 7-digit product law
-    rho invariant: pair moves in detailed balance with rho x rho along the
-    edges of a random tree on the pairs plus kappa^2 // 2 more edges (swap
-    edges ab - ba left out), and swaps (i, j) -> (j, i), i > j, at rate
-    c_i - c_j with c increasing."""
-    raw = rng.sample(range(10 ** 6, 10 ** 7), kappa)
+def invariant_product_table(rng, kappa, digits=7):
+    """Range-2 rates with `digits`-digit rationals that keep a product law
+    rho of `digits`-digit weights invariant: pair moves in detailed balance
+    with rho x rho along the edges of a random tree on the pairs plus
+    kappa^2 // 2 more edges (swap edges ab - ba left out), and a drift of
+    swaps (i, j) -> (j, i), i > j, at rate c_i - c_j with c increasing."""
+    raw = rng.sample(range(10 ** (digits - 1), 10 ** digits), kappa)
     rho = tuple(F(v, sum(raw)) for v in raw)
     pairs = list(itertools.product(range(kappa), repeat=2))
     rng.shuffle(pairs)
@@ -587,12 +627,12 @@ def large_invariant_table(rng, kappa):
 
     for x, y in edges:
         if y != x[::-1]:
-            forward = seven_digits(rng)
+            forward = digits_rational(rng, digits)
             add(x, y, forward)
             add(y, x, forward * rho[x[0]] * rho[x[1]] / (rho[y[0]] * rho[y[1]]))
     c = [F(0)]
     for _ in range(kappa - 1):
-        c.append(c[-1] + seven_digits(rng))
+        c.append(c[-1] + digits_rational(rng, digits))
     for i in range(kappa):
         for j in range(i):
             add((i, j), (j, i), c[i] - c[j])
@@ -602,10 +642,94 @@ def large_invariant_table(rng, kappa):
 class TestLargeRationals:
     @pytest.mark.parametrize("seed", range(3))
     def test_constructed_product_found(self, seed):
-        T, rho = large_invariant_table(random.Random(f"large-{seed}"), 3)
+        T, rho = invariant_product_table(random.Random(f"large-{seed}"), 3)
         assert rho in [marginal for marginal, _ in find_product(T).candidates]
         kernels = [cand.kernel.matrix() for cand in find_markov(T).candidates]
         assert [list(rho)] * 3 in kernels
+
+
+def row_verdict(T, weights, den=None, tol=1e-9):
+    """The search's decision of the product of weights / den (floats when
+    den is None) on the length-3 cyclic balance rows of T."""
+    rows = _cycle_rows(T, 3, window_moves(T, numerators=T.is_exact))[0]
+    return _kills_cycles3(T, rows, weights, den, tol)
+
+
+def product_instances(seed):
+    """Seeded exact (T, rho), rho of full support, for kappa 2-4: a table
+    built to keep a product invariant (detailed balance plus drift) with its
+    marginal and a random one, its perturbed twin with that marginal, and a
+    random sparse table (`random_range2`) with the trial marginals and a
+    random one."""
+    rng = random.Random(seed)
+    for kappa in (2, 3, 4):
+        trials = [tuple(F(v, sum(raw)) for v in raw) for raw in _trial_marginals(kappa)]
+        for _ in range(8):
+            T, rho = invariant_product_table(rng, kappa, digits=1)
+            u, v = rng.sample(list(T.alphabet.words(2)), 2)
+            twin = T.plus(JumpRateMatrix(T.alphabet, 2, {(u, v): rational(rng)}))
+            yield from ((T, m) for m in (rho, tuple(random_marginal(rng, kappa))))
+            yield twin, rho
+            sparse = random_range2(rng, kappa)
+            yield from ((sparse, m) for m in trials + [tuple(random_marginal(rng, kappa))])
+
+
+class TestProductRowDecision:
+    """find_product keeps a full-support marginal when its product kills the
+    length-3 cyclic balances of T: the line criterion of a memory-0 law
+    (critical length h = 4m + 2L - 1 = 3), decided without a Z table."""
+
+    def test_row_verdict_is_the_line_verdict(self):
+        verdicts = []
+        for T, rho in product_instances("row-decision"):
+            weights, den = over_common_denominator(rho)
+            verdict = row_verdict(T, weights, den)
+            assert verdict == check_product_line(T, list(rho)).invariant
+            assert verdict == check_markov_cycle(product_context(T, list(rho)), 3).invariant
+            residual = stationarity_residual(build_generator(T, CycleSpace(3)),
+                                             product_measure(list(rho), 3))
+            assert verdict == (residual == 0)
+            verdicts.append(verdict)
+        assert len(verdicts) >= 150
+        assert 0.3 <= sum(verdicts) / len(verdicts) < 1
+
+    def test_float_copies_agree_with_the_line_check(self):
+        for T, rho in product_instances("row-decision-floats"):
+            floated, weights = as_float(T), [float(p) for p in rho]
+            expected = check_product_line(floated, weights).invariant
+            assert row_verdict(floated, weights) == expected
+            # an exact marginal on a float table is decided in floats too
+            assert row_verdict(floated, *over_common_denominator(rho)) == expected
+            assert expected == check_product_line(T, list(rho)).invariant
+
+
+class TestMixedScalars:
+    """A float marginal on an exact table is decided in floats, at the
+    tolerance of the line check's float context, never by `== 0`."""
+
+    def test_float_marginal_on_exact_table(self, monkeypatch):
+        T = tasep().jrm
+        twin = T.plus(JumpRateMatrix(T.alphabet, 2, {((0, 0), (0, 1)): F(1)}))
+        large, rho = invariant_product_table(random.Random("mixed-scalars"), 3)
+        floats = [float(p) for p in rho]
+        # the float copy of the marginal is not exactly invariant
+        assert stationarity_residual(build_generator(large, CycleSpace(3)),
+                                     product_measure([F(p) for p in floats], 3)) != 0
+        compared, real = [], ScalarContext.is_zero
+
+        def recording(self, value):
+            compared.append((self.exact, type(value)))
+            return real(self, value)
+
+        for table, marginal, invariant in ((T, [0.5, 0.5], True), (twin, [0.5, 0.5], False),
+                                           (T, [0.1, 0.9], True), (large, floats, True)):
+            assert table.is_exact
+            compared.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ScalarContext, "is_zero", recording)
+                verdict = row_verdict(table, marginal)
+            assert compared and all(not exact for exact, _ in compared)
+            assert verdict == check_product_line(table, marginal).invariant == invariant
 
 
 class TestRatioTables:
@@ -788,17 +912,17 @@ class TestIntegerCandidates:
         # trial marginal [1, 1] and the Bernoulli root 1/2 give exactly
         T = JumpRateMatrix(Alphabet(2), 2, {((0, 0), (0, 1)): 1.0, ((1, 1), (1, 0)): 1.0,
                                             ((0, 1), (0, 0)): 1.0, ((1, 0), (1, 1)): 1.0})
-        checked = []
+        decided, real = [], search._kills_cycles3
 
-        def counting(*args):
-            checked.append(args[1])
-            return check_product_line(*args)
+        def counting(T, rows, weights, den=None, *args):
+            decided.append((tuple(weights), den))
+            return real(T, rows, weights, den, *args)
 
-        monkeypatch.setattr(search, "check_product_line", counting)
+        monkeypatch.setattr(search, "_kills_cycles3", counting)
         report = find_product(T)
         assert report.family.samples == ((0.25,) * 4,)
         assert report.bernoulli_roots == (F(1, 2),)
-        assert len(checked) == 1
+        assert [[pinned(v) for v in weights] for weights, _ in decided] == [[pinned(0.5)] * 2]
         assert [[pinned(p) for p in rho] for rho, _ in report.candidates] == [[pinned(0.5)] * 2]
 
 
