@@ -344,9 +344,10 @@ def _cmd_verify_cycle(args, model: ModelFile):
     ctx = _law_from_file(model, args.tol)
     if n < 1:
         raise ValueError("cycle length must be >= 1")
-    oracle.check_space(model.jrm, CycleSpace(n), args.max_states)
-    report = criteria.check_markov_cycle(ctx, n)
+    # the build checks the state cap and the transition budget, and stores no
+    # transitions yet, so it runs before the decider
     gen = build_generator(model.jrm, CycleSpace(n), max_states=args.max_states)
+    report = criteria.check_markov_cycle(ctx, n)
     mu = gibbs_measure(model.kernel, n) if model.kernel else product_measure(model.rho, n)
     residual = stationarity_residual(gen, mu)
     doc = report_json(report, residuals={"oracle_max_residual": scalar_repr(residual)})

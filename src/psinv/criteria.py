@@ -52,6 +52,8 @@ ZERO_DENOMINATOR_HINT = ("kernel has zero entries; invariance with partial suppo
                          "must go through restrict_support on a closed sub-alphabet")
 # words per block of an array window-sum scan (rounded down to a power of kappa)
 SCAN_BLOCK = 2 ** 15
+# exact cycle scans add int64 numerators when n x the largest |Z| is below this
+INT64_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ class WordTable(Mapping):
 
 def _scalar(value, den: Optional[int]):
     """An entry, or a sum of entries, as a scalar (a Fraction when exact)."""
-    return Fraction(value, den) if den is not None else float(value)
+    return Fraction(int(value), den) if den is not None else float(value)
 
 
 @dataclass(frozen=True)
@@ -549,12 +551,29 @@ def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
                            criteria_evaluated=evaluated, words_checked=count)
 
 
+def _narrowed(values: WordTable, windows: int) -> WordTable:
+    """An exact table with int64 numerators when a sum of `windows` entries
+    stays below INT64_LIMIT in absolute value; otherwise the table itself."""
+    if values.den is None:
+        return values
+    try:
+        narrow = values.entries.astype(np.int64)
+    except OverflowError:
+        return values
+    top = max(int(narrow.max(initial=0)), -int(narrow.min(initial=0)))
+    if top * windows >= INT64_LIMIT:
+        return values
+    return WordTable(values.alphabet, values.length, narrow, values.den)
+
+
 def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
-    """Decide invariance of the cyclic chain law on Z/nZ (all kappa^n words)."""
+    """Decide invariance of the cyclic chain law on Z/nZ (all kappa^n words).
+    Exact window sums run on int64 when n x the largest |Z| numerator is
+    below INT64_LIMIT, on Python ints otherwise."""
     if n < 1:
         raise ValueError("cycle length must be >= 1")
     if n >= ctx.memory + ctx.range_:
-        count, witness = _first_nonzero_cycle(ctx, z_table(ctx).values, n)
+        count, witness = _first_nonzero_cycle(ctx, _narrowed(z_table(ctx).values, n), n)
     else:
         moves = window_moves(ctx.T)
         count, witness = ctx.first_nonzero(ctx.alphabet.words(n),

@@ -2,18 +2,21 @@
 
 For a cycle Z/nZ, a segment {1..n} with boundary rates, or an n x n torus,
 the particle system is an honest finite-state Markov jump process.  This
-module builds its full rate matrix Q as integer index arrays (compressed
-sparse rows; diagonal implicit) from its jump windows, cycles shorter than
+module builds its rate matrix Q from its jump windows, cycles shorter than
 the range included, each build counted against TRANSITION_BUDGET before
-anything is allocated.  It evaluates stationarity residuals mu Q
-exactly, computes cyclic chain (Gibbs) weights and product weights, and
-finds the closed classes of the jump graph by labelling each state with the
-least state it reaches.  Exact rates and measures are integers over one
-common denominator each: int64 when an a-priori bound on every value and sum
+anything is allocated.  A build keeps the window groups and their rates;
+the full Q as integer index arrays (compressed sparse rows; diagonal
+implicit) is compressed only when something reads it.  Exact stationarity
+residuals mu Q need no stored Q: each window's local generator acts on mu,
+viewed as a base-kappa tensor with the window's sites first.  The module
+also computes cyclic chain (Gibbs) weights and product weights, and finds
+the closed classes of the jump graph by labelling each state with the least
+state it reaches.  Exact rates and measures are integers over one common
+denominator each: int64 when an a-priori bound on every value and sum
 computed from them (largest numerator x largest factor x number of terms;
-the residual bounds the two sides of its sums apart when that is too
-coarse) is below INT64_LIMIT, Python ints in object arrays otherwise, so every sum is
-an exact integer sum; floats stay float64, summed in a fixed order.
+for the residual, top(mu) x the windows' largest local exit or inflow rate)
+is below INT64_LIMIT, Python ints in object arrays otherwise, so every sum
+is an exact integer sum; floats stay float64, summed in a fixed order.
 Everything here is independent of the criteria module so the two can be
 tested against each other.
 """
@@ -97,15 +100,6 @@ def _top(num) -> int:
     return max(map(abs, num.tolist() if isinstance(num, np.ndarray) else num), default=0)
 
 
-def _column_sums(gen: FiniteGenerator, terms: int) -> np.ndarray:
-    """The total rate into each state, exactly; `terms` bounds the number of
-    rates into one state."""
-    rate = _ints(gen.rate, _top(gen.rate) * terms)
-    sums = np.zeros(gen.n_states, dtype=rate.dtype)
-    np.add.at(sums, gen.dst, rate)
-    return sums
-
-
 def _floats(num: np.ndarray, den: int, exact: bool) -> np.ndarray:
     """num / den as float64, each value correctly rounded like float(Fraction)."""
     if not exact:
@@ -175,18 +169,64 @@ class FiniteGenerator:
     common denominator of the rates; a float generator holds float64 rates
     and scale 1.
 
+    The generator is kept as its window groups (sites, moves) and `values`,
+    the rates of the moves over `scale`, group by group, as int64 or Python
+    ints fixed at build time; the four CSR arrays are compressed from them on
+    first read.  Exact residuals need no CSR arrays.
+
     `rows[x]` is a {target: rate} view of row x and `exit_rates[x]` the exit
     rate, both as Fraction or float."""
 
-    def __init__(self, space: Space, alphabet: Alphabet, n_sites: int, indptr: np.ndarray,
-                 dst: np.ndarray, rate: np.ndarray, exits: np.ndarray, scale: int, exact: bool):
+    def __init__(self, space: Space, alphabet: Alphabet, n_sites: int, groups,
+                 values: np.ndarray, scale: int, exact: bool):
         self.space, self.alphabet, self.n_sites = space, alphabet, n_sites
-        self.indptr, self.dst, self.rate, self.exits, self.scale = indptr, dst, rate, exits, scale
-        self.exact = exact
+        self.groups, self.values, self.scale, self.exact = groups, values, scale, exact
 
     @property
     def n_states(self) -> int:
         return self.alphabet.kappa ** self.n_sites
+
+    @cached_property
+    def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        blocks = _window_blocks(self.groups, self.alphabet.kappa, self.n_sites)
+        return _compress(self.n_states, blocks, self.values, self.exact)
+
+    indptr = property(lambda self: self._csr[0])
+    dst = property(lambda self: self._csr[1])
+    rate = property(lambda self: self._csr[2])
+    exits = property(lambda self: self._csr[3])
+
+    @cached_property
+    def _local(self):
+        """Per window group: the axis order of each window (its sites in
+        pattern order, then the other sites), the letters of the patterns the
+        moves touch (one array per window site), their local exit rates, and
+        rounds of moves (sources, rates): touched pattern j receives, in
+        each round, rates[j] times the weight of touched pattern sources[j]
+        (rate 0 where no move is left to add), as Python ints.  Also the sum
+        over all windows of the largest local exit or inflow rate."""
+        values, local, reach, at = self.values.tolist(), [], 0, 0
+        everywhere = set(range(self.n_sites))
+        for sites, moves in self.groups:
+            touched = sorted({u for u, _, _ in moves} | {v for _, v, _ in moves})
+            index = {word: i for i, word in enumerate(touched)}
+            exits, inflow, rounds = [0] * len(touched), [0] * len(touched), []
+            depth = [0] * len(touched)
+            for (u, v, _), rate in zip(moves, values[at:at + len(moves)]):
+                i, j = index[u], index[v]
+                exits[i] += rate
+                inflow[j] += rate
+                if depth[j] == len(rounds):
+                    rounds.append((list(range(len(touched))), [0] * len(touched)))
+                rounds[depth[j]][0][j], rounds[depth[j]][1][j] = i, rate
+                depth[j] += 1
+            at += len(moves)
+            reach += len(sites) * max(exits + inflow)
+            orders = [tuple(window) + tuple(sorted(everywhere.difference(window)))
+                      for window in sites.tolist()]
+            local.append((orders, tuple(np.array(col) for col in zip(*touched)), exits,
+                          [(np.array(sources), rates) for sources, rates in rounds]))
+        return local, reach
 
     @cached_property
     def rows(self) -> List[_Row]:
@@ -262,13 +302,20 @@ def _window_groups(T: JumpRateMatrix, space: Space):
     return [(sites, moves) for sites, moves in groups if len(sites) and moves]
 
 
+def _transitions(groups, kappa: int, n_sites: int) -> int:
+    """The raw transitions of the window groups: windows x moves x the
+    kappa^(sites - width) states that show each pattern."""
+    return sum(len(sites) * len(moves) * kappa ** (n_sites - sites.shape[1])
+               for sites, moves in groups)
+
+
 def _window_blocks(groups, kappa: int, n_sites: int):
-    """The jump blocks (fro, base, shift, move index) of every group, and the
-    rates the move indices point to.  The states that show move k's pattern
-    u on window w are fro[w, k] + base[w, :], ascending, and each of them
-    jumps by shift[w, k]: base[w] lists the states that read zeros on window
-    w, and fro[w, k] puts u's digits in place."""
-    blocks, rates = [], []
+    """The jump blocks (fro, base, shift, move index) of every group, the
+    move indices counting the moves group by group.  The states that show
+    move k's pattern u on window w are fro[w, k] + base[w, :], ascending, and
+    each of them jumps by shift[w, k]: base[w] lists the states that read
+    zeros on window w, and fro[w, k] puts u's digits in place."""
+    blocks, at = [], 0
     for sites, moves in groups:
         windows, width = sites.shape
         place = kappa ** (n_sites - 1 - sites)
@@ -282,31 +329,27 @@ def _window_blocks(groups, kappa: int, n_sites: int):
         for t in range(n_sites - width):
             base = (base[:, :, None] + other_place[:, t, None, None] * np.arange(kappa)).reshape(
                 windows, -1)
-        blocks.append((place @ u.T, base, place @ (v - u).T,
-                       np.arange(len(rates), len(rates) + len(moves))))
-        rates += [rate for _, _, rate in moves]
-    return blocks, rates
+        blocks.append((place @ u.T, base, place @ (v - u).T, np.arange(at, at + len(moves))))
+        at += len(moves)
+    return blocks
 
 
-def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> FiniteGenerator:
-    """CSR generator from jump blocks (fro, base, shift, move): the states
-    fro[w, k] + base[w, :] jump by shift[w, k] at rates[move[k]].  Generation
-    order is block list, window, move, ascending source.
+def _compress(n_states: int, blocks, values: np.ndarray, exact: bool):
+    """The CSR arrays (indptr, dst, rate, exits) from jump blocks (fro, base,
+    shift, move): the states fro[w, k] + base[w, :] jump by shift[w, k] at
+    values[move[k]].  Generation order is block list, window, move, ascending
+    source.
 
     Transitions between the same two states are merged; exit rates add the
     rates of the raw jumps, apart from the merge.  Float sums keep the
     generation order: each exit rate and each merged rate adds its terms in
     the order they were generated."""
-    n_states = alphabet.kappa ** n_sites
-    nums, scale, exact = _common_denominator(rates)
     empty = np.zeros(0, dtype=np.int64)
     shift = np.concatenate([s.ravel() for _, _, s, _ in blocks] + [empty])
     move = np.concatenate([np.broadcast_to(m, s.shape).ravel() for _, _, s, m in blocks]
-                          + [empty]).astype(np.min_scalar_type(len(rates)))
+                          + [empty]).astype(np.min_scalar_type(len(values)))
     width = np.concatenate([np.full(s.size, base.shape[1]) for _, base, s, _ in blocks] + [empty])
     raw = int(width.sum())
-    # every exit and merged rate is a sum of at most `raw` nonnegative rates
-    values = _ints(nums, _top(nums) * raw) if exact else nums
     # rank the blocks by shift, ties in generation order: then sorting the
     # keys source * J + rank orders the jumps by source, then target, and
     # keeps the jumps between two states in generation order.  Each block's
@@ -357,7 +400,7 @@ def _compress(space: Space, alphabet: Alphabet, n_sites: int, blocks, rates) -> 
         exits[rows] = np.add.reduceat(jump, first[indptr[rows]])
     for array in (indptr, targets, rate, exits):
         array.setflags(write=False)
-    return FiniteGenerator(space, alphabet, n_sites, indptr, targets, rate, exits, scale, exact)
+    return indptr, targets, rate, exits
 
 
 def check_state_cap(alphabet: Alphabet, n_sites: int, max_states: int = DEFAULT_STATE_CAP):
@@ -376,12 +419,10 @@ def check_space(T: JumpRateMatrix, space: Space, max_states: int = DEFAULT_STATE
         raise TypeError(f"unknown space {space!r}")
     if space.n < 1:
         raise ValueError(f"size {space.n} must be >= 1")
-    kappa = T.alphabet.kappa
     n_sites = space.n * space.n if isinstance(space, TorusSpace) else space.n
     check_state_cap(T.alphabet, n_sites, max_states)
     groups = _window_groups(T, space)
-    count = sum(len(sites) * len(moves) * kappa ** (n_sites - sites.shape[1])
-                for sites, moves in groups)
+    count = _transitions(groups, T.alphabet.kappa, n_sites)
     if count > TRANSITION_BUDGET:
         raise StateCapExceeded(f"about {count} transitions exceed the budget {TRANSITION_BUDGET}")
     return n_sites, groups
@@ -391,17 +432,22 @@ def build_generator(T: JumpRateMatrix, space: Space,
                     max_states: int = DEFAULT_STATE_CAP) -> FiniteGenerator:
     """Explicit sparse generator of the particle system on a finite space."""
     n_sites, groups = check_space(T, space, max_states)
-    blocks, rates = _window_blocks(groups, T.alphabet.kappa, n_sites)
-    return _compress(space, T.alphabet, n_sites, blocks, rates)
+    nums, scale, exact = _common_denominator(rate for _, moves in groups for _, _, rate in moves)
+    # every exit and merged rate is a sum of at most this many nonnegative rates
+    raw = _transitions(groups, T.alphabet.kappa, n_sites)
+    values = _ints(nums, _top(nums) * raw) if exact else nums
+    return FiniteGenerator(space, T.alphabet, n_sites, groups, values, scale, exact)
 
 
 def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
     """max_x |(mu Q)(x)|, exact in rational mode; zero iff mu is invariant.
 
-    Exact when the generator and mu are both rational, summed on int64 when
-    the bound allows and on Python ints otherwise; otherwise every value
-    is rounded to float first and the sums run in a fixed order: each target
-    adds its inflows by ascending source."""
+    Exact when the generator and mu are both rational: mu Q is summed window
+    by window, each window's local generator acting on mu viewed as a
+    base-kappa tensor with the window's sites first, on int64 when the bound
+    allows and on Python ints otherwise.  Otherwise every value is rounded
+    to float first and the sums run over the CSR arrays in a fixed order:
+    each target adds its inflows by ascending source."""
     if len(mu) != gen.n_states:
         raise ValueError("measure length does not match the state space")
     if not isinstance(mu, ScaledArray):
@@ -409,25 +455,32 @@ def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
         mu = ScaledArray(_ints(nums, _top(nums)) if exact else nums, den, exact)
     exact = gen.exact and mu.exact
     if exact:
-        # a sum starts at -mu(x) exits(x) and adds nonnegative inflows, so
-        # every partial sum and product is at most the larger of its two
-        # sides: top(mu * exits), and top(mu) times the largest column sum
-        # of the rates.  The cheaper top(mu) * top(exits) * (1 + in-degree)
-        # bounds both (no rate exceeds its row's exit rate) and is tried
-        # first.  Python-int weights make every product and sum a Python int.
-        terms = 1 + int(np.bincount(gen.dst, minlength=1).max())
-        bound = _top(mu.num) * _top(gen.exits) * terms
-        if bound >= INT64_LIMIT > _top(mu.num):
-            product = _top(mu.num) * _top(gen.exits)
-            outflows = _ints(mu.num, product) * _ints(gen.exits, product)
-            bound = max(_top(outflows), _top(mu.num) * _top(_column_sums(gen, terms)))
-        weights = _ints(mu.num, bound)
-        rate, exits = gen.rate, gen.exits
+        # one window adds -mu(x) exit(x) and the inflows mu(y) rate, so each
+        # of its partial sums is at most top(mu) times the larger of the
+        # largest local exit and inflow rate, and the windows add up; the
+        # bound also covers the weights and the local rates themselves
+        local, reach = gen._local
+        weights = _ints(mu.num, max(_top(mu.num), 1) * (reach + 1))
+        acc = np.zeros(gen.n_states, dtype=weights.dtype)
+        shape = (gen.alphabet.kappa,) * gen.n_sites
+        tensor, out = weights.reshape(shape), acc.reshape(shape)
+        for orders, letters, exits, rounds in local:
+            diagonal = -np.array(exits, dtype=weights.dtype)[:, None]
+            jumps = [(sources, np.array(rates, dtype=weights.dtype)[:, None])
+                     for sources, rates in rounds]
+            for order in orders:
+                flow = tensor.transpose(order)[letters]
+                flat = flow.reshape(len(exits), -1)
+                part = diagonal * flat
+                for sources, rates in jumps:
+                    part += rates * flat[sources]
+                # one window's touched patterns are distinct states
+                out.transpose(order)[letters] += part.reshape(flow.shape)
     else:
         weights = _floats(mu.num, mu.den, mu.exact)
         rate, exits = (_floats(a, gen.scale, gen.exact) for a in (gen.rate, gen.exits))
-    acc = -weights * exits
-    np.add.at(acc, gen.dst, weights[gen.sources()] * rate)
+        acc = -weights * exits
+        np.add.at(acc, gen.dst, weights[gen.sources()] * rate)
     top = np.max(np.abs(acc))
     return Fraction(int(top), mu.den * gen.scale) if exact else float(top)
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -737,3 +738,108 @@ class TestExactPaths:
         monkeypatch.setattr(oracle, "_ints", spy)
         assert stationarity_residual(gen, mu) == 0
         assert made == [dtype]  # the weights, which fix the type of every product and sum
+
+
+# ---------------------------------------------------------------------------
+# the exact residual, window by window
+# ---------------------------------------------------------------------------
+
+def digit_table(rng, kappa, range_, digits, max_entries=6):
+    """A random_jrm table whose rates have `digits`-digit numerators and
+    denominators."""
+    T = random_jrm(rng, kappa=kappa, range_=range_, max_entries=max_entries)
+    lo = 10 ** (digits - 1)
+    return JumpRateMatrix(T.alphabet, range_, {(u, v): rational(rng, lo, 10 * lo - 1)
+                                               for u, v, _ in T.entries()})
+
+
+def random_measure(rng, size, digits):
+    """`size` positive weights with `digits`-digit numerators over one
+    `digits`-digit denominator."""
+    lo = 10 ** (digits - 1)
+    den = rng.randint(lo, 10 * lo - 1)
+    return [Fraction(rng.randint(lo, 10 * lo - 1), den) for _ in range(size)]
+
+
+@functools.lru_cache(maxsize=None)
+def larger_torus_case(digits, kappa, n):
+    """A seeded table on the n x n torus, a random measure and their
+    per-state reference residual, built once for the int64 and object runs."""
+    rng = random.Random(1000 * digits + 10 * kappa + n)
+    # the reference visits the 65,536 states of the 4 x 4 torus one by one
+    T = digit_table(rng, kappa, 4, digits, max_entries=2 if n == 4 else 4)
+    mu = random_measure(rng, kappa ** (n * n), digits)
+    return T, mu, reference_residual(*reference_generator(T, TorusSpace(n)), mu)
+
+
+@pytest.mark.parametrize("digits", [1, 7], ids=["1-digit", "7-digit"])
+@pytest.mark.parametrize("limit", ["int64", "object"])
+class TestWindowResidual:
+    """The exact residual sums each window's local generator applied to mu;
+    it must equal the per-state reference on both integer paths, for random
+    measures and product measures."""
+
+    def check(self, monkeypatch, limit, T, space, rng, digits):
+        if limit == "object":
+            monkeypatch.setattr(oracle, "INT64_LIMIT", 0)
+        gen = build_generator(T, space)
+        rows, exits = reference_generator(T, space)
+        for mu in (random_measure(rng, gen.n_states, digits),
+                   product_measure(random_marginal(rng, T.alphabet.kappa), gen.n_sites)):
+            residual = stationarity_residual(gen, mu)
+            assert type(residual) is Fraction, space
+            assert residual == reference_residual(rows, exits, mu), space
+
+    def test_cycles_shorter_than_the_range(self, monkeypatch, limit, digits):
+        rng = random.Random(61 + digits)
+        for kappa in (2, 3, 4):
+            for range_ in (2, 3, 4):
+                T = dense_periodic_table(rng, kappa, range_)
+                if digits > 1:
+                    T = JumpRateMatrix(T.alphabet, range_, {
+                        (u, v): rational(rng, 10 ** 6, 10 ** 7 - 1) for u, v, _ in T.entries()})
+                for n in range(1, range_):
+                    self.check(monkeypatch, limit, T, CycleSpace(n), rng, digits)
+
+    def test_segments_with_boundary_rates(self, monkeypatch, limit, digits):
+        rng = random.Random(62 + digits)
+        for kappa in (2, 3, 4):
+            for range_ in (2, 3):
+                T = digit_table(rng, kappa, range_, digits)
+                beta = BoundaryRates(digit_table(rng, kappa, range_ - 1, digits),
+                                     digit_table(rng, kappa, range_ - 1, digits))
+                for n in range(range_ - 1, 6):
+                    if kappa ** n <= 256:
+                        self.check(monkeypatch, limit, T, SegmentSpace(n, beta), rng, digits)
+
+    def test_tori(self, monkeypatch, limit, digits):
+        rng = random.Random(63 + digits)
+        for kappa, n in ((2, 2), (3, 2), (4, 2), (2, 3)):
+            T = digit_table(rng, kappa, 4, digits, max_entries=12)
+            self.check(monkeypatch, limit, T, TorusSpace(n), rng, digits)
+
+    @pytest.mark.parametrize("kappa, n", [(3, 3), (2, 4)])
+    def test_larger_tori(self, monkeypatch, limit, digits, kappa, n):
+        T, mu, expected = larger_torus_case(digits, kappa, n)
+        if limit == "object":
+            monkeypatch.setattr(oracle, "INT64_LIMIT", 0)
+        assert stationarity_residual(build_generator(T, TorusSpace(n)), mu) == expected
+
+
+class TestLazyGenerator:
+    def test_exact_residual_compresses_nothing(self):
+        spec = stochastic_ising(F(1, 3))
+        gen = build_generator(spec.jrm, CycleSpace(8))
+        assert stationarity_residual(gen, gibbs_measure(spec.kernel, 8)) == 0
+        assert "_csr" not in vars(gen)
+        # a float measure goes through the CSR arrays, built on first read
+        assert stationarity_residual(gen, [1 / 256] * 256) > 0
+        assert "_csr" in vars(gen)
+
+    def test_rate_type_is_fixed_at_build_time(self, monkeypatch):
+        spec = stochastic_ising(F(1, 3))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "INT64_LIMIT", 0)
+            gen = build_generator(spec.jrm, CycleSpace(6))
+        assert "_csr" not in vars(gen)
+        assert gen.values.dtype == gen.rate.dtype == gen.exits.dtype == object

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from psinv import criteria
@@ -150,6 +151,42 @@ class TestCycleScan:
             for block in (1, 2, 10, 100, 3 ** 6 + 1):
                 monkeypatch.setattr(criteria, "SCAN_BLOCK", block)
                 assert fields(check_markov_cycle(ctx, 6)) == expected
+
+    def test_int64_and_object_scans_agree(self, monkeypatch):
+        # exact Z numerators are narrowed to int64 under the bound; a limit
+        # of 0 keeps them Python ints.  Verdict, count and witness agree, and
+        # a witness is a Fraction of Python ints on both paths.
+        narrowed, witnesses = set(), 0
+        for kappa, memory, range_ in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 0, 2)):
+            for label, ctx in instances(9, kappa, memory, range_):
+                if not ctx.scalar_context.exact:
+                    continue
+                values = z_table(ctx).values
+                for n in range(memory + range_, memory + range_ + 4):
+                    narrowed.add(criteria._narrowed(values, n).entries.dtype)
+                    reports = [check_markov_cycle(ctx, n)]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(criteria, "INT64_LIMIT", 0)
+                        assert criteria._narrowed(values, n) is values
+                        reports.append(check_markov_cycle(ctx, n))
+                    assert fields(reports[0]) == fields(reports[1]), (label, n)
+                    for report in reports:
+                        if report.witness is not None:
+                            witnesses += 1
+                            value = report.witness[1]
+                            assert type(value.numerator) is type(value.denominator) is int
+        assert narrowed == {np.dtype(np.int64)} and witnesses
+
+    def test_entries_beyond_int64_stay_python_ints(self):
+        ctx = markov_context(*invariant_instance(random.Random(14), 2, 1, 2))
+        values = z_table(ctx).values
+        huge = criteria.WordTable(values.alphabet, values.length,
+                                  values.entries * 2 ** 64, values.den)
+        assert criteria._narrowed(huge, 4) is huge
+        big = criteria.WordTable(values.alphabet, values.length,
+                                 np.full(len(values.entries), 2 ** 60, dtype=object), values.den)
+        assert criteria._narrowed(big, 3).entries.dtype == np.int64
+        assert criteria._narrowed(big, 4) is big  # 4 x 2^60 reaches the limit
 
     def test_small_cycles_and_pair_cycles_match_reference(self):
         rng = random.Random(13)
