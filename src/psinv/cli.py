@@ -358,6 +358,7 @@ def _cmd_verify_cycle(args, model: ModelFile):
 
 
 def _cmd_absorbing(args, model: ModelFile):
+    oracle.check_state_cap(model.jrm.alphabet, args.n_max, args.max_states)
     sizes = list(range(args.n_min, args.n_max + 1))
     verdict = oracle.absorbing_exclusion(model.jrm, sizes, max_states=args.max_states)
     doc = {
@@ -457,6 +458,18 @@ def _cmd_model(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite float >= 0 (nan, inf or a negative tolerance
+    would decide every zero test one way)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, not {text!r}")
+    return tol
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The psinv parser, built on first use and shared by later calls."""
@@ -469,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=False, help="exact rational arithmetic (default)")
     parser.add_argument("--float", dest="float_mode", action="store_true",
                         help="coerce all inputs to floats")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="zero tolerance in float mode")
     parser.add_argument("--max-states", type=int, default=oracle.DEFAULT_STATE_CAP,
                         help="cap on brute-force configuration spaces")

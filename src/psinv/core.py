@@ -104,7 +104,7 @@ class JumpRateMatrix:
     """Sparse jump rates T[w -> w'] over length-L words; absent entry = 0.
 
     Exact when every rate is rational, decided once at construction; the
-    sorted and coded moves are built on first use."""
+    sorted, coded and windowed moves are built on first use."""
 
     alphabet: Alphabet
     range_: int
@@ -151,6 +151,19 @@ class JumpRateMatrix:
             exits[encode(src)] += rate
         return CodedMoves(*(np.array([encode(move[k]) for move in moves], dtype=np.int64)
                             for k in (0, 1)), rates, exits, den)
+
+    @cached_property
+    def by_window(self) -> Tuple[Dict[Word, list], Dict[Word, list], object]:
+        """(into, out_of, zero): the moves (u, v, rate) by target window v and
+        by source window u, each group in `entries()` order, with `coded`'s
+        rates (numerators over `coded.den` when exact); zero starts an exit
+        sum: 0 when exact, else Fraction(0)."""
+        into: Dict[Word, list] = {}
+        out_of: Dict[Word, list] = {}
+        for (u, v, _), rate in zip(self._sorted, self.coded.rates):
+            into.setdefault(v, []).append((u, v, rate))
+            out_of.setdefault(u, []).append((u, v, rate))
+        return into, out_of, 0 if self._exact else _ZERO
 
     @property
     def is_zero(self) -> bool:
@@ -411,13 +424,6 @@ def product_law(rho) -> StationaryLaw:
     """Stationary law of the i.i.d. sequence with marginal rho."""
     kernel = MarkovKernel.from_marginal(rho)
     return StationaryLaw(kernel, {(a,): kernel.prob((), a) for a in kernel.alphabet.letters})
-
-
-def markov_law(rows) -> StationaryLaw:
-    """Stationary law of a positive memory-1 kernel given as a matrix."""
-    from .linalg import stationary_distribution
-
-    return stationary_distribution(MarkovKernel.from_matrix(rows))
 
 
 @dataclass(frozen=True)

@@ -272,42 +272,17 @@ def cycle_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTa
     return _cycle_balance_direct(ctx, x)
 
 
-def _cycle_balance_direct(ctx: CriterionContext, x: Word, moves: Optional[WindowMoves] = None):
+def _cycle_balance_direct(ctx: CriterionContext, x: Word):
     def weight(w):  # the chain weight of a cyclic word over its wrapped windows
         return ctx.kernel.word_weight((w * (ctx.memory + 1))[:len(w) + ctx.memory])
 
-    inflow, exit_rate = cycle_jumps(ctx.T, x, moves)
+    inflow, exit_rate = cycle_jumps(ctx.T, x)
     total_in = sum(weight(w) * rate for w, rate in inflow)
-    return (total_in - weight(x) * exit_rate) / weight(x)
+    # exact jumps are numerators over the rates' common denominator
+    return (total_in - weight(x) * exit_rate) / (weight(x) * (ctx.T.coded.den or 1))
 
 
-@dataclass(frozen=True)
-class WindowMoves:
-    """The moves (u, v, rate) of a rate table grouped by their target window
-    v (`into`) and by their source window u (`out_of`), each group in
-    T.entries() order; `zero` starts every exit-rate sum."""
-
-    into: Dict[Word, list]
-    out_of: Dict[Word, list]
-    zero: object
-
-
-def window_moves(T: JumpRateMatrix, numerators: bool = False) -> WindowMoves:
-    """T's moves grouped by window, for `cycle_jumps` to look up.  With
-    `numerators` (exact T only) each rate is read as its Python-int numerator
-    over the rates' least common denominator (`T.coded`) and exit sums start
-    at 0; otherwise rates are as stored and exit sums start at Fraction(0)."""
-    entries = list(T.entries())
-    rates = T.coded.rates if numerators else [rate for _, _, rate in entries]
-    into: Dict[Word, list] = {}
-    out_of: Dict[Word, list] = {}
-    for (u, v, _), rate in zip(entries, rates):
-        into.setdefault(v, []).append((u, v, rate))
-        out_of.setdefault(u, []).append((u, v, rate))
-    return WindowMoves(into, out_of, 0 if numerators else Fraction(0))
-
-
-def cycle_jumps(T: JumpRateMatrix, x: Word, moves: Optional[WindowMoves] = None):
+def cycle_jumps(T: JumpRateMatrix, x: Word):
     """The jumps of T into and out of the cyclic word x on Z/nZ, n = len(x).
 
     Returns (inflow, exit_rate): inflow lists (w, rate), one entry per
@@ -316,26 +291,26 @@ def cycle_jumps(T: JumpRateMatrix, x: Word, moves: Optional[WindowMoves] = None)
     window; exit_rate is the total rate at which x is left, added in the
     same order.  When n < L a window covers some sites twice, and a move
     counts only when both of its words repeat with period n.  The moves of
-    each window are looked up in `moves` (`window_moves(T)` when None); pass
-    one grouping to share it among many words.
+    each window are looked up in `T.by_window`: an exact T gives Python-int
+    numerators over `T.coded.den`, a float T its stored rates with exit
+    sums from Fraction(0).
     """
     x = tuple(x)
     n, L = len(x), T.range_
-    if moves is None:
-        moves = window_moves(T)
-    inflow, exit_rate = [], moves.zero
+    into, out_of, exit_rate = T.by_window
+    inflow = []
     for start in range(n):
         window = tuple(x[(start + j) % n] for j in range(L))
         # read from the site after the window: the n - L letters outside it,
         # then the move's source word (when n < L, the source's first n letters
         # from that site on)
         rest = tuple(x[(start + L + i) % n] for i in range(n - L))
-        for u, _, rate in moves.into.get(window, ()):
+        for u, _, rate in into.get(window, ()):
             if n >= L:
                 inflow.append((rest + u, rate))
             elif u[n:] == u[:L - n]:
                 inflow.append((tuple(u[(L + i) % n] for i in range(n)), rate))
-        for _, v, rate in moves.out_of.get(window, ()):
+        for _, v, rate in out_of.get(window, ()):
             if n >= L or v[n:] == v[:L - n]:
                 exit_rate += rate
     return inflow, exit_rate
@@ -575,9 +550,8 @@ def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
     if n >= ctx.memory + ctx.range_:
         count, witness = _first_nonzero_cycle(ctx, _narrowed(z_table(ctx).values, n), n)
     else:
-        moves = window_moves(ctx.T)
         count, witness = ctx.first_nonzero(ctx.alphabet.words(n),
-                                           lambda x: _cycle_balance_direct(ctx, x, moves))
+                                           lambda x: _cycle_balance_direct(ctx, x))
     return CriterionReport(witness is None, f"cycle-{n}", witness=witness,
                            words_checked=count)
 

@@ -404,9 +404,16 @@ def _compress(n_states: int, blocks, values: np.ndarray, exact: bool):
 
 
 def check_state_cap(alphabet: Alphabet, n_sites: int, max_states: int = DEFAULT_STATE_CAP):
-    """Raise StateCapExceeded when kappa^n_sites configurations exceed the cap."""
-    if alphabet.kappa ** n_sites > max_states:
-        raise StateCapExceeded(f"{alphabet.kappa ** n_sites} states exceed the cap {max_states}")
+    """Raise StateCapExceeded when kappa^n_sites configurations exceed the cap.
+    A size past the cap's bit length exceeds it (kappa >= 2) and is not
+    raised to the power beyond 64 sites: the count is printed as kappa^n,
+    since it can have more digits than Python converts to a string."""
+    kappa = alphabet.kappa
+    if n_sites > max_states.bit_length():
+        count = kappa ** n_sites if n_sites <= 64 else f"{kappa}^{n_sites}"
+    elif (count := kappa ** n_sites) <= max_states:
+        return
+    raise StateCapExceeded(f"{count} states exceed the cap {max_states}")
 
 
 def check_space(T: JumpRateMatrix, space: Space, max_states: int = DEFAULT_STATE_CAP):

@@ -29,12 +29,14 @@ exactly when the cyclic window sum of Z over that orbit vanishes, so no Z
 table is built.
 
 Every system takes each cyclic word's jumps from `criteria.cycle_jumps`,
-looked up in one grouping of T's moves by window.  An exact T gives rows of
-Python ints (its rates' numerators over their common denominator), and from
-the solve to the report every exact quantity stays Python ints over one
-denominator: solutions, samples, triple measures, rank-one factors, roots;
-Fractions are made only for kernels, laws and marginals that leave the
-search.  Float systems keep their Fraction(0) + rate entries and order.
+which looks them up in the grouping of T's moves by window that T caches
+(`JumpRateMatrix.by_window`), so every system of one table shares it.  An
+exact T gives rows of Python ints (its rates' numerators over their common
+denominator), and from the solve to the report every exact quantity stays
+Python ints over one denominator: solutions, samples, triple measures,
+rank-one factors, roots; Fractions are made only for kernels, laws and
+marginals that leave the search.  Float systems keep their Fraction(0) +
+rate entries and order.
 
 Families are sampled deterministically: polytope vertices (dimension <= 3)
 plus their centroid, else the particular solution.  Trial marginals are kept
@@ -54,8 +56,7 @@ from math import isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
-from .criteria import (CriterionReport, WindowMoves, check_markov_line, cycle_jumps,
-                       markov_context, window_moves)
+from .criteria import CriterionReport, check_markov_line, cycle_jumps, markov_context
 from .linalg import LinearSolution, perron_pair, solve_linear, stationary_distribution
 from .scalars import (DEFAULT_TOL, ScalarContext, all_exact, is_exact, over_common_denominator,
                       scalar_repr)
@@ -195,33 +196,31 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
                         dim <= MAX_VERTEX_DIM, den)
 
 
-def _cycle_rows(T: JumpRateMatrix, n: int, moves: WindowMoves):
+def _cycle_rows(T: JumpRateMatrix, n: int):
     """The length-n cyclic balances of T, {largest rotation: {column:
     coefficient}} with one row per rotation orbit, in ascending order of the
     key (the column order) and of the columns; and the column of every word.
-    The jumps are looked up in `moves` (`criteria.window_moves`): numerators
-    give Python-int rows over the rates' common denominator, stored rates
-    give rows that add them from Fraction(0)."""
+    An exact T gives Python-int rows over the rates' common denominator, a
+    float T rows that add its rates from Fraction(0) (`cycle_jumps`)."""
+    zero = T.by_window[2]
     keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in T.alphabet.words(n)})
     col = {k[i:] + k[:i]: j for j, k in enumerate(keys) for i in range(n)}
     rows: Dict[Word, Dict[int, object]] = {}
     for x in keys:
-        inflow, exit_rate = cycle_jumps(T, x, moves)
+        inflow, exit_rate = cycle_jumps(T, x)
         row: Dict[int, object] = {}
         for w, rate in inflow:
-            row[col[w]] = row.get(col[w], moves.zero) + rate
-        row[col[x]] = row.get(col[x], moves.zero) - exit_rate
+            row[col[w]] = row.get(col[w], zero) + rate
+        row[col[x]] = row.get(col[x], zero) - exit_rate
         rows[x] = dict(sorted(row.items()))
     return rows, col
 
 
-def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL,
-                  moves: Optional[WindowMoves] = None):
-    """The length-n cyclic balances of T (`_cycle_rows`, from `moves` when
-    given), the family of rotation-invariant probability vectors on the
-    words of length n they kill, and the zero test of those balances
-    (tolerance tol): float systems pivot above it, so that rounding noise
-    does not decide their rank.
+def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
+    """The length-n cyclic balances of T (`_cycle_rows`), the family of
+    rotation-invariant probability vectors on the words of length n they
+    kill, and the zero test of those balances (tolerance tol): float systems
+    pivot above it, so that rounding noise does not decide their rank.
 
     The unknowns are one weight per rotation orbit, in the order of the
     rows.  In that order the reduced form frees the same columns as the
@@ -231,9 +230,7 @@ def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL,
     denominator (a homogeneous row keeps its solutions when scaled), the
     sizes as ints; float rows add their rates from Fraction(0)."""
     balances = ScalarContext.for_balances(T, True, tol)
-    if moves is None:
-        moves = window_moves(T, numerators=balances.exact)
-    rows, col = _cycle_rows(T, n, moves)
+    rows, col = _cycle_rows(T, n)
     number = int if balances.exact else Fraction
     sizes = {j: number(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(rows)}
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
@@ -520,8 +517,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     if T.range_ != 2:
         raise ValueError("product search needs range 2")
     kappa = T.alphabet.kappa
-    moves = window_moves(T, numerators=T.is_exact)
-    rows, family, balances = _cycle_system(T, 2, tol, moves)
+    rows, family, balances = _cycle_system(T, 2, tol)
 
     candidates: List[Tuple[Tuple, CriterionReport]] = []
     notes: List[str] = []
@@ -537,7 +533,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
         seen.add(rho)
         if all(p > 0 for p in rho):
             if not triple_rows:
-                triple_rows.append(_cycle_rows(T, 3, moves)[0])
+                triple_rows.append(_cycle_rows(T, 3)[0])
             if _kills_cycles3(T, triple_rows[0], weights, den, tol):
                 # the report check_markov_cycle gives on the product's context
                 candidates.append((rho, CriterionReport(True, "cycle-3",

@@ -568,10 +568,13 @@ class TestInputErrors:
 
 
     # n = 20 has 2^20 states, within the default cap, but about 21M transitions
+    # n = 20000 has a count of more digits than Python prints
     @pytest.mark.parametrize("argv", [["verify-cycle", "--n", "24"],
                                       ["--max-states", "1000", "verify-cycle", "--n", "12"],
-                                      ["verify-cycle", "--n", "20"]],
-                             ids=["n24-default-cap", "n12-cap-1000", "n20-transition-budget"])
+                                      ["verify-cycle", "--n", "20"],
+                                      ["verify-cycle", "--n", "20000"]],
+                             ids=["n24-default-cap", "n12-cap-1000", "n20-transition-budget",
+                                  "n20000-huge"])
     def test_verify_cycle_checks_the_cap_before_the_decider(self, tmp_path, capsys,
                                                             monkeypatch, argv):
         path = write_model(tmp_path, "stochastic_ising", params={"x": "1/2"})
@@ -612,13 +615,43 @@ class TestInputErrors:
             raise AssertionError("the decider ran above the state cap")
         monkeypatch.setattr(criteria, "equivalence_panel", decider)
         monkeypatch.setattr(segment, "check_segment", decider)
-        for argv in (["segment", segment_file, "--n", "40"], ["equivalences", str(wide)]):
+        for argv in (["segment", segment_file, "--n", "40"],
+                     ["segment", segment_file, "--n", "20000"], ["equivalences", str(wide)]):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - start < 1.0
             assert code == 3, argv
             assert err.startswith("resource cap: ")
             assert out == ""
+
+    def test_absorbing_checks_the_largest_size_first(self, tmp_path, capsys, monkeypatch):
+        path = write_model(tmp_path, "voter")
+
+        def build(*args, **kwargs):
+            raise AssertionError("a generator was built before the cap check")
+        monkeypatch.setattr(oracle, "build_generator", build)
+        for n_max in ("21", "20000", str(10 ** 12)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "absorbing", path, "--n-max", n_max)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3, n_max
+            assert err.startswith("resource cap: ")
+            assert out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "abc"])
+    def test_invalid_tolerance_exit2(self, tmp_path, capsys, tol):
+        # the invariant product (3/4, 1/4) read not-invariant under nan or a
+        # negative tolerance, and inf passed every table
+        path = write_model(tmp_path, "tasep", extra={"rho": ["3/4", "1/4"]})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--float", f"--tol={tol}", "check-product", path])
+        assert exit_info.value.code == 2
+        assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "1e-9", "1e-6", "0.5"])
+    def test_valid_tolerance_parses(self, tmp_path, capsys, tol):
+        path = write_model(tmp_path, "tasep", extra={"rho": ["3/4", "1/4"]})
+        assert run(capsys, "--float", "--tol", tol, "check-product", path)[0] == 0
 
 
 TASEP_LAWS = {"rho": ["1/2", "1/2"], "memory": 1,

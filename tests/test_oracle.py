@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,14 @@ class TestBuildGenerator:
     def test_state_cap(self):
         with pytest.raises(StateCapExceeded):
             build_generator(tasep().jrm, CycleSpace(10), max_states=512)
+
+    def test_huge_sizes_are_refused_without_the_power(self):
+        # 3^(10^7) alone takes seconds to compute, and its 4.7M digits are
+        # past Python's int-to-string limit
+        start = time.perf_counter()
+        with pytest.raises(StateCapExceeded, match=r"^3\^10000000 states exceed the cap 1048576$"):
+            oracle.check_state_cap(Alphabet(3), 10 ** 7)
+        assert time.perf_counter() - start < 0.1
 
     def test_transition_budget(self):
         # 2^20 states are within the cap, but 20 windows x 8 moves x 2^17

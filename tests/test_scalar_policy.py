@@ -11,13 +11,15 @@ import pytest
 
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, StationaryLaw
 from psinv.criteria import (CriterionContext, check_markov_cycle, check_markov_line,
-                            check_product_line, markov_context, product_context, z_table)
+                            check_product_line, cycle_balance, markov_context,
+                            product_context, z_table)
 from psinv.lattice2d import _Partials, check_product_2d
 from psinv.models import flip_2d, pair_flip_2d
 from psinv.segment import _segment_balances, check_segment, construct_boundaries, segment_balance
 
 from conftest import random_marginal
-from z_reference import floated, invariant_instance, perturbed_instance, pinned, pinned_witness
+from z_reference import (floated, invariant_instance, perturbed_instance, pinned,
+                         pinned_witness, reference_short_cycle_balance)
 
 F = Fraction
 
@@ -66,6 +68,27 @@ class TestMarkovDeciders:
             for n in range(1, 2 * memory + range_ + 2):
                 assert fields(check_markov_cycle(mixed, n)) == \
                     fields(check_markov_cycle(all_float, n)), (kind, n)
+
+    @pytest.mark.parametrize("kappa,memory,range_", [(2, 1, 2), (3, 1, 2), (2, 2, 1),
+                                                     (2, 0, 3), (3, 0, 2)])
+    def test_short_cycles_keep_the_bits_of_the_stored_rates(self, kappa, memory, range_):
+        # below n = m + L a float balance adds the stored rates from
+        # Fraction(0) in entries() order, as the full scan of the moves did
+        witnesses = 0
+        for kind, T, kernel in draws(62, kappa, memory, range_):
+            float_T, float_kernel = floated(T, kernel)
+            for ctx in (markov_context(T, float_kernel), markov_context(float_T, float_kernel)):
+                for n in range(1, memory + range_):
+                    balances = {x: reference_short_cycle_balance(ctx, x)
+                                for x in ctx.alphabet.words(n)}
+                    assert {x: pinned(cycle_balance(ctx, x)) for x in balances} == \
+                        {x: pinned(b) for x, b in balances.items()}, (kind, n)
+                    witness = next(((x, b) for x, b in balances.items() if not ctx.is_zero(b)),
+                                   None)
+                    assert pinned_witness(check_markov_cycle(ctx, n).witness) == \
+                        pinned_witness(witness), (kind, n)
+                    witnesses += witness is not None
+        assert witnesses  # the seed draws nonzero short-cycle balances
 
     @pytest.mark.parametrize("kappa,range_", [(2, 2), (3, 2), (2, 3)])
     def test_float_rates_with_a_fraction_marginal(self, kappa, range_):

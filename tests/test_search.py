@@ -9,8 +9,7 @@ import pytest
 from psinv import criteria, search
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import (check_markov_cycle, check_product_line, cycle_jumps,
-                            product_context, symmetrize,
-                            window_moves, z_table)
+                            product_context, symmetrize, z_table)
 from psinv.linalg import solve_linear
 from psinv.oracle import CycleSpace, build_generator, product_measure, stationarity_residual
 from psinv.search import (TripleMeasure, _cycle_rows, _cycle_system, _factor_rank_one, _family,
@@ -307,22 +306,39 @@ class TestIntegerRows:
             assert pinned_rows(rows) == pinned_rows(reference_cycle_rows(floated, n))
 
     def test_cycle_jumps_match_the_scan(self):
+        # exact tables jump by numerators over the rates' common denominator,
+        # float tables (a table without rates stays exact) by their rates
         for T in exact_tables("cycle-jumps"):
             den = over_common_denominator([rate for _, _, rate in T.entries()])[1]
-            numerators = window_moves(T, numerators=True)
             for table in (T, as_float(T)):
-                moves = window_moves(table)
                 for n in range(1, table.range_ + 2):
                     for x in table.alphabet.words(n):
                         inflow, exit_rate = reference_cycle_jumps(table, x)
-                        expected = [(w, pinned(r)) for w, r in inflow], pinned(exit_rate)
-                        for got in (cycle_jumps(table, x), cycle_jumps(table, x, moves)):
-                            assert ([(w, pinned(r)) for w, r in got[0]], pinned(got[1])) \
-                                == expected
-                        if table is T:
-                            inflow_int, exit_int = cycle_jumps(T, x, numerators)
-                            assert inflow_int == [(w, r * den) for w, r in inflow]
-                            assert type(exit_int) is int and exit_int == exit_rate * den
+                        got_inflow, got_exit = cycle_jumps(table, x)
+                        if table.is_exact:
+                            assert got_inflow == [(w, r * den) for w, r in inflow]
+                            assert type(got_exit) is int and got_exit == exit_rate * den
+                        else:
+                            assert ([(w, pinned(r)) for w, r in got_inflow], pinned(got_exit)) \
+                                == ([(w, pinned(r)) for w, r in inflow], pinned(exit_rate))
+
+
+class TestWindowIndex:
+    def test_find_markov_groups_a_table_once(self, monkeypatch):
+        # the triple-measure system and the product search (its pair and
+        # length-3 rows) share the index cached on the table
+        index = JumpRateMatrix.__dict__["by_window"]
+        real, grouped = index.func, []
+
+        def counted(T):
+            grouped.append(T)
+            return real(T)
+        monkeypatch.setattr(index, "func", counted)
+        for key in RANGE2_MODELS:
+            name, params, _ = MODELS[key]
+            T = models.build(name, **params).jrm
+            find_markov(T)
+            assert len(grouped) == 1 and grouped.pop() is T, key
 
 
 class TestCandidateKernels:
@@ -651,7 +667,7 @@ class TestLargeRationals:
 def row_verdict(T, weights, den=None, tol=1e-9):
     """The search's decision of the product of weights / den (floats when
     den is None) on the length-3 cyclic balance rows of T."""
-    rows = _cycle_rows(T, 3, window_moves(T, numerators=T.is_exact))[0]
+    rows = _cycle_rows(T, 3)[0]
     return _kills_cycles3(T, rows, weights, den, tol)
 
 

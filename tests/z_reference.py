@@ -462,6 +462,18 @@ def reference_cycle_jumps(T, x):
     return inflow, exit_rate
 
 
+def reference_short_cycle_balance(ctx, x):
+    """`criteria.cycle_balance` of a cyclic word shorter than m + L as it
+    read the stored rates of `reference_cycle_jumps`: the chain-weighted
+    inflow, minus the weight of x times its exit rate, over that weight."""
+    def weight(w):
+        return ctx.kernel.word_weight((w * (ctx.memory + 1))[:len(w) + ctx.memory])
+
+    inflow, exit_rate = reference_cycle_jumps(ctx.T, x)
+    total_in = sum(weight(w) * rate for w, rate in inflow)
+    return (total_in - weight(x) * exit_rate) / weight(x)
+
+
 def reference_cycle_rows(T, n):
     """The rows `search._cycle_system` hands to `solve_linear`, as it built
     them with Fraction(0) + rate entries: one balance row per rotation
