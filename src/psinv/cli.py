@@ -359,6 +359,8 @@ def _cmd_verify_cycle(args, model: ModelFile):
 
 def _cmd_absorbing(args, model: ModelFile):
     oracle.check_state_cap(model.jrm.alphabet, args.n_max, args.max_states)
+    if args.n_min < 1:  # before the sizes are listed: -10^9 would list 10^9 of them
+        raise ValueError("cycle sizes must be a nonempty list of sizes >= 1")
     sizes = list(range(args.n_min, args.n_max + 1))
     verdict = oracle.absorbing_exclusion(model.jrm, sizes, max_states=args.max_states)
     doc = {

@@ -104,7 +104,8 @@ class JumpRateMatrix:
     """Sparse jump rates T[w -> w'] over length-L words; absent entry = 0.
 
     Exact when every rate is rational, decided once at construction; the
-    sorted, coded and windowed moves are built on first use."""
+    sorted, coded and windowed moves and the cycle rows are built on first
+    use."""
 
     alphabet: Alphabet
     range_: int
@@ -153,17 +154,25 @@ class JumpRateMatrix:
                             for k in (0, 1)), rates, exits, den)
 
     @cached_property
-    def by_window(self) -> Tuple[Dict[Word, list], Dict[Word, list], object]:
-        """(into, out_of, zero): the moves (u, v, rate) by target window v and
-        by source window u, each group in `entries()` order, with `coded`'s
+    def by_window(self) -> Tuple[Dict[int, list], Dict[int, list], object]:
+        """(into, out_of, zero): the moves by the code of their target window,
+        as (source code, rate), and by the code of their source window, as
+        (target code, rate), each group in `entries()` order, with `coded`'s
         rates (numerators over `coded.den` when exact); zero starts an exit
         sum: 0 when exact, else Fraction(0)."""
-        into: Dict[Word, list] = {}
-        out_of: Dict[Word, list] = {}
-        for (u, v, _), rate in zip(self._sorted, self.coded.rates):
-            into.setdefault(v, []).append((u, v, rate))
-            out_of.setdefault(u, []).append((u, v, rate))
+        coded = self.coded
+        into: Dict[int, list] = {}
+        out_of: Dict[int, list] = {}
+        for u, v, rate in zip(coded.sources.tolist(), coded.targets.tolist(), coded.rates):
+            into.setdefault(v, []).append((u, rate))
+            out_of.setdefault(u, []).append((v, rate))
         return into, out_of, 0 if self._exact else _ZERO
+
+    @cached_property
+    def cycle_rows(self) -> Dict[int, tuple]:
+        """The search's cyclic balance rows by cycle length, filled on first
+        use by `search._cycle_rows` and read, never changed, after that."""
+        return {}
 
     @property
     def is_zero(self) -> bool:

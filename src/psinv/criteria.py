@@ -266,6 +266,8 @@ def cycle_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTa
     directly from the finite cyclic balance (exact in rational mode).
     """
     x = tuple(x)
+    if not x:
+        raise ValueError("a cycle needs at least one site")
     if len(x) >= ctx.memory + ctx.range_:
         values = (table or z_table(ctx)).values
         return _scalar(_window_sums(ctx, values.entries, x, 1, cyclic=True)[0], values.den)
@@ -276,42 +278,46 @@ def _cycle_balance_direct(ctx: CriterionContext, x: Word):
     def weight(w):  # the chain weight of a cyclic word over its wrapped windows
         return ctx.kernel.word_weight((w * (ctx.memory + 1))[:len(w) + ctx.memory])
 
-    inflow, exit_rate = cycle_jumps(ctx.T, x)
-    total_in = sum(weight(w) * rate for w, rate in inflow)
+    n, decode = len(x), ctx.alphabet.decode
+    inflow, exit_rate = cycle_jumps(ctx.T, ctx.alphabet.encode(x), n)
+    total_in = sum(weight(decode(w, n)) * rate for w, rate in inflow)
     # exact jumps are numerators over the rates' common denominator
     return (total_in - weight(x) * exit_rate) / (weight(x) * (ctx.T.coded.den or 1))
 
 
-def cycle_jumps(T: JumpRateMatrix, x: Word):
-    """The jumps of T into and out of the cyclic word x on Z/nZ, n = len(x).
+def cycle_jumps(T: JumpRateMatrix, x: int, n: int):
+    """The jumps of T into and out of the cyclic word of code x on Z/nZ (base
+    kappa, site 0 most significant).
 
     Returns (inflow, exit_rate): inflow lists (w, rate), one entry per
-    wrapped window and per move w -> x (windows in site order, moves in
-    T.entries() order), with each source w read from the site after its
-    window; exit_rate is the total rate at which x is left, added in the
-    same order.  When n < L a window covers some sites twice, and a move
+    wrapped window and per move into it (windows in site order, moves in
+    T.entries() order), w the code of the source read from the site after
+    the window: that rotation of x ends with the window, whose letters the
+    move replaces.  exit_rate is the total rate at which x is left, added in
+    the same order.  When n < L a window covers some sites twice, and a move
     counts only when both of its words repeat with period n.  The moves of
-    each window are looked up in `T.by_window`: an exact T gives Python-int
-    numerators over `T.coded.den`, a float T its stored rates with exit
-    sums from Fraction(0).
+    each window are looked up by code in `T.by_window`: an exact T gives
+    Python-int numerators over `T.coded.den`, a float T its stored rates
+    with exit sums from Fraction(0).
     """
-    x = tuple(x)
-    n, L = len(x), T.range_
+    kappa, L = T.alphabet.kappa, T.range_
+    size, top, width = kappa ** n, kappa ** (n - 1), kappa ** L
+    # n letters read over L sites: a word of period n has code (u % size) * repeat % width
+    repeat = (size ** -(-L // n) - 1) // (size - 1)
     into, out_of, exit_rate = T.by_window
+    turns = [x]  # turns[k]: x read from site k
+    for _ in range(n - 1):
+        turns.append(turns[-1] * kappa % size + turns[-1] // top)
     inflow = []
     for start in range(n):
-        window = tuple(x[(start + j) % n] for j in range(L))
-        # read from the site after the window: the n - L letters outside it,
-        # then the move's source word (when n < L, the source's first n letters
-        # from that site on)
-        rest = tuple(x[(start + L + i) % n] for i in range(n - L))
-        for u, _, rate in into.get(window, ()):
-            if n >= L:
-                inflow.append((rest + u, rate))
-            elif u[n:] == u[:L - n]:
-                inflow.append((tuple(u[(L + i) % n] for i in range(n)), rate))
-        for _, v, rate in out_of.get(window, ()):
-            if n >= L or v[n:] == v[:L - n]:
+        turn = turns[(start + L) % n]
+        window = turn * repeat % width
+        rest = turn - window % size
+        for u, rate in into.get(window, ()):
+            if u % size * repeat % width == u:
+                inflow.append((rest + u % size, rate))
+        for v, rate in out_of.get(window, ()):
+            if v % size * repeat % width == v:
                 exit_rate += rate
     return inflow, exit_rate
 

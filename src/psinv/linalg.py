@@ -7,8 +7,9 @@ entries zero, whose column `cols` holds the right-hand side, and
 cyclic balance system of `search`: 25 rows by 24 unknowns (one per rotation
 orbit of the triples) at kappa = 4.  Rational rows are eliminated exactly,
 by fraction-free Gauss-Jordan in integers (the exact builders hand over
-Python ints), and the solution stays Python ints over one common
-denominator until a caller needs Fractions; floats pivot above a tolerance.
+Python ints): forward elimination, then one back-substitution sweep.  The
+solution stays Python ints over one common denominator until a caller
+needs Fractions; floats pivot above a tolerance.
 Dominant eigenpairs follow the usual nonnegative-matrix theory: for an
 irreducible nonnegative matrix the largest eigenvalue is simple with
 positive left/right eigenvectors, normalized so that l . 1 = 1 and l . r = 1.
@@ -48,8 +49,11 @@ def _eliminate(row, pivot, c):
 def _gauss_jordan(pending, cols):
     """Reduced row echelon form of sparse integer rows ({column: int}, zeros
     left out): (the nonzero reduced rows, their pivot columns), in column
-    order.  The reduced form is unique, so the pivot order (fewest nonzeros
-    first, which limits fill-in) does not change it."""
+    order.  Forward elimination clears each pivot column below its pivot
+    (the pivot row with the fewest nonzeros, which limits fill-in); one
+    back-substitution sweep, from the last pivot up, then clears it above.
+    The reduced form is unique up to the scale of each row, so neither
+    choice changes it; a row's head may come out negative."""
     done, pivots = [], []
     for c in range(cols):
         hits = [row for row in pending if c in row]
@@ -58,8 +62,11 @@ def _gauss_jordan(pending, cols):
         pivot = min(hits, key=len)
         pending = [_eliminate(row, pivot, c) if c in row else row
                    for row in pending if row is not pivot]
-        done = [_eliminate(row, pivot, c) if c in row else row for row in done] + [pivot]
+        done.append(pivot)
         pivots.append(c)
+    for k in range(len(done) - 1, 0, -1):
+        pivot, c = done[k], pivots[k]
+        done[:k] = [_eliminate(row, pivot, c) if c in row else row for row in done[:k]]
     return done, pivots
 
 

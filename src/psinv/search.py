@@ -29,14 +29,18 @@ exactly when the cyclic window sum of Z over that orbit vanishes, so no Z
 table is built.
 
 Every system takes each cyclic word's jumps from `criteria.cycle_jumps`,
-which looks them up in the grouping of T's moves by window that T caches
-(`JumpRateMatrix.by_window`), so every system of one table shares it.  An
-exact T gives rows of Python ints (its rates' numerators over their common
-denominator), and from the solve to the report every exact quantity stays
-Python ints over one denominator: solutions, samples, triple measures,
-rank-one factors, roots; Fractions are made only for kernels, laws and
-marginals that leave the search.  Float systems keep their Fraction(0) +
-rate entries and order.
+on base-kappa word codes: a rotation of a code is one multiply, one modulo
+and one division, and each jump's source is a code sum, its column read
+from a list indexed by code.  The moves of each window come from the index
+that T caches (`JumpRateMatrix.by_window`), and each length's rows are
+built once per table and cached on it (`JumpRateMatrix.cycle_rows`), so
+`find_markov`'s triple-measure system and its product search share the
+length-3 rows.  An exact T gives rows of Python ints (its rates' numerators
+over their common denominator), and from the solve to the report every
+exact quantity stays Python ints over one denominator: solutions, samples,
+triple measures, rank-one factors, roots; Fractions are made only for
+kernels, laws and marginals that leave the search.  Float systems keep
+their Fraction(0) + rate entries and order.
 
 Families are sampled deterministically: polytope vertices (dimension <= 3)
 plus their centroid, else the particular solution.  Trial marginals are kept
@@ -199,21 +203,35 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
 def _cycle_rows(T: JumpRateMatrix, n: int):
     """The length-n cyclic balances of T, {largest rotation: {column:
     coefficient}} with one row per rotation orbit, in ascending order of the
-    key (the column order) and of the columns; and the column of every word.
-    An exact T gives Python-int rows over the rates' common denominator, a
-    float T rows that add its rates from Fraction(0) (`cycle_jumps`)."""
-    zero = T.by_window[2]
-    keys = sorted({max(w[i:] + w[:i] for i in range(n)) for w in T.alphabet.words(n)})
-    col = {k[i:] + k[:i]: j for j, k in enumerate(keys) for i in range(n)}
+    key (the column order) and of the columns; and the column of every word,
+    by code.  An exact T gives Python-int rows over the rates' common
+    denominator, a float T rows that add its rates from Fraction(0)
+    (`cycle_jumps`).  Built once per table and length (`T.cycle_rows`)."""
+    if n in T.cycle_rows:
+        return T.cycle_rows[n]
+    kappa, zero = T.alphabet.kappa, T.by_window[2]
+    size, top = kappa ** n, kappa ** (n - 1)
+    keys, col = [], [0] * size
+    for code in range(size):  # in ascending order, so the keys come sorted
+        turns = [code]
+        for _ in range(n - 1):
+            turns.append(turns[-1] * kappa % size + turns[-1] // top)
+        if code == max(turns):
+            for turn in turns:
+                col[turn] = len(keys)
+            keys.append(code)
+    words = list(T.alphabet.words(n))
     rows: Dict[Word, Dict[int, object]] = {}
-    for x in keys:
-        inflow, exit_rate = cycle_jumps(T, x)
+    for j, x in enumerate(keys):
+        inflow, exit_rate = cycle_jumps(T, x, n)
         row: Dict[int, object] = {}
         for w, rate in inflow:
-            row[col[w]] = row.get(col[w], zero) + rate
-        row[col[x]] = row.get(col[x], zero) - exit_rate
-        rows[x] = dict(sorted(row.items()))
-    return rows, col
+            c = col[w]
+            row[c] = row.get(c, zero) + rate
+        row[j] = row.get(j, zero) - exit_rate
+        rows[words[x]] = dict(sorted(row.items()))
+    T.cycle_rows[n] = rows, col
+    return T.cycle_rows[n]
 
 
 def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
@@ -235,8 +253,7 @@ def _cycle_system(T: JumpRateMatrix, n: int, tol: float = DEFAULT_TOL):
     sizes = {j: number(len({k[i:] + k[:i] for i in range(n)})) for j, k in enumerate(rows)}
     pivot = 0.0 if balances.exact else balances.tol * balances.scale
     solution = solve_linear([*rows.values(), sizes | {len(rows): number(1)}], len(rows), pivot)
-    variables = list(T.alphabet.words(n))
-    return rows, _family(variables, solution, [col[w] for w in variables]), balances
+    return rows, _family(list(T.alphabet.words(n)), solution, col), balances
 
 
 def solve_cycle3_system(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> AffineFamily:

@@ -638,6 +638,16 @@ class TestInputErrors:
             assert err.startswith("resource cap: ")
             assert out == ""
 
+    def test_absorbing_rejects_sizes_below_one_before_listing_them(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        path = write_model(tmp_path, "voter")
+        calls = []
+        monkeypatch.setattr(oracle, "absorbing_exclusion", lambda *a, **k: calls.append(a))
+        code, out, err = run(capsys, "absorbing", path, "--n-min", "-3000000", "--n-max", "3")
+        assert code == 2
+        assert err == "error: cycle sizes must be a nonempty list of sizes >= 1\n"
+        assert out == "" and calls == []
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "abc"])
     def test_invalid_tolerance_exit2(self, tmp_path, capsys, tol):
         # the invariant product (3/4, 1/4) read not-invariant under nan or a

@@ -202,6 +202,11 @@ class TestCycleBalance:
                     for k in range(1, n):
                         assert cycle_balance(ctx, x[k:] + x[:k]) == base
 
+    def test_empty_cycle_rejected(self):
+        # a cycle's jumps are read on codes of its n >= 1 sites
+        with pytest.raises(ValueError, match="at least one site"):
+            cycle_balance(tasep_product_ctx(), ())
+
     def test_window_sum_matches_direct_balance_at_large_n(self, rng):
         # above n = m + L the formal window sum is the true normalized balance
         from psinv.criteria import _cycle_balance_direct

@@ -15,7 +15,7 @@ from test_golden import MODELS
 from test_search import RANGE2_MODELS, as_float, cycle_systems
 from conftest import random_kernel
 from z_reference import (fraction_solution, invariant_instance, perturbed_instance, pinned,
-                         reference_law_check, reference_solve, reference_stationary,
+                         reference_law_check, reference_rref, reference_solve, reference_stationary,
                          triple_values)
 
 F = Fraction
@@ -648,6 +648,61 @@ class TestPerronPair:
             assert abs(got - want) < 1e-9
         assert abs(sum(pair.left) - 1) < 1e-12
         assert abs(sum(l * r for l, r in zip(pair.left, pair.right)) - 1) < 1e-12
+
+
+def integer_system(rng, kind, rows, cols):
+    """Sparse integer rows over cols columns (the last one a right-hand
+    side), about half their entries zero, shaped by kind: "full" as drawn,
+    "deficient" with rows that combine others, "inconsistent" with such a
+    row whose last entry is moved, "duplicate" with repeated rows, "empty"
+    with rows of no entry, "no-entry" with a column that no row holds."""
+    matrix = [[rng.choice([0, 0, 0, 0, 1, -1, 2, -3, 5, 7, -9]) for _ in range(cols)]
+              for _ in range(rows)]
+    if kind in ("deficient", "inconsistent"):
+        for k in range(2):
+            a, b = rng.sample(matrix, 2)
+            s, t = rng.choice([1, -2, 3]), rng.choice([-1, 2, 5])
+            combined = [s * x + t * y for x, y in zip(a, b)]
+            combined[-1] += kind == "inconsistent" and k == 0
+            matrix.insert(rng.randrange(len(matrix) + 1), combined)
+    elif kind == "duplicate":
+        matrix += [list(row) for row in rng.sample(matrix, 2)]
+    elif kind == "empty":
+        for _ in range(2):
+            matrix.insert(rng.randrange(len(matrix) + 1), [0] * cols)
+    elif kind == "no-entry":
+        j = rng.randrange(cols)
+        for row in matrix:
+            row[j] = 0
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+class TestBackSubstitution:
+    """`_gauss_jordan` eliminates forward, then back-substitutes in one sweep
+    from the last pivot up.  On seeded sparse integer systems it finds the
+    pivot columns of the dense reference reduction, and each of its reduced
+    rows is the reference row times the row's head (an integer of either
+    sign), so `solve_linear` reads the same solutions from it."""
+
+    KINDS = ["full", "deficient", "inconsistent", "duplicate", "empty", "no-entry"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_pivots_and_rows_as_the_reference(self, kind):
+        rng = random.Random(f"back-substitution-{kind}")
+        for rows, cols in [(4, 5), (6, 4), (3, 8), (8, 9), (9, 6), (2, 3)] * 6:
+            system = integer_system(rng, kind, rows, cols)
+            reduced, pivots = linalg._gauss_jordan([dict(row) for row in system], cols)
+            reference, reference_pivots = reference_rref(
+                [[F(row.get(c, 0)) for c in range(cols)] for row in system])
+            assert pivots == reference_pivots
+            for row, c, expected in zip(reduced, pivots, reference):
+                assert all(type(v) is int and v for v in row.values())
+                assert {k: F(v, row[c]) for k, v in row.items()} == \
+                    {k: v for k, v in enumerate(expected) if v}
+            if kind == "inconsistent":  # one added row depends on the others
+                assert len(pivots) <= len(system) - 1 and pivots[-1] == cols - 1
+            elif kind not in ("full", "no-entry"):  # two rows depend on the others
+                assert len(pivots) <= len(system) - 2
 
 
 class TestExactRref:

@@ -278,32 +278,40 @@ class TestIntegerRows:
     """Exact cycle systems are Python-int rows: the reference builder's
     Fraction rows times the rates' common denominator, the orbit-size row
     as it was.  Float systems keep the reference's rows bit for bit, and
-    jumps looked up by window are the jumps of the full scan."""
+    jumps looked up by window are the jumps of the full scan.  Lengths 1-5
+    take in cycles shorter than the range, windows that wrap more than once
+    and lengths the search does not solve; the systems handed to
+    solve_linear are checked up to length 3, where the sampled family's
+    active-set systems stay few."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_exact_rows_are_reference_rows_over_the_denominator(self, n, monkeypatch):
         shorter = 0
         for T in exact_tables(f"integer-rows-{n}"):
             den = over_common_denominator([rate for _, _, rate in T.entries()])[1]
-            handed = [rows for rows, _, _ in cycle_systems(T, n, monkeypatch)]
-            *balances, sizes = handed[0]
+            balances = list(_cycle_rows(T, n)[0].values())
             *reference, reference_sizes = reference_cycle_rows(T, n)
             assert [list(row) for row in balances] == [list(row) for row in reference]
             assert balances == [{c: v * den for c, v in row.items()} for row in reference]
-            assert sizes == reference_sizes
-            for rows in handed:
-                assert all(type(v) is int for row in rows for v in row.values())
+            assert all(type(v) is int for row in balances for v in row.values())
+            if n <= 3:
+                handed = [rows for rows, _, _ in cycle_systems(T, n, monkeypatch)]
+                assert handed[0] == balances + [reference_sizes]
+                for rows in handed:
+                    assert all(type(v) is int for row in rows for v in row.values())
             shorter += n < T.range_ and any(v for row in balances for v in row.values())
-        assert shorter >= 4 or n == 3  # n = 3 is shorter than no range here
+        assert shorter >= 4 or n >= 3  # n >= 3 is shorter than no range here
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_float_rows_are_reference_rows_bit_for_bit(self, n, monkeypatch):
         for T in exact_tables(f"float-rows-{n}"):
             floated = as_float(T)
             if T.is_zero:  # no rate, no float: the system stays exact
                 continue
-            rows = cycle_systems(floated, n, monkeypatch)[0][0]
-            assert pinned_rows(rows) == pinned_rows(reference_cycle_rows(floated, n))
+            reference = pinned_rows(reference_cycle_rows(floated, n))
+            assert pinned_rows(_cycle_rows(floated, n)[0].values()) == reference[:-1]
+            if n <= 3:
+                assert pinned_rows(cycle_systems(floated, n, monkeypatch)[0][0]) == reference
 
     def test_cycle_jumps_match_the_scan(self):
         # exact tables jump by numerators over the rates' common denominator,
@@ -314,7 +322,8 @@ class TestIntegerRows:
                 for n in range(1, table.range_ + 2):
                     for x in table.alphabet.words(n):
                         inflow, exit_rate = reference_cycle_jumps(table, x)
-                        got_inflow, got_exit = cycle_jumps(table, x)
+                        inflow = [(table.alphabet.encode(w), r) for w, r in inflow]
+                        got_inflow, got_exit = cycle_jumps(table, table.alphabet.encode(x), n)
                         if table.is_exact:
                             assert got_inflow == [(w, r * den) for w, r in inflow]
                             assert type(got_exit) is int and got_exit == exit_rate * den
@@ -339,6 +348,57 @@ class TestWindowIndex:
             T = models.build(name, **params).jrm
             find_markov(T)
             assert len(grouped) == 1 and grouped.pop() is T, key
+
+
+class TestRowsPerTable:
+    """Each length's cyclic balance rows are built once per table and
+    cached on it (`JumpRateMatrix.cycle_rows`); their readers leave them as
+    they were."""
+
+    def test_find_markov_builds_each_length_once(self, monkeypatch):
+        # solve_cycle3_system and find_product (its pair rows and the
+        # length-3 rows that decide its marginals) share the cached rows:
+        # the builder takes each orbit's jumps once per length
+        lengths, real = [], search.cycle_jumps
+        monkeypatch.setattr(search, "cycle_jumps",
+                            lambda T, x, n: lengths.append(n) or real(T, x, n))
+        for key in RANGE2_MODELS:
+            name, params, _ = MODELS[key]
+            T = models.build(name, **params).jrm
+            find_markov(T)
+            assert sorted(lengths) == [2] * len(T.cycle_rows[2][0]) + \
+                [3] * len(T.cycle_rows[3][0]), key
+            lengths.clear()
+            find_product(T)
+            assert lengths == [], key
+            # a new table, even an equal one, builds its own rows
+            fresh = models.build(name, **params).jrm
+            find_product(fresh)
+            assert sorted(lengths) == [n for n, (rows, _) in sorted(fresh.cycle_rows.items())
+                                       for _ in rows] and 2 in lengths, key
+            lengths.clear()
+
+    def test_readers_leave_the_cached_rows_unchanged(self, monkeypatch):
+        read = {}
+        for name in ("solve_linear", "_kills_balances", "_kills_cycles3"):
+            real = getattr(search, name)
+
+            def counting(*args, name=name, real=real):
+                read[name] = read.get(name, 0) + 1
+                return real(*args)
+            monkeypatch.setattr(search, name, counting)
+        for key in RANGE2_MODELS:
+            name, params, _ = MODELS[key]
+            for T in (models.build(name, **params).jrm, as_float(models.build(name, **params).jrm)):
+                built = {n: _cycle_rows(T, n) for n in (2, 3)}
+                before = {n: (list(rows), pinned_rows(rows.values()), list(col))
+                          for n, (rows, col) in built.items()}
+                find_markov(T)
+                find_product(T)
+                assert all(T.cycle_rows[n] is rows for n, rows in built.items())
+                assert {n: (list(rows), pinned_rows(rows.values()), list(col))
+                        for n, (rows, col) in T.cycle_rows.items()} == before, key
+        assert min(read.values()) >= len(RANGE2_MODELS) and len(read) == 3, read
 
 
 class TestCandidateKernels:
