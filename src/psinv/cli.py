@@ -301,6 +301,8 @@ def _cmd_check_product(args, model: ModelFile):
 
 
 def _cmd_find_markov(args, model: ModelFile):
+    # kappa^(2n) bounds the basis and expanded family of the length-n system
+    oracle.check_state_cap(model.jrm.alphabet, 2 * 3, args.max_states)
     result = search.find_markov(model.jrm, args.tol)
     def describe(c):
         return {
@@ -326,6 +328,7 @@ def _cmd_find_markov(args, model: ModelFile):
 
 
 def _cmd_find_product(args, model: ModelFile):
+    oracle.check_state_cap(model.jrm.alphabet, 2 * 2, args.max_states)
     result = search.find_product(model.jrm, args.tol)
     doc = {
         "verdict": "all-bernoulli" if result.bernoulli_all else
@@ -369,7 +372,7 @@ def _cmd_absorbing(args, model: ModelFile):
         "memory_bound": verdict.memory_bound,
         "tested_sizes": list(verdict.tested_sizes),
         "proper_sizes": list(verdict.proper_sizes),
-        "pattern_persists": verdict.pattern_persists,
+        "pattern_persists": verdict.excluded,
         "note": verdict.note,
     }
     return doc, EXIT_OK
@@ -400,14 +403,14 @@ def _cmd_segment(args, model: ModelFile):
         oracle.check_state_cap(model.jrm.alphabet, segment.N0 + 1, args.max_states)
         built = segment.construct_boundaries(ctx)
         doc = {
-            "verdict": "validated" if built.validated else "discrepancy",
+            "verdict": "validated" if built.validation.invariant else "discrepancy",
             "criterion": f"boundary-construction-{built.variant}",
             "beta_left": _rates_json(built.boundary.left),
             "beta_right": _rates_json(built.boundary.right),
         }
-        if built.discrepancy is not None:
-            doc["witness"] = _witness_json(built.discrepancy)
-        return doc, _verdict_exit(built.validated)
+        if built.validation.witness is not None:
+            doc["witness"] = _witness_json(built.validation.witness)
+        return doc, _verdict_exit(built.validation.invariant)
     if model.beta is None:
         raise ModelFileError("segment check needs beta_left/beta_right "
                              "(or --construct-boundaries)")

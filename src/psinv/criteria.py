@@ -46,14 +46,13 @@ import numpy as np
 from .core import (Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word,
                    product_law)
 from .linalg import stationary_distribution
-from .scalars import DEFAULT_TOL, ScalarContext, all_exact, over_common_denominator
+from . import scalars
+from .scalars import DEFAULT_TOL, ScalarContext, all_exact, largest_abs, over_common_denominator
 
 ZERO_DENOMINATOR_HINT = ("kernel has zero entries; invariance with partial support "
                          "must go through restrict_support on a closed sub-alphabet")
 # words per block of an array window-sum scan (rounded down to a power of kappa)
 SCAN_BLOCK = 2 ** 15
-# exact cycle scans add int64 numerators when n x the largest |Z| is below this
-INT64_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,9 @@ class CriterionContext:
     tol: float = DEFAULT_TOL
     kernel: MarkovKernel = field(init=False, compare=False)
     scalar_context: ScalarContext = field(init=False, repr=False, compare=False)
+    # Z's entries from the first z_table call (not a LocalBalanceTable, which
+    # refers back to the context)
+    _z: Optional[WordTable] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         given = self.kernel_or_law
@@ -161,7 +163,7 @@ class WordTable(Mapping):
         self.den, self.exact_zero = den, exact_zero
 
     def __getitem__(self, word: Word):
-        if len(word) != self.length:
+        if len(word) != self.length or not all(0 <= a < self.alphabet.kappa for a in word):
             raise KeyError(word)
         code = self.alphabet.encode(word)
         if self.exact_zero is not None and self.exact_zero[code]:
@@ -192,8 +194,11 @@ class LocalBalanceTable:
 
 
 def z_table(ctx: CriterionContext) -> LocalBalanceTable:
-    """Fill the local balance table Z for all kappa^(2m+L) index words."""
-    return LocalBalanceTable(ctx, _balance_table(ctx))
+    """The local balance table Z for all kappa^(2m+L) index words, built on
+    the context's first call and kept on it."""
+    if ctx._z is None:
+        object.__setattr__(ctx, "_z", _balance_table(ctx))
+    return LocalBalanceTable(ctx, ctx._z)
 
 
 def _balance_table(ctx: CriterionContext, exits: bool = True) -> WordTable:
@@ -258,18 +263,18 @@ def _over_one_denominator(numerators, denominators):
 # window-sum functionals of Z
 # ---------------------------------------------------------------------------
 
-def cycle_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
+def cycle_balance(ctx: CriterionContext, x: Word):
     """Normalized stationarity balance of the cyclic word x.
 
     For n >= m + L this equals the wrapped window sum of Z; shorter cycles
     force letter repetitions in the chain weight, so they are evaluated
     directly from the finite cyclic balance (exact in rational mode).
     """
-    x = tuple(x)
+    x = ctx.alphabet.check_word(x)
     if not x:
         raise ValueError("a cycle needs at least one site")
     if len(x) >= ctx.memory + ctx.range_:
-        values = (table or z_table(ctx)).values
+        values = z_table(ctx).values
         return _scalar(_window_sums(ctx, values.entries, x, 1, cyclic=True)[0], values.den)
     return _cycle_balance_direct(ctx, x)
 
@@ -322,7 +327,7 @@ def cycle_jumps(T: JumpRateMatrix, x: int, n: int):
     return inflow, exit_rate
 
 
-def line_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTable] = None):
+def line_balance(ctx: CriterionContext, x: Word):
     """Normalized stationarity balance of the cylinder word x on the line.
 
     Extends x by q = m + L - 1 letters on both sides (so every jump window
@@ -330,13 +335,13 @@ def line_balance(ctx: CriterionContext, x: Word, table: Optional[LocalBalanceTab
     the extension and integrates the boundary letters against the law.
     Equals the raw cylinder balance divided by the chain weight of x.
     """
-    x = tuple(x)
+    x = ctx.alphabet.check_word(x)
     n = len(x)
     if n < 1:
         raise ValueError("word must be nonempty")
     m = ctx.memory
     q = m + ctx.range_ - 1
-    values = (table or z_table(ctx)).values
+    values = z_table(ctx).values
     # chain-weight windows of x divided out by the normalization
     # (empty when n <= m: the balance is then not normalized)
     normalized = set(range(q, q + n - m))
@@ -469,15 +474,14 @@ class CriterionReport:
         return "invariant" if self.invariant else "not-invariant"
 
 
-def check_markov_line(ctx: CriterionContext,
-                      table: Optional[LocalBalanceTable] = None) -> CriterionReport:
-    """Decide invariance of the law on the line (from Z, built unless given).
+def check_markov_line(ctx: CriterionContext) -> CriterionReport:
+    """Decide invariance of the law on the line from Z.
 
     Tests the cyclic window sums of length h on the words a[1..s] 0^(s-1);
     on success builds and verifies a potential certificate, on failure
     reports the first violating word.
     """
-    table = table or z_table(ctx)
+    table = z_table(ctx)
     s = ctx.window_length
     count, witness = _first_nonzero_cycle(ctx, table.values, s, pad=(0,) * (s - 1))
     if witness is not None:
@@ -534,15 +538,14 @@ def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
 
 def _narrowed(values: WordTable, windows: int) -> WordTable:
     """An exact table with int64 numerators when a sum of `windows` entries
-    stays below INT64_LIMIT in absolute value; otherwise the table itself."""
+    stays below `scalars.INT64_LIMIT` in absolute value; else the table itself."""
     if values.den is None:
         return values
     try:
         narrow = values.entries.astype(np.int64)
     except OverflowError:
         return values
-    top = max(int(narrow.max(initial=0)), -int(narrow.min(initial=0)))
-    if top * windows >= INT64_LIMIT:
+    if largest_abs(narrow) * windows >= scalars.INT64_LIMIT:
         return values
     return WordTable(values.alphabet, values.length, narrow, values.den)
 
@@ -550,7 +553,7 @@ def _narrowed(values: WordTable, windows: int) -> WordTable:
 def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
     """Decide invariance of the cyclic chain law on Z/nZ (all kappa^n words).
     Exact window sums run on int64 when n x the largest |Z| numerator is
-    below INT64_LIMIT, on Python ints otherwise."""
+    below `scalars.INT64_LIMIT`, on Python ints otherwise."""
     if n < 1:
         raise ValueError("cycle length must be >= 1")
     if n >= ctx.memory + ctx.range_:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ def bold_z_table(T2: JumpRateMatrix, rho) -> WordTable:
     return z_table(product_context(T2, _check_marginal(T2, rho))).values
 
 
-def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int],
-                   table: Optional[WordTable] = None):
+def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int]):
     """Partial boldZ of a square: cells in `overlap` (positions within the
     2x2 square) are pinned to letters, the free cells are integrated against
     rho.  With all four cells pinned this is boldZ itself."""
@@ -92,7 +91,7 @@ def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int],
     if not overlap:
         raise ValueError("overlap must pin at least one cell")
     pinned = tuple((c, k) for k, c in enumerate(c for c in SQUARE_CELLS if c in overlap))
-    return _Partials.of(T2, rho, table).one([(pinned, 1)], [overlap[c] for c, _ in pinned])
+    return _Partials.of(T2, rho).one([(pinned, 1)], [overlap[c] for c, _ in pinned])
 
 
 class _Partials:
@@ -106,8 +105,8 @@ class _Partials:
     terms from zero in the order of their letters."""
 
     def __init__(self, table: WordTable, rho: List):
-        self.arrays = {}
-        self.kappa, self.den, self.unit = table.alphabet.kappa, table.den, 1
+        self.arrays, self.alphabet, self.unit = {}, table.alphabet, 1
+        self.kappa, self.den = table.alphabet.kappa, table.den
         if table.den is None:
             self.rho = [float(p) for p in rho]
         else:
@@ -117,9 +116,9 @@ class _Partials:
         self.grid = table.entries.reshape((self.kappa,) * len(SQUARE_CELLS))
 
     @classmethod
-    def of(cls, T2: JumpRateMatrix, rho, table: Optional[WordTable]):
+    def of(cls, T2: JumpRateMatrix, rho):
         rho = _check_marginal(T2, rho)
-        return cls(bold_z_table(T2, rho) if table is None else table, rho)
+        return cls(bold_z_table(T2, rho), rho)
 
     def array(self, cells: Tuple[Cell, ...]) -> np.ndarray:
         if cells not in self.arrays:
@@ -148,7 +147,7 @@ class _Partials:
         return total
 
     def one(self, terms, pattern):
-        return _scalar(self.sums(terms, tuple(pattern), 1)[0], self.den)
+        return _scalar(self.sums(terms, self.alphabet.check_word(pattern), 1)[0], self.den)
 
     def scan(self, ctx: CriterionContext, terms, n: int):
         return _scan_words(ctx, n, partial(self.sums, terms), self.den)
@@ -167,13 +166,12 @@ def _line_terms(shape: Shape) -> List[Tuple]:
     return [(overlap, 1) for overlap in _overlaps(shape.cells, _anchors_meeting(shape))]
 
 
-def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word,
-                    table: Optional[WordTable] = None):
+def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word):
     """Normalized balance of the window `pattern` on `shape`: the sum over
     all squares meeting the shape of their (partial) boldZ."""
     if len(pattern) != len(shape):
         raise ValueError("pattern length does not match the shape")
-    return _Partials.of(T2, rho, table).one(_line_terms(shape), pattern)
+    return _Partials.of(T2, rho).one(_line_terms(shape), pattern)
 
 
 def _overlaps(cells, anchors) -> List[Tuple]:
@@ -213,12 +211,11 @@ def check_bold_z_sufficient(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -
     return all(ctx.is_zero(v) for v in z_table(ctx).values.values())
 
 
-def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern: Word,
-                      table: Optional[WordTable] = None):
+def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern: Word):
     """Balance change when `cell` is added to `shape`: only the squares
     containing the new cell contribute, each by a difference of partials
     (a square that missed the old shape entirely has no old term)."""
-    partials = _Partials.of(T2, rho, table)
+    partials = _Partials.of(T2, rho)
     if cell in shape:
         raise ValueError("cell already belongs to the shape")
     return partials.one(_growth_plan(shape, cell), pattern)

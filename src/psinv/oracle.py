@@ -15,8 +15,9 @@ state it reaches.  Exact rates and measures are integers over one common
 denominator each: int64 when an a-priori bound on every value and sum
 computed from them (largest numerator x largest factor x number of terms;
 for the residual, top(mu) x the windows' largest local exit or inflow rate)
-is below INT64_LIMIT, Python ints in object arrays otherwise, so every sum
-is an exact integer sum; floats stay float64, summed in a fixed order.
+is below `scalars.INT64_LIMIT`, Python ints in object arrays otherwise
+(`scalars.int_array`), so every sum is an exact integer sum; floats stay
+float64, summed in a fixed order.
 Everything here is independent of the criteria module so the two can be
 tested against each other.
 """
@@ -33,14 +34,12 @@ import numpy as np
 
 from .core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
                    StationaryLaw, Word)
-from .scalars import all_exact, over_common_denominator
+from .scalars import all_exact, int_array, largest_abs, over_common_denominator
 
 DEFAULT_STATE_CAP = 2 ** 20
 # raw transitions one build may generate: the build peaks below 50 bytes
 # per raw transition, so about 0.4 GB
 TRANSITION_BUDGET = 2 ** 23
-# exact arrays are int64 when every value computed from them stays below this
-INT64_LIMIT = 2 ** 62
 
 
 class StateCapExceeded(RuntimeError):
@@ -78,26 +77,6 @@ def _common_denominator(values) -> Tuple[object, int, bool]:
     if not all_exact(values):
         return np.array([float(v) for v in values], dtype=float), 1, False
     return (*over_common_denominator([Fraction(v) for v in values]), True)
-
-
-def _ints(values, bound: int) -> np.ndarray:
-    """Integers as int64 when `bound`, an a-priori bound on every value and
-    sum that will be computed from them, is below INT64_LIMIT; otherwise as
-    Python ints in an object array."""
-    if bound < INT64_LIMIT:
-        return np.asarray(values, dtype=np.int64)
-    if isinstance(values, np.ndarray):
-        return values.astype(object)
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
-    return out
-
-
-def _top(num) -> int:
-    """The largest |value| of a list or array of integers, as a Python int."""
-    if isinstance(num, np.ndarray) and num.dtype != object:
-        return int(np.abs(num).max(initial=0))
-    return max(map(abs, num.tolist() if isinstance(num, np.ndarray) else num), default=0)
 
 
 def _floats(num: np.ndarray, den: int, exact: bool) -> np.ndarray:
@@ -165,9 +144,9 @@ class FiniteGenerator:
     """Explicit generator in CSR form: state x jumps to the states
     dst[indptr[x]:indptr[x + 1]] (ascending) at the rates rate[...] / scale;
     the diagonal entry is -exits[x] / scale.  An exact generator holds
-    integers (int64 or Python ints, see INT64_LIMIT) over `scale`, the least
-    common denominator of the rates; a float generator holds float64 rates
-    and scale 1.
+    integers (int64 or Python ints, see `scalars.int_array`) over `scale`,
+    the least common denominator of the rates; a float generator holds
+    float64 rates and scale 1.
 
     The generator is kept as its window groups (sites, moves) and `values`,
     the rates of the moves over `scale`, group by group, as int64 or Python
@@ -442,7 +421,7 @@ def build_generator(T: JumpRateMatrix, space: Space,
     nums, scale, exact = _common_denominator(rate for _, moves in groups for _, _, rate in moves)
     # every exit and merged rate is a sum of at most this many nonnegative rates
     raw = _transitions(groups, T.alphabet.kappa, n_sites)
-    values = _ints(nums, _top(nums) * raw) if exact else nums
+    values = int_array(nums, largest_abs(nums) * raw) if exact else nums
     return FiniteGenerator(space, T.alphabet, n_sites, groups, values, scale, exact)
 
 
@@ -459,7 +438,7 @@ def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
         raise ValueError("measure length does not match the state space")
     if not isinstance(mu, ScaledArray):
         nums, den, exact = _common_denominator(mu)
-        mu = ScaledArray(_ints(nums, _top(nums)) if exact else nums, den, exact)
+        mu = ScaledArray(int_array(nums, largest_abs(nums)) if exact else nums, den, exact)
     exact = gen.exact and mu.exact
     if exact:
         # one window adds -mu(x) exit(x) and the inflows mu(y) rate, so each
@@ -467,7 +446,7 @@ def stationarity_residual(gen: FiniteGenerator, mu: Sequence):
         # largest local exit and inflow rate, and the windows add up; the
         # bound also covers the weights and the local rates themselves
         local, reach = gen._local
-        weights = _ints(mu.num, max(_top(mu.num), 1) * (reach + 1))
+        weights = int_array(mu.num, max(largest_abs(mu.num), 1) * (reach + 1))
         acc = np.zeros(gen.n_states, dtype=weights.dtype)
         shape = (gen.alphabet.kappa,) * gen.n_sites
         tensor, out = weights.reshape(shape), acc.reshape(shape)
@@ -504,7 +483,7 @@ def gibbs_measure(kernel: MarkovKernel, n: int) -> ScaledArray:
     kappa, span = alphabet.kappa, kernel.memory + 1
     nums, _, exact = _common_denominator(kernel.step_weight(w) for w in alphabet.words(span))
     # each weight is a product of n entries, and the total sums kappa^n weights
-    table = _ints(nums, _top(nums) ** n * kappa ** n) if exact else nums
+    table = int_array(nums, largest_abs(nums) ** n * kappa ** n) if exact else nums
     # windows 0 .. n - span lie inside the word: extend the prefixes one
     # letter at a time, each extension adding the window that ends there
     weights = np.ones(kappa ** min(span - 1, n), dtype=table.dtype)
@@ -527,7 +506,7 @@ def product_measure(rho, n_sites: int) -> ScaledArray:
     """The product of the marginal rho over n_sites sites."""
     Alphabet(len(rho))  # rejects fewer than two letters, like every state space
     nums, den, exact = _common_denominator(rho)
-    factor = _ints(nums, _top(nums) ** n_sites) if exact else nums
+    factor = int_array(nums, largest_abs(nums) ** n_sites) if exact else nums
     weights = np.ones(1, dtype=factor.dtype)
     for _ in range(n_sites):
         weights = np.multiply.outer(weights, factor).ravel()
@@ -576,7 +555,6 @@ class AbsorbingReport:
     sink_components: Tuple[Tuple[int, ...], ...]
     absorbing_states: frozenset
     is_proper: bool
-    reaches_all: bool
 
 
 def absorbing_analysis(gen: FiniteGenerator) -> AbsorbingReport:
@@ -615,20 +593,19 @@ def absorbing_analysis(gen: FiniteGenerator) -> AbsorbingReport:
     labels = least[states]
     order = np.argsort(labels, kind="stable")
     classes = np.split(states[order], np.flatnonzero(np.diff(labels[order])) + 1)
-    reached = _reach(rptr, pred, absorbing.copy())
     return AbsorbingReport(tuple(tuple(c.tolist()) for c in classes),
-                           frozenset(states.tolist()), len(states) < n, bool(reached.all()))
+                           frozenset(states.tolist()), len(states) < n)
 
 
 @dataclass(frozen=True)
 class ExclusionVerdict:
-    """Result of the absorbing-set exclusion argument over several cycle sizes."""
+    """Result of the absorbing-set exclusion argument over several cycle
+    sizes: excluded when every tested size has a proper absorbing set."""
 
     excluded: bool
     memory_bound: Optional[int]
     tested_sizes: Tuple[int, ...]
     proper_sizes: Tuple[int, ...]
-    pattern_persists: bool
     note: str
 
 
@@ -656,8 +633,8 @@ def absorbing_exclusion(T: JumpRateMatrix, n_values: Sequence[int],
             proper.append(n)
     if len(proper) == len(tested):
         bound = max(tested) - T.range_
-        return ExclusionVerdict(True, bound, tested, tuple(proper), True,
+        return ExclusionVerdict(True, bound, tested, tuple(proper),
                                 f"no full-support invariant Markov law with memory <= {bound}; "
                                 "absorbing pattern persists on every tested size")
-    return ExclusionVerdict(False, None, tested, tuple(proper), False,
+    return ExclusionVerdict(False, None, tested, tuple(proper),
                             "inconclusive: some tested cycle has no proper absorbing set")

@@ -14,7 +14,11 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import List, Tuple
 
+import numpy as np
+
 DEFAULT_TOL = 1e-9
+# exact integer arrays are int64 while every value and sum stays below this
+INT64_LIMIT = 2 ** 62
 
 
 def _integer_ratio(text: str):
@@ -75,6 +79,27 @@ def over_common_denominator(values) -> Tuple[List[int], int]:
     """Rationals as (Python-int numerators, their least common denominator)."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def largest_abs(values) -> int:
+    """The largest |value| of integers (0 if none) as a Python int; an int64
+    array through its max and min, as np.abs overflows on -2^63."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return max(int(values.max(initial=0)), -int(values.min(initial=0)))
+    return max(map(abs, values.tolist() if isinstance(values, np.ndarray) else values), default=0)
+
+
+def int_array(values, bound: int) -> np.ndarray:
+    """Integers as int64 when `bound`, an a-priori bound on every value and
+    sum that will be computed from them, is below INT64_LIMIT; otherwise as
+    Python ints in an object array."""
+    if bound < INT64_LIMIT:
+        return np.asarray(values, dtype=np.int64)
+    if isinstance(values, np.ndarray):
+        return values.astype(object)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
 
 
 @dataclass(frozen=True)

@@ -165,11 +165,11 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
         return AffineFamily(tuple(variables), solution, (), (), True)
     dim, n = solution.dimension, len(solution.particular)
     # coordinate i vanishes: sum_k basis[k][i] t_k = -particular[i], a row
-    # over t (integer rows when the solution is exact)
+    # over t (integer rows when exact), built only to enumerate the vertices
     rows = [dict(enumerate([solution.basis[k][i] for k in range(dim)] + [-solution.particular[i]]))
-            for i in range(n)]
+            for i in range(n)] if 0 < dim <= MAX_VERTEX_DIM else None
     exact, found = solution.den is not None, set()
-    for active in itertools.combinations(range(n), dim) if 0 < dim <= MAX_VERTEX_DIM else ():
+    for active in itertools.combinations(range(n), dim) if rows else ():
         sol = solve_linear([rows[i] for i in active], dim)
         if sol.status == "unique":
             t, d = sol.particular, sol.den or 1
@@ -539,7 +539,6 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     candidates: List[Tuple[Tuple, CriterionReport]] = []
     notes: List[str] = []
     seen = set()
-    triple_rows: List[dict] = []
 
     def consider(weights, den=None):
         # a marginal weights / den, or floats; seen by value, so that a float
@@ -549,9 +548,7 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
             return
         seen.add(rho)
         if all(p > 0 for p in rho):
-            if not triple_rows:
-                triple_rows.append(_cycle_rows(T, 3)[0])
-            if _kills_cycles3(T, triple_rows[0], weights, den, tol):
+            if _kills_cycles3(T, _cycle_rows(T, 3)[0], weights, den, tol):
                 # the report check_markov_cycle gives on the product's context
                 candidates.append((rho, CriterionReport(True, "cycle-3",
                                                         words_checked=kappa ** 3)))

@@ -17,22 +17,19 @@ that differ in which letter of the exterior jump carries the kernel weight
 on the right side: `target-weighted` attaches it to the letter the exterior
 site jumps to, `source-weighted` to the letter it jumps from (what a direct
 flux computation yields).  Construction never asserts correctness of either
-closed form: the returned rates carry an oracle validation report, including
-the exact discrepancy when validation fails.
+closed form: the returned rates carry the report of `check_segment` at sizes
+N0 and N0 + 1, whose witness is the exact discrepancy when validation fails.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
 import numpy as np
 
 from .core import BoundaryRates, JumpRateMatrix, Word
-from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable, _chain_weights,
-                       _over_one_denominator, _scalar, _scan_words, _window_sums,
-                       check_markov_line, z_table)
+from .criteria import (CriterionContext, CriterionReport, _chain_weights, _over_one_denominator,
+                       _scalar, _scan_words, _window_sums, check_markov_line, z_table)
 
 _VARIANTS = ("target-weighted", "source-weighted")
 # n0: balances vanishing on two consecutive sizes >= N0 vanish on every size
@@ -44,13 +41,12 @@ def _require_21(ctx: CriterionContext):
         raise ValueError("segment balance is implemented for range 2, memory 1")
 
 
-def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
-                      table: Optional[LocalBalanceTable] = None):
+def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
     """(context, balances(columns, count), den): the segment balances of
     words of size n from their letter columns, as for `_scan_words`, under
     the context that decides them.  Float boundary rates make an exact
-    context float (with its own table); a float context takes float copies
-    of the boundary rates.
+    context float (a new context, with its own Z); a float context takes
+    float copies of the boundary rates.
 
     A block word x (the three letters at one end) gets -(boundary exit at
     the end site + T exit of its jump window), then for each pair u, in
@@ -68,7 +64,7 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
     if beta.left.range_ != 1:
         raise ValueError("boundary rates must act on single sites (range 1)")
     if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
-        ctx, table = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol), None
+        ctx = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol)
     if not ctx.scalar_context.exact:
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
     T, exact, kappa = ctx.T, ctx.scalar_context.exact, ctx.alphabet.kappa
@@ -98,7 +94,7 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
         else:
             columns = [exits, *(weights[source] / weights * amounts)]
             blocks.append([column for column in columns if column.any()])
-    z = (table or z_table(ctx)).values
+    z = z_table(ctx).values
     entries, den = z.entries, z.den
     if exact:
         numerators, block_den = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
@@ -118,23 +114,22 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int,
     return ctx, balances, den
 
 
-def segment_balance(ctx: CriterionContext, beta: BoundaryRates, x: Word,
-                    table: Optional[LocalBalanceTable] = None):
+def segment_balance(ctx: CriterionContext, beta: BoundaryRates, x: Word):
     """Normalized stationarity balance of the word x on the segment {1..n}:
     the linear window sums of Z plus the two boundary blocks."""
-    _, balances, den = _segment_balances(ctx, beta, len(x), table)
-    return _scalar(balances(tuple(x), 1)[0], den)
+    x = ctx.alphabet.check_word(x)
+    _, balances, den = _segment_balances(ctx, beta, len(x))
+    return _scalar(balances(x, 1)[0], den)
 
 
-def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int,
-                  table: Optional[LocalBalanceTable] = None) -> CriterionReport:
-    """Test the segment balance on every word of E^n (from Z, built unless given).
+def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int) -> CriterionReport:
+    """Test the segment balance on every word of E^n, from Z.
 
     For n >= N0 the size n + 1 is tested as well; when both vanish the report
     carries the derived conclusions (line invariance, and invariance on every
     segment of size >= n with the same boundary rates).
     """
-    ctx, balances, den = _segment_balances(ctx, beta, n, table)
+    ctx, balances, den = _segment_balances(ctx, beta, n)
     count = 0
     for size in [n, n + 1] if n >= N0 else [n]:
         checked, witness = _scan_words(ctx, size, balances, den)
@@ -153,13 +148,12 @@ def check_segment(ctx: CriterionContext, beta: BoundaryRates, n: int,
 
 @dataclass(frozen=True)
 class BoundaryConstruction:
-    """Boundary rates emulating the infinite line, plus their validation."""
+    """Boundary rates emulating the infinite line, plus their validation: the
+    report of `check_segment` at sizes N0 and N0 + 1 (witness: a discrepancy)."""
 
     boundary: BoundaryRates
     variant: str
-    validated: bool
     validation: CriterionReport
-    discrepancy: Optional[Tuple[Word, object]]
 
 
 def construct_boundaries(ctx: CriterionContext,
@@ -181,9 +175,7 @@ def construct_boundaries(ctx: CriterionContext,
     _require_21(ctx)
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    table = z_table(ctx)
-    line = check_markov_line(ctx, table)
-    if not line.invariant:
+    if not check_markov_line(ctx).invariant:
         raise ValueError("law is not invariant on the line; no boundary rates exist")
     M, rho, E, T = ctx.kernel.prob, ctx.law.rho, ctx.alphabet.letters, ctx.T
     left, right = {}, {}  # zero rates leave no entry in a JumpRateMatrix
@@ -198,6 +190,4 @@ def construct_boundaries(ctx: CriterionContext,
             right[((z,), (a,))] = sum(M((z,), v) * T.rate((z, v), (a, b)) for v in E for b in E)
     beta = BoundaryRates(JumpRateMatrix(ctx.alphabet, 1, left),
                          JumpRateMatrix(ctx.alphabet, 1, right))
-    validation = check_segment(ctx, beta, N0, table)
-    return BoundaryConstruction(beta, variant, validation.invariant, validation,
-                                validation.witness)
+    return BoundaryConstruction(beta, variant, check_segment(ctx, beta, N0))

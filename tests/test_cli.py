@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from psinv import criteria, linalg, oracle, segment
+from psinv import criteria, linalg, oracle, scalars, search, segment
 from psinv.cli import ModelFileError, _table_json, build_parser, load_model_file, main
 from psinv.core import MarkovKernel
 from psinv.models import stochastic_ising, tasep
@@ -278,8 +278,8 @@ class TestOracleCommands:
         for name, params, extra, n, expected in cases:
             path = write_model(tmp_path, name, extra=extra, params=params)
             outputs = []
-            for limit in (oracle.INT64_LIMIT, 0):
-                monkeypatch.setattr(oracle, "INT64_LIMIT", limit)
+            for limit in (scalars.INT64_LIMIT, 0):
+                monkeypatch.setattr(scalars, "INT64_LIMIT", limit)
                 code, out, _ = run(capsys, "--report", "json", "verify-cycle", path, "--n", n)
                 doc = json.loads(out)
                 doc.pop("timings")
@@ -370,8 +370,29 @@ def uniform_kernel_file(tmp_path, kappa, memory, **extra):
 
 class TestDeciderCaps:
     """The deciders' tables count against --max-states before they are built:
-    the Z table (kappa^(2m+L) words) and the boundary validation (kappa^(N0+1)
-    words), as the oracle and the segment scan already were."""
+    the Z table (kappa^(2m+L) words), the boundary validation (kappa^(N0+1)
+    words) and the search systems (kappa^(2n) for the length-n system), as
+    the oracle and the segment scan already were."""
+
+    @pytest.mark.parametrize("command, count", [("find-markov", 2 ** 6), ("find-product", 2 ** 4)])
+    def test_search_systems(self, tmp_path, capsys, command, count):
+        path = write_model(tmp_path, "tasep")
+        code, _, err = run(capsys, "--max-states", str(count - 1), command, path)
+        assert code == 3 and f"{count} states exceed" in err
+        assert run(capsys, "--max-states", str(count), command, path)[0] == 0
+
+    @pytest.mark.parametrize("command", ["find-markov", "find-product"])
+    def test_search_on_a_large_alphabet_builds_no_row(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        def cycle_rows(*args):
+            raise AssertionError("a cycle system was built")
+
+        monkeypatch.setattr(search, "_cycle_rows", cycle_rows)
+        path = tmp_path / "k40.json"
+        path.write_text(json.dumps(dict(schema=1, kappa=40, range=2, rates=[
+            {"from": [0, 1], "to": [1, 0], "rate": "1"}])))
+        code, _, err = run(capsys, command, str(path))
+        assert code == 3 and "states exceed the cap" in err
 
     def test_check_markov_z_table(self, tmp_path, capsys):
         path = uniform_kernel_file(tmp_path, 2, 7)  # Z has 2^16 words

@@ -1,4 +1,7 @@
+import gc
+import inspect
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,8 @@ from psinv.criteria import (check_markov_cycle, check_markov_line,
                             line_balance, markov_context, PairRateField,
                             product_context, restrict_support, symmetrize,
                             tail_bounds_advisory, z_table)
-from psinv import criteria
+from psinv import criteria, lattice2d, segment
+from psinv.core import BoundaryRates
 from psinv.linalg import stationary_distribution
 from psinv.models import contact, hmc_example, stochastic_ising, tasep, tasep3, voter
 
@@ -53,24 +57,24 @@ def reference_cycle_balances(ctx, n):
     return balances
 
 
-def cycle_window_sum(ctx, x, table=None):
+def cycle_window_sum(ctx, x):
     """The formal wrapped window sum of Z, defined for any n >= 1: the cycle
     balance for n >= m + L, the small-cycles criterion object below."""
-    return cyclic_window_sum((table or z_table(ctx)).values, ctx.window_length, tuple(x))
+    return cyclic_window_sum(z_table(ctx).values, ctx.window_length, tuple(x))
 
 
-def deletion_defect(ctx, x, table=None):
+def deletion_defect(ctx, x):
     """Window sums of Z of the critical-length word x minus those of x with
     its middle letter (position s) deleted."""
-    values = (table or z_table(ctx)).values
+    values = z_table(ctx).values
     s = ctx.window_length
     return window_sum(values, s, x) - window_sum(values, s, x[:s - 1] + x[s:])
 
 
-def replacement_defect(ctx, x, y, table=None):
+def replacement_defect(ctx, x, y):
     """Window sums of Z of the critical-length word x minus those of x with
     its middle letter set to y."""
-    values = (table or z_table(ctx)).values
+    values = z_table(ctx).values
     s = ctx.window_length
     return window_sum(values, s, x) - window_sum(values, s, x[:s - 1] + (y,) + x[s:])
 
@@ -170,6 +174,28 @@ class TestZTable:
             assert t_combined[w] == a * t1[w] + b * t2[w]
 
 
+class TestLettersOutsideTheAlphabet:
+    """A letter outside {0..kappa-1} is no word of the table: its code would
+    be another word's, so the lookups and balances reject it."""
+
+    CONTACT_KERNEL = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]]
+
+    @pytest.mark.parametrize("word", [(0, 1, 0, 2), (0, 1, 1, -1)])
+    def test_z_table_has_no_entry(self, word):
+        ctx = markov_context(contact(1).jrm, MarkovKernel.from_matrix(self.CONTACT_KERNEL))
+        with pytest.raises(KeyError):
+            z_table(ctx)[word]
+        assert word not in z_table(ctx).values
+
+    @pytest.mark.parametrize("word", [(0, 1, -1), (0, 1, 2), (2,), (0, 0, 0, 0, 2)])
+    def test_balances_reject(self, word):
+        ctx = markov_context(contact(1).jrm, MarkovKernel.from_matrix(self.CONTACT_KERNEL))
+        with pytest.raises(ValueError, match="leaves the alphabet"):
+            cycle_balance(ctx, word)
+        with pytest.raises(ValueError, match="leaves the alphabet"):
+            line_balance(ctx, word)
+
+
 class TestCycleBalance:
     def test_tasep_all_small_cycles_zero(self):
         ctx = tasep_product_ctx(F(1, 3))
@@ -262,11 +288,10 @@ class TestDefects:
 
     def test_ising_defects_vanish(self):
         ctx = ising_ctx()
-        table = z_table(ctx)
         h = ctx.critical_length
         for x in list(Alphabet(2).words(h))[::37]:
-            assert deletion_defect(ctx, x, table) == 0
-            assert replacement_defect(ctx, x, 1, table) == 0
+            assert deletion_defect(ctx, x) == 0
+            assert replacement_defect(ctx, x, 1) == 0
 
     def test_zero_dynamics_defects(self, rng):
         T = JumpRateMatrix(Alphabet(2), 2, {})
@@ -285,10 +310,9 @@ class TestLineBalance:
 
     def test_invariant_pair_all_words(self):
         ctx = ising_ctx()
-        table = z_table(ctx)
         for n in range(1, 6):
             for x in Alphabet(2).words(n):
-                assert line_balance(ctx, x, table) == 0
+                assert line_balance(ctx, x) == 0
 
     def test_tasep_single_letter(self):
         for p in (F(1, 4), F(2, 3)):
@@ -649,3 +673,51 @@ class TestLazyLaw:
                               (ctx.law.kernel.step_weights, expected.kernel.step_weights),
                               (ctx.kernel.step_weights, expected.kernel.step_weights)):
                 assert [p.hex() for p in got] == [p.hex() for p in want]
+
+
+class TestOneTablePerContext:
+    """Z is built once per context, on its first z_table call, and kept on
+    the context as entries, so that no reference cycle keeps it alive."""
+
+    def test_every_reader_shares_one_build(self, monkeypatch, rng):
+        built, real = [], criteria._balance_table
+
+        def counting(ctx, *args):
+            built.append(ctx)
+            return real(ctx, *args)
+
+        monkeypatch.setattr(criteria, "_balance_table", counting)
+        ctx = markov_context(random_jrm(rng), random_kernel(rng))
+        check_markov_line(ctx)
+        cycle_balance(ctx, (0, 1, 1))
+        line_balance(ctx, (1, 0))
+        equivalence_panel(ctx)
+        assert z_table(ctx).values is z_table(ctx).values
+        assert len(built) == 1 and built[0] is ctx
+        other = markov_context(ctx.T, ctx.kernel)  # an equal context builds its own
+        check_markov_line(other)
+        assert len(built) == 2 and built[1] is other
+
+    def test_no_cycle_ties_a_context_to_its_tables(self):
+        p = F(1, 4)
+        gc.disable()
+        try:
+            ctx = markov_context(tasep().jrm, MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]]))
+            assert check_markov_line(ctx).invariant
+            segment.check_segment(ctx, BoundaryRates.zero(Alphabet(2), 1), 4)
+            assert ctx._z is not None
+            alive = weakref.ref(ctx)
+            del ctx
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_no_function_takes_a_table_it_could_build(self):
+        # potential_from_table alone takes one: it derives W from the table
+        # it is given and builds none
+        functions = [f for module in (criteria, segment, lattice2d)
+                     for name, f in inspect.getmembers(module, inspect.isfunction)
+                     if f.__module__ == module.__name__ and not name.startswith("_")]
+        functions += [segment._segment_balances, lattice2d._Partials.of]
+        assert {f.__name__ for f in functions
+                if "table" in inspect.signature(f).parameters} == {"potential_from_table"}

@@ -64,17 +64,16 @@ def reference_check_product_2d(T2, rho):
     """check_product_2d with condition (b) as the whole balance of the
     five-cell shape minus the whole balance of the four-cell hook."""
     ctx = product_context(T2, rho)
-    table = bold_z_table(T2, rho)
     corners, witness = ctx.first_nonzero(
-        T2.alphabet.words(3), lambda x: line_balance_2d(T2, rho, GAMMA0, x, table))
+        T2.alphabet.words(3), lambda x: line_balance_2d(T2, rho, GAMMA0, x))
     if witness is not None:
         return CriterionReport(False, "corner-balance", witness=witness, words_checked=corners)
 
     def addition(x):
         letters = dict(zip(GAMMA2.cells, x))
         hook = tuple(letters[c] for c in GAMMA1.cells)
-        return line_balance_2d(T2, rho, GAMMA2, x, table) - \
-            line_balance_2d(T2, rho, GAMMA1, hook, table)
+        return line_balance_2d(T2, rho, GAMMA2, x) - \
+            line_balance_2d(T2, rho, GAMMA1, hook)
 
     count, witness = ctx.first_nonzero(T2.alphabet.words(5), addition)
     if witness is not None:
@@ -181,7 +180,7 @@ class TestBoldZPartial:
         table = bold_z_table(T2, rho)
         for pattern in Alphabet(2).words(4):
             overlap = dict(zip(SQUARE_CELLS, pattern))
-            assert bold_z_partial(T2, rho, overlap, table) == table[pattern]
+            assert bold_z_partial(T2, rho, overlap) == table[pattern]
 
     def test_zero_dynamics(self):
         T2 = JumpRateMatrix(Alphabet(2), 4, {})
@@ -203,7 +202,26 @@ class TestBoldZPartial:
                     for c in free:
                         weight *= rho[w[c]]
                     expected += table[pattern] * weight
-                assert bold_z_partial(T2, rho, {cell: letter}, table) == expected
+                assert bold_z_partial(T2, rho, {cell: letter}) == expected
+
+
+class TestLettersOutsideTheAlphabet:
+    # a letter outside the alphabet has another pattern's code
+    RHO = [F(1, 2), F(1, 2)]
+
+    def test_bold_z_table_has_no_entry(self):
+        table = bold_z_table(flip_2d(4).square, self.RHO)
+        assert (0, 0, 0, 2) not in table and (0, 0, 0, -1) not in table
+
+    @pytest.mark.parametrize("letter", [2, -1])
+    def test_balances_reject(self, letter):
+        T2 = flip_2d(4).square
+        with pytest.raises(ValueError, match="leaves the alphabet"):
+            line_balance_2d(T2, self.RHO, GAMMA0, (0, 1, letter))
+        with pytest.raises(ValueError, match="leaves the alphabet"):
+            bold_z_partial(T2, self.RHO, {(0, 0): letter})
+        with pytest.raises(ValueError, match="leaves the alphabet"):
+            growth_difference(T2, self.RHO, GAMMA1, (1, 1), (0, 0, 1, letter, 0))
 
 
 class TestLineBalance2D:
@@ -218,12 +236,11 @@ class TestLineBalance2D:
     def test_invariant_model_kills_all_subshapes(self):
         T2 = flip_2d(4).square
         rho = [F(2, 3), F(1, 3)]
-        table = bold_z_table(T2, rho)
         for size in range(1, len(GAMMA2) + 1):
             for cells in itertools.combinations(GAMMA2.cells, size):
                 shape = Shape(cells)
                 for x in Alphabet(2).words(size):
-                    assert line_balance_2d(T2, rho, shape, x, table) == 0
+                    assert line_balance_2d(T2, rho, shape, x) == 0
 
     def test_growth_difference_matches_balances(self, rng):
         # adding one cell changes the balance by the four-square difference
@@ -231,7 +248,6 @@ class TestLineBalance2D:
         for _ in range(6):
             T2 = random_square(rng)
             rho = [F(1, 3), F(2, 3)]
-            table = bold_z_table(T2, rho)
             cells = tuple(rng.sample(block.cells, rng.randint(1, 4)))
             shape = Shape(cells)
             outside = [c for c in block.cells if c not in shape]
@@ -239,9 +255,9 @@ class TestLineBalance2D:
             grown = Shape(cells + (cell,))
             for x in Alphabet(2).words(len(grown)):
                 restriction = tuple(dict(zip(grown.cells, x))[c] for c in shape.cells)
-                direct = line_balance_2d(T2, rho, grown, x, table) - \
-                    line_balance_2d(T2, rho, shape, restriction, table)
-                assert growth_difference(T2, rho, shape, cell, x, table) == direct
+                direct = line_balance_2d(T2, rho, grown, x) - \
+                    line_balance_2d(T2, rho, shape, restriction)
+                assert growth_difference(T2, rho, shape, cell, x) == direct
 
 
 class TestCheckProduct2D:

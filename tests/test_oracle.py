@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psinv import oracle
+from psinv import oracle, scalars
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel, product_law
 from psinv.criteria import check_markov_cycle, line_balance, markov_context, product_context
 from psinv.linalg import stationary_distribution
+from psinv.scalars import largest_abs
 from psinv.oracle import (CycleSpace, SegmentSpace, StateCapExceeded, TorusSpace,
                           absorbing_analysis, absorbing_exclusion, build_generator,
                           gibbs_measure, product_measure, segment_measure,
@@ -170,7 +171,7 @@ class TestAbsorbing:
             report = absorbing_analysis(gen)
             words = sorted(gen.state_word(s) for s in report.absorbing_states)
             assert words == [(0,) * n, (1,) * n]
-            assert report.is_proper and report.reaches_all
+            assert report.is_proper
 
     def test_contact_contains_extinction(self):
         T = contact(1).jrm
@@ -249,8 +250,9 @@ def _tarjan_sccs(ptr, succ):
 
 
 def reference_absorbing(gen):
-    """The four AbsorbingReport fields from Tarjan's components (a sink is a
-    component that no jump leaves) and a reverse search over Python sets."""
+    """The three AbsorbingReport fields from Tarjan's components (a sink is a
+    component that no jump leaves).  A reverse search over Python sets checks
+    that every state reaches a sink, as every state of a finite graph must."""
     ptr, succ = gen.indptr.tolist(), gen.dst.tolist()
     comp_of = {}
     for cid, comp in enumerate(_tarjan_sccs(ptr, succ)):
@@ -273,19 +275,20 @@ def reference_absorbing(gen):
             if prev not in seen:
                 seen.add(prev)
                 frontier.append(prev)
+    assert len(seen) == gen.n_states
     return (tuple(sorted(tuple(sorted(comp)) for comp in sinks.values())), absorbing,
-            len(absorbing) < gen.n_states, len(seen) == gen.n_states)
+            len(absorbing) < gen.n_states)
 
 
 class TestAbsorbingAgainstTarjan:
     """Sink classes by least-reachable-state labels against Tarjan's
-    components, on all four report fields."""
+    components, on all three report fields."""
 
     def check(self, T, space):
         gen = build_generator(T, space)
         report = absorbing_analysis(gen)
-        assert (report.sink_components, report.absorbing_states, report.is_proper,
-                report.reaches_all) == reference_absorbing(gen), space
+        assert (report.sink_components, report.absorbing_states,
+                report.is_proper) == reference_absorbing(gen), space
 
     def test_random_tables_on_cycles_and_segments(self):
         rng = random.Random(41)
@@ -340,7 +343,6 @@ class TestExclusion:
         verdict = absorbing_exclusion(voter().jrm, range(3, 9))
         assert verdict.excluded
         assert verdict.memory_bound == 5
-        assert verdict.pattern_persists
 
     def test_contact_excluded(self):
         verdict = absorbing_exclusion(contact(1).jrm, range(3, 9))
@@ -660,9 +662,9 @@ class TestScale:
 
 class TestExactPaths:
     """Exact arrays are int64 under the a-priori bound and Python ints in
-    object arrays above it.  Lowering INT64_LIMIT forces the object path on
-    the same instances; both must give the same rows, exit rates, measures
-    and residuals."""
+    object arrays above it.  Lowering `scalars.INT64_LIMIT` forces the
+    object path on the same instances; both must give the same rows, exit
+    rates, measures and residuals."""
 
     def results(self, T, space, measure):
         gen = build_generator(T, space)
@@ -686,7 +688,7 @@ class TestExactPaths:
         for T, space, measure in cases:
             gen, mu, residuals = self.results(T, space, measure)
             with monkeypatch.context() as patch:
-                patch.setattr(oracle, "INT64_LIMIT", 0)
+                patch.setattr(scalars, "INT64_LIMIT", 0)
                 wide_gen, wide_mu, wide_residuals = self.results(T, space, measure)
             assert gen.rate.dtype == mu.num.dtype == np.int64
             assert wide_gen.rate.dtype == wide_mu.num.dtype == object
@@ -707,7 +709,7 @@ class TestExactPaths:
         rates = {(u, v): r for u, v, r in spec.jrm.entries()}
         rates[((0, 0, 0), (0, 1, 0))] *= F(3, 2)
         made = []
-        real = oracle._ints
+        real = oracle.int_array
 
         def spy(values, bound):
             out = real(values, bound)
@@ -716,13 +718,13 @@ class TestExactPaths:
         for T in (spec.jrm, JumpRateMatrix(Alphabet(2), 3, rates)):
             gen, mu = build_generator(T, CycleSpace(n)), gibbs_measure(spec.kernel, n)
             terms = 1 + int(np.bincount(gen.dst).max())
-            assert oracle._top(mu.num) * oracle._top(gen.exits) * terms >= oracle.INT64_LIMIT
+            assert largest_abs(mu.num) * largest_abs(gen.exits) * terms >= scalars.INT64_LIMIT
             with monkeypatch.context() as patch:
-                patch.setattr(oracle, "_ints", spy)
+                patch.setattr(oracle, "int_array", spy)
                 residual = stationarity_residual(gen, mu)
             assert made[-1] == np.int64  # the weights
             with monkeypatch.context() as patch:
-                patch.setattr(oracle, "INT64_LIMIT", 0)
+                patch.setattr(scalars, "INT64_LIMIT", 0)
                 wide_gen = build_generator(T, CycleSpace(n))
                 wide_mu = gibbs_measure(spec.kernel, n)
                 assert wide_gen.rate.dtype == wide_mu.num.dtype == object
@@ -738,13 +740,13 @@ class TestExactPaths:
         gen = build_generator(spec.jrm, CycleSpace(14))
         assert mu.num.dtype == dtype and gen.rate.dtype == np.int64
         made = []
-        real = oracle._ints
+        real = oracle.int_array
 
         def spy(values, bound):
             out = real(values, bound)
             made.append(out.dtype)
             return out
-        monkeypatch.setattr(oracle, "_ints", spy)
+        monkeypatch.setattr(oracle, "int_array", spy)
         assert stationarity_residual(gen, mu) == 0
         assert made == [dtype]  # the weights, which fix the type of every product and sum
 
@@ -790,7 +792,7 @@ class TestWindowResidual:
 
     def check(self, monkeypatch, limit, T, space, rng, digits):
         if limit == "object":
-            monkeypatch.setattr(oracle, "INT64_LIMIT", 0)
+            monkeypatch.setattr(scalars, "INT64_LIMIT", 0)
         gen = build_generator(T, space)
         rows, exits = reference_generator(T, space)
         for mu in (random_measure(rng, gen.n_states, digits),
@@ -831,7 +833,7 @@ class TestWindowResidual:
     def test_larger_tori(self, monkeypatch, limit, digits, kappa, n):
         T, mu, expected = larger_torus_case(digits, kappa, n)
         if limit == "object":
-            monkeypatch.setattr(oracle, "INT64_LIMIT", 0)
+            monkeypatch.setattr(scalars, "INT64_LIMIT", 0)
         assert stationarity_residual(build_generator(T, TorusSpace(n)), mu) == expected
 
 
@@ -848,7 +850,7 @@ class TestLazyGenerator:
     def test_rate_type_is_fixed_at_build_time(self, monkeypatch):
         spec = stochastic_ising(F(1, 3))
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "INT64_LIMIT", 0)
+            patch.setattr(scalars, "INT64_LIMIT", 0)
             gen = build_generator(spec.jrm, CycleSpace(6))
         assert "_csr" not in vars(gen)
         assert gen.values.dtype == gen.rate.dtype == gen.exits.dtype == object

@@ -117,12 +117,8 @@ class TestSegment:
             all_float = CriterionContext(float_T, StationaryLaw(
                 float_kernel, {w: float(p) for w, p in ctx.law.rho.items()}))
             assert ctx.scalar_context.exact
-            exact_table = z_table(ctx)
             for n in sizes:
                 report = check_segment(ctx, float_boundary(beta), n)
-                # the exact table passed in is dropped for the float decision
-                assert fields(report) == \
-                    fields(check_segment(ctx, float_boundary(beta), n, exact_table))
                 assert fields(report) == fields(check_segment(all_float, float_boundary(beta), n))
                 assert fields(report) == fields(check_segment(all_float, beta, n))
                 assert report.invariant == (kind == "invariant"), (kind, n)
@@ -130,7 +126,7 @@ class TestSegment:
                 assert not decided.scalar_context.exact and den is None
                 assert balances((0,) * n, 1).dtype == np.float64
             for x in itertools.islice(ctx.alphabet.words(5), 0, None, 7):
-                got = segment_balance(ctx, float_boundary(beta), x, z_table(ctx))
+                got = segment_balance(ctx, float_boundary(beta), x)
                 assert isinstance(got, float)
                 assert got.hex() == float(segment_balance(all_float, beta, x)).hex(), (kind, x)
 

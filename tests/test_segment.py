@@ -62,6 +62,14 @@ class TestSegmentBalance:
         with pytest.raises(ValueError):
             segment_balance(ctx, BoundaryRates.zero(Alphabet(3), 2), (0, 0, 0))
 
+    @pytest.mark.parametrize("word", [(0, 1, 0, 2), (0, 1, -1, 0)])
+    def test_letters_outside_the_alphabet_rejected(self, rng, word):
+        # (0, 1, 0, 2) has the code of (0, 1, 1, 0)
+        ctx = markov_context(tasep().jrm, MarkovKernel.from_matrix([[F(2, 3), F(1, 3)],
+                                                                   [F(2, 3), F(1, 3)]]))
+        with pytest.raises(ValueError, match="leaves the alphabet"):
+            segment_balance(ctx, random_boundary(rng), word)
+
     def test_short_words_rejected(self, rng):
         ctx = markov_context(random_jrm(rng), random_kernel(rng))
         with pytest.raises(ValueError):
@@ -130,14 +138,14 @@ class TestConstructBoundaries:
         ctx = markov_context(T, random_kernel(rng))
         built = construct_boundaries(ctx)
         assert built.boundary.left.is_zero and built.boundary.right.is_zero
-        assert built.validated
+        assert built.validation.invariant
 
     def test_tasep_source_weighted_passes(self):
         p = F(1, 4)
         M = MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]])
         ctx = markov_context(tasep().jrm, M)
         built = construct_boundaries(ctx, variant="source-weighted")
-        assert built.validated
+        assert built.validation.invariant
         assert built.boundary.left.rate((0,), (1,)) == p       # injection
         assert built.boundary.right.rate((1,), (0,)) == 1 - p  # extraction
 
@@ -148,8 +156,8 @@ class TestConstructBoundaries:
         M = MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]])
         ctx = markov_context(tasep().jrm, M)
         built = construct_boundaries(ctx, variant="target-weighted")
-        assert not built.validated
-        word, residual = built.discrepancy
+        assert not built.validation.invariant
+        word, residual = built.validation.witness
         assert residual != 0
         assert built.boundary.right.rate((1,), (0,)) == p
 
@@ -157,7 +165,7 @@ class TestConstructBoundaries:
         M = MarkovKernel.from_matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
         ctx = markov_context(tasep().jrm, M)
         built = construct_boundaries(ctx, variant="target-weighted")
-        assert built.validated
+        assert built.validation.invariant
 
     def test_builds_one_z_table(self, monkeypatch):
         built = []
@@ -170,7 +178,7 @@ class TestConstructBoundaries:
         monkeypatch.setattr(criteria, "_balance_table", counting)
         p = F(1, 4)
         ctx = markov_context(tasep().jrm, MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]]))
-        assert construct_boundaries(ctx, variant="source-weighted").validated
+        assert construct_boundaries(ctx, variant="source-weighted").validation.invariant
         assert built == [ctx]
 
     def test_validated_boundaries_work_on_longer_segments(self):

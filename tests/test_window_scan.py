@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psinv import criteria
+from psinv import criteria, scalars
 from psinv.core import JumpRateMatrix
 from psinv.criteria import (check_markov_cycle, check_markov_small_cycles,
                             check_product_general_graph, cycle_balance,
@@ -166,7 +166,7 @@ class TestCycleScan:
                     narrowed.add(criteria._narrowed(values, n).entries.dtype)
                     reports = [check_markov_cycle(ctx, n)]
                     with monkeypatch.context() as patch:
-                        patch.setattr(criteria, "INT64_LIMIT", 0)
+                        patch.setattr(scalars, "INT64_LIMIT", 0)
                         assert criteria._narrowed(values, n) is values
                         reports.append(check_markov_cycle(ctx, n))
                     assert fields(reports[0]) == fields(reports[1]), (label, n)

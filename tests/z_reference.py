@@ -255,11 +255,11 @@ def reference_segment_scan(ctx, beta, n, values):
     return count, None
 
 
-def reference_segment_balances(ctx, beta, n, table=None):
+def reference_segment_balances(ctx, beta, n):
     """`segment._segment_balances` with its boundary blocks built word by
     word: (context, balances(columns, count), den)."""
     if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
-        ctx, table = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol), None
+        ctx = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol)
     if not ctx.scalar_context.exact:
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
     M, T = ctx.law.kernel, ctx.T
@@ -281,7 +281,7 @@ def reference_segment_balances(ctx, beta, n, table=None):
                     source = u + x[2:] if law else x[:1] + u
                     terms.append(M.word_weight(source, law) / denom * amount)
             block.append(terms)
-    z = (table or z_table(ctx)).values
+    z = z_table(ctx).values
     entries, den = z.entries, z.den
     if den is not None:
         left, right = ([[sum(row)] for row in block] for block in (left, right))
@@ -304,13 +304,13 @@ def reference_segment_balances(ctx, beta, n, table=None):
     return ctx, balances, den
 
 
-def fraction_segment_balances(ctx, beta, n, table=None):
+def fraction_segment_balances(ctx, beta, n):
     """`segment._segment_balances` with its boundary blocks built from
     `Fraction` exit rates and per-pair `Fraction` rates, put over one
     denominator afterwards, as the package built them before they were read
     from the coded rates: (context, balances(columns, count), den)."""
     if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
-        ctx, table = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol), None
+        ctx = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol)
     if not ctx.scalar_context.exact:
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
     T, exact, kappa = ctx.T, ctx.scalar_context.exact, ctx.alphabet.kappa
@@ -335,7 +335,7 @@ def fraction_segment_balances(ctx, beta, n, table=None):
         else:
             columns = [exits, *(weights[source] / weights * amounts)]
             blocks.append([column for column in columns if column.any()])
-    z = (table or z_table(ctx)).values
+    z = z_table(ctx).values
     entries, den = z.entries, z.den
     if exact:
         numerators, block_den = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
