@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import json.encoder
 import math
 import sys
 import time
@@ -245,9 +246,47 @@ def report_json(report: CriterionReport, residuals=None) -> dict:
     return doc
 
 
+_CONTAINERS = (dict, list, tuple)
+# a container of at least this many scalars is encoded by json's C encoder;
+# for fewer, its set-up per call costs more than laying the items out here
+_MANY_SCALARS = 8
+_quote = json.encoder.encode_basestring_ascii  # json's text of a str
+
+
+@functools.cache
+def _flat_encoder(inner: str):
+    """json's C encoder for containers of scalars, items on lines indented by `inner`."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode
+
+
+def _json_text(value, level: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    documents with string keys.  An indent sends json to its pure-Python
+    encoder, which pays per item and per container; here a container of at
+    least _MANY_SCALARS scalars (a certificate) goes through the C encoder
+    in one call, its items separated by a newline and the indent, and the
+    rest is laid out item by item, each scalar encoded as json encodes it."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        if isinstance(value, str):
+            return _quote(value)
+        return int.__repr__(value) if type(value) is int else json.dumps(value)
+    inner = level + "  "
+    is_dict = isinstance(value, dict)
+    if len(value) >= _MANY_SCALARS and not any(
+            isinstance(v, _CONTAINERS) for v in (value.values() if is_dict else value)):
+        text = _flat_encoder(inner)(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{level}{text[-1]}"
+    if is_dict:
+        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        items = [_json_text(v, inner) for v in value]
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{level}{brackets[1]}"
+
+
 def _emit(doc: dict, args) -> None:
     if args.report == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
         return
     for key, value in doc.items():
         if key == "timings":
@@ -453,10 +492,10 @@ def _cmd_model(args) -> int:
     doc = model_to_json(spec)
     if args.emit:
         with open(args.emit, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write(_json_text(doc))
         print(f"wrote {args.emit}")
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     if spec.notes:
         for note in spec.notes:
             print(f"note: {note}", file=sys.stderr)

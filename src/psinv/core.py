@@ -90,13 +90,17 @@ def _freeze_rates(alphabet: Alphabet, length: int, rates: Mapping) -> Dict[Tuple
 class CodedMoves(NamedTuple):
     """A rate table's moves in `entries()` order by window code, and every
     window's exit rate by code: Python ints over their lcm `den` when exact,
-    else as stored (den None).  A named tuple: cheaper to define than a dataclass."""
+    else as stored (den None).  `reach`, the largest exit rate plus the sum
+    of all rates, bounds the inflow minus the outflow of any window per unit
+    of chain weight (numerators over `den` when exact).  A named tuple:
+    cheaper to define than a dataclass."""
 
     sources: np.ndarray
     targets: np.ndarray
     rates: List
     exits: List
     den: Optional[int]
+    reach: object
 
 
 @dataclass(frozen=True)
@@ -139,19 +143,21 @@ class JumpRateMatrix:
 
     @cached_property
     def coded(self) -> CodedMoves:
-        """The coded moves; float exit rates add their terms in rate order."""
-        encode, moves = self.alphabet.encode, self._sorted
+        """The coded moves, each word encoded once; exit rates add their
+        terms in the order the rates were given (float bits depend on it)."""
+        encode, kappa = self.alphabet.encode, self.alphabet.kappa
+        codes = [(encode(src), encode(dst)) for src, dst in self._rates]
+        values, den = list(self._rates.values()), None
         if self._exact:
-            rates, den = over_common_denominator([rate for _, _, rate in moves])
-            out = zip((src for src, _, _ in moves), rates)
-        else:
-            rates, den = [rate for _, _, rate in moves], None
-            out = ((src, rate) for (src, _), rate in self._rates.items())
-        exits = [_ZERO if den is None else 0] * self.alphabet.kappa ** self.range_
-        for src, rate in out:  # 0 + x is x, in floats too
-            exits[encode(src)] += rate
-        return CodedMoves(*(np.array([encode(move[k]) for move in moves], dtype=np.int64)
-                            for k in (0, 1)), rates, exits, den)
+            values, den = over_common_denominator(values)
+        exits = [_ZERO if den is None else 0] * kappa ** self.range_
+        for (src, _), rate in zip(codes, values):  # 0 + x is x, in floats too
+            exits[src] += rate
+        # words of one length sort as their codes do: entries() order
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        moves = np.array([codes[i] for i in order], dtype=np.int64).reshape(-1, 2)
+        return CodedMoves(moves[:, 0], moves[:, 1], [values[i] for i in order], exits, den,
+                          max(exits) + sum(values))
 
     @cached_property
     def by_window(self) -> Tuple[Dict[int, list], Dict[int, list], object]:

@@ -25,11 +25,15 @@ Z(w) = W(suffix) - W(prefix), which certifies invariance by telescoping.
 Z is an array over the base-kappa codes of its index words (the order of
 `Alphabet.words`), built from one product array holding P of every index
 word, gathered from the kernel's step weights by window codes.  Exact
-tables hold Python-int numerators over one common denominator; float tables
-hold float64, the products taken in step order and the inflow terms added
-in the order of T.entries(), as scalar arithmetic adds them.  Window sums
-gather Z by window codes, one block of words at a time, window by window
-from zero.  Verdicts report the first violating word in lexicographic order.
+tables hold integer numerators over one common denominator, as int64 when an
+a-priori bound on every product and sum of the build stays below
+`scalars.INT64_LIMIT` and as Python ints otherwise; float tables hold
+float64, the products taken in step order and the inflow terms added in the
+order of T.entries(), as scalar arithmetic adds them.  Window sums gather Z
+by window codes, one block of words at a time, window by window from zero,
+on int64 while the number of terms times a bound on the |Z| numerators
+stays below the limit (`_summable`).  Verdicts report the first violating
+word in lexicographic order.
 """
 from __future__ import annotations
 
@@ -153,14 +157,16 @@ def product_context(T: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Criteri
 class WordTable(Mapping):
     """Scalars over all words of one length, by the base-kappa code of the
     word (`Alphabet.encode`, the order of `Alphabet.words`): exact tables
-    hold Python-int numerators over the one denominator `den`; float tables
-    hold float64, `exact_zero` marking the entries that scalar arithmetic
-    leaves an exact 0 (windows no jump touches)."""
+    hold integer numerators (int64 or Python ints) over the one denominator
+    `den`, `top` a bound on their absolute values when the builder knows
+    one; float tables hold float64, `exact_zero` marking the entries that
+    scalar arithmetic leaves an exact 0 (windows no jump touches)."""
 
     def __init__(self, alphabet: Alphabet, length: int, entries: np.ndarray,
-                 den: Optional[int] = None, exact_zero: Optional[np.ndarray] = None):
+                 den: Optional[int] = None, exact_zero: Optional[np.ndarray] = None,
+                 top: Optional[int] = None):
         self.alphabet, self.length, self.entries = alphabet, length, entries
-        self.den, self.exact_zero = den, exact_zero
+        self.den, self.exact_zero, self._top = den, exact_zero, top
 
     def __getitem__(self, word: Word):
         if len(word) != self.length or not all(0 <= a < self.alphabet.kappa for a in word):
@@ -175,6 +181,24 @@ class WordTable(Mapping):
 
     def __len__(self) -> int:
         return self.alphabet.kappa ** self.length
+
+    @property
+    def top(self) -> int:
+        """A bound on every |numerator| of an exact table: the builder's, else
+        the largest one."""
+        if self._top is None:
+            self._top = largest_abs(self.entries)
+        return self._top
+
+
+def _summable(values: WordTable, terms: int) -> np.ndarray:
+    """The entries of a table for sums of up to `terms` of them: an exact
+    int64 table widened to Python ints when terms x its `top` reaches
+    `scalars.INT64_LIMIT`; any other table as it is."""
+    entries = values.entries
+    if values.den is None or entries.dtype == object:
+        return entries
+    return scalars.int_array(entries, values.top * terms)
 
 
 def _scalar(value, den: Optional[int]):
@@ -204,7 +228,9 @@ def z_table(ctx: CriterionContext) -> LocalBalanceTable:
 def _balance_table(ctx: CriterionContext, exits: bool = True) -> WordTable:
     """-T_out(b) (0 without `exits`) + sum_u T[u -> b] * P(a u c) / P(a b c)
     for every index word a b c, from `T.coded`, the terms added in the order
-    of T.entries(), and P the chain weight of `_chain_weights`."""
+    of T.entries(), and P the chain weight of `_chain_weights`.  Exact
+    numerators over den * P(a b c) are at most max(den, T.coded.reach) times
+    the largest P, which fixes their integer type."""
     alphabet, m, L = ctx.alphabet, ctx.memory, ctx.range_
     kappa, s = alphabet.kappa, ctx.window_length
     moves = ctx.T.coded
@@ -214,36 +240,44 @@ def _balance_table(ctx: CriterionContext, exits: bool = True) -> WordTable:
     # the codes of a 0^L c; a move u -> v at (a, c) reads a u c and writes a v c
     sides = (codes[:kappa ** m, None] * kappa ** (m + L) + codes[:kappa ** m]).ravel()
     source, target = (w[:, None] * kappa ** m + sides for w in (moves.sources, moves.targets))
-    den = exact_zero = None
+    den = exact_zero = top = None
     exact = ctx.scalar_context.exact
     if not exact:
         untouched = np.array([not isinstance(x, float) for x in start])
         untouched[moves.targets] = False
         exact_zero = untouched[b]
-    dtype = object if exact else float
-    rates, chain = np.array(moves.rates, dtype=dtype)[:, None], _chain_weights(ctx, s)
-    total = np.array(start, dtype=dtype)[b]
+    chain = _chain_weights(ctx, s, factor=max(moves.den, moves.reach) if exact else 1)
+    rates = np.array(moves.rates, dtype=chain.dtype)[:, None]
+    total = np.array(start, dtype=chain.dtype)[b]
     if exact:
         # numerators over den * P(a b c), then reduced to one denominator
         total = total * chain
         np.add.at(total, target.ravel(), (rates * chain[source]).ravel())
-        total, den = _over_one_denominator(total, moves.den * chain)
+        total, den, top = _over_one_denominator(total, moves.den * chain)
     else:
         np.add.at(total, target.ravel(), (rates * chain[source] / chain[target]).ravel())
-    return WordTable(alphabet, s, total, den, exact_zero)
+    return WordTable(alphabet, s, total, den, exact_zero, top)
 
 
-def _chain_weights(ctx: CriterionContext, length: int, first: Optional[list] = None):
+def _chain_weights(ctx: CriterionContext, length: int, first: Optional[list] = None,
+                   factor: int = 1):
     """The chain weight P of every word of a length, by code: `first` (listed
     by the code of the first m letters) when given, times the kernel's step
     weights over the (m+1)-windows, multiplied in that order.  Exact weights
-    are Python ints, all scaled by one common factor."""
+    are integers, all scaled by one common factor: int64 when `factor` times
+    their largest possible value is below `scalars.INT64_LIMIT`, so that the
+    caller may multiply them by integers up to `factor`."""
     m, kappa, exact = ctx.memory, ctx.alphabet.kappa, ctx.scalar_context.exact
-    weights = ctx.kernel.step_weights
+    codes = np.arange(kappa ** length)
     if exact:
         weights = ctx.kernel.integer_steps[0]
-        first = first and over_common_denominator(first)[0]
-    weights, codes = np.array(weights, object if exact else float), np.arange(kappa ** length)
+        bound = max(weights) ** (length - m) * factor
+        if first:
+            first = over_common_denominator(first)[0]
+            bound *= max(first)
+        weights = scalars.int_array(weights, bound)
+    else:
+        weights = np.array(ctx.kernel.step_weights, float)
     chain = first and np.array(first, weights.dtype)[codes // kappa ** (length - m)]
     for j in range(length - m):
         step = weights[codes // kappa ** (length - 1 - m - j) % kappa ** (m + 1)]
@@ -252,11 +286,17 @@ def _chain_weights(ctx: CriterionContext, length: int, first: Optional[list] = N
 
 
 def _over_one_denominator(numerators, denominators):
-    """Ratios of Python-int arrays as (numerators, least common denominator)."""
+    """Ratios of integer arrays as (numerators, least common denominator,
+    a bound on their |numerators| or None): int64 arrays stay int64 while
+    the largest reduced numerator times the lcm, the bound, is below
+    `scalars.INT64_LIMIT`, else they go to Python ints."""
     common = np.gcd(numerators, denominators)
     numerators, denominators = numerators // common, denominators // common
-    den = math.lcm(*denominators)
-    return numerators * (den // denominators), den
+    den, top = math.lcm(*set(denominators.tolist())), None
+    if numerators.dtype != object:
+        top = largest_abs(numerators) * den
+        numerators, denominators = (scalars.int_array(a, top) for a in (numerators, denominators))
+    return numerators * (den // denominators), den, top
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +315,8 @@ def cycle_balance(ctx: CriterionContext, x: Word):
         raise ValueError("a cycle needs at least one site")
     if len(x) >= ctx.memory + ctx.range_:
         values = z_table(ctx).values
-        return _scalar(_window_sums(ctx, values.entries, x, 1, cyclic=True)[0], values.den)
+        return _scalar(_window_sums(ctx, _summable(values, len(x)), x, 1, cyclic=True)[0],
+                       values.den)
     return _cycle_balance_direct(ctx, x)
 
 
@@ -353,7 +394,7 @@ def line_balance(ctx: CriterionContext, x: Word):
             for j in range(len(full) - m):
                 if j not in normalized:
                     weight *= ctx.kernel.step_weight(full[j:j + m + 1])
-            windows = _window_sums(ctx, values.entries, full, 1, cyclic=False)[0]
+            windows = _window_sums(ctx, _summable(values, len(full)), full, 1, cyclic=False)[0]
             total += weight * _scalar(windows, values.den)
     return total
 
@@ -405,8 +446,9 @@ def _scan_words(ctx: CriterionContext, n: int, balances, den: Optional[int], pad
 
 def _first_nonzero_cycle(ctx: CriterionContext, values: WordTable, n: int, pad: Word = ()):
     """_scan_words over the wrapped window sums of Z on the cycles x + pad."""
+    entries = _summable(values, n + len(pad))
     return _scan_words(ctx, n, lambda columns, count: _window_sums(
-        ctx, values.entries, columns, count, cyclic=True), values.den, pad)
+        ctx, entries, columns, count, cyclic=True), values.den, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +469,17 @@ class PotentialCertificate:
         ctx, z, w = table.context, table.values, self.values
         kappa, s = ctx.alphabet.kappa, ctx.window_length
         codes = np.arange(kappa ** s)
-        entries, steps = z.entries, w.entries[codes % kappa ** (s - 1)] - w.entries[codes // kappa]
-        if z.den != w.den:  # exact potential over another denominator
-            entries, steps = entries * w.den, steps * z.den
+        entries, potential = z.entries, w.entries
+        if z.den is not None:
+            # Z w.den - (W(suffix) - W(prefix)) z.den, unscaled when both
+            # tables share their denominator; Python ints take any size
+            z_scale, w_scale = (w.den, z.den) if z.den != w.den else (1, 1)
+            if entries.dtype != object or potential.dtype != object:
+                bound = max(z.top * z_scale + 2 * w.top * w_scale, z_scale, w_scale)
+                entries, potential = (scalars.int_array(a, bound) for a in (entries, potential))
+            if z_scale != w_scale:
+                entries, potential = entries * z_scale, potential * w_scale
+        steps = potential[codes % kappa ** (s - 1)] - potential[codes // kappa]
         return bool(ctx.is_zero(entries - steps).all())
 
 
@@ -441,15 +491,17 @@ def potential_from_table(table: LocalBalanceTable) -> PotentialCertificate:
     """
     ctx, z = table.context, table.values
     kappa, s = ctx.alphabet.kappa, ctx.window_length
-    codes = np.arange(kappa ** (s - 1))
-    total = np.zeros(len(codes), dtype=z.entries.dtype)
+    codes, entries = np.arange(kappa ** (s - 1)), _summable(z, s - 1)
+    total = np.zeros(len(codes), dtype=entries.dtype)
     exact_zero = None if z.exact_zero is None else np.ones(len(codes), dtype=bool)
     for i in range(1, s):
         prefix = codes // kappa ** (s - 1 - i)  # the code of 0^(s-i) x[1..i]
-        total = total + z.entries[prefix]
+        total = total + entries[prefix]
         if exact_zero is not None:
             exact_zero &= z.exact_zero[prefix]
-    return PotentialCertificate(WordTable(ctx.alphabet, s - 1, total, z.den, exact_zero))
+    # W sums s - 1 entries of Z: a bound of Z's build bounds W too
+    top = z._top and z._top * (s - 1)
+    return PotentialCertificate(WordTable(ctx.alphabet, s - 1, total, z.den, exact_zero, top))
 
 
 @dataclass(frozen=True)
@@ -536,28 +588,12 @@ def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
                            criteria_evaluated=evaluated, words_checked=count)
 
 
-def _narrowed(values: WordTable, windows: int) -> WordTable:
-    """An exact table with int64 numerators when a sum of `windows` entries
-    stays below `scalars.INT64_LIMIT` in absolute value; else the table itself."""
-    if values.den is None:
-        return values
-    try:
-        narrow = values.entries.astype(np.int64)
-    except OverflowError:
-        return values
-    if largest_abs(narrow) * windows >= scalars.INT64_LIMIT:
-        return values
-    return WordTable(values.alphabet, values.length, narrow, values.den)
-
-
 def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
-    """Decide invariance of the cyclic chain law on Z/nZ (all kappa^n words).
-    Exact window sums run on int64 when n x the largest |Z| numerator is
-    below `scalars.INT64_LIMIT`, on Python ints otherwise."""
+    """Decide invariance of the cyclic chain law on Z/nZ (all kappa^n words)."""
     if n < 1:
         raise ValueError("cycle length must be >= 1")
     if n >= ctx.memory + ctx.range_:
-        count, witness = _first_nonzero_cycle(ctx, _narrowed(z_table(ctx).values, n), n)
+        count, witness = _first_nonzero_cycle(ctx, z_table(ctx).values, n)
     else:
         count, witness = ctx.first_nonzero(ctx.alphabet.words(n),
                                            lambda x: _cycle_balance_direct(ctx, x))
@@ -577,8 +613,9 @@ def equivalence_panel(ctx: CriterionContext) -> dict:
     recomputes each one independently so that agreement can be tested.
     """
     table = z_table(ctx)
-    entries = table.values.entries
     kappa, s, h = ctx.alphabet.kappa, ctx.window_length, ctx.critical_length
+    # differences of two linear sums of s windows each
+    entries = _summable(table.values, 2 * s)
 
     def zero(sums):
         return bool(ctx.is_zero(sums).all())

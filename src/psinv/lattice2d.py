@@ -27,6 +27,7 @@ from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
+from . import scalars
 from .core import JumpRateMatrix, Word
 from .criteria import (CriterionContext, CriterionReport, WordTable, _scalar, _scan_words,
                        product_context, z_table)
@@ -101,19 +102,25 @@ class _Partials:
     Exact tables add the table's integer numerators, weighted by the
     numerators of rho over their common denominator D, into numerators over
     the one denominator table.den * D^3 (a square has at most three free
-    cells).  Float tables read rho as floats and add the free letters'
-    terms from zero in the order of their letters."""
+    cells).  The numerators of rho add up to D, so every partial, and every
+    weight, is at most `top` = D^3 times the table's bound (at least 1), and
+    a sum of k partials is on int64 while k * top is below
+    `scalars.INT64_LIMIT`.  Float tables read rho as
+    floats and add the free letters' terms from zero in the order of their
+    letters."""
 
     def __init__(self, table: WordTable, rho: List):
         self.arrays, self.alphabet, self.unit = {}, table.alphabet, 1
-        self.kappa, self.den = table.alphabet.kappa, table.den
+        self.kappa, self.den, entries = table.alphabet.kappa, table.den, table.entries
         if table.den is None:
             self.rho = [float(p) for p in rho]
         else:
             self.unit = math.lcm(*(Fraction(p).denominator for p in rho))
             self.rho = [int(p * self.unit) for p in rho]
             self.den = table.den * self.unit ** 3
-        self.grid = table.entries.reshape((self.kappa,) * len(SQUARE_CELLS))
+            self.top = max(table.top, 1) * self.unit ** 3  # bounds the weights too
+            entries = scalars.int_array(entries, self.top)
+        self.grid = entries.reshape((self.kappa,) * len(SQUARE_CELLS))
 
     @classmethod
     def of(cls, T2: JumpRateMatrix, rho):
@@ -138,6 +145,8 @@ class _Partials:
         columns (an int or an array per pattern index), added in the order of
         `terms`: (overlap, sign) pairs, each overlap as in _overlaps."""
         total = np.zeros(count, dtype=self.grid.dtype)
+        if self.den is not None:
+            total = scalars.int_array(total, self.top * len(terms))
         for overlap, sign in terms:
             code = 0
             for _, k in overlap:

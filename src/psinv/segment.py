@@ -6,8 +6,9 @@ a word splits into the interior window sums of Z plus two boundary blocks
 mixing the jump rates with the boundary rates.  Each block is a table over
 the three letters at its end of the word, built like Z from one array of
 chain weights of those words: exact blocks hold integer numerators over the
-denominator of Z, float blocks float64 terms added in the order of the
-per-word sum, so a size-n scan is the window gather of Z plus two lookups.
+denominator of Z, int64 or Python ints from an a-priori bound as Z does,
+float blocks float64 terms added in the order of the per-word sum, so a
+size-n scan is the window gather of Z plus two lookups.
 If the balance vanishes on two consecutive sizes n0, n0 + 1 with n0 >= 7,
 it vanishes for every larger size and the law is invariant on the whole
 line.
@@ -27,9 +28,11 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from . import scalars
 from .core import BoundaryRates, JumpRateMatrix, Word
 from .criteria import (CriterionContext, CriterionReport, _chain_weights, _over_one_denominator,
                        _scalar, _scan_words, _window_sums, check_markov_line, z_table)
+from .scalars import largest_abs
 
 _VARIANTS = ("target-weighted", "source-weighted")
 # n0: balances vanishing on two consecutive sizes >= N0 vanish on every size
@@ -56,7 +59,10 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
     window x2 x3, source x1 u, W = M(x1,x2) M(x2,x3).  The rates come from
     the coded moves of T and of the boundary (`JumpRateMatrix.coded`), exact
     ones over the lcm of their denominators.  Exact blocks are one column of
-    sums; float columns that are zero everywhere are left out.
+    sums; float columns that are zero everywhere are left out.  Exact
+    blocks are int64 under a bound as Z is, and so are the balances while n
+    times their largest term (a size-(n + 1) balance, scanned too from N0 on,
+    adds n terms) stays below `scalars.INT64_LIMIT`.
     """
     _require_21(ctx)
     if n < 3:
@@ -69,7 +75,7 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
     T, exact, kappa = ctx.T, ctx.scalar_context.exact, ctx.alphabet.kappa
     codes, u = np.arange(kappa ** 3), np.arange(kappa ** 2)
-    moves, dtype = T.coded, object if exact else float
+    moves = T.coded
     rho, blocks = [ctx.law.rho[(a,)] for a in ctx.alphabet.letters], []
     # boundary rates, end site in the window, initial weight, window and source codes
     for side, end, initial, window, source in (
@@ -79,6 +85,10 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
         lifted, place = side.coded, kappa ** (1 - end)  # place value of the end site
         scale = exact and math.lcm(moves.den, lifted.den)
         t, b = (scale // moves.den, scale // lifted.den) if exact else (1, 1)
+        # exact numerators over scale * W(x) are at most this factor times W(x)
+        factor = max(scale, moves.reach * t + lifted.reach * b) if exact else 1
+        weights = _chain_weights(ctx, 3, initial, factor)
+        dtype = weights.dtype
         exits = np.array([-(lifted.exits[a] * b + x * t)
                           for a, x in zip(u // place % kappa, moves.exits)], dtype)[window]
         amounts = np.zeros((kappa ** 2, kappa ** 2), dtype)
@@ -87,7 +97,6 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
         for a, c, rate in zip(lifted.sources, lifted.targets, lifted.rates):
             amounts[a * place + others, c * place + others] += rate * b
         amounts = amounts[:, window]
-        weights = _chain_weights(ctx, 3, initial)
         if exact:
             blocks.append((exits * weights + (amounts * weights[source]).sum(axis=0),
                            scale * weights))
@@ -97,9 +106,15 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
     z = z_table(ctx).values
     entries, den = z.entries, z.den
     if exact:
-        numerators, block_den = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
+        numerators, block_den, top = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
         den = math.lcm(den, block_den)
-        entries, numerators = entries * (den // z.den), numerators * (den // block_den)
+        z_scale, block_scale = den // z.den, den // block_den
+        if top is None:
+            top = largest_abs(numerators)
+        # a size-(n + 1) balance adds n - 2 windows of Z and two blocks
+        bound = n * max(z.top * z_scale, top * block_scale, z_scale, block_scale)
+        entries, numerators = (scalars.int_array(a, bound) * f for a, f in
+                               ((entries, z_scale), (numerators, block_scale)))
         blocks = [[numerators[:kappa ** 3]], [numerators[kappa ** 3:]]]
     left, right = blocks
 

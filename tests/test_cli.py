@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from psinv import criteria, linalg, oracle, scalars, search, segment
-from psinv.cli import ModelFileError, _table_json, build_parser, load_model_file, main
+from psinv.cli import (ModelFileError, _json_text, _table_json, build_parser, load_model_file,
+                       main)
 from psinv.core import MarkovKernel
 from psinv.models import stochastic_ising, tasep
 from psinv.scalars import parse_rational, scalar_repr
@@ -486,6 +487,56 @@ class TestCertificateRendering:
             if table.exact_zero is not None and table.exact_zero.any():
                 kinds.add("exact zeros in floats")
         assert kinds == {"exact", "float", "exact zeros in floats"}
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+class TestJsonText:
+    """JSON reports print byte for byte as json.dumps(doc, indent=2,
+    sort_keys=True) prints them, containers of many scalars through json's C
+    encoder."""
+
+    @staticmethod
+    def indented(doc):
+        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_golden_documents(self):
+        count = 0
+        for name in sorted(os.listdir(GOLDEN)):
+            with open(os.path.join(GOLDEN, name)) as handle:
+                _, _, body = handle.read().partition("\n")
+            if body.startswith("{"):
+                doc = json.loads(body)
+                assert _json_text(doc) + "\n" == body == self.indented(doc) + "\n", name
+                count += 1
+        assert count > 50
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], "", 0, None, {"empty": {}, "none": [], "also": ()},
+        [[1, [2, [], [[]]]], {}, [{}]], (1, (2, 3)),
+        {"note": "caf\u00e9 \u2603 \U0001f600", "quote": "a\"b\\c\nd\t"},
+        {"timings": {"total_s": 0.1 + 0.2, "tiny": 5e-324, "big": 1e300, "inf": float("inf"),
+                     "neg": -0.0}},
+        {"b": [True, False, None], "a": {"z": 1, "y": [1.5, "x"], "x": {"w": [{}]}}},
+        {"10": 1, "9": 2, "": 3},
+        {"certificate": {f"{i:03b}": f"{i}/7" for i in range(8)}, "short": list(range(7)),
+         "long": [*range(-3, 9), None, True, False, 2.5, 10 ** 30, "\u00e9"],
+         "rows": [[i, [i] * 9, {}] for i in range(9)]}])
+    def test_synthetic_documents(self, doc):
+        assert _json_text(doc) == self.indented(doc)
+
+    def test_reports_and_model_output(self, tmp_path, capsys):
+        path = write_model(tmp_path, "stochastic_ising", params={"x": "1/2"})
+        for argv in (("check-markov", path), ("equivalences", path),
+                     ("verify-cycle", path, "--n", "4")):
+            _, out, _ = run(capsys, "--report", "json", *argv)
+            assert out == self.indented(json.loads(out)) + "\n", argv
+        _, out, _ = run(capsys, "model", "tasep")
+        assert out == self.indented(json.loads(out)) + "\n"
+        with open(path) as handle:
+            text = handle.read()
+        assert text == self.indented(json.loads(text))
 
 
 class TestEquivalencesCommand:

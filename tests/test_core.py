@@ -125,7 +125,8 @@ class TestKernelsAndLaws:
 class TestCodedMoves:
     """The coded form of a rate table against its entries and
     `over_common_denominator`, and its exit rates against the sums the
-    table made at construction: exact by value, floats bit for bit."""
+    table made at construction: exact by value, floats bit for bit; the
+    exact reach is the largest exit rate plus the sum of the rates."""
 
     @staticmethod
     def tables():
@@ -153,10 +154,12 @@ class TestCodedMoves:
             assert coded.targets.tolist() == [alphabet.encode(v) for _, v, _ in entries]
             exits = reference_exit_rates(rates)
             expected = [exits.get(w, Fraction(0)) for w in words]
+            reach = max(expected) + sum(rate for _, _, rate in entries)
             if T.is_exact:
                 nums, den = over_common_denominator([rate for _, _, rate in entries])
                 assert (coded.rates, coded.den) == (nums, den)
                 assert coded.exits == [e * den for e in expected]
+                assert coded.reach == reach * den
                 assert all(type(v) is int for v in coded.rates + coded.exits)
             else:
                 assert coded.den is None

@@ -14,7 +14,10 @@ which rounds a float to a nearby fraction; exact answers are decided.
 Elimination has one way in: the eliminators `_gauss_jordan` and
 `_rref_float` are read only inside `linalg.solve_linear`.  The deciders
 solve stationary laws one way: `criteria` reads `stationary_distribution`
-only inside `CriterionContext.law`, which solves on first read.
+only inside `CriterionContext.law`, which solves on first read.  Exact
+integer arrays have one int64 policy: no module but `scalars` casts an array
+to int64 or to Python ints with `.astype`; the others go through
+`scalars.int_array` and its bound.
 The source is read with `ast`, not imported.
 """
 import ast
@@ -136,6 +139,20 @@ def rational_guesses(trees):
             and isinstance(node.func, ast.Attribute) and node.func.attr == "limit_denominator"]
 
 
+# the `.astype` arguments that pick int64 or Python ints
+INTEGER_DTYPES = {"np.int64", "numpy.int64", "'int64'", "object", "'object'", "'O'",
+                  "np.object_", "numpy.object_"}
+
+
+def integer_casts(trees):
+    """module:line of every `.astype` to int64 or to object outside `scalars`."""
+    return [f"{module}:{node.lineno}" for module, tree in trees.items() if module != "scalars"
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+            and any(ast.unparse(arg) in INTEGER_DTYPES
+                    for arg in node.args + [k.value for k in node.keywords])]
+
+
 def readers(trees, names):
     """module.scope of every place that reads one of `names`, as a bare name
     or an attribute; the scope is the innermost enclosing function or class
@@ -179,6 +196,10 @@ def test_no_rational_guesses():
     assert rational_guesses(package_trees()) == []
 
 
+def test_integer_arrays_only_through_scalars():
+    assert integer_casts(package_trees()) == []
+
+
 def test_elimination_only_through_solve_linear():
     assert readers(package_trees(), ELIMINATORS) == ["linalg.solve_linear"]
 
@@ -200,6 +221,13 @@ def test_checks_see_dead_code():
     guess = ast.parse("from fractions import Fraction\n"
                       "x = Fraction(0.1).limit_denominator(10)\n")
     assert rational_guesses({"m": guess}) == ["m:2"]
+    casts = ast.parse("import numpy as np\n"
+                      "a = np.zeros(3).astype(np.int64)\n"
+                      "b = a.astype(object)\n"
+                      "c = a.astype(dtype='O')\n"
+                      "d = a.astype(np.min_scalar_type(3))\n"
+                      "e = a.astype(float)\n")
+    assert integer_casts({"m": casts, "scalars": casts}) == ["m:2", "m:3", "m:4"]
     solver = ast.parse("def _gauss_jordan(rows, cols):\n    return rows\n"
                        "def solve_linear(rows, cols):\n    return _gauss_jordan(rows, cols)\n"
                        "class Law:\n    def solve(self, m):\n"

@@ -153,40 +153,49 @@ class TestCycleScan:
                 assert fields(check_markov_cycle(ctx, 6)) == expected
 
     def test_int64_and_object_scans_agree(self, monkeypatch):
-        # exact Z numerators are narrowed to int64 under the bound; a limit
-        # of 0 keeps them Python ints.  Verdict, count and witness agree, and
-        # a witness is a Fraction of Python ints on both paths.
-        narrowed, witnesses = set(), 0
+        # exact Z is built on int64 under its bounds and scanned on int64
+        # (one perturbed kappa-3 table reaches the reduction's bound and is
+        # built and scanned on Python ints); a limit of 0 builds and scans
+        # every table on Python ints (a new context, as Z is kept on the one
+        # that built it).  Verdict, count and witness agree, and a witness
+        # is a Fraction of Python ints on both paths.
+        paths, witnesses = set(), 0
         for kappa, memory, range_ in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 0, 2)):
             for label, ctx in instances(9, kappa, memory, range_):
                 if not ctx.scalar_context.exact:
                     continue
                 values = z_table(ctx).values
                 for n in range(memory + range_, memory + range_ + 4):
-                    narrowed.add(criteria._narrowed(values, n).entries.dtype)
+                    paths.add((values.entries.dtype, criteria._summable(values, n).dtype))
                     reports = [check_markov_cycle(ctx, n)]
                     with monkeypatch.context() as patch:
                         patch.setattr(scalars, "INT64_LIMIT", 0)
-                        assert criteria._narrowed(values, n) is values
-                        reports.append(check_markov_cycle(ctx, n))
+                        wide = markov_context(ctx.T, ctx.kernel)
+                        assert z_table(wide).values.entries.dtype == object
+                        reports.append(check_markov_cycle(wide, n))
                     assert fields(reports[0]) == fields(reports[1]), (label, n)
                     for report in reports:
                         if report.witness is not None:
                             witnesses += 1
                             value = report.witness[1]
                             assert type(value.numerator) is type(value.denominator) is int
-        assert narrowed == {np.dtype(np.int64)} and witnesses
+        int64, wide = np.dtype(np.int64), np.dtype(object)
+        assert paths == {(int64, int64), (wide, wide)} and witnesses
 
     def test_entries_beyond_int64_stay_python_ints(self):
         ctx = markov_context(*invariant_instance(random.Random(14), 2, 1, 2))
         values = z_table(ctx).values
+        assert values.entries.dtype == np.int64
         huge = criteria.WordTable(values.alphabet, values.length,
-                                  values.entries * 2 ** 64, values.den)
-        assert criteria._narrowed(huge, 4) is huge
+                                  np.array(values.entries.tolist(), dtype=object) * 2 ** 64,
+                                  values.den)
+        assert huge.entries.dtype == object and criteria._summable(huge, 4) is huge.entries
         big = criteria.WordTable(values.alphabet, values.length,
-                                 np.full(len(values.entries), 2 ** 60, dtype=object), values.den)
-        assert criteria._narrowed(big, 3).entries.dtype == np.int64
-        assert criteria._narrowed(big, 4) is big  # 4 x 2^60 reaches the limit
+                                 np.full(len(values.entries), 2 ** 60), values.den)
+        assert criteria._summable(big, 3) is big.entries
+        wide = criteria._summable(big, 4)  # 4 x 2^60 reaches the limit
+        assert wide.dtype == object and type(wide[0]) is int
+        assert wide.tolist() == big.entries.tolist()
 
     def test_small_cycles_and_pair_cycles_match_reference(self):
         rng = random.Random(13)

@@ -286,7 +286,7 @@ def reference_segment_balances(ctx, beta, n):
     if den is not None:
         left, right = ([[sum(row)] for row in block] for block in (left, right))
         den = math.lcm(den, *(Fraction(row[0]).denominator for row in left + right))
-        entries = entries * (den // z.den)
+        entries = np.array(entries.tolist(), dtype=object) * (den // z.den)  # Python ints
         left, right = ([[int(row[0] * den)] for row in block] for block in (left, right))
     width = max(len(row) for row in left + right)
     left, right = ([np.array([row[k] if k < len(row) else 0 for row in block], entries.dtype)
@@ -338,9 +338,10 @@ def fraction_segment_balances(ctx, beta, n):
     z = z_table(ctx).values
     entries, den = z.entries, z.den
     if exact:
-        numerators, block_den = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
+        numerators, block_den, _ = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
         den = math.lcm(den, block_den)
-        entries, numerators = entries * (den // z.den), numerators * (den // block_den)
+        entries = np.array(entries.tolist(), dtype=object) * (den // z.den)  # Python ints
+        numerators = np.array(numerators.tolist(), dtype=object) * (den // block_den)
         blocks = [[numerators[:kappa ** 3]], [numerators[kappa ** 3:]]]
     left, right = blocks
 
