@@ -11,9 +11,8 @@ from .core import (Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel,
                    StationaryLaw, product_law)
 from .criteria import (CriterionContext, CriterionReport, LocalBalanceTable,
                        PotentialCertificate, check_markov_cycle, check_markov_line,
-                       check_markov_small_cycles, check_product_cycle,
-                       check_product_line, cycle_balance, equivalence_panel,
-                       line_balance, markov_context, product_context,
+                       check_markov_small_cycles, check_product_line, cycle_balance,
+                       equivalence_panel, line_balance, markov_context, product_context,
                        restrict_support, symmetrize, z_table)
 from .linalg import EigenPair, perron_pair, solve_linear, stationary_distribution
 from .oracle import (CycleSpace, SegmentSpace, TorusSpace, absorbing_analysis,

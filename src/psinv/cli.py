@@ -420,6 +420,8 @@ def _cmd_absorbing(args, model: ModelFile):
 def _cmd_check_2d(args, model: ModelFile):
     if model.rho is None:
         raise ModelFileError("check-2d needs a \"rho\" entry")
+    # its largest scan, the kappa^5 cell-addition words, also bounds boldZ (kappa^4)
+    oracle.check_state_cap(model.square.alphabet, 5, args.max_states)
     report = check_product_2d(model.square, model.rho, args.tol)
     try:
         gen = build_generator(model.square, TorusSpace(3), max_states=args.max_states)

@@ -601,10 +601,6 @@ def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
                            words_checked=count)
 
 
-def check_product_cycle(T: JumpRateMatrix, rho, n: int, tol: float = DEFAULT_TOL) -> CriterionReport:
-    return check_markov_cycle(product_context(T, rho, tol), n)
-
-
 def equivalence_panel(ctx: CriterionContext) -> dict:
     """Evaluate the nine equivalent invariance predicates plus the two
     paired cycle-length reductions (the latter only for range 2, memory 1).

@@ -15,6 +15,11 @@ rho on the free cells.  Invariance of the product measure is equivalent to
 two finite families of vanishing statements: the window balances of the
 corner shape {(0,0),(0,1),(1,0)} and the invariance of window balances under
 adding the cell (1,1) to {(0,0),(0,1),(1,0),(2,0)}.
+
+`square_context(T2, rho)` checks the rates and the marginal and builds the
+product context, the one way to a square table: boldZ is its
+`criteria.z_table`, and the partials, window balances and growth
+differences take that context and read its one table, as the deciders do.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import scalars
 from .core import JumpRateMatrix, Word
-from .criteria import (CriterionContext, CriterionReport, WordTable, _scalar, _scan_words,
+from .criteria import (CriterionContext, CriterionReport, _scalar, _scan_words,
                        product_context, z_table)
 from .scalars import DEFAULT_TOL, as_scalar, is_exact
 
@@ -66,7 +71,9 @@ def hypercube(side: int) -> Shape:
     return Shape(itertools.product(range(side), repeat=2))
 
 
-def _check_marginal(T2: JumpRateMatrix, rho) -> List:
+def square_context(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> CriterionContext:
+    """The product context of square rates and a full-support marginal rho:
+    its boldZ, partials, balances and deciders all read its one Z table."""
     if T2.range_ != len(SQUARE_CELLS):
         raise ValueError("square dynamics need rates over patterns of length 4")
     rho = list(rho)
@@ -74,15 +81,10 @@ def _check_marginal(T2: JumpRateMatrix, rho) -> List:
         raise ValueError("marginal length does not match the alphabet")
     if any(p <= 0 for p in rho):
         raise ValueError("marginal must have full support")
-    return rho
+    return product_context(T2, rho, tol)
 
 
-def bold_z_table(T2: JumpRateMatrix, rho) -> WordTable:
-    """boldZ over all kappa^4 square patterns."""
-    return z_table(product_context(T2, _check_marginal(T2, rho))).values
-
-
-def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int]):
+def bold_z_partial(ctx: CriterionContext, overlap: Mapping[Cell, int]):
     """Partial boldZ of a square: cells in `overlap` (positions within the
     2x2 square) are pinned to letters, the free cells are integrated against
     rho.  With all four cells pinned this is boldZ itself."""
@@ -92,12 +94,12 @@ def bold_z_partial(T2: JumpRateMatrix, rho, overlap: Mapping[Cell, int]):
     if not overlap:
         raise ValueError("overlap must pin at least one cell")
     pinned = tuple((c, k) for k, c in enumerate(c for c in SQUARE_CELLS if c in overlap))
-    return _Partials.of(T2, rho).one([(pinned, 1)], [overlap[c] for c, _ in pinned])
+    return _Partials(ctx).one([(pinned, 1)], [overlap[c] for c, _ in pinned])
 
 
 class _Partials:
-    """The partial boldZ of one table and marginal (see bold_z_partial) for
-    every letter of the pinned cells, one array per set of pinned cells.
+    """The partial boldZ of a square context (see bold_z_partial) for every
+    letter of the pinned cells, one array per set of pinned cells.
 
     Exact tables add the table's integer numerators, weighted by the
     numerators of rho over their common denominator D, into numerators over
@@ -105,27 +107,23 @@ class _Partials:
     cells).  The numerators of rho add up to D, so every partial, and every
     weight, is at most `top` = D^3 times the table's bound (at least 1), and
     a sum of k partials is on int64 while k * top is below
-    `scalars.INT64_LIMIT`.  Float tables read rho as
-    floats and add the free letters' terms from zero in the order of their
-    letters."""
+    `scalars.INT64_LIMIT`.  Float tables read the context's float rho and
+    add the free letters' terms from zero in the order of their letters."""
 
-    def __init__(self, table: WordTable, rho: List):
-        self.arrays, self.alphabet, self.unit = {}, table.alphabet, 1
+    def __init__(self, ctx: CriterionContext):
+        if ctx.range_ != len(SQUARE_CELLS) or ctx.memory:
+            raise ValueError("square balances need a square_context")
+        table = z_table(ctx).values
+        self.ctx, self.arrays, self.alphabet, self.unit = ctx, {}, table.alphabet, 1
         self.kappa, self.den, entries = table.alphabet.kappa, table.den, table.entries
-        if table.den is None:
-            self.rho = [float(p) for p in rho]
-        else:
-            self.unit = math.lcm(*(Fraction(p).denominator for p in rho))
-            self.rho = [int(p * self.unit) for p in rho]
+        self.rho = [ctx.law.rho[(a,)] for a in self.alphabet.letters]
+        if table.den is not None:
+            self.unit = math.lcm(*(p.denominator for p in self.rho))
+            self.rho = [int(p * self.unit) for p in self.rho]
             self.den = table.den * self.unit ** 3
             self.top = max(table.top, 1) * self.unit ** 3  # bounds the weights too
             entries = scalars.int_array(entries, self.top)
         self.grid = entries.reshape((self.kappa,) * len(SQUARE_CELLS))
-
-    @classmethod
-    def of(cls, T2: JumpRateMatrix, rho):
-        rho = _check_marginal(T2, rho)
-        return cls(bold_z_table(T2, rho), rho)
 
     def array(self, cells: Tuple[Cell, ...]) -> np.ndarray:
         if cells not in self.arrays:
@@ -158,8 +156,8 @@ class _Partials:
     def one(self, terms, pattern):
         return _scalar(self.sums(terms, self.alphabet.check_word(pattern), 1)[0], self.den)
 
-    def scan(self, ctx: CriterionContext, terms, n: int):
-        return _scan_words(ctx, n, partial(self.sums, terms), self.den)
+    def scan(self, terms, n: int):
+        return _scan_words(self.ctx, n, partial(self.sums, terms), self.den)
 
 
 def _anchors_meeting(shape: Shape) -> List[Cell]:
@@ -175,12 +173,12 @@ def _line_terms(shape: Shape) -> List[Tuple]:
     return [(overlap, 1) for overlap in _overlaps(shape.cells, _anchors_meeting(shape))]
 
 
-def line_balance_2d(T2: JumpRateMatrix, rho, shape: Shape, pattern: Word):
+def line_balance_2d(ctx: CriterionContext, shape: Shape, pattern: Word):
     """Normalized balance of the window `pattern` on `shape`: the sum over
     all squares meeting the shape of their (partial) boldZ."""
     if len(pattern) != len(shape):
         raise ValueError("pattern length does not match the shape")
-    return _Partials.of(T2, rho).one(_line_terms(shape), pattern)
+    return _Partials(ctx).one(_line_terms(shape), pattern)
 
 
 def _overlaps(cells, anchors) -> List[Tuple]:
@@ -200,13 +198,11 @@ def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Crite
     (1,1) cancel in (b), so it is the growth difference of the four squares
     that contain it.
     """
-    rho = _check_marginal(T2, rho)
-    ctx = product_context(T2, rho, tol)
-    partials = _Partials(z_table(ctx).values, rho)
-    corners, witness = partials.scan(ctx, _line_terms(GAMMA0), len(GAMMA0))
+    partials = _Partials(square_context(T2, rho, tol))
+    corners, witness = partials.scan(_line_terms(GAMMA0), len(GAMMA0))
     if witness is not None:
         return CriterionReport(False, "corner-balance", witness=witness, words_checked=corners)
-    count, witness = partials.scan(ctx, _growth_plan(GAMMA1, (1, 1)), len(GAMMA2))
+    count, witness = partials.scan(_growth_plan(GAMMA1, (1, 1)), len(GAMMA2))
     if witness is not None:
         return CriterionReport(False, "cell-addition-balance", witness=witness,
                                words_checked=corners + count)
@@ -216,18 +212,17 @@ def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Crite
 def check_bold_z_sufficient(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> bool:
     """True iff boldZ vanishes identically (sufficient for invariance,
     weaker than reversibility, not necessary)."""
-    ctx = product_context(T2, _check_marginal(T2, rho), tol)
+    ctx = square_context(T2, rho, tol)
     return all(ctx.is_zero(v) for v in z_table(ctx).values.values())
 
 
-def growth_difference(T2: JumpRateMatrix, rho, shape: Shape, cell: Cell, pattern: Word):
+def growth_difference(ctx: CriterionContext, shape: Shape, cell: Cell, pattern: Word):
     """Balance change when `cell` is added to `shape`: only the squares
     containing the new cell contribute, each by a difference of partials
     (a square that missed the old shape entirely has no old term)."""
-    partials = _Partials.of(T2, rho)
     if cell in shape:
         raise ValueError("cell already belongs to the shape")
-    return partials.one(_growth_plan(shape, cell), pattern)
+    return _Partials(ctx).one(_growth_plan(shape, cell), pattern)
 
 
 def _growth_plan(shape: Shape, cell: Cell) -> List[Tuple]:
@@ -249,10 +244,8 @@ def check_product_2d_incremental(T2: JumpRateMatrix, rho,
     one cell never changes the balance.  Exposed for cross-validation; the
     single-cell normalization follows the partial-sum convention and is
     checked against the torus oracle in the test suite."""
-    rho = _check_marginal(T2, rho)
-    ctx = product_context(T2, rho, tol)
-    partials = _Partials(z_table(ctx).values, rho)
-    count, witness = partials.scan(ctx, _line_terms(Shape([(0, 0)])), 1)
+    partials = _Partials(square_context(T2, rho, tol))
+    count, witness = partials.scan(_line_terms(Shape([(0, 0)])), 1)
     if witness is not None:
         return CriterionReport(False, "single-cell-balance", witness=((witness[0],), witness[1]),
                                words_checked=count)
@@ -260,7 +253,7 @@ def check_product_2d_incremental(T2: JumpRateMatrix, rho,
     for subset, cell in ((subset, cell) for size in range(1, len(block))
                          for subset in itertools.combinations(block, size)
                          for cell in block if cell not in subset):
-        checked, witness = partials.scan(ctx, _growth_plan(Shape(subset), cell), len(subset) + 1)
+        checked, witness = partials.scan(_growth_plan(Shape(subset), cell), len(subset) + 1)
         count += checked
         if witness is not None:
             return CriterionReport(False, "growth-balance", witness=((subset, cell, witness[0]),
@@ -303,7 +296,7 @@ def check_multinomial_preservation(T2: JumpRateMatrix, lam=1, tol: float = DEFAU
         raise ValueError("multinomial preservation needs a mass-preserving dynamics")
     kappa = T2.alphabet.kappa
     rho = truncated_poisson(lam, kappa)
-    ctx = product_context(T2, _check_marginal(T2, rho), tol)
+    ctx = square_context(T2, rho, tol)
     interior_ok = True
     boundary = []
     for x, value in sorted(z_table(ctx).values.items()):

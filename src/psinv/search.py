@@ -133,7 +133,6 @@ class AffineFamily:
     solution: LinearSolution
     vertices: Tuple[Tuple, ...]
     samples: Tuple[Tuple, ...]
-    fully_sampled: bool
     den: Optional[int] = None
 
 
@@ -162,7 +161,7 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
     (dimension <= MAX_VERTEX_DIM) and their centroid, else the particular
     solution if nonnegative; exact ones as ints over one denominator."""
     if solution.status == "empty":
-        return AffineFamily(tuple(variables), solution, (), (), True)
+        return AffineFamily(tuple(variables), solution, (), ())
     dim, n = solution.dimension, len(solution.particular)
     # coordinate i vanishes: sum_k basis[k][i] t_k = -particular[i], a row
     # over t (integer rows when exact), built only to enumerate the vertices
@@ -196,8 +195,7 @@ def _family(variables, solution: LinearSolution, columns) -> AffineFamily:
                               solution.den)
     if not samples and all(v >= 0 for v in solution.particular):
         samples.append(tuple(solution.particular))
-    return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples),
-                        dim <= MAX_VERTEX_DIM, den)
+    return AffineFamily(tuple(variables), solution, tuple(vertices), tuple(samples), den)
 
 
 def _cycle_rows(T: JumpRateMatrix, n: int):
@@ -286,8 +284,7 @@ class CandidateSet:
     notes: Tuple[str, ...] = ()
 
 
-def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
-                      tol: float = DEFAULT_TOL) -> CandidateSet:
+def candidate_kernels(nu: TripleMeasure, tol: float = DEFAULT_TOL) -> CandidateSet:
     """Reconstruct the unique kernel compatible with a positive triple
     measure, when it exists.
 
@@ -300,8 +297,6 @@ def candidate_kernels(T: JumpRateMatrix, nu: TripleMeasure,
     cross-multiplication.  Else no rational kernel reproduces nu: a float
     kernel is kept if it reproduces nu within tol, relative to nu.
     """
-    if T.range_ != 2:
-        raise ValueError("kernel search needs range 2")
     if not nu.is_positive:
         return CandidateSet((), ("triple measure not strictly positive; skipped",))
     kappa, weights, den = nu.kappa, nu.weights, nu.den
@@ -379,7 +374,7 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
     exact_found: List[Candidate] = []
     numeric_found: List[Candidate] = []
     notes: List[str] = []
-    if not family.fully_sampled:
+    if family.solution.dimension > MAX_VERTEX_DIM:
         notes.append(f"solution family has dimension > {MAX_VERTEX_DIM}; "
                      "only sampled points explored")
 
@@ -399,7 +394,7 @@ def find_markov(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> MarkovSearchRepo
             continue
         if not nu.is_positive:
             continue
-        result = candidate_kernels(T, nu, tol)
+        result = candidate_kernels(nu, tol)
         notes.extend(result.notes)
         for cand in result.candidates:
             admit(cand.law, "triple-measure sample")

@@ -372,8 +372,9 @@ def uniform_kernel_file(tmp_path, kappa, memory, **extra):
 class TestDeciderCaps:
     """The deciders' tables count against --max-states before they are built:
     the Z table (kappa^(2m+L) words), the boundary validation (kappa^(N0+1)
-    words) and the search systems (kappa^(2n) for the length-n system), as
-    the oracle and the segment scan already were."""
+    words), the search systems (kappa^(2n) for the length-n system) and the
+    square check's cell-addition words (kappa^5), as the oracle and the
+    segment scan already were."""
 
     @pytest.mark.parametrize("command, count", [("find-markov", 2 ** 6), ("find-product", 2 ** 4)])
     def test_search_systems(self, tmp_path, capsys, command, count):
@@ -414,6 +415,25 @@ class TestDeciderCaps:
         for command in (["--construct-boundaries"], ["--n", "7"]):
             code, _, err = run(capsys, "segment", path, *command)
             assert code == 3 and f"{7 ** 8} states" in err, command
+
+    @staticmethod
+    def empty_square(tmp_path, kappa):
+        path = tmp_path / f"square{kappa}.json"
+        path.write_text(json.dumps(dict(schema=1, kappa=kappa, square_rates=[],
+                                        rho=[f"1/{kappa}"] * kappa)))
+        return str(path)
+
+    def test_check_2d_cell_addition_words(self, tmp_path, capsys, monkeypatch):
+        def balance_table(*args):
+            raise AssertionError("a boldZ table was built")
+
+        path = self.empty_square(tmp_path, 17)
+        with monkeypatch.context() as patch:
+            patch.setattr(criteria, "_balance_table", balance_table)
+            code, _, err = run(capsys, "check-2d", path)
+        assert code == 3 and f"resource cap: {17 ** 5} states exceed the cap {2 ** 20}" in err
+        assert run(capsys, "check-2d", self.empty_square(tmp_path, 16))[0] == 0
+        assert run(capsys, "--max-states", str(17 ** 5), "check-2d", path)[0] == 0
 
 
 class TestLazyLaw:

@@ -8,9 +8,8 @@ import pytest
 
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
 from psinv.criteria import (check_markov_cycle, check_markov_line,
-                            check_markov_small_cycles, check_product_cycle,
-                            check_product_general_graph, check_product_line,
-                            cycle_balance, equivalence_panel,
+                            check_markov_small_cycles, check_product_general_graph,
+                            check_product_line, cycle_balance, equivalence_panel,
                             has_detailed_balance_product, is_reversible_for_chain,
                             line_balance, markov_context, PairRateField,
                             product_context, restrict_support, symmetrize,
@@ -476,7 +475,7 @@ class TestCycleDeciders:
 
     def test_product_cycle_tasep(self):
         for n in (1, 2, 3, 6):
-            assert check_product_cycle(tasep().jrm, [F(1, 2), F(1, 2)], n).invariant
+            assert check_markov_cycle(product_context(tasep().jrm, [F(1, 2), F(1, 2)]), n).invariant
 
 
 class TestEquivalencePanel:
@@ -718,6 +717,6 @@ class TestOneTablePerContext:
         functions = [f for module in (criteria, segment, lattice2d)
                      for name, f in inspect.getmembers(module, inspect.isfunction)
                      if f.__module__ == module.__name__ and not name.startswith("_")]
-        functions += [segment._segment_balances, lattice2d._Partials.of]
+        functions += [segment._segment_balances, lattice2d._Partials]
         assert {f.__name__ for f in functions
                 if "table" in inspect.signature(f).parameters} == {"potential_from_table"}

@@ -23,8 +23,8 @@ from psinv import scalars
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
 from psinv.criteria import (_chain_weights, _summable, check_markov_cycle, check_markov_line,
                             check_markov_small_cycles, equivalence_panel, markov_context,
-                            potential_from_table, product_context, z_table)
-from psinv.lattice2d import _Partials, check_product_2d
+                            potential_from_table, z_table)
+from psinv.lattice2d import _Partials, check_product_2d, square_context
 from psinv.segment import check_segment, construct_boundaries
 
 from z_reference import invariant_instance, perturbed_instance
@@ -293,6 +293,6 @@ class TestSquares:
                 expected, label
             verdicts.add(expected[0])
             # 1-digit partials are int64, 7-digit ones Python ints
-            grid = _Partials(z_table(product_context(T2, rho)).values, rho).grid
+            grid = _Partials(square_context(T2, rho)).grid
             assert grid.dtype == (np.int64 if label.endswith("/1") else object), label
         assert verdicts == {True, False}

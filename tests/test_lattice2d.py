@@ -3,19 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from psinv.core import Alphabet, JumpRateMatrix
-from psinv.criteria import CriterionReport, product_context
+from psinv import criteria
+from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
+from psinv.criteria import CriterionReport, markov_context, product_context, z_table
 from psinv.lattice2d import (GAMMA0, GAMMA1, GAMMA2, SQUARE_CELLS, Shape,
-                             bold_z_partial, bold_z_table,
-                             check_bold_z_sufficient, check_multinomial_preservation,
+                             bold_z_partial, check_bold_z_sufficient,
+                             check_multinomial_preservation,
                              check_product_2d, check_product_2d_incremental,
-                             growth_difference, hypercube, line_balance_2d,
-                             truncated_poisson, _anchors_meeting, _growth_plan, _line_terms)
+                             growth_difference, hypercube, line_balance_2d, square_context,
+                             truncated_poisson, _anchors_meeting, _growth_plan, _line_terms,
+                             _Partials)
 from psinv.oracle import TorusSpace, build_generator, product_measure, stationarity_residual
 from psinv.models import (ball_cycle_2d, ball_move_2d, catalog, flip_2d, pair_flip_2d,
                           rotation_2d, three_colour_flip_2d, urn_shift_2d)
 
 F = Fraction
+
+
+def bold_z_table(T2, rho):
+    """boldZ of a square dynamics: the Z table of its square context."""
+    return z_table(square_context(T2, rho)).values
 
 
 def bold_z(T2, rho, pattern):
@@ -62,18 +69,18 @@ def _weight(rho, pattern):
 
 def reference_check_product_2d(T2, rho):
     """check_product_2d with condition (b) as the whole balance of the
-    five-cell shape minus the whole balance of the four-cell hook."""
-    ctx = product_context(T2, rho)
+    five-cell shape minus the whole balance of the four-cell hook, all on
+    one context."""
+    ctx = square_context(T2, rho)
     corners, witness = ctx.first_nonzero(
-        T2.alphabet.words(3), lambda x: line_balance_2d(T2, rho, GAMMA0, x))
+        T2.alphabet.words(3), lambda x: line_balance_2d(ctx, GAMMA0, x))
     if witness is not None:
         return CriterionReport(False, "corner-balance", witness=witness, words_checked=corners)
 
     def addition(x):
         letters = dict(zip(GAMMA2.cells, x))
         hook = tuple(letters[c] for c in GAMMA1.cells)
-        return line_balance_2d(T2, rho, GAMMA2, x) - \
-            line_balance_2d(T2, rho, GAMMA1, hook)
+        return line_balance_2d(ctx, GAMMA2, x) - line_balance_2d(ctx, GAMMA1, hook)
 
     count, witness = ctx.first_nonzero(T2.alphabet.words(5), addition)
     if witness is not None:
@@ -110,8 +117,8 @@ class TestBoldZ:
         assert all(v == 0 for v in table.values())
 
     def test_full_support_required(self):
-        with pytest.raises(ValueError):
-            bold_z_table(flip_2d(1).square, [F(1), F(0)])
+        with pytest.raises(ValueError, match="full support"):
+            square_context(flip_2d(1).square, [F(1), F(0)])
 
     def test_square_patterns_required(self):
         line = JumpRateMatrix(Alphabet(2), 2, {((1, 0), (0, 1)): 1})
@@ -176,20 +183,21 @@ class TestBoldZReference:
 class TestBoldZPartial:
     def test_full_overlap_is_bold_z(self, rng):
         T2 = random_square(rng)
-        rho = [F(1, 3), F(2, 3)]
-        table = bold_z_table(T2, rho)
+        ctx = square_context(T2, [F(1, 3), F(2, 3)])
+        table = z_table(ctx).values
         for pattern in Alphabet(2).words(4):
             overlap = dict(zip(SQUARE_CELLS, pattern))
-            assert bold_z_partial(T2, rho, overlap) == table[pattern]
+            assert bold_z_partial(ctx, overlap) == table[pattern]
 
     def test_zero_dynamics(self):
         T2 = JumpRateMatrix(Alphabet(2), 4, {})
-        assert bold_z_partial(T2, [F(1, 2), F(1, 2)], {(0, 0): 1}) == 0
+        assert bold_z_partial(square_context(T2, [F(1, 2), F(1, 2)]), {(0, 0): 1}) == 0
 
     def test_single_cell_matches_brute_force(self, rng):
         T2 = random_square(rng)
         rho = [F(1, 4), F(3, 4)]
-        table = bold_z_table(T2, rho)
+        ctx = square_context(T2, rho)
+        table = z_table(ctx).values
         for cell in SQUARE_CELLS:
             for letter in (0, 1):
                 expected = F(0)
@@ -202,7 +210,7 @@ class TestBoldZPartial:
                     for c in free:
                         weight *= rho[w[c]]
                     expected += table[pattern] * weight
-                assert bold_z_partial(T2, rho, {cell: letter}) == expected
+                assert bold_z_partial(ctx, {cell: letter}) == expected
 
 
 class TestLettersOutsideTheAlphabet:
@@ -215,39 +223,37 @@ class TestLettersOutsideTheAlphabet:
 
     @pytest.mark.parametrize("letter", [2, -1])
     def test_balances_reject(self, letter):
-        T2 = flip_2d(4).square
+        ctx = square_context(flip_2d(4).square, self.RHO)
         with pytest.raises(ValueError, match="leaves the alphabet"):
-            line_balance_2d(T2, self.RHO, GAMMA0, (0, 1, letter))
+            line_balance_2d(ctx, GAMMA0, (0, 1, letter))
         with pytest.raises(ValueError, match="leaves the alphabet"):
-            bold_z_partial(T2, self.RHO, {(0, 0): letter})
+            bold_z_partial(ctx, {(0, 0): letter})
         with pytest.raises(ValueError, match="leaves the alphabet"):
-            growth_difference(T2, self.RHO, GAMMA1, (1, 1), (0, 0, 1, letter, 0))
+            growth_difference(ctx, GAMMA1, (1, 1), (0, 0, 1, letter, 0))
 
 
 class TestLineBalance2D:
     def test_zero_dynamics(self):
-        T2 = JumpRateMatrix(Alphabet(2), 4, {})
+        ctx = square_context(JumpRateMatrix(Alphabet(2), 4, {}), [F(1, 2), F(1, 2)])
         for x in Alphabet(2).words(3):
-            assert line_balance_2d(T2, [F(1, 2), F(1, 2)], GAMMA0, x) == 0
+            assert line_balance_2d(ctx, GAMMA0, x) == 0
 
     def test_corner_shape_has_eight_squares(self):
         assert len(_anchors_meeting(GAMMA0)) == 8
 
     def test_invariant_model_kills_all_subshapes(self):
-        T2 = flip_2d(4).square
-        rho = [F(2, 3), F(1, 3)]
+        ctx = square_context(flip_2d(4).square, [F(2, 3), F(1, 3)])
         for size in range(1, len(GAMMA2) + 1):
             for cells in itertools.combinations(GAMMA2.cells, size):
                 shape = Shape(cells)
                 for x in Alphabet(2).words(size):
-                    assert line_balance_2d(T2, rho, shape, x) == 0
+                    assert line_balance_2d(ctx, shape, x) == 0
 
     def test_growth_difference_matches_balances(self, rng):
         # adding one cell changes the balance by the four-square difference
         block = hypercube(3)
         for _ in range(6):
-            T2 = random_square(rng)
-            rho = [F(1, 3), F(2, 3)]
+            ctx = square_context(random_square(rng), [F(1, 3), F(2, 3)])
             cells = tuple(rng.sample(block.cells, rng.randint(1, 4)))
             shape = Shape(cells)
             outside = [c for c in block.cells if c not in shape]
@@ -255,9 +261,45 @@ class TestLineBalance2D:
             grown = Shape(cells + (cell,))
             for x in Alphabet(2).words(len(grown)):
                 restriction = tuple(dict(zip(grown.cells, x))[c] for c in shape.cells)
-                direct = line_balance_2d(T2, rho, grown, x) - \
-                    line_balance_2d(T2, rho, shape, restriction)
-                assert growth_difference(T2, rho, shape, cell, x) == direct
+                direct = line_balance_2d(ctx, grown, x) - line_balance_2d(ctx, shape, restriction)
+                assert growth_difference(ctx, shape, cell, x) == direct
+
+
+class TestOneTablePerContext:
+    """A square context builds boldZ once: the decider's scans and every
+    partial, balance and growth difference on it read that one table."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        real, contexts = criteria._balance_table, []
+
+        def spy(ctx, *args, **kwargs):
+            contexts.append(ctx)
+            return real(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(criteria, "_balance_table", spy)
+        return contexts
+
+    def test_one_build(self, built):
+        ctx = square_context(flip_2d(4).square, [F(2, 3), F(1, 3)])
+        partials = _Partials(ctx)
+        assert partials.scan(_line_terms(GAMMA0), len(GAMMA0)) == (8, None)
+        assert partials.scan(_growth_plan(GAMMA1, (1, 1)), len(GAMMA2)) == (32, None)
+        for x in Alphabet(2).words(len(GAMMA2)):
+            assert bold_z_partial(ctx, dict(zip(SQUARE_CELLS, x))) == z_table(ctx).values[x[:4]]
+            assert line_balance_2d(ctx, GAMMA2, x) == 0
+            assert growth_difference(ctx, GAMMA1, (1, 1), x) == 0
+        assert built == [ctx]
+        assert check_product_2d(ctx.T, [F(2, 3), F(1, 3)]).invariant
+        assert len(built) == 2 and built[1] is not ctx
+
+    def test_other_contexts_rejected(self):
+        # a line table, and a memory-1 law on square rates (no marginal)
+        line, square = (JumpRateMatrix(Alphabet(2), L, {}) for L in (2, 4))
+        for ctx in (product_context(line, [F(1, 2), F(1, 2)]),
+                    markov_context(square, MarkovKernel.from_matrix([[F(1, 2)] * 2] * 2))):
+            with pytest.raises(ValueError, match="square_context"):
+                line_balance_2d(ctx, GAMMA0, (0, 0, 1))
 
 
 class TestCheckProduct2D:

@@ -14,7 +14,9 @@ which rounds a float to a nearby fraction; exact answers are decided.
 Elimination has one way in: the eliminators `_gauss_jordan` and
 `_rref_float` are read only inside `linalg.solve_linear`.  The deciders
 solve stationary laws one way: `criteria` reads `stationary_distribution`
-only inside `CriterionContext.law`, which solves on first read.  Exact
+only inside `CriterionContext.law`, which solves on first read.  A square
+table has one way in too: `lattice2d` reads `product_context` only inside
+`square_context`, which checks the rates and the marginal first.  Exact
 integer arrays have one int64 policy: no module but `scalars` casts an array
 to int64 or to Python ints with `.astype`; the others go through
 `scalars.int_array` and its bound.
@@ -209,6 +211,11 @@ def test_criteria_solve_laws_only_in_the_context():
     assert readers(criteria, {"stationary_distribution"}) == ["criteria.CriterionContext.law"]
 
 
+def test_square_contexts_only_through_square_context():
+    lattice2d = {"lattice2d": package_trees()["lattice2d"]}
+    assert readers(lattice2d, {"product_context"}) == ["lattice2d.square_context"]
+
+
 def test_checks_see_dead_code():
     tree = ast.parse("_USED = 1\n_UNUSED = 2\n"
                      "def _helper(a, b, _c, *rest):\n    return _helper(a, _USED)\n"
@@ -235,6 +242,12 @@ def test_checks_see_dead_code():
                        "SHORTCUT = _gauss_jordan\n")
     assert readers({"m": solver}, ELIMINATORS) == \
         ["m.<module>", "m.Law.solve", "m.solve_linear"]
+    square = ast.parse("from .criteria import product_context\n"
+                       "def square_context(T2, rho):\n    return product_context(T2, rho)\n"
+                       "class _Partials:\n    def __init__(self, T2, rho):\n"
+                       "        self.ctx = product_context(T2, rho)\n")
+    assert readers({"m": square}, {"product_context"}) == \
+        ["m._Partials.__init__", "m.square_context"]
 
 
 def test_field_check_sees_unread_fields():

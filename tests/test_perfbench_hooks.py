@@ -70,7 +70,7 @@ def test_hooked_result_attributes_exist():
     family = solve_cycle3_system(tasep().jrm)
     assert family.variables and family.samples
     nu = triple_from_kernel(ising.kernel)
-    result = candidate_kernels(tasep().jrm, nu)
+    result = candidate_kernels(nu)
     assert all(isinstance(c.exact, bool) for c in result.candidates)
     assert result.candidates
     assert isinstance(perron_pair([[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]]).exact, bool)

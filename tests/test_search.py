@@ -407,7 +407,7 @@ class TestCandidateKernels:
             for _ in range(10):
                 M = random_kernel(rng, kappa=kappa)
                 nu = triple_from_kernel(M)
-                result = candidate_kernels(JumpRateMatrix(Alphabet(kappa), 2, {}), nu)
+                result = candidate_kernels(nu)
                 assert len(result.candidates) == 1
                 cand = result.candidates[0]
                 assert cand.exact
@@ -421,7 +421,7 @@ class TestCandidateKernels:
             [[F(324081, 324082), F(1, 972246), F(1, 972246), F(1, 972246)],
              [F(1, 926190), F(308729, 308730), F(1, 926190), F(1, 926190)],
              [F(1, 25), F(6, 25), F(9, 25), F(9, 25)], [F(3, 8), F(1, 8), F(3, 8), F(1, 8)]])
-        result = candidate_kernels(JumpRateMatrix(Alphabet(4), 2, {}), triple_from_kernel(M))
+        result = candidate_kernels(triple_from_kernel(M))
         assert result.notes == ()
         assert [(c.kernel.matrix(), c.exact) for c in result.candidates] == [(M.matrix(), True)]
 
@@ -439,14 +439,13 @@ class TestCandidateKernels:
                 row[a] = 1 - (sum(row) - row[a])
                 rows.append(row)
             M = MarkovKernel.from_matrix(rows)
-            result = candidate_kernels(JumpRateMatrix(Alphabet(kappa), 2, {}),
-                                       triple_from_kernel(M))
+            result = candidate_kernels(triple_from_kernel(M))
             assert [(c.kernel.matrix(), c.exact) for c in result.candidates] == \
                 [(M.matrix(), True)], rows
 
     def test_uniform_triple_gives_uniform_kernel(self):
         nu = exact_triple(2, {w: F(1, 8) for w in Alphabet(2).words(3)})
-        result = candidate_kernels(tasep().jrm, nu)
+        result = candidate_kernels(nu)
         assert result.candidates[0].kernel.matrix() == \
             [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
 
@@ -455,7 +454,7 @@ class TestCandidateKernels:
         nu_map[(0, 0, 0)] = F(1, 2)
         nu_map[(1, 1, 1)] = F(1, 2)
         nu = exact_triple(2, nu_map)
-        result = candidate_kernels(tasep().jrm, nu)
+        result = candidate_kernels(nu)
         assert not result.candidates
 
     def test_invalid_triple_rejected(self, rng):
@@ -469,7 +468,7 @@ class TestCandidateKernels:
         for w in ((0, 1, 1), (1, 1, 0), (1, 0, 1)):
             nu[w] = nu[w] - eps
         measure = exact_triple(2, nu)
-        result = candidate_kernels(tasep().jrm, measure)
+        result = candidate_kernels(measure)
         for cand in result.candidates:
             rebuilt = triple_from_kernel(cand.kernel)
             assert triple_values(rebuilt) == nu

@@ -685,7 +685,7 @@ def fraction_family(family):
             tuple(Fraction(v, family.den) for v in point)
     return (family.variables, fraction_solution(family.solution),
             tuple(map(read, family.vertices)), tuple(map(read, family.samples)),
-            family.fully_sampled)
+            family.solution.dimension <= MAX_VERTEX_DIM)
 
 
 def triple_values(measure):
