@@ -156,12 +156,13 @@ def _model_from_doc(doc, as_float: bool) -> ModelFile:
     if "kernel" in doc:
         memory = _integer(doc.get("memory", 1), "model file needs an integer \"memory\"")
         rows = doc["kernel"]
-        contexts = list(alphabet.words(memory))
-        if len(rows) != len(contexts):
-            raise ModelFileError(f"kernel must have {len(contexts)} rows "
+        # past the bit length of len(rows), kappa^memory exceeds it: not raised
+        count = kappa ** memory if 0 <= memory <= len(rows).bit_length() else f"{kappa}^{memory}"
+        if count != len(rows):
+            raise ModelFileError(f"kernel must have {count} rows "
                                  "(contexts in lexicographic order)")
         entries = {}
-        for r, (ctx_word, row) in enumerate(zip(contexts, rows)):
+        for r, (ctx_word, row) in enumerate(zip(alphabet.words(memory), rows)):
             if len(row) != kappa:
                 raise ModelFileError("kernel rows must have kappa entries")
             for y, value in enumerate(row):
@@ -488,6 +489,10 @@ def _decode_params(value):
 def _cmd_model(args) -> int:
     try:
         params = _decode_params(json.loads(args.params)) if args.params else {}
+        # no catalog builder enumerates a window wider than 4 sites
+        for key in ("kappa", "kappa_trunc"):
+            if isinstance(params, dict) and type(size := params.get(key)) is int:
+                oracle.check_state_cap(Alphabet(size), 4, args.max_states)
         spec = models.build(args.name, **params)
     except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
         raise ModelFileError(str(exc)) from exc

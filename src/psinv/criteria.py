@@ -225,8 +225,8 @@ def z_table(ctx: CriterionContext) -> LocalBalanceTable:
     return LocalBalanceTable(ctx, ctx._z)
 
 
-def _balance_table(ctx: CriterionContext, exits: bool = True) -> WordTable:
-    """-T_out(b) (0 without `exits`) + sum_u T[u -> b] * P(a u c) / P(a b c)
+def _balance_table(ctx: CriterionContext) -> WordTable:
+    """-T_out(b) + sum_u T[u -> b] * P(a u c) / P(a b c)
     for every index word a b c, from `T.coded`, the terms added in the order
     of T.entries(), and P the chain weight of `_chain_weights`.  Exact
     numerators over den * P(a b c) are at most max(den, T.coded.reach) times
@@ -234,7 +234,7 @@ def _balance_table(ctx: CriterionContext, exits: bool = True) -> WordTable:
     alphabet, m, L = ctx.alphabet, ctx.memory, ctx.range_
     kappa, s = alphabet.kappa, ctx.window_length
     moves = ctx.T.coded
-    start = [-x for x in moves.exits] if exits else [0] * kappa ** L
+    start = [-x for x in moves.exits]
     codes = np.arange(kappa ** s)
     b = codes // kappa ** m % kappa ** L
     # the codes of a 0^L c; a move u -> v at (a, c) reads a u c and writes a v c
@@ -517,7 +517,6 @@ class CriterionReport:
     criterion: str
     witness: Optional[Tuple[Word, object]] = None
     certificate: Optional[PotentialCertificate] = None
-    criteria_evaluated: Tuple[str, ...] = ()
     words_checked: int = 0
     details: dict = field(default_factory=dict)
 
@@ -558,34 +557,6 @@ def check_product_line(T: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Crit
         raise ValueError("marginal must have full support; " + ZERO_DENOMINATOR_HINT)
     ctx = product_context(T, rho, tol)
     return check_markov_line(ctx)
-
-
-def check_markov_small_cycles(ctx: CriterionContext) -> CriterionReport:
-    """Decide line invariance through window sums on all cycle lengths up to
-    kappa^m (equivalent to check_markov_line for kernels with memory m >= 1).
-
-    The cyclic window sum of Z is used for every length n in
-    [m+1, kappa^m]; below m + L it is a formal criterion object rather than
-    a cycle balance.
-    """
-    if ctx.memory < 1:
-        raise ValueError("small-cycles decision needs kernel memory >= 1")
-    table = z_table(ctx)
-    lengths = range(ctx.memory + 1, ctx.alphabet.kappa ** ctx.memory + 1)
-    count = 0
-    for top in lengths:
-        checked, witness = _first_nonzero_cycle(ctx, table.values, top)
-        count += checked
-        if witness is not None:
-            break
-    evaluated = tuple(f"cycle-window-sum-{n}" for n in range(lengths[0], top + 1))
-    if witness is not None:
-        return CriterionReport(False, "small-cycles", witness=witness,
-                               criteria_evaluated=evaluated, words_checked=count)
-    certificate = potential_from_table(table)
-    cert = certificate if certificate.check(table) else None
-    return CriterionReport(True, "small-cycles", certificate=cert,
-                           criteria_evaluated=evaluated, words_checked=count)
 
 
 def check_markov_cycle(ctx: CriterionContext, n: int) -> CriterionReport:
@@ -763,46 +734,3 @@ def symmetrize(T: JumpRateMatrix) -> JumpRateMatrix:
         for key in (((a, b), (c, d)), ((b, a), (d, c))):
             rates[key] = rates.get(key, 0) + rate
     return JumpRateMatrix(T.alphabet, 2, rates)
-
-
-# ---------------------------------------------------------------------------
-# reversibility-style sufficient checks (helpers, not deciders)
-# ---------------------------------------------------------------------------
-
-def is_reversible_for_chain(ctx: CriterionContext) -> bool:
-    """Sufficient condition: the dynamics is reversible for the chain law
-    (memory 1, range 2), which forces Z = 0 identically."""
-    if (ctx.memory, ctx.range_) != (1, 2):
-        raise ValueError("reversibility helper covers memory 1, range 2")
-    M, T = ctx.kernel.prob, ctx.T.rate
-    return all(ctx.is_zero(T((u, v), (b, c)) * M((a,), u) * M((u,), v) * M((v,), d)
-                           - M((a,), b) * M((b,), c) * M((c,), d) * T((b, c), (u, v)))
-               for a, d, b, c, u, v in itertools.product(ctx.alphabet.letters, repeat=6))
-
-
-def has_detailed_balance_product(T: JumpRateMatrix, rho) -> bool:
-    """Sufficient condition for product invariance: pairwise detailed balance
-    rho_b rho_c T[(b,c)->(u,v)] = rho_u rho_v T[(u,v)->(b,c)]."""
-    if T.range_ != 2:
-        raise ValueError("detailed balance helper covers range 2")
-    rate = T.rate
-    return all(rho[b] * rho[c] * rate((b, c), (u, v)) == rho[u] * rho[v] * rate((u, v), (b, c))
-               for b, c, u, v in itertools.product(range(len(rho)), repeat=4))
-
-
-# ---------------------------------------------------------------------------
-# advisory bounds for truncations of infinite alphabets
-# ---------------------------------------------------------------------------
-
-def tail_bounds_advisory(ctx: CriterionContext) -> dict:
-    """Suprema over the truncated alphabet of the two series bounds that
-    control well-posedness of the balance sums when the alphabet is infinite.
-    Advisory only: a finite value over a truncation proves nothing about the
-    full model and is reported as such.
-    """
-    inflow = _balance_table(ctx, exits=False)
-    sup_inflow = max(Fraction(0), *inflow.values())
-    sup_exit = max((ctx.T.out_rate(b) for b in ctx.alphabet.words(ctx.range_)),
-                   default=Fraction(0))
-    return {"sup_weighted_inflow": sup_inflow, "sup_exit_rate": sup_exit,
-            "advisory": "computed over the finite truncation only"}

@@ -209,13 +209,6 @@ def check_product_2d(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> Crite
     return CriterionReport(True, "corner-and-addition", words_checked=corners + count)
 
 
-def check_bold_z_sufficient(T2: JumpRateMatrix, rho, tol: float = DEFAULT_TOL) -> bool:
-    """True iff boldZ vanishes identically (sufficient for invariance,
-    weaker than reversibility, not necessary)."""
-    ctx = square_context(T2, rho, tol)
-    return all(ctx.is_zero(v) for v in z_table(ctx).values.values())
-
-
 def growth_difference(ctx: CriterionContext, shape: Shape, cell: Cell, pattern: Word):
     """Balance change when `cell` is added to `shape`: only the squares
     containing the new cell contribute, each by a difference of partials

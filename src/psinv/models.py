@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
 from .lattice2d import SQUARE_CELLS
@@ -369,7 +369,7 @@ def catalog() -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# projections and special marginals
+# projections
 # ---------------------------------------------------------------------------
 
 def project_jrm(T: JumpRateMatrix, pi: Sequence[int]) -> JumpRateMatrix:
@@ -418,32 +418,3 @@ def hidden_marginal(law: StationaryLaw, pi: Sequence[int], word: Word):
                                    for a in word]):
         total += law.marginal(rep)
     return total
-
-
-def almost_geometric(support: Sequence[int], g: Mapping[int, object]) -> List:
-    """Distribution rho on `support` with rho_u rho_v = C g(u+v).
-
-    Requires the consistency g(a) g(b) = g(a') g(b') whenever a + b = a' + b'
-    over reachable sums; rho_u is proportional to g(u + min(support)).
-    Returns the normalized marginal over the full alphabet 0..max(support)."""
-    support = sorted(set(support))
-    base = support[0]
-    reachable = {u + v for u in support for v in support}
-    missing = sorted(s for s in reachable if s not in g)
-    if missing:
-        raise ValueError(f"g misses the reachable sums {missing}")
-    weights = {u: as_scalar(g[u + base]) for u in support}
-    if any(w <= 0 for w in weights.values()):
-        raise ValueError("g must be positive on reachable sums")
-    norm = sum(weights.values())
-    rho = [Fraction(0)] * (support[-1] + 1)
-    for u in support:
-        rho[u] = weights[u] / norm
-    # consistency: rho_u rho_v must be a function of u + v matching g
-    scale = rho[base] * rho[base] / as_scalar(g[2 * base])
-    for u in support:
-        for v in support:
-            if rho[u] * rho[v] != scale * as_scalar(g[u + v]):
-                raise ValueError("g is not consistent: rho_u rho_v cannot "
-                                 "match g(u+v) on this support")
-    return rho

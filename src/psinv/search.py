@@ -57,7 +57,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import Alphabet, JumpRateMatrix, MarkovKernel, StationaryLaw, Word
 from .criteria import CriterionReport, check_markov_line, cycle_jumps, markov_context
@@ -586,63 +586,3 @@ def find_product(T: JumpRateMatrix, tol: float = DEFAULT_TOL) -> ProductSearchRe
     if T.is_zero:
         notes.append("zero dynamics: every product measure is invariant")
     return ProductSearchReport(family, tuple(candidates), bernoulli_all, roots, tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# kernels from ratio tables
-# ---------------------------------------------------------------------------
-
-def ratio_table(kernel: MarkovKernel) -> Dict[Tuple[Word, Word], object]:
-    """The full table F[(a,u,v,d),(b,c)] = weight(a u v d) / weight(a b c d)
-    of three-step weight ratios of a positive memory-1 kernel."""
-    if kernel.memory != 1 or not kernel.is_positive:
-        raise ValueError("ratio tables need a positive memory-1 kernel")
-    E = kernel.alphabet.letters
-
-    def weight(a, x, y, d):
-        return kernel.prob((a,), x) * kernel.prob((x,), y) * kernel.prob((y,), d)
-
-    table = {}
-    for a, u, v, d in itertools.product(E, repeat=4):
-        for b, c in itertools.product(E, repeat=2):
-            table[((a, u, v, d), (b, c))] = weight(a, u, v, d) / weight(a, b, c, d)
-    return table
-
-
-def kernel_from_ratios(F: Mapping[Tuple[Word, Word], object], kappa: int,
-                       tol: float = DEFAULT_TOL) -> MarkovKernel:
-    """Reconstruct the unique positive recurrent kernel with ratio table F.
-
-    The reduced ratios C[b][c] = F[(0,b,c,0),(0,0)] / F[(0,b,0,0),(0,0)]
-    equal M_bc M_c0 / (M_b0 M_00), so M is the stochastic rescaling of C by
-    its dominant eigenpair; positivity of the eigenvector makes it unique.
-    The full table is then re-verified entry by entry; any mismatch raises
-    with the offending index (inconsistent tables name no kernel at all).
-    """
-    E = range(kappa)
-    exact_table = all(is_exact(x) for x in F.values())
-    for key, value in F.items():
-        if value <= 0:
-            raise ValueError(f"ratio table must be positive; offending entry {key}")
-    unit_test = ScalarContext(exact_table, tol)
-    for w in itertools.product(E, repeat=4):
-        a, b, c, d = w
-        unit = F[((a, b, c, d), (b, c))]
-        if not unit_test.is_zero(unit - 1 if exact_table else float(unit) - 1):
-            raise ValueError(f"ratio of a word with itself must be 1 at {w}")
-    C = [[F[((0, b, c, 0), (0, 0))] / F[((0, b, 0, 0), (0, 0))] for c in E] for b in E]
-    pair = perron_pair(C)
-    v = pair.right
-    M = [[C[b][c] * v[c] / (pair.value * v[b]) for c in E] for b in E]
-    kernel = MarkovKernel.from_matrix(M if pair.exact else
-                                      [[x / sum(row) for x in row] for row in M])
-    rebuilt = ratio_table(kernel)
-    exact = kernel.is_exact and all(is_exact(x) for x in F.values())
-    for key, value in F.items():
-        # float entries are compared relative to their size
-        test = ScalarContext(exact, tol, 1.0 if exact else max(1.0, abs(float(value))))
-        if not test.is_zero(rebuilt[key] - value if exact else
-                            float(rebuilt[key]) - float(value)):
-            raise ValueError(f"ratio table is inconsistent at {key}: "
-                             f"{value} vs {rebuilt[key]} from the reconstruction")
-    return kernel

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from psinv import criteria, linalg, oracle, scalars, search, segment
+from psinv import criteria, linalg, models, oracle, scalars, search, segment
 from psinv.cli import (ModelFileError, _json_text, _table_json, build_parser, load_model_file,
                        main)
-from psinv.core import MarkovKernel
+from psinv.core import Alphabet, MarkovKernel
 from psinv.models import stochastic_ising, tasep
 from psinv.scalars import parse_rational, scalar_repr
 
@@ -579,6 +579,25 @@ class TestModelCommand:
         code, out, _ = run(capsys, "--float", "--tol", "1e-9", "check-product", path)
         assert code == 0
 
+    def test_alphabet_checked_against_the_cap_before_the_build(self, capsys, monkeypatch):
+        # the builders enumerate windows of up to 4 sites, kappa^4 words
+        def build(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "build", build)
+            start = time.perf_counter()
+            code, out, err = run(capsys, "model", "voter", "--params", '{"kappa": 400}')
+            assert time.perf_counter() - start < 1
+        assert code == 3 and f"resource cap: {400 ** 4} states exceed the cap {2 ** 20}" in err
+        assert out == ""
+        voter5 = ["model", "voter", "--params", '{"kappa": 5}']
+        assert run(capsys, "--max-states", str(5 ** 4 - 1), *voter5)[0] == 3
+        assert run(capsys, "--max-states", str(5 ** 4), *voter5)[0] == 0
+        code, out, _ = run(capsys, "model", "zero_range", "--params",
+                           json.dumps({"g": {"1,1": 1}, "kappa_trunc": 3}))
+        assert code == 0 and json.loads(out)["kappa"] == 3
+
 
 class TestModelParams:
     """--params is JSON, so int and pair keys travel as "3" and "1,2"; the
@@ -658,6 +677,25 @@ class TestInputErrors:
         assert err.startswith("error: ")
         assert out == ""
 
+
+    @pytest.mark.parametrize("memory", [26, 10 ** 9])
+    def test_kernel_rows_counted_before_contexts_are_listed(self, tmp_path, capsys,
+                                                            monkeypatch, memory):
+        words = Alphabet.words
+
+        def listed(alphabet, length):
+            assert length < 20, "the kernel contexts were listed"
+            return words(alphabet, length)
+
+        path = tmp_path / "memory.json"
+        path.write_text(json.dumps(dict(schema=1, kappa=2, range=2, rates=[], memory=memory,
+                                        kernel=[])))
+        monkeypatch.setattr(Alphabet, "words", listed)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-markov", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: kernel must have 2^{memory} rows")
 
     # n = 20 has 2^20 states, within the default cap, but about 21M transitions
     # n = 20000 has a count of more digits than Python prints

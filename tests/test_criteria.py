@@ -7,13 +7,10 @@ from fractions import Fraction
 import pytest
 
 from psinv.core import Alphabet, JumpRateMatrix, MarkovKernel
-from psinv.criteria import (check_markov_cycle, check_markov_line,
-                            check_markov_small_cycles, check_product_general_graph,
+from psinv.criteria import (check_markov_cycle, check_markov_line, check_product_general_graph,
                             check_product_line, cycle_balance, equivalence_panel,
-                            has_detailed_balance_product, is_reversible_for_chain,
                             line_balance, markov_context, PairRateField,
-                            product_context, restrict_support, symmetrize,
-                            tail_bounds_advisory, z_table)
+                            product_context, restrict_support, symmetrize, z_table)
 from psinv import criteria, lattice2d, segment
 from psinv.core import BoundaryRates
 from psinv.linalg import stationary_distribution
@@ -386,82 +383,65 @@ class TestLineDeciders:
 
 
 class TestSmallCycles:
+    """For kernel memory m >= 1, line invariance holds exactly when the
+    wrapped window sums of Z vanish on every cyclic word of each length from
+    m + 1 to kappa^m (below m + L a formal sum, not a cycle balance)."""
+
+    @staticmethod
+    def small_cycles_vanish(ctx):
+        lengths = range(ctx.memory + 1, ctx.alphabet.kappa ** ctx.memory + 1)
+        return all(cycle_window_sum(ctx, x) == 0
+                   for n in lengths for x in ctx.alphabet.words(n))
+
     def test_agrees_with_line_decider(self, rng):
         for kappa in (2, 3):
             for _ in range(15):
                 T = random_jrm(rng, kappa=kappa)
                 M = random_kernel(rng, kappa=kappa)
                 ctx = markov_context(T, M)
-                assert check_markov_small_cycles(ctx).invariant == \
-                    check_markov_line(ctx).invariant
+                assert self.small_cycles_vanish(ctx) == check_markov_line(ctx).invariant
 
     def test_tasep_bernoulli_invariant(self):
         p = F(1, 3)
         M = MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]])
         ctx = markov_context(tasep().jrm, M)
-        assert check_markov_small_cycles(ctx).invariant
+        assert self.small_cycles_vanish(ctx) and check_markov_line(ctx).invariant
 
     def test_ising_needs_only_length_two(self):
         ctx = ising_ctx()
-        report = check_markov_small_cycles(ctx)
-        assert report.invariant
-        assert report.criteria_evaluated == ("cycle-window-sum-2",)
+        assert ctx.alphabet.kappa ** ctx.memory == 2
+        assert self.small_cycles_vanish(ctx) and check_markov_line(ctx).invariant
 
     def test_constant_word_defect_detected(self, rng):
         # a rate into the all-zero window makes Z(0..0) != 0
         T = JumpRateMatrix(Alphabet(2), 2, {((1, 1), (0, 0)): 1})
         ctx = markov_context(T, random_kernel(rng))
-        report = check_markov_small_cycles(ctx)
-        assert not report.invariant
-
-    def test_rejects_products(self):
-        with pytest.raises(ValueError):
-            check_markov_small_cycles(tasep_product_ctx())
+        assert cycle_window_sum(ctx, (0, 0)) != 0
+        assert not check_markov_line(ctx).invariant
 
 
 def report_fields(report):
-    return (report.invariant, report.criterion, report.witness, report.words_checked,
-            report.criteria_evaluated)
-
-
-def memory2_kernel(rows):
-    """Memory-2 kernel over two letters from its rows, keyed by context."""
-    return MarkovKernel(Alphabet(2), 2, {(ctx, y): rows[ctx][y]
-                                         for ctx in rows for y in (0, 1)})
+    return report.invariant, report.criterion, report.witness, report.words_checked
 
 
 class TestReportPins:
     """Whole reports of passing and failing instances, pinned exactly."""
 
-    def test_small_cycles_memory2(self):
-        p = F(1, 3)
-        bernoulli = memory2_kernel({ctx: [1 - p, p] for ctx in Alphabet(2).words(2)})
-        assert report_fields(check_markov_small_cycles(markov_context(tasep().jrm, bernoulli))) \
-            == (True, "small-cycles", None, 24, ("cycle-window-sum-3", "cycle-window-sum-4"))
-        low, high = [F(1, 9), F(8, 9)], [F(8, 9), F(1, 9)]
-        alternating = memory2_kernel({(0, 0): low, (0, 1): high, (1, 0): low, (1, 1): high})
-        assert report_fields(check_markov_small_cycles(markov_context(tasep().jrm, alternating))) \
-            == (False, "small-cycles", ((0, 0, 1, 1), F(63)), 12,
-                ("cycle-window-sum-3", "cycle-window-sum-4"))
-        assert report_fields(check_markov_small_cycles(markov_context(contact(1).jrm,
-                                                                      alternating))) \
-            == (False, "small-cycles", ((0, 0, 0), F(192)), 1, ("cycle-window-sum-3",))
-
     def test_cycle_below_window_length(self):
         # n < m + L: balances come from the finite cycle directly
-        assert report_fields(check_markov_cycle(voter_ctx(), 1)) == (True, "cycle-1", None, 2, ())
+        assert report_fields(check_markov_cycle(voter_ctx(), 1)) == (True, "cycle-1", None, 2)
         assert report_fields(check_markov_cycle(voter_ctx(), 2)) == \
-            (False, "cycle-2", ((0, 0), F(8, 3)), 1, ())
-        assert report_fields(check_markov_cycle(ising_ctx(), 2)) == (True, "cycle-2", None, 4, ())
+            (False, "cycle-2", ((0, 0), F(8, 3)), 1)
+        assert report_fields(check_markov_cycle(ising_ctx(), 2)) == (True, "cycle-2", None, 4)
 
     def test_general_graph_symmetric(self):
         p = PairRateField(2, {(1,): F(1), (-1,): F(1)})
         swap = JumpRateMatrix(Alphabet(2), 2, {((0, 1), (1, 0)): 1, ((1, 0), (0, 1)): 1})
         assert report_fields(check_product_general_graph(swap, [F(1, 2), F(1, 2)], p)) == \
-            (True, "symmetric-pair-cycle2", None, 4, ())
+            (True, "symmetric-pair-cycle2", None, 4)
         creation = JumpRateMatrix(Alphabet(2), 2, {((0, 0), (1, 1)): 1})
         assert report_fields(check_product_general_graph(creation, [F(1, 3), F(2, 3)], p)) == \
-            (False, "symmetric-pair-cycle2", ((0, 0), F(-2)), 1, ())
+            (False, "symmetric-pair-cycle2", ((0, 0), F(-2)), 1)
 
 
 class TestCycleDeciders:
@@ -600,35 +580,6 @@ class TestSymmetrize:
                 assert check_product_line(S, rho).invariant
                 table = z_table(product_context(S, rho))
                 assert all(v == 0 for v in table.values.values())
-
-
-class TestReversibilityHelpers:
-    def test_ising_reversible(self):
-        # the spin-flip chain satisfies pairwise reversibility, hence Z = 0
-        T = JumpRateMatrix(Alphabet(2), 2, {((0, 1), (1, 0)): 1, ((1, 0), (0, 1)): 1})
-        M = MarkovKernel.from_matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
-        assert is_reversible_for_chain(markov_context(T, M))
-
-    def test_tasep_not_reversible_but_invariant(self):
-        p = F(1, 2)
-        M = MarkovKernel.from_matrix([[1 - p, p], [1 - p, p]])
-        ctx = markov_context(tasep().jrm, M)
-        assert not is_reversible_for_chain(ctx)
-        assert check_markov_line(ctx).invariant
-
-    def test_detailed_balance_product(self):
-        T = JumpRateMatrix(Alphabet(2), 2, {((0, 1), (1, 0)): 1, ((1, 0), (0, 1)): 1})
-        assert has_detailed_balance_product(T, [F(1, 2), F(1, 2)])
-        assert not has_detailed_balance_product(tasep().jrm, [F(1, 2), F(1, 2)])
-
-
-class TestTailBounds:
-    def test_reports_suprema(self):
-        ctx = tasep_product_ctx(F(1, 2))
-        bounds = tail_bounds_advisory(ctx)
-        assert bounds["sup_exit_rate"] == 1
-        assert bounds["sup_weighted_inflow"] == 1
-        assert "truncation" in bounds["advisory"]
 
 
 class TestLazyLaw:

@@ -22,8 +22,7 @@ import pytest
 from psinv import scalars
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
 from psinv.criteria import (_chain_weights, _summable, check_markov_cycle, check_markov_line,
-                            check_markov_small_cycles, equivalence_panel, markov_context,
-                            potential_from_table, z_table)
+                            equivalence_panel, markov_context, potential_from_table, z_table)
 from psinv.lattice2d import _Partials, check_product_2d, square_context
 from psinv.segment import check_segment, construct_boundaries
 
@@ -90,8 +89,7 @@ def shapes():
 def fields(report):
     certificate = report.certificate and report.certificate.values
     return (report.invariant, report.criterion, report.witness, report.words_checked,
-            report.criteria_evaluated, report.details,
-            certificate and (certificate.entries.tolist(), certificate.den))
+            report.details, certificate and (certificate.entries.tolist(), certificate.den))
 
 
 def build_bound(ctx):
@@ -113,8 +111,6 @@ def line_outcomes(T, kernel):
     ctx = markov_context(T, kernel)
     kappa, m, L = T.alphabet.kappa, kernel.memory, T.range_
     out = [fields(check_markov_line(ctx))]
-    if m >= 1 and kappa ** (kappa ** m) <= MAX_WORDS:
-        out.append(fields(check_markov_small_cycles(ctx)))
     for n in range(max(1, m + L - 1), m + L + 2):
         if kappa ** n <= MAX_WORDS:
             out.append(fields(check_markov_cycle(ctx, n)))

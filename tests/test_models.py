@@ -4,9 +4,8 @@ import pytest
 
 from psinv.core import Alphabet, JumpRateMatrix
 from psinv.criteria import check_product_line, cycle_balance, product_context, z_table
-from psinv.models import (almost_geometric, build, catalog, contact, hidden_marginal,
-                          hmc_example, project_jrm, pushtasep_blocks,
-                          stochastic_ising, tasep, tasep3, voter, zero_range)
+from psinv.models import (build, catalog, contact, hidden_marginal, hmc_example, project_jrm,
+                          pushtasep_blocks, stochastic_ising, tasep, tasep3, voter, zero_range)
 from psinv.linalg import stationary_distribution
 
 F = Fraction
@@ -97,29 +96,6 @@ class TestProjection:
         assert ratio_3 == F(71, 106)
         assert ratio_2 == F(53, 81)
         assert ratio_3 != ratio_2
-
-
-class TestAlmostGeometric:
-    def test_geometric_on_interval(self):
-        q = F(1, 3)
-        rho = almost_geometric(range(4), {s: q ** s for s in range(7)})
-        total = sum(q ** u for u in range(4))
-        assert rho == [q ** u / total for u in range(4)]
-
-    def test_gapped_support(self):
-        g = {0: F(1), 2: F(1, 5), 4: F(1, 25)}
-        rho = almost_geometric([0, 2], g)
-        assert rho[1] == 0
-        assert rho[0] * rho[2] == rho[0] ** 2 * F(1, 5)
-
-    def test_inconsistent_rejected(self):
-        g = {0: F(1), 1: F(1, 2), 2: F(1, 3)}  # 1/2^2 != 1 * 1/3
-        with pytest.raises(ValueError, match="not consistent"):
-            almost_geometric([0, 1], g)
-
-    def test_missing_sum_rejected(self):
-        with pytest.raises(ValueError, match="misses"):
-            almost_geometric([0, 1], {0: F(1), 1: F(1, 2)})
 
 
 class TestAlmostGeometricInvariance:

@@ -1,10 +1,13 @@
-"""No dead code in src/psinv: every private name is used, every parameter
-is read and every dataclass field is read.
+"""No dead code in src/psinv: every private name is used, every public
+function and class is reached, every parameter is read and every dataclass
+field is read.
 
 A private name (a `_`-prefixed function, class or module constant; dunder
 names excluded) must be referenced somewhere in the package outside its own
-definition.  Every parameter of a named function must be read in its body,
-apart from `self`, `cls` and `_`-prefixed names.  Every field of a
+definition.  So must a module-level public function or class, unless
+`UNREACHED` names it with the reason it is kept; an import (the exports of
+`__init__`) references nothing.  Every parameter of a named function must be
+read in its body, apart from `self`, `cls` and `_`-prefixed names.  Every field of a
 `@dataclass` must be read as an attribute somewhere in the package, its
 tests or the benchmark (`perfbench` and its tests); a field that shares its
 name with another attribute passes unseen, so before such a field is removed,
@@ -64,6 +67,13 @@ def private_definitions(tree):
     return found
 
 
+def public_definitions(tree):
+    """(name, node) of every module-level public function and class."""
+    return [(node.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def references(tree, skip=None):
     """Names read in a tree, as bare names or attributes, leaving out the
     subtree `skip`."""
@@ -81,11 +91,13 @@ def references(tree, skip=None):
     return names
 
 
-def unreferenced_private_names(trees):
+def unreferenced_names(trees, definitions=private_definitions):
+    """module.name of every definition that no tree references outside the
+    definition itself."""
     read = {module: references(tree) for module, tree in trees.items()}
     dead = []
     for module, tree in trees.items():
-        for name, node in private_definitions(tree):
+        for name, node in definitions(tree):
             elsewhere = any(name in names for other, names in read.items() if other != module)
             if not elsewhere and name not in references(tree, skip=node):
                 dead.append(f"{module}.{name}")
@@ -177,9 +189,33 @@ def readers(trees, names):
 
 ELIMINATORS = {"_gauss_jordan", "_rref_float"}
 
+# public functions and classes that no package code reaches, and why each is kept
+UNREACHED = {
+    "cycle_balance": "tests compare the cycle decider and the oracle against it",
+    "line_balance": "tests compare the line decider and the oracle against it",
+    "segment_balance": "tests compare the segment scan against it",
+    "symmetrize": "tests check that symmetrized rates keep invariant products",
+    "bold_z_partial": "tests compare the square tables against it",
+    "line_balance_2d": "tests compare check_product_2d against it",
+    "growth_difference": "tests compare check_product_2d against it",
+    "check_product_2d_incremental": "tests compare check_product_2d against it",
+    "restrict_support": "error hints and golden notes point users to it",
+    "project_jrm": "hidden Markov laws: projects a model's rates, no decider reads it yet",
+    "hidden_marginal": "hidden Markov laws: projected marginals, no decider reads them yet",
+    "check_multinomial_preservation": "truncated infinite alphabets, no subcommand yet",
+    "check_product_general_graph": "products on graphs with pair rates, no subcommand yet",
+    "segment_measure": "the benchmark's expected results read it",
+    "catalog": "tests list the catalog's models through it",
+}
+
 
 def test_every_private_name_is_used():
-    assert unreferenced_private_names(package_trees()) == []
+    assert unreferenced_names(package_trees()) == []
+
+
+def test_every_public_function_is_reached():
+    unreached = unreferenced_names(package_trees(), public_definitions)
+    assert sorted(name.split(".")[1] for name in unreached) == sorted(UNREACHED)
 
 
 def test_every_parameter_is_read():
@@ -222,8 +258,15 @@ def test_checks_see_dead_code():
                      "class Box:\n    def _spin(self, cls):\n        return cls\n"
                      "    def __len__(self):\n        return 0\n")
     # _helper calls only itself
-    assert sorted(unreferenced_private_names({"m": tree})) == \
-        ["m._UNUSED", "m._helper", "m._spin"]
+    assert sorted(unreferenced_names({"m": tree})) == ["m._UNUSED", "m._helper", "m._spin"]
+    public = ast.parse("def solve(x):\n    return check(x)\n"
+                       "def check(x):\n    return x\n"
+                       "def spare(x):\n    return spare(x)\n"
+                       "class Loose:\n    pass\n")
+    exports = ast.parse("from .m import Loose, check, solve, spare\n")
+    # spare calls only itself, and an import reaches nothing
+    assert sorted(unreferenced_names({"m": public, "__init__": exports},
+                                     public_definitions)) == ["m.Loose", "m.solve", "m.spare"]
     assert unread_parameters({"m": tree}) == ["m._helper.b", "m._helper.rest"]
     guess = ast.parse("from fractions import Fraction\n"
                       "x = Fraction(0.1).limit_denominator(10)\n")

@@ -14,8 +14,7 @@ from psinv.linalg import solve_linear
 from psinv.oracle import CycleSpace, build_generator, product_measure, stationarity_residual
 from psinv.search import (TripleMeasure, _cycle_rows, _cycle_system, _factor_rank_one, _family,
                           _kills_balances, _kills_cycles3, _rational_roots, _trial_marginals,
-                          candidate_kernels, find_markov,
-                          find_product, kernel_from_ratios, ratio_table, solve_cycle3_system,
+                          candidate_kernels, find_markov, find_product, solve_cycle3_system,
                           triple_from_kernel)
 from psinv import models
 from psinv.models import kappa2_general, tasep, tasep3
@@ -805,50 +804,6 @@ class TestMixedScalars:
                 verdict = row_verdict(table, marginal)
             assert compared and all(not exact for exact, _ in compared)
             assert verdict == check_product_line(table, marginal).invariant == invariant
-
-
-class TestRatioTables:
-    def test_round_trip(self, rng):
-        for kappa in (2, 3):
-            for _ in range(5):
-                M = random_kernel(rng, kappa=kappa)
-                F_table = ratio_table(M)
-                rebuilt = kernel_from_ratios(F_table, kappa)
-                assert rebuilt.matrix() == M.matrix()
-
-    def test_all_ones_gives_uniform(self):
-        kappa = 2
-        table = {}
-        for key in ratio_table(MarkovKernel.from_matrix(
-                [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])):
-            table[key] = F(1)
-        kernel = kernel_from_ratios(table, kappa)
-        assert kernel.matrix() == [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
-
-    def test_float_table_gives_float_kernel(self, rng):
-        # float in, float out: the kernel is not rounded to rationals
-        for kappa in (2, 3):
-            M = random_kernel(rng, kappa=kappa)
-            table = {key: float(v) for key, v in ratio_table(M).items()}
-            kernel = kernel_from_ratios(table, kappa)
-            assert not kernel.is_exact
-            for got, want in zip(kernel.matrix(), M.matrix()):
-                assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want))
-
-    def test_inconsistent_table_rejected(self, rng):
-        M = random_kernel(rng, kappa=2)
-        table = ratio_table(M)
-        key = ((0, 1, 1, 0), (0, 0))
-        table[key] = table[key] * F(3, 2)
-        with pytest.raises(ValueError):
-            kernel_from_ratios(table, 2)
-
-    def test_non_unit_diagonal_rejected(self, rng):
-        M = random_kernel(rng, kappa=2)
-        table = ratio_table(M)
-        table[((0, 0, 0, 0), (0, 0))] = F(2)
-        with pytest.raises(ValueError, match="must be 1"):
-            kernel_from_ratios(table, 2)
 
 
 def raised(fn, *args):

@@ -12,8 +12,7 @@ import pytest
 
 from psinv import criteria, scalars
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
-from psinv.criteria import (check_markov_line, cycle_balance, markov_context,
-                            tail_bounds_advisory, z_table)
+from psinv.criteria import check_markov_line, cycle_balance, markov_context, z_table
 from psinv.segment import _segment_balances, check_segment, construct_boundaries, segment_balance
 
 from z_reference import (cyclic_window_sum, floated, fraction_segment_balances, instances,
@@ -85,13 +84,6 @@ class TestTable:
                 assert float(cycle_balance(ctx, x)).hex() == float(expected).hex(), label
                 if ctx.scalar_context.exact:
                     assert cycle_balance(ctx, x) == expected
-
-    def test_tail_bounds(self):
-        for label, ctx in instances(34, 3, 1, 2, mixed=True):
-            inflow = reference_z_values(ctx, start=F(0))
-            bounds = tail_bounds_advisory(ctx)
-            assert pinned(bounds["sup_weighted_inflow"]) == \
-                pinned(max(F(0), *inflow.values())), label
 
 
 class TestAnchorScan:

@@ -134,9 +134,8 @@ def pinned_witness(witness):
 # the dict table and per-word window sums
 # ---------------------------------------------------------------------------
 
-def reference_z_values(ctx, start=None):
-    """{index word: Z}, one `_inflow` per word; `start` replaces the
-    exit-rate term (the tail bounds start every entry from 0)."""
+def reference_z_values(ctx):
+    """{index word: Z}, one `_inflow` per word."""
     m, L = ctx.memory, ctx.range_
     kernel = ctx.law.kernel
     into = {}
@@ -146,8 +145,8 @@ def reference_z_values(ctx, start=None):
     for a in ctx.alphabet.words(m):
         for c in ctx.alphabet.words(m):
             for b in ctx.alphabet.words(L):
-                first = -ctx.T.out_rate(b) if start is None else start
-                values[a + b + c] = _inflow(kernel, into.get(b, ()), a, b, c, first)
+                values[a + b + c] = _inflow(kernel, into.get(b, ()), a, b, c,
+                                            -ctx.T.out_rate(b))
     return values
 
 
