@@ -387,6 +387,7 @@ def _cmd_verify_cycle(args, model: ModelFile):
     ctx = _law_from_file(model, args.tol)
     if n < 1:
         raise ValueError("cycle length must be >= 1")
+    oracle.check_state_cap(model.jrm.alphabet, ctx.window_length, args.max_states)
     # the build checks the state cap and the transition budget, and stores no
     # transitions yet, so it runs before the decider
     gen = build_generator(model.jrm, CycleSpace(n), max_states=args.max_states)
@@ -498,8 +499,11 @@ def _cmd_model(args) -> int:
         raise ModelFileError(str(exc)) from exc
     doc = model_to_json(spec)
     if args.emit:
-        with open(args.emit, "w") as handle:
-            handle.write(_json_text(doc))
+        try:
+            with open(args.emit, "w") as handle:
+                handle.write(_json_text(doc))
+        except OSError as exc:
+            raise ModelFileError(f"cannot write model file {args.emit}: {exc}") from exc
         print(f"wrote {args.emit}")
     else:
         print(_json_text(doc))

@@ -210,7 +210,7 @@ class JumpRateMatrix:
             raise ValueError("can only add rate matrices of the same shape")
         total = dict(self._rates)
         for key, r in other._rates.items():
-            total[key] = total.get(key, 0) + r
+            total[key] = total[key] + r if key in total else r
         return JumpRateMatrix(self.alphabet, self.range_, total)
 
     def is_mass_preserving(self) -> bool:

@@ -225,28 +225,33 @@ def z_table(ctx: CriterionContext) -> LocalBalanceTable:
     return LocalBalanceTable(ctx, ctx._z)
 
 
-def _balance_table(ctx: CriterionContext) -> WordTable:
+def _balance_table(ctx: CriterionContext, T: Optional[JumpRateMatrix] = None,
+                   sides: Optional[Tuple[int, int]] = None, first=None) -> WordTable:
     """-T_out(b) + sum_u T[u -> b] * P(a u c) / P(a b c)
-    for every index word a b c, from `T.coded`, the terms added in the order
-    of T.entries(), and P the chain weight of `_chain_weights`.  Exact
+    for every word a b c, b a window of T (the context's by default) between
+    `sides` letters of context (m each by default), from `T.coded`, the terms
+    added in the order of T.entries(), and P the chain weight of
+    `_chain_weights` (from the first-letter weights `first` when given).  Exact
     numerators over den * P(a b c) are at most max(den, T.coded.reach) times
     the largest P, which fixes their integer type."""
-    alphabet, m, L = ctx.alphabet, ctx.memory, ctx.range_
-    kappa, s = alphabet.kappa, ctx.window_length
-    moves = ctx.T.coded
+    T = ctx.T if T is None else T
+    left, right = sides or (ctx.memory, ctx.memory)
+    alphabet, L = ctx.alphabet, T.range_
+    kappa, s = alphabet.kappa, left + L + right
+    moves = T.coded
     start = [-x for x in moves.exits]
     codes = np.arange(kappa ** s)
-    b = codes // kappa ** m % kappa ** L
+    b = codes // kappa ** right % kappa ** L
     # the codes of a 0^L c; a move u -> v at (a, c) reads a u c and writes a v c
-    sides = (codes[:kappa ** m, None] * kappa ** (m + L) + codes[:kappa ** m]).ravel()
-    source, target = (w[:, None] * kappa ** m + sides for w in (moves.sources, moves.targets))
+    around = (codes[:kappa ** left, None] * kappa ** (right + L) + codes[:kappa ** right]).ravel()
+    source, target = (w[:, None] * kappa ** right + around for w in (moves.sources, moves.targets))
     den = exact_zero = top = None
     exact = ctx.scalar_context.exact
     if not exact:
         untouched = np.array([not isinstance(x, float) for x in start])
         untouched[moves.targets] = False
         exact_zero = untouched[b]
-    chain = _chain_weights(ctx, s, factor=max(moves.den, moves.reach) if exact else 1)
+    chain = _chain_weights(ctx, s, first, max(moves.den, moves.reach) if exact else 1)
     rates = np.array(moves.rates, dtype=chain.dtype)[:, None]
     total = np.array(start, dtype=chain.dtype)[b]
     if exact:

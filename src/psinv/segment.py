@@ -4,11 +4,9 @@ For range 2 and kernel memory 1, the segment dynamics adds two single-site
 rate matrices acting on the first and last site.  The normalized balance of
 a word splits into the interior window sums of Z plus two boundary blocks
 mixing the jump rates with the boundary rates.  Each block is a table over
-the three letters at its end of the word, built like Z from one array of
-chain weights of those words: exact blocks hold integer numerators over the
-denominator of Z, int64 or Python ints from an a-priori bound as Z does,
-float blocks float64 terms added in the order of the per-word sum, so a
-size-n scan is the window gather of Z plus two lookups.
+the three letters at its end of the word, built by Z's builder from the
+jump rates plus the boundary rates of the end site, so a size-n scan is the
+window gather of Z plus two lookups.
 If the balance vanishes on two consecutive sizes n0, n0 + 1 with n0 >= 7,
 it vanishes for every larger size and the law is invariant on the whole
 line.
@@ -26,13 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-import numpy as np
 
 from . import scalars
 from .core import BoundaryRates, JumpRateMatrix, Word
-from .criteria import (CriterionContext, CriterionReport, _chain_weights, _over_one_denominator,
-                       _scalar, _scan_words, _window_sums, check_markov_line, z_table)
-from .scalars import largest_abs
+from .criteria import (CriterionContext, CriterionReport, _balance_table, _scalar, _scan_words,
+                       _window_sums, check_markov_line, z_table)
 
 _VARIANTS = ("target-weighted", "source-weighted")
 # n0: balances vanishing on two consecutive sizes >= N0 vanish on every size
@@ -51,18 +47,13 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
     context float (a new context, with its own Z); a float context takes
     float copies of the boundary rates.
 
-    A block word x (the three letters at one end) gets -(boundary exit at
-    the end site + T exit of its jump window), then for each pair u, in
-    lexicographic order, W(source) / W(x) times the rate of u into the
-    window: T plus the boundary move of the end site lifted to the pair.
-    Left: window x1 x2, source u x3, W = rho(x1) M(x1,x2) M(x2,x3); right:
-    window x2 x3, source x1 u, W = M(x1,x2) M(x2,x3).  The rates come from
-    the coded moves of T and of the boundary (`JumpRateMatrix.coded`), exact
-    ones over the lcm of their denominators.  Exact blocks are one column of
-    sums; float columns that are zero everywhere are left out.  Exact
-    blocks are int64 under a bound as Z is, and so are the balances while n
-    times their largest term (a size-(n + 1) balance, scanned too from N0 on,
-    adds n terms) stays below `scalars.INT64_LIMIT`.
+    Each boundary block is the balance table (`criteria._balance_table`)
+    of T plus the boundary move of its end site, lifted to the end pair,
+    over the three letters at its end of the word.  Left: no left context,
+    weights rho(x1) M(x1,x2) M(x2,x3); right: no right context, weights
+    M(x1,x2) M(x2,x3).  Exact Z and blocks go over one denominator, on int64
+    while n times their largest numerator (a size-(n + 1) balance, scanned
+    too from N0 on, adds n terms) stays below `scalars.INT64_LIMIT`.
     """
     _require_21(ctx)
     if n < 3:
@@ -73,57 +64,29 @@ def _segment_balances(ctx: CriterionContext, beta: BoundaryRates, n: int):
         ctx = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol)
     if not ctx.scalar_context.exact:
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
-    T, exact, kappa = ctx.T, ctx.scalar_context.exact, ctx.alphabet.kappa
-    codes, u = np.arange(kappa ** 3), np.arange(kappa ** 2)
-    moves = T.coded
-    rho, blocks = [ctx.law.rho[(a,)] for a in ctx.alphabet.letters], []
-    # boundary rates, end site in the window, initial weight, window and source codes
-    for side, end, initial, window, source in (
-            (beta.left, 0, rho, codes // kappa, u[:, None] * kappa + codes % kappa),
-            (beta.right, 1, None, codes % kappa ** 2, codes - codes % kappa ** 2 + u[:, None])):
-        # T's and the boundary's coded rates over one denominator (exact) or as stored
-        lifted, place = side.coded, kappa ** (1 - end)  # place value of the end site
-        scale = exact and math.lcm(moves.den, lifted.den)
-        t, b = (scale // moves.den, scale // lifted.den) if exact else (1, 1)
-        # exact numerators over scale * W(x) are at most this factor times W(x)
-        factor = max(scale, moves.reach * t + lifted.reach * b) if exact else 1
-        weights = _chain_weights(ctx, 3, initial, factor)
-        dtype = weights.dtype
-        exits = np.array([-(lifted.exits[a] * b + x * t)
-                          for a, x in zip(u // place % kappa, moves.exits)], dtype)[window]
-        amounts = np.zeros((kappa ** 2, kappa ** 2), dtype)
-        amounts[moves.sources, moves.targets] = np.array(moves.rates, dtype) * t
-        others = u[:kappa] * kappa ** end  # the other site's letter, in place
-        for a, c, rate in zip(lifted.sources, lifted.targets, lifted.rates):
-            amounts[a * place + others, c * place + others] += rate * b
-        amounts = amounts[:, window]
-        if exact:
-            blocks.append((exits * weights + (amounts * weights[source]).sum(axis=0),
-                           scale * weights))
-        else:
-            columns = [exits, *(weights[source] / weights * amounts)]
-            blocks.append([column for column in columns if column.any()])
-    z = z_table(ctx).values
-    entries, den = z.entries, z.den
-    if exact:
-        numerators, block_den, top = _over_one_denominator(*map(np.concatenate, zip(*blocks)))
-        den = math.lcm(den, block_den)
-        z_scale, block_scale = den // z.den, den // block_den
-        if top is None:
-            top = largest_abs(numerators)
+    letters, kappa = ctx.alphabet.letters, ctx.alphabet.kappa
+    rho = [ctx.law.rho[(a,)] for a in letters]
+    tables = [z_table(ctx).values]
+    for side, sides, first in ((beta.left, (0, 1), rho), (beta.right, (1, 0), None)):
+        # the end site (the first one when weighted by rho) moves a -> c, the other keeps o
+        lifted = {((a, o), (c, o)) if first else ((o, a), (o, c)): rate
+                  for (a,), (c,), rate in side.entries() for o in letters}
+        rates = ctx.T.plus(JumpRateMatrix(ctx.alphabet, 2, lifted))
+        tables.append(_balance_table(ctx, rates, sides, first))
+    entries, left, right = (table.entries for table in tables)
+    den = None
+    if ctx.scalar_context.exact:
+        den = math.lcm(*(table.den for table in tables))
         # a size-(n + 1) balance adds n - 2 windows of Z and two blocks
-        bound = n * max(z.top * z_scale, top * block_scale, z_scale, block_scale)
-        entries, numerators = (scalars.int_array(a, bound) * f for a, f in
-                               ((entries, z_scale), (numerators, block_scale)))
-        blocks = [[numerators[:kappa ** 3]], [numerators[kappa ** 3:]]]
-    left, right = blocks
+        bound = n * max(max(table.top, 1) * (den // table.den) for table in tables)
+        entries, left, right = (scalars.int_array(table.entries, bound) * (den // table.den)
+                                for table in tables)
 
     def balances(columns, count):
         total = _window_sums(ctx, entries, columns, count, cyclic=False)
         for block, first in ((left, 0), (right, len(columns) - 3)):
             code = (columns[first] * kappa + columns[first + 1]) * kappa + columns[first + 2]
-            for column in block:
-                total = total + column[code]
+            total = total + block[code]
         return total
 
     return ctx, balances, den

@@ -404,6 +404,22 @@ class TestDeciderCaps:
         code, out, _ = run(capsys, "--max-states", str(2 ** 16), "check-markov", path)
         assert code == 0
 
+    def test_verify_cycle_counts_z_before_the_oracle(self, tmp_path, capsys, monkeypatch):
+        # Z has kappa^(2m+L) words, more than the cycle's kappa^n states
+        def balance_table(*args):
+            raise AssertionError("a Z table was built")
+
+        monkeypatch.setattr(criteria, "_balance_table", balance_table)
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(dict(schema=1, kappa=2, range=100000, rates=[],
+                                        rho=["1/2", "1/2"])))
+        for command, count in (([uniform_kernel_file(tmp_path, 2, 12), "--n", "14"], 2 ** 26),
+                               ([str(wide), "--n", "3"], "2^100000")):
+            start = time.perf_counter()
+            code, _, err = run(capsys, "verify-cycle", *command)
+            assert time.perf_counter() - start < 1
+            assert code == 3 and f"resource cap: {count} states exceed the cap" in err, command
+
     def test_check_product_z_table(self, tmp_path, capsys):
         path = write_model(tmp_path, "tasep", extra={"rho": ["1/2", "1/2"]})
         code, _, err = run(capsys, "--max-states", "3", "check-product", path)
@@ -597,6 +613,15 @@ class TestModelCommand:
         code, out, _ = run(capsys, "model", "zero_range", "--params",
                            json.dumps({"g": {"1,1": 1}, "kappa_trunc": 3}))
         assert code == 0 and json.loads(out)["kappa"] == 3
+
+    @pytest.mark.parametrize("target", ["", "missing/tasep.json"])
+    def test_emit_to_an_unwritable_path(self, tmp_path, capsys, target):
+        path = str(tmp_path / target)  # the directory itself, or a missing parent
+        start = time.perf_counter()
+        code, out, err = run(capsys, "model", "tasep", "--emit", path)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and err.startswith(f"error: cannot write model file {path}: ")
+        assert out == ""
 
 
 class TestModelParams:

@@ -1,6 +1,6 @@
 """No dead code in src/psinv: every private name is used, every public
-function and class is reached, every parameter is read and every dataclass
-field is read.
+function, class and method is reached, every parameter is read and every
+dataclass field is read.
 
 A private name (a `_`-prefixed function, class or module constant; dunder
 names excluded) must be referenced somewhere in the package outside its own
@@ -23,6 +23,12 @@ table has one way in too: `lattice2d` reads `product_context` only inside
 integer arrays have one int64 policy: no module but `scalars` casts an array
 to int64 or to Python ints with `.astype`; the others go through
 `scalars.int_array` and its bound.
+Balance tables have one builder: only `criteria._balance_table` reads the
+chain weights and the one-denominator reduction.  Every public method or
+property of a module-level class must be read as an attribute (`x.name`) by
+package code outside its own definition, unless `UNREACHED_METHODS` names it
+with the reason it is kept; a bare name reads no method, and a method that
+shares its name with another attribute passes unseen, as a field does.
 The source is read with `ast`, not imported.
 """
 import ast
@@ -74,32 +80,42 @@ def public_definitions(tree):
             and not node.name.startswith("_")]
 
 
-def references(tree, skip=None):
-    """Names read in a tree, as bare names or attributes, leaving out the
-    subtree `skip`."""
+def public_methods(tree):
+    """(Class.name, node) of every public method and property of a
+    module-level class."""
+    return [(f"{cls.name}.{node.name}", node) for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
+def references(tree, skip=None, bare=True):
+    """Names read in a tree, as bare names (unless `bare` is False) or
+    attributes, leaving out the subtree `skip`."""
     names = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        if bare and isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             names.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return names
 
 
-def unreferenced_names(trees, definitions=private_definitions):
+def unreferenced_names(trees, definitions=private_definitions, bare=True):
     """module.name of every definition that no tree references outside the
-    definition itself."""
-    read = {module: references(tree) for module, tree in trees.items()}
+    definition itself; a method (Class.name) counts by its own name."""
+    read = {module: references(tree, bare=bare) for module, tree in trees.items()}
     dead = []
     for module, tree in trees.items():
         for name, node in definitions(tree):
-            elsewhere = any(name in names for other, names in read.items() if other != module)
-            if not elsewhere and name not in references(tree, skip=node):
+            own = name.rsplit(".", 1)[-1]
+            elsewhere = any(own in names for other, names in read.items() if other != module)
+            if not elsewhere and own not in references(tree, skip=node, bare=bare):
                 dead.append(f"{module}.{name}")
     return dead
 
@@ -208,6 +224,20 @@ UNREACHED = {
     "catalog": "tests list the catalog's models through it",
 }
 
+# public methods and properties that no package code reads as an attribute, and why each is kept
+UNREACHED_METHODS = {
+    "JumpRateMatrix.out_rate": "the tests' per-word references read exit rates through it",
+    "JumpRateMatrix.scaled": "tests check that verdicts and Z scale with the rates",
+    "BoundaryRates.zero": "tests build closed segments through it",
+    "FiniteGenerator.rows": "the benchmark's nnz hook and the oracle tests read the rows",
+    "FiniteGenerator.exit_rates": "tests compute generator balances from the exit rates",
+    "FiniteGenerator.state_word": "tests decode oracle states through it",
+    "FiniteGenerator.state_index": "tests encode words as oracle states through it",
+    "FiniteGenerator.row_sum_defect": "tests check that merged rows keep every rate",
+}
+# the chain-weight and one-denominator helpers behind every balance table
+BUILDER_PARTS = {"_chain_weights", "_over_one_denominator"}
+
 
 def test_every_private_name_is_used():
     assert unreferenced_names(package_trees()) == []
@@ -216,6 +246,11 @@ def test_every_private_name_is_used():
 def test_every_public_function_is_reached():
     unreached = unreferenced_names(package_trees(), public_definitions)
     assert sorted(name.split(".")[1] for name in unreached) == sorted(UNREACHED)
+
+
+def test_every_public_method_is_reached():
+    unreached = unreferenced_names(package_trees(), public_methods, bare=False)
+    assert sorted(name.split(".", 1)[1] for name in unreached) == sorted(UNREACHED_METHODS)
 
 
 def test_every_parameter_is_read():
@@ -252,6 +287,10 @@ def test_square_contexts_only_through_square_context():
     assert readers(lattice2d, {"product_context"}) == ["lattice2d.square_context"]
 
 
+def test_balance_tables_only_through_the_builder():
+    assert readers(package_trees(), BUILDER_PARTS) == ["criteria._balance_table"]
+
+
 def test_checks_see_dead_code():
     tree = ast.parse("_USED = 1\n_UNUSED = 2\n"
                      "def _helper(a, b, _c, *rest):\n    return _helper(a, _USED)\n"
@@ -267,6 +306,14 @@ def test_checks_see_dead_code():
     # spare calls only itself, and an import reaches nothing
     assert sorted(unreferenced_names({"m": public, "__init__": exports},
                                      public_definitions)) == ["m.Loose", "m.solve", "m.spare"]
+    methods = ast.parse("class Rates:\n    def plus(self, other):\n        return self.plus\n"
+                        "    @property\n    def scale(self):\n        return 1\n"
+                        "    def total(self):\n        return self.scale\n"
+                        "    def _own(self):\n        return 0\n"
+                        "def use(rates, total):\n    return total\n")
+    # plus reads only itself, and a bare name is no attribute read
+    assert unreferenced_names({"m": methods}, public_methods, bare=False) == \
+        ["m.Rates.plus", "m.Rates.total"]
     assert unread_parameters({"m": tree}) == ["m._helper.b", "m._helper.rest"]
     guess = ast.parse("from fractions import Fraction\n"
                       "x = Fraction(0.1).limit_denominator(10)\n")
@@ -291,6 +338,12 @@ def test_checks_see_dead_code():
                        "        self.ctx = product_context(T2, rho)\n")
     assert readers({"m": square}, {"product_context"}) == \
         ["m._Partials.__init__", "m.square_context"]
+    blocks = ast.parse("from . import criteria\n"
+                       "from .criteria import _chain_weights\n"
+                       "def _blocks(ctx):\n    return _chain_weights(ctx, 3)\n"
+                       "def _den(ctx, a, b):\n    return criteria._over_one_denominator(a, b)\n")
+    assert readers({"segment": blocks}, BUILDER_PARTS) == \
+        ["segment._blocks", "segment._den"]
 
 
 def test_field_check_sees_unread_fields():

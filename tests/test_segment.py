@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from psinv.core import Alphabet, BoundaryRates, JumpRateMatrix, MarkovKernel
-from psinv import criteria
+from psinv import criteria, segment
 from psinv.criteria import markov_context
 from psinv.oracle import SegmentSpace, build_generator, segment_measure
 from psinv.segment import check_segment, construct_boundaries, segment_balance
@@ -93,6 +93,21 @@ class TestCheckSegment:
         report = check_segment(ctx, BoundaryRates.zero(Alphabet(2), 1), 4)
         assert not report.invariant
         assert report.witness is not None
+
+    def test_z_and_both_blocks_come_from_one_builder(self, monkeypatch, rng):
+        # the criteria builder, read by z_table, and segment's import of it
+        built, real = [], criteria._balance_table
+
+        def counting(ctx, *args):
+            built.append(args[1:2])  # the context lengths of a block
+            return real(ctx, *args)
+
+        monkeypatch.setattr(criteria, "_balance_table", counting)
+        monkeypatch.setattr(segment, "_balance_table", counting)
+        ctx = markov_context(tasep().jrm, random_kernel(rng))
+        assert ctx.scalar_context.exact
+        check_segment(ctx, random_boundary(rng), 5)
+        assert built == [(), ((0, 1),), ((1, 0),)]
 
 
 class TestReportPins:

@@ -7,8 +7,11 @@ per-word `segment_balance` scan, as the package computed them before `Z`
 became an array; and the segment boundary blocks as the package built them
 before they became chain-weight arrays (one `word_weight` quotient per
 block word and jump), and before their rates were read from the coded
-rates (`Fraction` exit and pair rates).  The array forms must return the same exact values, word
-counts and witnesses, and the same floats bit for bit.
+rates (`Fraction` exit and pair rates).  Each float block word is one
+entry, its terms added as a `Z` entry adds them: minus the exit rate of the
+jump rates plus the lifted boundary rates (`lifted_rates`), then one term
+per source pair in order.  The array forms must return the same exact
+values, word counts and witnesses, and the same floats bit for bit.
 
 Also the dense linear solve as the package computed it before exact
 elimination became integer and sparse (`reference_rref`, and
@@ -210,34 +213,49 @@ def reference_certificate_check(ctx, values, potential):
 # the segment decider
 # ---------------------------------------------------------------------------
 
+def lifted_rates(T, side, end):
+    """The rates of a segment boundary block: T plus the boundary move of
+    the end site (0 on the left, 1 on the right) of a pair, the other site
+    kept."""
+    moves = {}
+    for u, v in itertools.product(T.alphabet.words(2), repeat=2):
+        rate = side.rate(u[end:end + 1], v[end:end + 1])
+        if u[1 - end] == v[1 - end] and rate != 0:
+            moves[(u, v)] = rate
+    return T.plus(JumpRateMatrix(T.alphabet, 2, moves))
+
+
 def reference_segment_balance(ctx, beta, x, values):
+    """The window sum of x, then each boundary block as one entry, its terms
+    added as a `Z` entry adds them."""
     M = ctx.law.kernel
     rho = ctx.law.rho
     E = ctx.alphabet.letters
     T = ctx.T
     n = len(x)
     total = window_sum(values, ctx.window_length, x)
-    total -= beta.left.out_rate((x[0],)) + T.out_rate((x[0], x[1]))
+    entry = -lifted_rates(T, beta.left, 0).out_rate((x[0], x[1]))
     denom = rho[(x[0],)] * M.prob((x[0],), x[1]) * M.prob((x[1],), x[2])
     for u1 in E:
         for u2 in E:
-            weight = rho[(u1,)] * M.prob((u1,), u2) * M.prob((u2,), x[2]) / denom
+            weight = rho[(u1,)] * M.prob((u1,), u2) * M.prob((u2,), x[2])
             amount = T.rate((u1, u2), (x[0], x[1]))
             if u2 == x[1]:
                 amount += beta.left.rate((u1,), (x[0],))
             if amount != 0:
-                total += weight * amount
-    total -= beta.right.out_rate((x[n - 1],)) + T.out_rate((x[n - 2], x[n - 1]))
+                entry += amount * weight / denom
+    total += entry
+    entry = -lifted_rates(T, beta.right, 1).out_rate((x[n - 2], x[n - 1]))
     denom = M.prob((x[n - 3],), x[n - 2]) * M.prob((x[n - 2],), x[n - 1])
     for u1 in E:
         for u2 in E:
-            weight = M.prob((x[n - 3],), u1) * M.prob((u1,), u2) / denom
+            weight = M.prob((x[n - 3],), u1) * M.prob((u1,), u2)
             amount = T.rate((u1, u2), (x[n - 2], x[n - 1]))
             if u1 == x[n - 2]:
                 amount += beta.right.rate((u2,), (x[n - 1],))
             if amount != 0:
-                total += weight * amount
-    return total
+                entry += amount * weight / denom
+    return total + entry
 
 
 def reference_segment_scan(ctx, beta, n, values):
@@ -256,21 +274,23 @@ def reference_segment_scan(ctx, beta, n, values):
 
 def reference_segment_balances(ctx, beta, n):
     """`segment._segment_balances` with its boundary blocks built word by
-    word: (context, balances(columns, count), den)."""
+    word, one entry per block word: (context, balances(columns, count), den)."""
     if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
         ctx = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol)
     if not ctx.scalar_context.exact:
         beta = BoundaryRates(beta.left.floated(), beta.right.floated())
     M, T = ctx.law.kernel, ctx.T
     left, right = [], []
+    exits = [lifted_rates(T, side, end).out_rate
+             for end, side in enumerate((beta.left, beta.right))]
     for x in ctx.alphabet.words(3):
         # left: jump window (1,2), boundary at site 1, weights from the law at
         # site 1; right: window (n-1,n), boundary at site n.  A boundary jump
         # keeps the letter u[kept] of the site next to it.
-        sides = ((left, beta.left, x[:2], x[:1], 1, ctx.law.rho),
-                 (right, beta.right, x[1:], x[2:], 0, None))
-        for block, side, window, site, kept, law in sides:
-            terms = [-(side.out_rate(site) + T.out_rate(window))]
+        sides = ((left, beta.left, exits[0], x[:2], x[:1], 1, ctx.law.rho),
+                 (right, beta.right, exits[1], x[1:], x[2:], 0, None))
+        for block, side, exit_rate, window, site, kept, law in sides:
+            entry = -exit_rate(window)
             denom = M.word_weight(x, law)
             for u in itertools.product(ctx.alphabet.letters, repeat=2):
                 amount = T.rate(u, window)
@@ -278,26 +298,22 @@ def reference_segment_balances(ctx, beta, n):
                     amount += side.rate(u[1 - kept:2 - kept], site)
                 if amount != 0:
                     source = u + x[2:] if law else x[:1] + u
-                    terms.append(M.word_weight(source, law) / denom * amount)
-            block.append(terms)
+                    entry += amount * M.word_weight(source, law) / denom
+            block.append(entry)
     z = z_table(ctx).values
     entries, den = z.entries, z.den
     if den is not None:
-        left, right = ([[sum(row)] for row in block] for block in (left, right))
-        den = math.lcm(den, *(Fraction(row[0]).denominator for row in left + right))
+        den = math.lcm(den, *(Fraction(entry).denominator for entry in left + right))
         entries = np.array(entries.tolist(), dtype=object) * (den // z.den)  # Python ints
-        left, right = ([[int(row[0] * den)] for row in block] for block in (left, right))
-    width = max(len(row) for row in left + right)
-    left, right = ([np.array([row[k] if k < len(row) else 0 for row in block], entries.dtype)
-                    for k in range(width)] for block in (left, right))
+        left, right = ([int(entry * den) for entry in block] for block in (left, right))
+    left, right = (np.array(block, entries.dtype) for block in (left, right))
     kappa = ctx.alphabet.kappa
 
     def balances(columns, count):
         total = _window_sums(ctx, entries, columns, count, cyclic=False)
         for block, first in ((left, 0), (right, len(columns) - 3)):
             code = (columns[first] * kappa + columns[first + 1]) * kappa + columns[first + 2]
-            for column in block:
-                total = total + column[code]
+            total = total + block[code]
         return total
 
     return ctx, balances, den
@@ -307,7 +323,8 @@ def fraction_segment_balances(ctx, beta, n):
     """`segment._segment_balances` with its boundary blocks built from
     `Fraction` exit rates and per-pair `Fraction` rates, put over one
     denominator afterwards, as the package built them before they were read
-    from the coded rates: (context, balances(columns, count), den)."""
+    from the coded rates; float blocks one entry per word, summed as a `Z`
+    entry is: (context, balances(columns, count), den)."""
     if ctx.scalar_context.exact and not (beta.left.is_exact and beta.right.is_exact):
         ctx = CriterionContext(ctx.T.floated(), ctx.law.floated(), ctx.tol)
     if not ctx.scalar_context.exact:
@@ -331,9 +348,13 @@ def fraction_segment_balances(ctx, beta, n):
         if exact:
             blocks.append((exits * weights + (amounts * weights[source]).sum(axis=0),
                            scale * weights))
-        else:
-            columns = [exits, *(weights[source] / weights * amounts)]
-            blocks.append([column for column in columns if column.any()])
+        else:  # as a `Z` entry: the exit of the summed rates, then pair by pair
+            rates = lifted_rates(T, side, end)
+            total = np.array([-rates.out_rate(w) for w in pairs], float)[window]
+            for k, v in enumerate(pairs):
+                total = total + np.array([rates.rate(v, w) for w in pairs], float)[window] \
+                    * weights[source[k]] / weights
+            blocks.append([total])
     z = z_table(ctx).values
     entries, den = z.entries, z.den
     if exact:
